@@ -30,7 +30,6 @@ func main() {
 		out       = flag.String("out", "", "output v1 index file (graph not embedded)")
 		bundle    = flag.String("o", "", "output v2 snapshot bundle (self-contained, mmap-served)")
 		workers   = flag.Int("buildworkers", 0, "construction workers (0 = GOMAXPROCS, 1 = sequential)")
-		packed    = flag.Bool("packed", true, "derive the bit-parallel packed MR-set form (bundles gain packed sections; false = scan-only baseline)")
 		maxBytes  = flag.Int64("max-index-bytes", 0, "size budget for the index: keep exact entry lists for the top-ranked vertices that fit, demote the rest to may-reach filters (0 = unlimited; answers stay exact either way)")
 		noPR1     = flag.Bool("no-pr1", false, "disable pruning rule PR1 (ablation)")
 		noPR2     = flag.Bool("no-pr2", false, "disable pruning rule PR2 (ablation)")
@@ -69,7 +68,6 @@ func main() {
 	ix, bst, err := rlc.BuildIndexWithStats(g, rlc.Options{
 		K:             *k,
 		BuildWorkers:  *workers,
-		DisablePacked: !*packed,
 		MaxIndexBytes: *maxBytes,
 		DisablePR1:    *noPR1,
 		DisablePR2:    *noPR2,
@@ -84,10 +82,8 @@ func main() {
 	fmt.Printf("indexing time: %.3fs (%d build workers)\n", elapsed.Seconds(), bst.Workers)
 	fmt.Printf("index size:    %.2f MB (%d entries: %d in, %d out; %d distinct MRs)\n",
 		float64(st.SizeBytes)/(1024*1024), st.Entries, st.InEntries, st.OutEntries, st.DistinctMRs)
-	if ix.Packed() {
-		fmt.Printf("packed:        %.2f MB (%d groups, %d hash-consed sets, %d pool words)\n",
-			float64(st.Packed.SizeBytes)/(1024*1024), st.Packed.Groups, st.Packed.Sets, st.Packed.PoolWords)
-	}
+	fmt.Printf("packed:        %.2f MB (%d groups, %d hash-consed sets, %d pool words)\n",
+		float64(st.Packed.SizeBytes)/(1024*1024), st.Packed.Groups, st.Packed.Sets, st.Packed.PoolWords)
 	if *maxBytes > 0 && !ix.Tiered() {
 		fmt.Printf("tiers:         budget %d B fits the whole index, nothing demoted\n", *maxBytes)
 	}

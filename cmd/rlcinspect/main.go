@@ -75,10 +75,8 @@ func main() {
 	fmt.Printf("entries:      %d (%d in, %d out)\n", st.Entries, st.InEntries, st.OutEntries)
 	fmt.Printf("distinct MRs: %d\n", st.DistinctMRs)
 	fmt.Printf("size:         %.2f MB\n", float64(st.SizeBytes)/(1024*1024))
-	if ix.Packed() {
-		fmt.Printf("packed:       %.2f MB (%d groups, %d hash-consed sets, %d pool words, bit-parallel membership)\n",
-			float64(st.Packed.SizeBytes)/(1024*1024), st.Packed.Groups, st.Packed.Sets, st.Packed.PoolWords)
-	}
+	fmt.Printf("packed:       %.2f MB (%d groups, %d hash-consed sets, %d pool words, bit-parallel membership)\n",
+		float64(st.Packed.SizeBytes)/(1024*1024), st.Packed.Groups, st.Packed.Sets, st.Packed.PoolWords)
 	if ix.Tiered() {
 		ts := st.Tiers
 		fmt.Printf("tiers:        budget %d B: %d exact vertices, %d filtered (%.2f MB filters, %d union sets, %d bloom bits per filter)\n",
@@ -131,8 +129,8 @@ var sectionNames = map[uint32]string{
 }
 
 // dumpSections prints the bundle's section table, checksumming each payload
-// exactly once, then cross-checks the embedded graph fingerprint — together
-// the same integrity pass as Snapshot.Verify, without re-reading the file.
+// exactly once, then runs Snapshot.VerifyContents — together the same
+// integrity pass as Snapshot.Verify, without re-reading the file.
 func dumpSections(snap *rlc.Snapshot) {
 	mode := "mmap"
 	if !snap.Mapped() {
@@ -157,14 +155,8 @@ func dumpSections(snap *rlc.Snapshot) {
 	if corrupt {
 		fatalf("snapshot failed checksum verification (see table above)")
 	}
-	if got := snap.Graph().Fingerprint(); got != snap.Fingerprint() {
-		fatalf("snapshot fingerprint mismatch: bundle records %v, embedded graph hashes to %v", snap.Fingerprint(), got)
-	}
-	if err := snap.Index().VerifyPacked(); err != nil {
-		fatalf("packed sections diverge from the entry array: %v", err)
-	}
-	if err := snap.Index().VerifyTiers(); err != nil {
-		fatalf("tier sections diverge from the entry array: %v", err)
+	if err := snap.VerifyContents(); err != nil {
+		fatalf("snapshot contents inconsistent: %v", err)
 	}
 	fmt.Println("all sections verified")
 	fmt.Println()

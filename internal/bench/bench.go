@@ -215,7 +215,6 @@ func Experiments() []Experiment {
 		{ID: "pbuild", Title: "Parallel index construction (extension)", Run: RunPBuild},
 		{ID: "serve", Title: "Cached vs uncached query serving (extension)", Run: RunServe},
 		{ID: "ingest", Title: "Mixed read/write serving with epoch rebuilds (extension)", Run: RunIngest},
-		{ID: "packed", Title: "Bit-parallel packed MR-sets vs linear scan (extension)", Run: RunPacked},
 		{ID: "budget", Title: "Size-budgeted index tiers under MaxIndexBytes (extension)", Run: RunBudget},
 		{ID: "repl", Title: "Replicated serving: journal streaming and bundle cutover (extension)", Run: RunRepl},
 	}

@@ -33,8 +33,8 @@ func microConfig() Config {
 
 func TestRegistry(t *testing.T) {
 	exps := Experiments()
-	if len(exps) != 16 {
-		t.Fatalf("expected 16 experiments, got %d", len(exps))
+	if len(exps) != 15 {
+		t.Fatalf("expected 15 experiments, got %d", len(exps))
 	}
 	for _, e := range exps {
 		got, err := ByID(e.ID)
@@ -209,14 +209,6 @@ func TestRunIngestMicro(t *testing.T) {
 		if _, err := fmt.Sscanf(row[6], "%d", &epochs); err != nil || epochs < 1 {
 			t.Errorf("ingest row %v: expected >= 1 fold epoch, got %q", row, row[6])
 		}
-	}
-}
-
-func TestRunPackedMicro(t *testing.T) {
-	tables, err := RunPacked(microConfig())
-	checkTables(t, tables, err, 2) // AD and TW rows
-	if len(tables) != 1 {
-		t.Fatalf("packed should produce one table, got %d", len(tables))
 	}
 }
 

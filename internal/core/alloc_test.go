@@ -14,73 +14,57 @@ import (
 // behavior — a valid query through the public API costs zero heap
 // allocations — so a regression that sneaks in through an unannotated
 // callee (or an escape-analysis change in a new toolchain) still fails CI.
-// Both representations are pinned: the bit-parallel packed path (the
-// default) and the linear-scan fallback that pre-packed bundles serve.
 
-func allocTestIndex(t *testing.T, disablePacked bool) *Index {
+func allocTestIndex(t *testing.T) *Index {
 	t.Helper()
 	r := rand.New(rand.NewSource(7))
 	g := randomGraph(r, 64, 3, 512)
-	return mustBuild(t, g, Options{K: 3, DisablePacked: disablePacked})
-}
-
-func allocTestVariants(t *testing.T) map[string]*Index {
-	t.Helper()
-	return map[string]*Index{
-		"packed": allocTestIndex(t, false),
-		"scan":   allocTestIndex(t, true),
-	}
+	return mustBuild(t, g, Options{K: 3})
 }
 
 func TestQueryAllocFree(t *testing.T) {
-	for name, ix := range allocTestVariants(t) {
-		t.Run(name, func(t *testing.T) {
-			seqs := []labelseq.Seq{{0}, {1, 2}, {2, 0, 1}}
-			for _, l := range seqs {
-				l := l
-				if _, err := ix.Query(3, 4, l); err != nil {
-					t.Fatalf("Query warm-up: %v", err)
-				}
-				avg := testing.AllocsPerRun(200, func() {
-					if _, err := ix.Query(3, 4, l); err != nil {
-						panic(err)
-					}
-				})
-				if avg != 0 {
-					t.Errorf("Query(|L|=%d): %.1f allocs/op, want 0", len(l), avg)
-				}
+	ix := allocTestIndex(t)
+	seqs := []labelseq.Seq{{0}, {1, 2}, {2, 0, 1}}
+	for _, l := range seqs {
+		l := l
+		if _, err := ix.Query(3, 4, l); err != nil {
+			t.Fatalf("Query warm-up: %v", err)
+		}
+		avg := testing.AllocsPerRun(200, func() {
+			if _, err := ix.Query(3, 4, l); err != nil {
+				panic(err)
 			}
 		})
+		if avg != 0 {
+			t.Errorf("Query(|L|=%d): %.1f allocs/op, want 0", len(l), avg)
+		}
 	}
 }
 
 func TestQueryBatchIntoAllocFree(t *testing.T) {
-	for name, ix := range allocTestVariants(t) {
-		t.Run(name, func(t *testing.T) {
-			r := rand.New(rand.NewSource(11))
-			queries := make([]BatchQuery, 256)
-			for i := range queries {
-				queries[i] = BatchQuery{
-					S: graph.Vertex(r.Intn(64)),
-					T: graph.Vertex(r.Intn(64)),
-					L: labelseq.Seq{labelseq.Label(r.Intn(3))},
-				}
-			}
-			// An adequately sized reused buffer and a single worker is the
-			// documented allocation-free configuration of QueryBatchInto.
-			results := make([]BatchResult, 0, len(queries))
-			results = ix.QueryBatchInto(queries, 1, results)
-			avg := testing.AllocsPerRun(50, func() {
-				results = ix.QueryBatchInto(queries, 1, results)
-			})
-			if avg != 0 {
-				t.Errorf("QueryBatchInto(reused buffer, 1 worker): %.1f allocs/op, want 0", avg)
-			}
-			for i, res := range results {
-				if res.Err != nil {
-					t.Fatalf("query %d: %v", i, res.Err)
-				}
-			}
-		})
+	ix := allocTestIndex(t)
+	r := rand.New(rand.NewSource(11))
+	queries := make([]BatchQuery, 256)
+	for i := range queries {
+		queries[i] = BatchQuery{
+			S: graph.Vertex(r.Intn(64)),
+			T: graph.Vertex(r.Intn(64)),
+			L: labelseq.Seq{labelseq.Label(r.Intn(3))},
+		}
+	}
+	// An adequately sized reused buffer and a single worker is the
+	// documented allocation-free configuration of QueryBatchInto.
+	results := make([]BatchResult, 0, len(queries))
+	results = ix.QueryBatchInto(queries, 1, results)
+	avg := testing.AllocsPerRun(50, func() {
+		results = ix.QueryBatchInto(queries, 1, results)
+	})
+	if avg != 0 {
+		t.Errorf("QueryBatchInto(reused buffer, 1 worker): %.1f allocs/op, want 0", avg)
+	}
+	for i, res := range results {
+		if res.Err != nil {
+			t.Fatalf("query %d: %v", i, res.Err)
+		}
 	}
 }

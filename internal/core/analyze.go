@@ -28,8 +28,9 @@ type Distribution struct {
 func (ix *Index) EntryDistribution() Distribution {
 	n := ix.g.NumVertices()
 	counts := make([]int, 0, n)
+	p := ix.packed
 	for v := graph.Vertex(0); int(v) < n; v++ {
-		if c := len(ix.lin(v)) + len(ix.lout(v)); c > 0 {
+		if c := int(p.count(p.lin(v)) + p.count(p.lout(v))); c > 0 {
 			counts = append(counts, c)
 		}
 	}
@@ -41,7 +42,7 @@ func (ix *Index) EntryDistribution() Distribution {
 // means queries repeatedly merge-join through the same few hubs.
 func (ix *Index) HubDistribution() Distribution {
 	perHub := make([]int, len(ix.order))
-	for _, e := range ix.entries {
+	for e := range ix.packed.entries(ix.packed.groups) {
 		perHub[e.hub]++
 	}
 	counts := perHub[:0]

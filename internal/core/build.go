@@ -94,18 +94,27 @@ func Build(g *graph.Graph, opts Options) (*Index, error) {
 
 // BuildWithStats is Build plus construction counters.
 func BuildWithStats(g *graph.Graph, opts Options) (*Index, BuildStats, error) {
+	ix, _, _, stats, err := buildWithLists(g, opts)
+	return ix, stats, err
+}
+
+// buildWithLists is BuildWithStats that also hands back the builder's
+// per-vertex Lout/Lin entry lists the index was packed from (after size
+// budgeting dropped the demoted ones) — the pre-pack oracle of the
+// differential tests.
+func buildWithLists(g *graph.Graph, opts Options) (ix *Index, out, in [][]entry, stats BuildStats, err error) {
 	k := opts.k()
 	if k < 1 || k > MaxK {
-		return nil, BuildStats{}, fmt.Errorf("rlc: recursive k must be in [1, %d], got %d", MaxK, k)
+		return nil, nil, nil, stats, fmt.Errorf("rlc: recursive k must be in [1, %d], got %d", MaxK, k)
 	}
 	if opts.BuildWorkers < 0 {
-		return nil, BuildStats{}, fmt.Errorf("rlc: BuildWorkers must be >= 0 (0 = GOMAXPROCS), got %d", opts.BuildWorkers)
+		return nil, nil, nil, stats, fmt.Errorf("rlc: BuildWorkers must be >= 0 (0 = GOMAXPROCS), got %d", opts.BuildWorkers)
 	}
 	if opts.MaxIndexBytes < 0 {
-		return nil, BuildStats{}, fmt.Errorf("rlc: MaxIndexBytes must be >= 0 (0 = unlimited), got %d", opts.MaxIndexBytes)
+		return nil, nil, nil, stats, fmt.Errorf("rlc: MaxIndexBytes must be >= 0 (0 = unlimited), got %d", opts.MaxIndexBytes)
 	}
 	if g.NumVertices() == 0 {
-		return nil, BuildStats{}, fmt.Errorf("rlc: cannot index an empty graph")
+		return nil, nil, nil, stats, fmt.Errorf("rlc: cannot index an empty graph")
 	}
 	numLabels := g.NumLabels()
 	if numLabels == 0 {
@@ -113,11 +122,11 @@ func BuildWithStats(g *graph.Graph, opts Options) (*Index, BuildStats, error) {
 	}
 	dict, err := labelseq.NewDict(numLabels, k)
 	if err != nil {
-		return nil, BuildStats{}, fmt.Errorf("rlc: %w", err)
+		return nil, nil, nil, stats, fmt.Errorf("rlc: %w", err)
 	}
 
 	n := g.NumVertices()
-	ix := &Index{
+	ix = &Index{
 		g:     g,
 		k:     k,
 		opts:  opts,
@@ -140,22 +149,10 @@ func BuildWithStats(g *graph.Graph, opts Options) (*Index, BuildStats, error) {
 	} else {
 		runParallelBuild(ix, b, workers)
 	}
-	if err := ix.freeze(b.out, b.in); err != nil {
-		return nil, b.stats, err
+	if err := ix.seal(b.out, b.in); err != nil {
+		return nil, nil, nil, b.stats, err
 	}
-	if !opts.DisablePacked {
-		if err := ix.pack(); err != nil {
-			return nil, b.stats, err
-		}
-	}
-	// Size budgeting runs last, over the frozen (and packed) index: it
-	// truncates demoted lists and re-derives the packed form, so a budget
-	// the full index fits leaves everything bit-identical to an unbudgeted
-	// build.
-	if err := ix.tier(); err != nil {
-		return nil, b.stats, err
-	}
-	return ix, b.stats, nil
+	return ix, b.out, b.in, b.stats, nil
 }
 
 // EffectiveBuildWorkers returns the worker count Build actually runs for a

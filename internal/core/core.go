@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"iter"
 	"math"
 
 	"github.com/g-rpqs/rlc-go/internal/graph"
@@ -73,13 +74,6 @@ type Options struct {
 	DisablePR2 bool
 	DisablePR3 bool
 
-	// DisablePacked skips deriving the bit-parallel packed MR-set form
-	// after the build freezes (see packed.go), leaving queries on the
-	// linear-scan entry path and WriteSnapshot without packed sections.
-	// Answers are identical either way; the flag exists for the packed/scan
-	// differential tests and the bench baseline.
-	DisablePacked bool
-
 	// MaxIndexBytes caps the index size (same accounting as SizeBytes; 0 =
 	// unlimited). When the full index exceeds it, the builder keeps complete
 	// entry lists only for the access-order prefix that fits and demotes
@@ -104,6 +98,8 @@ func (o Options) k() int {
 // entry is one index entry: the hub's access rank (0-based position in the
 // IN-OUT order, so lists sort ascending by construction) and the interned
 // minimum repeat. 8 bytes per entry, matching the paper's (vid, mr) schema.
+// Entries are the build-time and legacy-import form only; the resident index
+// groups them by hub (packed.go).
 type entry struct {
 	hub int32
 	mr  labelseq.ID
@@ -111,13 +107,6 @@ type entry struct {
 
 // Index is an immutable RLC index over a fixed graph. Queries are safe for
 // concurrent use; building is not concurrent.
-//
-// All Lin/Lout entry lists live in one contiguous entries slice in CSR
-// fashion: the Lout lists of every vertex first, then the Lin lists, with
-// one offset array per direction. Build and Load construct into per-vertex
-// slices (inserts stay cheap) and freeze compacts the result, so the hot
-// query path walks flat memory instead of chasing n separately allocated
-// list headers.
 type Index struct {
 	g    *graph.Graph
 	k    int
@@ -127,57 +116,63 @@ type Index struct {
 	order []graph.Vertex // rank -> vertex id
 	rank  []int32        // vertex id -> rank
 
-	entries []entry // all Lout lists, then all Lin lists
-	outOff  []int32 // len n+1; Lout(v) = entries[outOff[v]:outOff[v+1]]
-	inOff   []int32 // len n+1; Lin(v)  = entries[inOff[v]:inOff[v+1]]
-
-	// packed, when non-nil, is the bit-parallel hash-consed form of the
-	// entry lists (packed.go); queryByID answers from it and falls back to
-	// the entry scan when absent.
+	// packed holds every Lin/Lout list as hub-sorted (hub, MR-set) groups
+	// over a hash-consed bitset pool (packed.go) — the one form queries
+	// answer from and bundles store.
 	packed *packed
 
-	// tiers, when non-nil, marks a size-budgeted index (tiers.go): the
-	// entry lists of vertices ranked at or past tiers.retainedRanks are
-	// truncated and queries touching them go through may-reach filters
-	// with an exact traversal fallback.
+	// tiers, when non-nil, marks a size-budgeted index (tiers.go): vertices
+	// ranked at or past tiers.retainedRanks have no groups and queries
+	// touching them go through may-reach filters with an exact traversal
+	// fallback.
 	tiers *tiers
 }
 
-// lout returns the Lout(v) slice of the frozen entries array.
-func (ix *Index) lout(v graph.Vertex) []entry {
-	return ix.entries[ix.outOff[v]:ix.outOff[v+1]]
+// lout decodes the Lout(v) entries.
+func (ix *Index) lout(v graph.Vertex) iter.Seq[entry] {
+	return ix.packed.entries(ix.packed.lout(v))
 }
 
-// lin returns the Lin(v) slice of the frozen entries array.
-func (ix *Index) lin(v graph.Vertex) []entry {
-	return ix.entries[ix.inOff[v]:ix.inOff[v+1]]
+// lin decodes the Lin(v) entries.
+func (ix *Index) lin(v graph.Vertex) iter.Seq[entry] {
+	return ix.packed.entries(ix.packed.lin(v))
 }
 
-// freeze compacts per-vertex entry lists into the flat CSR layout. The
-// per-list entry order is preserved, so anything pinned on it (hub-sorted
-// lists, the serialized v1 format) is unaffected.
-func (ix *Index) freeze(out, in [][]entry) error {
-	n := len(out)
+// seal turns the per-vertex entry lists Build or Load produced into the
+// resident index: size budgeting first (cut selection and filter
+// construction read the complete lists, then the demoted ones are dropped),
+// then one pack of what is retained. A budget the full index fits leaves
+// everything bit-identical to an unbudgeted build. The lists are the
+// caller's to discard afterwards; seal leaves them equal to what the index
+// retains.
+func (ix *Index) seal(out, in [][]entry) error {
 	total := int64(0)
-	for v := 0; v < n; v++ {
+	for v := range out {
 		total += int64(len(out[v]) + len(in[v]))
 	}
 	if total > math.MaxInt32 {
-		return fmt.Errorf("rlc: index has %d entries, exceeding the 2^31-1 CSR offset limit", total)
+		return fmt.Errorf("rlc: index has %d entries, exceeding the 2^31-1 offset limit", total)
 	}
-	ix.entries = make([]entry, 0, total)
-	ix.outOff = make([]int32, n+1)
-	ix.inOff = make([]int32, n+1)
-	for v := 0; v < n; v++ {
-		ix.outOff[v] = int32(len(ix.entries))
-		ix.entries = append(ix.entries, out[v]...)
+	tr, err := ix.tier(out, in, total)
+	if err != nil {
+		return err
 	}
-	ix.outOff[n] = int32(len(ix.entries))
-	for v := 0; v < n; v++ {
-		ix.inOff[v] = int32(len(ix.entries))
-		ix.entries = append(ix.entries, in[v]...)
+	if tr != nil {
+		for _, v := range ix.order[tr.retainedRanks:] {
+			out[v], in[v] = nil, nil
+		}
 	}
-	ix.inOff[n] = int32(len(ix.entries))
+	p, err := pack(out, in, ix.dict.Len())
+	if err != nil {
+		return err
+	}
+	if err := p.verifyAgainst(out, in); err != nil {
+		return err
+	}
+	ix.packed = p
+	if tr != nil {
+		initTierRuntime(ix, tr)
+	}
 	return nil
 }
 
@@ -194,24 +189,36 @@ func (ix *Index) AccessOrder() []graph.Vertex { return ix.order }
 // NumEntries returns the total number of index entries across all Lin and
 // Lout sets.
 func (ix *Index) NumEntries() int64 {
-	return int64(len(ix.entries))
+	return ix.packed.outEntries + ix.packed.inEntries
 }
 
-// SizeBytes estimates the resident size of the index: 8 bytes per entry
-// plus the minimum-repeat dictionary, mirroring how the paper reports index
-// size. On a size-budgeted index the (truncated) entries plus the filter
-// tier are counted, so the number is directly comparable to MaxIndexBytes.
+// SizeBytes is the index size in the paper's accounting: 8 bytes per (hub,
+// mr) entry plus the minimum-repeat dictionary and the per-vertex offsets.
+// It is the logical size — what MaxIndexBytes is denominated in and what
+// makes indexes comparable across representations; PackedStats.SizeBytes is
+// the physical one. On a size-budgeted index the retained entries plus the
+// filter tier are counted.
 func (ix *Index) SizeBytes() int64 {
-	size := ix.NumEntries() * 8
-	for i := 0; i < ix.dict.Len(); i++ {
-		size += int64(len(ix.dict.Seq(labelseq.ID(i))))*4 + 16
-	}
-	// CSR offset arrays (one per direction).
-	size += int64(len(ix.inOff)+len(ix.outOff)) * 4
+	size := ix.NumEntries()*8 + ix.fixedBytes()
 	if ix.tiers != nil {
 		size += ix.tiers.sizeBytes()
 	}
 	return size
+}
+
+// dictBytes is the accounted size of the minimum-repeat dictionary.
+func (ix *Index) dictBytes() int64 {
+	size := int64(0)
+	for i := 0; i < ix.dict.Len(); i++ {
+		size += int64(len(ix.dict.Seq(labelseq.ID(i))))*4 + 16
+	}
+	return size
+}
+
+// fixedBytes is the part of SizeBytes no budget can trade away: the
+// dictionary and one offset array per direction.
+func (ix *Index) fixedBytes() int64 {
+	return ix.dictBytes() + int64(len(ix.order)+1)*2*4
 }
 
 // Stats summarizes an index for reporting.
@@ -225,8 +232,7 @@ type Stats struct {
 	DistinctMRs int
 	SizeBytes   int64
 
-	// Packed summarizes the bit-parallel representation when present
-	// (Packed.Groups == 0 and Packed.Sets == 0 on an unpacked index).
+	// Packed summarizes the physical bit-parallel representation.
 	Packed PackedStats
 
 	// Tiers summarizes the size-budgeted filter tier when present (the
@@ -236,9 +242,7 @@ type Stats struct {
 
 // Stats returns summary statistics.
 func (ix *Index) Stats() Stats {
-	n := ix.g.NumVertices()
-	out := int64(ix.outOff[n] - ix.outOff[0])
-	in := int64(ix.inOff[n] - ix.inOff[0])
+	out, in := ix.packed.outEntries, ix.packed.inEntries
 	return Stats{
 		K:           ix.k,
 		Vertices:    ix.g.NumVertices(),
@@ -264,16 +268,17 @@ type EntryView struct {
 	MR  labelseq.Seq
 }
 
-// LinEntries returns the decoded Lin(v) set.
+// LinEntries returns the decoded Lin(v) set: hubs in access order, minimum
+// repeats in dictionary order within a hub.
 func (ix *Index) LinEntries(v graph.Vertex) []EntryView { return ix.decode(ix.lin(v)) }
 
-// LoutEntries returns the decoded Lout(v) set.
+// LoutEntries returns the decoded Lout(v) set, ordered like LinEntries.
 func (ix *Index) LoutEntries(v graph.Vertex) []EntryView { return ix.decode(ix.lout(v)) }
 
-func (ix *Index) decode(list []entry) []EntryView {
-	out := make([]EntryView, len(list))
-	for i, e := range list {
-		out[i] = EntryView{Hub: ix.order[e.hub], MR: ix.dict.Seq(e.mr).Clone()}
+func (ix *Index) decode(list iter.Seq[entry]) []EntryView {
+	var out []EntryView
+	for e := range list {
+		out = append(out, EntryView{Hub: ix.order[e.hub], MR: ix.dict.Seq(e.mr).Clone()})
 	}
 	return out
 }
@@ -363,8 +368,8 @@ func (ix *Index) checkConstraint(l labelseq.Seq) error {
 	return nil
 }
 
-// queryByID is the hot path of Query and QueryBatch on the frozen CSR
-// layout: Case 2 (direct entries) then Case 1 (merge join). During
+// queryByID is the hot path of Query and QueryBatch: Case 2 (direct groups)
+// then Case 1 (merge join), all membership via AND/shift. During
 // construction the equivalent PR1 check runs against the builder's mutable
 // per-vertex lists instead (see builder.insert). On a size-budgeted index,
 // queries touching a demoted vertex dispatch to the three-tier path
@@ -379,22 +384,17 @@ func (ix *Index) queryByID(s, t graph.Vertex, mr labelseq.ID) bool {
 		}
 		tr.exactHits.Add(1)
 	}
-	if ix.packed != nil {
-		return ix.queryPacked(s, t, mr)
-	}
-	outS, inT := ix.lout(s), ix.lin(t)
-	if hasEntry(outS, ix.rank[t], mr) || hasEntry(inT, ix.rank[s], mr) {
+	p := ix.packed
+	outS, inT := p.lout(s), p.lin(t)
+	if p.groupHas(outS, ix.rank[t], mr) || p.groupHas(inT, ix.rank[s], mr) {
 		return true
 	}
-	return joinHas(outS, inT, mr)
+	return p.joinGroups(outS, inT, mr)
 }
 
-// hasEntry reports whether list (sorted by hub) contains (hub, mr). The
-// binary search is spelled out rather than delegated to sort.Search so the
-// probe stays closure-free: this runs twice per query, and rlcvet's noalloc
-// check holds the whole chain to zero allocating operations.
-//
-//rlc:noalloc
+// hasEntry reports whether list (sorted by hub) contains (hub, mr) — the
+// builder's dup check on its mutable lists, and the pre-pack oracle of the
+// differential tests.
 func hasEntry(list []entry, hub int32, mr labelseq.ID) bool {
 	i, j := 0, len(list)
 	for i < j {
@@ -408,39 +408,6 @@ func hasEntry(list []entry, hub int32, mr labelseq.ID) bool {
 	for ; i < len(list) && list[i].hub == hub; i++ {
 		if list[i].mr == mr {
 			return true
-		}
-	}
-	return false
-}
-
-// joinHas merge-joins two hub-sorted entry lists and reports whether some
-// hub carries mr on both sides — Case 1 of Definition 4.
-//
-//rlc:noalloc
-func joinHas(a, b []entry, mr labelseq.ID) bool {
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i].hub < b[j].hub:
-			i++
-		case a[i].hub > b[j].hub:
-			j++
-		default:
-			hub := a[i].hub
-			foundA, foundB := false, false
-			for ; i < len(a) && a[i].hub == hub; i++ {
-				if a[i].mr == mr {
-					foundA = true
-				}
-			}
-			for ; j < len(b) && b[j].hub == hub; j++ {
-				if b[j].mr == mr {
-					foundB = true
-				}
-			}
-			if foundA && foundB {
-				return true
-			}
 		}
 	}
 	return false

@@ -3,6 +3,7 @@ package core
 import (
 	"encoding/binary"
 	"fmt"
+	"iter"
 	"math"
 	"math/bits"
 
@@ -10,25 +11,24 @@ import (
 	"github.com/g-rpqs/rlc-go/internal/labelseq"
 )
 
-// Bit-parallel, hash-consed MR-sets.
+// Bit-parallel, hash-consed MR-sets — the index's one resident and on-disk
+// form.
 //
-// The flat entry array stores each (hub, mr) pair separately, so a query
-// probe binary-searches the hub and then walks the hub's run comparing
-// interned MR ids one by one. The packed form regroups every per-vertex
-// entry list by hub — one packedGroup per (vertex, direction, hub) — and
-// turns the run of MR ids into a fixed-width bitset keyed by dictionary id:
-// membership becomes a single AND/shift of one word instead of a scan.
-// Identical MR-sets are hash-consed into a shared pool (hub-dominated
-// graphs repeat a handful of MR-sets across thousands of vertices), so each
-// distinct set is resident exactly once and a group references it by a
-// 4-byte id.
+// The paper's Lin/Lout sets are lists of (hub, mr) pairs. The packed form
+// groups every per-vertex list by hub — one packedGroup per (vertex,
+// direction, hub) — and turns the hub's MR ids into a fixed-width bitset
+// keyed by dictionary id: membership is a single AND/shift of one word
+// instead of a scan over the hub's run. Identical MR-sets are hash-consed
+// into a shared pool (hub-dominated graphs repeat a handful of MR-sets
+// across thousands of vertices), so each distinct set is resident exactly
+// once and a group references it by a 4-byte id.
 //
-// The packed form is an accelerator, never the source of truth: the entry
-// array stays authoritative for serialization, inspection, and validation,
-// pack derives the packed form deterministically from it, and
-// verifyPacked re-checks bit-for-bit equality (Snapshot.Verify runs it, so
-// a bundle whose packed sections diverge from its entry array is rejected
-// as corrupt rather than silently answering from the wrong bits).
+// Build and the v1 loader produce per-vertex []entry lists as a build-time
+// intermediate; pack consumes them once and they are dropped. Everything
+// that needs the (hub, mr) pairs back — inspection, validation, the v1
+// writer — decodes them from the groups with entries. While both forms
+// coexist (the end of a Build or Load, a legacy bundle that still carries
+// its entry sections) verifyAgainst demands they are bit-for-bit equal.
 
 // packedGroup is one (hub, MR-set) pair of a packed per-vertex list: the
 // hub's access rank plus the id of the hash-consed bitset holding every MR
@@ -46,44 +46,76 @@ type packedGroup struct {
 // wide but individual sets are narrow (the common case: a hub run carries a
 // handful of MRs out of thousands interned); a dense dictLen-wide layout
 // would grow the pool with the dictionary instead of with the data. 12
-// bytes, the exact on-disk layout of the packed-set-desc snapshot section.
+// bytes, the exact on-disk layout of the set-desc snapshot sections.
 type setDesc struct {
 	off  uint32 // first word in the pool
 	base uint32 // word index (mr >> 6) of words[off]
 	span uint32 // occupied words, >= 1
 }
 
-// packed is the bit-parallel form of an Index's entry lists. All Lout group
-// lists come first, then all Lin lists, with one offset array per direction
-// — the same CSR discipline as the entry array. desc/words form the
-// hash-consed set pool: set s covers words[desc[s].off : .off+.span], bit i
-// of word w meaning "MR id (desc[s].base+w)*64 + i is present".
-type packed struct {
-	numSets int32
-	desc    []setDesc
-	words   []uint64
-	groups  []packedGroup // all Lout groups, then all Lin groups
-	outOff  []int32       // len n+1; packed Lout(v) = groups[outOff[v]:outOff[v+1]]
-	inOff   []int32       // len n+1; packed Lin(v)  = groups[inOff[v]:inOff[v+1]]
+// emptySet is the id of the MR-set with no members. It is never stored in
+// the pool: has answers false for any id past the descriptors.
+const emptySet = ^uint32(0)
+
+// setPool is a pool of hash-consed, window-compressed MR bitsets: set s
+// covers words[desc[s].off : .off+.span], bit i of word w meaning "MR id
+// (desc[s].base+w)*64 + i is present". The packed groups and the tier
+// filters' MR unions each own one.
+type setPool struct {
+	desc  []setDesc
+	words []uint64
 }
 
 // has reports whether the pooled set contains mr — the bit-parallel
 // membership test: a window bounds check, then one shift and AND.
 //
 //rlc:noalloc
-func (p *packed) has(set uint32, mr labelseq.ID) bool {
-	d := p.desc[set]
+func (sp *setPool) has(set uint32, mr labelseq.ID) bool {
+	if int(set) >= len(sp.desc) {
+		return false // emptySet
+	}
+	d := sp.desc[set]
 	w := uint32(mr>>6) - d.base // unsigned: below-window wraps huge
 	if w >= d.span {
 		return false
 	}
-	return p.words[d.off+w]>>(mr&63)&1 != 0
+	return sp.words[d.off+w]>>(mr&63)&1 != 0
+}
+
+// sizeBytes is the pool's resident (and on-disk) size.
+func (sp *setPool) sizeBytes() int64 {
+	return int64(len(sp.desc))*12 + int64(len(sp.words))*8
+}
+
+// packed is the bit-parallel form of an Index's Lin/Lout lists. All Lout
+// group lists come first, then all Lin lists, with one offset array per
+// direction, CSR fashion.
+type packed struct {
+	setPool
+	groups []packedGroup // all Lout groups, then all Lin groups
+	outOff []int32       // len n+1; Lout(v) = groups[outOff[v]:outOff[v+1]]
+	inOff  []int32       // len n+1; Lin(v)  = groups[inOff[v]:inOff[v+1]]
+
+	// Logical (hub, mr) entry counts per direction — the paper's index size,
+	// which SizeBytes and MaxIndexBytes are denominated in. Counted once at
+	// construction because /stats asks per request.
+	outEntries, inEntries int64
+}
+
+// lout returns the packed Lout(v) list.
+func (p *packed) lout(v graph.Vertex) []packedGroup {
+	return p.groups[p.outOff[v]:p.outOff[v+1]]
+}
+
+// lin returns the packed Lin(v) list.
+func (p *packed) lin(v graph.Vertex) []packedGroup {
+	return p.groups[p.inOff[v]:p.inOff[v+1]]
 }
 
 // groupHas reports whether list (hub-sorted, hubs unique) carries mr for
-// hub. Unlike the entry array's hasEntry there is no run to walk: the
-// binary search lands on at most one group and the membership test is a
-// single bit probe.
+// hub: the binary search lands on at most one group and the membership test
+// is a single bit probe. The search is spelled out rather than delegated to
+// sort.Search so the probe stays closure-free.
 //
 //rlc:noalloc
 func (p *packed) groupHas(list []packedGroup, hub int32, mr labelseq.ID) bool {
@@ -100,9 +132,9 @@ func (p *packed) groupHas(list []packedGroup, hub int32, mr labelseq.ID) bool {
 }
 
 // joinGroups merge-joins two packed group lists and reports whether some
-// common hub carries mr on both sides — Case 1 of Definition 4 on the
-// bit-parallel representation. Hubs are unique per list, so every step
-// advances at least one cursor and a matched hub costs two bit probes.
+// common hub carries mr on both sides — Case 1 of Definition 4. Hubs are
+// unique per list, so every step advances at least one cursor and a matched
+// hub costs two bit probes.
 //
 //rlc:noalloc
 func (p *packed) joinGroups(a, b []packedGroup, mr labelseq.ID) bool {
@@ -124,18 +156,43 @@ func (p *packed) joinGroups(a, b []packedGroup, mr labelseq.ID) bool {
 	return false
 }
 
-// queryPacked is queryByID on the packed representation: Case 2 (direct
-// groups) then Case 1 (merge join), all membership via AND/shift.
-//
-//rlc:noalloc
-func (ix *Index) queryPacked(s, t graph.Vertex, mr labelseq.ID) bool {
-	p := ix.packed
-	outS := p.groups[p.outOff[s]:p.outOff[s+1]]
-	inT := p.groups[p.inOff[t]:p.inOff[t+1]]
-	if p.groupHas(outS, ix.rank[t], mr) || p.groupHas(inT, ix.rank[s], mr) {
-		return true
+// entries decodes a group list back into the (hub, mr) entries it stands
+// for: groups in list order (hubs ascending within one vertex's list), MR
+// ids ascending within a hub.
+func (p *packed) entries(list []packedGroup) iter.Seq[entry] {
+	return func(yield func(entry) bool) {
+		for _, g := range list {
+			d := p.desc[g.set]
+			for wi, word := range p.words[d.off : d.off+d.span] {
+				for ; word != 0; word &= word - 1 {
+					mr := (d.base+uint32(wi))<<6 | uint32(bits.TrailingZeros64(word))
+					if !yield(entry{hub: g.hub, mr: labelseq.ID(mr)}) {
+						return
+					}
+				}
+			}
+		}
 	}
-	return p.joinGroups(outS, inT, mr)
+}
+
+// count returns the number of entries list stands for: the popcount of
+// every group's pooled set.
+func (p *packed) count(list []packedGroup) int64 {
+	total := 0
+	for _, g := range list {
+		d := p.desc[g.set]
+		for _, word := range p.words[d.off : d.off+d.span] {
+			total += bits.OnesCount64(word)
+		}
+	}
+	return int64(total)
+}
+
+// countEntries fills the cached per-direction entry counts.
+func (p *packed) countEntries() {
+	split := p.inOff[0]
+	p.outEntries = p.count(p.groups[:split])
+	p.inEntries = p.count(p.groups[split:])
 }
 
 // setWordsFor returns the pool set width for a dictionary of dictLen
@@ -148,93 +205,102 @@ func setWordsFor(dictLen int) int {
 	return w
 }
 
-// pack derives the packed form from the frozen entry array. It is
-// deterministic — vertices ascending, Lout before Lin, sets interned in
-// first-seen order — so equal entry arrays always produce byte-identical
-// packed sections (the packed golden test pins this). Called by Build and
-// the v1 loader unless Options.DisablePacked; snapshot opens adopt the
-// bundle's packed sections instead.
-func (ix *Index) pack() error {
-	n := ix.g.NumVertices()
-	w := setWordsFor(ix.dict.Len())
+// conser hash-conses MR-sets into a setPool: the one unique table behind
+// both the per-hub sets of the packed groups (pack) and the per-vertex MR
+// unions of the tier filters (tier). Ids are assigned in first-seen order,
+// so equal input sequences always produce byte-identical pools.
+type conser struct {
+	pool setPool
+	// table maps base (4 LE bytes) + the window's little-endian word bytes
+	// to the pool id. base is part of the key because two sets with equal
+	// windows at different dictionary offsets are different sets.
+	table map[string]uint32
+	tmp   []uint64 // dictionary-wide scratch bitset, all zero between calls
+	key   []byte
+}
+
+func newConser(dictLen int) *conser {
+	w := setWordsFor(dictLen)
+	return &conser{
+		table: make(map[string]uint32),
+		tmp:   make([]uint64, w),
+		key:   make([]byte, 4+w*8),
+	}
+}
+
+// intern returns the pool id of the set of MR ids list carries, adding it
+// to the pool when unseen. An empty list is emptySet and costs nothing.
+func (c *conser) intern(list []entry) (uint32, error) {
+	if len(list) == 0 {
+		return emptySet, nil
+	}
+	first, last := len(c.tmp), 0
+	for _, e := range list {
+		w := int(e.mr >> 6)
+		c.tmp[w] |= 1 << (e.mr & 63)
+		first, last = min(first, w), max(last, w)
+	}
+	window := c.tmp[first : last+1]
+	binary.LittleEndian.PutUint32(c.key, uint32(first))
+	for wi, word := range window {
+		binary.LittleEndian.PutUint64(c.key[4+wi*8:], word)
+	}
+	key := c.key[:4+len(window)*8]
+	set, ok := c.table[string(key)]
+	if !ok {
+		if int64(len(c.table)) >= math.MaxInt32 ||
+			int64(len(c.pool.words))+int64(len(window)) > math.MaxInt32 {
+			return 0, fmt.Errorf("rlc: MR-set pool exceeds 2^31-1 sets or words")
+		}
+		set = uint32(len(c.table))
+		c.table[string(key)] = set
+		c.pool.desc = append(c.pool.desc, setDesc{
+			off:  uint32(len(c.pool.words)),
+			base: uint32(first),
+			span: uint32(len(window)),
+		})
+		c.pool.words = append(c.pool.words, window...)
+	}
+	clear(window)
+	return set, nil
+}
+
+// pack builds the packed form from per-vertex, hub-sorted entry lists
+// (indexed by vertex id). It is deterministic — vertices ascending, Lout
+// before Lin, sets interned in first-seen order — so equal lists always
+// produce byte-identical packed sections (the packed golden test pins this).
+func pack(out, in [][]entry, dictLen int) (*packed, error) {
+	n := len(out)
+	c := newConser(dictLen)
 	p := &packed{
 		outOff: make([]int32, n+1),
 		inOff:  make([]int32, n+1),
 	}
-	// The unique table: base (4 LE bytes) + the window's little-endian word
-	// bytes -> pool id. base is part of the key because two sets with equal
-	// windows at different dictionary offsets are different sets.
-	table := make(map[string]uint32)
-	tmp := make([]uint64, w)
-	key := make([]byte, 4+w*8)
-	packList := func(list []entry) error {
-		for i := 0; i < len(list); {
-			hub := list[i].hub
-			clear(tmp)
-			for ; i < len(list) && list[i].hub == hub; i++ {
-				mr := list[i].mr
-				tmp[mr>>6] |= 1 << (mr & 63)
-			}
-			first, last := 0, len(tmp)-1
-			for tmp[first] == 0 {
-				first++ // a run has >= 1 entry, so some word is non-zero
-			}
-			for tmp[last] == 0 {
-				last--
-			}
-			span := last - first + 1
-			binary.LittleEndian.PutUint32(key, uint32(first))
-			for wi, word := range tmp[first : last+1] {
-				binary.LittleEndian.PutUint64(key[4+wi*8:], word)
-			}
-			set, ok := table[string(key[:4+span*8])]
-			if !ok {
-				if int64(len(table)) >= math.MaxInt32 ||
-					int64(len(p.words))+int64(span) > math.MaxInt32 {
-					return fmt.Errorf("rlc: packed set pool exceeds 2^31-1 sets or words")
+	for _, dir := range []struct {
+		lists [][]entry
+		off   []int32
+	}{{out, p.outOff}, {in, p.inOff}} {
+		for v, list := range dir.lists {
+			dir.off[v] = int32(len(p.groups))
+			for i := 0; i < len(list); {
+				j := i + 1
+				for j < len(list) && list[j].hub == list[i].hub {
+					j++
 				}
-				set = uint32(len(table))
-				table[string(key[:4+span*8])] = set
-				p.desc = append(p.desc, setDesc{
-					off:  uint32(len(p.words)),
-					base: uint32(first),
-					span: uint32(span),
-				})
-				p.words = append(p.words, tmp[first:last+1]...)
+				set, err := c.intern(list[i:j])
+				if err != nil {
+					return nil, err
+				}
+				p.groups = append(p.groups, packedGroup{hub: list[i].hub, set: set})
+				i = j
 			}
-			p.groups = append(p.groups, packedGroup{hub: hub, set: set})
 		}
-		return nil
+		dir.off[n] = int32(len(p.groups))
 	}
-	for v := 0; v < n; v++ {
-		p.outOff[v] = int32(len(p.groups))
-		if err := packList(ix.lout(graph.Vertex(v))); err != nil {
-			return err
-		}
-	}
-	p.outOff[n] = int32(len(p.groups))
-	for v := 0; v < n; v++ {
-		p.inOff[v] = int32(len(p.groups))
-		if err := packList(ix.lin(graph.Vertex(v))); err != nil {
-			return err
-		}
-	}
-	p.inOff[n] = int32(len(p.groups))
-	p.numSets = int32(len(table))
-	ix.packed = p
-	return nil
+	p.setPool = c.pool
+	p.countEntries()
+	return p, nil
 }
-
-// VerifyPacked is the exported face of verifyPacked for inspection tools
-// that replicate Snapshot.Verify's integrity pass piecewise (rlcinspect);
-// nil on an unpacked index.
-func (ix *Index) VerifyPacked() error { return ix.verifyPacked() }
-
-// Packed reports whether the index carries the bit-parallel packed form
-// (built in-process or adopted from a bundle's packed sections). When
-// false, queries answer from the linear-scan entry path — same answers,
-// measured slower on repeat-heavy lists.
-func (ix *Index) Packed() bool { return ix.packed != nil }
 
 // PackedStats summarizes the packed representation for reporting.
 type PackedStats struct {
@@ -245,46 +311,33 @@ type PackedStats struct {
 	Sets int
 	// PoolWords is the total 64-bit words across every set's stored window.
 	PoolWords int64
-	// SizeBytes estimates the resident size of a packed-only index:
-	// groups, descriptors, pool words, packed offsets, and the shared
-	// dictionary — the counterpart of Stats.SizeBytes for the scan
-	// representation.
+	// SizeBytes is the physical resident size of the index proper: groups,
+	// descriptors, pool words, packed offsets, and the dictionary — where
+	// Stats.SizeBytes is the paper's logical 8-bytes-per-entry accounting.
 	SizeBytes int64
 }
 
-// PackedStats returns the packed representation's summary; the zero value
-// when the index is unpacked.
+// PackedStats returns the packed representation's summary.
 func (ix *Index) PackedStats() PackedStats {
 	p := ix.packed
-	if p == nil {
-		return PackedStats{}
-	}
-	size := int64(len(p.groups))*8 + int64(len(p.desc))*12 + int64(len(p.words))*8 +
-		int64(len(p.outOff)+len(p.inOff))*4
-	for i := 0; i < ix.dict.Len(); i++ {
-		size += int64(len(ix.dict.Seq(labelseq.ID(i))))*4 + 16
-	}
 	return PackedStats{
 		Groups:    int64(len(p.groups)),
-		Sets:      int(p.numSets),
+		Sets:      len(p.desc),
 		PoolWords: int64(len(p.words)),
-		SizeBytes: size,
+		SizeBytes: int64(len(p.groups))*8 + p.sizeBytes() +
+			int64(len(p.outOff)+len(p.inOff))*4 + ix.dictBytes(),
 	}
 }
 
-// verifyPacked re-derives every per-vertex entry list from the packed form
-// and demands bit-for-bit equality with the entry array: identical hub
+// verifyAgainst demands bit-for-bit equality between the packed form and
+// the per-vertex entry lists it claims to stand for: identical hub
 // sequences, every entry's MR bit set, and per-group popcounts equal to the
-// run lengths (so the packed side holds no extra bits either).
-// Snapshot.Verify runs this whenever a bundle carries packed sections —
-// checksums catch flipped bits, this catches internally consistent packed
-// sections that simply disagree with the entries they claim to accelerate.
-func (ix *Index) verifyPacked() error {
-	p := ix.packed
-	if p == nil {
-		return nil
-	}
-	n := ix.g.NumVertices()
+// run lengths (so the packed side holds no extra bits either). It runs
+// wherever the two forms coexist: at the end of every Build and Load, and in
+// Snapshot.VerifyContents for legacy bundles that still carry their entry
+// sections — checksums catch flipped bits, this catches internally
+// consistent packed sections that simply disagree with the entries.
+func (p *packed) verifyAgainst(out, in [][]entry) error {
 	check := func(what string, list []entry, groups []packedGroup, v int) error {
 		gi := 0
 		for i := 0; i < len(list); {
@@ -293,7 +346,7 @@ func (ix *Index) verifyPacked() error {
 				return fmt.Errorf("rlc: packed %s(%d) missing group for hub %d", what, v, hub)
 			}
 			g := groups[gi]
-			runLen := 0
+			runLen := int64(0)
 			for ; i < len(list) && list[i].hub == hub; i++ {
 				mr := list[i].mr
 				if !p.has(g.set, mr) {
@@ -301,12 +354,7 @@ func (ix *Index) verifyPacked() error {
 				}
 				runLen++
 			}
-			d := p.desc[g.set]
-			pop := 0
-			for _, word := range p.words[d.off : d.off+d.span] {
-				pop += bits.OnesCount64(word)
-			}
-			if pop != runLen {
+			if pop := p.count(groups[gi : gi+1]); pop != runLen {
 				return fmt.Errorf("rlc: packed %s(%d) hub %d set has %d bits, entry run has %d", what, v, hub, pop, runLen)
 			}
 			gi++
@@ -316,11 +364,11 @@ func (ix *Index) verifyPacked() error {
 		}
 		return nil
 	}
-	for v := 0; v < n; v++ {
-		if err := check("Lout", ix.lout(graph.Vertex(v)), p.groups[p.outOff[v]:p.outOff[v+1]], v); err != nil {
+	for v := range out {
+		if err := check("Lout", out[v], p.lout(graph.Vertex(v)), v); err != nil {
 			return err
 		}
-		if err := check("Lin", ix.lin(graph.Vertex(v)), p.groups[p.inOff[v]:p.inOff[v+1]], v); err != nil {
+		if err := check("Lin", in[v], p.lin(graph.Vertex(v)), v); err != nil {
 			return err
 		}
 	}

@@ -17,30 +17,145 @@ import (
 	"github.com/g-rpqs/rlc-go/internal/traversal"
 )
 
-// TestPackedBuildDefaults pins the representation switch: Build derives the
-// packed form unless DisablePacked, and both forms report coherent stats.
-func TestPackedBuildDefaults(t *testing.T) {
-	g := graph.Fig2()
-	ix := mustBuild(t, g, Options{K: 2})
-	if !ix.Packed() {
-		t.Fatal("default Build did not pack")
+// er60 is the fixed Erdős–Rényi graph the accounting and tier goldens pin.
+func er60(t *testing.T) *graph.Graph {
+	t.Helper()
+	g, err := gen.ER(60, 220, 3, 7)
+	if err != nil {
+		t.Fatal(err)
 	}
-	st := ix.Stats()
-	if st.Packed.Groups == 0 || st.Packed.Sets == 0 || st.Packed.PoolWords < 1 {
-		t.Fatalf("implausible packed stats: %+v", st.Packed)
+	return g
+}
+
+// er60Budget is a MaxIndexBytes that splits er60 at k = 2 into 25 retained
+// and 35 demoted vertices.
+const er60Budget = 3885
+
+// TestAccountingPinned pins the logical index accounting to the numbers the
+// entry-array representation reported (recorded at the last commit that had
+// one): entry counts are popcounts over the packed sets now, and SizeBytes —
+// the unit MaxIndexBytes is denominated in — must not have moved, or every
+// deployed budget would silently select a different cut.
+func TestAccountingPinned(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		g    *graph.Graph
+		opts Options
+		want Stats
+	}{
+		{"fig2", graph.Fig2(), Options{K: 2}, Stats{
+			Entries: 26, InEntries: 13, OutEntries: 13, SizeBytes: 396,
+			Packed: PackedStats{Groups: 17, Sets: 10, PoolWords: 10, SizeBytes: 524},
+		}},
+		{"er60", er60(t), Options{K: 2}, Stats{
+			Entries: 561, InEntries: 267, OutEntries: 294, SizeBytes: 5180,
+			Packed: PackedStats{Groups: 418, Sets: 27, PoolWords: 27, SizeBytes: 4576},
+		}},
+		{"er60-budgeted", er60(t), Options{K: 2, MaxIndexBytes: er60Budget}, Stats{
+			Entries: 197, InEntries: 96, OutEntries: 101, SizeBytes: 3840,
+			Packed: PackedStats{Groups: 124, Sets: 17, PoolWords: 17, SizeBytes: 2024},
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ix := mustBuild(t, tc.g, tc.opts)
+			st := ix.Stats()
+			if ix.NumEntries() != tc.want.Entries || st.Entries != tc.want.Entries ||
+				st.InEntries != tc.want.InEntries || st.OutEntries != tc.want.OutEntries {
+				t.Errorf("entries = %d (NumEntries %d; %d in, %d out), want %d (%d in, %d out)",
+					st.Entries, ix.NumEntries(), st.InEntries, st.OutEntries,
+					tc.want.Entries, tc.want.InEntries, tc.want.OutEntries)
+			}
+			if st.SizeBytes != tc.want.SizeBytes || ix.SizeBytes() != tc.want.SizeBytes {
+				t.Errorf("SizeBytes = %d, want %d", st.SizeBytes, tc.want.SizeBytes)
+			}
+			if st.Packed != tc.want.Packed {
+				t.Errorf("Packed = %+v, want %+v", st.Packed, tc.want.Packed)
+			}
+			// The counts survive a bundle round trip (there they are
+			// recounted from the mapped sets).
+			var buf bytes.Buffer
+			if err := ix.WriteSnapshot(&buf); err != nil {
+				t.Fatal(err)
+			}
+			s, err := OpenSnapshotBytes(buf.Bytes())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			if got := s.Index().Stats(); got.Entries != st.Entries || got.InEntries != st.InEntries ||
+				got.SizeBytes != st.SizeBytes || got.Packed != st.Packed {
+				t.Errorf("opened bundle reports %+v, built index %+v", got, st)
+			}
+		})
 	}
-	if st.Packed.Sets > int(st.Packed.Groups) {
-		t.Fatalf("more distinct sets (%d) than groups (%d)", st.Packed.Sets, st.Packed.Groups)
+}
+
+// listOracle answers index-class queries from the builder's pre-pack entry
+// lists — Algorithm 1 on the plain (hub, mr) pairs, sharing nothing with the
+// packed form it checks.
+type listOracle struct {
+	rank    []int32
+	out, in [][]entry
+}
+
+func buildWithOracle(t testing.TB, g *graph.Graph, opts Options) (*Index, listOracle) {
+	t.Helper()
+	ix, out, in, _, err := buildWithLists(g, opts)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if err := ix.VerifyPacked(); err != nil {
-		t.Fatalf("fresh packed form fails self-verification: %v", err)
+	return ix, listOracle{rank: ix.rank, out: out, in: in}
+}
+
+func (o listOracle) queryByID(s, t graph.Vertex, mr labelseq.ID) bool {
+	outS, inT := o.out[s], o.in[t]
+	return hasEntry(outS, o.rank[t], mr) || hasEntry(inT, o.rank[s], mr) || joinHas(outS, inT, mr)
+}
+
+// joinHas merge-joins two hub-sorted entry lists and reports whether some
+// hub carries mr on both sides — Case 1 of Definition 4 on entry lists.
+func joinHas(a, b []entry, mr labelseq.ID) bool {
+	i, j := 0, 0
+	for i < len(a) && j < len(b) {
+		switch {
+		case a[i].hub < b[j].hub:
+			i++
+		case a[i].hub > b[j].hub:
+			j++
+		default:
+			hub := a[i].hub
+			foundA, foundB := false, false
+			for ; i < len(a) && a[i].hub == hub; i++ {
+				if a[i].mr == mr {
+					foundA = true
+				}
+			}
+			for ; j < len(b) && b[j].hub == hub; j++ {
+				if b[j].mr == mr {
+					foundB = true
+				}
+			}
+			if foundA && foundB {
+				return true
+			}
+		}
 	}
-	scan := mustBuild(t, g, Options{K: 2, DisablePacked: true})
-	if scan.Packed() {
-		t.Fatal("DisablePacked still packed")
-	}
-	if got := scan.Stats().Packed; got != (PackedStats{}) {
-		t.Fatalf("unpacked index reports packed stats %+v", got)
+	return false
+}
+
+// assertMatchesLists checks the packed index against the list oracle for
+// every vertex pair and every interned MR.
+func assertMatchesLists(t *testing.T, ix *Index, o listOracle) {
+	t.Helper()
+	n := ix.g.NumVertices()
+	for s := graph.Vertex(0); int(s) < n; s++ {
+		for d := graph.Vertex(0); int(d) < n; d++ {
+			for mr := 0; mr < ix.dict.Len(); mr++ {
+				if got, want := ix.queryByID(s, d, labelseq.ID(mr)), o.queryByID(s, d, labelseq.ID(mr)); got != want {
+					t.Fatalf("queryByID(%d, %d, mr %d) = %v, entry lists say %v", s, d, mr, got, want)
+				}
+			}
+		}
 	}
 }
 
@@ -65,22 +180,19 @@ func packedPropertyGraphs(t *testing.T) map[string]*graph.Graph {
 }
 
 // TestPackedEquivalenceProperty: across the generator family, k 1..3, and
-// every build worker count, the packed index answers every (s, t, L) exactly
-// like the scan index, and both match the online traversal on a sample.
+// every build worker count, the packed index answers every (s, t, MR)
+// exactly like the entry lists it was packed from, and matches the online
+// traversal on a sample.
 func TestPackedEquivalenceProperty(t *testing.T) {
 	for name, g := range packedPropertyGraphs(t) {
 		for k := 1; k <= 3; k++ {
 			for _, workers := range []int{1, 2, 4} {
 				t.Run(fmt.Sprintf("%s/k%d/w%d", name, k, workers), func(t *testing.T) {
-					packed := mustBuild(t, g, Options{K: k, BuildWorkers: workers})
-					scan := mustBuild(t, g, Options{K: k, BuildWorkers: workers, DisablePacked: true})
-					if !packed.Packed() || scan.Packed() {
-						t.Fatalf("representation flags wrong: packed=%v scan=%v", packed.Packed(), scan.Packed())
-					}
-					// Exhaustive packed == scan over every pair and constraint.
-					assertEquivalent(t, g, scan, packed)
+					packed, lists := buildWithOracle(t, g, Options{K: k, BuildWorkers: workers})
+					// Exhaustive packed == lists over every pair and MR.
+					assertMatchesLists(t, packed, lists)
 					// Sampled equality against the traversal oracle ties both
-					// representations to ground truth.
+					// to ground truth.
 					r := rand.New(rand.NewSource(int64(k*10 + workers)))
 					constraints := PrimitiveConstraints(g.NumLabels(), k)
 					n := g.NumVertices()
@@ -107,7 +219,7 @@ func TestPackedEquivalenceProperty(t *testing.T) {
 }
 
 // TestPackedDeterministicAcrossWorkers: the packed sections, like the entry
-// sections they derive from, are byte-identical at every worker count.
+// lists they derive from, are byte-identical at every worker count.
 func TestPackedDeterministicAcrossWorkers(t *testing.T) {
 	r := rand.New(rand.NewSource(17))
 	g := randomGraph(r, 64, 3, 300)
@@ -128,10 +240,10 @@ func TestPackedDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
-// packedSectionBytes concatenates the packed sections of a rendered bundle
-// as (id u32, length u64, payload) records — the byte image the golden test
-// pins.
-func packedSectionBytes(t *testing.T, data []byte) []byte {
+// sectionBytes concatenates sections first..last of a rendered bundle as
+// (id u32, length u64, payload) records — the byte image the golden tests
+// pin.
+func sectionBytes(t *testing.T, data []byte, first, last uint32) []byte {
 	t.Helper()
 	f, err := snapshot.OpenBytes(data)
 	if err != nil {
@@ -139,10 +251,10 @@ func packedSectionBytes(t *testing.T, data []byte) []byte {
 	}
 	var out []byte
 	var tmp [8]byte
-	for _, id := range []uint32{secPackedMeta, secPackedGroups, secPackedOutOff, secPackedInOff, secPackedSets, secPackedSetDesc} {
+	for id := first; id <= last; id++ {
 		b, ok := f.Section(id)
 		if !ok {
-			t.Fatalf("bundle missing packed section %d", id)
+			t.Fatalf("bundle missing section %d", id)
 		}
 		binary.LittleEndian.PutUint32(tmp[:4], id)
 		out = append(out, tmp[:4]...)
@@ -160,7 +272,7 @@ func packedSectionBytes(t *testing.T, data []byte) []byte {
 // RLC_UPDATE_GOLDEN=1.
 func TestGoldenPackedSections(t *testing.T) {
 	_, data := bundleBytes(t, graph.Fig2(), 2)
-	got := packedSectionBytes(t, data)
+	got := sectionBytes(t, data, secPackedMeta, secPackedSetDesc)
 	golden := filepath.Join("testdata", "fig2_k2_packed.golden")
 	if os.Getenv("RLC_UPDATE_GOLDEN") != "" {
 		if err := os.WriteFile(golden, got, 0o644); err != nil {
@@ -176,49 +288,81 @@ func TestGoldenPackedSections(t *testing.T) {
 	}
 }
 
-// TestPrePackedBundleBackCompat pins the upgrade story in both directions:
-// a bundle written without the packed form is exactly the old format (the
-// packed block changes nothing outside its own six sections), it still
-// opens, and it answers identically — just from the scan path.
+// Legacy v2 bundles of Fig. 2 at k = 2, written by the last rlcbuild that
+// still stored the entry array (sections 10-12): one with the packed block
+// beside it (that writer's default), one without (its packed flag off).
+const (
+	legacyEntriesPacked = "fig2_k2_v2_entries_packed.rlcs"
+	legacyEntriesOnly   = "fig2_k2_v2_entries_only.rlcs"
+)
+
+func readLegacyBundle(t *testing.T, name string) []byte {
+	t.Helper()
+	data, err := os.ReadFile(filepath.Join("testdata", name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
+
+// TestLegacyBundleCompat: bundles from before the packed form became the
+// index keep opening, verifying and answering like a fresh build, and
+// re-serialize into the current format — no entry sections, packed block
+// byte-identical to the fresh build's.
+func TestLegacyBundleCompat(t *testing.T) {
+	for _, name := range []string{legacyEntriesPacked, legacyEntriesOnly} {
+		t.Run(name, func(t *testing.T) {
+			s, err := OpenSnapshotBytes(readLegacyBundle(t, name))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			if err := s.Verify(); err != nil {
+				t.Fatal(err)
+			}
+			// rlcbuild numbered the vertices in file order, so the fresh
+			// build is over the bundle's own graph, not graph.Fig2().
+			ix, g := s.Index(), s.Graph()
+			fresh, freshData := bundleBytes(t, g, 2)
+			if ix.Stats() != fresh.Stats() {
+				t.Fatalf("legacy bundle reports %+v, fresh build %+v", ix.Stats(), fresh.Stats())
+			}
+			for a := graph.Vertex(0); int(a) < g.NumVertices(); a++ {
+				for b := graph.Vertex(0); int(b) < g.NumVertices(); b++ {
+					for mr := 0; mr < fresh.dict.Len(); mr++ {
+						if ix.queryByID(a, b, labelseq.ID(mr)) != fresh.queryByID(a, b, labelseq.ID(mr)) {
+							t.Fatalf("queryByID(%d, %d, mr %d) differs from the fresh build", a, b, mr)
+						}
+					}
+				}
+			}
+			var buf bytes.Buffer
+			if err := ix.WriteSnapshot(&buf); err != nil {
+				t.Fatal(err)
+			}
+			f, err := snapshot.OpenBytes(buf.Bytes())
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, id := range []uint32{secEntries, secIndexOutOff, secIndexInOff} {
+				if _, ok := f.Section(id); ok {
+					t.Fatalf("re-written bundle carries legacy section %d", id)
+				}
+			}
+			if !bytes.Equal(sectionBytes(t, buf.Bytes(), secPackedMeta, secPackedSetDesc),
+				sectionBytes(t, freshData, secPackedMeta, secPackedSetDesc)) {
+				t.Fatal("re-written packed sections differ from the fresh build's")
+			}
+		})
+	}
+}
+
+// TestPrePackedBundleBackCompat pins the oldest v2 layout: a bundle with the
+// entry array and no packed block at all. Every section it shares with a
+// bundle written today is byte-identical (the packed form changed nothing
+// outside its own sections), and opening it packs the entries on the heap.
 func TestPrePackedBundleBackCompat(t *testing.T) {
-	g := graph.Fig2()
-	packedIx, packedData := bundleBytes(t, g, 2)
-
-	plain := mustBuild(t, g, Options{K: 2, DisablePacked: true})
-	var buf bytes.Buffer
-	if err := plain.WriteSnapshot(&buf); err != nil {
-		t.Fatal(err)
-	}
-	plainData := buf.Bytes()
-
-	// The unpacked bundle carries no packed sections; every section it does
-	// carry is byte-identical to the packed bundle's. Old readers therefore
-	// see exactly the bytes they always did.
-	pf, err := snapshot.OpenBytes(packedData)
-	if err != nil {
-		t.Fatal(err)
-	}
-	uf, err := snapshot.OpenBytes(plainData)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, id := range []uint32{secPackedMeta, secPackedGroups, secPackedOutOff, secPackedInOff, secPackedSets, secPackedSetDesc} {
-		if _, ok := uf.Section(id); ok {
-			t.Fatalf("unpacked bundle carries packed section %d", id)
-		}
-	}
-	for _, info := range uf.Sections() {
-		pb, ok := pf.Section(info.ID)
-		if !ok {
-			t.Fatalf("packed bundle missing shared section %d", info.ID)
-		}
-		ub, _ := uf.Section(info.ID)
-		if !bytes.Equal(pb, ub) {
-			t.Fatalf("shared section %d differs between packed and unpacked bundles", info.ID)
-		}
-	}
-
-	// The pre-packed bundle opens onto the scan path and answers identically.
+	plainData := readLegacyBundle(t, legacyEntriesOnly)
 	s, err := OpenSnapshotBytes(plainData)
 	if err != nil {
 		t.Fatal(err)
@@ -227,28 +371,44 @@ func TestPrePackedBundleBackCompat(t *testing.T) {
 	if err := s.Verify(); err != nil {
 		t.Fatal(err)
 	}
-	if s.Index().Packed() {
-		t.Fatal("pre-packed bundle opened as packed")
+	g := s.Graph()
+	freshIx, freshData := bundleBytes(t, g, 2)
+	if got, want := s.Index().PackedStats(), freshIx.PackedStats(); got != want {
+		t.Fatalf("packing the legacy entries gave %+v, fresh build %+v", got, want)
 	}
-	assertEquivalent(t, g, packedIx, s.Index())
+	assertEquivalent(t, g, freshIx, s.Index())
 
-	// And the packed bundle opens onto the packed path, same answers again.
-	ps, err := OpenSnapshotBytes(packedData)
+	ff, err := snapshot.OpenBytes(freshData)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer ps.Close()
-	if err := ps.Verify(); err != nil {
+	uf, err := snapshot.OpenBytes(plainData)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if !ps.Index().Packed() {
-		t.Fatal("packed bundle opened without the packed form")
+	for id := uint32(secPackedMeta); id <= secPackedSetDesc; id++ {
+		if _, ok := uf.Section(id); ok {
+			t.Fatalf("entries-only fixture carries packed section %d", id)
+		}
 	}
-	assertEquivalent(t, g, packedIx, ps.Index())
+	shared := 0
+	for _, info := range uf.Sections() {
+		fb, ok := ff.Section(info.ID)
+		if !ok {
+			continue // 10-12: no longer written
+		}
+		shared++
+		ub, _ := uf.Section(info.ID)
+		if !bytes.Equal(fb, ub) {
+			t.Fatalf("shared section %d differs between the entries-only and today's bundle", info.ID)
+		}
+	}
+	if shared != 11 { // 1-9, 13, 14
+		t.Fatalf("entries-only fixture shares %d sections with today's bundle, want 11", shared)
+	}
 }
 
-// TestV1LoadPacks: the v1 two-file round trip comes back packed, answering
-// like the original.
+// TestV1LoadPacks: the v1 two-file round trip answers like the original.
 func TestV1LoadPacks(t *testing.T) {
 	r := rand.New(rand.NewSource(23))
 	g := randomGraph(r, 40, 3, 160)
@@ -261,8 +421,8 @@ func TestV1LoadPacks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !loaded.Packed() {
-		t.Fatal("v1 load did not derive the packed form")
+	if loaded.Stats() != ix.Stats() {
+		t.Fatalf("v1 round trip reports %+v, original %+v", loaded.Stats(), ix.Stats())
 	}
 	assertEquivalent(t, g, ix, loaded)
 }
@@ -281,6 +441,23 @@ func TestSnapshotPackedSemanticCorruption(t *testing.T) {
 		{"packed-reserved-nonzero", func(s map[uint32][]byte) { s[secPackedMeta][4] = 1 }},
 		{"packed-groupcount-drift", func(s map[uint32][]byte) { s[secPackedMeta][8]++ }},
 		{"packed-wordcount-drift", func(s map[uint32][]byte) { s[secPackedMeta][16]++ }},
+		{"packed-missing-block", func(s map[uint32][]byte) {
+			// Neither the packed block nor legacy entry sections: no index.
+			for id := uint32(secPackedMeta); id <= secPackedSetDesc; id++ {
+				delete(s, id)
+			}
+		}},
+		{"packed-entrycount-drift", func(s map[uint32][]byte) {
+			s[secPackedSets][0] ^= 0x01 // one MR more or less than meta records
+		}},
+		{"packed-set-bit-past-dict", func(s map[uint32][]byte) {
+			// Trade the first set's lowest MR (Fig. 2 interns 6, all in byte
+			// 0) for id 63: same entry count, but entries would decode an MR
+			// the dictionary does not have.
+			b := s[secPackedSets]
+			b[0] &= b[0] - 1
+			b[7] |= 0x80
+		}},
 		{"packed-missing-groups", func(s map[uint32][]byte) { delete(s, secPackedGroups) }},
 		{"packed-missing-outoff", func(s map[uint32][]byte) { delete(s, secPackedOutOff) }},
 		{"packed-missing-inoff", func(s map[uint32][]byte) { delete(s, secPackedInOff) }},
@@ -342,14 +519,18 @@ func TestSnapshotPackedSemanticCorruption(t *testing.T) {
 }
 
 // TestSnapshotVerifyCatchesPackedDivergence pins the deepest integrity
-// layer: a packed block that is structurally sound and carries valid
-// checksums (rebundle recomputes them) but disagrees with the entry array
-// must fail Verify — queries answer from the packed form, so checksums
-// alone cannot vouch for the bundle.
+// layer on a legacy bundle that carries both forms: a packed block that is
+// structurally sound and carries valid checksums (rebundle recomputes them)
+// but disagrees with the entry array must fail Verify — queries answer from
+// the packed form, so checksums alone cannot vouch for the bundle.
 func TestSnapshotVerifyCatchesPackedDivergence(t *testing.T) {
-	_, base := bundleBytes(t, graph.Fig2(), 2)
-	data := rebundle(t, base, func(s map[uint32][]byte) {
-		s[secPackedSets][0] ^= 0x01 // toggle MR id 0 in the first pooled set
+	data := rebundle(t, readLegacyBundle(t, legacyEntriesPacked), func(s map[uint32][]byte) {
+		// Swap one MR of the first pooled set for one it does not hold: the
+		// entry count still matches meta, so only the cross-check can object.
+		word := s[secPackedSets][0]
+		has := word & -word
+		lacks := ^word & (word + 1)
+		s[secPackedSets][0] = word ^ has ^ lacks
 	})
 	s, err := OpenSnapshotBytes(data)
 	if err != nil {
@@ -362,50 +543,40 @@ func TestSnapshotVerifyCatchesPackedDivergence(t *testing.T) {
 	}
 }
 
-// BenchmarkQueryPacked compares the bit-parallel packed query path against
-// the linear-scan baseline on one mid-size random graph, for single queries
-// and the batch path.
+// BenchmarkQueryPacked measures the query path on one mid-size random graph,
+// for single queries and the batch path.
 func BenchmarkQueryPacked(b *testing.B) {
 	r := rand.New(rand.NewSource(803))
 	g := randomGraph(r, 2000, 4, 10000)
-	packed, err := Build(g, Options{K: 2})
-	if err != nil {
-		b.Fatal(err)
-	}
-	scan, err := Build(g, Options{K: 2, DisablePacked: true})
+	ix, err := Build(g, Options{K: 2})
 	if err != nil {
 		b.Fatal(err)
 	}
 	qs := randomBatch(r, g, 2, 4096)
-	for _, v := range []struct {
-		name string
-		ix   *Index
-	}{{"packed", packed}, {"scan", scan}} {
-		b.Run(v.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				for _, q := range qs {
-					if _, err := v.ix.Query(q.S, q.T, q.L); err != nil {
-						b.Fatal(err)
-					}
+	b.Run("query", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			for _, q := range qs {
+				if _, err := ix.Query(q.S, q.T, q.L); err != nil {
+					b.Fatal(err)
 				}
 			}
-		})
-		b.Run(v.name+"-batch-into", func(b *testing.B) {
-			b.ReportAllocs()
-			var buf []BatchResult
-			for i := 0; i < b.N; i++ {
-				buf = v.ix.QueryBatchInto(qs, 0, buf)
-			}
-		})
-	}
+		}
+	})
+	b.Run("batch-into", func(b *testing.B) {
+		b.ReportAllocs()
+		var buf []BatchResult
+		for i := 0; i < b.N; i++ {
+			buf = ix.QueryBatchInto(qs, 0, buf)
+		}
+	})
 }
 
 // FuzzPackedEquivalence is the differential fuzzer of the packed
 // representation: arbitrary bytes decode into a small graph plus a query
 // (the quickGraphSpec scheme), which is answered simultaneously by the
-// packed index, the scan index, and — to anchor both — the online
-// traversal. Any divergence fails.
+// packed index, the builder's pre-pack entry lists, and — to anchor both —
+// the online traversal. Any divergence fails.
 func FuzzPackedEquivalence(f *testing.F) {
 	f.Add([]byte{1, 0, 2, 3, 1, 4}, uint8(1), uint8(4), []byte{0, 1})
 	f.Add([]byte{0, 0, 1, 1, 1, 2, 2, 2, 0}, uint8(0), uint8(2), []byte{1})
@@ -416,40 +587,25 @@ func FuzzPackedEquivalence(f *testing.F) {
 		if g.NumVertices() == 0 {
 			return
 		}
-		packed, err := Build(g, Options{K: 2})
-		if err != nil {
-			t.Fatalf("packed build: %v", err)
-		}
-		scan, err := Build(g, Options{K: 2, DisablePacked: true})
-		if err != nil {
-			t.Fatalf("scan build: %v", err)
-		}
-		if !packed.Packed() || scan.Packed() {
-			t.Fatal("representation flags wrong")
-		}
+		packed, lists := buildWithOracle(t, g, Options{K: 2})
 		src := graph.Vertex(spec.S) % 10
 		dst := graph.Vertex(spec.T) % 10
 		q := spec.constraint()
-		pGot, pErr := packed.Query(src, dst, q)
-		sGot, sErr := scan.Query(src, dst, q)
-		if (pErr == nil) != (sErr == nil) || pGot != sGot {
-			t.Fatalf("Query(%d, %d, %v): packed (%v, %v), scan (%v, %v)", src, dst, q, pGot, pErr, sGot, sErr)
-		}
-		if pErr == nil {
+		if got, err := packed.Query(src, dst, q); err == nil {
 			want, terr := traversal.EvalRLC(g, src, dst, q)
 			if terr != nil {
 				t.Fatalf("EvalRLC: %v", terr)
 			}
-			if pGot != want {
-				t.Fatalf("Query(%d, %d, %v) = %v, traversal says %v", src, dst, q, pGot, want)
+			if got != want {
+				t.Fatalf("Query(%d, %d, %v) = %v, traversal says %v", src, dst, q, got, want)
 			}
 		}
-		// Beyond the single derived query, the two representations must agree
-		// on every interned MR for the derived pair — this is where bitset
-		// packing and hash-consing bugs actually surface.
+		// Beyond the single derived query, the two forms must agree on every
+		// interned MR for the derived pair — this is where bitset packing
+		// and hash-consing bugs actually surface.
 		for mr := 0; mr < packed.dict.Len(); mr++ {
-			if packed.queryByID(src, dst, labelseq.ID(mr)) != scan.queryByID(src, dst, labelseq.ID(mr)) {
-				t.Fatalf("queryByID(%d, %d, mr %d) diverges between packed and scan", src, dst, mr)
+			if packed.queryByID(src, dst, labelseq.ID(mr)) != lists.queryByID(src, dst, labelseq.ID(mr)) {
+				t.Fatalf("queryByID(%d, %d, mr %d) diverges between packed and entry lists", src, dst, mr)
 			}
 		}
 	})

@@ -3,7 +3,6 @@ package core
 import (
 	"bytes"
 	"math/rand"
-	"os"
 	"path/filepath"
 	"sync"
 	"testing"
@@ -25,13 +24,15 @@ func serialize(t testing.TB, ix *Index) []byte {
 
 // TestParallelGoldenByteIdentity is the golden pin of the determinism
 // guarantee: the Fig. 2 index built with 1, 2, 4, and 8 workers must
-// serialize byte-for-byte identically to the checked-in v1 golden file.
+// serialize byte-for-byte identically to the checked-in v1 golden index
+// (re-written through Load, see TestGoldenFormatStability).
 func TestParallelGoldenByteIdentity(t *testing.T) {
-	golden, err := os.ReadFile(filepath.Join("testdata", "fig2_k2_v1.rlc"))
+	g := graph.Fig2()
+	loaded, err := LoadFile(filepath.Join("testdata", "fig2_k2_v1.rlc"), g)
 	if err != nil {
 		t.Fatal(err)
 	}
-	g := graph.Fig2()
+	golden := serialize(t, loaded)
 	for _, workers := range []int{1, 2, 4, 8} {
 		ix, st, err := BuildWithStats(g, Options{K: 2, BuildWorkers: workers})
 		if err != nil {
@@ -41,7 +42,7 @@ func TestParallelGoldenByteIdentity(t *testing.T) {
 			t.Errorf("workers=%d: stats.Workers = %d, want %d", workers, st.Workers, want)
 		}
 		if got := serialize(t, ix); !bytes.Equal(got, golden) {
-			t.Errorf("workers=%d: serialization differs from the golden file (%d vs %d bytes)",
+			t.Errorf("workers=%d: serialization differs from the golden index (%d vs %d bytes)",
 				workers, len(got), len(golden))
 		}
 	}

@@ -36,16 +36,16 @@ func (ix *Index) NewTargetProbe(t graph.Vertex, l labelseq.Seq) (*TargetProbe, e
 	}
 	p.valid = true
 	p.hubs = make([]uint64, (ix.g.NumVertices()+63)/64)
-	for _, e := range ix.lin(t) {
-		if e.mr == p.mr {
-			p.hubs[e.hub>>6] |= 1 << uint(e.hub&63)
+	for _, g := range ix.packed.lin(t) {
+		if ix.packed.has(g.set, p.mr) {
+			p.hubs[g.hub>>6] |= 1 << uint(g.hub&63)
 		}
 	}
 	return p, nil
 }
 
 // Reaches reports whether Query(s, t, L+) holds, in one pass over Lout(s).
-// On a size-budgeted index a demoted endpoint's lists are truncated, so the
+// On a size-budgeted index a demoted endpoint's lists are dropped, so the
 // precomputed bitmap and the Lout scan would silently miss entries; those
 // probes delegate to the exact three-tier query path instead.
 func (p *TargetProbe) Reaches(s graph.Vertex) bool {
@@ -61,12 +61,10 @@ func (p *TargetProbe) Reaches(s graph.Vertex) bool {
 	if p.hubs[rs>>6]&(1<<uint(rs&63)) != 0 {
 		return true
 	}
-	for _, e := range p.ix.lout(s) {
-		if e.mr != p.mr {
-			continue
-		}
+	pk := p.ix.packed
+	for _, g := range pk.lout(s) {
 		// Case 2: (t, L) ∈ Lout(s); Case 1: shared hub with Lin(t).
-		if e.hub == p.rankT || p.hubs[e.hub>>6]&(1<<uint(e.hub&63)) != 0 {
+		if (g.hub == p.rankT || p.hubs[g.hub>>6]&(1<<uint(g.hub&63)) != 0) && pk.has(g.set, p.mr) {
 			return true
 		}
 	}
@@ -99,9 +97,9 @@ func (ix *Index) NewSourceProbe(s graph.Vertex, l labelseq.Seq) (*SourceProbe, e
 	}
 	p.valid = true
 	p.hubs = make([]uint64, (ix.g.NumVertices()+63)/64)
-	for _, e := range ix.lout(s) {
-		if e.mr == p.mr {
-			p.hubs[e.hub>>6] |= 1 << uint(e.hub&63)
+	for _, g := range ix.packed.lout(s) {
+		if ix.packed.has(g.set, p.mr) {
+			p.hubs[g.hub>>6] |= 1 << uint(g.hub&63)
 		}
 	}
 	return p, nil
@@ -123,12 +121,10 @@ func (p *SourceProbe) Reaches(t graph.Vertex) bool {
 	if p.hubs[rt>>6]&(1<<uint(rt&63)) != 0 {
 		return true
 	}
-	for _, e := range p.ix.lin(t) {
-		if e.mr != p.mr {
-			continue
-		}
+	pk := p.ix.packed
+	for _, g := range pk.lin(t) {
 		// Case 2: (s, L) ∈ Lin(t); Case 1: shared hub with Lout(s).
-		if e.hub == p.rankS || p.hubs[e.hub>>6]&(1<<uint(e.hub&63)) != 0 {
+		if (g.hub == p.rankS || p.hubs[g.hub>>6]&(1<<uint(g.hub&63)) != 0) && pk.has(g.set, p.mr) {
 			return true
 		}
 	}

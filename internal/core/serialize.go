@@ -19,6 +19,8 @@ import (
 //	per vertex v: |Lout(v)| u32, entries (hub i32, mr u32)...,
 //	              |Lin(v)|  u32, entries ...
 //
+// Lists are hub-sorted; the order of MRs within one hub's run carries no
+// meaning (Load checks hub-sortedness only) and Write emits it ascending.
 // The graph itself is not embedded; Load verifies that the supplied graph
 // has the same shape as the one the index was built from.
 
@@ -66,10 +68,11 @@ func (ix *Index) Write(w io.Writer) error {
 	for _, v := range ix.order {
 		writeI32(int32(v))
 	}
+	p := ix.packed
 	for v := 0; v < ix.g.NumVertices(); v++ {
-		for _, list := range [2][]entry{ix.lout(graph.Vertex(v)), ix.lin(graph.Vertex(v))} {
-			writeU32(uint32(len(list)))
-			for _, e := range list {
+		for _, list := range [2][]packedGroup{p.lout(graph.Vertex(v)), p.lin(graph.Vertex(v))} {
+			writeU32(uint32(p.count(list)))
+			for e := range p.entries(list) {
 				writeI32(e.hub)
 				writeU32(uint32(e.mr))
 			}
@@ -153,8 +156,7 @@ func Load(r io.Reader, g *graph.Graph) (*Index, error) {
 		order: make([]graph.Vertex, n),
 		rank:  make([]int32, n),
 	}
-	// Decoded per-vertex lists, compacted into the CSR layout by freeze
-	// once the whole file validated.
+	// Decoded per-vertex lists, packed by seal once the whole file validated.
 	in := make([][]entry, n)
 	out := make([][]entry, n)
 
@@ -229,13 +231,9 @@ func Load(r io.Reader, g *graph.Graph) (*Index, error) {
 			}
 		}
 	}
-	if err := ix.freeze(out, in); err != nil {
-		return nil, fmt.Errorf("rlc: load: %w", err)
-	}
-	// v1 files never carry packed sections; derive the bit-parallel form
-	// now so loaded indexes query as fast as freshly built ones. Safe on
-	// hostile input: every hub and mr above was range-checked.
-	if err := ix.pack(); err != nil {
+	// Safe on hostile input: every hub and mr above was range-checked, and a
+	// list that repeats an entry fails seal's packed == lists check.
+	if err := ix.seal(out, in); err != nil {
 		return nil, fmt.Errorf("rlc: load: %w", err)
 	}
 	return ix, nil

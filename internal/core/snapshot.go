@@ -16,9 +16,10 @@ import (
 )
 
 // Snapshot bundle (format v2): one self-contained, self-describing file
-// holding everything a server needs — the graph CSR, the index entry array
-// with its per-direction offsets, the access order, and the label-sequence
-// dictionary — as checksummed sections of the internal/snapshot container.
+// holding everything a server needs — the graph CSR, the packed index groups
+// with their per-direction offsets and set pool, the access order, and the
+// label-sequence dictionary — as checksummed sections of the
+// internal/snapshot container.
 // The large arrays are laid out so OpenSnapshot can hand out zero-copy
 // views of a read-only memory mapping; only the small sections (meta, dict,
 // names) are decoded onto the heap. See ARCHITECTURE.md, "Snapshot format
@@ -35,18 +36,21 @@ const (
 	secGraphInLbl  = 7  // int32[m]
 	secDict        = 8  // per sequence: len u8, labels i32...
 	secOrder       = 9  // int32[n], rank -> vertex id
-	secEntries     = 10 // entry[entryCount]: (hub i32, mr u32)
-	secIndexOutOff = 11 // int32[n+1]
-	secIndexInOff  = 12 // int32[n+1]
 	secVertexNames = 13 // optional: count u32, then len u32 + bytes each
 	secLabelNames  = 14 // optional
 
-	// Packed bit-parallel MR-set sections (see packed.go). Optional as a
-	// block: bundles written before the packed form carry none of them and
-	// stay readable byte-for-byte; bundles written with it carry all six.
-	// OpenSnapshot prefers them when present (the mmap zero-copy path then
-	// serves bit-parallel membership directly) and falls back to the entry
-	// array otherwise.
+	// Legacy entry-array sections: read-only, never written. Bundles from
+	// before the packed form became the index carry them — alongside the
+	// packed block (which OpenSnapshot adopts, and VerifyContents
+	// cross-checks against them) or alone (OpenSnapshot packs them on the
+	// heap).
+	secEntries     = 10 // entry[entryCount]: (hub i32, mr u32)
+	secIndexOutOff = 11 // int32[n+1]
+	secIndexInOff  = 12 // int32[n+1]
+
+	// Packed bit-parallel MR-set sections (see packed.go): the index. All
+	// six or none; none only in a legacy bundle that carries sections 10-12
+	// instead. On the mmap path they are served zero-copy.
 	secPackedMeta    = 15 // fixed 24 bytes: setCount u32, reserved u32, groupCount u64, wordCount u64
 	secPackedGroups  = 16 // packedGroup[groupCount]: (hub i32, set u32)
 	secPackedOutOff  = 17 // int32[n+1]
@@ -54,11 +58,11 @@ const (
 	secPackedSets    = 19 // uint64[wordCount], the hash-consed windowed word pool
 	secPackedSetDesc = 20 // setDesc[setCount]: (off u32, base u32, span u32)
 
-	// Size-budgeted tier sections (see tiers.go). Optional as a block like
-	// the packed sections: an unbudgeted bundle carries none of them, a
-	// tiered bundle carries all six, and a partially stripped bundle is
-	// corrupt. The demoted-vertex count is n - retainedRanks; demoted slot
-	// arrays index by rank - retainedRanks.
+	// Size-budgeted tier sections (see tiers.go). Optional as a block: an
+	// unbudgeted bundle carries none of them, a tiered bundle carries all
+	// six, and a partially stripped bundle is corrupt. The demoted-vertex
+	// count is n - retainedRanks; demoted slot arrays index by rank -
+	// retainedRanks.
 	secTierMeta     = 21 // fixed 32 bytes: retainedRanks u32, bloomWords u32, setCount u32, reserved u32, wordCount u64, budget u64
 	secTierUnionOut = 22 // uint32[numDemoted], union set ids (0xFFFFFFFF = empty dropped list)
 	secTierUnionIn  = 23 // uint32[numDemoted]
@@ -162,7 +166,7 @@ func (ix *Index) WriteSnapshot(w io.Writer) error {
 	}
 
 	sw := snapshot.NewWriter()
-	sw.Add(secMeta, encodeMeta(ix.k, fp, int64(len(ix.entries)), ix.dict.Len(), flags))
+	sw.Add(secMeta, encodeMeta(ix.k, fp, ix.NumEntries(), ix.dict.Len(), flags))
 	csr := g.RawCSR()
 	sw.Add(secGraphOutOff, snapshot.I64Bytes(csr.OutOff))
 	sw.Add(secGraphOutDst, snapshot.I32Bytes(csr.OutDst))
@@ -172,32 +176,25 @@ func (ix *Index) WriteSnapshot(w io.Writer) error {
 	sw.Add(secGraphInLbl, snapshot.I32Bytes(csr.InLbl))
 	sw.Add(secDict, encodeDict(ix.dict))
 	sw.Add(secOrder, snapshot.I32Bytes(ix.order))
-	sw.Add(secEntries, entryBytes(ix.entries))
-	sw.Add(secIndexOutOff, snapshot.I32Bytes(ix.outOff))
-	sw.Add(secIndexInOff, snapshot.I32Bytes(ix.inOff))
 	if flags&flagVertexNames != 0 {
 		sw.Add(secVertexNames, encodeNames(g.VertexNames()))
 	}
 	if flags&flagLabelNames != 0 {
 		sw.Add(secLabelNames, encodeNames(g.LabelNames()))
 	}
-	if p := ix.packed; p != nil {
-		// The entry sections above stay authoritative and are always
-		// written; the packed block is the redundant accelerated form.
-		le := binary.LittleEndian
-		pm := make([]byte, packedMetaSize)
-		le.PutUint32(pm[0:], uint32(p.numSets))
-		le.PutUint64(pm[8:], uint64(len(p.groups)))
-		le.PutUint64(pm[16:], uint64(len(p.words)))
-		sw.Add(secPackedMeta, pm)
-		sw.Add(secPackedGroups, groupBytes(p.groups))
-		sw.Add(secPackedOutOff, snapshot.I32Bytes(p.outOff))
-		sw.Add(secPackedInOff, snapshot.I32Bytes(p.inOff))
-		sw.Add(secPackedSets, snapshot.U64Bytes(p.words))
-		sw.Add(secPackedSetDesc, descBytes(p.desc))
-	}
+	le := binary.LittleEndian
+	p := ix.packed
+	pm := make([]byte, packedMetaSize)
+	le.PutUint32(pm[0:], uint32(len(p.desc)))
+	le.PutUint64(pm[8:], uint64(len(p.groups)))
+	le.PutUint64(pm[16:], uint64(len(p.words)))
+	sw.Add(secPackedMeta, pm)
+	sw.Add(secPackedGroups, groupBytes(p.groups))
+	sw.Add(secPackedOutOff, snapshot.I32Bytes(p.outOff))
+	sw.Add(secPackedInOff, snapshot.I32Bytes(p.inOff))
+	sw.Add(secPackedSets, snapshot.U64Bytes(p.words))
+	sw.Add(secPackedSetDesc, descBytes(p.desc))
 	if tr := ix.tiers; tr != nil {
-		le := binary.LittleEndian
 		tm := make([]byte, tierMetaSize)
 		le.PutUint32(tm[0:], uint32(tr.retainedRanks))
 		le.PutUint32(tm[4:], tr.bloomWords)
@@ -277,9 +274,10 @@ type Snapshot struct {
 // OpenSnapshot opens a v2 bundle file. The large sections are mapped
 // zero-copy where the platform allows (Mapped reports whether that
 // happened); open-time work is structural validation only — O(n + m) word
-// scans with no per-entry decoding or allocation — which is what makes
-// opening a multi-gigabyte bundle effectively instant compared to the v1
-// load path. Payload checksums are deliberately not verified here; call
+// scans with no per-entry decoding or allocation (a legacy bundle without a
+// packed block is the exception: its entry array is packed on the heap) —
+// which is what makes opening a multi-gigabyte bundle effectively instant
+// compared to the v1 load path. Payload checksums are deliberately not verified here; call
 // Verify before trusting a bundle from an untrusted medium or before
 // hot-swapping it into a server.
 func OpenSnapshot(path string) (*Snapshot, error) {
@@ -422,40 +420,84 @@ func newSnapshot(f *snapshot.File) (*Snapshot, error) {
 		rank[v] = int32(i)
 	}
 
-	// Index CSR: two offset arrays over one entries array, Lout lists first.
-	ixOutB, err := section(f, secIndexOutOff, int64(n+1)*4, "index out-offset")
+	// The index: the packed block, or — a legacy bundle without one — the
+	// entry sections packed on the heap.
+	p, err := openPacked(f, n, meta.dictLen)
 	if err != nil {
 		return nil, err
+	}
+	if p == nil {
+		out, in, err := legacyLists(f, n, meta)
+		if err != nil {
+			return nil, err
+		}
+		if p, err = pack(out, in, meta.dictLen); err != nil {
+			return nil, snapshot.Corruptf("%v", err)
+		}
+	}
+	if got := p.outEntries + p.inEntries; got != meta.entryCount {
+		return nil, snapshot.Corruptf("packed sets hold %d entries, meta records %d", got, meta.entryCount)
+	}
+
+	ix := &Index{
+		g:      g,
+		k:      meta.k,
+		opts:   Options{K: meta.k},
+		dict:   dict,
+		order:  order,
+		rank:   rank,
+		packed: p,
+	}
+	tr, err := openTiers(f, n, meta.dictLen)
+	if err != nil {
+		return nil, err
+	}
+	if tr != nil {
+		initTierRuntime(ix, tr)
+		// Keep BuildOptions truthful for snapshot-opened indexes: a fold of a
+		// tiered bundle re-applies its MaxIndexBytes, so the budget survives
+		// epochs.
+		ix.opts.MaxIndexBytes = tr.budget
+	}
+	return &Snapshot{f: f, ix: ix, g: g, meta: meta}, nil
+}
+
+// legacyLists reads the legacy entry-array sections (10-12) into per-vertex
+// Lout/Lin lists, with the structural validation pack and verifyAgainst rely
+// on: offsets that tile the array, hub-sorted lists, every hub a real rank
+// and every mr an interned sequence. The lists alias the mapping; callers
+// pack or compare them and let go.
+//
+//rlc:viewowner
+func legacyLists(f *snapshot.File, n int, meta snapshotMeta) (out, in [][]entry, err error) {
+	ixOutB, err := section(f, secIndexOutOff, int64(n+1)*4, "index out-offset")
+	if err != nil {
+		return nil, nil, err
 	}
 	ixInB, err := section(f, secIndexInOff, int64(n+1)*4, "index in-offset")
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	entriesB, err := section(f, secEntries, meta.entryCount*8, "entry")
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	outOff := snapshot.I32s[int32](ixOutB)
 	inOff := snapshot.I32s[int32](ixInB)
 	entries := entriesView(entriesB)
 	if outOff[0] != 0 || outOff[n] != inOff[0] || int64(inOff[n]) != meta.entryCount {
-		return nil, snapshot.Corruptf("index offsets span [%d..%d, %d..%d], want [0..x, x..%d]",
+		return nil, nil, snapshot.Corruptf("index offsets span [%d..%d, %d..%d], want [0..x, x..%d]",
 			outOff[0], outOff[n], inOff[0], inOff[n], meta.entryCount)
 	}
-	for _, off := range [2][]int32{outOff, inOff} {
+	lists := func(off []int32) ([][]entry, error) {
+		ls := make([][]entry, n)
 		for v := 0; v < n; v++ {
 			if off[v] > off[v+1] {
 				return nil, snapshot.Corruptf("index offsets decrease at vertex %d", v)
 			}
-		}
-	}
-	// Every entry must reference a real rank and interned sequence, and each
-	// per-vertex list must be hub-sorted — the invariants the query path's
-	// binary search and merge join rely on. One linear pass over the lists.
-	for _, off := range [2][]int32{outOff, inOff} {
-		for v := 0; v < n; v++ {
+			ls[v] = entries[off[v]:off[v+1]]
 			prev := int32(-1)
-			for _, e := range entries[off[v]:off[v+1]] {
+			for _, e := range ls[v] {
 				if e.hub < prev {
 					return nil, snapshot.Corruptf("entry list of vertex %d not hub-sorted", v)
 				}
@@ -465,46 +507,21 @@ func newSnapshot(f *snapshot.File) (*Snapshot, error) {
 				}
 			}
 		}
+		return ls, nil
 	}
-
-	ix := &Index{
-		g:       g,
-		k:       meta.k,
-		opts:    Options{K: meta.k},
-		dict:    dict,
-		order:   order,
-		rank:    rank,
-		entries: entries,
-		outOff:  outOff,
-		inOff:   inOff,
+	if out, err = lists(outOff); err != nil {
+		return nil, nil, err
 	}
-	p, err := openPacked(f, n, meta.dictLen)
-	if err != nil {
-		return nil, err
+	if in, err = lists(inOff); err != nil {
+		return nil, nil, err
 	}
-	ix.packed = p
-	// Record the representation in the build options so BuildOptions is
-	// truthful for snapshot-opened indexes too: a fold of an unpacked
-	// bundle stays unpacked, a fold of a packed one stays packed.
-	ix.opts.DisablePacked = p == nil
-	tr, err := openTiers(f, n, meta.dictLen)
-	if err != nil {
-		return nil, err
-	}
-	if tr != nil {
-		initTierRuntime(ix, tr)
-		// Same truthfulness for the budget: a fold of a tiered bundle
-		// re-applies its MaxIndexBytes, so the budget survives epochs.
-		ix.opts.MaxIndexBytes = tr.budget
-	}
-	return &Snapshot{f: f, ix: ix, g: g, meta: meta}, nil
+	return out, in, nil
 }
 
-// openPacked adopts the optional packed bit-parallel sections. A bundle
-// either carries the whole block or none of it: absent packed-meta means an
-// unpacked bundle (nil, queries fall back to the entry scan); a present
-// packed-meta makes the other five sections required, so a partially
-// stripped bundle surfaces as corrupt instead of silently downgrading.
+// openPacked adopts the packed bit-parallel sections. A bundle either
+// carries the whole block or none of it: absent packed-meta means a legacy
+// entry-array bundle (nil); a present packed-meta makes the other five
+// sections required, so a partially stripped bundle surfaces as corrupt.
 //
 //rlc:viewowner
 func openPacked(f *snapshot.File, n, dictLen int) (*packed, error) {
@@ -548,33 +565,21 @@ func openPacked(f *snapshot.File, n, dictLen int) (*packed, error) {
 		return nil, err
 	}
 	p := &packed{
-		numSets: int32(setCount),
-		desc:    descView(descB),
-		words:   snapshot.U64s(setsB),
+		setPool: setPool{desc: descView(descB), words: snapshot.U64s(setsB)},
 		groups:  groupsView(groupsB),
 		outOff:  snapshot.I32s[int32](outOffB),
 		inOff:   snapshot.I32s[int32](inOffB),
 	}
-	// Every descriptor's window must fit the dictionary's word range and its
-	// stored words must lie inside the pool: has probes words[off+w] for
-	// w < span without further checks.
-	wMax := int64(setWordsFor(dictLen))
-	for i, d := range p.desc {
-		if d.span == 0 || int64(d.base)+int64(d.span) > wMax {
-			return nil, snapshot.Corruptf("packed set %d window [%d, +%d) outside dictionary word range %d", i, d.base, d.span, wMax)
-		}
-		if int64(d.off)+int64(d.span) > wordCount {
-			return nil, snapshot.Corruptf("packed set %d words [%d, +%d) outside pool of %d", i, d.off, d.span, wordCount)
-		}
+	if err := validatePool("packed", p.setPool, dictLen); err != nil {
+		return nil, err
 	}
 	if p.outOff[0] != 0 || p.outOff[n] != p.inOff[0] || int64(p.inOff[n]) != groupCount {
 		return nil, snapshot.Corruptf("packed offsets span [%d..%d, %d..%d], want [0..x, x..%d]",
 			p.outOff[0], p.outOff[n], p.inOff[0], p.inOff[n], groupCount)
 	}
 	// Per-vertex group lists must have strictly increasing in-range hubs —
-	// groupHas's binary search assumes uniqueness, unlike the entry lists'
-	// weaker hub-sorted-with-runs invariant — and every set id must point
-	// into the pool.
+	// groupHas's binary search assumes uniqueness — and every set id must
+	// point into the pool.
 	for _, off := range [2][]int32{p.outOff, p.inOff} {
 		for v := 0; v < n; v++ {
 			if off[v] > off[v+1] {
@@ -592,11 +597,33 @@ func openPacked(f *snapshot.File, n, dictLen int) (*packed, error) {
 			}
 		}
 	}
+	p.countEntries()
 	return p, nil
 }
 
-// openTiers adopts the optional size-budgeted tier sections. Like the packed
-// block, a bundle either carries the whole block or none of it: absent
+// validatePool checks a mapped set pool: every descriptor's window must fit
+// the dictionary's word range and its stored words must lie inside the pool
+// (has probes words[off+w] for w < span without further checks), and no bit
+// may name an MR id past the dictionary (entries decodes every bit).
+func validatePool(what string, sp setPool, dictLen int) error {
+	wMax := int64(setWordsFor(dictLen))
+	for i, d := range sp.desc {
+		if d.span == 0 || int64(d.base)+int64(d.span) > wMax {
+			return snapshot.Corruptf("%s set %d window [%d, +%d) outside dictionary word range %d", what, i, d.base, d.span, wMax)
+		}
+		if int64(d.off)+int64(d.span) > int64(len(sp.words)) {
+			return snapshot.Corruptf("%s set %d words [%d, +%d) outside pool of %d", what, i, d.off, d.span, len(sp.words))
+		}
+		if int64(d.base)+int64(d.span) == wMax && dictLen < int(wMax)*64 &&
+			sp.words[d.off+d.span-1]>>(dictLen&63) != 0 {
+			return snapshot.Corruptf("%s set %d holds an MR id past the dictionary's %d", what, i, dictLen)
+		}
+	}
+	return nil
+}
+
+// openTiers adopts the optional size-budgeted tier sections. A bundle
+// either carries the whole block or none of it: absent
 // tier-meta means an untiered bundle (nil); a present tier-meta makes the
 // other five sections required and structurally validated, so a partially
 // stripped or internally inconsistent tier block surfaces as corrupt instead
@@ -663,26 +690,16 @@ func openTiers(f *snapshot.File, n, dictLen int) (*tiers, error) {
 		bloomWords:    bloomWords,
 		unionOut:      snapshot.U32s(unionOutB),
 		unionIn:       snapshot.U32s(unionInB),
-		desc:          descView(descB),
-		words:         snapshot.U64s(setsB),
+		setPool:       setPool{desc: descView(descB), words: snapshot.U64s(setsB)},
 		bloom:         snapshot.U64s(bloomB),
 	}
-	// Every descriptor's window must fit the dictionary's word range and its
-	// stored words must lie inside the pool — unionHas probes words[off+w]
-	// for w < span without further checks — and every slot's set id must be
-	// a real descriptor or the empty-list sentinel.
-	wMax := int64(setWordsFor(dictLen))
-	for i, dsc := range tr.desc {
-		if dsc.span == 0 || int64(dsc.base)+int64(dsc.span) > wMax {
-			return nil, snapshot.Corruptf("tier set %d window [%d, +%d) outside dictionary word range %d", i, dsc.base, dsc.span, wMax)
-		}
-		if int64(dsc.off)+int64(dsc.span) > wordCount {
-			return nil, snapshot.Corruptf("tier set %d words [%d, +%d) outside pool of %d", i, dsc.off, dsc.span, wordCount)
-		}
+	if err := validatePool("tier", tr.setPool, dictLen); err != nil {
+		return nil, err
 	}
+	// Every slot's set id must be a real descriptor or emptySet.
 	for _, slots := range [2][]uint32{tr.unionOut, tr.unionIn} {
 		for i, set := range slots {
-			if set != invalidTierSet && int64(set) >= setCount {
+			if set != emptySet && int64(set) >= setCount {
 				return nil, snapshot.Corruptf("tier union set id %d of slot %d outside pool of %d sets", set, i, setCount)
 			}
 		}
@@ -727,31 +744,41 @@ func (s *Snapshot) Sections() []snapshot.SectionInfo { return s.f.Sections() }
 func (s *Snapshot) VerifySection(id uint32) error { return s.f.VerifySection(id) }
 
 // Verify runs the full integrity pass that OpenSnapshot skips: every
-// section's checksum, plus a recomputation of the embedded graph's
-// fingerprint against the one recorded in the meta section. Open-time
-// structural validation makes a corrupt bundle safe (queries cannot crash);
-// Verify makes it trustworthy (bit flips inside in-range values are caught
-// too). The serving layer runs it before hot-swapping a bundle in.
+// section's checksum, then VerifyContents. Open-time structural validation
+// makes a corrupt bundle safe (queries cannot crash); Verify makes it
+// trustworthy (bit flips inside in-range values are caught too). The serving
+// layer runs it before hot-swapping a bundle in.
 func (s *Snapshot) Verify() error {
 	if err := s.f.VerifyAll(); err != nil {
 		return err
 	}
+	return s.VerifyContents()
+}
+
+// VerifyContents is the part of Verify that checksums cannot do — a bundle
+// assembled from mismatched halves checksums clean. It recomputes the
+// embedded graph's fingerprint against the one recorded in the meta section,
+// checks that a tier block's retention split agrees with the packed groups
+// (demoted vertices have none), and, for a legacy bundle that still carries
+// its entry array, that the packed form queries answer from equals it.
+// Callers that checksum sections themselves (rlcinspect, one VerifySection
+// per table row) run it after.
+func (s *Snapshot) VerifyContents() error {
 	if got := s.g.Fingerprint(); got != s.meta.fp {
 		return fmt.Errorf("%w: %w: bundle records %v, embedded graph hashes to %v",
 			snapshot.ErrCorrupt, ErrGraphMismatch, s.meta.fp, got)
 	}
-	// A packed block whose checksums pass can still disagree with the entry
-	// array it claims to accelerate (a bundle assembled from mismatched
-	// halves checksums clean). Queries answer from the packed form, so
-	// equality with the authoritative entries is part of integrity.
-	if err := s.ix.verifyPacked(); err != nil {
-		return fmt.Errorf("%w: %w", snapshot.ErrCorrupt, err)
-	}
-	// Same for the tier block: its retention split must agree with the
-	// entry array (demoted lists physically truncated), or filter answers
-	// and entry answers would come from different indexes.
 	if err := s.ix.verifyTiers(); err != nil {
 		return fmt.Errorf("%w: %w", snapshot.ErrCorrupt, err)
+	}
+	if _, legacy := s.f.Section(secEntries); legacy {
+		out, in, err := legacyLists(s.f, s.meta.fp.N, s.meta)
+		if err != nil {
+			return err
+		}
+		if err := s.ix.packed.verifyAgainst(out, in); err != nil {
+			return fmt.Errorf("%w: legacy entry sections: %w", snapshot.ErrCorrupt, err)
+		}
 	}
 	return nil
 }
@@ -869,27 +896,11 @@ func decodeNames(b []byte, want int, what string) ([]string, error) {
 	return names, nil
 }
 
-// entryBytes returns the little-endian on-disk bytes of an entry slice —
-// a zero-copy view on little-endian hosts. The entry struct is exactly its
-// on-disk layout: hub i32 then mr u32, 8 bytes, no padding.
-func entryBytes(s []entry) []byte {
-	if len(s) == 0 {
-		return nil
-	}
-	if snapshot.HostLittleEndian() {
-		return unsafe.Slice((*byte)(unsafe.Pointer(&s[0])), len(s)*8)
-	}
-	out := make([]byte, len(s)*8)
-	for i, e := range s {
-		binary.LittleEndian.PutUint32(out[i*8:], uint32(e.hub))
-		binary.LittleEndian.PutUint32(out[i*8+4:], uint32(e.mr))
-	}
-	return out
-}
-
-// entriesView returns b as an entry slice — zero-copy when the host is
-// little-endian and the section is aligned, a decoded copy otherwise. The
-// caller must have checked len(b)%8 == 0.
+// entriesView returns the legacy entry section b as an entry slice —
+// zero-copy when the host is little-endian and the section is aligned, a
+// decoded copy otherwise. The entry struct is exactly its on-disk layout:
+// hub i32 then mr u32, 8 bytes, no padding. The caller must have checked
+// len(b)%8 == 0.
 //
 //rlc:view
 func entriesView(b []byte) []entry {
@@ -910,8 +921,8 @@ func entriesView(b []byte) []entry {
 }
 
 // groupBytes returns the little-endian on-disk bytes of a packed-group
-// slice — a zero-copy view on little-endian hosts. Like entry, packedGroup
-// is exactly its on-disk layout: hub i32 then set u32, 8 bytes, no padding.
+// slice — a zero-copy view on little-endian hosts. packedGroup is exactly
+// its on-disk layout: hub i32 then set u32, 8 bytes, no padding.
 func groupBytes(s []packedGroup) []byte {
 	if len(s) == 0 {
 		return nil

@@ -304,55 +304,60 @@ func rebundle(t *testing.T, data []byte, mutate func(secs map[uint32][]byte)) []
 // validation: plausible containers with nonsense payloads must be rejected
 // with the typed error, never panic, never open.
 func TestSnapshotSemanticCorruption(t *testing.T) {
-	_, base := bundleBytes(t, graph.Fig2(), 2)
+	_, fresh := bundleBytes(t, graph.Fig2(), 2)
+	// The entry-array cases need a bundle whose index is read from sections
+	// 10-12: the legacy fixture without a packed block.
+	legacy := readLegacyBundle(t, legacyEntriesOnly)
 	cases := []struct {
 		name   string
+		base   []byte
 		mutate func(secs map[uint32][]byte)
 	}{
-		{"meta-k-zero", func(s map[uint32][]byte) { s[secMeta][0] = 0 }},
-		{"meta-k-huge", func(s map[uint32][]byte) { s[secMeta][0] = MaxK + 1 }},
-		{"meta-entrycount-drift", func(s map[uint32][]byte) { s[secMeta][32]++ }},
-		{"missing-entries", func(s map[uint32][]byte) { delete(s, secEntries) }},
-		{"missing-dict", func(s map[uint32][]byte) { delete(s, secDict) }},
-		{"missing-graph", func(s map[uint32][]byte) { delete(s, secGraphOutDst) }},
-		{"order-duplicate", func(s map[uint32][]byte) { copy(s[secOrder][4:8], s[secOrder][0:4]) }},
-		{"order-oob", func(s map[uint32][]byte) {
+		{"meta-k-zero", fresh, func(s map[uint32][]byte) { s[secMeta][0] = 0 }},
+		{"meta-k-huge", fresh, func(s map[uint32][]byte) { s[secMeta][0] = MaxK + 1 }},
+		{"meta-entrycount-drift", fresh, func(s map[uint32][]byte) { s[secMeta][32]++ }},
+		{"legacy-entrycount-drift", legacy, func(s map[uint32][]byte) { s[secMeta][32]++ }},
+		{"missing-entries", legacy, func(s map[uint32][]byte) { delete(s, secEntries) }},
+		{"missing-dict", fresh, func(s map[uint32][]byte) { delete(s, secDict) }},
+		{"missing-graph", fresh, func(s map[uint32][]byte) { delete(s, secGraphOutDst) }},
+		{"order-duplicate", fresh, func(s map[uint32][]byte) { copy(s[secOrder][4:8], s[secOrder][0:4]) }},
+		{"order-oob", fresh, func(s map[uint32][]byte) {
 			s[secOrder][0] = 0xff
 			s[secOrder][1] = 0xff
 			s[secOrder][2] = 0xff
 			s[secOrder][3] = 0x7f
 		}},
-		{"index-outoff-nonzero", func(s map[uint32][]byte) { s[secIndexOutOff][0] = 1 }},
-		{"index-inoff-decreasing", func(s map[uint32][]byte) {
+		{"index-outoff-nonzero", legacy, func(s map[uint32][]byte) { s[secIndexOutOff][0] = 1 }},
+		{"index-inoff-decreasing", legacy, func(s map[uint32][]byte) {
 			b := s[secIndexInOff]
 			copy(b[len(b)-4:], []byte{0, 0, 0, 0})
 		}},
-		{"entry-mr-oob", func(s map[uint32][]byte) {
+		{"entry-mr-oob", legacy, func(s map[uint32][]byte) {
 			b := s[secEntries]
 			copy(b[4:8], []byte{0xff, 0xff, 0xff, 0x7f})
 		}},
-		{"entry-hub-negative", func(s map[uint32][]byte) {
+		{"entry-hub-negative", legacy, func(s map[uint32][]byte) {
 			// hub = -1 sails past the sorted check (prev starts at -1) and
 			// the upper bound; the explicit sign check must catch it or
-			// LinEntries would index order[-1].
+			// the packed groups would carry a negative hub.
 			b := s[secEntries]
 			copy(b[0:4], []byte{0xff, 0xff, 0xff, 0xff})
 		}},
-		{"graph-dst-oob", func(s map[uint32][]byte) {
+		{"graph-dst-oob", fresh, func(s map[uint32][]byte) {
 			b := s[secGraphOutDst]
 			copy(b[0:4], []byte{0xff, 0xff, 0xff, 0x7f})
 		}},
-		{"dict-label-oob", func(s map[uint32][]byte) {
+		{"dict-label-oob", fresh, func(s map[uint32][]byte) {
 			b := s[secDict]
 			// First sequence has len >= 1; poison its first label.
 			copy(b[1:5], []byte{0xff, 0xff, 0xff, 0x7f})
 		}},
-		{"dict-trailing", func(s map[uint32][]byte) { s[secDict] = append(s[secDict], 0xaa) }},
-		{"names-count-drift", func(s map[uint32][]byte) { s[secVertexNames][0]++ }},
+		{"dict-trailing", fresh, func(s map[uint32][]byte) { s[secDict] = append(s[secDict], 0xaa) }},
+		{"names-count-drift", fresh, func(s map[uint32][]byte) { s[secVertexNames][0]++ }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			data := rebundle(t, base, tc.mutate)
+			data := rebundle(t, tc.base, tc.mutate)
 			s, err := OpenSnapshotBytes(data)
 			if err == nil {
 				s.Close()
@@ -365,31 +370,26 @@ func TestSnapshotSemanticCorruption(t *testing.T) {
 	}
 }
 
-// TestSnapshotVerifyCatchesBitFlips pins the Open/Verify split: an in-range
-// bit flip in the entries payload opens fine (the structure still holds)
-// but must fail Verify via its checksum.
+// TestSnapshotVerifyCatchesBitFlips pins the Open/Verify split: a bit flip
+// inside a payload that open-time structural validation does not read (a
+// vertex name's bytes) opens fine but must fail Verify via its checksum.
 func TestSnapshotVerifyCatchesBitFlips(t *testing.T) {
 	_, data := bundleBytes(t, graph.Fig2(), 2)
 	f, err := snapshot.OpenBytes(data)
 	if err != nil {
 		t.Fatal(err)
 	}
-	infos := f.Sections()
-	var entriesOff uint64
-	for _, info := range infos {
-		if info.ID == secEntries {
-			entriesOff = info.Offset
+	var namesOff uint64
+	for _, info := range f.Sections() {
+		if info.ID == secVertexNames {
+			namesOff = info.Offset
 		}
 	}
 	corrupt := append([]byte(nil), data...)
-	corrupt[entriesOff+4] ^= 0x01 // flip the low bit of the first entry's mr
+	corrupt[namesOff+8] ^= 0x01 // first byte of the first name (after count and length)
 	s, err := OpenSnapshotBytes(corrupt)
 	if err != nil {
-		// Structure may reject it too (mr could leave range) — fine, typed.
-		if !errors.Is(err, snapshot.ErrCorrupt) {
-			t.Fatalf("open error not typed: %v", err)
-		}
-		return
+		t.Fatalf("in-range bit flip failed open: %v", err)
 	}
 	defer s.Close()
 	if err := s.Verify(); !errors.Is(err, snapshot.ErrCorrupt) {

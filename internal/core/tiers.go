@@ -1,7 +1,6 @@
 package core
 
 import (
-	"encoding/binary"
 	"fmt"
 	"math"
 	"sync"
@@ -26,8 +25,9 @@ import (
 // definitive:
 //
 //   - a hash-consed MR-union bitset per direction — the OR of the dropped
-//     list's MR ids, interned in a tier-local pool exactly like the packed
-//     form's MR-sets (demoted vertices massively repeat union shapes);
+//     list's MR ids, interned in a tier-local setPool by the same conser as
+//     the packed form's MR-sets (demoted vertices massively repeat union
+//     shapes);
 //   - a per-direction block Bloom filter over the dropped (hub, mr) pairs —
 //     bloomWords 64-bit words per block, two probes per key, sized to the
 //     budget left after the exact tier and the unions.
@@ -41,17 +41,13 @@ import (
 // atomic counters make the filter's false-positive rate observable in
 // /stats.
 //
-// Demotion is physical: after the filters are built the demoted lists are
-// truncated from the entry CSR and the packed form is re-derived, so
-// NumEntries, SizeBytes, serialization, and the packed==entries invariant
-// all reflect the budget automatically. The budget is a target with a
+// Demotion is physical: the filters are built from the builder's complete
+// entry lists, then the demoted lists are dropped before the index is
+// packed, so NumEntries, SizeBytes and serialization all reflect the budget
+// automatically. The budget is a target with a
 // floor: the exact tier never exceeds it, but the filter tier always keeps
 // at least one bloom word per block (~24 bytes/vertex plus the union pool),
 // so a budget below that floor yields the floor, never an unsound index.
-
-// invalidTierSet marks a demoted vertex whose dropped list was empty: no MR
-// is present, every union probe is false.
-const invalidTierSet = ^uint32(0)
 
 // tierVerdict is the outcome of a filter probe.
 type tierVerdict uint8
@@ -71,10 +67,9 @@ type tiers struct {
 	budget        int64  // the configured Options.MaxIndexBytes
 	bloomWords    uint32 // 64-bit words per bloom block; power of two in [1, 64]
 
-	unionOut []uint32 // slot -> union set id over dropped Lout MRs (invalidTierSet = empty)
+	unionOut []uint32 // slot -> union set id over dropped Lout MRs (emptySet = none)
 	unionIn  []uint32 // slot -> union set id over dropped Lin MRs
-	desc     []setDesc
-	words    []uint64 // tier-local hash-consed union pool
+	setPool           // tier-local hash-consed union pool
 	bloom    []uint64 // blocks: slot*2 = out, slot*2+1 = in; bloomWords words each
 
 	exactHits      atomic.Int64 // tier-1 answers (complete-list probe decided)
@@ -144,27 +139,11 @@ func (tr *tiers) bloomAdd(block []uint64, hub uint32, mr labelseq.ID) {
 	block[b2>>6] |= 1 << (b2 & 63)
 }
 
-// unionHas reports whether the union set contains mr — the same windowed
-// bit probe as the packed form's has, over the tier-local pool.
-//
-//rlc:noalloc
-func (tr *tiers) unionHas(set uint32, mr labelseq.ID) bool {
-	if set == invalidTierSet {
-		return false
-	}
-	d := tr.desc[set]
-	w := uint32(mr>>6) - d.base // unsigned: below-window wraps huge
-	if w >= d.span {
-		return false
-	}
-	return tr.words[d.off+w]>>(mr&63)&1 != 0
-}
-
 // sizeBytes is the resident size of the filter tier: union slot arrays,
 // descriptors, pool words, bloom blocks, and the fixed meta record.
 func (tr *tiers) sizeBytes() int64 {
-	return int64(len(tr.unionOut)+len(tr.unionIn))*4 + int64(len(tr.desc))*12 +
-		int64(len(tr.words))*8 + int64(len(tr.bloom))*8 + tierMetaSize
+	return int64(len(tr.unionOut)+len(tr.unionIn))*4 + tr.setPool.sizeBytes() +
+		int64(len(tr.bloom))*8 + tierMetaSize
 }
 
 // initTierRuntime attaches tr to ix and wires the tier-3 fallback machinery
@@ -263,7 +242,7 @@ func (ix *Index) probeTiered(s, t graph.Vertex, mr labelseq.ID) tierVerdict {
 			return tierTrue
 		}
 		ts := tr.slotOf(rt)
-		if !tr.unionHas(tr.unionIn[ts], mr) {
+		if !tr.has(tr.unionIn[ts], mr) {
 			// The dropped Lin(t) carried no entry with this MR at all:
 			// no Case 2 on the t side and no Case 1 either.
 			return tierFalse
@@ -282,7 +261,7 @@ func (ix *Index) probeTiered(s, t graph.Vertex, mr labelseq.ID) tierVerdict {
 			return tierTrue
 		}
 		ss := tr.slotOf(rs)
-		if !tr.unionHas(tr.unionOut[ss], mr) {
+		if !tr.has(tr.unionOut[ss], mr) {
 			return tierFalse
 		}
 		if tr.bloomHas(tr.outBlock(ss), uint32(rt), mr) {
@@ -294,8 +273,8 @@ func (ix *Index) probeTiered(s, t graph.Vertex, mr labelseq.ID) tierVerdict {
 		return tierFalse
 	default: // both demoted
 		ss, ts := tr.slotOf(rs), tr.slotOf(rt)
-		outHas := tr.unionHas(tr.unionOut[ss], mr)
-		inHas := tr.unionHas(tr.unionIn[ts], mr)
+		outHas := tr.has(tr.unionOut[ss], mr)
+		inHas := tr.has(tr.unionIn[ts], mr)
 		// Case 1 needs mr on both dropped lists; the unions cannot localize
 		// the common hub, so both present is already a maybe.
 		if outHas && inHas {
@@ -313,24 +292,18 @@ func (ix *Index) probeTiered(s, t graph.Vertex, mr labelseq.ID) tierVerdict {
 }
 
 // loutHas is exact (hub, mr) membership on a retained vertex's complete Lout
-// list, through the packed form when present.
+// list.
 //
 //rlc:noalloc
 func (ix *Index) loutHas(v graph.Vertex, hub int32, mr labelseq.ID) bool {
-	if p := ix.packed; p != nil {
-		return p.groupHas(p.groups[p.outOff[v]:p.outOff[v+1]], hub, mr)
-	}
-	return hasEntry(ix.lout(v), hub, mr)
+	return ix.packed.groupHas(ix.packed.lout(v), hub, mr)
 }
 
 // linHas is the Lin mirror of loutHas.
 //
 //rlc:noalloc
 func (ix *Index) linHas(v graph.Vertex, hub int32, mr labelseq.ID) bool {
-	if p := ix.packed; p != nil {
-		return p.groupHas(p.groups[p.inOff[v]:p.inOff[v+1]], hub, mr)
-	}
-	return hasEntry(ix.lin(v), hub, mr)
+	return ix.packed.groupHas(ix.packed.lin(v), hub, mr)
 }
 
 // anyOutHubMaybe enumerates the hubs carrying mr on the retained vertex s's
@@ -340,17 +313,9 @@ func (ix *Index) linHas(v graph.Vertex, hub int32, mr labelseq.ID) bool {
 //
 //rlc:noalloc
 func (ix *Index) anyOutHubMaybe(s graph.Vertex, mr labelseq.ID, block []uint64) bool {
-	tr := ix.tiers
-	if p := ix.packed; p != nil {
-		for _, g := range p.groups[p.outOff[s]:p.outOff[s+1]] {
-			if p.has(g.set, mr) && tr.bloomHas(block, uint32(g.hub), mr) {
-				return true
-			}
-		}
-		return false
-	}
-	for _, e := range ix.lout(s) {
-		if e.mr == mr && tr.bloomHas(block, uint32(e.hub), mr) {
+	p, tr := ix.packed, ix.tiers
+	for _, g := range p.lout(s) {
+		if p.has(g.set, mr) && tr.bloomHas(block, uint32(g.hub), mr) {
 			return true
 		}
 	}
@@ -361,17 +326,9 @@ func (ix *Index) anyOutHubMaybe(s graph.Vertex, mr labelseq.ID, block []uint64) 
 //
 //rlc:noalloc
 func (ix *Index) anyInHubMaybe(t graph.Vertex, mr labelseq.ID, block []uint64) bool {
-	tr := ix.tiers
-	if p := ix.packed; p != nil {
-		for _, g := range p.groups[p.inOff[t]:p.inOff[t+1]] {
-			if p.has(g.set, mr) && tr.bloomHas(block, uint32(g.hub), mr) {
-				return true
-			}
-		}
-		return false
-	}
-	for _, e := range ix.lin(t) {
-		if e.mr == mr && tr.bloomHas(block, uint32(e.hub), mr) {
+	p, tr := ix.packed, ix.tiers
+	for _, g := range p.lin(t) {
+		if p.has(g.set, mr) && tr.bloomHas(block, uint32(g.hub), mr) {
 			return true
 		}
 	}
@@ -412,14 +369,16 @@ func (ix *Index) traverseFallback(s, t graph.Vertex, mr labelseq.ID) bool {
 // blocks.
 const tierSlotBytes = 2*4 + 2*8
 
-// tier demotes vertices to fit Options.MaxIndexBytes. size(r) is the EXACT
-// tiered size at the minimum bloom width when ranks [r, n) are demoted:
-// hash-consed union-pool totals depend only on the set of distinct windows,
-// not insertion order, so the walk from r = n-1 down to 0 can maintain them
-// incrementally in a counting table and read off the real size at every
-// candidate cut. The builder keeps the largest exact prefix whose size fits
-// the budget, and when even the cheapest layout exceeds the budget (the
-// floor case) it takes the size-minimizing cut instead.
+// tier decides which vertices a MaxIndexBytes budget demotes and builds
+// their filters from the builder's complete per-vertex entry lists (total
+// entries across them); nil when the index stays untiered. size(r) is the
+// EXACT tiered size at the minimum bloom width when ranks [r, n) are
+// demoted: hash-consed union-pool totals depend only on the set of distinct
+// windows, not insertion order, so the walk from r = n-1 down to 0 can
+// maintain them incrementally in a scratch conser and read off the real
+// size at every candidate cut. The builder keeps the largest exact prefix
+// whose size fits the budget, and when even the cheapest layout exceeds the
+// budget (the floor case) it takes the size-minimizing cut instead.
 //
 // That makes the built size monotone in the budget and bounded by
 // min(full, max(budget, floor)): with cuts chosen by exact size, a looser
@@ -428,73 +387,35 @@ const tierSlotBytes = 2*4 + 2*8
 // exceeds everything the tighter budget could build. On graphs whose
 // entry lists are smaller than a filter — where even the floor layout
 // would exceed the unbudgeted index — the builder refuses to tier at all:
-// a size budget must never produce a larger index.
-//
-// Filters are then built from the (still complete) demoted lists, the
-// demoted lists are truncated from the entry CSR, and the packed form is
-// re-derived — so every representation the index serves or serializes
-// reflects the budget. A budget that fits the whole index is a no-op: the
-// index stays bit-identical to an unbudgeted build.
-func (ix *Index) tier() error {
+// a size budget must never produce a larger index. A budget that fits the
+// whole index is a no-op: the index stays bit-identical to an unbudgeted
+// build.
+func (ix *Index) tier(out, in [][]entry, total int64) (*tiers, error) {
 	budget := ix.opts.MaxIndexBytes
-	if budget <= 0 {
-		return nil
-	}
-	if budget >= ix.SizeBytes() {
-		return nil // the whole index fits: no tiering, bit-identical bundle
-	}
-	n := ix.g.NumVertices()
 	// Fixed costs (dictionary, offset arrays) live outside the tier
 	// trade-off but inside SizeBytes, which the budget is denominated in.
-	fixed := ix.SizeBytes() - ix.NumEntries()*8
-	w := setWordsFor(ix.dict.Len())
-	tmp := make([]uint64, w)
-	key := make([]byte, 4+w*8)
-	// windowKey renders a list's MR-union as its consing key — the window
-	// base followed by the window words — leaving the bitset in tmp. Nil for
-	// an empty list (stored as invalidTierSet, no pool cost).
-	windowKey := func(list []entry) []byte {
-		if len(list) == 0 {
-			return nil
-		}
-		clear(tmp)
-		for _, e := range list {
-			tmp[e.mr>>6] |= 1 << (e.mr & 63)
-		}
-		first, last := 0, len(tmp)-1
-		for tmp[first] == 0 {
-			first++
-		}
-		for tmp[last] == 0 {
-			last--
-		}
-		binary.LittleEndian.PutUint32(key, uint32(first))
-		for wi, word := range tmp[first : last+1] {
-			binary.LittleEndian.PutUint64(key[4+wi*8:], word)
-		}
-		return key[:4+(last-first+1)*8]
+	fixed := ix.fixedBytes()
+	fullSize := fixed + total*8
+	if budget <= 0 || budget >= fullSize {
+		return nil, nil // no budget, or the whole index fits
 	}
+	n := len(ix.order)
+	listBytes := func(v graph.Vertex) int64 { return int64(len(out[v])+len(in[v])) * 8 }
 
 	// Selection: walk the cut down from n, consing each newly demoted
-	// vertex's windows into a counting table so size(r) is exact.
-	seen := make(map[string]struct{})
-	poolBytes := int64(0) // 12 B descriptor + 8 B/word per distinct window
-	prefixEntryBytes := ix.NumEntries() * 8
+	// vertex's unions so size(r) is exact.
+	sel := newConser(ix.dict.Len())
+	prefixEntryBytes := total * 8
 	retained, best, bestSize := -1, n-1, int64(math.MaxInt64)
 	for r := n - 1; r >= 0; r-- {
 		v := ix.order[r]
-		for _, list := range [2][]entry{ix.lout(v), ix.lin(v)} {
-			k := windowKey(list)
-			if k == nil {
-				continue
-			}
-			if _, ok := seen[string(k)]; !ok {
-				seen[string(k)] = struct{}{}
-				poolBytes += 12 + int64(len(k)-4)
+		for _, list := range [2][]entry{out[v], in[v]} {
+			if _, err := sel.intern(list); err != nil {
+				return nil, err
 			}
 		}
-		prefixEntryBytes -= int64(len(ix.lout(v))+len(ix.lin(v))) * 8
-		size := fixed + prefixEntryBytes + int64(n-r)*tierSlotBytes + poolBytes + tierMetaSize
+		prefixEntryBytes -= listBytes(v)
+		size := fixed + prefixEntryBytes + int64(n-r)*tierSlotBytes + sel.pool.sizeBytes() + tierMetaSize
 		if size <= budget {
 			retained = r
 			break
@@ -504,19 +425,18 @@ func (ix *Index) tier() error {
 		}
 	}
 	if retained < 0 {
-		if bestSize >= ix.SizeBytes() {
+		if bestSize >= fullSize {
 			// Even the cheapest tiered layout is no smaller than the full
 			// index: the per-vertex filter floor exceeds what demotion
 			// saves. Tiering would grow the index while costing exactness
 			// of the fast path, so keep the whole index instead.
-			return nil
+			return nil, nil
 		}
 		retained = best // floor: no cut fits, take the smallest layout
 	}
 	exactBytes := int64(0)
-	for r := 0; r < retained; r++ {
-		v := ix.order[r]
-		exactBytes += int64(len(ix.lout(v))+len(ix.lin(v))) * 8
+	for _, v := range ix.order[:retained] {
+		exactBytes += listBytes(v)
 	}
 	d := n - retained
 	tr := &tiers{
@@ -526,50 +446,24 @@ func (ix *Index) tier() error {
 		unionIn:       make([]uint32, d),
 	}
 
-	// MR-union bitsets over the dropped lists, hash-consed exactly like
-	// pack's MR-sets: window-compressed words keyed by base+bits. The pool
-	// totals match the selection walk's (same distinct-window set), only the
-	// IDs are assigned in slot order here.
-	table := make(map[string]uint32)
-	intern := func(list []entry) (uint32, error) {
-		k := windowKey(list)
-		if k == nil {
-			return invalidTierSet, nil
-		}
-		set, ok := table[string(k)]
-		if !ok {
-			first := binary.LittleEndian.Uint32(k[:4])
-			span := (len(k) - 4) / 8
-			if int64(len(table)) >= math.MaxInt32-1 || // reserve invalidTierSet
-				int64(len(tr.words))+int64(span) > math.MaxInt32 {
-				return 0, fmt.Errorf("rlc: tier union pool exceeds 2^31-1 sets or words")
-			}
-			set = uint32(len(table))
-			table[string(k)] = set
-			tr.desc = append(tr.desc, setDesc{
-				off:  uint32(len(tr.words)),
-				base: first,
-				span: uint32(span),
-			})
-			tr.words = append(tr.words, tmp[first:first+uint32(span)]...)
-		}
-		return set, nil
-	}
-	for r := retained; r < n; r++ {
-		v := ix.order[r]
-		slot := r - retained
+	// MR-union bitsets over the dropped lists. The pool totals match the
+	// selection walk's (same distinct-window set), only the ids are assigned
+	// in slot order here.
+	c := newConser(ix.dict.Len())
+	for slot, v := range ix.order[retained:] {
 		var err error
-		if tr.unionOut[slot], err = intern(ix.lout(v)); err != nil {
-			return err
+		if tr.unionOut[slot], err = c.intern(out[v]); err != nil {
+			return nil, err
 		}
-		if tr.unionIn[slot], err = intern(ix.lin(v)); err != nil {
-			return err
+		if tr.unionIn[slot], err = c.intern(in[v]); err != nil {
+			return nil, err
 		}
 	}
+	tr.setPool = c.pool
 
 	// Bloom blocks: the largest power-of-two word count the residual budget
 	// affords, clamped to [1, 64] words ([64, 4096] bits) per block.
-	unionBytes := int64(2*d)*4 + int64(len(tr.desc))*12 + int64(len(tr.words))*8
+	unionBytes := int64(2*d)*4 + tr.setPool.sizeBytes()
 	residual := budget - fixed - exactBytes - unionBytes - tierMetaSize
 	bloomWords := uint32(1)
 	for bloomWords < 64 && int64(2*d)*int64(bloomWords*2)*8 <= residual {
@@ -577,58 +471,22 @@ func (ix *Index) tier() error {
 	}
 	tr.bloomWords = bloomWords
 	tr.bloom = make([]uint64, int64(2*d)*int64(bloomWords))
-	for r := retained; r < n; r++ {
-		v := ix.order[r]
-		slot := int32(r - retained)
-		for _, e := range ix.lout(v) {
-			tr.bloomAdd(tr.outBlock(slot), uint32(e.hub), e.mr)
+	for slot, v := range ix.order[retained:] {
+		for _, e := range out[v] {
+			tr.bloomAdd(tr.outBlock(int32(slot)), uint32(e.hub), e.mr)
 		}
-		for _, e := range ix.lin(v) {
-			tr.bloomAdd(tr.inBlock(slot), uint32(e.hub), e.mr)
+		for _, e := range in[v] {
+			tr.bloomAdd(tr.inBlock(int32(slot)), uint32(e.hub), e.mr)
 		}
 	}
-
-	// Physically truncate the demoted lists from the entry CSR: the entry
-	// array stays authoritative for exactly what the index retains.
-	keep := int64(0)
-	for r := 0; r < retained; r++ {
-		v := ix.order[r]
-		keep += int64(len(ix.lout(v)) + len(ix.lin(v)))
-	}
-	entries := make([]entry, 0, keep)
-	outOff := make([]int32, n+1)
-	inOff := make([]int32, n+1)
-	for v := 0; v < n; v++ {
-		outOff[v] = int32(len(entries))
-		if ix.rank[v] < tr.retainedRanks {
-			entries = append(entries, ix.lout(graph.Vertex(v))...)
-		}
-	}
-	outOff[n] = int32(len(entries))
-	for v := 0; v < n; v++ {
-		inOff[v] = int32(len(entries))
-		if ix.rank[v] < tr.retainedRanks {
-			entries = append(entries, ix.lin(graph.Vertex(v))...)
-		}
-	}
-	inOff[n] = int32(len(entries))
-	ix.entries, ix.outOff, ix.inOff = entries, outOff, inOff
-	if ix.packed != nil {
-		// Re-derive the packed form from the truncated entries so the
-		// packed==entries invariant (and Snapshot.Verify) keeps holding.
-		if err := ix.pack(); err != nil {
-			return err
-		}
-	}
-	initTierRuntime(ix, tr)
-	return nil
+	return tr, nil
 }
 
-// verifyTiers checks the tier block's semantic consistency with the entry
-// array: a tiered index must have physically truncated every demoted
-// vertex's lists (a bundle assembled from mismatched halves — a tier block
-// claiming one retention split stapled to entries from another — checksums
-// clean but would answer from lists the filters do not cover).
+// verifyTiers checks the tier block's semantic consistency with the packed
+// groups: every demoted vertex of a tiered index must have none (a bundle
+// assembled from mismatched halves — a tier block claiming one retention
+// split stapled to groups from another — checksums clean but would answer
+// from lists the filters do not cover).
 func (ix *Index) verifyTiers() error {
 	tr := ix.tiers
 	if tr == nil {
@@ -636,14 +494,10 @@ func (ix *Index) verifyTiers() error {
 	}
 	for r := int(tr.retainedRanks); r < len(ix.order); r++ {
 		v := ix.order[r]
-		if len(ix.lout(v)) != 0 || len(ix.lin(v)) != 0 {
+		if len(ix.packed.lout(v)) != 0 || len(ix.packed.lin(v)) != 0 {
 			return fmt.Errorf("rlc: tier block retains %d ranks but demoted vertex %d (rank %d) still has entries",
 				tr.retainedRanks, v, r)
 		}
 	}
 	return nil
 }
-
-// VerifyTiers is the exported face of verifyTiers for inspection tools that
-// replicate Snapshot.Verify piecewise (rlcinspect); nil on an untiered index.
-func (ix *Index) VerifyTiers() error { return ix.verifyTiers() }

@@ -6,6 +6,8 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"github.com/g-rpqs/rlc-go/internal/graph"
@@ -48,7 +50,7 @@ func TestTierBuildDefaults(t *testing.T) {
 	if st.FilterBytes <= 0 || st.BloomBitsPerFilter < 64 || st.BloomBitsPerFilter > 4096 {
 		t.Fatalf("implausible filter shape: %+v", st)
 	}
-	if err := ix.VerifyTiers(); err != nil {
+	if err := ix.verifyTiers(); err != nil {
 		t.Fatalf("fresh tiered index fails self-verification: %v", err)
 	}
 	// Demotion is physical: the demoted vertices' entry lists are gone.
@@ -214,49 +216,45 @@ func TestTierDeterministicAcrossWorkers(t *testing.T) {
 }
 
 // TestTierSnapshotRoundTrip covers every tier mix: all-demoted, partial, and
-// (with packing disabled too) each representation combination round-trips
-// through a bundle with identical answers, a preserved budget, and truthful
-// BuildOptions for fold inheritance.
+// none round-trip through a bundle with identical answers, a preserved
+// budget, and truthful BuildOptions for fold inheritance.
 func TestTierSnapshotRoundTrip(t *testing.T) {
 	r := rand.New(rand.NewSource(43))
 	g := randomGraph(r, 40, 3, 180)
 	full := mustBuild(t, g, Options{K: 2})
-	for _, disablePacked := range []bool{false, true} {
-		for _, budget := range tierBudgets(full.SizeBytes()) {
-			name := fmt.Sprintf("packed=%v/b%d", !disablePacked, budget)
-			t.Run(name, func(t *testing.T) {
-				ix := mustBuild(t, g, Options{K: 2, MaxIndexBytes: budget, DisablePacked: disablePacked})
-				var buf bytes.Buffer
-				if err := ix.WriteSnapshot(&buf); err != nil {
-					t.Fatal(err)
+	for _, budget := range tierBudgets(full.SizeBytes()) {
+		t.Run(fmt.Sprintf("b%d", budget), func(t *testing.T) {
+			ix := mustBuild(t, g, Options{K: 2, MaxIndexBytes: budget})
+			var buf bytes.Buffer
+			if err := ix.WriteSnapshot(&buf); err != nil {
+				t.Fatal(err)
+			}
+			s, err := OpenSnapshotBytes(buf.Bytes())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			if err := s.Verify(); err != nil {
+				t.Fatalf("fresh tiered bundle fails Verify: %v", err)
+			}
+			got := s.Index()
+			if got.Tiered() != ix.Tiered() {
+				t.Fatalf("Tiered() = %v after round trip, want %v", got.Tiered(), ix.Tiered())
+			}
+			if ix.Tiered() {
+				want, have := ix.TierStats(), got.TierStats()
+				if want.Budget != have.Budget || want.RetainedVertices != have.RetainedVertices ||
+					want.DemotedVertices != have.DemotedVertices || want.UnionSets != have.UnionSets ||
+					want.BloomBitsPerFilter != have.BloomBitsPerFilter || want.FilterBytes != have.FilterBytes {
+					t.Fatalf("tier stats drift: built %+v, opened %+v", want, have)
 				}
-				s, err := OpenSnapshotBytes(buf.Bytes())
-				if err != nil {
-					t.Fatal(err)
+				if got.BuildOptions().MaxIndexBytes != budget {
+					t.Fatalf("BuildOptions().MaxIndexBytes = %d after open, want %d",
+						got.BuildOptions().MaxIndexBytes, budget)
 				}
-				defer s.Close()
-				if err := s.Verify(); err != nil {
-					t.Fatalf("fresh tiered bundle fails Verify: %v", err)
-				}
-				got := s.Index()
-				if got.Tiered() != ix.Tiered() {
-					t.Fatalf("Tiered() = %v after round trip, want %v", got.Tiered(), ix.Tiered())
-				}
-				if ix.Tiered() {
-					want, have := ix.TierStats(), got.TierStats()
-					if want.Budget != have.Budget || want.RetainedVertices != have.RetainedVertices ||
-						want.DemotedVertices != have.DemotedVertices || want.UnionSets != have.UnionSets ||
-						want.BloomBitsPerFilter != have.BloomBitsPerFilter || want.FilterBytes != have.FilterBytes {
-						t.Fatalf("tier stats drift: built %+v, opened %+v", want, have)
-					}
-					if got.BuildOptions().MaxIndexBytes != budget {
-						t.Fatalf("BuildOptions().MaxIndexBytes = %d after open, want %d",
-							got.BuildOptions().MaxIndexBytes, budget)
-					}
-				}
-				assertEquivalent(t, g, full, got)
-			})
-		}
+			}
+			assertEquivalent(t, g, full, got)
+		})
 	}
 }
 
@@ -345,16 +343,15 @@ func TestTierProbesDelegate(t *testing.T) {
 }
 
 // tieredBundle builds a tiered bundle of g for corruption tests and returns
-// its bytes (scan representation keeps the mutation offsets stable and the
-// sections minimal).
-func tieredBundle(t *testing.T, g *graph.Graph, budgetDiv int64, disablePacked bool) []byte {
+// its bytes.
+func tieredBundle(t *testing.T, g *graph.Graph, budgetDiv int64) []byte {
 	t.Helper()
-	full := mustBuild(t, g, Options{K: 2, DisablePacked: disablePacked})
+	full := mustBuild(t, g, Options{K: 2})
 	budget := int64(1)
 	if budgetDiv > 0 {
 		budget = full.SizeBytes() / budgetDiv
 	}
-	ix := mustBuild(t, g, Options{K: 2, MaxIndexBytes: budget, DisablePacked: disablePacked})
+	ix := mustBuild(t, g, Options{K: 2, MaxIndexBytes: budget})
 	if !ix.Tiered() {
 		t.Fatalf("budget %d of %d not tiered", budget, full.SizeBytes())
 	}
@@ -370,7 +367,7 @@ func tieredBundle(t *testing.T, g *graph.Graph, budgetDiv int64, disablePacked b
 // rejected typed, never panic, never open.
 func TestSnapshotTierSemanticCorruption(t *testing.T) {
 	r := rand.New(rand.NewSource(59))
-	base := tieredBundle(t, randomGraph(r, 40, 3, 180), 2, false)
+	base := tieredBundle(t, randomGraph(r, 40, 3, 180), 2)
 	cases := []struct {
 		name   string
 		mutate func(secs map[uint32][]byte)
@@ -430,32 +427,29 @@ func TestSnapshotTierSemanticCorruption(t *testing.T) {
 
 // TestSnapshotVerifyCatchesTierDivergence pins the semantic layer: a tier
 // block that is structurally sound (and re-checksummed clean) but stapled to
-// the entry array of an untiered build of the same graph must fail Verify —
-// the tier split and the entries would describe two different indexes.
+// the packed groups of an untiered build of the same graph must fail Verify —
+// the tier split and the groups would describe two different indexes.
 func TestSnapshotVerifyCatchesTierDivergence(t *testing.T) {
 	r := rand.New(rand.NewSource(61))
 	g := randomGraph(r, 40, 3, 180)
-	tiered := tieredBundle(t, g, 2, true)
-	full := mustBuild(t, g, Options{K: 2, DisablePacked: true})
-	var fullBuf bytes.Buffer
-	if err := full.WriteSnapshot(&fullBuf); err != nil {
-		t.Fatal(err)
-	}
-	fullF, err := snapshot.OpenBytes(fullBuf.Bytes())
+	tiered := tieredBundle(t, g, 2)
+	_, fullData := bundleBytes(t, g, 2)
+	fullF, err := snapshot.OpenBytes(fullData)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Transplant the untiered build's (complete) entry sections into the
-	// tiered bundle, adjusting the meta entry count to match.
+	// Transplant the untiered build's (complete) packed block into the
+	// tiered bundle, with the meta entry count that goes with it.
 	data := rebundle(t, tiered, func(s map[uint32][]byte) {
-		for _, id := range []uint32{secEntries, secIndexOutOff, secIndexInOff} {
+		for id := uint32(secPackedMeta); id <= secPackedSetDesc; id++ {
 			b, ok := fullF.Section(id)
 			if !ok {
 				t.Fatalf("full bundle missing section %d", id)
 			}
 			s[id] = append([]byte(nil), b...)
 		}
-		binary.LittleEndian.PutUint64(s[secMeta][32:], uint64(full.NumEntries()))
+		fullMeta, _ := fullF.Section(secMeta)
+		copy(s[secMeta][32:40], fullMeta[32:40])
 	})
 	s, err := OpenSnapshotBytes(data)
 	if err != nil {
@@ -465,6 +459,37 @@ func TestSnapshotVerifyCatchesTierDivergence(t *testing.T) {
 	err = s.Verify()
 	if !errors.Is(err, snapshot.ErrCorrupt) {
 		t.Fatalf("Verify = %v, want typed ErrCorrupt", err)
+	}
+}
+
+// TestGoldenTierSections pins cut selection and the tier sections' bytes
+// for er60 at k = 2 under er60Budget, recorded from the builder that still
+// selected cuts on the frozen entry array. A failure means the budget
+// accounting, the cut walk, the union interning order or the bloom layout
+// changed — deployed budgets would select different indexes. Regenerate
+// deliberately with RLC_UPDATE_GOLDEN=1.
+func TestGoldenTierSections(t *testing.T) {
+	ix := mustBuild(t, er60(t), Options{K: 2, MaxIndexBytes: er60Budget})
+	if !ix.Tiered() || ix.tiers.retainedRanks != 25 {
+		t.Fatalf("er60 under %d bytes retains %+v, want 25 ranks", er60Budget, ix.TierStats())
+	}
+	var buf bytes.Buffer
+	if err := ix.WriteSnapshot(&buf); err != nil {
+		t.Fatal(err)
+	}
+	got := sectionBytes(t, buf.Bytes(), secTierMeta, secTierBloom)
+	golden := filepath.Join("testdata", "er60_k2_tier.golden")
+	if os.Getenv("RLC_UPDATE_GOLDEN") != "" {
+		if err := os.WriteFile(golden, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("tier sections differ from golden: got %d bytes, want %d", len(got), len(want))
 	}
 }
 

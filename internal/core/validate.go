@@ -32,7 +32,7 @@ func (ix *Index) ValidateSound() error {
 		return n, nil
 	}
 	for v := 0; v < ix.g.NumVertices(); v++ {
-		for _, e := range ix.lout(graph.Vertex(v)) {
+		for e := range ix.lout(graph.Vertex(v)) {
 			hub := ix.order[e.hub]
 			nfa, err := nfaOf(e.mr)
 			if err != nil {
@@ -42,7 +42,7 @@ func (ix *Index) ValidateSound() error {
 				return fmt.Errorf("rlc: unsound entry (%d, %v) in Lout(%d): no such path", hub, ix.dict.Seq(e.mr), v)
 			}
 		}
-		for _, e := range ix.lin(graph.Vertex(v)) {
+		for e := range ix.lin(graph.Vertex(v)) {
 			hub := ix.order[e.hub]
 			nfa, err := nfaOf(e.mr)
 			if err != nil {
@@ -92,7 +92,7 @@ func (ix *Index) ValidateComplete() error {
 func (ix *Index) ValidateCondensed() error {
 	for v := 0; v < ix.g.NumVertices(); v++ {
 		// Direct entries recorded as (t, L) ∈ Lout(s) with s = v.
-		for _, e := range ix.lout(graph.Vertex(v)) {
+		for e := range ix.lout(graph.Vertex(v)) {
 			s := graph.Vertex(v)
 			t := ix.order[e.hub]
 			if err := ix.checkNotCovered(s, t, e.mr, "Lout"); err != nil {
@@ -100,7 +100,7 @@ func (ix *Index) ValidateCondensed() error {
 			}
 		}
 		// Direct entries recorded as (s, L) ∈ Lin(t) with t = v.
-		for _, e := range ix.lin(graph.Vertex(v)) {
+		for e := range ix.lin(graph.Vertex(v)) {
 			s := ix.order[e.hub]
 			t := graph.Vertex(v)
 			if err := ix.checkNotCovered(s, t, e.mr, "Lin"); err != nil {
@@ -109,7 +109,7 @@ func (ix *Index) ValidateCondensed() error {
 			// Both direct forms for the same fact is double recording,
 			// except for the degenerate s == t cycles where the two
 			// lists describe the same vertex.
-			if s != t && hasEntry(ix.lout(s), ix.rank[t], e.mr) {
+			if s != t && ix.loutHas(s, ix.rank[t], e.mr) {
 				return fmt.Errorf("rlc: not condensed: (%d,%v) recorded in both Lout(%d) and Lin(%d)",
 					t, ix.dict.Seq(e.mr), s, t)
 			}
@@ -119,7 +119,8 @@ func (ix *Index) ValidateCondensed() error {
 }
 
 func (ix *Index) checkNotCovered(s, t graph.Vertex, mr labelseq.ID, kind string) error {
-	a, b := ix.lout(s), ix.lin(t)
+	p := ix.packed
+	a, b := p.lout(s), p.lin(t)
 	i, j := 0, 0
 	for i < len(a) && j < len(b) {
 		switch {
@@ -128,23 +129,13 @@ func (ix *Index) checkNotCovered(s, t graph.Vertex, mr labelseq.ID, kind string)
 		case a[i].hub > b[j].hub:
 			j++
 		default:
-			hub := a[i].hub
-			u := ix.order[hub]
-			foundA, foundB := false, false
-			for ; i < len(a) && a[i].hub == hub; i++ {
-				if a[i].mr == mr {
-					foundA = true
-				}
-			}
-			for ; j < len(b) && b[j].hub == hub; j++ {
-				if b[j].mr == mr {
-					foundB = true
-				}
-			}
-			if foundA && foundB && u != s && u != t {
+			u := ix.order[a[i].hub]
+			if p.has(a[i].set, mr) && p.has(b[j].set, mr) && u != s && u != t {
 				return fmt.Errorf("rlc: not condensed: %s entry for (%d ⇝ %d, %v) also covered via hub %d",
 					kind, s, t, ix.dict.Seq(mr), u)
 			}
+			i++
+			j++
 		}
 	}
 	return nil

@@ -402,16 +402,12 @@ type soakConfig struct {
 	nVertices, nLabels, baseEdges int
 	inserts, threshold            int
 	readers, perReader, poolSize  int
-	disablePacked                 bool // base (and thus every fold) on the scan path
 }
 
 // TestMutableSoakOracle is the headline exactness proof: ≥100k mixed
 // queries race concurrent single-edge inserts across ≥3 background
 // rebuild/hot-swap epochs (each fold writing and mmapping a fresh v2
 // bundle), and EVERY answer is checked against a linearizability oracle.
-// The base index is packed (the default), so every fold emits and hot-swaps
-// a bundle with packed sections — the bit-parallel path is held to the same
-// envelope.
 //
 // The oracle: insertions are pre-planned, and for each pool query q the
 // enabling prefix e(q) — the number of applied inserts after which q first
@@ -427,20 +423,6 @@ func TestMutableSoakOracle(t *testing.T) {
 		nVertices: 200, nLabels: 2, baseEdges: 500,
 		inserts: 900, threshold: 250, // 900 inserts / 250 => >= 3 background folds
 		readers: 4, perReader: 25000, poolSize: 96, // 4 x 25k = 100k queries
-	})
-}
-
-// TestMutableSoakOracleScanPath re-runs the soak (reduced volume) with the
-// packed form disabled on the base index: folds inherit DisablePacked, so
-// every rebuilt bundle stays on the linear-scan path — pinning that the
-// fold option inheritance works and that the scan fallback meets the same
-// linearizability envelope.
-func TestMutableSoakOracleScanPath(t *testing.T) {
-	runMutableSoak(t, soakConfig{
-		nVertices: 120, nLabels: 2, baseEdges: 300,
-		inserts: 300, threshold: 100, // still >= 3 folds
-		readers: 4, perReader: 8000, poolSize: 64,
-		disablePacked: true,
 	})
 }
 
@@ -522,7 +504,7 @@ func runMutableSoak(t *testing.T, cfg soakConfig) {
 
 	path := filepath.Join(t.TempDir(), "soak.rlcs")
 	var folds atomic.Int64
-	base, err := core.Build(g, core.Options{K: 2, DisablePacked: cfg.disablePacked})
+	base, err := core.Build(g, core.Options{K: 2})
 	if err != nil {
 		t.Fatalf("build index: %v", err)
 	}
@@ -640,9 +622,7 @@ func runMutableSoak(t *testing.T, cfg soakConfig) {
 		}
 	}
 
-	// The last fold's bundle on disk must verify and carry the base's
-	// representation: packed sections when the base was packed, none when
-	// the soak ran the scan path.
+	// The last fold's bundle on disk must verify.
 	snap, err := core.OpenSnapshot(path)
 	if err != nil {
 		t.Fatalf("open folded bundle: %v", err)
@@ -650,8 +630,5 @@ func runMutableSoak(t *testing.T, cfg soakConfig) {
 	defer snap.Close()
 	if err := snap.Verify(); err != nil {
 		t.Fatalf("folded bundle fails Verify: %v", err)
-	}
-	if got, want := snap.Index().Packed(), !cfg.disablePacked; got != want {
-		t.Fatalf("folded bundle packed = %v, want %v", got, want)
 	}
 }
