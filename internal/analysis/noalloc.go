@@ -323,7 +323,10 @@ func allowlistedCallee(fn *types.Func) bool {
 	case "sync":
 		return fn.Name() == "Lock" || fn.Name() == "Unlock" ||
 			fn.Name() == "RLock" || fn.Name() == "RUnlock" ||
-			fn.Name() == "TryLock" || fn.Name() == "Load" || fn.Name() == "Store"
+			fn.Name() == "TryLock" || fn.Name() == "Load" || fn.Name() == "Store" ||
+			// Pool: a warm pool hands back a parked value; only a cold Get
+			// runs the caller's New.
+			fn.Name() == "Get" || fn.Name() == "Put"
 	case "context":
 		return fn.Name() == "Err" || fn.Name() == "Done"
 	case "errors":

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/bits"
 	"strings"
+	"sync/atomic"
 
 	"github.com/g-rpqs/rlc-go/internal/labelseq"
 )
@@ -76,7 +77,12 @@ type NFA struct {
 	// step[q*numLabels+l] is the bitset of states reachable from q on l.
 	// Automata built here have at most 63 states (enforced by Compile).
 	step []uint64
+	// live is the set of states with at least one outgoing transition.
+	live uint64
 	expr Expr
+	// rev caches Reverse(): compiled automata are shared across goroutines
+	// and searched backward once per query, so the reverse is built once.
+	rev atomic.Pointer[NFA]
 }
 
 // MaxStates bounds the automaton size so state sets fit one uint64 word.
@@ -157,6 +163,7 @@ func Compile(e Expr, numLabels int) (*NFA, error) {
 
 func (n *NFA) addEdge(from State, l labelseq.Label, to State) {
 	n.step[int(from)*n.numLabels+int(l)] |= 1 << uint(to)
+	n.live |= 1 << uint(from)
 }
 
 // NumStates returns the number of states including the accept state.
@@ -181,6 +188,11 @@ func (n *NFA) AcceptSet() uint64 { return 1 << uint(n.accept) }
 func (n *NFA) Step(q State, l labelseq.Label) uint64 {
 	return n.step[int(q)*n.numLabels+int(l)]
 }
+
+// LiveSet returns the bitset of states with at least one outgoing
+// transition. A search need not expand a product node in any other state —
+// the accept state of a compiled expression is one: nothing follows it.
+func (n *NFA) LiveSet() uint64 { return n.live }
 
 // StepSet advances a whole state set on label l.
 func (n *NFA) StepSet(set uint64, l labelseq.Label) uint64 {
@@ -225,36 +237,34 @@ func (n *NFA) ReverseState(q State) State {
 // the original accept state, and its accept at the original start state.
 // Backward searches (and the backward half of BiBFS) run on the reverse.
 // State q of the original corresponds to state ReverseState(q) of the
-// result.
+// result. The reverse is built on first use and shared afterwards; it must
+// not be mutated.
+//
+//rlc:noalloc
 func (n *NFA) Reverse() *NFA {
+	if r := n.rev.Load(); r != nil {
+		return r
+	}
+	n.rev.CompareAndSwap(nil, n.buildReverse()) //rlc:allocok first use builds the reverse once per automaton
+	return n.rev.Load()
+}
+
+func (n *NFA) buildReverse() *NFA {
+	// ReverseState swaps ids 0 and n.accept, so the original accept becomes
+	// the reverse start (0) and the original start the reverse accept.
+	ren := n.ReverseState
 	r := &NFA{
 		numStates: n.numStates,
 		numLabels: n.numLabels,
-		// Original start state is 0; it becomes the reverse accept.
-		accept: 0,
-		step:   make([]uint64, len(n.step)),
-		expr:   n.expr,
+		accept:    ren(0),
+		step:      make([]uint64, len(n.step)),
+		expr:      n.expr,
 	}
-	// In the reversed automaton the start must be the original accept.
-	// Renumber states so the original accept becomes 0 and the original
-	// start becomes the reverse accept: swap ids 0 and n.accept.
-	ren := func(q State) State {
-		switch q {
-		case 0:
-			return n.accept
-		case n.accept:
-			return 0
-		default:
-			return q
-		}
-	}
-	r.accept = ren(0)
 	for q := 0; q < n.numStates; q++ {
 		for l := 0; l < n.numLabels; l++ {
 			targets := n.step[q*n.numLabels+l]
 			for s := targets; s != 0; s &= s - 1 {
-				to := State(trailingZeros(s))
-				r.step[int(ren(to))*n.numLabels+l] |= 1 << uint(ren(State(q)))
+				r.addEdge(ren(State(trailingZeros(s))), labelseq.Label(l), ren(State(q)))
 			}
 		}
 	}

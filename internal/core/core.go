@@ -303,6 +303,16 @@ func (ix *Index) Query(s, t graph.Vertex, l labelseq.Seq) (bool, error) {
 	return ix.queryByID(s, t, mr), nil
 }
 
+// ConstraintCode returns the dictionary's packed code of a constraint Query
+// has accepted — a compact, injective key for per-constraint state kept
+// beside the index (the delta overlay's automaton and probe cache). It
+// panics on a constraint Query would reject.
+//
+//rlc:noalloc
+func (ix *Index) ConstraintCode(l labelseq.Seq) labelseq.Code {
+	return ix.dict.Coder().Encode(l)
+}
+
 // QueryRLC is Query with a context, satisfying the facade's Querier
 // interface alongside the hybrid evaluator and the serving layer. An index
 // probe is two binary searches and a merge join — nanoseconds — so the

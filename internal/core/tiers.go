@@ -78,7 +78,7 @@ type tiers struct {
 
 	// Tier-3 machinery: one lazily compiled NFA per interned MR (queries only
 	// reach the fallback with MRs the dictionary maps, which are exactly the
-	// validated constraint they looked up), and a pool of reusable product-BFS
+	// validated constraint they looked up), and a pool of reusable traversal
 	// evaluators (an Evaluator is not concurrent-safe; queries are).
 	nfas  []atomic.Pointer[automaton.NFA]
 	evals sync.Pool
@@ -206,8 +206,11 @@ func (ix *Index) TierStats() TierStats {
 }
 
 // queryTiered answers a query with at least one demoted endpoint: filter
-// probe first, exact traversal only on "maybe". Counter increments are
-// atomic adds, which the noalloc allowlist covers.
+// probe first, exact traversal only on "maybe" — tier 3, a bidirectional
+// product search on the traversal kernel. Evaluators are pooled because one
+// is not concurrent-safe but queries are; a warm one searches without
+// allocating. Counter increments are atomic adds, which the noalloc
+// allowlist covers.
 //
 //rlc:noalloc
 func (ix *Index) queryTiered(s, t graph.Vertex, mr labelseq.ID) bool {
@@ -221,7 +224,16 @@ func (ix *Index) queryTiered(s, t graph.Vertex, mr labelseq.ID) bool {
 		return false
 	}
 	tr.filterMaybe.Add(1)
-	return ix.traverseFallback(s, t, mr) //rlc:allocok tier-3 fallback: pooled evaluator + lazy NFA compile
+	nfa := tr.nfas[mr].Load()
+	if nfa == nil {
+		if nfa = ix.compileFallback(mr); nfa == nil { //rlc:allocok lazy NFA compile, once per interned MR
+			return false
+		}
+	}
+	ev := tr.evals.Get().(*traversal.Evaluator)
+	ok := ev.BiBFS(s, t, nfa)
+	tr.evals.Put(ev)
+	return ok
 }
 
 // probeTiered runs the tier-2 filter probe for a query with at least one
@@ -335,33 +347,19 @@ func (ix *Index) anyInHubMaybe(t graph.Vertex, mr labelseq.ID, block []uint64) b
 	return false
 }
 
-// traverseFallback is tier 3: an exact product BFS over graph × NFA. The
-// NFA for each MR is compiled once and cached; evaluators are pooled because
-// one is not concurrent-safe but queries are.
-func (ix *Index) traverseFallback(s, t graph.Vertex, mr labelseq.ID) bool {
-	tr := ix.tiers
-	nfa := tr.nfas[mr].Load()
-	if nfa == nil {
-		numLabels := ix.g.NumLabels()
-		if numLabels == 0 {
-			numLabels = 1
-		}
-		// Interned sequences are non-empty, at most k long, and in label
-		// range (Build interns only validated sequences; decodeDict enforces
-		// the same bounds), so Compile cannot fail here — but a corrupt
-		// in-memory state must degrade to the safe answer for the query
-		// semantics, which for an uncompilable constraint is "no path".
-		built, err := automaton.NewPlus(ix.dict.Seq(mr), numLabels)
-		if err != nil {
-			return false
-		}
-		tr.nfas[mr].Store(built)
-		nfa = built
+// compileFallback compiles and caches the tier-3 automaton of one interned
+// MR. Interned sequences are non-empty, at most k long, and in label range
+// (Build interns only validated sequences; decodeDict enforces the same
+// bounds), so the compile cannot fail — but a corrupt in-memory state must
+// degrade to the safe answer for the query semantics, which for an
+// uncompilable constraint is "no path": nil.
+func (ix *Index) compileFallback(mr labelseq.ID) *automaton.NFA {
+	nfa, err := automaton.NewPlus(ix.dict.Seq(mr), max(ix.g.NumLabels(), 1))
+	if err != nil {
+		return nil
 	}
-	ev := tr.evals.Get().(*traversal.Evaluator)
-	ok := ev.BiBFS(s, t, nfa)
-	tr.evals.Put(ev)
-	return ok
+	ix.tiers.nfas[mr].Store(nfa)
+	return nfa
 }
 
 // tierSlotBytes is the per-demoted-vertex space the filter tier always

@@ -8,19 +8,25 @@
 //
 //  1. If the base index answers true, the answer is true (insertions only
 //     add paths, never remove them).
-//  2. Otherwise a product BFS runs over the UNION graph (base + journal),
-//     accelerated by the base index: whenever the search crosses a period
-//     boundary at a vertex x, one probe answers whether x reaches the
-//     target through base edges alone — so any witness path decomposes
+//  2. Otherwise the traversal package's product-search kernel runs over the
+//     UNION graph (base + journal), accelerated by the base index: the
+//     package supplies only the successor source — one pinned view's base
+//     CSR ∪ sealed adjacency ∪ unsealed tail — and a visit hook. The L+
+//     automaton's accept state is the period boundary, so whenever the
+//     search reaches it at a vertex x, one probe answers whether x reaches
+//     the target through base edges alone — any witness path decomposes
 //     into a traversed prefix (which may use new edges) and an indexed
 //     suffix, and true answers return as soon as the prefix is found.
+//     EvalExpr is the same search without the probe, for expressions
+//     outside the index's class. This package contains no frontier loop.
 //
 // # Concurrency: the epoch pipeline
 //
 // A DeltaGraph is an RCU-style epoch structure. All state a reader touches
 // lives in one immutable view — base graph, base index, a frozen journal
 // prefix, a copy-on-write union adjacency for the sealed part of the
-// journal, and a probe cache — published through a single atomic pointer.
+// journal, and a per-constraint cache of compiled automata and target
+// probes — published through a single atomic pointer.
 // Any number of goroutines Query without taking a lock while one writer
 // appends: inserts extend the shared journal only at positions no published
 // view can read, seal full segments into a fresh adjacency map (shared

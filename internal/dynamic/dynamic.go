@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"github.com/g-rpqs/rlc-go/internal/automaton"
 	"github.com/g-rpqs/rlc-go/internal/core"
 	"github.com/g-rpqs/rlc-go/internal/graph"
 	"github.com/g-rpqs/rlc-go/internal/labelseq"
@@ -62,8 +63,8 @@ type Options struct {
 // index, plus the journal prefix this view can see. Readers load the current
 // view with one atomic pointer load and then touch nothing mutable — the
 // journal prefix [:jlen] is frozen (the writer only ever appends at >= jlen
-// of the newest view), adj is never mutated after publication, and probes is
-// a concurrent map of immutable values.
+// of the newest view), adj is never mutated after publication, and
+// constraints is a concurrent map of immutable values.
 type view struct {
 	epoch uint64
 	base  *graph.Graph
@@ -84,16 +85,20 @@ type view struct {
 	adj    map[graph.Vertex][]graph.Edge
 	sealed int
 
-	// probes caches target probes per (t, constraint). A probe reflects
-	// only the base index, which is immutable for the whole epoch, so the
-	// cache needs no invalidation on inserts — the delta search handles
-	// journal paths itself — and is shared by every view of the epoch.
-	probes *sync.Map
+	// constraints caches, per constraint the overlay search has met (keyed
+	// by the index dictionary's packed code, labelseq.Code), its compiled
+	// automaton and its target probes. Both reflect only the base graph and
+	// index, which are immutable for the whole epoch, so the cache needs no
+	// invalidation on inserts — the delta search handles journal paths
+	// itself — and is shared by every view of the epoch.
+	constraints *sync.Map
 }
 
-type probeKey struct {
-	t          graph.Vertex
-	constraint string
+// constraintCache is one constraints entry: the L+ automaton, compiled once
+// per (epoch, constraint), and the target probes built so far.
+type constraintCache struct {
+	nfa    *automaton.NFA
+	probes sync.Map // graph.Vertex -> *core.TargetProbe
 }
 
 // DeltaGraph is an RLC-indexed graph that accepts edge insertions while
@@ -120,6 +125,10 @@ type DeltaGraph struct {
 	foldCtl     sync.Mutex
 	foldRunning bool
 	foldDone    chan struct{}
+
+	// searchers pools the overlay's product searches (see eval.go): one is
+	// not concurrent-safe, queries are.
+	searchers sync.Pool
 }
 
 // New wraps an already-indexed graph. The index must have been built over g.
@@ -135,7 +144,9 @@ func New(g *graph.Graph, ix *core.Index, opts Options) *DeltaGraph {
 		opts.IndexOptions = ix.BuildOptions()
 	}
 	d := &DeltaGraph{opts: opts}
-	d.cur.Store(&view{base: g, ix: ix, adj: map[graph.Vertex][]graph.Edge{}, probes: &sync.Map{}})
+	n := g.NumVertices()
+	d.searchers.New = func() any { return newSearcher(n) }
+	d.cur.Store(&view{base: g, ix: ix, adj: map[graph.Vertex][]graph.Edge{}, constraints: &sync.Map{}})
 	return d
 }
 
@@ -229,14 +240,14 @@ func (d *DeltaGraph) AddEdges(edges []graph.Edge) error {
 // with d.mu held; the receiver stays untouched.
 func (v *view) appendEdges(edges []graph.Edge) *view {
 	nv := &view{
-		epoch:   v.epoch,
-		base:    v.base,
-		ix:      v.ix,
-		journal: append(v.journal[:v.jlen], edges...),
-		jlen:    v.jlen + len(edges),
-		adj:     v.adj,
-		sealed:  v.sealed,
-		probes:  v.probes,
+		epoch:       v.epoch,
+		base:        v.base,
+		ix:          v.ix,
+		journal:     append(v.journal[:v.jlen], edges...),
+		jlen:        v.jlen + len(edges),
+		adj:         v.adj,
+		sealed:      v.sealed,
+		constraints: v.constraints,
 	}
 	if nv.jlen-nv.sealed >= segmentSize {
 		nv.seal()
@@ -306,14 +317,14 @@ func (d *DeltaGraph) Seal() {
 		return
 	}
 	nv := &view{
-		epoch:   v.epoch,
-		base:    v.base,
-		ix:      v.ix,
-		journal: v.journal,
-		jlen:    v.jlen,
-		adj:     v.adj,
-		sealed:  v.sealed,
-		probes:  v.probes,
+		epoch:       v.epoch,
+		base:        v.base,
+		ix:          v.ix,
+		journal:     v.journal,
+		jlen:        v.jlen,
+		adj:         v.adj,
+		sealed:      v.sealed,
+		constraints: v.constraints,
 	}
 	nv.seal()
 	d.cur.Store(nv)
@@ -337,6 +348,14 @@ func (d *DeltaGraph) Query(s, t graph.Vertex, l labelseq.Seq) (bool, error) {
 // cancellation and deadlines are checked once per BFS level of the delta
 // search, so an abandoned request cannot pin a generation for a whole
 // product traversal.
+//
+// The delta search is the traversal kernel's forward search over the union
+// graph (base ∪ journal) along the L+ automaton. Its accept state is the
+// period boundary: a vertex y reached there ends a prefix spelling L^j, and
+// the witness completes if y is the target or the BASE index carries a
+// suffix from y to it — so true answers stop at the first boundary vertex
+// whose indexed suffix completes the path. The seed is never probed: that
+// probe is exactly the base query that just missed.
 func (d *DeltaGraph) QueryRLC(ctx context.Context, s, t graph.Vertex, l labelseq.Seq) (bool, error) {
 	v := d.cur.Load()
 	ok, err := v.ix.Query(s, t, l)
@@ -346,22 +365,38 @@ func (d *DeltaGraph) QueryRLC(ctx context.Context, s, t graph.Vertex, l labelseq
 	if v.jlen == 0 {
 		return false, nil
 	}
-	probe, err := v.probeFor(t, l)
+	nfa, probe, err := v.searchFor(t, l)
 	if err != nil {
 		return false, err
 	}
-	return v.deltaQuery(ctx, s, t, l, probe)
+	found := false
+	err = d.search(ctx, v, s, nfa, func(y graph.Vertex) bool {
+		found = y == t || probe.Reaches(y)
+		return found
+	})
+	return found, err
 }
 
-func (v *view) probeFor(t graph.Vertex, l labelseq.Seq) (*core.TargetProbe, error) {
-	key := probeKey{t: t, constraint: l.String()}
-	if p, ok := v.probes.Load(key); ok {
-		return p.(*core.TargetProbe), nil
+// searchFor returns the epoch's cached automaton for l+ and target probe
+// for (·, t, l+). l has passed the index's validation (Query accepted it).
+func (v *view) searchFor(t graph.Vertex, l labelseq.Seq) (*automaton.NFA, *core.TargetProbe, error) {
+	code := v.ix.ConstraintCode(l)
+	c, ok := v.constraints.Load(code)
+	if !ok {
+		nfa, err := automaton.NewPlus(l, v.base.NumLabels())
+		if err != nil {
+			return nil, nil, err
+		}
+		c, _ = v.constraints.LoadOrStore(code, &constraintCache{nfa: nfa})
 	}
-	p, err := v.ix.NewTargetProbe(t, l)
-	if err != nil {
-		return nil, err
+	cc := c.(*constraintCache)
+	p, ok := cc.probes.Load(t)
+	if !ok {
+		probe, err := v.ix.NewTargetProbe(t, l)
+		if err != nil {
+			return nil, nil, err
+		}
+		p, _ = cc.probes.LoadOrStore(t, probe)
 	}
-	actual, _ := v.probes.LoadOrStore(key, p)
-	return actual.(*core.TargetProbe), nil
+	return cc.nfa, p.(*core.TargetProbe), nil
 }

@@ -3,6 +3,7 @@ package dynamic
 import (
 	"bytes"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"github.com/g-rpqs/rlc-go/internal/core"
@@ -282,5 +283,57 @@ func TestParallelRebuildMatchesSequential(t *testing.T) {
 	}
 	if !bytes.Equal(seqBytes.Bytes(), parBytes.Bytes()) {
 		t.Error("parallel fold-and-rebuild serialized differently from sequential rebuild")
+	}
+}
+
+// TestOverlayQueryAllocsIndependentOfGraphSize pins the overlay's buffer
+// reuse: with the (t, L) probe and automaton cached and a searcher pooled, a
+// QueryRLC that runs the delta search allocates a handful of small values
+// (cache keys), nothing proportional to |V| — no per-query mark array.
+func TestOverlayQueryAllocsIndependentOfGraphSize(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops Puts under the race detector")
+	}
+	// An a-chain with its middle edge only in the journal: the base index
+	// misses every query across the gap, so the delta search runs.
+	const n = 512
+	var edges []graph.Edge
+	for v := 0; v < n-1; v++ {
+		if v != n/2 {
+			edges = append(edges, graph.Edge{Src: graph.Vertex(v), Dst: graph.Vertex(v + 1), Label: 0})
+		}
+	}
+	d, err := Build(graph.FromEdges(n, 1, edges), Options{IndexOptions: core.Options{K: 1}, RebuildThreshold: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := d.AddEdge(n/2, 0, n/2+1); err != nil {
+		t.Fatal(err)
+	}
+	l := labelseq.Seq{0}
+	query := func() {
+		// True: the search walks half the chain to the journal edge, where
+		// the base index completes the path.
+		if ok, err := d.Query(0, n-1, l); err != nil || !ok {
+			t.Fatalf("Query(0, %d) = %v, %v; want true", n-1, ok, err)
+		}
+		// False: the search exhausts the other half.
+		if ok, err := d.Query(n/2+1, 0, l); err != nil || ok {
+			t.Fatalf("Query(%d, 0) = %v, %v; want false", n/2+1, ok, err)
+		}
+	}
+	query() // warm: probe + automaton cached, searcher pooled, marks grown
+	if allocs := testing.AllocsPerRun(50, query); allocs > 8 {
+		t.Errorf("warmed overlay queries allocate %v times per run, want a handful", allocs)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	const runs = 50
+	for i := 0; i < runs; i++ {
+		query()
+	}
+	runtime.ReadMemStats(&after)
+	if perRun := (after.TotalAlloc - before.TotalAlloc) / runs; perRun >= n {
+		t.Errorf("warmed overlay queries allocate %d B per run on a %d-vertex graph, want nothing proportional to |V|", perRun, n)
 	}
 }

@@ -3,99 +3,75 @@ package dynamic
 import (
 	"context"
 	"fmt"
-	"math/bits"
 
 	"github.com/g-rpqs/rlc-go/internal/automaton"
 	"github.com/g-rpqs/rlc-go/internal/core"
 	"github.com/g-rpqs/rlc-go/internal/graph"
-	"github.com/g-rpqs/rlc-go/internal/labelseq"
+	"github.com/g-rpqs/rlc-go/internal/traversal"
 )
 
-// deltaQuery searches the union graph (base ∪ journal) for a witness of
-// (s, t, L+): a product BFS over (vertex, phase) that consults the base
-// index at every period boundary. The probe makes true answers terminate at
-// the first boundary vertex whose indexed suffix completes the path. Union
-// adjacency is composed on the fly — base CSR, sealed copy-on-write map,
-// then a linear scan of the one unsealed journal segment — so the search
-// touches no lock and no memory another goroutine may write. ctx is
-// checked once per BFS level.
-func (v *view) deltaQuery(ctx context.Context, s, t graph.Vertex, l labelseq.Seq, probe *core.TargetProbe) (bool, error) {
-	m := len(l)
-	seen := make([]bool, v.base.NumVertices()*m)
+// searcher is a pooled product search over one pinned view: a traversal
+// evaluator whose successor source is the view's union adjacency. The
+// evaluator is built once around out; pinning a view only re-points v, so a
+// query touches no lock and no memory another goroutine may write.
+type searcher struct {
+	ev *traversal.Evaluator
+	v  *view
+	// dsts/lbls are the scratch a vertex's union adjacency is composed in.
+	dsts []graph.Vertex
+	lbls []graph.Label
+}
 
-	// Seed: s at phase 0. A boundary probe at the seed is exactly the
-	// base-index query the caller already ran, so skip it.
-	frontier := []int64{int64(s) * int64(m)}
-	seen[frontier[0]] = true
-
-	var next []int64
-	// step expands one product edge; it reports true when the target is
-	// reached on a period boundary or the base index completes the path.
-	step := func(phase int, expected graph.Label, y graph.Vertex, lb graph.Label) bool {
-		if lb != expected {
-			return false
-		}
-		np := (phase + 1) % m
-		// Arriving at the target on a period boundary completes the
-		// path. Checked before the seen-skip: when s == t the accept
-		// state coincides with the pre-marked seed.
-		if np == 0 && y == t {
-			return true
-		}
-		id := int64(y)*int64(m) + int64(np)
-		if seen[id] {
-			return false
-		}
-		seen[id] = true
-		// Period boundary: the traversed prefix is L^j; the path
-		// completes if the BASE index carries a suffix from y. (Seen
-		// boundary nodes were probed on first visit; the seed needs no
-		// probe — it equals the caller's base query.)
-		if np == 0 && probe.Reaches(y) {
-			return true
-		}
-		next = append(next, id)
-		return false
+// out is the union successor source: x's base CSR edges, its sealed
+// copy-on-write journal edges, and a linear scan of the one unsealed journal
+// segment. Vertices no journal edge leaves — almost all of them — return the
+// base CSR views untouched.
+func (sr *searcher) out(x graph.Vertex) ([]graph.Vertex, []graph.Label) {
+	v := sr.v
+	dsts, lbls := v.base.OutEdges(x)
+	sr.dsts, sr.lbls = sr.dsts[:0], sr.lbls[:0]
+	for _, e := range v.adj[x] {
+		sr.dsts, sr.lbls = append(sr.dsts, e.Dst), append(sr.lbls, e.Label)
 	}
-
-	for len(frontier) > 0 {
-		if err := ctx.Err(); err != nil {
-			return false, err
+	for _, e := range v.journal[v.sealed:v.jlen] {
+		if e.Src == x {
+			sr.dsts, sr.lbls = append(sr.dsts, e.Dst), append(sr.lbls, e.Label)
 		}
-		next = next[:0]
-		for _, node := range frontier {
-			u := graph.Vertex(node / int64(m))
-			phase := int(node % int64(m))
-			expected := l[phase]
-			dsts, lbls := v.base.OutEdges(u)
-			for i := range dsts {
-				if step(phase, expected, dsts[i], lbls[i]) {
-					return true, nil
-				}
-			}
-			for _, e := range v.adj[u] {
-				if step(phase, expected, e.Dst, e.Label) {
-					return true, nil
-				}
-			}
-			for _, e := range v.journal[v.sealed:v.jlen] {
-				if e.Src == u && step(phase, expected, e.Dst, e.Label) {
-					return true, nil
-				}
-			}
-		}
-		frontier, next = next, frontier
 	}
-	return false, nil
+	if len(sr.dsts) == 0 {
+		return dsts, lbls
+	}
+	sr.dsts, sr.lbls = append(sr.dsts, dsts...), append(sr.lbls, lbls...)
+	return sr.dsts, sr.lbls
+}
+
+// newSearcher builds a searcher for graphs on n vertices. The vertex
+// universe is fixed for a DeltaGraph's life (inserts outside it are rejected,
+// folds keep it), so a pooled evaluator's marks fit every epoch.
+func newSearcher(n int) *searcher {
+	sr := &searcher{}
+	sr.ev = traversal.NewEvaluatorOver(n, sr.out)
+	return sr
+}
+
+// search streams the vertices the union graph of v reaches from s along nfa
+// to visit, on a pooled searcher. ctx is checked once per BFS level.
+func (d *DeltaGraph) search(ctx context.Context, v *view, s graph.Vertex, nfa *automaton.NFA, visit func(graph.Vertex) bool) error {
+	sr := d.searchers.Get().(*searcher)
+	sr.v = v
+	err := sr.ev.ReachableFromManyFunc(ctx, []graph.Vertex{s}, nfa, visit)
+	sr.v = nil // a parked searcher must not keep a retired epoch alive
+	d.searchers.Put(sr)
+	return err
 }
 
 // EvalExpr answers an arbitrary path expression (any concatenation of plus
 // segments, including constraints outside the index's class) over the
-// current union graph, exactly, by an NFA-guided product BFS. It carries no
-// index acceleration — the serving layer routes here only when the journal
-// is non-empty and the expression falls outside the single-L+ index class —
-// but like Query it is lock-free and safe for any number of concurrent
-// callers.
+// current union graph, exactly, by the traversal kernel's forward search
+// over the union successor source. It carries no index acceleration — the
+// serving layer routes here only when the journal is non-empty and the
+// expression falls outside the single-L+ index class — but like Query it is
+// lock-free and safe for any number of concurrent callers.
 func (d *DeltaGraph) EvalExpr(s, t graph.Vertex, e automaton.Expr) (bool, error) {
 	return d.EvalExprCtx(context.Background(), s, t, e)
 }
@@ -111,68 +87,10 @@ func (d *DeltaGraph) EvalExprCtx(ctx context.Context, s, t graph.Vertex, e autom
 	if err != nil {
 		return false, err
 	}
-	return v.evalNFA(ctx, s, t, nfa)
+	found := false
+	err = d.search(ctx, v, s, nfa, func(y graph.Vertex) bool {
+		found = y == t
+		return found
+	})
+	return found, err
 }
-
-// evalNFA is a forward NFA-guided BFS over the union adjacency — the
-// traversal package's BFS re-based onto the lock-free view. Expressions
-// never accept the empty word (every plus segment consumes at least one
-// label), so the seed is never accepting.
-func (v *view) evalNFA(ctx context.Context, s, t graph.Vertex, nfa *automaton.NFA) (bool, error) {
-	ns := nfa.NumStates()
-	accept := nfa.Accept()
-	seen := make([]bool, v.base.NumVertices()*ns)
-
-	type node struct {
-		v graph.Vertex
-		q automaton.State
-	}
-	frontier := []node{{s, 0}}
-	seen[int(s)*ns] = true
-
-	var next []node
-	step := func(q automaton.State, y graph.Vertex, lb graph.Label) bool {
-		for m := nfa.Step(q, lb); m != 0; m &= m - 1 {
-			nq := automaton.State(trailingZeros(m))
-			id := int(y)*ns + int(nq)
-			if seen[id] {
-				continue
-			}
-			if y == t && nq == accept {
-				return true
-			}
-			seen[id] = true
-			next = append(next, node{y, nq})
-		}
-		return false
-	}
-
-	for len(frontier) > 0 {
-		if err := ctx.Err(); err != nil {
-			return false, err
-		}
-		next = next[:0]
-		for _, nd := range frontier {
-			dsts, lbls := v.base.OutEdges(nd.v)
-			for i := range dsts {
-				if step(nd.q, dsts[i], lbls[i]) {
-					return true, nil
-				}
-			}
-			for _, e := range v.adj[nd.v] {
-				if step(nd.q, e.Dst, e.Label) {
-					return true, nil
-				}
-			}
-			for _, e := range v.journal[v.sealed:v.jlen] {
-				if e.Src == nd.v && step(nd.q, e.Dst, e.Label) {
-					return true, nil
-				}
-			}
-		}
-		frontier, next = next, frontier
-	}
-	return false, nil
-}
-
-func trailingZeros(x uint64) int { return bits.TrailingZeros64(x) }

@@ -142,13 +142,13 @@ func (d *DeltaGraph) install(base *graph.Graph, ix *core.Index, folded int) Fold
 	leftover := make([]graph.Edge, v.jlen-folded)
 	copy(leftover, v.journal[folded:v.jlen])
 	nv := &view{
-		epoch:   v.epoch + 1,
-		base:    base,
-		ix:      ix,
-		journal: leftover,
-		jlen:    len(leftover),
-		adj:     map[graph.Vertex][]graph.Edge{},
-		probes:  &sync.Map{},
+		epoch:       v.epoch + 1,
+		base:        base,
+		ix:          ix,
+		journal:     leftover,
+		jlen:        len(leftover),
+		adj:         map[graph.Vertex][]graph.Edge{},
+		constraints: &sync.Map{},
 	}
 	if nv.jlen > 0 {
 		nv.seal()

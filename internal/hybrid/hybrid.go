@@ -14,8 +14,12 @@ import (
 // Evaluator answers plus-segment path expressions over one graph using its
 // RLC index. Not safe for concurrent use.
 type Evaluator struct {
-	ix        *core.Index
-	ev        *traversal.Evaluator
+	ix *core.Index
+	ev *traversal.Evaluator
+	// probeEv answers a final segment outside the index's class, one
+	// traversal per vertex ev discovers — from inside ev's visit hook, so it
+	// cannot be ev itself. Built on first need, then reused.
+	probeEv   *traversal.Evaluator
 	labelFreq []int64 // lazily counted out-edge labels, for direction choice
 }
 
@@ -39,10 +43,9 @@ func (h *Evaluator) QueryRLC(ctx context.Context, s, t graph.Vertex, l labelseq.
 	return h.EvalCtx(ctx, s, t, automaton.Plus(l))
 }
 
-// EvalCtx is Eval under a context. Cancellation is observed at segment
-// granularity: the context is consulted before each online segment
-// expansion (the unbounded-cost steps), not inside a single traversal, so a
-// cancelled multi-segment query stops before its next frontier expansion.
+// EvalCtx is Eval under a context. Cancellation is observed before each
+// leading segment's closure and once per BFS level of the streamed segment
+// expansion, so a cancelled multi-segment query stops within one level.
 func (h *Evaluator) EvalCtx(ctx context.Context, s, t graph.Vertex, e automaton.Expr) (bool, error) {
 	if err := ctx.Err(); err != nil {
 		return false, err
@@ -67,7 +70,7 @@ func (h *Evaluator) EvalCtx(ctx context.Context, s, t graph.Vertex, e automaton.
 	// expand the segment touching fewer edges online and answer the other
 	// with one probe per discovered vertex.
 	if len(e.Segments) == 2 && h.segmentCost(e.Segments[1].Labels) < h.segmentCost(e.Segments[0].Labels) {
-		if ok, handled, err := h.evalBackward(s, t, e.Segments[0].Labels, e.Segments[1].Labels); handled {
+		if ok, handled, err := h.evalBackward(ctx, s, t, e.Segments[0].Labels, e.Segments[1].Labels); handled {
 			return ok, err
 		}
 	}
@@ -92,41 +95,22 @@ func (h *Evaluator) EvalCtx(ctx context.Context, s, t graph.Vertex, e automaton.
 	// against the precomputed target side of the final segment and exiting
 	// on the first hit — the "continuously check intermediately visited
 	// vertices" strategy of Section VI-C.
-	if err := ctx.Err(); err != nil {
-		return false, err
-	}
 	last := e.Segments[len(e.Segments)-1].Labels
 	penult := e.Segments[len(e.Segments)-2].Labels
 	nfa, err := automaton.NewPlus(penult, h.ix.Graph().NumLabels())
 	if err != nil {
 		return false, fmt.Errorf("hybrid: %w", err)
 	}
-	probe, slowPath, err := h.probeFor(t, last)
+	reaches, err := h.probeFor(t, last)
 	if err != nil {
 		return false, err
 	}
 	found := false
-	var probeErr error
-	h.ev.ReachableFromManyFunc(frontier, nfa, func(x graph.Vertex) bool {
-		var ok bool
-		if probe != nil {
-			ok = probe.Reaches(x)
-		} else {
-			ok, probeErr = slowPath(x)
-			if probeErr != nil {
-				return true
-			}
-		}
-		if ok {
-			found = true
-			return true
-		}
-		return false
+	err = h.ev.ReachableFromManyFunc(ctx, frontier, nfa, func(x graph.Vertex) bool {
+		found = reaches(x)
+		return found
 	})
-	if probeErr != nil {
-		return false, probeErr
-	}
-	return found, nil
+	return found, err
 }
 
 // segmentCost estimates the edges an online expansion of seg+ touches: the
@@ -156,7 +140,7 @@ func (h *Evaluator) segmentCost(seg labelseq.Seq) int64 {
 // from t and probing each discovered vertex x for Query(s, x, first+).
 // handled is false when the first segment is outside the index's class, in
 // which case the caller falls back to the forward strategy.
-func (h *Evaluator) evalBackward(s, t graph.Vertex, first, last labelseq.Seq) (ok, handled bool, err error) {
+func (h *Evaluator) evalBackward(ctx context.Context, s, t graph.Vertex, first, last labelseq.Seq) (ok, handled bool, err error) {
 	if len(first) > h.ix.K() || !labelseq.IsPrimitive(first) {
 		return false, false, nil
 	}
@@ -169,35 +153,32 @@ func (h *Evaluator) evalBackward(s, t graph.Vertex, first, last labelseq.Seq) (o
 		return false, true, fmt.Errorf("hybrid: %w", nerr)
 	}
 	found := false
-	h.ev.ReachableIntoManyFunc([]graph.Vertex{t}, nfa, func(x graph.Vertex) bool {
-		if probe.Reaches(x) {
-			found = true
-			return true
-		}
-		return false
+	err = h.ev.ReachableIntoManyFunc(ctx, []graph.Vertex{t}, nfa, func(x graph.Vertex) bool {
+		found = probe.Reaches(x)
+		return found
 	})
-	return found, true, nil
+	return found, true, err
 }
 
-// probeFor prepares the fast per-source test for (·, t, l+): an index
-// TargetProbe when the constraint is within the index's class, otherwise a
-// traversal-backed fallback. Exactly one of the two returns is non-nil.
-func (h *Evaluator) probeFor(t graph.Vertex, l labelseq.Seq) (*core.TargetProbe, func(graph.Vertex) (bool, error), error) {
+// probeFor prepares the per-source test for (·, t, l+): an index TargetProbe
+// when the constraint is within the index's class, otherwise a traversal on
+// the second evaluator.
+func (h *Evaluator) probeFor(t graph.Vertex, l labelseq.Seq) (func(graph.Vertex) bool, error) {
 	if len(l) <= h.ix.K() && labelseq.IsPrimitive(l) {
 		probe, err := h.ix.NewTargetProbe(t, l)
 		if err != nil {
-			return nil, nil, fmt.Errorf("hybrid: %w", err)
+			return nil, fmt.Errorf("hybrid: %w", err)
 		}
-		return probe, nil, nil
+		return probe.Reaches, nil
 	}
-	fallbackNFA, err := automaton.NewPlus(l, h.ix.Graph().NumLabels())
+	nfa, err := automaton.NewPlus(l, h.ix.Graph().NumLabels())
 	if err != nil {
-		return nil, nil, fmt.Errorf("hybrid: %w", err)
+		return nil, fmt.Errorf("hybrid: %w", err)
 	}
-	ev := traversal.NewEvaluator(h.ix.Graph())
-	return nil, func(x graph.Vertex) (bool, error) {
-		return ev.BFS(x, t, fallbackNFA), nil
-	}, nil
+	if h.probeEv == nil {
+		h.probeEv = traversal.NewEvaluator(h.ix.Graph())
+	}
+	return func(x graph.Vertex) bool { return h.probeEv.BiBFS(x, t, nfa) }, nil
 }
 
 // answerSegment evaluates (x, t, l+) through the index when the constraint
@@ -211,5 +192,5 @@ func (h *Evaluator) answerSegment(x, t graph.Vertex, l labelseq.Seq) (bool, erro
 	if err != nil {
 		return false, fmt.Errorf("hybrid: %w", err)
 	}
-	return h.ev.BFS(x, t, nfa), nil
+	return h.ev.BiBFS(x, t, nfa), nil
 }

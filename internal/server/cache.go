@@ -147,8 +147,9 @@ func (c *cache) shardFor(k cacheKey) *cacheShard {
 // Errors are broadcast to coalesced waiters but never cached: a failing
 // compute (e.g. a transient condition) must not poison the key.
 //
-// ver is the caller's write version (the serving generation's insert counter
-// at request start; constantly 0 on immutable servers). Validity exploits
+// ver is the caller's write version: the serving generation's journal
+// position (state.seqNow) at request start, constant on immutable servers.
+// Caches are per generation, so stamps never cross epochs. Validity exploits
 // that the write path is insert-only — edges are only ever added, deletions
 // are rejected — so reachability answers within a generation are monotone:
 // a cached TRUE can never be invalidated by a write and is served at any

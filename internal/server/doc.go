@@ -28,7 +28,7 @@
 // are deduplicated singleflight-style — the first caller computes, the rest
 // wait on its in-flight handle — so a thundering herd on one hot query costs
 // one index probe. Over an immutable generation answers never go stale; on
-// mutable servers entries are version-stamped by the insert counter, and
+// mutable servers entries are version-stamped by the journal position, and
 // insert-only monotonicity (deletions are rejected) means cached TRUEs stay
 // valid across writes while FALSEs revalidate — one insert logically
 // invalidates every negative entry without touching memory.

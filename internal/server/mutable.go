@@ -70,13 +70,13 @@ func (s *Server) UpdateBatch(edges []graph.Edge) (UpdateResult, error) {
 		return UpdateResult{}, errServerClosed
 	}
 	defer st.release()
+	// Publishing the batch advances seqNow, which is also the cache version:
+	// a FALSE computed before it carries an older stamp and is never served
+	// to a request that can see the new edges.
 	if err := st.delta.AddEdges(edges); err != nil {
 		return UpdateResult{}, err
 	}
-	// Bump the cache version after publishing: computes that missed the
-	// new edges carry an older stamp and are never served to requests
-	// that start after this call returns.
-	s.store.writes.Add(uint64(len(edges)))
+	s.store.writes.Add(uint64(len(edges))) // /stats only
 	// Epoch and Seq come from the pinned generation the batch landed in
 	// (updateMu excludes a concurrent fold's swap, so it IS the current
 	// one) — mutually consistent coordinates for the write token.

@@ -93,6 +93,53 @@ func TestUpdateFlipsAnswerOverHTTP(t *testing.T) {
 	}
 }
 
+// TestCachedFalseDiesWithTheJournalAppend pins the cache stamp to the
+// journal itself. UpdateBatch publishes the batch to the overlay first and
+// does its bookkeeping after; a query landing between the two already
+// stamps the new X-Rlc-Seq, so it must not be served a FALSE cached before
+// the append. The test freezes that window by appending the enabling edge
+// straight to the generation's overlay — exactly the state a reader sees
+// mid-UpdateBatch — and requires the very next /query to answer TRUE.
+func TestCachedFalseDiesWithTheJournalAppend(t *testing.T) {
+	g := graph.Fig2()
+	s, hts := newTestServer(t, buildIndex(t, g), Options{Mutable: true, RebuildThreshold: -1})
+
+	var q struct {
+		Reachable bool `json:"reachable"`
+		Cached    bool `json:"cached"`
+	}
+	u := queryURL(hts.URL, "v1", "v4", "l1")
+	getJSON(t, u, &q)
+	getJSON(t, u, &q)
+	if q.Reachable || !q.Cached {
+		t.Fatalf("pre-append query: %+v, want cached false", q)
+	}
+
+	st := s.store.acquire()
+	defer st.release()
+	v1, _ := g.VertexByName("v1")
+	v4, _ := g.VertexByName("v4")
+	l1, _ := g.LabelByName("l1")
+	if err := st.delta.AddEdges([]graph.Edge{{Src: v1, Label: l1, Dst: v4}}); err != nil {
+		t.Fatal(err)
+	}
+
+	resp, err := http.Get(u)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if err := json.NewDecoder(resp.Body).Decode(&q); err != nil {
+		t.Fatal(err)
+	}
+	if seq := resp.Header.Get(HeaderSeq); seq != "1" {
+		t.Fatalf("%s = %q after one journal append, want 1", HeaderSeq, seq)
+	}
+	if !q.Reachable {
+		t.Fatalf("query stamped %s=1 was served the FALSE cached at seq 0", HeaderSeq)
+	}
+}
+
 // TestUpdateValidation pins the typed error codes of the write path.
 func TestUpdateValidation(t *testing.T) {
 	g := graph.Fig2()

@@ -339,9 +339,14 @@ func (s *Server) QueryRLC(ctx context.Context, src, dst graph.Vertex, l labelseq
 }
 
 // answerRLC is AnswerRLC against one pinned generation. The cache version
-// is read once at entry: any answer computed under it corresponds to a
-// graph state within this request's window, so serving it (or stamping it
-// into the cache) is linearizable even as inserts land concurrently.
+// is the generation's journal position (seqNow), read once at entry: any
+// answer computed after that read reflects at least that journal prefix,
+// so serving it (or stamping it into the cache) is linearizable even as
+// inserts land concurrently — and a cached FALSE is served only to a
+// request whose own seqNow read equals the stamp, i.e. one that can claim
+// no edge the answer has not seen. The journal itself is the version, so
+// there is no window between publishing an edge and invalidating the
+// negatives it may flip.
 //
 // The function is annotated noalloc for its hit path: a resident answer
 // costs one packed-key probe and nothing else. The detached context and
@@ -354,7 +359,7 @@ func (st *state) answerRLC(ctx context.Context, src, dst graph.Vertex, l labelse
 		reachable, err = st.computeSeq(ctx, src, dst, l) //rlc:allocok uncached configuration, not the serving hot path
 		return reachable, false, err
 	}
-	ver := st.ver.Load()
+	ver := st.seqNow()
 	key := st.seqKey(src, dst, l)
 	if val, ok := st.cache.hitProbe(key, ver); ok {
 		return val, true, nil
@@ -434,7 +439,7 @@ func (st *state) answerExpr(ctx context.Context, src, dst graph.Vertex, e automa
 		reachable, err = st.computeExpr(ctx, src, dst, e)
 		return reachable, false, err
 	}
-	ver := st.ver.Load()
+	ver := st.seqNow()
 	key := cacheKey{s: int32(src), t: int32(dst), expr: canonicalExpr(e)}
 	if val, ok := st.cache.hitProbe(key, ver); ok {
 		return val, true, nil
@@ -657,12 +662,9 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) bool {
 
 	// The cache version is read before the journal-emptiness check: if an
 	// insert lands after the check, answers computed from the base alone
-	// carry a stamp older than the insert's bump and are never served to
-	// later requests.
-	var ver uint64
-	if st.delta != nil {
-		ver = st.ver.Load()
-	}
+	// carry a stamp older than the journal position the insert published
+	// and are never served to later requests.
+	ver := st.seqNow()
 
 	// Generations with pending journal edges answer each query through the
 	// full serving path (cache, singleflight, delta overlay): the

@@ -49,11 +49,6 @@ type state struct {
 	// base ∪ journal and seeds a fresh overlay with the un-folded tail.
 	delta *dynamic.DeltaGraph
 
-	// ver points at the store-wide insert counter; cache entries are
-	// stamped with it so one insert logically invalidates every negative
-	// entry (see cache.do). Always 0 on immutable servers.
-	ver *atomic.Uint64
-
 	// hybrids pools hybrid evaluators: they carry per-traversal scratch
 	// sized by the graph and are not safe for concurrent use.
 	hybrids sync.Pool
@@ -99,9 +94,10 @@ type Store struct {
 	gen    uint64     // last generation handed out; guarded by mu
 	closed bool       // guarded by mu; a closed store stays closed
 
-	// writes counts accepted edge inserts across all generations — the
-	// version source for cache stamping. Monotone for the store's life, so
-	// stamps never collide across epochs.
+	// writes counts accepted edge inserts across all generations, for
+	// /stats. (Cache entries are stamped with the serving generation's
+	// journal position, state.seqNow — not with this counter, which is
+	// bumped after the journal publishes.)
 	writes atomic.Uint64
 }
 
@@ -158,7 +154,6 @@ func (s *Store) newState(ix *core.Index, src io.Closer, build *core.BuildStats, 
 		build:   build,
 		source:  source,
 		delta:   delta,
-		ver:     &s.writes,
 		epoch:   epoch,
 		seqBase: seqBase,
 	}

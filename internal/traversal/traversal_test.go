@@ -1,6 +1,7 @@
 package traversal
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -182,8 +183,8 @@ func TestBFSOnFig2PaperQueries(t *testing.T) {
 }
 
 // TestEvaluatorsAgreeWithBruteForce is the cornerstone equivalence test:
-// BFS, BiBFS, DFS and the phase-based brute oracle must agree on every
-// query of every random graph.
+// BFS, BiBFS, DFS, both closure searches and the phase-based brute oracle
+// must agree on every query of every random graph.
 func TestEvaluatorsAgreeWithBruteForce(t *testing.T) {
 	r := rand.New(rand.NewSource(30))
 	constraints := allPrimitive(3, 3)
@@ -328,5 +329,52 @@ func TestEvaluatorReuseAcrossQueries(t *testing.T) {
 	}
 	if e.LastVisited == 0 {
 		t.Error("LastVisited should be positive after a query")
+	}
+}
+
+// TestBiBFSWarmAllocatesNothing pins the kernel's buffer reuse: once an
+// evaluator has seen a workload, repeating it allocates nothing — no
+// per-level frontier slice, no per-call reverse automaton, no mark arrays.
+func TestBiBFSWarmAllocatesNothing(t *testing.T) {
+	r := rand.New(rand.NewSource(31))
+	const n = 400
+	g := randomGraph(r, n, 4, n*8)
+	e := NewEvaluator(g)
+	var nfas []*automaton.NFA
+	for _, l := range []labelseq.Seq{{0}, {1, 2}, {3, 0, 1}} {
+		nfa, err := automaton.NewPlus(l, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		nfas = append(nfas, nfa)
+	}
+	workload := func() {
+		for i := 0; i < 64; i++ {
+			e.BiBFS(graph.Vertex(i*7%n), graph.Vertex(i*13%n), nfas[i%len(nfas)])
+		}
+	}
+	workload() // warm: marks, frontier buffers, cached reverses
+	if allocs := testing.AllocsPerRun(20, workload); allocs != 0 {
+		t.Errorf("warmed BiBFS workload allocates %v times per run, want 0", allocs)
+	}
+}
+
+// TestClosureCancellation: the closure searches observe the context once
+// per BFS level, including before the first.
+func TestClosureCancellation(t *testing.T) {
+	g := graph.Fig2()
+	e := NewEvaluator(g)
+	nfa, err := automaton.NewPlus(labelseq.Seq{0}, g.NumLabels())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	never := func(graph.Vertex) bool { t.Error("visit ran under a canceled context"); return false }
+	if err := e.ReachableFromManyFunc(ctx, []graph.Vertex{0}, nfa, never); err != context.Canceled {
+		t.Errorf("ReachableFromManyFunc: err = %v, want context.Canceled", err)
+	}
+	if err := e.ReachableIntoManyFunc(ctx, []graph.Vertex{0}, nfa, never); err != context.Canceled {
+		t.Errorf("ReachableIntoManyFunc: err = %v, want context.Canceled", err)
 	}
 }

@@ -1,8 +1,9 @@
 #!/bin/sh
 # lint.sh — run the repo's static-analysis gate: rlcvet (the in-tree
 # analyzer suite enforcing pin, zero-copy view, noalloc, and error-code
-# invariants; see internal/analysis) over every package, then staticcheck
-# and govulncheck when available. CI runs this in the lint job; run it
+# invariants; see internal/analysis) over every package, the one-kernel
+# check (NFA.Step call sites), then staticcheck and govulncheck when
+# available. CI runs this in the lint job; run it
 # locally before sending a change that touches the serving or query path.
 #
 # rlcvet is built from this module and needs nothing beyond the standard
@@ -24,6 +25,19 @@ status=0
 echo "==> rlcvet ./..."
 go build -o "${TMPDIR:-/tmp}/rlcvet" ./cmd/rlcvet
 if ! "${TMPDIR:-/tmp}/rlcvet" ./...; then
+	status=1
+fi
+
+# One product-search kernel: an automaton is stepped over graph edges only
+# by internal/traversal (the kernel plus the BFS/DFS reference loops) and
+# internal/engines (the Table V engine simulations). A Step call anywhere
+# else is another copy of the frontier loop; route it through traversal.
+echo "==> NFA.Step call sites"
+stray=$(grep -rnE --include='*.go' --exclude-dir=.bench_build '\.Step(Set)?\(' . |
+	grep -vE '^\./internal/(traversal|engines|automaton)/|_test\.go:' || true)
+if [ -n "$stray" ]; then
+	echo "automaton.NFA is stepped outside internal/traversal, internal/engines and internal/automaton:" >&2
+	echo "$stray" >&2
 	status=1
 fi
 
