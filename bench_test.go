@@ -451,22 +451,3 @@ func BenchmarkPlainReachability(b *testing.B) {
 		}
 	}
 }
-
-// BenchmarkIndexSerialization measures index save/load round trips.
-func BenchmarkIndexSerialization(b *testing.B) {
-	fixtures(b)
-	for i := 0; i < b.N; i++ {
-		var sink countingWriter
-		if err := fix.twIndex.Write(&sink); err != nil {
-			b.Fatal(err)
-		}
-		b.SetBytes(int64(sink))
-	}
-}
-
-type countingWriter int64
-
-func (w *countingWriter) Write(p []byte) (int, error) {
-	*w += countingWriter(len(p))
-	return len(p), nil
-}

@@ -10,8 +10,8 @@ import (
 )
 
 // TestCLIBuildWorkers covers cmd/rlcbuild end to end: generate a graph,
-// build its index sequentially and with the -buildworkers flag, verify the
-// two index files are byte-identical (the determinism guarantee at the CLI
+// build its bundle sequentially and with the -buildworkers flag, verify the
+// two bundles are byte-identical (the determinism guarantee at the CLI
 // surface), then round-trip through rlcquery and rlcinspect.
 func TestCLIBuildWorkers(t *testing.T) {
 	if testing.Short() {
@@ -40,21 +40,21 @@ func TestCLIBuildWorkers(t *testing.T) {
 
 	graphFile := filepath.Join(dir, "g.graph")
 	queryFile := filepath.Join(dir, "g.queries")
-	seqIndex := filepath.Join(dir, "seq.rlc")
-	parIndex := filepath.Join(dir, "par.rlc")
+	seqIndex := filepath.Join(dir, "seq.rlcs")
+	parIndex := filepath.Join(dir, "par.rlcs")
 
 	run("rlcgen", "-model", "ba", "-n", "400", "-d", "3", "-labels", "4",
 		"-seed", "9", "-out", graphFile, "-workload", queryFile, "-queries", "25", "-len", "2")
 
 	// Sequential build (explicit workers=1).
-	out := run("rlcbuild", "-graph", graphFile, "-k", "2", "-buildworkers", "1", "-out", seqIndex)
+	out := run("rlcbuild", "-graph", graphFile, "-k", "2", "-buildworkers", "1", "-o", seqIndex)
 	if !strings.Contains(out, "(1 build workers)") {
 		t.Errorf("rlcbuild sequential output unexpected: %s", out)
 	}
 
 	// Parallel build: same graph, 4 workers; the tool reports the
-	// scheduling counters and the index file must match byte for byte.
-	out = run("rlcbuild", "-graph", graphFile, "-k", "2", "-buildworkers", "4", "-out", parIndex)
+	// scheduling counters and the bundle must match byte for byte.
+	out = run("rlcbuild", "-graph", graphFile, "-k", "2", "-buildworkers", "4", "-o", parIndex)
 	if !strings.Contains(out, "(4 build workers)") || !strings.Contains(out, "scheduling:") {
 		t.Errorf("rlcbuild parallel output unexpected: %s", out)
 	}
@@ -67,28 +67,28 @@ func TestCLIBuildWorkers(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(seqBytes, parBytes) {
-		t.Fatalf("index built with -buildworkers 4 differs from sequential build (%d vs %d bytes)",
+		t.Fatalf("bundle built with -buildworkers 4 differs from sequential build (%d vs %d bytes)",
 			len(parBytes), len(seqBytes))
 	}
 
 	// The default (-buildworkers 0 = GOMAXPROCS) must also match.
-	defIndex := filepath.Join(dir, "def.rlc")
-	run("rlcbuild", "-graph", graphFile, "-k", "2", "-out", defIndex)
+	defIndex := filepath.Join(dir, "def.rlcs")
+	run("rlcbuild", "-graph", graphFile, "-k", "2", "-o", defIndex)
 	defBytes, err := os.ReadFile(defIndex)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(seqBytes, defBytes) {
-		t.Fatal("index built with default -buildworkers differs from sequential build")
+		t.Fatal("bundle built with default -buildworkers differs from sequential build")
 	}
 
-	// Round-trip: the parallel-built index answers the generated workload
+	// Round-trip: the parallel-built bundle answers the generated workload
 	// with full ground-truth agreement and inspects cleanly.
-	out = run("rlcquery", "-graph", graphFile, "-queries", queryFile, "-method", "index", "-index", parIndex)
+	out = run("rlcquery", "-snapshot", parIndex, "-queries", queryFile, "-method", "index")
 	if !strings.Contains(out, "50/50 match ground truth") {
 		t.Errorf("rlcquery on parallel-built index: %s", out)
 	}
-	out = run("rlcinspect", "-graph", graphFile, "-index", parIndex, "-vertices", "0")
+	out = run("rlcinspect", "-snapshot", parIndex, "-vertices", "0")
 	if !strings.Contains(out, "entries:") {
 		t.Errorf("rlcinspect on parallel-built index: %s", out)
 	}
@@ -109,8 +109,8 @@ func TestCLIBuildWorkersRejected(t *testing.T) {
 	if err := os.WriteFile(graphFile, []byte("0 1 0\n1 2 1\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	indexFile := filepath.Join(dir, "g.rlc")
-	out, err := exec.Command(bin, "-graph", graphFile, "-buildworkers", "-3", "-out", indexFile).CombinedOutput()
+	indexFile := filepath.Join(dir, "g.rlcs")
+	out, err := exec.Command(bin, "-graph", graphFile, "-buildworkers", "-3", "-o", indexFile).CombinedOutput()
 	if err == nil {
 		t.Fatalf("rlcbuild -buildworkers -3 succeeded, want failure; output: %s", out)
 	}
@@ -118,6 +118,6 @@ func TestCLIBuildWorkersRejected(t *testing.T) {
 		t.Errorf("error message does not mention buildworkers: %s", out)
 	}
 	if _, err := os.Stat(indexFile); !os.IsNotExist(err) {
-		t.Errorf("rlcbuild wrote an index despite the invalid flag")
+		t.Errorf("rlcbuild wrote a bundle despite the invalid flag")
 	}
 }

@@ -37,7 +37,7 @@ func TestCLIPipeline(t *testing.T) {
 
 	graphFile := filepath.Join(dir, "g.graph")
 	queryFile := filepath.Join(dir, "g.queries")
-	indexFile := filepath.Join(dir, "g.rlc")
+	bundle := filepath.Join(dir, "g.rlcs")
 
 	out := run("rlcgen", "-model", "er", "-n", "300", "-d", "4", "-labels", "4",
 		"-seed", "3", "-out", graphFile, "-workload", queryFile, "-queries", "25", "-len", "2")
@@ -45,38 +45,47 @@ func TestCLIPipeline(t *testing.T) {
 		t.Errorf("rlcgen output unexpected: %s", out)
 	}
 
-	out = run("rlcbuild", "-graph", graphFile, "-k", "2", "-out", indexFile)
+	out = run("rlcbuild", "-graph", graphFile, "-k", "2", "-o", bundle)
 	if !strings.Contains(out, "indexing time") || !strings.Contains(out, "wrote") {
 		t.Errorf("rlcbuild output unexpected: %s", out)
 	}
 
+	// Every method answers the workload from the bundle (index and graph
+	// both come out of it) exactly as it does from the graph file, where
+	// the index methods build on the fly.
 	for _, method := range []string{"index", "bfs", "bibfs", "dfs", "hybrid"} {
-		args := []string{"-graph", graphFile, "-queries", queryFile, "-method", method}
-		if method == "index" || method == "hybrid" {
-			args = append(args, "-index", indexFile)
-		}
-		out = run("rlcquery", args...)
-		if !strings.Contains(out, "50/50 match ground truth") {
-			t.Errorf("rlcquery %s: %s", method, out)
+		for _, source := range [][]string{{"-snapshot", bundle}, {"-graph", graphFile}} {
+			out = run("rlcquery", append(source, "-queries", queryFile, "-method", method)...)
+			if !strings.Contains(out, "50/50 match ground truth") {
+				t.Errorf("rlcquery %s -method %s: %s", source[0], method, out)
+			}
 		}
 	}
 
 	// 50 queries clamp below the requested 4 workers (chunked scheduling),
 	// and the tool reports the effective count.
-	out = run("rlcquery", "-graph", graphFile, "-queries", queryFile,
-		"-index", indexFile, "-batch", "-workers", "4")
+	out = run("rlcquery", "-snapshot", bundle, "-queries", queryFile, "-batch", "-workers", "4")
 	if !strings.Contains(out, "50/50 match ground truth") || !strings.Contains(out, "1 workers") {
 		t.Errorf("rlcquery batch: %s", out)
 	}
 
-	out = run("rlcquery", "-graph", graphFile, "-index", indexFile,
-		"-s", "0", "-t", "1", "-expr", "(l0 l1)+")
-	if !strings.Contains(out, "(0, 1, (l0 l1)+) =") {
-		t.Errorf("rlcquery single: %s", out)
+	// The single-query answer (the text before the timing bracket) is the
+	// same from the bundle and from the on-the-fly build.
+	answer := func(source ...string) string {
+		t.Helper()
+		out := run("rlcquery", append(source, "-s", "0", "-t", "1", "-expr", "(l0 l1)+")...)
+		ans, _, ok := strings.Cut(out, "  [")
+		if !ok || !strings.HasPrefix(ans, "(0, 1, (l0 l1)+) = ") {
+			t.Fatalf("rlcquery single %v: %s", source, out)
+		}
+		return ans
+	}
+	if fromBundle, onTheFly := answer("-snapshot", bundle), answer("-graph", graphFile); fromBundle != onTheFly {
+		t.Errorf("rlcquery -snapshot says %q, -graph says %q", fromBundle, onTheFly)
 	}
 
-	out = run("rlcinspect", "-graph", graphFile, "-index", indexFile, "-vertices", "0")
-	if !strings.Contains(out, "entries:") || !strings.Contains(out, "Lout:") {
+	out = run("rlcinspect", "-snapshot", bundle, "-vertices", "0")
+	if !strings.Contains(out, "all sections verified") || !strings.Contains(out, "entries:") || !strings.Contains(out, "Lout:") {
 		t.Errorf("rlcinspect: %s", out)
 	}
 
@@ -104,7 +113,7 @@ func TestCLIErrors(t *testing.T) {
 	if err := exec.Command(bin).Run(); err == nil {
 		t.Error("rlcbuild without flags should fail")
 	}
-	if err := exec.Command(bin, "-graph", "/nonexistent", "-out", filepath.Join(dir, "x")).Run(); err == nil {
+	if err := exec.Command(bin, "-graph", "/nonexistent", "-o", filepath.Join(dir, "x")).Run(); err == nil {
 		t.Error("rlcbuild with missing graph should fail")
 	}
 }

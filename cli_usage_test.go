@@ -2,6 +2,7 @@ package rlc_test
 
 import (
 	"encoding/json"
+	"errors"
 	"net/http"
 	"os"
 	"os/exec"
@@ -76,6 +77,85 @@ func TestCLIUsageConformance(t *testing.T) {
 		}
 		if !strings.Contains(string(out), "usage: "+tool) {
 			t.Errorf("%s stray-argument output lacks usage:\n%s", tool, out)
+		}
+	}
+}
+
+// TestCLIRejectedFlags pins two families of flag errors. The flags of the
+// retired v1 two-file format are gone — the flag package's unknown-flag
+// path exits 2 with usage — and a flag that only steers an on-the-fly build
+// is refused beside -snapshot, where it would be ignored without a word.
+func TestCLIRejectedFlags(t *testing.T) {
+	if testing.Short() {
+		t.Skip("CLI usage test skipped in -short mode")
+	}
+	dir := t.TempDir()
+	bundle := filepath.Join(dir, "never-opened.rlcs")
+	cases := []struct {
+		tool string
+		args []string
+		exit int
+		want string
+	}{
+		{"rlcbuild", []string{"-graph", "g", "-out", "x"}, 2, "usage: rlcbuild"},
+		{"rlcquery", []string{"-graph", "g", "-index", "x"}, 2, "usage: rlcquery"},
+		{"rlcserve", []string{"-graph", "g", "-index", "x"}, 2, "usage: rlcserve"},
+		{"rlcinspect", []string{"-graph", "g", "-index", "x"}, 2, "usage: rlcinspect"},
+
+		{"rlcserve", []string{"-snapshot", bundle, "-k", "3"}, 1, "-k and -max-index-bytes require -graph"},
+		{"rlcserve", []string{"-snapshot", bundle, "-max-index-bytes", "4096"}, 1, "-k and -max-index-bytes require -graph"},
+		{"rlcserve", []string{"-snapshot", bundle, "-mutable", "-k", "3"}, 1, "-k and -max-index-bytes require -graph"},
+		{"rlcserve", []string{"-snapshot", bundle, "-buildworkers", "2"}, 1, "-buildworkers requires -graph or -mutable"},
+		{"rlccluster", []string{"-role", "leader", "-snapshot", bundle, "-k", "3"}, 1, "-k requires -graph"},
+		{"rlcquery", []string{"-snapshot", bundle, "-k", "3", "-s", "0", "-t", "1", "-expr", "l0+"}, 1, "-k requires -graph"},
+		{"rlcinspect", []string{"-snapshot", bundle, "-k", "3"}, 1, "-k requires -graph"},
+	}
+	bins := map[string]string{}
+	for _, c := range cases {
+		if bins[c.tool] == "" {
+			bins[c.tool] = buildTool(t, dir, c.tool)
+		}
+		out, err := exec.Command(bins[c.tool], c.args...).CombinedOutput()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != c.exit {
+			t.Errorf("%s %v: err = %v, want exit status %d\n%s", c.tool, c.args, err, c.exit, out)
+		}
+		if !strings.Contains(string(out), c.want) {
+			t.Errorf("%s %v: output lacks %q:\n%s", c.tool, c.args, c.want, out)
+		}
+	}
+}
+
+// TestREADMEToolTableFlags holds the hand-maintained tool table in README.md
+// to the binaries: every backticked -flag in a tool's row must appear in that
+// tool's -h flag list.
+func TestREADMEToolTableFlags(t *testing.T) {
+	if testing.Short() {
+		t.Skip("CLI usage test skipped in -short mode")
+	}
+	readme, err := os.ReadFile("README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rowRe := regexp.MustCompile("(?m)^\\| `(rlc[a-z]+)` \\|.*$")
+	flagRe := regexp.MustCompile("`(-[A-Za-z0-9-]+)`")
+	dir := t.TempDir()
+	rows := rowRe.FindAllStringSubmatch(string(readme), -1)
+	if len(rows) < len(cliTools) {
+		t.Fatalf("README tool table has %d rows, want at least the %d tools under the usage contract", len(rows), len(cliTools))
+	}
+	for _, row := range rows {
+		tool := row[1]
+		help, _ := exec.Command(buildTool(t, dir, tool), "-h").CombinedOutput()
+		flags := flagRe.FindAllStringSubmatch(row[0], -1)
+		if len(flags) == 0 {
+			t.Errorf("README row for %s names no flags", tool)
+		}
+		for _, m := range flags {
+			listed := regexp.MustCompile(`(?m)^\s+` + regexp.QuoteMeta(m[1]) + `(\s|$)`)
+			if !listed.Match(help) {
+				t.Errorf("README lists %s for %s, but `%s -h` does not:\n%s", m[1], tool, tool, help)
+			}
 		}
 	}
 }

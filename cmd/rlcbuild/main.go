@@ -1,14 +1,14 @@
-// Command rlcbuild constructs an RLC index for a graph file and serializes
-// it — preferably as a self-contained v2 snapshot bundle (-o), the format
-// rlcserve memory-maps at startup and hot-swaps on reload; the legacy
-// two-file v1 index format (-out) remains supported.
+// Command rlcbuild constructs an RLC index for a graph file and writes it
+// as a self-contained v2 snapshot bundle (-o) — the format rlcserve
+// memory-maps at startup and hot-swaps on reload, and rlcquery and
+// rlcinspect read with -snapshot.
 //
 //	rlcbuild -graph g.graph -k 2 -o g.rlcs
-//	rlcbuild -graph g.graph -k 2 -buildworkers 8 -out g.rlc
+//	rlcbuild -graph g.graph -k 2 -buildworkers 8 -o g.rlcs
 //
 // It prints the indexing time and index statistics that Table IV reports.
 // Construction is deterministic for every -buildworkers value: the written
-// index bytes are identical whether the build ran sequentially or on all
+// bundle bytes are identical whether the build ran sequentially or on all
 // cores.
 package main
 
@@ -27,8 +27,7 @@ func main() {
 	var (
 		graphPath = flag.String("graph", "", "input graph file (required)")
 		k         = flag.Int("k", 2, "recursive k")
-		out       = flag.String("out", "", "output v1 index file (graph not embedded)")
-		bundle    = flag.String("o", "", "output v2 snapshot bundle (self-contained, mmap-served)")
+		bundle    = flag.String("o", "", "output snapshot bundle (required; self-contained, mmap-served)")
 		workers   = flag.Int("buildworkers", 0, "construction workers (0 = GOMAXPROCS, 1 = sequential)")
 		maxBytes  = flag.Int64("max-index-bytes", 0, "size budget for the index: keep exact entry lists for the top-ranked vertices that fit, demote the rest to may-reach filters (0 = unlimited; answers stay exact either way)")
 		noPR1     = flag.Bool("no-pr1", false, "disable pruning rule PR1 (ablation)")
@@ -45,17 +44,14 @@ func main() {
 	if *graphPath == "" {
 		fatalf("missing -graph")
 	}
-	if *out == "" && *bundle == "" {
-		fatalf("missing output: -o bundle.rlcs (snapshot bundle) and/or -out index.rlc (v1 index)")
+	if *bundle == "" {
+		fatalf("missing -o")
 	}
 	if *workers < 0 {
 		fatalf("-buildworkers must be >= 0 (0 = GOMAXPROCS), got %d", *workers)
 	}
 	if *maxBytes < 0 {
 		fatalf("-max-index-bytes must be >= 0 (0 = unlimited), got %d", *maxBytes)
-	}
-	if *maxBytes > 0 && *out != "" {
-		fatalf("-max-index-bytes requires the v2 bundle output (-o): the v1 format (-out) cannot carry the filter tier")
 	}
 
 	g, err := rlc.LoadGraphFile(*graphPath)
@@ -100,33 +96,21 @@ func main() {
 			bst.Windows, bst.Speculated, bst.Committed, bst.Rerun)
 	}
 
-	if *out != "" {
-		if err := ix.SaveFile(*out); err != nil {
-			fatalf("save index: %v", err)
-		}
-		fmt.Printf("wrote %s (v1 index; serve it together with %s)\n", *out, *graphPath)
+	if err := ix.SaveSnapshotFile(*bundle); err != nil {
+		fatalf("save snapshot: %v", err)
 	}
-	if *bundle != "" {
-		if err := ix.SaveSnapshotFile(*bundle); err != nil {
-			fatalf("save snapshot: %v", err)
-		}
-		// Re-open and verify what was just written: a bundle that fails its
-		// own checksums should never leave the build step.
-		snap, err := rlc.OpenSnapshot(*bundle)
-		if err != nil {
-			fatalf("reopen snapshot: %v", err)
-		}
-		if err := snap.Verify(); err != nil {
-			snap.Close()
-			fatalf("verify snapshot: %v", err)
-		}
-		snap.Close()
-		fmt.Printf("wrote %s (self-contained snapshot bundle, verified; serve with rlcserve -snapshot)\n", *bundle)
+	// Re-open and verify what was just written: a bundle that fails its
+	// own checksums should never leave the build step.
+	snap, err := rlc.OpenVerifiedSnapshot(*bundle)
+	if err != nil {
+		fatalf("verify snapshot: %v", err)
 	}
+	snap.Close()
+	fmt.Printf("wrote %s (self-contained snapshot bundle, verified; serve with rlcserve -snapshot)\n", *bundle)
 }
 
 func usage() {
-	fmt.Fprintf(flag.CommandLine.Output(), "%s\n\nusage: rlcbuild -graph FILE (-o BUNDLE | -out FILE) [flags]\n\nflags:\n", synopsis)
+	fmt.Fprintf(flag.CommandLine.Output(), "%s\n\nusage: rlcbuild -graph FILE -o BUNDLE [flags]\n\nflags:\n", synopsis)
 	flag.PrintDefaults()
 }
 

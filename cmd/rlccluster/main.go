@@ -75,6 +75,13 @@ func main() {
 	if (*snapshotPath == "") == (*graphPath == "") {
 		fatalf("exactly one of -snapshot or -graph is required")
 	}
+	if *snapshotPath != "" {
+		flag.Visit(func(f *flag.Flag) {
+			if f.Name == "k" {
+				fatalf("-k requires -graph")
+			}
+		})
+	}
 	if *role == "follower" && *leaderURL == "" {
 		fatalf("-leader is required for the follower role")
 	}
@@ -113,13 +120,9 @@ func main() {
 
 	var srv *rlc.Server
 	if *snapshotPath != "" {
-		snap, err := rlc.OpenSnapshot(*snapshotPath)
+		snap, err := rlc.OpenVerifiedSnapshot(*snapshotPath)
 		if err != nil {
 			fatalf("open snapshot: %v", err)
-		}
-		if err := snap.Verify(); err != nil {
-			snap.Close()
-			fatalf("verify snapshot: %v", err)
 		}
 		srv = rlc.NewServerFromSnapshot(snap, opts)
 	} else {

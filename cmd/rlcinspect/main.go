@@ -6,7 +6,7 @@
 // every section.
 //
 //	rlcinspect -snapshot g.rlcs
-//	rlcinspect -graph g.graph -index g.rlc
+//	rlcinspect -snapshot g.rlcs -vertices 0,3,5
 //	rlcinspect -graph g.graph -k 2 -vertices 0,3,5
 package main
 
@@ -26,8 +26,7 @@ const synopsis = "rlcinspect — print RLC index internals: stats, distributions
 func main() {
 	var (
 		snapshotPath = flag.String("snapshot", "", "snapshot bundle (.rlcs); prints the section table and verifies checksums")
-		graphPath    = flag.String("graph", "", "input graph file (required unless -snapshot)")
-		indexPath    = flag.String("index", "", "index file (built on the fly when omitted)")
+		graphPath    = flag.String("graph", "", "input graph file (index built on the fly)")
 		k            = flag.Int("k", 2, "recursive k when building on the fly")
 		vertices     = flag.String("vertices", "", "comma-separated vertex ids whose Lin/Lout to print")
 		order        = flag.Bool("order", false, "print the full access order")
@@ -48,6 +47,11 @@ func main() {
 		err error
 	)
 	if *snapshotPath != "" {
+		flag.Visit(func(f *flag.Flag) {
+			if f.Name == "k" {
+				fatalf("-k requires -graph")
+			}
+		})
 		snap, serr := rlc.OpenSnapshot(*snapshotPath)
 		if serr != nil {
 			fatalf("open snapshot: %v", serr)
@@ -60,13 +64,9 @@ func main() {
 		if err != nil {
 			fatalf("load graph: %v", err)
 		}
-		if *indexPath != "" {
-			ix, err = rlc.LoadIndexFile(*indexPath, g)
-		} else {
-			ix, err = rlc.BuildIndex(g, rlc.Options{K: *k})
-		}
+		ix, err = rlc.BuildIndex(g, rlc.Options{K: *k})
 		if err != nil {
-			fatalf("index: %v", err)
+			fatalf("build index: %v", err)
 		}
 	}
 

@@ -1,14 +1,16 @@
-// Command rlcquery evaluates RLC (and extended) queries against a graph,
-// with a choice of evaluation method.
+// Command rlcquery evaluates RLC (and extended) queries against a snapshot
+// bundle written by rlcbuild -o, or against a graph file, with a choice of
+// evaluation method.
 //
-//	rlcquery -graph g.graph -index g.rlc -s 14 -t 19 -expr "(debits credits)+"
+//	rlcquery -snapshot g.rlcs -s 14 -t 19 -expr "(debits credits)+"
 //	rlcquery -graph g.graph -method bibfs -s 0 -t 5 -expr "(l0 l1)+"
-//	rlcquery -graph g.graph -index g.rlc -queries g.queries
-//	rlcquery -graph g.graph -index g.rlc -queries g.queries -batch -workers 8
+//	rlcquery -snapshot g.rlcs -queries g.queries
+//	rlcquery -snapshot g.rlcs -queries g.queries -batch -workers 8
 //
-// Methods: index (default; builds the index on the fly when -index is not
-// given), hybrid (index + traversal, supports multi-segment expressions such
-// as "a+ b+"), bfs, bibfs, dfs.
+// Methods: index (default), hybrid (index + traversal, supports
+// multi-segment expressions such as "a+ b+"), bfs, bibfs, dfs. With
+// -snapshot the index and the graph come from the bundle; with -graph the
+// index methods build it on the fly.
 //
 // With -queries, -batch switches the index method to the concurrent
 // QueryBatch API: the whole workload is answered by -workers parallel
@@ -29,8 +31,8 @@ const synopsis = "rlcquery — evaluate RLC (and extended) queries against a gra
 
 func main() {
 	var (
-		graphPath = flag.String("graph", "", "input graph file (required)")
-		indexPath = flag.String("index", "", "index file (built on the fly when omitted)")
+		snapPath  = flag.String("snapshot", "", "snapshot bundle (.rlcs) holding the index and its graph")
+		graphPath = flag.String("graph", "", "input graph file (index built on the fly)")
 		k         = flag.Int("k", 2, "recursive k when building on the fly")
 		method    = flag.String("method", "index", "index, hybrid, bfs, bibfs, or dfs")
 		s         = flag.Int("s", -1, "source vertex id")
@@ -47,23 +49,35 @@ func main() {
 		usage()
 		os.Exit(2)
 	}
-	if *graphPath == "" {
-		fatalf("missing -graph")
-	}
-	g, err := rlc.LoadGraphFile(*graphPath)
-	if err != nil {
-		fatalf("load graph: %v", err)
+	if (*snapPath == "") == (*graphPath == "") {
+		fatalf("exactly one of -snapshot or -graph is required")
 	}
 
-	var ix *rlc.Index
-	if *method == "index" || *method == "hybrid" {
-		if *indexPath != "" {
-			ix, err = rlc.LoadIndexFile(*indexPath, g)
-		} else {
-			ix, err = rlc.BuildIndex(g, rlc.Options{K: *k})
-		}
+	var (
+		g  *rlc.Graph
+		ix *rlc.Index
+	)
+	if *snapPath != "" {
+		flag.Visit(func(f *flag.Flag) {
+			if f.Name == "k" {
+				fatalf("-k requires -graph")
+			}
+		})
+		snap, err := rlc.OpenVerifiedSnapshot(*snapPath)
 		if err != nil {
-			fatalf("index: %v", err)
+			fatalf("open snapshot: %v", err)
+		}
+		defer snap.Close()
+		g, ix = snap.Graph(), snap.Index()
+	} else {
+		var err error
+		if g, err = rlc.LoadGraphFile(*graphPath); err != nil {
+			fatalf("load graph: %v", err)
+		}
+		if *method == "index" || *method == "hybrid" {
+			if ix, err = rlc.BuildIndex(g, rlc.Options{K: *k}); err != nil {
+				fatalf("build index: %v", err)
+			}
 		}
 	}
 
@@ -204,7 +218,7 @@ func runBatchWorkload(ix *rlc.Index, path string, workers int) error {
 }
 
 func usage() {
-	fmt.Fprintf(flag.CommandLine.Output(), "%s\n\nusage: rlcquery -graph FILE (-s N -t N -expr EXPR | -queries FILE) [flags]\n\nflags:\n", synopsis)
+	fmt.Fprintf(flag.CommandLine.Output(), "%s\n\nusage: rlcquery (-snapshot BUNDLE | -graph FILE) (-s N -t N -expr EXPR | -queries FILE) [flags]\n\nflags:\n", synopsis)
 	flag.PrintDefaults()
 }
 

@@ -1,11 +1,10 @@
 // Command rlcserve is a long-running HTTP/JSON query service over an RLC
 // index: serve a snapshot bundle (memory-mapped, hot-reloadable), or load a
-// graph (and an index, or build one on the fly), then answer single and
-// batch reachability queries with a sharded LRU result cache in front of
-// the index.
+// graph and build the index on the fly, then answer single and batch
+// reachability queries with a sharded LRU result cache in front of the
+// index.
 //
 //	rlcserve -snapshot g.rlcs -addr :8080
-//	rlcserve -graph g.graph -index g.rlc -addr :8080
 //	rlcserve -graph g.graph -k 2 -buildworkers 0 -addr :8080
 //	curl 'localhost:8080/query?s=0&t=4&l=(l0 l1)+'
 //	curl -X POST localhost:8080/batch -d '{"queries":[{"s":0,"t":4,"l":"l0 l1"}]}'
@@ -63,8 +62,7 @@ const synopsis = "rlcserve — serve RLC reachability queries over HTTP with a r
 func main() {
 	var (
 		snapshotPath = flag.String("snapshot", "", "snapshot bundle (.rlcs) to serve; enables SIGHUP / POST /reload hot swaps")
-		graphPath    = flag.String("graph", "", "input graph file (legacy two-file mode)")
-		indexPath    = flag.String("index", "", "index file (built on the fly when omitted)")
+		graphPath    = flag.String("graph", "", "input graph file (index built on the fly)")
 		k            = flag.Int("k", 2, "recursive k when building on the fly")
 		buildWorkers = flag.Int("buildworkers", 0, "construction workers when building on the fly (0 = GOMAXPROCS)")
 		maxIndex     = flag.Int64("max-index-bytes", 0, "size budget when building on the fly: demote low-ranked vertices to may-reach filters so the index fits (0 = unlimited; answers stay exact)")
@@ -90,6 +88,18 @@ func main() {
 	}
 	if *buildWorkers < 0 {
 		fatalf("-buildworkers must be >= 0 (0 = GOMAXPROCS), got %d", *buildWorkers)
+	}
+	if *snapshotPath != "" {
+		// A bundle is served as built (folds inherit its k and budget), so a
+		// build parameter here would be ignored without a word.
+		flag.Visit(func(f *flag.Flag) {
+			switch {
+			case f.Name == "k" || f.Name == "max-index-bytes":
+				fatalf("-k and -max-index-bytes require -graph")
+			case f.Name == "buildworkers" && !*mutable:
+				fatalf("-buildworkers requires -graph or -mutable")
+			}
+		})
 	}
 
 	// The cache flag speaks "0 = off"; the library speaks "negative = off"
@@ -127,7 +137,7 @@ func main() {
 	var srv *rlc.Server
 	if *snapshotPath != "" {
 		start := time.Now()
-		snap, err := openVerified(*snapshotPath)
+		snap, err := rlc.OpenVerifiedSnapshot(*snapshotPath)
 		if err != nil {
 			fatalf("open snapshot: %v", err)
 		}
@@ -144,7 +154,7 @@ func main() {
 		if !*mutable {
 			// Mutable servers evolve through folds; reloading an external
 			// bundle would drop journal edges, so the source stays unset.
-			opts.SnapshotSource = func() (*rlc.Snapshot, error) { return openVerified(*snapshotPath) }
+			opts.SnapshotSource = func() (*rlc.Snapshot, error) { return rlc.OpenVerifiedSnapshot(*snapshotPath) }
 		}
 		srv = rlc.NewServerFromSnapshot(snap, opts)
 	} else {
@@ -153,24 +163,13 @@ func main() {
 			fatalf("load graph: %v", err)
 		}
 		fmt.Printf("graph: %d vertices, %d edges, %d labels\n", g.NumVertices(), g.NumEdges(), g.NumLabels())
-		var ix *rlc.Index
-		if *indexPath != "" {
-			start := time.Now()
-			ix, err = rlc.LoadIndexFile(*indexPath, g)
-			if err != nil {
-				fatalf("load index: %v", err)
-			}
-			fmt.Printf("index loaded from %s in %v\n", *indexPath, time.Since(start).Round(time.Millisecond))
-		} else {
-			start := time.Now()
-			var st rlc.BuildStats
-			ix, st, err = rlc.BuildIndexWithStats(g, rlc.Options{K: *k, BuildWorkers: *buildWorkers, MaxIndexBytes: *maxIndex})
-			if err != nil {
-				fatalf("build index: %v", err)
-			}
-			opts.BuildStats = &st
-			fmt.Printf("index built in %v (%d build workers)\n", time.Since(start).Round(time.Millisecond), st.Workers)
+		start := time.Now()
+		ix, st, err := rlc.BuildIndexWithStats(g, rlc.Options{K: *k, BuildWorkers: *buildWorkers, MaxIndexBytes: *maxIndex})
+		if err != nil {
+			fatalf("build index: %v", err)
 		}
+		opts.BuildStats = &st
+		fmt.Printf("index built in %v (%d build workers)\n", time.Since(start).Round(time.Millisecond), st.Workers)
 		printIndexStats(ix)
 		srv = rlc.NewServer(ix, opts)
 	}
@@ -179,7 +178,7 @@ func main() {
 	defer stop()
 
 	// SIGHUP = hot reload in snapshot mode (the classic daemon convention);
-	// ignored otherwise so a stray signal cannot kill a legacy-mode server.
+	// ignored otherwise so a stray signal cannot kill a -graph server.
 	// SIGUSR1 = background fold-and-rebuild in mutable mode.
 	hup := make(chan os.Signal, 1)
 	signal.Notify(hup, syscall.SIGHUP)
@@ -251,20 +250,6 @@ func main() {
 	}
 	fmt.Printf("shut down cleanly; cache: %d hits, %d misses, %d coalesced, %d evictions (%.1f%% hit rate)\n",
 		cs.Hits, cs.Misses, cs.Coalesced, cs.Evictions, cs.HitRate()*100)
-}
-
-// openVerified opens a bundle and runs the full integrity pass — the only
-// way bytes become a serving generation in this process.
-func openVerified(path string) (*rlc.Snapshot, error) {
-	snap, err := rlc.OpenSnapshot(path)
-	if err != nil {
-		return nil, err
-	}
-	if err := snap.Verify(); err != nil {
-		snap.Close()
-		return nil, err
-	}
-	return snap, nil
 }
 
 func printIndexStats(ix *rlc.Index) {

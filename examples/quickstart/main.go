@@ -85,7 +85,8 @@ func main() {
 	// Parallel construction: Options.BuildWorkers spreads the build over a
 	// worker pool (0 = GOMAXPROCS, 1 = sequential). The build is
 	// deterministic for every worker count, so an index built with 4
-	// workers serializes byte-for-byte identically to the sequential one.
+	// workers writes a snapshot bundle byte-for-byte identical to the
+	// sequential one's.
 	seq, err := rlc.BuildIndex(g, rlc.Options{K: 2, BuildWorkers: 1})
 	if err != nil {
 		log.Fatal(err)
@@ -95,10 +96,10 @@ func main() {
 		log.Fatal(err)
 	}
 	var seqBytes, parBytes bytes.Buffer
-	if err := seq.Write(&seqBytes); err != nil {
+	if err := seq.WriteSnapshot(&seqBytes); err != nil {
 		log.Fatal(err)
 	}
-	if err := par.Write(&parBytes); err != nil {
+	if err := par.WriteSnapshot(&parBytes); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("\nparallel build (4 workers) byte-identical to sequential: %v\n",

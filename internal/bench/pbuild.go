@@ -13,9 +13,9 @@ import (
 // RunPBuild measures parallel index construction (extension): k = 2 builds
 // of one generated ER and one generated BA graph across worker counts,
 // reporting wall-clock build time and speedup over the sequential build.
-// Before anything is timed, every parallel build is checked to serialize
-// byte-identically to the sequential one — the determinism guarantee the
-// scheduler makes (a speedup from a different index would be meaningless).
+// Every parallel build is checked to write a bundle byte-identical to the
+// sequential one's — the determinism guarantee the scheduler makes (a
+// speedup from a different index would be meaningless).
 // Single-core machines see the scheduler's overhead instead of a speedup;
 // the Identical column is the correctness signal either way.
 func RunPBuild(cfg Config) ([]*Table, error) {
@@ -53,7 +53,7 @@ func RunPBuild(cfg Config) ([]*Table, error) {
 			return nil, fmt.Errorf("pbuild: %s: %w", gs.name, err)
 		}
 		var seqBytes bytes.Buffer
-		if err := seqIx.Write(&seqBytes); err != nil {
+		if err := seqIx.WriteSnapshot(&seqBytes); err != nil {
 			return nil, fmt.Errorf("pbuild: %s: %w", gs.name, err)
 		}
 
@@ -78,7 +78,7 @@ func RunPBuild(cfg Config) ([]*Table, error) {
 			identical := true
 			if w != 1 {
 				var buf bytes.Buffer
-				if err := ix.Write(&buf); err != nil {
+				if err := ix.WriteSnapshot(&buf); err != nil {
 					return nil, fmt.Errorf("pbuild: %s: %w", gs.name, err)
 				}
 				identical = bytes.Equal(buf.Bytes(), seqBytes.Bytes())

@@ -310,58 +310,13 @@ func TestSelfLoopIndex(t *testing.T) {
 func TestDeterministicBuild(t *testing.T) {
 	r := rand.New(rand.NewSource(104))
 	g := randomGraph(r, 20, 3, 60)
-	var bufs [2]bytes.Buffer
-	for i := 0; i < 2; i++ {
-		ix := mustBuild(t, g, Options{K: 2})
-		if err := ix.Write(&bufs[i]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if !bytes.Equal(bufs[0].Bytes(), bufs[1].Bytes()) {
+	if !bytes.Equal(serialize(t, mustBuild(t, g, Options{K: 2})), serialize(t, mustBuild(t, g, Options{K: 2}))) {
 		t.Error("two builds of the same graph serialized differently — build is nondeterministic")
 	}
 }
 
-func TestSerializationRoundTrip(t *testing.T) {
-	r := rand.New(rand.NewSource(105))
-	g := randomGraph(r, 15, 3, 45)
-	ix := mustBuild(t, g, Options{K: 3})
-
-	var buf bytes.Buffer
-	if err := ix.Write(&buf); err != nil {
-		t.Fatal(err)
-	}
-	back, err := Load(&buf, g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.K() != ix.K() || back.NumEntries() != ix.NumEntries() {
-		t.Fatalf("round trip changed shape: k %d->%d entries %d->%d", ix.K(), back.K(), ix.NumEntries(), back.NumEntries())
-	}
-	for _, l := range PrimitiveConstraints(g.NumLabels(), ix.K()) {
-		for s := graph.Vertex(0); int(s) < g.NumVertices(); s++ {
-			for tt := graph.Vertex(0); int(tt) < g.NumVertices(); tt++ {
-				a, err1 := ix.Query(s, tt, l)
-				b, err2 := back.Query(s, tt, l)
-				if err1 != nil || err2 != nil {
-					t.Fatalf("query errors: %v %v", err1, err2)
-				}
-				if a != b {
-					t.Fatalf("loaded index disagrees at (%d,%d,%v): %v vs %v", s, tt, l, a, b)
-				}
-			}
-		}
-	}
-}
-
 func TestLoadRejectsCorruptInput(t *testing.T) {
-	g := graph.Fig2()
-	ix := mustBuild(t, g, Options{K: 2})
-	var buf bytes.Buffer
-	if err := ix.Write(&buf); err != nil {
-		t.Fatal(err)
-	}
-	good := buf.Bytes()
+	good, g := v1Fixture(t, "fig2_k2")
 
 	if _, err := Load(bytes.NewReader(nil), g); err == nil {
 		t.Error("empty input must fail")

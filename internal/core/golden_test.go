@@ -10,16 +10,36 @@ import (
 	"github.com/g-rpqs/rlc-go/internal/labelseq"
 )
 
-// TestGoldenFormatStability pins the serialization format: an index file
-// written by version 1 of the format (checked into testdata) must keep
-// loading and answering correctly forever. Bump the format version rather
-// than regenerate this file.
-func TestGoldenFormatStability(t *testing.T) {
-	g := graph.Fig2()
-	data, err := os.ReadFile(filepath.Join("testdata", "fig2_k2_v1.rlc"))
+// v1Fixture returns the bytes of a checked-in v1 index and the graph it
+// binds to. Nothing in the tree writes v1 any more, so the fixtures are
+// never regenerated: "fig2_k2" is the golden over graph.Fig2(); "er12_k2"
+// was written by the last commit that had `rlcbuild -out`, over
+// testdata/er12.graph (rlcgen -model er -n 12 -d 4 -labels 3 -seed 12).
+func v1Fixture(t testing.TB, name string) ([]byte, *graph.Graph) {
+	t.Helper()
+	data, err := os.ReadFile(filepath.Join("testdata", name+"_v1.rlc"))
 	if err != nil {
 		t.Fatal(err)
 	}
+	switch name {
+	case "fig2_k2":
+		return data, graph.Fig2()
+	case "er12_k2":
+		g, err := graph.LoadFile(filepath.Join("testdata", "er12.graph"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data, g
+	}
+	t.Fatalf("no graph known for v1 fixture %q", name)
+	return nil, nil
+}
+
+// TestGoldenFormatStability pins the v1 import: an index file written by
+// version 1 of the format (checked into testdata) must keep loading and
+// answering correctly forever.
+func TestGoldenFormatStability(t *testing.T) {
+	data, g := v1Fixture(t, "fig2_k2")
 	ix, err := Load(bytes.NewReader(data), g)
 	if err != nil {
 		t.Fatalf("golden file no longer loads — the format changed without a version bump: %v", err)
@@ -41,11 +61,9 @@ func TestGoldenFormatStability(t *testing.T) {
 		t.Errorf("golden index incomplete: %v", err)
 	}
 
-	// A fresh build must serialize byte-identically to the golden index
-	// (determinism pin). The comparison is against the golden re-written,
-	// not its raw bytes: the file keeps MRs within one hub's run in the old
-	// writer's insertion order, which no reader ever depended on and the
-	// packed form does not store — Write emits them ascending.
+	// A fresh build must write the same bundle as the golden index
+	// (determinism pin): same dictionary interning order, access order and
+	// packed groups.
 	fresh, err := Build(g, Options{K: 2})
 	if err != nil {
 		t.Fatal(err)

@@ -25,10 +25,10 @@ import (
 //
 // Build and the v1 loader produce per-vertex []entry lists as a build-time
 // intermediate; pack consumes them once and they are dropped. Everything
-// that needs the (hub, mr) pairs back — inspection, validation, the v1
-// writer — decodes them from the groups with entries. While both forms
-// coexist (the end of a Build or Load, a legacy bundle that still carries
-// its entry sections) verifyAgainst demands they are bit-for-bit equal.
+// that needs the (hub, mr) pairs back — inspection, validation — decodes
+// them from the groups with entries. While both forms coexist (the end of a
+// Build or Load, a legacy bundle that still carries its entry sections)
+// verifyAgainst demands they are bit-for-bit equal.
 
 // packedGroup is one (hub, MR-set) pair of a packed per-vertex list: the
 // hub's access rank plus the id of the hash-consed bitset holding every MR

@@ -408,23 +408,23 @@ func TestPrePackedBundleBackCompat(t *testing.T) {
 	}
 }
 
-// TestV1LoadPacks: the v1 two-file round trip answers like the original.
+// TestV1LoadPacks: a v1 file written by the last v1 writer imports into the
+// index a fresh build of its graph produces — same stats, same answers, same
+// bundle bytes.
 func TestV1LoadPacks(t *testing.T) {
-	r := rand.New(rand.NewSource(23))
-	g := randomGraph(r, 40, 3, 160)
+	data, g := v1Fixture(t, "er12_k2")
 	ix := mustBuild(t, g, Options{K: 2})
-	var buf bytes.Buffer
-	if err := ix.Write(&buf); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := Load(&buf, g)
+	loaded, err := Load(bytes.NewReader(data), g)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if loaded.Stats() != ix.Stats() {
-		t.Fatalf("v1 round trip reports %+v, original %+v", loaded.Stats(), ix.Stats())
+		t.Fatalf("v1 import reports %+v, fresh build %+v", loaded.Stats(), ix.Stats())
 	}
 	assertEquivalent(t, g, ix, loaded)
+	if !bytes.Equal(serialize(t, loaded), serialize(t, ix)) {
+		t.Fatal("v1 import writes a different bundle than a fresh build of the same graph")
+	}
 }
 
 // TestSnapshotPackedSemanticCorruption drives openPacked's structural

@@ -12,20 +12,21 @@ import (
 	"github.com/g-rpqs/rlc-go/internal/traversal"
 )
 
-// serialize renders an index to its v1 byte format.
+// serialize renders an index to its bundle bytes — the one definition of
+// "same index".
 func serialize(t testing.TB, ix *Index) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := ix.Write(&buf); err != nil {
+	if err := ix.WriteSnapshot(&buf); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
 }
 
 // TestParallelGoldenByteIdentity is the golden pin of the determinism
-// guarantee: the Fig. 2 index built with 1, 2, 4, and 8 workers must
-// serialize byte-for-byte identically to the checked-in v1 golden index
-// (re-written through Load, see TestGoldenFormatStability).
+// guarantee: the Fig. 2 index built with 1, 2, 4, and 8 workers must write
+// a bundle byte-for-byte identical to the one the checked-in v1 golden index
+// writes after Load.
 func TestParallelGoldenByteIdentity(t *testing.T) {
 	g := graph.Fig2()
 	loaded, err := LoadFile(filepath.Join("testdata", "fig2_k2_v1.rlc"), g)

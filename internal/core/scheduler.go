@@ -25,7 +25,7 @@
 //
 // Every commit path reproduces the sequential insert sequence exactly — by
 // induction over commit slots the entry lists, the dictionary interning
-// order, and hence the frozen CSR layout and the serialized v1 bytes are
+// order, and hence the packed groups and the WriteSnapshot bytes are
 // byte-identical to the sequential build for every worker count. Worker
 // timing can never leak into the result: it only shifts which speculations
 // happen to be wasted.

@@ -11,7 +11,13 @@ import (
 	"github.com/g-rpqs/rlc-go/internal/labelseq"
 )
 
-// Binary index format (little endian):
+// Format v1 (little endian), the two-file index format this repository wrote
+// before the v2 snapshot bundle. It is import-only: Load and LoadFile read
+// it, nothing writes it, and testdata/fig2_k2_v1.rlc must load forever. To
+// migrate a file, load it against its graph and save a bundle:
+//
+//	ix, err := LoadFile("g.rlc", g)
+//	err = ix.SaveSnapshotFile("g.rlcs")
 //
 //	magic "RLCX" | version u32 | k u32 | n u64 | labels u32 | edges u64
 //	dict:    count u32, then per sequence: len u8, labels i32...
@@ -20,70 +26,18 @@ import (
 //	              |Lin(v)|  u32, entries ...
 //
 // Lists are hub-sorted; the order of MRs within one hub's run carries no
-// meaning (Load checks hub-sortedness only) and Write emits it ascending.
-// The graph itself is not embedded; Load verifies that the supplied graph
-// has the same shape as the one the index was built from.
+// meaning (Load checks hub-sortedness only). The graph itself is not
+// embedded; Load verifies that the supplied graph has the same shape as the
+// one the index was built from.
 
 const (
 	magic   = "RLCX"
 	version = 1
 )
 
-// ErrTieredV1 is returned by Write for a size-budgeted index: the v1 format
-// has no room for the filter tier, so writing one would silently drop the
-// demoted vertices' only representation. Tiered indexes persist via
-// WriteSnapshot/SaveSnapshotFile.
-var ErrTieredV1 = fmt.Errorf("rlc: a size-budgeted (tiered) index cannot be written in the v1 format; use a v2 snapshot bundle")
-
-// Write serializes the index.
-func (ix *Index) Write(w io.Writer) error {
-	if ix.tiers != nil {
-		return ErrTieredV1
-	}
-	bw := bufio.NewWriter(w)
-	if _, err := bw.WriteString(magic); err != nil {
-		return err
-	}
-	le := binary.LittleEndian
-	writeU32 := func(v uint32) { binary.Write(bw, le, v) }
-	writeI32 := func(v int32) { binary.Write(bw, le, v) }
-	writeU64 := func(v uint64) { binary.Write(bw, le, v) }
-
-	writeU32(version)
-	writeU32(uint32(ix.k))
-	writeU64(uint64(ix.g.NumVertices()))
-	writeU32(uint32(ix.g.NumLabels()))
-	writeU64(uint64(ix.g.NumEdges()))
-
-	writeU32(uint32(ix.dict.Len()))
-	for i := 0; i < ix.dict.Len(); i++ {
-		seq := ix.dict.Seq(labelseq.ID(i))
-		if err := bw.WriteByte(byte(len(seq))); err != nil {
-			return err
-		}
-		for _, l := range seq {
-			writeI32(int32(l))
-		}
-	}
-	for _, v := range ix.order {
-		writeI32(int32(v))
-	}
-	p := ix.packed
-	for v := 0; v < ix.g.NumVertices(); v++ {
-		for _, list := range [2][]packedGroup{p.lout(graph.Vertex(v)), p.lin(graph.Vertex(v))} {
-			writeU32(uint32(p.count(list)))
-			for e := range p.entries(list) {
-				writeI32(e.hub)
-				writeU32(uint32(e.mr))
-			}
-		}
-	}
-	return bw.Flush()
-}
-
-// Load deserializes an index previously written with Write and binds it to
-// g, which must have the same vertex count, label count and edge count as
-// the graph the index was built from.
+// Load deserializes a v1 index and binds it to g, which must have the same
+// vertex count, label count and edge count as the graph the index was built
+// from.
 func Load(r io.Reader, g *graph.Graph) (*Index, error) {
 	br := bufio.NewReader(r)
 	head := make([]byte, len(magic))
@@ -169,8 +123,8 @@ func Load(r io.Reader, g *graph.Graph) (*Index, error) {
 		if err != nil {
 			return nil, fmt.Errorf("rlc: load: dict: %w", err)
 		}
-		if int(slen) > k {
-			return nil, fmt.Errorf("rlc: load: dict sequence longer than k")
+		if slen == 0 || int(slen) > k {
+			return nil, fmt.Errorf("rlc: load: dict sequence of %d labels, want 1..%d", slen, k)
 		}
 		seq := make(labelseq.Seq, slen)
 		for j := range seq {
@@ -239,20 +193,7 @@ func Load(r io.Reader, g *graph.Graph) (*Index, error) {
 	return ix, nil
 }
 
-// SaveFile writes the index to path.
-func (ix *Index) SaveFile(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := ix.Write(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-// LoadFile reads an index from path and binds it to g.
+// LoadFile reads a v1 index from path and binds it to g.
 func LoadFile(path string, g *graph.Graph) (*Index, error) {
 	f, err := os.Open(path)
 	if err != nil {

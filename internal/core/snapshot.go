@@ -152,8 +152,8 @@ func decodeMeta(b []byte) (snapshotMeta, error) {
 }
 
 // WriteSnapshot serializes the index and its graph as a v2 snapshot bundle.
-// Unlike the v1 Write format, the bundle is self-contained: OpenSnapshot
-// needs no separate graph file and no rebuild-time options.
+// The bundle is self-contained: OpenSnapshot needs no separate graph file
+// and no rebuild-time options.
 func (ix *Index) WriteSnapshot(w io.Writer) error {
 	g := ix.g
 	fp := g.Fingerprint()
@@ -291,6 +291,21 @@ func OpenSnapshot(path string) (*Snapshot, error) {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
 	s.path = path
+	return s, nil
+}
+
+// OpenVerifiedSnapshot opens the bundle at path and runs Verify, closing it
+// again when verification fails — how file bytes become a serving
+// generation or leave a build step.
+func OpenVerifiedSnapshot(path string) (*Snapshot, error) {
+	s, err := OpenSnapshot(path)
+	if err != nil {
+		return nil, err
+	}
+	if err := s.Verify(); err != nil {
+		s.Close()
+		return nil, err
+	}
 	return s, nil
 }
 

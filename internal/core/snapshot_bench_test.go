@@ -1,23 +1,18 @@
 package core
 
 import (
-	"bytes"
 	"os"
 	"path/filepath"
 	"sync"
 	"testing"
 
 	"github.com/g-rpqs/rlc-go/internal/gen"
-	"github.com/g-rpqs/rlc-go/internal/graph"
 )
 
 // benchArtifacts is the shared fixture of the open-path benchmarks: one ER
-// index with >1e5 entries (the acceptance regime for the mmap-vs-v1
-// comparison), serialized both ways.
+// index with >1e5 entries, written as a bundle.
 var benchArtifacts struct {
 	once       sync.Once
-	g          *graph.Graph
-	v1         []byte // (*Index).Write format
 	bundlePath string // v2 snapshot bundle on disk
 	entries    int64
 }
@@ -34,13 +29,7 @@ func openBenchArtifacts(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		a.g = g
 		a.entries = ix.NumEntries()
-		var buf bytes.Buffer
-		if err := ix.Write(&buf); err != nil {
-			b.Fatal(err)
-		}
-		a.v1 = buf.Bytes()
 		dir, err := os.MkdirTemp("", "rlcbench")
 		if err != nil {
 			b.Fatal(err)
@@ -56,8 +45,7 @@ func openBenchArtifacts(b *testing.B) {
 }
 
 // BenchmarkOpenSnapshot measures the v2 open path: mmap + structural
-// validation, no per-entry decoding. Compare against BenchmarkLoadIndexV1
-// on the same index — the acceptance bar for the format is >=10x.
+// validation, no per-entry decoding.
 func BenchmarkOpenSnapshot(b *testing.B) {
 	openBenchArtifacts(b)
 	b.ReportAllocs()
@@ -87,21 +75,5 @@ func BenchmarkOpenSnapshotVerified(b *testing.B) {
 			b.Fatal(err)
 		}
 		s.Close()
-	}
-}
-
-// BenchmarkLoadIndexV1 measures the legacy load path: full deserialization
-// of every entry into per-vertex lists, then the CSR freeze.
-func BenchmarkLoadIndexV1(b *testing.B) {
-	openBenchArtifacts(b)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		ix, err := Load(bytes.NewReader(benchArtifacts.v1), benchArtifacts.g)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if ix.NumEntries() != benchArtifacts.entries {
-			b.Fatal("entry count drifted")
-		}
 	}
 }

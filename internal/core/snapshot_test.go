@@ -179,11 +179,7 @@ func TestSnapshotNoNames(t *testing.T) {
 // answer queries identically — the migration path for every pre-bundle
 // index artifact. CI runs it in a dedicated compat job.
 func TestGoldenV1ToV2Compat(t *testing.T) {
-	g := graph.Fig2()
-	data, err := os.ReadFile(filepath.Join("testdata", "fig2_k2_v1.rlc"))
-	if err != nil {
-		t.Fatal(err)
-	}
+	data, g := v1Fixture(t, "fig2_k2")
 	v1, err := Load(bytes.NewReader(data), g)
 	if err != nil {
 		t.Fatalf("golden v1 load: %v", err)
@@ -217,17 +213,9 @@ func TestGoldenV1ToV2Compat(t *testing.T) {
 // TestLoadV1GraphMismatchTyped pins the typed sentinel on the v1 loader's
 // shape check.
 func TestLoadV1GraphMismatchTyped(t *testing.T) {
-	g := graph.Fig2()
-	ix, err := Build(g, Options{K: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := ix.Write(&buf); err != nil {
-		t.Fatal(err)
-	}
+	data, _ := v1Fixture(t, "fig2_k2")
 	other := graph.FromEdges(3, 2, []graph.Edge{{Src: 0, Dst: 1, Label: 0}, {Src: 1, Dst: 2, Label: 1}})
-	if _, err := Load(bytes.NewReader(buf.Bytes()), other); !errors.Is(err, ErrGraphMismatch) {
+	if _, err := Load(bytes.NewReader(data), other); !errors.Is(err, ErrGraphMismatch) {
 		t.Fatalf("Load with wrong graph: err = %v, want ErrGraphMismatch", err)
 	}
 }
@@ -394,6 +382,18 @@ func TestSnapshotVerifyCatchesBitFlips(t *testing.T) {
 	defer s.Close()
 	if err := s.Verify(); !errors.Is(err, snapshot.ErrCorrupt) {
 		t.Fatalf("Verify = %v, want typed ErrCorrupt", err)
+	}
+
+	// The same bytes on disk: the verified open refuses them.
+	path := filepath.Join(t.TempDir(), "flipped.rlcs")
+	if err := os.WriteFile(path, corrupt, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if vs, err := OpenVerifiedSnapshot(path); !errors.Is(err, snapshot.ErrCorrupt) {
+		if vs != nil {
+			vs.Close()
+		}
+		t.Fatalf("OpenVerifiedSnapshot = %v, want typed ErrCorrupt", err)
 	}
 }
 

@@ -258,24 +258,6 @@ func TestTierSnapshotRoundTrip(t *testing.T) {
 	}
 }
 
-// TestTierV1WriteRejected: the v1 format cannot carry the filter tier, so
-// writing a tiered index through it must fail loudly instead of silently
-// persisting an index missing most of its vertices.
-func TestTierV1WriteRejected(t *testing.T) {
-	g := randomGraph(rand.New(rand.NewSource(41)), 48, 3, 220)
-	ix := mustBuild(t, g, Options{K: 2, MaxIndexBytes: 1})
-	if !ix.Tiered() {
-		t.Fatal("fixture did not tier")
-	}
-	var buf bytes.Buffer
-	if err := ix.Write(&buf); !errors.Is(err, ErrTieredV1) {
-		t.Fatalf("Write on tiered index = %v, want ErrTieredV1", err)
-	}
-	if buf.Len() != 0 {
-		t.Fatalf("rejected write still emitted %d bytes", buf.Len())
-	}
-}
-
 // TestTierCounters pins the per-tier accounting: both-retained queries land
 // in ExactHits, filter-decided queries in FilterDefinite, and traversal
 // fallbacks in FilterMaybe — and the three cover all queries.

@@ -275,14 +275,14 @@ func TestParallelRebuildMatchesSequential(t *testing.T) {
 	}
 
 	var seqBytes, parBytes bytes.Buffer
-	if err := rebuild(1).Write(&seqBytes); err != nil {
+	if err := rebuild(1).WriteSnapshot(&seqBytes); err != nil {
 		t.Fatal(err)
 	}
-	if err := rebuild(4).Write(&parBytes); err != nil {
+	if err := rebuild(4).WriteSnapshot(&parBytes); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(seqBytes.Bytes(), parBytes.Bytes()) {
-		t.Error("parallel fold-and-rebuild serialized differently from sequential rebuild")
+		t.Error("parallel fold-and-rebuild wrote a different bundle than the sequential rebuild")
 	}
 }
 

@@ -164,13 +164,7 @@ func (s *Server) rebuildOnce() (res RebuildResult, err error) {
 			err = fmt.Errorf("server: write folded bundle: %w", err)
 			return res, err
 		}
-		src, err = core.OpenSnapshot(s.opts.RebuildPath)
-		if err == nil {
-			if verr := src.Verify(); verr != nil {
-				src.Close()
-				err = verr
-			}
-		}
+		src, err = core.OpenVerifiedSnapshot(s.opts.RebuildPath)
 		if err != nil {
 			err = fmt.Errorf("server: reopen folded bundle: %w", err)
 			return res, err
@@ -236,11 +230,7 @@ func (s *Server) installFolded(ix *core.Index, src *core.Snapshot, folded int, s
 	// translation stays consistent with whichever generation it pinned.
 	epoch = st.epoch + 1
 	seqBase := st.seqBase + uint64(folded)
-	if src != nil {
-		s.store.SwapFolded(ix, src, tail, source, epoch, seqBase)
-	} else {
-		s.store.SwapFolded(ix, nil, tail, source, epoch, seqBase)
-	}
+	s.store.SwapFolded(ix, src, tail, source, epoch, seqBase)
 	s.epoch.Store(epoch)
 	return len(tail), epoch, nil
 }

@@ -128,8 +128,8 @@ func (s *Server) replState(st *state) ReplState {
 		rs.SealedSeq = st.seqBase + uint64(st.delta.SealedLen())
 		rs.Seq = st.seqBase + uint64(st.delta.JournalLen())
 	}
-	if snap, ok := st.src.(*core.Snapshot); ok {
-		rs.BundleBytes = snap.SizeBytes()
+	if st.src != nil {
+		rs.BundleBytes = st.src.SizeBytes()
 	}
 	return rs
 }
@@ -214,9 +214,9 @@ func (s *Server) BundleReader(wantEpoch uint64) (io.ReadCloser, ReplState, error
 		st.release()
 		return nil, rs, fmt.Errorf("%w (requested %d, serving %d)", errEpochGone, wantEpoch, rs.Epoch)
 	}
-	if snap, ok := st.src.(*core.Snapshot); ok {
+	if st.src != nil {
 		// Ownership of the pin transfers to the reader; Close releases it.
-		return &pinnedBundle{r: bytes.NewReader(snap.Bytes()), st: st}, rs, nil
+		return &pinnedBundle{r: bytes.NewReader(st.src.Bytes()), st: st}, rs, nil
 	}
 	var buf bytes.Buffer
 	err := st.ix.WriteSnapshot(&buf)

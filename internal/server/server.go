@@ -991,8 +991,6 @@ func errorCode(err error) string {
 		return "graph_mismatch"
 	case errors.Is(err, snapshot.ErrCorrupt):
 		return "corrupt_snapshot"
-	case errors.Is(err, core.ErrTieredV1):
-		return "tiered_v1"
 	case errors.Is(err, core.ErrNotMinimumRepeat):
 		return "not_minimum_repeat"
 	case errors.Is(err, core.ErrConstraintTooLong):

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"io"
 	"sync"
 	"sync/atomic"
 
@@ -24,8 +23,8 @@ import (
 type state struct {
 	ix     *core.Index
 	g      *graph.Graph
-	src    io.Closer // backing snapshot to retire with the state; nil for heap-built indexes
-	cache  *cache    // nil when disabled
+	src    *core.Snapshot // backing snapshot to retire with the state; nil for heap-built indexes
+	cache  *cache         // nil when disabled
 	build  *core.BuildStats
 	gen    uint64
 	source string // human-readable origin for /stats
@@ -146,7 +145,7 @@ func snapshotSource(snap *core.Snapshot) string {
 // pool. A fresh cache is not an optimization detail: results cached against
 // the old index may be wrong for the new one, so cache lifetime is bounded
 // by generation lifetime.
-func (s *Store) newState(ix *core.Index, src io.Closer, build *core.BuildStats, source string, delta *dynamic.DeltaGraph, epoch, seqBase uint64) *state {
+func (s *Store) newState(ix *core.Index, src *core.Snapshot, build *core.BuildStats, source string, delta *dynamic.DeltaGraph, epoch, seqBase uint64) *state {
 	st := &state{
 		ix:      ix,
 		g:       ix.Graph(),
@@ -160,8 +159,8 @@ func (s *Store) newState(ix *core.Index, src io.Closer, build *core.BuildStats, 
 	// Prefer the fingerprint embedded in a snapshot's meta (O(1)); compute
 	// it once for heap-built bases. Either way every pinned reader sees a
 	// stable identity for the generation's base graph.
-	if snap, ok := src.(*core.Snapshot); ok {
-		st.fp = snap.Fingerprint()
+	if src != nil {
+		st.fp = src.Fingerprint()
 	} else {
 		st.fp = st.g.Fingerprint()
 	}
@@ -241,7 +240,7 @@ func (s *Store) SwapSnapshot(snap *core.Snapshot) {
 // rides the same drain path as SwapSnapshot: queries pinned to the
 // pre-fold generation finish against it — overlay, cache, mapping and all
 // — before its snapshot is released.
-func (s *Store) SwapFolded(ix *core.Index, src io.Closer, journal []graph.Edge, source string, epoch, seqBase uint64) {
+func (s *Store) SwapFolded(ix *core.Index, src *core.Snapshot, journal []graph.Edge, source string, epoch, seqBase uint64) {
 	s.install(s.newState(ix, src, nil, source, s.newDelta(ix, journal), epoch, seqBase))
 }
 

@@ -58,7 +58,7 @@
 // # Snapshot bundles
 //
 // A built index freezes into a snapshot bundle: one self-contained file
-// (graph CSR + index entries + label dictionary as checksummed sections)
+// (graph CSR + packed index + label dictionary as checksummed sections)
 // that OpenSnapshot memory-maps zero-copy — startup does structural
 // validation only, no deserialization, so opening is orders of magnitude
 // faster than LoadIndex and the mapping is shared between processes
@@ -73,8 +73,12 @@
 // Corrupt or truncated bundles fail with errors wrapping
 // ErrCorruptSnapshot — never a panic — and the embedded graph fingerprint
 // makes binding an index to the wrong graph (ErrGraphMismatch) impossible.
-// The legacy two-file format (LoadIndex + a separate graph file) remains
-// fully supported for existing artifacts.
+// The bundle is the only format this package writes. A v1 two-file index
+// (.rlc beside its graph file) from an older release is import-only;
+// migrate it once:
+//
+//	ix, err := rlc.LoadIndexFile("g.rlc", g)
+//	err = rlc.SaveSnapshotFile("g.rlcs", ix)
 //
 // # Serving
 //
@@ -294,14 +298,15 @@ func BuildIndexWithStats(g *Graph, opts Options) (*Index, BuildStats, error) {
 	return core.BuildWithStats(g, opts)
 }
 
-// LoadIndex deserializes an index written with (*Index).Write, binding it
-// to g. Loading against a graph whose shape differs from the build-time one
-// fails with ErrGraphMismatch. (The legacy v1 format records only the shape
-// triple; snapshot bundles embed the full fingerprint including an edge
-// hash and need no external graph at all.)
+// LoadIndex imports a v1 index (the two-file format older releases wrote;
+// nothing writes it any more), binding it to g. Loading against a graph
+// whose shape differs from the build-time one fails with ErrGraphMismatch.
+// (v1 records only the shape triple; snapshot bundles embed the full
+// fingerprint including an edge hash and need no external graph at all.)
+// Save the result with SaveSnapshotFile to migrate the file.
 func LoadIndex(r io.Reader, g *Graph) (*Index, error) { return core.Load(r, g) }
 
-// LoadIndexFile reads an index file and binds it to g.
+// LoadIndexFile imports a v1 index file and binds it to g.
 func LoadIndexFile(path string, g *Graph) (*Index, error) { return core.LoadFile(path, g) }
 
 // Snapshot is an open v2 snapshot bundle: one self-contained,
@@ -322,6 +327,10 @@ type Fingerprint = graph.Fingerprint
 // production startup path (rlcserve -snapshot). Corruption anywhere
 // surfaces as an error wrapping ErrCorruptSnapshot, never a panic.
 func OpenSnapshot(path string) (*Snapshot, error) { return core.OpenSnapshot(path) }
+
+// OpenVerifiedSnapshot is OpenSnapshot followed by Verify; the bundle is
+// closed again when verification fails.
+func OpenVerifiedSnapshot(path string) (*Snapshot, error) { return core.OpenVerifiedSnapshot(path) }
 
 // OpenSnapshotBytes opens a bundle held in memory (an embedded artifact, a
 // fetched blob). The Snapshot aliases data until Close.

@@ -2,6 +2,7 @@ package rlc_test
 
 import (
 	"bytes"
+	"path/filepath"
 	"testing"
 
 	rlc "github.com/g-rpqs/rlc-go"
@@ -174,22 +175,25 @@ func TestFacadeGraphIO(t *testing.T) {
 	}
 }
 
+// TestFacadeIndexIO walks the documented v1 migration: import the two-file
+// index, save a bundle, open it verified.
 func TestFacadeIndexIO(t *testing.T) {
 	g := rlc.ExampleFig2()
-	ix, err := rlc.BuildIndex(g, rlc.Options{K: 2})
+	ix, err := rlc.LoadIndexFile(filepath.Join("internal", "core", "testdata", "fig2_k2_v1.rlc"), g)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := ix.Write(&buf); err != nil {
+	bundle := filepath.Join(t.TempDir(), "fig2.rlcs")
+	if err := rlc.SaveSnapshotFile(bundle, ix); err != nil {
 		t.Fatal(err)
 	}
-	back, err := rlc.LoadIndex(&buf, g)
+	snap, err := rlc.OpenVerifiedSnapshot(bundle)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if back.NumEntries() != ix.NumEntries() {
-		t.Error("index round trip changed entry count")
+	defer snap.Close()
+	if snap.Index().NumEntries() != ix.NumEntries() {
+		t.Error("migrating the v1 golden to a bundle changed the entry count")
 	}
 }
 

@@ -2,8 +2,8 @@
 # lint.sh — run the repo's static-analysis gate: rlcvet (the in-tree
 # analyzer suite enforcing pin, zero-copy view, noalloc, and error-code
 # invariants; see internal/analysis) over every package, the one-kernel
-# check (NFA.Step call sites), then staticcheck and govulncheck when
-# available. CI runs this in the lint job; run it
+# check (NFA.Step call sites), the one-v1-reader check ("RLCX"), then
+# staticcheck and govulncheck when available. CI runs this in the lint job; run it
 # locally before sending a change that touches the serving or query path.
 #
 # rlcvet is built from this module and needs nothing beyond the standard
@@ -37,6 +37,18 @@ stray=$(grep -rnE --include='*.go' --exclude-dir=.bench_build '\.Step(Set)?\(' .
 	grep -vE '^\./internal/(traversal|engines|automaton)/|_test\.go:' || true)
 if [ -n "$stray" ]; then
 	echo "automaton.NFA is stepped outside internal/traversal, internal/engines and internal/automaton:" >&2
+	echo "$stray" >&2
+	status=1
+fi
+
+# One on-disk format: the v1 index magic belongs to the import-only reader
+# in internal/core/serialize.go. Anywhere else it is a second reader, or the
+# writer creeping back.
+echo "==> v1 magic \"RLCX\" sites"
+stray=$(grep -rn --include='*.go' --exclude-dir=.bench_build '"RLCX"' . |
+	grep -vE '^\./internal/core/serialize\.go:|_test\.go:' || true)
+if [ -n "$stray" ]; then
+	echo "the v1 index magic appears outside internal/core/serialize.go:" >&2
 	echo "$stray" >&2
 	status=1
 fi
