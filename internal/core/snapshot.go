@@ -843,8 +843,8 @@ func decodeDict(b []byte, dictLen, numLabels, k int) (*labelseq.Dict, error) {
 		}
 		slen := int(b[pos])
 		pos++
-		if slen > k {
-			return nil, snapshot.Corruptf("dictionary sequence %d longer than k", i)
+		if slen == 0 || slen > k {
+			return nil, snapshot.Corruptf("dictionary sequence %d has %d labels, want 1..%d", i, slen, k)
 		}
 		if pos+4*slen > len(b) {
 			return nil, snapshot.Corruptf("dictionary truncated inside sequence %d", i)

@@ -340,6 +340,13 @@ func TestSnapshotSemanticCorruption(t *testing.T) {
 			// First sequence has len >= 1; poison its first label.
 			copy(b[1:5], []byte{0xff, 0xff, 0xff, 0x7f})
 		}},
+		{"dict-seq-empty", fresh, func(s map[uint32][]byte) {
+			// The first sequence shrinks to 0 labels and nothing else moves:
+			// the count, every other sequence and the section's end all
+			// still line up, so only the 1..k length check can object.
+			b := s[secDict]
+			s[secDict] = append([]byte{0}, b[1+4*int(b[0]):]...)
+		}},
 		{"dict-trailing", fresh, func(s map[uint32][]byte) { s[secDict] = append(s[secDict], 0xaa) }},
 		{"names-count-drift", fresh, func(s map[uint32][]byte) { s[secVertexNames][0]++ }},
 	}
@@ -398,8 +405,9 @@ func TestSnapshotVerifyCatchesBitFlips(t *testing.T) {
 }
 
 // FuzzOpenSnapshot mutates bundle bytes arbitrarily: the reader must never
-// panic, and every rejection must carry the typed corruption error. Bundles
-// that both open and verify must answer queries without panicking.
+// panic, and every rejection must carry the typed corruption error. A bundle
+// that opens has only dictionary sequences of 1..k labels; bundles that both
+// open and verify must answer queries without panicking.
 func FuzzOpenSnapshot(f *testing.F) {
 	_, valid := bundleBytes(f, graph.Fig2(), 2)
 	f.Add(valid)
@@ -415,13 +423,18 @@ func FuzzOpenSnapshot(f *testing.F) {
 			return
 		}
 		defer s.Close()
+		ix, g := s.Index(), s.Graph()
+		for i := 0; i < ix.dict.Len(); i++ {
+			if l := len(ix.dict.Seq(labelseq.ID(i))); l < 1 || l > ix.k {
+				t.Fatalf("opened a bundle whose dictionary sequence %d has %d labels, want 1..%d", i, l, ix.k)
+			}
+		}
 		if err := s.Verify(); err != nil {
 			if !errors.Is(err, snapshot.ErrCorrupt) {
 				t.Fatalf("verify error not typed ErrCorrupt: %v", err)
 			}
 			return
 		}
-		ix, g := s.Index(), s.Graph()
 		n := g.NumVertices()
 		if n == 0 {
 			return

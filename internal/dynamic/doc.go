@@ -8,30 +8,29 @@
 //
 //  1. If the base index answers true, the answer is true (insertions only
 //     add paths, never remove them).
-//  2. Otherwise the traversal package's product-search kernel runs over the
-//     UNION graph (base + journal), accelerated by the base index: the
-//     package supplies only the successor source — one pinned view's base
-//     CSR ∪ sealed adjacency ∪ unsealed tail — and a visit hook. The L+
-//     automaton's accept state is the period boundary, so whenever the
-//     search reaches it at a vertex x, one probe answers whether x reaches
-//     the target through base edges alone — any witness path decomposes
-//     into a traversed prefix (which may use new edges) and an indexed
-//     suffix, and true answers return as soon as the prefix is found.
-//     EvalExpr is the same search without the probe, for expressions
-//     outside the index's class. This package contains no frontier loop.
+//  2. Otherwise the traversal package's bidirectional search (BiBFS) runs
+//     over the UNION graph (base + journal) along the L+ automaton. The
+//     package supplies only the two successor sources of one pinned view —
+//     out: base out-edges ∪ the sealed journal sorted by source ∪ the
+//     unsealed tail; in: the transpose, from base in-edges and the sealed
+//     journal sorted by destination. Searching from both ends, always
+//     expanding the smaller frontier, makes a false answer cost about the
+//     smaller of the two closures instead of the whole forward one.
+//     EvalExpr is the same search without step 1, for expressions outside
+//     the index's class. This package contains no frontier loop.
 //
 // # Concurrency: the epoch pipeline
 //
 // A DeltaGraph is an RCU-style epoch structure. All state a reader touches
 // lives in one immutable view — base graph, base index, a frozen journal
-// prefix, a copy-on-write union adjacency for the sealed part of the
-// journal, and a per-constraint cache of compiled automata and target
-// probes — published through a single atomic pointer.
+// prefix, the sealed part of the journal as two copy-on-write edge lists
+// (sorted by source and by destination), and a per-constraint cache of
+// compiled automata — published through a single atomic pointer.
 // Any number of goroutines Query without taking a lock while one writer
 // appends: inserts extend the shared journal only at positions no published
-// view can read, seal full segments into a fresh adjacency map (shared
-// per-vertex slices are copied, never extended in place), and publish a
-// successor view. The whole structure is -race-clean by construction.
+// view can read, seal full segments by merging them into fresh copies of the
+// two sorted lists (never in place), and publish a successor view. The
+// whole structure is -race-clean by construction.
 //
 // Amortization: when the journal grows past RebuildThreshold edges, the
 // insert that crossed the line triggers a BACKGROUND fold — never the query

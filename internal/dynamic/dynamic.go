@@ -1,9 +1,11 @@
 package dynamic
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -19,10 +21,10 @@ import (
 const DefaultRebuildThreshold = 1024
 
 // segmentSize is how many journal edges accumulate before the writer seals
-// them into the copy-on-write adjacency map. Readers scan at most one
+// them into the copy-on-write sorted lists. Readers scan at most one
 // unsealed segment linearly per visited vertex, so the constant bounds the
-// per-vertex overhead of the delta search while keeping the per-insert
-// sealing cost amortized O(1).
+// per-vertex overhead of the delta search while a seal's merge (linear in
+// the sealed journal, which a fold bounds) is shared by a whole segment.
 const segmentSize = 32
 
 // ErrDeletionsUnsupported is returned by RemoveEdge.
@@ -63,8 +65,8 @@ type Options struct {
 // index, plus the journal prefix this view can see. Readers load the current
 // view with one atomic pointer load and then touch nothing mutable — the
 // journal prefix [:jlen] is frozen (the writer only ever appends at >= jlen
-// of the newest view), adj is never mutated after publication, and
-// constraints is a concurrent map of immutable values.
+// of the newest view), bySrc and byDst are never mutated after publication,
+// and constraints is a concurrent map of immutable values.
 type view struct {
 	epoch uint64
 	base  *graph.Graph
@@ -78,27 +80,21 @@ type view struct {
 	journal []graph.Edge
 	jlen    int
 
-	// adj is the copy-on-write union adjacency for the sealed journal
-	// prefix [:sealed]: src -> its journal out-edges. Edges in
-	// journal[sealed:jlen] (at most one unsealed segment) are found by a
-	// linear tail scan instead.
-	adj    map[graph.Vertex][]graph.Edge
-	sealed int
+	// bySrc and byDst hold the sealed journal prefix [:sealed] twice, sorted
+	// by source and by destination, so one binary search (span) finds a
+	// vertex's journal out-edges or in-edges. They are copy-on-write: seal
+	// merges into fresh slices. Edges in journal[sealed:jlen] (at most one
+	// unsealed segment) are found by a linear tail scan instead.
+	bySrc, byDst []graph.Edge
+	sealed       int
 
 	// constraints caches, per constraint the overlay search has met (keyed
-	// by the index dictionary's packed code, labelseq.Code), its compiled
-	// automaton and its target probes. Both reflect only the base graph and
-	// index, which are immutable for the whole epoch, so the cache needs no
-	// invalidation on inserts — the delta search handles journal paths
-	// itself — and is shared by every view of the epoch.
+	// by the index dictionary's packed code, labelseq.Code), its compiled L+
+	// automaton (*automaton.NFA, which carries its own reverse). An automaton
+	// depends only on the constraint and the label universe, so the cache
+	// needs no invalidation on inserts and is shared by every view of the
+	// epoch; a fold starts an empty one, which bounds its size.
 	constraints *sync.Map
-}
-
-// constraintCache is one constraints entry: the L+ automaton, compiled once
-// per (epoch, constraint), and the target probes built so far.
-type constraintCache struct {
-	nfa    *automaton.NFA
-	probes sync.Map // graph.Vertex -> *core.TargetProbe
 }
 
 // DeltaGraph is an RLC-indexed graph that accepts edge insertions while
@@ -129,6 +125,11 @@ type DeltaGraph struct {
 	// searchers pools the overlay's product searches (see eval.go): one is
 	// not concurrent-safe, queries are.
 	searchers sync.Pool
+
+	// overlaySearches and overlayVisited count the overlay searches run and
+	// the product nodes they marked. Only a search adds to them — never the
+	// base-index fast path.
+	overlaySearches, overlayVisited atomic.Uint64
 }
 
 // New wraps an already-indexed graph. The index must have been built over g.
@@ -146,7 +147,7 @@ func New(g *graph.Graph, ix *core.Index, opts Options) *DeltaGraph {
 	d := &DeltaGraph{opts: opts}
 	n := g.NumVertices()
 	d.searchers.New = func() any { return newSearcher(n) }
-	d.cur.Store(&view{base: g, ix: ix, adj: map[graph.Vertex][]graph.Edge{}, constraints: &sync.Map{}})
+	d.cur.Store(&view{base: g, ix: ix, constraints: &sync.Map{}})
 	return d
 }
 
@@ -236,8 +237,8 @@ func (d *DeltaGraph) AddEdges(edges []graph.Edge) error {
 }
 
 // appendEdges extends the journal by edges and returns the successor view,
-// sealing full segments into a fresh copy-on-write adjacency map. Called
-// with d.mu held; the receiver stays untouched.
+// sealing full segments into fresh copy-on-write sorted lists. Called with
+// d.mu held; the receiver stays untouched.
 func (v *view) appendEdges(edges []graph.Edge) *view {
 	nv := &view{
 		epoch:       v.epoch,
@@ -245,7 +246,8 @@ func (v *view) appendEdges(edges []graph.Edge) *view {
 		ix:          v.ix,
 		journal:     append(v.journal[:v.jlen], edges...),
 		jlen:        v.jlen + len(edges),
-		adj:         v.adj,
+		bySrc:       v.bySrc,
+		byDst:       v.byDst,
 		sealed:      v.sealed,
 		constraints: v.constraints,
 	}
@@ -255,33 +257,50 @@ func (v *view) appendEdges(edges []graph.Edge) *view {
 	return nv
 }
 
-// seal folds journal[sealed:jlen] into a fresh adjacency map. Shared
-// per-vertex slices are copied in full before extension, so no memory
+// seal merges journal[sealed:jlen] into fresh sorted lists, so no memory
 // reachable from an older view is ever written.
 func (v *view) seal() {
-	adj := make(map[graph.Vertex][]graph.Edge, len(v.adj)+8)
-	for src, es := range v.adj {
-		adj[src] = es
-	}
-	added := make(map[graph.Vertex]int, 8)
-	for _, e := range v.journal[v.sealed:v.jlen] {
-		added[e.Src]++
-	}
-	for src, k := range added {
-		old := adj[src]
-		ne := make([]graph.Edge, len(old), len(old)+k)
-		copy(ne, old)
-		adj[src] = ne
-	}
-	for _, e := range v.journal[v.sealed:v.jlen] {
-		adj[e.Src] = append(adj[e.Src], e)
-	}
-	v.adj = adj
+	fresh := v.journal[v.sealed:v.jlen]
+	v.bySrc = merge(v.bySrc, fresh, srcOf)
+	v.byDst = merge(v.byDst, fresh, dstOf)
 	v.sealed = v.jlen
 }
 
+// An edgeEnd picks one endpoint of an edge: the key a sealed list is sorted
+// by, or the far end a search moves to.
+type edgeEnd func(graph.Edge) graph.Vertex
+
+func srcOf(e graph.Edge) graph.Vertex { return e.Src }
+func dstOf(e graph.Edge) graph.Vertex { return e.Dst }
+
+// merge returns a fresh list of sorted (ascending by key) and fresh (any
+// order) together, ascending by key.
+func merge(sorted, fresh []graph.Edge, key edgeEnd) []graph.Edge {
+	add := slices.Clone(fresh)
+	slices.SortFunc(add, func(a, b graph.Edge) int { return cmp.Compare(key(a), key(b)) })
+	out := make([]graph.Edge, 0, len(sorted)+len(add))
+	for len(sorted) > 0 && len(add) > 0 {
+		if key(add[0]) < key(sorted[0]) {
+			out, add = append(out, add[0]), add[1:]
+		} else {
+			out, sorted = append(out, sorted[0]), sorted[1:]
+		}
+	}
+	return append(append(out, sorted...), add...)
+}
+
+// span returns the run of sorted (ascending by key) whose key is x.
+func span(sorted []graph.Edge, key edgeEnd, x graph.Vertex) []graph.Edge {
+	lo, _ := slices.BinarySearchFunc(sorted, x, func(e graph.Edge, x graph.Vertex) int { return cmp.Compare(key(e), x) })
+	hi := lo
+	for hi < len(sorted) && key(sorted[hi]) == x {
+		hi++
+	}
+	return sorted[lo:hi]
+}
+
 // SealedLen returns the sealed journal watermark: every edge in
-// journal[:SealedLen()] has been folded into the copy-on-write adjacency
+// journal[:SealedLen()] has been merged into the copy-on-write sorted lists
 // and frozen for good. Only sealed edges are exported for replication —
 // the watermark never moves backwards within an epoch, so an exporter that
 // advances a cursor by what ExportSealed returned can never ship an edge
@@ -322,7 +341,8 @@ func (d *DeltaGraph) Seal() {
 		ix:          v.ix,
 		journal:     v.journal,
 		jlen:        v.jlen,
-		adj:         v.adj,
+		bySrc:       v.bySrc,
+		byDst:       v.byDst,
 		sealed:      v.sealed,
 		constraints: v.constraints,
 	}
@@ -338,8 +358,8 @@ func (d *DeltaGraph) RemoveEdge(src graph.Vertex, label graph.Label, dst graph.V
 // Query answers the RLC query (s, t, L+) over the current epoch's graph
 // (base plus journal), exactly. The read path is lock-free: it pins one
 // immutable view, tries the base index (sound, because insertions only add
-// paths), and only on a miss runs the index-accelerated delta search. It
-// never performs or waits for a rebuild.
+// paths), and only on a miss runs the bidirectional delta search. It never
+// performs or waits for a rebuild.
 func (d *DeltaGraph) Query(s, t graph.Vertex, l labelseq.Seq) (bool, error) {
 	return d.QueryRLC(context.Background(), s, t, l)
 }
@@ -349,13 +369,11 @@ func (d *DeltaGraph) Query(s, t graph.Vertex, l labelseq.Seq) (bool, error) {
 // search, so an abandoned request cannot pin a generation for a whole
 // product traversal.
 //
-// The delta search is the traversal kernel's forward search over the union
-// graph (base ∪ journal) along the L+ automaton. Its accept state is the
-// period boundary: a vertex y reached there ends a prefix spelling L^j, and
-// the witness completes if y is the target or the BASE index carries a
-// suffix from y to it — so true answers stop at the first boundary vertex
-// whose indexed suffix completes the path. The seed is never probed: that
-// probe is exactly the base query that just missed.
+// The delta search is the traversal kernel's BiBFS over the union graph
+// (base ∪ journal) along the L+ automaton: forward from s over the union
+// out-edges, backward from t over the union in-edges, always expanding the
+// smaller frontier. A false answer therefore costs about the smaller of the
+// two closures, not the whole forward one — and never more than their sum.
 func (d *DeltaGraph) QueryRLC(ctx context.Context, s, t graph.Vertex, l labelseq.Seq) (bool, error) {
 	v := d.cur.Load()
 	ok, err := v.ix.Query(s, t, l)
@@ -365,38 +383,31 @@ func (d *DeltaGraph) QueryRLC(ctx context.Context, s, t graph.Vertex, l labelseq
 	if v.jlen == 0 {
 		return false, nil
 	}
-	nfa, probe, err := v.searchFor(t, l)
+	nfa, err := v.automatonFor(l)
 	if err != nil {
 		return false, err
 	}
-	found := false
-	err = d.search(ctx, v, s, nfa, func(y graph.Vertex) bool {
-		found = y == t || probe.Reaches(y)
-		return found
-	})
-	return found, err
+	return d.reaches(ctx, v, s, t, nfa)
 }
 
-// searchFor returns the epoch's cached automaton for l+ and target probe
-// for (·, t, l+). l has passed the index's validation (Query accepted it).
-func (v *view) searchFor(t graph.Vertex, l labelseq.Seq) (*automaton.NFA, *core.TargetProbe, error) {
+// automatonFor returns the epoch's cached automaton for l+. l has passed the
+// index's validation (Query accepted it).
+func (v *view) automatonFor(l labelseq.Seq) (*automaton.NFA, error) {
 	code := v.ix.ConstraintCode(l)
 	c, ok := v.constraints.Load(code)
 	if !ok {
 		nfa, err := automaton.NewPlus(l, v.base.NumLabels())
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
-		c, _ = v.constraints.LoadOrStore(code, &constraintCache{nfa: nfa})
+		c, _ = v.constraints.LoadOrStore(code, nfa)
 	}
-	cc := c.(*constraintCache)
-	p, ok := cc.probes.Load(t)
-	if !ok {
-		probe, err := v.ix.NewTargetProbe(t, l)
-		if err != nil {
-			return nil, nil, err
-		}
-		p, _ = cc.probes.LoadOrStore(t, probe)
-	}
-	return cc.nfa, p.(*core.TargetProbe), nil
+	return c.(*automaton.NFA), nil
+}
+
+// OverlayStats reports how many overlay searches this DeltaGraph has run and
+// how many product nodes they marked in total (traversal's LastVisited). A
+// query the base index answers is not a search.
+func (d *DeltaGraph) OverlayStats() (searches, visited uint64) {
+	return d.overlaySearches.Load(), d.overlayVisited.Load()
 }

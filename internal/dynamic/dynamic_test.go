@@ -2,10 +2,14 @@ package dynamic
 
 import (
 	"bytes"
+	"cmp"
+	"math/bits"
 	"math/rand"
 	"runtime"
+	"slices"
 	"testing"
 
+	"github.com/g-rpqs/rlc-go/internal/automaton"
 	"github.com/g-rpqs/rlc-go/internal/core"
 	"github.com/g-rpqs/rlc-go/internal/graph"
 	"github.com/g-rpqs/rlc-go/internal/labelseq"
@@ -218,9 +222,9 @@ func TestChainThroughMultipleNewEdges(t *testing.T) {
 	}
 }
 
-// TestProbeCacheInvalidation: a cached probe must not leak stale answers
-// across insertions.
-func TestProbeCacheInvalidation(t *testing.T) {
+// TestCachedAutomatonSeesInserts: what an epoch caches for a constraint must
+// not leak stale answers across insertions.
+func TestCachedAutomatonSeesInserts(t *testing.T) {
 	g := graph.FromEdges(4, 1, []graph.Edge{{Src: 0, Dst: 1, Label: 0}})
 	d, err := Build(g, Options{IndexOptions: core.Options{K: 1}, RebuildThreshold: -1})
 	if err != nil {
@@ -287,7 +291,7 @@ func TestParallelRebuildMatchesSequential(t *testing.T) {
 }
 
 // TestOverlayQueryAllocsIndependentOfGraphSize pins the overlay's buffer
-// reuse: with the (t, L) probe and automaton cached and a searcher pooled, a
+// reuse: with the constraint's automaton cached and a searcher pooled, a
 // QueryRLC that runs the delta search allocates a handful of small values
 // (cache keys), nothing proportional to |V| — no per-query mark array.
 func TestOverlayQueryAllocsIndependentOfGraphSize(t *testing.T) {
@@ -322,7 +326,7 @@ func TestOverlayQueryAllocsIndependentOfGraphSize(t *testing.T) {
 			t.Fatalf("Query(%d, 0) = %v, %v; want false", n/2+1, ok, err)
 		}
 	}
-	query() // warm: probe + automaton cached, searcher pooled, marks grown
+	query() // warm: automaton cached, searcher pooled, marks grown
 	if allocs := testing.AllocsPerRun(50, query); allocs > 8 {
 		t.Errorf("warmed overlay queries allocate %v times per run, want a handful", allocs)
 	}
@@ -336,4 +340,134 @@ func TestOverlayQueryAllocsIndependentOfGraphSize(t *testing.T) {
 	if perRun := (after.TotalAlloc - before.TotalAlloc) / runs; perRun >= n {
 		t.Errorf("warmed overlay queries allocate %d B per run on a %d-vertex graph, want nothing proportional to |V|", perRun, n)
 	}
+}
+
+// TestOverlayFalseStopsAtTheSmallerSide pins the reason the overlay searches
+// from both ends: a false read costs the smaller closure, not the source's.
+// The source roots a binary tree of 2,046 reachable vertices whose levels
+// alternate l0 and l1, the target has no in-edges, and the one journal edge
+// touches neither. The (l0 l1)+ search marks the two seeds and the source's
+// two children, then finds the backward side empty.
+func TestOverlayFalseStopsAtTheSmallerSide(t *testing.T) {
+	const tree = 2047
+	var edges []graph.Edge
+	for v := 0; 2*v+2 < tree; v++ {
+		level := graph.Label(bits.Len(uint(v+1))-1) % 2
+		edges = append(edges,
+			graph.Edge{Src: graph.Vertex(v), Dst: graph.Vertex(2*v + 1), Label: level},
+			graph.Edge{Src: graph.Vertex(v), Dst: graph.Vertex(2*v + 2), Label: level})
+	}
+	const target, a, b = tree, tree + 1, tree + 2
+	d, err := Build(graph.FromEdges(tree+3, 2, edges), Options{IndexOptions: core.Options{K: 2}, RebuildThreshold: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := d.AddEdge(a, 0, b); err != nil {
+		t.Fatal(err)
+	}
+	l := labelseq.Seq{0, 1}
+	nfa, err := automaton.NewPlus(l, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ev := traversal.NewEvaluator(d.Graph())
+	if ev.ReachableFrom(0, nfa); ev.LastVisited < 1000 {
+		t.Fatalf("the source's forward closure spans %d product nodes, want >= 1000", ev.LastVisited)
+	}
+	if ok, err := d.Query(0, target, l); err != nil || ok {
+		t.Fatalf("Query(0, %d) = %v, %v; want false", target, ok, err)
+	}
+	if searches, visited := d.OverlayStats(); searches != 1 || visited > 4 {
+		t.Errorf("the false read ran %d searches marking %d product nodes, want 1 search and at most 4 nodes", searches, visited)
+	}
+}
+
+// unionEdges lists the edges one of v's union sources yields, as sorted
+// (src, label, dst) triples: an edge read from the in-edge source at x leads
+// from the neighbour to x.
+func unionEdges(v *view, in bool) []graph.Edge {
+	sr := newSearcher(v.base.NumVertices())
+	sr.v = v
+	source := sr.out
+	if in {
+		source = sr.in
+	}
+	var es []graph.Edge
+	for x := graph.Vertex(0); int(x) < v.base.NumVertices(); x++ {
+		nbrs, lbls := source(x)
+		for i, y := range nbrs {
+			e := graph.Edge{Src: x, Label: lbls[i], Dst: y}
+			if in {
+				e.Src, e.Dst = y, x
+			}
+			es = append(es, e)
+		}
+	}
+	sortEdges(es)
+	return es
+}
+
+func sortEdges(es []graph.Edge) {
+	slices.SortFunc(es, func(a, b graph.Edge) int {
+		return cmp.Or(cmp.Compare(a.Src, b.Src), cmp.Compare(a.Dst, b.Dst), cmp.Compare(a.Label, b.Label))
+	})
+}
+
+// TestUnionSourcesMirror: the overlay's in-edge source is the transpose of
+// its out-edge source, and both are exactly base ∪ journal as a multiset
+// (duplicates included) — with only an unsealed tail, exactly at a seal
+// boundary, after many seals, and after a fold that carries a journal tail
+// into the new epoch.
+func TestUnionSourcesMirror(t *testing.T) {
+	r := rand.New(rand.NewSource(1501))
+	const n, labels = 24, 3
+	g := randomGraph(r, n, labels, 60)
+	d, err := Build(g, Options{IndexOptions: core.Options{K: 2}, RebuildThreshold: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	add := func(k int) {
+		t.Helper()
+		for i := 0; i < k; i++ {
+			if err := d.AddEdge(graph.Vertex(r.Intn(n)), graph.Label(r.Intn(labels)), graph.Vertex(r.Intn(n))); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	check := func(state string, wantSealed int) {
+		t.Helper()
+		v := d.cur.Load()
+		if v.sealed != wantSealed {
+			t.Fatalf("%s: %d of %d journal edges sealed, want %d", state, v.sealed, v.jlen, wantSealed)
+		}
+		want := append(v.base.Edges(), v.journal[:v.jlen]...)
+		sortEdges(want)
+		if out := unionEdges(v, false); !slices.Equal(out, want) {
+			t.Errorf("%s: union out-edges are not base ∪ journal:\n got %v\nwant %v", state, out, want)
+		}
+		if in := unionEdges(v, true); !slices.Equal(in, want) {
+			t.Errorf("%s: union in-edges are not the transpose of base ∪ journal:\n got %v\nwant %v", state, in, want)
+		}
+	}
+
+	add(segmentSize - 1)
+	check("unsealed tail only", 0)
+	add(1)
+	check("at the seal boundary", segmentSize)
+	add(5*segmentSize + 7)
+	check("after many seals", 6*segmentSize)
+
+	// A fold that began before the last 7+3 edges: they are carried over.
+	v := d.cur.Load()
+	folded := v.jlen - 7
+	union := unionGraph(v.base, v.journal[:folded])
+	add(3)
+	ix, err := core.Build(union, core.Options{K: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := d.install(union, ix, folded); st.Journal != 10 {
+		t.Fatalf("the fold carried %d journal edges over, want 10", st.Journal)
+	}
+	check("after a fold with a carried tail", 10)
 }

@@ -11,38 +11,51 @@ import (
 )
 
 // searcher is a pooled product search over one pinned view: a traversal
-// evaluator whose successor source is the view's union adjacency. The
-// evaluator is built once around out; pinning a view only re-points v, so a
-// query touches no lock and no memory another goroutine may write.
+// evaluator whose two successor sources are the view's union adjacency, out
+// and in. The evaluator is built once around them; pinning a view only
+// re-points v, so a query touches no lock and no memory another goroutine
+// may write.
 type searcher struct {
 	ev *traversal.Evaluator
 	v  *view
-	// dsts/lbls are the scratch a vertex's union adjacency is composed in.
-	dsts []graph.Vertex
+	// nbrs/lbls are the scratch a vertex's union adjacency is composed in,
+	// shared by both directions: a source's slices live until its next call.
+	nbrs []graph.Vertex
 	lbls []graph.Label
 }
 
-// out is the union successor source: x's base CSR edges, its sealed
-// copy-on-write journal edges, and a linear scan of the one unsealed journal
-// segment. Vertices no journal edge leaves — almost all of them — return the
-// base CSR views untouched.
+// out is the union out-edge source and in its transpose.
 func (sr *searcher) out(x graph.Vertex) ([]graph.Vertex, []graph.Label) {
+	nbrs, lbls := sr.v.base.OutEdges(x)
+	return sr.union(x, nbrs, lbls, sr.v.bySrc, srcOf, dstOf)
+}
+
+func (sr *searcher) in(x graph.Vertex) ([]graph.Vertex, []graph.Label) {
+	nbrs, lbls := sr.v.base.InEdges(x)
+	return sr.union(x, nbrs, lbls, sr.v.byDst, dstOf, srcOf)
+}
+
+// union composes x's edges in one direction: its base CSR edges (nbrs,
+// lbls), its span of the sealed journal list sorted by key, and a linear
+// scan of the one unsealed journal segment; far is the end a journal edge
+// leads to. Vertices no journal edge touches — almost all of them — return
+// the base CSR views untouched.
+func (sr *searcher) union(x graph.Vertex, nbrs []graph.Vertex, lbls []graph.Label, sorted []graph.Edge, key, far edgeEnd) ([]graph.Vertex, []graph.Label) {
 	v := sr.v
-	dsts, lbls := v.base.OutEdges(x)
-	sr.dsts, sr.lbls = sr.dsts[:0], sr.lbls[:0]
-	for _, e := range v.adj[x] {
-		sr.dsts, sr.lbls = append(sr.dsts, e.Dst), append(sr.lbls, e.Label)
+	sr.nbrs, sr.lbls = sr.nbrs[:0], sr.lbls[:0]
+	for _, e := range span(sorted, key, x) {
+		sr.nbrs, sr.lbls = append(sr.nbrs, far(e)), append(sr.lbls, e.Label)
 	}
 	for _, e := range v.journal[v.sealed:v.jlen] {
-		if e.Src == x {
-			sr.dsts, sr.lbls = append(sr.dsts, e.Dst), append(sr.lbls, e.Label)
+		if key(e) == x {
+			sr.nbrs, sr.lbls = append(sr.nbrs, far(e)), append(sr.lbls, e.Label)
 		}
 	}
-	if len(sr.dsts) == 0 {
-		return dsts, lbls
+	if len(sr.nbrs) == 0 {
+		return nbrs, lbls
 	}
-	sr.dsts, sr.lbls = append(sr.dsts, dsts...), append(sr.lbls, lbls...)
-	return sr.dsts, sr.lbls
+	sr.nbrs, sr.lbls = append(sr.nbrs, nbrs...), append(sr.lbls, lbls...)
+	return sr.nbrs, sr.lbls
 }
 
 // newSearcher builds a searcher for graphs on n vertices. The vertex
@@ -50,25 +63,28 @@ func (sr *searcher) out(x graph.Vertex) ([]graph.Vertex, []graph.Label) {
 // folds keep it), so a pooled evaluator's marks fit every epoch.
 func newSearcher(n int) *searcher {
 	sr := &searcher{}
-	sr.ev = traversal.NewEvaluatorOver(n, sr.out)
+	sr.ev = traversal.NewEvaluatorOver(n, sr.out, sr.in)
 	return sr
 }
 
-// search streams the vertices the union graph of v reaches from s along nfa
-// to visit, on a pooled searcher. ctx is checked once per BFS level.
-func (d *DeltaGraph) search(ctx context.Context, v *view, s graph.Vertex, nfa *automaton.NFA, visit func(graph.Vertex) bool) error {
+// reaches reports whether the union graph of v has a path from s to t that
+// nfa accepts, by BiBFS on a pooled searcher. ctx is checked once per BFS
+// level.
+func (d *DeltaGraph) reaches(ctx context.Context, v *view, s, t graph.Vertex, nfa *automaton.NFA) (bool, error) {
 	sr := d.searchers.Get().(*searcher)
 	sr.v = v
-	err := sr.ev.ReachableFromManyFunc(ctx, []graph.Vertex{s}, nfa, visit)
+	ok, err := sr.ev.BiBFSCtx(ctx, s, t, nfa)
 	sr.v = nil // a parked searcher must not keep a retired epoch alive
+	d.overlaySearches.Add(1)
+	d.overlayVisited.Add(uint64(sr.ev.LastVisited))
 	d.searchers.Put(sr)
-	return err
+	return ok, err
 }
 
 // EvalExpr answers an arbitrary path expression (any concatenation of plus
 // segments, including constraints outside the index's class) over the
-// current union graph, exactly, by the traversal kernel's forward search
-// over the union successor source. It carries no index acceleration — the
+// current union graph, exactly, by the traversal kernel's BiBFS over the
+// union successor sources. It carries no index acceleration — the
 // serving layer routes here only when the journal is non-empty and the
 // expression falls outside the single-L+ index class — but like Query it is
 // lock-free and safe for any number of concurrent callers.
@@ -87,10 +103,5 @@ func (d *DeltaGraph) EvalExprCtx(ctx context.Context, s, t graph.Vertex, e autom
 	if err != nil {
 		return false, err
 	}
-	found := false
-	err = d.search(ctx, v, s, nfa, func(y graph.Vertex) bool {
-		found = y == t
-		return found
-	})
-	return found, err
+	return d.reaches(ctx, v, s, t, nfa)
 }

@@ -147,7 +147,6 @@ func (d *DeltaGraph) install(base *graph.Graph, ix *core.Index, folded int) Fold
 		ix:          ix,
 		journal:     leftover,
 		jlen:        len(leftover),
-		adj:         map[graph.Vertex][]graph.Edge{},
 		constraints: &sync.Map{},
 	}
 	if nv.jlen > 0 {

@@ -3,9 +3,11 @@ package server
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"math/rand"
 	"net/http"
 	"path/filepath"
+	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -90,6 +92,58 @@ func TestUpdateFlipsAnswerOverHTTP(t *testing.T) {
 	getJSON(t, u, &q)
 	if !q.Reachable || !q.Cached {
 		t.Fatalf("post-update warm query: %+v, want cached true", q)
+	}
+}
+
+// TestStatsMutableShape pins the /stats "mutable" contract: the exact key
+// set, and overlay counters that move when a read misses the base index and
+// searches the overlay — and only then.
+func TestStatsMutableShape(t *testing.T) {
+	g := graph.Fig2()
+	ix := buildIndex(t, g)
+	_, hts := newTestServer(t, ix, Options{Mutable: true, RebuildThreshold: -1})
+	if code := postJSON(t, hts.URL+"/update", `{"s":"v1","l":"l1","t":"v4"}`, nil); code != http.StatusOK {
+		t.Fatalf("update status %d", code)
+	}
+	mutable := func() map[string]any {
+		t.Helper()
+		var m map[string]any
+		getJSON(t, hts.URL+"/stats", &m)
+		sec, ok := m["mutable"].(map[string]any)
+		if !ok {
+			t.Fatalf("/stats has no mutable section: %v", m)
+		}
+		return sec
+	}
+
+	// A read the base index answers is not an overlay search.
+	var q queryResponse
+	getJSON(t, queryURL(hts.URL, "v1", "v2", "l1"), &q)
+	if ok, _ := ix.Query(0, 1, labelseq.Seq{0}); !ok || !q.Reachable {
+		t.Fatalf("(v1, v2, l1+) = %v on the server, %v on the base index; want both true", q.Reachable, ok)
+	}
+	sec := mutable()
+	var keys []string
+	for k := range sec {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	want := []string{"epoch", "journal", "overlay_searches", "overlay_visited", "writes"}
+	if fmt.Sprint(keys) != fmt.Sprint(want) {
+		t.Fatalf("mutable keys drifted:\n got %v\nwant %v", keys, want)
+	}
+	if sec["overlay_searches"] != float64(0) || sec["overlay_visited"] != float64(0) {
+		t.Fatalf("a base-index hit counted as an overlay search: %v", sec)
+	}
+
+	// (v1, v4, l1+) is true only through the journal edge.
+	getJSON(t, queryURL(hts.URL, "v1", "v4", "l1"), &q)
+	if !q.Reachable {
+		t.Fatal("(v1, v4, l1+) must be true once the edge is in the journal")
+	}
+	sec = mutable()
+	if sec["overlay_searches"] != float64(1) || sec["overlay_visited"].(float64) < 2 {
+		t.Fatalf("one overlay read left overlay_searches = %v, overlay_visited = %v; want 1 and at least the two seeds", sec["overlay_searches"], sec["overlay_visited"])
 	}
 }
 

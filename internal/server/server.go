@@ -379,9 +379,9 @@ func (st *state) answerRLC(ctx context.Context, src, dst graph.Vertex, l labelse
 // valid linearization point) go straight to the base: Index.Query when the
 // constraint is in the index's class, the pooled hybrid evaluator (which
 // falls back to NFA-guided traversal) otherwise. With journal edges
-// pending, the delta overlay answers: the index-accelerated delta search
-// for index-class constraints, the NFA product search over the union for
-// the rest.
+// pending, the delta overlay answers: the base index first and then the
+// bidirectional search over the union for index-class constraints, that
+// search alone for the rest.
 func (st *state) computeSeq(ctx context.Context, src, dst graph.Vertex, l labelseq.Seq) (bool, error) {
 	indexClass := len(l) > 0 && len(l) <= st.ix.K() && labelseq.IsPrimitive(l)
 	if st.delta != nil && st.delta.JournalLen() > 0 {
@@ -804,6 +804,12 @@ type MutableStats struct {
 	Journal int `json:"journal"`
 	// Writes counts accepted edge inserts across all epochs.
 	Writes uint64 `json:"writes"`
+	// OverlaySearches counts the reads of this epoch that missed the base
+	// index and ran the overlay's bidirectional search, and OverlayVisited
+	// the product nodes those searches marked; their ratio is the cost of an
+	// average overlay read. Both restart at a fold, like the tiers counters.
+	OverlaySearches uint64 `json:"overlay_searches"`
+	OverlayVisited  uint64 `json:"overlay_visited"`
 	// LastRebuildMicros is the duration of the most recent fold (0 before
 	// the first).
 	LastRebuildMicros float64 `json:"last_rebuild_micros,omitempty"`
@@ -862,6 +868,7 @@ func (s *Server) mutableStats(st *state) MutableStats {
 		Writes:            s.store.writes.Load(),
 		LastRebuildMicros: float64(s.lastRebuildUS.Load()),
 	}
+	ms.OverlaySearches, ms.OverlayVisited = st.delta.OverlayStats()
 	if e := s.lastRebuildEr.Load(); e != nil {
 		ms.LastRebuildError = *e
 	}

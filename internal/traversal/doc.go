@@ -7,14 +7,16 @@
 // one BFS level of one side of a search, parameterised by a successor
 // source (Successors), the stepping automaton, that side's epoch-stamped
 // marks, optionally the other side's marks (a bidirectional meet) and
-// optionally a per-accepting-vertex visit hook. BiBFS and the closure
+// optionally a per-accepting-vertex visit hook. BiBFS (one level loop,
+// BiBFSCtx, which BiBFS runs under a background context) and the closure
 // searches ReachableFromManyFunc / ReachableIntoManyFunc are short drivers
 // around it, and through them so are the budgeted index's tier-3 fallback
-// (internal/core), the hybrid evaluator (internal/hybrid) and the delta
-// overlay's search (internal/dynamic). There are two successor sources: a
-// graph's CSR out/in slices (NewEvaluator), and whatever the caller supplies
-// (NewEvaluatorOver) — the overlay passes the base ∪ journal union of one
-// pinned view.
+// (internal/core, BiBFS), the hybrid evaluator (internal/hybrid, closures)
+// and the delta overlay's reads (internal/dynamic, BiBFSCtx). There are two
+// pairs of successor sources: a graph's CSR out/in slices (NewEvaluator),
+// and whatever out/in pair the caller supplies (NewEvaluatorOver) — the
+// overlay passes the base ∪ journal union of one pinned view in both
+// directions, so its searches run from both ends like any other BiBFS.
 //
 // BFS and DFS are kept apart on purpose: short self-contained loops over
 // the graph that share no code with the kernel, because they are the oracle

@@ -13,8 +13,8 @@ import (
 // Successors is a successor source: the edges a search may follow out of v
 // in one direction, as parallel neighbour/label slices that stay valid
 // until the next call and must not be mutated. A graph's OutEdges and
-// InEdges are the base sources; the delta overlay supplies the union of the
-// base CSR, its sealed journal adjacency and the unsealed journal tail.
+// InEdges are the base sources; the delta overlay supplies, per direction,
+// the union of the base CSR, its sorted sealed journal and the unsealed tail.
 type Successors func(v graph.Vertex) (nbrs []graph.Vertex, lbls []graph.Label)
 
 // node is a product-graph node: graph vertex x NFA state.
@@ -55,13 +55,13 @@ func NewEvaluator(g *graph.Graph) *Evaluator {
 	return &Evaluator{g: g, n: g.NumVertices(), out: g.OutEdges, in: g.InEdges}
 }
 
-// NewEvaluatorOver returns a forward-only evaluator over an arbitrary
-// successor source on n vertices — how the delta overlay searches a pinned
-// view. It offers ReachableFromManyFunc and its collectors; BiBFS and
-// ReachableIntoManyFunc need in-edges, BFS and DFS a graph, and are
-// available only on evaluators from NewEvaluator.
-func NewEvaluatorOver(n int, out Successors) *Evaluator {
-	return &Evaluator{n: n, out: out}
+// NewEvaluatorOver returns an evaluator over an arbitrary pair of successor
+// sources on n vertices — how the delta overlay searches a pinned view. in
+// must be the transpose of out: every edge out yields from x to y, in yields
+// from y to x. Every kernel driver works on it; BFS and DFS walk a graph and
+// are available only on evaluators from NewEvaluator.
+func NewEvaluatorOver(n int, out, in Successors) *Evaluator {
+	return &Evaluator{n: n, out: out, in: in}
 }
 
 // begin starts a new search: a fresh stamp invalidates every mark at once.
@@ -228,6 +228,16 @@ func (e *Evaluator) DFS(s, t graph.Vertex, nfa *automaton.NFA) bool {
 //
 //rlc:noalloc
 func (e *Evaluator) BiBFS(s, t graph.Vertex, nfa *automaton.NFA) bool {
+	// The background context never cancels, so there is no error to report.
+	ok, _ := e.BiBFSCtx(context.Background(), s, t, nfa)
+	return ok
+}
+
+// BiBFSCtx is BiBFS under a context, checked once per BFS level; its error
+// is the only one returned. The overlay answers its reads with it.
+//
+//rlc:noalloc
+func (e *Evaluator) BiBFSCtx(ctx context.Context, s, t graph.Vertex, nfa *automaton.NFA) (bool, error) {
 	e.begin()
 	fwd, bwd := &e.fwd, &e.bwd
 	e.open(fwd, e.out, nfa)          //rlc:allocok marks grow once per evaluator
@@ -235,15 +245,18 @@ func (e *Evaluator) BiBFS(s, t graph.Vertex, nfa *automaton.NFA) bool {
 	e.seed(fwd, s)                   //rlc:allocok frontier buffer grows once
 	e.seed(bwd, t)                   //rlc:allocok frontier buffer grows once
 	for len(fwd.frontier) > 0 && len(bwd.frontier) > 0 {
+		if err := ctx.Err(); err != nil {
+			return false, err
+		}
 		d, o := fwd, bwd
 		if len(bwd.frontier) < len(fwd.frontier) {
 			d, o = bwd, fwd
 		}
 		if e.expand(d, o.seen, nil) {
-			return true
+			return true, nil
 		}
 	}
-	return false
+	return false, nil
 }
 
 // closure runs the unidirectional search from every start to exhaustion,
@@ -270,8 +283,8 @@ func (e *Evaluator) closure(ctx context.Context, succ Successors, step *automato
 // starts by an accepted path to visit as the search discovers it (each
 // vertex once, in discovery order). A true return from visit stops the
 // search early — the hook that lets index-assisted evaluation of extended
-// queries, and the delta overlay, exit on the first hit. ctx is checked once
-// per BFS level; its error is the only one returned.
+// queries exit on the first hit. ctx is checked once per BFS level; its error
+// is the only one returned.
 func (e *Evaluator) ReachableFromManyFunc(ctx context.Context, starts []graph.Vertex, nfa *automaton.NFA, visit func(graph.Vertex) bool) error {
 	return e.closure(ctx, e.out, nfa, starts, visit)
 }

@@ -359,9 +359,11 @@ func TestBiBFSWarmAllocatesNothing(t *testing.T) {
 	}
 }
 
-// TestClosureCancellation: the closure searches observe the context once
-// per BFS level, including before the first.
-func TestClosureCancellation(t *testing.T) {
+// TestDriverCancellation: the context-taking drivers — the closure searches
+// and BiBFSCtx, here over caller-supplied sources — observe the context once
+// per BFS level, including before the first; under a live context BiBFSCtx
+// over a graph's own two sources answers like the BFS oracle.
+func TestDriverCancellation(t *testing.T) {
 	g := graph.Fig2()
 	e := NewEvaluator(g)
 	nfa, err := automaton.NewPlus(labelseq.Seq{0}, g.NumLabels())
@@ -376,5 +378,17 @@ func TestClosureCancellation(t *testing.T) {
 	}
 	if err := e.ReachableIntoManyFunc(ctx, []graph.Vertex{0}, nfa, never); err != context.Canceled {
 		t.Errorf("ReachableIntoManyFunc: err = %v, want context.Canceled", err)
+	}
+	over := NewEvaluatorOver(g.NumVertices(), g.OutEdges, g.InEdges)
+	if _, err := over.BiBFSCtx(ctx, 0, 1, nfa); err != context.Canceled {
+		t.Errorf("BiBFSCtx: err = %v, want context.Canceled", err)
+	}
+	for s := graph.Vertex(0); int(s) < g.NumVertices(); s++ {
+		for d := graph.Vertex(0); int(d) < g.NumVertices(); d++ {
+			got, err := over.BiBFSCtx(context.Background(), s, d, nfa)
+			if want := e.BFS(s, d, nfa); err != nil || got != want {
+				t.Errorf("BiBFSCtx(%d, %d) = %v, %v; BFS says %v", s, d, got, err, want)
+			}
+		}
 	}
 }

@@ -442,8 +442,9 @@ func GenerateBA(n, m, numLabels int, seed int64) (*Graph, error) {
 }
 
 // Dynamic-graph extension: the paper's index is static; DeltaGraph overlays
-// edge insertions with exact, index-accelerated query answers and
-// epoch-based background rebuilds (see internal/dynamic).
+// edge insertions with exact query answers (the base index, then a
+// bidirectional search over base ∪ journal) and epoch-based background
+// rebuilds (see internal/dynamic).
 type (
 	// DeltaGraph is an RLC-indexed graph accepting edge insertions. It is
 	// safe for concurrent use: queries take no locks and never block on

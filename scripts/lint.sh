@@ -2,8 +2,9 @@
 # lint.sh — run the repo's static-analysis gate: rlcvet (the in-tree
 # analyzer suite enforcing pin, zero-copy view, noalloc, and error-code
 # invariants; see internal/analysis) over every package, the one-kernel
-# check (NFA.Step call sites), the one-v1-reader check ("RLCX"), then
-# staticcheck and govulncheck when available. CI runs this in the lint job; run it
+# check (NFA.Step call sites), the one-v1-reader check ("RLCX"), the
+# no-closure-in-the-overlay check, then staticcheck and govulncheck when
+# available. CI runs this in the lint job; run it
 # locally before sending a change that touches the serving or query path.
 #
 # rlcvet is built from this module and needs nothing beyond the standard
@@ -49,6 +50,19 @@ stray=$(grep -rn --include='*.go' --exclude-dir=.bench_build '"RLCX"' . |
 	grep -vE '^\./internal/core/serialize\.go:|_test\.go:' || true)
 if [ -n "$stray" ]; then
 	echo "the v1 index magic appears outside internal/core/serialize.go:" >&2
+	echo "$stray" >&2
+	status=1
+fi
+
+# Overlay reads search from both ends: internal/dynamic answers with the
+# kernel's BiBFS over its two union sources. A closure driver there is the
+# exhaustive one-sided search coming back (a false read then costs the whole
+# forward closure); internal/hybrid is where those drivers belong.
+echo "==> closure drivers in internal/dynamic"
+stray=$(grep -rnE --include='*.go' 'Reachable(From|Into)ManyFunc\(' internal/dynamic |
+	grep -v '_test\.go:' || true)
+if [ -n "$stray" ]; then
+	echo "internal/dynamic runs a one-sided closure search; use the evaluator's BiBFSCtx:" >&2
 	echo "$stray" >&2
 	status=1
 fi
