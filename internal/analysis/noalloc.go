@@ -11,9 +11,11 @@ import (
 // NoAlloc enforces //rlc:noalloc: the annotated function's body must not
 // perform any heap-allocating operation. Flagged constructs: make, new,
 // append (which may grow), function literals, slice/map composite literals,
-// &composite, string concatenation, string<->[]byte/[]rune conversions,
-// go statements, boxing a concrete value into an interface, and calls to
-// callees that themselves allocate. Callees with source in the analysis
+// &composite, string concatenation, string<->[]byte/[]rune conversions
+// (except string(b) as a comparison operand or as the key of a map read,
+// which the compiler evaluates in place), go statements, boxing a concrete
+// value into an interface, and calls to callees that themselves allocate.
+// Callees with source in the analysis
 // universe are checked recursively and the finding is reported at the call
 // site; callees without source (interface methods, func values) are flagged
 // as unknowable unless allowlisted.
@@ -78,6 +80,13 @@ func (ac *allocChecker) checkFunc(pkg *Package, fn *types.Func, body *ast.BlockS
 	if sig, ok := fn.Type().(*types.Signature); ok {
 		results = sig.Results()
 	}
+	// inPlace holds the string(b) conversions the compiler never
+	// materialises, and stores the map index expressions that are assigned
+	// to: a store keeps its key, so its conversion does copy. Inspect visits
+	// a node before its children, so both are filled before the conversion
+	// itself is reached.
+	inPlace := make(map[ast.Expr]bool)
+	stores := make(map[ast.Expr]bool)
 	ast.Inspect(body, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.FuncLit:
@@ -103,11 +112,26 @@ func (ac *allocChecker) checkFunc(pkg *Package, fn *types.Func, body *ast.BlockS
 			if n.Op == token.ADD && isStringType(info.Types[n.X].Type) {
 				report(n.Pos(), "string concatenation allocates")
 			}
+			switch n.Op {
+			case token.EQL, token.NEQ, token.LSS, token.LEQ, token.GTR, token.GEQ:
+				inPlace[ast.Unparen(n.X)] = true
+				inPlace[ast.Unparen(n.Y)] = true
+			}
+		case *ast.IndexExpr:
+			if _, ok := info.Types[n.X].Type.Underlying().(*types.Map); ok && !stores[n] {
+				inPlace[ast.Unparen(n.Index)] = true
+			}
 		case *ast.CallExpr:
+			if inPlace[n] && isConversion(info, n) && isStringType(info.Types[n.Fun].Type) {
+				break
+			}
 			ac.call(pkg, n, report)
 			// Arguments were already considered by the call handler for
 			// boxing; keep walking them for nested constructs.
 		case *ast.AssignStmt:
+			for _, lhs := range n.Lhs {
+				stores[ast.Unparen(lhs)] = true
+			}
 			ac.boxingInAssign(info, n, report)
 		case *ast.ReturnStmt:
 			if results == nil || len(n.Results) != results.Len() {

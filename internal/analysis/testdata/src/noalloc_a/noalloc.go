@@ -68,6 +68,36 @@ func badConv(s string) []byte {
 	return []byte(s) // want `conversion string -> \[\]byte allocates`
 }
 
+// string(b) compared, or used as the key of a map read, is evaluated in
+// place: the compiler never builds the string.
+//
+//rlc:noalloc
+func okConvInPlace(m map[string]int, b []byte) int {
+	if string(b) == "x" || "y" < string(b) {
+		return 0
+	}
+	if v, ok := m[string(b)]; ok {
+		return v
+	}
+	return m[(string(b))]
+}
+
+// A map store keeps its key, so the conversion copies.
+//
+//rlc:noalloc
+func badConvMapStore(m map[string]int, b []byte) {
+	m[string(b)] = 1 // want `conversion \[\]byte -> string allocates`
+}
+
+// Only the conversion itself is in place, not what it is handed to.
+//
+//rlc:noalloc
+func badConvArg(b []byte) bool {
+	return same(string(b), "x") // want `conversion \[\]byte -> string allocates`
+}
+
+func same(a, b string) bool { return a == b }
+
 //rlc:noalloc
 func badBoxReturn(v int) any {
 	return v // want `return value boxed into interface`

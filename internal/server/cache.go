@@ -254,40 +254,6 @@ func (c *cache) hitProbe(k cacheKey, ver uint64) (val, ok bool) {
 	return val, ok
 }
 
-// get is a pure lookup (no singleflight, no insert); the batch path uses it
-// to peel resident answers off a request before fanning the rest out. It
-// applies the same monotone validity rule as do.
-func (c *cache) get(k cacheKey, ver uint64) (val bool, ok bool) {
-	sh := c.shardFor(k)
-	sh.mu.Lock()
-	idx, ok := sh.table[k]
-	if ok {
-		n := &sh.nodes[idx]
-		if n.val || n.ver == ver {
-			sh.moveToFront(idx)
-			val = n.val
-		} else {
-			ok = false
-		}
-	}
-	sh.mu.Unlock()
-	if ok {
-		c.hits.Add(1)
-	} else {
-		c.misses.Add(1)
-	}
-	return val, ok
-}
-
-// put inserts a computed answer, evicting the shard's LRU entry when full.
-func (c *cache) put(k cacheKey, ver uint64, val bool) {
-	sh := c.shardFor(k)
-	sh.mu.Lock()
-	added, evicted := sh.insert(k, ver, val)
-	sh.mu.Unlock()
-	c.account(added, evicted)
-}
-
 // stats snapshots the counters. Counters are read individually without a
 // global lock, so a snapshot taken under load is approximate — fine for
 // monitoring, which is its only use.
@@ -304,10 +270,10 @@ func (c *cache) stats() CacheStats {
 
 // insert adds or refreshes k under the shard lock. added reports a net new
 // resident entry, evicted that the LRU tail was displaced to make room.
-// Re-inserting a resident key (two batch misses racing, or a stale negative
-// being refreshed) just updates its value, version, and recency — a TRUE
-// never regresses to FALSE because computes observing the insert run at a
-// version at least as new.
+// Re-inserting a resident key (two flights at different versions racing, or
+// a stale negative being refreshed) just updates its value, version, and
+// recency — a TRUE never regresses to FALSE because computes observing the
+// insert run at a version at least as new.
 func (sh *cacheShard) insert(k cacheKey, ver uint64, val bool) (added, evicted bool) {
 	if idx, ok := sh.table[k]; ok {
 		n := &sh.nodes[idx]

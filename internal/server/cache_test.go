@@ -255,35 +255,59 @@ func TestCacheVersioning(t *testing.T) {
 	c := newCache(8, 1)
 	kf := cacheKey{s: 1, t: 2, code: 3}
 	kt := cacheKey{s: 4, t: 5, code: 6}
+	// fill computes val for k at ver through do, which must not find it
+	// resident.
+	fill := func(k cacheKey, ver uint64, val bool) {
+		t.Helper()
+		got, cached, err := c.do(k, ver, func() (bool, error) { return val, nil })
+		if err != nil || cached || got != val {
+			t.Fatalf("do(%+v, %d): val=%v cached=%v err=%v", k, ver, got, cached, err)
+		}
+	}
 
-	c.put(kf, 0, false)
-	c.put(kt, 0, true)
-	if _, ok := c.get(kf, 0); !ok {
+	fill(kf, 0, false)
+	fill(kt, 0, true)
+	if _, ok := c.hitProbe(kf, 0); !ok {
 		t.Fatal("false entry must hit at its own version")
 	}
-	if _, ok := c.get(kf, 1); ok {
+	if _, ok := c.hitProbe(kf, 1); ok {
 		t.Fatal("false entry must miss after a version bump")
 	}
-	if v, ok := c.get(kt, 7); !ok || !v {
+	if v, ok := c.hitProbe(kt, 7); !ok || !v {
 		t.Fatal("true entry must hit at any version")
 	}
 
 	// Refresh the stale negative at the new version (false -> false).
-	c.put(kf, 1, false)
-	if _, ok := c.get(kf, 1); !ok {
+	fill(kf, 1, false)
+	if _, ok := c.hitProbe(kf, 1); !ok {
 		t.Fatal("refreshed false entry must hit at the refresh version")
 	}
-	// A late stale compute must not regress a TRUE back to FALSE.
-	c.put(kt, 0, false)
-	if v, ok := c.get(kt, 9); !ok || !v {
+	// A late stale compute must not regress a TRUE back to FALSE: a flight
+	// that started at version 0 finishes with FALSE after a flight at
+	// version 1 has made TRUE resident.
+	kr := cacheKey{s: 7, t: 8, code: 9}
+	entered, gate, done := make(chan struct{}), make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		c.do(kr, 0, func() (bool, error) {
+			close(entered)
+			<-gate
+			return false, nil
+		})
+	}()
+	<-entered
+	fill(kr, 1, true)
+	close(gate)
+	<-done
+	if v, ok := c.hitProbe(kr, 9); !ok || !v {
 		t.Fatal("stale false overwrite regressed a cached TRUE")
 	}
 	// do() at a newer version recomputes over a stale false and caches it.
-	val, cached, err := c.do(kf, 2, func() (bool, error) { return true, nil })
-	if err != nil || cached || !val {
-		t.Fatalf("do over stale false: val=%v cached=%v err=%v", val, cached, err)
-	}
-	if v, ok := c.get(kf, 99); !ok || !v {
+	fill(kf, 2, true)
+	if v, ok := c.hitProbe(kf, 99); !ok || !v {
 		t.Fatal("recomputed TRUE not resident")
+	}
+	if st := c.stats(); st.Entries != 3 || st.Misses != 6 {
+		t.Fatalf("three keys, six computes: %+v", st)
 	}
 }

@@ -7,7 +7,7 @@
 // overlay of internal/dynamic plus background fold-and-rebuild):
 //
 //	GET  /query?s=&t=&l=   one query; l is any expression the CLIs accept
-//	POST /batch            many (s, t, L+) queries fanned over the pool
+//	POST /batch            many (s, t, L+) queries fanned over the pool (batch.go)
 //	POST /update           mutable: insert edges (single or atomic batch)
 //	POST /rebuild          mutable: fold the journal into a rebuilt base
 //	POST /reload           immutable snapshot servers: hot-swap the bundle
@@ -32,6 +32,14 @@
 // insert-only monotonicity (deletions are rejected) means cached TRUEs stay
 // valid across writes while FALSEs revalidate — one insert logically
 // invalidates every negative entry without touching memory.
+//
+// The cache fronts searches, not batched probes. POST /batch (batch.go)
+// scans its one accepted schema with a hand-written streaming decoder,
+// parses each distinct constraint once per request, hands every resolved
+// query straight to Index.QueryBatchIntoCtx and joins the reply in one
+// pooled buffer — no allocation per query, and no cache lookup around a
+// ~150 ns probe; "cached" in its reply counts hits only when journal edges
+// are pending and each query takes the cached overlay path instead.
 //
 // Latency is tracked per endpoint in lock-free log2-bucket histograms
 // (metrics.go); /stats reports mean, p50/p90/p99 upper bounds, and max in

@@ -251,6 +251,23 @@ func (s *Server) finishRebuild(res *RebuildResult, start time.Time, err error) {
 	}
 }
 
+// vertexToken accepts a vertex as a JSON number (35) or string ("A14"),
+// normalizing both to the token the vertex resolver takes.
+type vertexToken string
+
+func (v *vertexToken) UnmarshalJSON(b []byte) error {
+	if len(b) > 0 && b[0] == '"' {
+		var s string
+		if err := json.Unmarshal(b, &s); err != nil {
+			return err
+		}
+		*v = vertexToken(s)
+		return nil
+	}
+	*v = vertexToken(b)
+	return nil
+}
+
 // updateEdgeInput is one edge of a POST /update request. s and t accept
 // numeric ids or display names (like queries); l is a single label token
 // (id, "l<i>", or name). op may be "insert" (the default); "delete" is

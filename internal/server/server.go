@@ -181,10 +181,9 @@ type Server struct {
 	lastRebuildUS atomic.Int64
 	lastRebuildEr atomic.Pointer[string]
 
-	// batchBufs pools []core.BatchResult buffers so a steady stream of
-	// POST /batch requests goes through QueryBatchIntoCtx without
-	// allocating a result slice per request.
-	batchBufs sync.Pool
+	// batchQueries counts the queries received through POST /batch: one
+	// add per request, so /stats can price a batched query.
+	batchQueries atomic.Int64
 
 	mQuery   histogram
 	mBatch   histogram
@@ -572,199 +571,6 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) bool {
 	})
 }
 
-// batchRequest is the POST /batch body. Each query's constraint must be a
-// single L+ segment (the class Index.QueryBatch answers); s and t accept
-// numeric ids or display names.
-type batchRequest struct {
-	// Workers overrides the server's batch worker count for this request
-	// (0 = server default). QueryBatch clamps any value to the available
-	// work, so a hostile request cannot spawn unbounded goroutines.
-	Workers int               `json:"workers,omitempty"`
-	Queries []batchQueryInput `json:"queries"`
-}
-
-type batchQueryInput struct {
-	S vertexToken `json:"s"`
-	T vertexToken `json:"t"`
-	L string      `json:"l"`
-}
-
-// vertexToken accepts a vertex as a JSON number (35) or string ("A14"),
-// normalizing both to the token the vertex resolver takes.
-type vertexToken string
-
-func (v *vertexToken) UnmarshalJSON(b []byte) error {
-	if len(b) > 0 && b[0] == '"' {
-		var s string
-		if err := json.Unmarshal(b, &s); err != nil {
-			return err
-		}
-		*v = vertexToken(s)
-		return nil
-	}
-	*v = vertexToken(b)
-	return nil
-}
-
-// batchQueryResult is one slot of the POST /batch reply; Error (and its
-// machine-readable Code) is set — and Reachable false — when that query
-// failed validation.
-type batchQueryResult struct {
-	Reachable bool   `json:"reachable"`
-	Error     string `json:"error,omitempty"`
-	Code      string `json:"code,omitempty"`
-}
-
-type batchResponse struct {
-	Results []batchQueryResult `json:"results"`
-	Count   int                `json:"count"`
-	Cached  int                `json:"cached"`
-	Micros  float64            `json:"micros"`
-}
-
-func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) bool {
-	st := s.store.acquire()
-	if st == nil {
-		return writeError(w, http.StatusServiceUnavailable, "server closed")
-	}
-	defer st.release()
-	// Same pre-compute capture as /query: every per-query answer below is
-	// computed at or after this point, so the floor holds for all of them.
-	replHeaders(w, st, st.seqNow())
-	s.limitBody(w, r)
-	var req batchRequest
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			return writeErr(w, http.StatusRequestEntityTooLarge, err)
-		}
-		return writeError(w, http.StatusBadRequest, "decode request: %v", err)
-	}
-	if len(req.Queries) == 0 {
-		return writeError(w, http.StatusBadRequest, "empty batch")
-	}
-	if len(req.Queries) > s.opts.MaxBatch {
-		return writeError(w, http.StatusRequestEntityTooLarge,
-			"batch of %d queries exceeds the limit of %d", len(req.Queries), s.opts.MaxBatch)
-	}
-	workers := s.opts.BatchWorkers
-	if req.Workers > 0 && (workers <= 0 || req.Workers < workers) {
-		workers = req.Workers
-	}
-
-	start := time.Now()
-	resp := batchResponse{
-		Results: make([]batchQueryResult, len(req.Queries)),
-		Count:   len(req.Queries),
-	}
-
-	// The cache version is read before the journal-emptiness check: if an
-	// insert lands after the check, answers computed from the base alone
-	// carry a stamp older than the journal position the insert published
-	// and are never served to later requests.
-	ver := st.seqNow()
-
-	// Generations with pending journal edges answer each query through the
-	// full serving path (cache, singleflight, delta overlay): the
-	// worker-pool fan-out below reads the base index only and would miss
-	// journal edges. With an empty journal the pool path is exact — the
-	// emptiness check is a valid linearization point — so read-mostly
-	// mutable servers keep the fan-out.
-	if st.delta != nil && st.delta.JournalLen() > 0 {
-		for i, in := range req.Queries {
-			src, dst, l, err := st.resolveBatchQuery(in)
-			if err != nil {
-				resp.Results[i] = batchQueryResult{Error: err.Error(), Code: errorCode(err)}
-				continue
-			}
-			reachable, cached, err := st.answerRLC(r.Context(), src, dst, l)
-			if err != nil {
-				resp.Results[i] = batchQueryResult{Error: err.Error(), Code: errorCode(err)}
-				continue
-			}
-			resp.Results[i] = batchQueryResult{Reachable: reachable}
-			if cached {
-				resp.Cached++
-			}
-		}
-		resp.Micros = float64(time.Since(start).Nanoseconds()) / 1e3
-		return writeJSON(w, http.StatusOK, resp)
-	}
-
-	// Resolve every query, peel off cache hits, and collect the misses
-	// into one sub-batch for the worker pool.
-	type miss struct {
-		pos int
-		key cacheKey
-	}
-	var (
-		misses  []miss
-		pending []core.BatchQuery
-	)
-	for i, in := range req.Queries {
-		src, dst, l, err := st.resolveBatchQuery(in)
-		if err != nil {
-			resp.Results[i] = batchQueryResult{Error: err.Error(), Code: errorCode(err)}
-			continue
-		}
-		key := st.seqKey(src, dst, l)
-		if st.cache != nil {
-			if val, ok := st.cache.get(key, ver); ok {
-				resp.Results[i] = batchQueryResult{Reachable: val}
-				resp.Cached++
-				continue
-			}
-		}
-		misses = append(misses, miss{pos: i, key: key})
-		pending = append(pending, core.BatchQuery{S: src, T: dst, L: l})
-	}
-
-	if len(pending) > 0 {
-		bufp, _ := s.batchBufs.Get().(*[]core.BatchResult)
-		if bufp == nil {
-			bufp = new([]core.BatchResult)
-		}
-		*bufp = st.ix.QueryBatchIntoCtx(r.Context(), pending, workers, *bufp)
-		for j, res := range *bufp {
-			m := misses[j]
-			if res.Err != nil {
-				resp.Results[m.pos] = batchQueryResult{Error: res.Err.Error(), Code: errorCode(res.Err)}
-				continue
-			}
-			resp.Results[m.pos] = batchQueryResult{Reachable: res.Reachable}
-			if st.cache != nil {
-				st.cache.put(m.key, ver, res.Reachable)
-			}
-		}
-		s.batchBufs.Put(bufp)
-	}
-	resp.Micros = float64(time.Since(start).Nanoseconds()) / 1e3
-	return writeJSON(w, http.StatusOK, resp)
-}
-
-// resolveBatchQuery validates one batch input into index-level terms. The
-// constraint must parse to a single plus segment — the QueryBatch class.
-func (st *state) resolveBatchQuery(in batchQueryInput) (graph.Vertex, graph.Vertex, labelseq.Seq, error) {
-	src, err := st.vertex(string(in.S))
-	if err != nil {
-		return 0, 0, nil, fmt.Errorf("s: %w", err)
-	}
-	dst, err := st.vertex(string(in.T))
-	if err != nil {
-		return 0, 0, nil, fmt.Errorf("t: %w", err)
-	}
-	e, err := st.parseExpr(in.L)
-	if err != nil {
-		return 0, 0, nil, fmt.Errorf("l: %w", err)
-	}
-	if len(e.Segments) != 1 || !e.Segments[0].Plus {
-		return 0, 0, nil, errors.New("l: batch queries need a single L+ segment; use GET /query for multi-segment expressions")
-	}
-	return src, dst, e.Segments[0].Labels, nil
-}
-
 // reloadResponse is the POST /reload reply.
 type reloadResponse struct {
 	Generation uint64  `json:"generation"`
@@ -836,15 +642,18 @@ type tierStatsResponse struct {
 
 // statsResponse is the GET /stats reply.
 type statsResponse struct {
-	UptimeSeconds float64                  `json:"uptime_seconds"`
-	Generation    uint64                   `json:"generation"`
-	Source        string                   `json:"source"`
-	Index         core.Stats               `json:"index"`
-	Tiers         *tierStatsResponse       `json:"tiers,omitempty"`
-	Build         *core.BuildStats         `json:"build,omitempty"`
-	Cache         *CacheStats              `json:"cache,omitempty"`
-	Mutable       *MutableStats            `json:"mutable,omitempty"`
-	Endpoints     map[string]EndpointStats `json:"endpoints"`
+	UptimeSeconds float64            `json:"uptime_seconds"`
+	Generation    uint64             `json:"generation"`
+	Source        string             `json:"source"`
+	Index         core.Stats         `json:"index"`
+	Tiers         *tierStatsResponse `json:"tiers,omitempty"`
+	Build         *core.BuildStats   `json:"build,omitempty"`
+	Cache         *CacheStats        `json:"cache,omitempty"`
+	Mutable       *MutableStats      `json:"mutable,omitempty"`
+	// BatchQueries is the number of queries received through POST /batch;
+	// endpoints.batch.mean_us × count ÷ batch_queries prices one of them.
+	BatchQueries int64                    `json:"batch_queries"`
+	Endpoints    map[string]EndpointStats `json:"endpoints"`
 }
 
 // MutableStats snapshots the write path (the zero value when the server is
@@ -887,6 +696,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) bool {
 		Source:        st.source,
 		Index:         st.ix.Stats(),
 		Build:         st.build,
+		BatchQueries:  s.batchQueries.Load(),
 		Endpoints: map[string]EndpointStats{
 			"query":   s.mQuery.snapshot(),
 			"batch":   s.mBatch.snapshot(),

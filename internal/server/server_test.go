@@ -223,8 +223,9 @@ func postBatch(t *testing.T, base string, body string) (int, batchResponse, stri
 
 // TestBatchMatchesQueryBatch is the acceptance gate for POST /batch: over a
 // generated ER graph and workload, the endpoint's answers must be identical,
-// position for position, to Index.QueryBatch — on the cold pass and again on
-// the fully cached pass.
+// position for position, to Index.QueryBatch — and again on a second pass,
+// which finds nothing cached: a batch on an empty journal goes to the index
+// and leaves the result cache alone.
 func TestBatchMatchesQueryBatch(t *testing.T) {
 	g, err := gen.ER(400, 1600, 4, 11)
 	if err != nil {
@@ -235,7 +236,7 @@ func TestBatchMatchesQueryBatch(t *testing.T) {
 		t.Fatalf("workload: %v", err)
 	}
 	ix := buildIndex(t, g)
-	_, hts := newTestServer(t, ix, Options{})
+	srv, hts := newTestServer(t, ix, Options{})
 
 	qs := w.All()
 	batch := make([]core.BatchQuery, len(qs))
@@ -271,11 +272,25 @@ func TestBatchMatchesQueryBatch(t *testing.T) {
 				t.Fatalf("pass %d: query %d: HTTP %v, QueryBatch %v", pass, i, res.Reachable, want[i].Reachable)
 			}
 		}
-		if pass == 1 && br.Cached != len(want) {
-			t.Fatalf("cached pass answered %d of %d from cache", br.Cached, len(want))
+		if br.Cached != 0 {
+			t.Fatalf("pass %d: cached = %d, want 0", pass, br.Cached)
 		}
 	}
+	if cs := srv.CacheStats(); cs.Hits+cs.Misses+cs.Entries != 0 {
+		t.Fatalf("batches touched the result cache: %+v", cs)
+	}
 }
+
+// goldenBatchBody is the request TestBatchGoldenResponse pins the reply of;
+// the decoder's tests start from it too.
+const goldenBatchBody = `{"queries":[
+		{"s":0,"t":4,"l":"l1 l2"},
+		{"s":"v3","t":"v6","l":"l1"},
+		{"s":1,"t":0,"l":"l2"},
+		{"s":0,"t":3,"l":"l1 l1"},
+		{"s":0,"t":99,"l":"l1"},
+		{"s":0,"t":5,"l":"l1+ l2+"}
+	]}`
 
 // TestBatchGoldenResponse pins the exact response body of POST /batch on the
 // Fig. 2 graph — field names, error strings, ordering, and cache counts —
@@ -284,26 +299,16 @@ func TestBatchGoldenResponse(t *testing.T) {
 	g := graph.Fig2()
 	_, hts := newTestServer(t, buildIndex(t, g), Options{})
 
-	req := `{"queries":[
-		{"s":0,"t":4,"l":"l1 l2"},
-		{"s":"v3","t":"v6","l":"l1"},
-		{"s":1,"t":0,"l":"l2"},
-		{"s":0,"t":3,"l":"l1 l1"},
-		{"s":0,"t":99,"l":"l1"},
-		{"s":0,"t":5,"l":"l1+ l2+"}
-	]}`
-	const goldenCold = `{"cached":0,"count":6,"micros":0,"results":[` +
+	const golden = `{"cached":0,"count":6,"micros":0,"results":[` +
 		`{"reachable":true},` +
 		`{"reachable":true},` +
 		`{"reachable":false},` +
 		`{"code":"not_minimum_repeat","error":"rlc: query constraint is not a minimum repeat (L != MR(L)); the even-path fragment is out of scope: (l0,l0)","reachable":false},` +
 		`{"code":"vertex_range","error":"t: rlc: vertex id out of range: vertex 99 out of range [0, 6)","reachable":false},` +
 		`{"error":"l: batch queries need a single L+ segment; use GET /query for multi-segment expressions","reachable":false}]}`
-	// The warm pass answers all three valid queries from the cache.
-	goldenWarm := strings.Replace(goldenCold, `"cached":0`, `"cached":3`, 1)
-
-	for pass, golden := range []string{goldenCold, goldenWarm} {
-		code, _, raw := postBatch(t, hts.URL, req)
+	// The second pass reads the same: nothing was cached by the first.
+	for pass := 0; pass < 2; pass++ {
+		code, _, raw := postBatch(t, hts.URL, goldenBatchBody)
 		if code != http.StatusOK {
 			t.Fatalf("pass %d: status %d: %s", pass, code, raw)
 		}
@@ -344,6 +349,16 @@ func TestBatchValidation(t *testing.T) {
 		{"empty batch", `{"queries":[]}`, http.StatusBadRequest},
 		{"over limit", `{"queries":[{"s":0,"t":1,"l":"l1"},{"s":0,"t":2,"l":"l1"},{"s":0,"t":3,"l":"l1"}]}`,
 			http.StatusRequestEntityTooLarge},
+		{"at limit", `{"queries":[{"s":0,"t":1,"l":"l1"},{"s":0,"t":2,"l":"l1"}]}`, http.StatusOK},
+		{"trailing space", `{"queries":[{"s":0,"t":1,"l":"l1"}]}` + " \n\t\r", http.StatusOK},
+		{"trailing garbage", `{"queries":[{"s":0,"t":1,"l":"l1"}]} x`, http.StatusBadRequest},
+		{"second value", `{"queries":[{"s":0,"t":1,"l":"l1"}]}{"queries":[]}`, http.StatusBadRequest},
+		{"object as s", `{"queries":[{"s":{"id":0},"t":1,"l":"l1"}]}`, http.StatusBadRequest},
+		{"array as t", `{"queries":[{"s":0,"t":[1],"l":"l1"}]}`, http.StatusBadRequest},
+		{"number as l", `{"queries":[{"s":0,"t":1,"l":7}]}`, http.StatusBadRequest},
+		{"fractional workers", `{"workers":2.0,"queries":[{"s":0,"t":1,"l":"l1"}]}`, http.StatusBadRequest},
+		{"null body", `null`, http.StatusBadRequest},
+		{"empty body", ``, http.StatusBadRequest},
 	}
 	for _, c := range cases {
 		resp, err := http.Post(hts.URL+"/batch", "application/json", strings.NewReader(c.body))
@@ -402,6 +417,23 @@ func TestStatsEndpoint(t *testing.T) {
 	q := st.Endpoints["query"]
 	if q.Count != 2 || q.Errors != 0 || q.MaxMicros <= 0 {
 		t.Fatalf("query endpoint stats: %+v", q)
+	}
+	if st.BatchQueries != 0 {
+		t.Fatalf("batch_queries = %d before any batch", st.BatchQueries)
+	}
+	// Two accepted batches of 6 and 1 queries and a refused one: the
+	// counter takes the queries of the accepted ones.
+	postBatch(t, hts.URL, goldenBatchBody)
+	postBatch(t, hts.URL, `{"queries":[{"s":0,"t":4,"l":"l1"}]}`)
+	postBatch(t, hts.URL, `{"queries":[]}`)
+	var raw map[string]json.RawMessage
+	getJSON(t, hts.URL+"/stats", &raw)
+	if string(raw["batch_queries"]) != "7" {
+		t.Fatalf("batch_queries = %s, want 7", raw["batch_queries"])
+	}
+	getJSON(t, hts.URL+"/stats", &st)
+	if b := st.Endpoints["batch"]; b.Count != 3 || b.Errors != 1 {
+		t.Fatalf("batch endpoint stats: %+v", b)
 	}
 	if st.UptimeSeconds <= 0 {
 		t.Fatalf("uptime %v", st.UptimeSeconds)

@@ -3,9 +3,10 @@
 # analyzer suite enforcing pin, zero-copy view, noalloc, and error-code
 # invariants; see internal/analysis) over every package, the one-kernel
 # check (NFA.Step call sites), the one-v1-reader check ("RLCX"), the
-# no-closure-in-the-overlay check, then staticcheck and govulncheck when
-# available. CI runs this in the lint job; run it
-# locally before sending a change that touches the serving or query path.
+# no-closure-in-the-overlay check, the one-decoder-on-/batch check, then
+# staticcheck and govulncheck when available. CI runs this in the lint job;
+# run it locally before sending a change that touches the serving or query
+# path.
 #
 # rlcvet is built from this module and needs nothing beyond the standard
 # toolchain. staticcheck and govulncheck are external: when the pinned
@@ -63,6 +64,17 @@ stray=$(grep -rnE --include='*.go' 'Reachable(From|Into)ManyFunc\(' internal/dyn
 	grep -v '_test\.go:' || true)
 if [ -n "$stray" ]; then
 	echo "internal/dynamic runs a one-sided closure search; use the evaluator's BiBFSCtx:" >&2
+	echo "$stray" >&2
+	status=1
+fi
+
+# One decoder on /batch: internal/server/batch.go scans the body itself, so
+# that a batch costs no allocation per query (rlcvet holds its annotated
+# functions to that). A json.Decoder there is the reflection decode — three
+# strings and an UnmarshalJSON call per query — coming back as a fallback.
+echo "==> json.NewDecoder in internal/server/batch.go"
+if stray=$(grep -n 'json\.NewDecoder(' internal/server/batch.go); then
+	echo "internal/server/batch.go decodes through encoding/json; extend batchScanner instead:" >&2
 	echo "$stray" >&2
 	status=1
 fi
