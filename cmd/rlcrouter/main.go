@@ -15,8 +15,12 @@
 // header or pin= parameter — is only routed to replicas at or past seq,
 // with the leader as the always-consistent fallback. Slow reads are
 // hedged to a second eligible replica after -hedge-delay; writes are
-// never hedged. GET /healthz reports the router's live view of every
-// backend.
+// never hedged. Backends are reached over pooled keep-alive HTTP/1.1
+// connections, so -leader and -followers take plain http:// URLs. GET
+// /healthz reports the router's live view of every backend; GET /stats
+// counts hedges fired and won, failed attempts, stale-connection retries,
+// dials, leader fallbacks and protocol errors, and the replies each backend
+// served.
 package main
 
 import (
@@ -104,6 +108,12 @@ func main() {
 func usage() {
 	fmt.Fprintf(flag.CommandLine.Output(), "%s\n\nusage: rlcrouter -leader URL [flags]\n\nflags:\n", synopsis)
 	flag.PrintDefaults()
+	fmt.Fprint(flag.CommandLine.Output(), `
+endpoints: GET /query, POST /batch (routed reads), POST /update, POST /rebuild
+(forwarded to the leader), GET /healthz (the router's view of every backend),
+GET /stats (hedges fired and won, failed attempts, stale-connection retries,
+dials, leader fallbacks, protocol errors, replies served per backend)
+`)
 }
 
 func fatalf(format string, args ...any) {

@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"io"
+	"net/http"
 	"net/http/httptest"
 	"testing"
 	"time"
@@ -230,6 +231,51 @@ func TestReplicationAndCutover(t *testing.T) {
 	if err := <-done; !errors.Is(err, context.Canceled) {
 		t.Fatalf("Run returned %v, want context.Canceled", err)
 	}
+}
+
+// TestCutoverDoesNotWaitOutThePoll: on an idle leader the follower is parked
+// in a long poll when a fold lands; the poll must end with the fold, not at
+// its deadline, so the follower serves the new bundle at once.
+func TestCutoverDoesNotWaitOutThePoll(t *testing.T) {
+	g := graph.Fig2()
+	leaderSrv := buildServer(t, g, "leader")
+	l := NewLeader(leaderSrv) // the shipped 5 ms re-check, not the tests' 1 ms
+	hts := httptest.NewServer(l.Handler())
+	t.Cleanup(hts.Close)
+	followerSrv := buildServer(t, g, "follower")
+	fol := NewFollower(followerSrv, FollowerOptions{LeaderURL: hts.URL, PollWait: 2 * time.Second, Logf: t.Logf})
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	go fol.Run(ctx)
+	// Something to fold (an empty journal makes /rebuild a no-op), then let
+	// the next poll park: nothing left to replicate, so it can only wait.
+	batch := testEdges(g, 5, 1)
+	if _, err := leaderSrv.UpdateBatch(batch); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, 5*time.Second, "segment catch-up", func() bool {
+		return followerSrv.ReplState().Seq == uint64(len(batch))
+	})
+	time.Sleep(50 * time.Millisecond)
+
+	resp, err := http.Post(hts.URL+"/rebuild", "application/json", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("rebuild: status %d", resp.StatusCode)
+	}
+	want := leaderSrv.ReplState()
+	if want.Epoch != 1 {
+		t.Fatalf("leader epoch %d after rebuild, want 1", want.Epoch)
+	}
+	waitFor(t, 250*time.Millisecond, "cutover within 250 ms of the fold", func() bool {
+		got := followerSrv.ReplState()
+		return got.Epoch == want.Epoch && got.Fingerprint == want.Fingerprint
+	})
 }
 
 // TestLateJoinerBootstrapsFromBundle starts a follower only after the

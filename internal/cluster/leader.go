@@ -103,9 +103,9 @@ func badRequest(w http.ResponseWriter, msg string) {
 // handleSegments is the journal feed: sealed segments from global sequence
 // `from`, long-polling up to `wait_ms` for new inserts. Every poll asks
 // the server to flush (force-seal) a pending sub-boundary tail, so a write
-// trickle still replicates within one poll round-trip. An empty 200 after
-// the wait is the long-poll timeout; the handshake headers still carry the
-// leader's position.
+// trickle still replicates within one poll round-trip. An empty 200 is the
+// long-poll timeout, or a fold that moved the serving epoch while the poll
+// was parked; either way the handshake headers carry the leader's position.
 func (l *Leader) handleSegments(w http.ResponseWriter, r *http.Request) {
 	from, err := strconv.ParseUint(r.URL.Query().Get("from"), 10, 64)
 	if err != nil {
@@ -125,6 +125,7 @@ func (l *Leader) handleSegments(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	deadline := time.Now().Add(wait)
+	epoch := l.srv.ReplState().Epoch
 	for {
 		edges, rs, err := l.srv.ExportSealed(from, true)
 		if err != nil {
@@ -132,7 +133,10 @@ func (l *Leader) handleSegments(w http.ResponseWriter, r *http.Request) {
 			replError(w, err)
 			return
 		}
-		if len(edges) > 0 || !time.Now().Before(deadline) {
+		// A fold that lands while the poll is parked ends it at once: the
+		// empty reply's handshake carries the new epoch, which is what sends
+		// the follower to the bundle, so a cutover does not wait out the poll.
+		if len(edges) > 0 || rs.Epoch != epoch || !time.Now().Before(deadline) {
 			l.handshake(w, rs)
 			w.Header().Set("Content-Type", "application/octet-stream")
 			_ = WriteSegments(w, from, edges)

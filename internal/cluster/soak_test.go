@@ -181,13 +181,13 @@ func runClusterSoak(t *testing.T, cfg clusterSoakConfig) {
 		go fol.Run(ctx)
 	}
 
-	// One transport with a deep idle pool: ~200k loopback requests reuse
-	// connections instead of churning sockets.
+	// The test's own clients share one transport with a deep idle pool:
+	// ~200k loopback requests reuse connections instead of churning sockets
+	// (the router's upstream pool does the same on its side).
 	client := &http.Client{Transport: &http.Transport{MaxIdleConnsPerHost: 128}}
 	rt := router.New(router.Options{
 		LeaderURL:      leaderHTS.URL,
 		FollowerURLs:   followerURLs,
-		Client:         client,
 		HealthInterval: 25 * time.Millisecond,
 		HedgeDelay:     100 * time.Millisecond,
 	})

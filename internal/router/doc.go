@@ -23,5 +23,18 @@
 // Tail latency is hedged: when the first-choice replica has not answered
 // within the hedge delay, the same query is fired at a second eligible
 // replica and the first response wins. Hedging applies to idempotent reads
-// only; writes go to the leader exactly once.
+// only; writes go to the leader, and are sent a second time only when a
+// dead pooled connection took no byte of the first.
+//
+// The hop itself is the package's own client (upstream.go), not net/http's:
+// every backend has a pool of keep-alive HTTP/1.1 connections, a request
+// leaves in one Write from the connection's scratch, and the reply is
+// parsed in place by a reader that accepts a strict subset of what
+// http.ReadResponse accepts and closes the connection on anything else. The
+// first attempt of a read runs on the handler's goroutine, waiting for the
+// first reply byte under a read deadline of the hedge delay; only a slow or
+// failed first attempt starts a race of goroutines, and a race closes its
+// losers' connections instead of pooling them, so a late reply can never be
+// read by another request. Health polls use the same pool. GET /stats
+// counts what the slow paths did and what each backend served.
 package router

@@ -1,14 +1,15 @@
 package router
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
+	"net/url"
 	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -31,8 +32,6 @@ type Options struct {
 	LeaderURL string
 	// FollowerURLs are the read replicas' base URLs.
 	FollowerURLs []string
-	// Client is the HTTP client for proxied calls; nil uses a default.
-	Client *http.Client
 	// HealthInterval paces the background health poller. Zero selects 250ms.
 	HealthInterval time.Duration
 	// HedgeDelay is how long the first read attempt may stay unanswered
@@ -51,17 +50,52 @@ type backendHealth struct {
 	BundleFingerprint string `json:"bundle_fingerprint"`
 }
 
-// backend is one routable replica with its last-polled health snapshot.
-// seq is a lower bound on the replica's applied sequence: it was true at
-// poll time and the true value only grows, so routing decisions made on it
-// are safe (never optimistic) no matter how stale the poll is.
+// backend is one routable replica with its last-polled health snapshot and
+// its pool of upstream connections. seq is a lower bound on the replica's
+// applied sequence: it was true at poll time and the true value only grows,
+// so routing decisions made on it are safe (never optimistic) no matter how
+// stale the poll is.
 type backend struct {
 	url      string
 	isLeader bool
+	// addr is the host:port to dial (empty when url is not plain http),
+	// prefix the URL's path, and hostLines the end of the request line plus
+	// the Host header, rendered once.
+	addr, prefix, hostLines string
+	stats                   *counters
 
 	healthy atomic.Bool
 	seq     atomic.Uint64
 	epoch   atomic.Uint64
+
+	pool   pool
+	served atomic.Uint64 // replies relayed to clients
+}
+
+func newBackend(raw string, isLeader bool, stats *counters) *backend {
+	b := &backend{url: strings.TrimRight(raw, "/"), isLeader: isLeader, stats: stats}
+	if u, err := url.Parse(b.url); err == nil && u.Scheme == "http" && u.Host != "" {
+		b.addr = u.Host
+		if u.Port() == "" {
+			b.addr += ":80"
+		}
+		b.prefix = u.EscapedPath()
+		b.hostLines = " HTTP/1.1\r\nHost: " + u.Host + "\r\n"
+	}
+	return b
+}
+
+// counters are the router's /stats: only slow paths touch them, so a read
+// that its first backend answers in time adds nothing shared to its cost
+// beyond the rotation counter and that backend's own served count.
+type counters struct {
+	hedgesFired     atomic.Uint64 // a second backend was asked because the first was slow
+	hedgesWon       atomic.Uint64 // ... and its reply was the one relayed
+	attemptsFailed  atomic.Uint64 // a backend was asked and produced no usable reply
+	staleRetries    atomic.Uint64 // a pooled connection was dead on reuse; request sent again
+	dials           atomic.Uint64
+	leaderFallbacks atomic.Uint64 // reads sent to the leader because no follower met the pin
+	protocolErrors  atomic.Uint64 // replies refused by the upstream parser
 }
 
 // Router implements the epoch-pinned read fan-out; construct with New,
@@ -72,6 +106,7 @@ type Router struct {
 	followers []*backend
 	all       []*backend
 	mux       *http.ServeMux
+	stats     counters
 
 	// rr rotates the preferred follower so load spreads without tracking
 	// per-backend inflight counts.
@@ -82,9 +117,6 @@ type Router struct {
 // Refresh (or start Run) before serving: backends are unknown-unhealthy
 // until first polled, and reads fall back to the leader.
 func New(opts Options) *Router {
-	if opts.Client == nil {
-		opts.Client = &http.Client{}
-	}
 	if opts.HealthInterval <= 0 {
 		opts.HealthInterval = 250 * time.Millisecond
 	}
@@ -92,10 +124,10 @@ func New(opts Options) *Router {
 		opts.HedgeDelay = 25 * time.Millisecond
 	}
 	r := &Router{opts: opts}
-	r.leader = &backend{url: strings.TrimRight(opts.LeaderURL, "/"), isLeader: true}
+	r.leader = newBackend(opts.LeaderURL, true, &r.stats)
 	r.all = append(r.all, r.leader)
 	for _, u := range opts.FollowerURLs {
-		b := &backend{url: strings.TrimRight(u, "/")}
+		b := newBackend(u, false, &r.stats)
 		r.followers = append(r.followers, b)
 		r.all = append(r.all, b)
 	}
@@ -105,19 +137,23 @@ func New(opts Options) *Router {
 	mux.HandleFunc("POST /update", r.handleWrite)
 	mux.HandleFunc("POST /rebuild", r.handleWrite)
 	mux.HandleFunc("GET /healthz", r.handleHealthz)
+	mux.HandleFunc("GET /stats", r.handleStats)
 	r.mux = mux
 	return r
 }
 
 // Handler returns the router's HTTP surface: /query, /batch, /update,
-// /rebuild, /healthz.
+// /rebuild, /healthz, /stats.
 func (r *Router) Handler() http.Handler { return r.mux }
 
 // Refresh polls every backend's /healthz once, synchronously — the unit
 // the background loop repeats, exposed for startup and tests.
 func (r *Router) Refresh(ctx context.Context) {
 	for _, b := range r.all {
-		r.poll(ctx, b)
+		if ctx.Err() != nil {
+			return
+		}
+		b.poll()
 	}
 }
 
@@ -135,22 +171,28 @@ func (r *Router) Run(ctx context.Context) {
 	}
 }
 
-func (r *Router) poll(ctx context.Context, b *backend) {
-	ctx, cancel := context.WithTimeout(ctx, 2*time.Second)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, b.url+"/healthz", nil)
+// pollTimeout is how long a backend may sit on /healthz before it counts as
+// unhealthy.
+const pollTimeout = 2 * time.Second
+
+var healthzRequest = message{method: http.MethodGet, path: "/healthz", idempotent: true}
+
+// poll asks b's /healthz over the same pooled connections client traffic
+// uses, so a backend that restarted is noticed — and its dead idle
+// connections dropped — within one health interval.
+func (b *backend) poll() {
+	c, err := b.exchange(&healthzRequest, pollTimeout, nil)
 	if err != nil {
+		if c != nil {
+			c.close() // still waiting for a reply that is late
+		}
 		b.healthy.Store(false)
 		return
 	}
-	resp, err := r.opts.Client.Do(req)
-	if err != nil {
-		b.healthy.Store(false)
-		return
-	}
-	defer resp.Body.Close()
 	var h backendHealth
-	if resp.StatusCode != http.StatusOK || json.NewDecoder(resp.Body).Decode(&h) != nil || h.Status != "ok" {
+	ok := c.rep.status == http.StatusOK && json.Unmarshal(c.rep.body, &h) == nil && h.Status == "ok"
+	b.release(c)
+	if !ok {
 		b.healthy.Store(false)
 		return
 	}
@@ -166,13 +208,25 @@ type pin struct {
 	epoch, seq uint64
 }
 
-func (p pin) String() string { return fmt.Sprintf("%d:%d", p.epoch, p.seq) }
+// String renders the token as "epoch:seq".
+func (p pin) String() string {
+	var buf [41]byte // two 20-digit numbers and the colon
+	b := strconv.AppendUint(buf[:0], p.epoch, 10)
+	b = append(b, ':')
+	return string(strconv.AppendUint(b, p.seq, 10))
+}
 
-// parsePin reads the token from the header or query parameter; a missing
-// token is the zero pin (any replica qualifies).
+// parsePin reads the token from the header or, failing that, the pin=
+// query parameter; a missing token is the zero pin (any replica
+// qualifies). The query string is only parsed when it spells "pin="
+// literally — an unpinned read, the common case, pays for neither the parse
+// nor its map.
 func parsePin(req *http.Request) (pin, error) {
-	tok := req.Header.Get(HeaderPin)
-	if tok == "" {
+	var tok string
+	if v := req.Header[HeaderPin]; len(v) > 0 {
+		tok = v[0]
+	}
+	if tok == "" && strings.Contains(req.URL.RawQuery, "pin=") {
 		tok = req.URL.Query().Get("pin")
 	}
 	if tok == "" {
@@ -190,13 +244,12 @@ func parsePin(req *http.Request) (pin, error) {
 	return pin{epoch: epoch, seq: seq}, nil
 }
 
-// eligible returns the read backends allowed for p, preference-ordered:
-// healthy followers at or past the pinned sequence (rotated for load
-// spread), then the leader. The leader is always eligible — every token in
-// circulation was minted from a state the leader had already applied, so
-// the leader can never be behind a legitimate pin.
-func (r *Router) eligible(p pin) []*backend {
-	var out []*backend
+// eligible appends to out the read backends allowed for p,
+// preference-ordered: healthy followers at or past the pinned sequence
+// (rotated for load spread), then the leader. The leader is always eligible
+// — every token in circulation was minted from a state the leader had
+// already applied, so the leader can never be behind a legitimate pin.
+func (r *Router) eligible(p pin, out []*backend) []*backend {
 	n := len(r.followers)
 	if n > 0 {
 		start := int(r.rr.Add(1)) % n
@@ -206,31 +259,36 @@ func (r *Router) eligible(p pin) []*backend {
 				out = append(out, b)
 			}
 		}
+		if len(out) == 0 {
+			r.stats.leaderFallbacks.Add(1)
+		}
 	}
 	return append(out, r.leader)
 }
 
-// relay copies a backend response to the client, advancing the pin token:
-// the response pin is the backend's (epoch, seq) when that is at least as
-// fresh as the request pin, else the request pin unchanged — so the token
-// a client echoes back can never move backwards through the router.
-func relay(w http.ResponseWriter, resp *http.Response, served *backend, p pin) {
+// relay copies a backend reply to the client, advancing the pin token: the
+// response pin is the backend's (epoch, seq) when that is at least as fresh
+// as the request pin, else the request pin unchanged — so the token a
+// client echoes back can never move backwards through the router.
+func relay(w http.ResponseWriter, rep *reply, served *backend, p pin) {
 	out := p
-	be, _ := strconv.ParseUint(resp.Header.Get(server.HeaderEpoch), 10, 64)
-	bs, err := strconv.ParseUint(resp.Header.Get(server.HeaderSeq), 10, 64)
+	be, _ := strconv.ParseUint(string(rep.hdr[hEpoch]), 10, 64)
+	bs, err := strconv.ParseUint(string(rep.hdr[hSeq]), 10, 64)
 	if err == nil && bs >= p.seq {
 		out = pin{epoch: be, seq: bs}
 	}
 	h := w.Header()
-	for _, k := range []string{"Content-Type", server.HeaderEpoch, server.HeaderSeq} {
-		if v := resp.Header.Get(k); v != "" {
-			h.Set(k, v)
+	for i, k := range relayedNames {
+		if v := rep.hdr[i]; len(v) > 0 {
+			h.Set(k, string(v))
 		}
 	}
 	h.Set(HeaderPin, out.String())
 	h.Set(HeaderBackend, served.url)
-	w.WriteHeader(resp.StatusCode)
-	_, _ = io.Copy(w, resp.Body)
+	h.Set("Content-Length", strconv.Itoa(len(rep.body)))
+	w.WriteHeader(rep.status)
+	_, _ = w.Write(rep.body)
+	served.served.Add(1)
 }
 
 func routerError(w http.ResponseWriter, status int, format string, args ...any) {
@@ -239,96 +297,118 @@ func routerError(w http.ResponseWriter, status int, format string, args ...any) 
 	_ = json.NewEncoder(w).Encode(map[string]string{"error": fmt.Sprintf(format, args...), "code": "router"})
 }
 
-// attempt proxies one read to one backend. Body is nil for GETs.
-func (r *Router) attempt(ctx context.Context, b *backend, req *http.Request, body []byte) (*http.Response, error) {
-	u := b.url + req.URL.Path
-	if req.URL.RawQuery != "" {
-		u += "?" + req.URL.RawQuery
+// race finishes a read its first backend did not answer in time (inflight
+// is that exchange, still open, and cands[0] its backend) or did not answer
+// at all (inflight is nil, lastErr the failure, cands what is left to try).
+// Every attempt runs on its own goroutine; the first reply wins. A hedge
+// fires once: a slow first backend brings in the second at once, a failed
+// one brings it in and arms the hedge delay for the third. Failed attempts
+// fall through to the remaining candidates, so a crashed replica costs
+// latency, not an error, as long as any backend can answer.
+//
+// Losers are closed, not pooled: a connection abandoned with a request in
+// flight would hand its late reply to whoever used it next. m and cands are
+// copied because the caller's live on its stack.
+func (r *Router) race(ctx context.Context, m message, inflight *conn, cands []*backend, lastErr error) (*conn, *backend, error) {
+	own := append([]*backend(nil), cands...)
+	var (
+		mu     sync.Mutex
+		open   []*conn
+		over   bool
+		winner *conn
+	)
+	track := func(c *conn) bool {
+		mu.Lock()
+		defer mu.Unlock()
+		if !over {
+			open = append(open, c)
+		}
+		return !over
 	}
-	var rd io.Reader
-	if body != nil {
-		rd = bytes.NewReader(body)
-	}
-	out, err := http.NewRequestWithContext(ctx, req.Method, u, rd)
-	if err != nil {
-		return nil, err
-	}
-	if ct := req.Header.Get("Content-Type"); ct != "" {
-		out.Header.Set("Content-Type", ct)
-	}
-	return r.opts.Client.Do(out)
-}
-
-// hedged runs a read against the eligible backends: first choice
-// immediately, the next after HedgeDelay if no response yet, first
-// response wins (the loser is canceled). Failed attempts fall through to
-// the remaining candidates, so a crashed replica costs latency, not an
-// error, as long as any backend can answer.
-func (r *Router) hedged(req *http.Request, cands []*backend, body []byte) (*http.Response, *backend, error) {
-	ctx, cancel := context.WithCancel(req.Context())
-	defer cancel()
+	defer func() {
+		mu.Lock()
+		over = true
+		for _, c := range open {
+			if c != winner {
+				c.close()
+			}
+		}
+		mu.Unlock()
+	}()
 
 	type result struct {
-		resp *http.Response
-		b    *backend
-		err  error
+		c     *conn
+		b     *backend
+		hedge bool
+		err   error
 	}
-	results := make(chan result, len(cands))
-	launched := 0
-	launch := func() {
-		b := cands[launched]
+	results := make(chan result, len(own))
+	launched, pending := 0, 0
+	launch := func(c *conn, hedge bool) {
+		b := own[launched]
 		launched++
+		pending++
 		go func() {
-			// The attempt buffers and closes its own body before reporting,
-			// so canceling the race context can never sever a winner
-			// mid-body, and losers clean up after themselves.
-			resp, err := r.attempt(ctx, b, req, body)
-			if err == nil {
-				data, rerr := io.ReadAll(resp.Body)
-				resp.Body.Close()
-				if rerr != nil {
-					resp, err = nil, rerr
-				} else {
-					resp.Body = io.NopCloser(bytes.NewReader(data))
-				}
+			var err error
+			if c == nil {
+				c, err = b.exchange(&m, 0, track)
+			} else if err = c.await(0); err == nil {
+				err = c.readReply()
 			}
-			results <- result{resp: resp, b: b, err: err}
+			results <- result{c, b, hedge, err}
 		}()
 	}
 
-	launch()
-	hedge := r.opts.HedgeDelay
-	var timer *time.Timer
 	var timerC <-chan time.Time
-	if hedge > 0 && launched < len(cands) {
-		timer = time.NewTimer(hedge)
-		timerC = timer.C
-		defer timer.Stop()
+	if inflight != nil {
+		track(inflight)
+		launch(inflight, false)
+		r.stats.hedgesFired.Add(1)
+		launch(nil, true)
+	} else {
+		launch(nil, false)
+		if r.opts.HedgeDelay > 0 && launched < len(own) {
+			timer := time.NewTimer(r.opts.HedgeDelay)
+			defer timer.Stop()
+			timerC = timer.C
+		}
 	}
-
-	pending := 1
-	var lastErr error
 	for pending > 0 {
 		select {
+		case <-ctx.Done():
+			return nil, nil, ctx.Err()
 		case <-timerC:
 			timerC = nil
-			if launched < len(cands) {
-				launch()
-				pending++
+			if launched < len(own) {
+				r.stats.hedgesFired.Add(1)
+				launch(nil, true)
 			}
 		case res := <-results:
 			pending--
 			if res.err == nil {
-				return res.resp, res.b, nil
+				if res.hedge {
+					r.stats.hedgesWon.Add(1)
+				}
+				winner = res.c
+				return res.c, res.b, nil
 			}
+			r.stats.attemptsFailed.Add(1)
 			lastErr = res.err
-			if launched < len(cands) {
-				launch()
-				pending++
+			if launched < len(own) {
+				launch(nil, false)
 			}
 		}
 	}
 	return nil, nil, lastErr
+}
+
+// requestMessage is what of a client's request goes on to a backend.
+func requestMessage(req *http.Request, body []byte, idempotent bool) message {
+	m := message{method: req.Method, path: req.URL.Path, query: req.URL.RawQuery, body: body, idempotent: idempotent}
+	if ct := req.Header["Content-Type"]; len(ct) > 0 {
+		m.contentType = ct[0]
+	}
+	return m
 }
 
 func (r *Router) handleRead(w http.ResponseWriter, req *http.Request) {
@@ -346,23 +426,45 @@ func (r *Router) handleBatch(w http.ResponseWriter, req *http.Request) {
 	r.routeRead(w, req, body)
 }
 
+// routeRead runs the first attempt on this goroutine: send to the preferred
+// backend, wait for its first reply byte for at most the hedge delay (no
+// limit when the leader is the only candidate), relay. Only a slow or
+// failed first attempt starts a race.
 func (r *Router) routeRead(w http.ResponseWriter, req *http.Request, body []byte) {
 	p, err := parsePin(req)
 	if err != nil {
 		routerError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	resp, b, err := r.hedged(req, r.eligible(p), body)
-	if err != nil {
-		routerError(w, http.StatusBadGateway, "no backend answered: %v", err)
-		return
+	var buf [8]*backend
+	cands := r.eligible(p, buf[:0])
+	m := requestMessage(req, body, true)
+	var wait time.Duration
+	if len(cands) > 1 && r.opts.HedgeDelay > 0 {
+		wait = r.opts.HedgeDelay
 	}
-	defer resp.Body.Close()
-	relay(w, resp, b, p)
+	b := cands[0]
+	c, err := b.exchange(&m, wait, nil)
+	if err != nil {
+		if c == nil {
+			r.stats.attemptsFailed.Add(1)
+			cands = cands[1:]
+		}
+		if len(cands) > 0 {
+			c, b, err = r.race(req.Context(), m, c, cands, err)
+		}
+		if err != nil {
+			routerError(w, http.StatusBadGateway, "no backend answered: %v", err)
+			return
+		}
+	}
+	relay(w, &c.rep, b, p)
+	b.release(c)
 }
 
-// handleWrite forwards to the leader exactly once — writes are not
-// idempotent, so they are never hedged — and mints the client's next token
+// handleWrite forwards to the leader — writes are not idempotent, so they
+// are never hedged, and are sent a second time only when a dead pooled
+// connection took no byte of the first — and mints the client's next token
 // from the leader's post-append coordinates.
 func (r *Router) handleWrite(w http.ResponseWriter, req *http.Request) {
 	p, err := parsePin(req)
@@ -375,13 +477,15 @@ func (r *Router) handleWrite(w http.ResponseWriter, req *http.Request) {
 		routerError(w, http.StatusBadRequest, "read body: %v", err)
 		return
 	}
-	resp, err := r.attempt(req.Context(), r.leader, req, body)
+	m := requestMessage(req, body, false)
+	c, err := r.leader.exchange(&m, 0, nil)
 	if err != nil {
+		r.stats.attemptsFailed.Add(1)
 		routerError(w, http.StatusBadGateway, "leader: %v", err)
 		return
 	}
-	defer resp.Body.Close()
-	relay(w, resp, r.leader, p)
+	relay(w, &c.rep, r.leader, p)
+	r.leader.release(c)
 }
 
 // routerHealthz reports the router's own liveness and its live view of the
@@ -399,20 +503,59 @@ type backendHealthz struct {
 	Epoch   uint64 `json:"epoch"`
 }
 
+func (b *backend) role() string {
+	if b.isLeader {
+		return "leader"
+	}
+	return "follower"
+}
+
 func (r *Router) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	resp := routerHealthz{Status: "ok"}
 	for _, b := range r.all {
-		role := "follower"
-		if b.isLeader {
-			role = "leader"
-		}
 		resp.Backends = append(resp.Backends, backendHealthz{
 			URL:     b.url,
-			Role:    role,
+			Role:    b.role(),
 			Healthy: b.healthy.Load(),
 			Seq:     b.seq.Load(),
 			Epoch:   b.epoch.Load(),
 		})
+	}
+	w.Header().Set("Content-Type", "application/json")
+	_ = json.NewEncoder(w).Encode(resp)
+}
+
+// routerStats is GET /stats: what the slow paths did, and how many replies
+// each backend supplied.
+type routerStats struct {
+	HedgesFired     uint64         `json:"hedges_fired"`
+	HedgesWon       uint64         `json:"hedges_won"`
+	AttemptsFailed  uint64         `json:"attempts_failed"`
+	StaleRetries    uint64         `json:"stale_retries"`
+	Dials           uint64         `json:"dials"`
+	LeaderFallbacks uint64         `json:"leader_fallbacks"`
+	ProtocolErrors  uint64         `json:"protocol_errors"`
+	Backends        []backendStats `json:"backends"`
+}
+
+type backendStats struct {
+	URL    string `json:"url"`
+	Role   string `json:"role"`
+	Served uint64 `json:"served"`
+}
+
+func (r *Router) handleStats(w http.ResponseWriter, _ *http.Request) {
+	resp := routerStats{
+		HedgesFired:     r.stats.hedgesFired.Load(),
+		HedgesWon:       r.stats.hedgesWon.Load(),
+		AttemptsFailed:  r.stats.attemptsFailed.Load(),
+		StaleRetries:    r.stats.staleRetries.Load(),
+		Dials:           r.stats.dials.Load(),
+		LeaderFallbacks: r.stats.leaderFallbacks.Load(),
+		ProtocolErrors:  r.stats.protocolErrors.Load(),
+	}
+	for _, b := range r.all {
+		resp.Backends = append(resp.Backends, backendStats{URL: b.url, Role: b.role(), Served: b.served.Load()})
 	}
 	w.Header().Set("Content-Type", "application/json")
 	_ = json.NewEncoder(w).Encode(resp)

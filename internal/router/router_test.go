@@ -25,6 +25,8 @@ type fakeBackend struct {
 	down  atomic.Bool
 	delay atomic.Int64 // nanoseconds
 	hits  atomic.Uint64
+	// override, when set, sees every request first; true means it answered.
+	override atomic.Pointer[func(http.ResponseWriter, *http.Request) bool]
 }
 
 func newFakeBackend(t *testing.T, role string) *fakeBackend {
@@ -63,7 +65,12 @@ func newFakeBackend(t *testing.T, role string) *fakeBackend {
 		w.Header().Set(server.HeaderSeq, fmt.Sprint(seq))
 		json.NewEncoder(w).Encode(map[string]any{"accepted": 1, "seq": seq})
 	})
-	f.hts = httptest.NewServer(mux)
+	f.hts = httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if h := f.override.Load(); h != nil && (*h)(w, r) {
+			return
+		}
+		mux.ServeHTTP(w, r)
+	}))
 	t.Cleanup(f.hts.Close)
 	return f
 }
@@ -219,5 +226,97 @@ func TestWriteForwarding(t *testing.T) {
 	}
 	if leader.hits.Load() != 1 || f1.hits.Load() != 0 {
 		t.Fatalf("hits leader=%d follower=%d, want 1/0", leader.hits.Load(), f1.hits.Load())
+	}
+}
+
+// TestParsePin: the token comes from the header, else from a literal pin=
+// parameter; the query string is not parsed for anything else.
+func TestParsePin(t *testing.T) {
+	for _, tc := range []struct {
+		query, header string
+		want          pin
+		bad           bool
+	}{
+		{query: "s=0&t=1&l=l0"},
+		{query: "s=0&t=1&l=l0", header: "2:7", want: pin{2, 7}},
+		{query: "s=0&pin=3:9&t=1", want: pin{3, 9}},
+		{query: "pin=3%3A9", want: pin{3, 9}},
+		{query: "pin=3:9", header: "4:11", want: pin{4, 11}}, // the header wins
+		{query: "pin=", header: "4:11", want: pin{4, 11}},
+		{query: "pin="},
+		{query: "spin=1:2"}, // not the parameter, though it spells "pin="
+		{query: "pin=nine", bad: true},
+		{query: "pin=3:", bad: true},
+		{query: "pin=3:-1", bad: true},
+		{query: "s=0", header: "3", bad: true},
+	} {
+		req := httptest.NewRequest(http.MethodGet, "/query?"+tc.query, nil)
+		if tc.header != "" {
+			req.Header.Set(HeaderPin, tc.header)
+		}
+		got, err := parsePin(req)
+		if (err != nil) != tc.bad || got != tc.want {
+			t.Errorf("?%s header %q: pin %v err %v, want %v bad=%v", tc.query, tc.header, got, err, tc.want, tc.bad)
+		}
+	}
+
+	// End to end, a malformed pin is the client's error and reaches no backend.
+	leader := newFakeBackend(t, "leader")
+	_, hts := newTestRouter(t, leader, nil, -1)
+	if resp := get(t, hts.URL+"/query?s=0&t=1&l=l0&pin=nine", ""); resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("malformed pin=: status %d, want 400", resp.StatusCode)
+	}
+	if n := leader.hits.Load(); n != 0 {
+		t.Fatalf("malformed pin reached the leader %d times", n)
+	}
+	if p := (pin{18446744073709551615, 18446744073709551615}).String(); p != "18446744073709551615:18446744073709551615" {
+		t.Fatalf("token %q", p)
+	}
+}
+
+// TestStatsShape pins GET /stats: the key set, and that the counters count
+// what their names say.
+func TestStatsShape(t *testing.T) {
+	leader := newFakeBackend(t, "leader")
+	leader.seq.Store(50)
+	slow := newFakeBackend(t, "follower")
+	slow.delay.Store(int64(300 * time.Millisecond))
+	_, hts := newTestRouter(t, leader, []*fakeBackend{slow}, 5*time.Millisecond)
+
+	get(t, hts.URL+"/query?s=0&t=1&l=l0", "")     // the follower is slow: hedged to the leader, which wins
+	get(t, hts.URL+"/query?s=0&t=1&l=l0", "0:40") // no follower at the pin: straight to the leader
+
+	resp, err := http.Get(hts.URL + "/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	var raw map[string]json.RawMessage
+	var st routerStats
+	if err := json.Unmarshal(body, &raw); err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(body, &st); err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range []string{"hedges_fired", "hedges_won", "attempts_failed", "stale_retries",
+		"dials", "leader_fallbacks", "protocol_errors", "backends"} {
+		if _, ok := raw[k]; !ok {
+			t.Errorf("/stats lacks %q", k)
+		}
+	}
+	if len(raw) != 8 {
+		t.Errorf("/stats has %d keys, want 8: %s", len(raw), body)
+	}
+	if st.HedgesFired != 1 || st.HedgesWon != 1 || st.LeaderFallbacks != 1 || st.AttemptsFailed != 0 || st.ProtocolErrors != 0 {
+		t.Errorf("counters %+v, want 1 hedge fired and won, 1 leader fallback, no failures", st)
+	}
+	if st.Dials < 2 {
+		t.Errorf("dials %d, want at least one per backend", st.Dials)
+	}
+	want := []backendStats{{leader.hts.URL, "leader", 2}, {slow.hts.URL, "follower", 0}}
+	if len(st.Backends) != 2 || st.Backends[0] != want[0] || st.Backends[1] != want[1] {
+		t.Errorf("backends %+v, want %+v", st.Backends, want)
 	}
 }

@@ -122,7 +122,7 @@ func (s *Server) replState(st *state) ReplState {
 		SeqBase:     st.seqBase,
 		SealedSeq:   st.seqBase,
 		Seq:         st.seqBase,
-		Fingerprint: st.fp.Compact(),
+		Fingerprint: st.fp,
 	}
 	if st.delta != nil {
 		rs.SealedSeq = st.seqBase + uint64(st.delta.SealedLen())

@@ -767,7 +767,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) bool {
 		Generation:        st.gen,
 		Role:              s.opts.role(),
 		JournalSeq:        st.seqNow(),
-		BundleFingerprint: st.fp.Compact(),
+		BundleFingerprint: st.fp,
 		IndexBudget:       st.ix.TierStats().Budget,
 	}
 	if st.delta != nil {

@@ -38,10 +38,12 @@ type state struct {
 	epoch   uint64
 	seqBase uint64
 
-	// fp fingerprints the base graph this generation serves: the bundle's
-	// embedded fingerprint when snapshot-backed, recomputed once otherwise.
-	// Replication handshakes and /healthz compare it across processes.
-	fp graph.Fingerprint
+	// fp is the compact fingerprint of the base graph this generation
+	// serves: the bundle's embedded fingerprint when snapshot-backed,
+	// recomputed once otherwise, and formatted once — the leader's segment
+	// long poll reads it every few milliseconds. Replication handshakes and
+	// /healthz compare it across processes.
+	fp string
 
 	// delta is the write overlay for this generation's base (nil on
 	// immutable servers). A fold builds the next generation's base from
@@ -160,9 +162,9 @@ func (s *Store) newState(ix *core.Index, src *core.Snapshot, build *core.BuildSt
 	// it once for heap-built bases. Either way every pinned reader sees a
 	// stable identity for the generation's base graph.
 	if src != nil {
-		st.fp = src.Fingerprint()
+		st.fp = src.Fingerprint().Compact()
 	} else {
-		st.fp = st.g.Fingerprint()
+		st.fp = st.g.Fingerprint().Compact()
 	}
 	if s.opts.CacheEntries > 0 {
 		st.cache = newCache(s.opts.CacheEntries, s.opts.CacheShards)

@@ -3,10 +3,10 @@
 # analyzer suite enforcing pin, zero-copy view, noalloc, and error-code
 # invariants; see internal/analysis) over every package, the one-kernel
 # check (NFA.Step call sites), the one-v1-reader check ("RLCX"), the
-# no-closure-in-the-overlay check, the one-decoder-on-/batch check, then
-# staticcheck and govulncheck when available. CI runs this in the lint job;
-# run it locally before sending a change that touches the serving or query
-# path.
+# no-closure-in-the-overlay check, the one-decoder-on-/batch check, the
+# one-client-stack-in-the-router check, then staticcheck and govulncheck
+# when available. CI runs this in the lint job; run it locally before
+# sending a change that touches the serving or query path.
 #
 # rlcvet is built from this module and needs nothing beyond the standard
 # toolchain. staticcheck and govulncheck are external: when the pinned
@@ -75,6 +75,20 @@ fi
 echo "==> json.NewDecoder in internal/server/batch.go"
 if stray=$(grep -n 'json\.NewDecoder(' internal/server/batch.go); then
 	echo "internal/server/batch.go decodes through encoding/json; extend batchScanner instead:" >&2
+	echo "$stray" >&2
+	status=1
+fi
+
+# One client stack in the router: internal/router talks to its backends
+# over its own pooled keep-alive connections (upstream.go), health polls
+# included. net/http's client there is the second stack coming back — two
+# goroutines and two channel hand-offs per read, which is what made the hop
+# cost twice the replica.
+echo "==> net/http client in internal/router"
+stray=$(grep -nE 'http\.(Client|NewRequest|DefaultTransport|DefaultClient)' internal/router/*.go |
+	grep -v '_test\.go:' || true)
+if [ -n "$stray" ]; then
+	echo "internal/router uses net/http's client; send through backend.exchange instead:" >&2
 	echo "$stray" >&2
 	status=1
 fi
