@@ -37,7 +37,10 @@
 // the background, rebuilds the index with the deterministic parallel
 // builder, writes a fresh v2 bundle to -rebuild-out (when set), and
 // hot-swaps the new epoch in while writes continue. /stats and /healthz
-// report the epoch and journal length. Deletions are rejected
+// report the epoch and journal length; the POST /rebuild reply and the
+// "mutable" section of /stats say where the last fold's time went
+// (union_micros, build_micros, bundle_micros, swap_micros beside the
+// total). Deletions are rejected
 // (deletions_unsupported); mutable servers also refuse POST /reload —
 // their state evolves through folds.
 package main
@@ -72,7 +75,7 @@ func main() {
 		workers      = flag.Int("workers", 0, "batch-query worker goroutines (0 = GOMAXPROCS)")
 		maxBatch     = flag.Int("max-batch", 0, "largest accepted POST /batch request (0 = default)")
 		drain        = flag.Duration("drain", 10*time.Second, "graceful-shutdown drain budget")
-		mutable      = flag.Bool("mutable", false, "accept edge inserts via POST /update, with background fold-and-rebuild epochs")
+		mutable      = flag.Bool("mutable", false, "accept edge inserts via POST /update, with background fold-and-rebuild epochs (POST /rebuild and /stats \"mutable\" split each fold into union_micros, build_micros, bundle_micros, swap_micros)")
 		rebuildThr   = flag.Int("rebuild-threshold", 0, "journal length that triggers a background fold (0 = default, negative = manual folds only)")
 		rebuildOut   = flag.String("rebuild-out", "", "write each fold's v2 bundle here and serve it memory-mapped (empty = heap)")
 	)
@@ -130,8 +133,9 @@ func main() {
 		if r.Path != "" {
 			where = r.Path
 		}
-		fmt.Printf("folded %d edges into epoch %d (%s, generation %d, %d carried over) in %v\n",
-			r.Folded, r.Epoch, where, r.Generation, r.Journal, r.Duration.Round(time.Millisecond))
+		fmt.Printf("folded %d edges into epoch %d (%s, generation %d, %d carried over) in %v (union %.0f µs, build %.0f µs, bundle %.0f µs, swap %.0f µs)\n",
+			r.Folded, r.Epoch, where, r.Generation, r.Journal, r.Duration.Round(time.Millisecond),
+			r.UnionMicros, r.BuildMicros, r.BundleMicros, r.SwapMicros)
 	}
 
 	var srv *rlc.Server

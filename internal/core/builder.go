@@ -1,6 +1,8 @@
 package core
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 
 	"github.com/g-rpqs/rlc-go/internal/graph"
@@ -18,17 +20,12 @@ type searchState struct {
 	seq   [MaxK]labelseq.Label
 }
 
-type dedupKey struct {
-	v    graph.Vertex
-	code labelseq.Code
-}
-
 // kernelFrontier collects the frontier vertices of one kernel candidate.
+// The builder recycles these (and their slices) from one KBS to the next.
 type kernelFrontier struct {
 	kernel labelseq.Seq
 	code   labelseq.Code
 	verts  []graph.Vertex
-	member map[graph.Vertex]struct{}
 }
 
 // builder holds the reusable scratch space for all KBS runs of one Build,
@@ -61,19 +58,35 @@ type builder struct {
 	inByLabel  *labelCSR
 	outByLabel *labelCSR
 
-	// Kernel-search scratch.
-	queue []searchState
-	seen  map[dedupKey]struct{}
+	// Kernel-search scratch: the BFS queue, the (code, vertex) states
+	// already visited, and the labels of the state being visited — copied
+	// here before anything takes a slice of them, so the state itself
+	// stays on the stack.
+	queue  []searchState
+	seen   *stampTable
+	seqBuf [MaxK]labelseq.Label
 
-	// Frontier registry for the current KBS.
-	frontiers map[labelseq.Code]*kernelFrontier
+	// Frontier registry for the current KBS: frontierOf maps a kernel's
+	// code to its slot in frontiers, member holds the (slot, vertex)
+	// pairs already in a slot's verts. kbs sorts frontiers by code once
+	// the kernel search is over and the slots no longer matter.
+	frontiers  []kernelFrontier
+	frontierOf *stampTable
+	member     *stampTable
 
-	// fixedSet holds (mr, hub) pairs of the current KBS's fixed entry
-	// list — Lin(src) for backward searches, Lout(src) for forward ones.
-	// The PR1 check of insert reduces to one pass over the visited
-	// vertex's own list plus O(1) membership tests here, replacing a
-	// merge join per insert (the build-time hot spot).
-	fixedSet map[uint64]struct{}
+	// fixedSet holds the (mr, hub) pairs (fixedKey) of the current KBS's
+	// fixed entry list — Lin(src) for backward searches, Lout(src) for
+	// forward ones. The PR1 check of insert is one pass over the visited
+	// vertex's own list plus O(1) membership probes here.
+	fixedSet *stampTable
+
+	// The last minimum-repeat code the live dictionary resolved, and its
+	// ID: a kernel-BFS issues every insert under one code, so the
+	// dictionary is asked once per run rather than once per insert. Only
+	// the builder that owns the dictionary keeps one (spec == nil), and a
+	// commit rollback drops it — TruncateTo can retire the ID.
+	knownCode labelseq.Code
+	knownID   labelseq.ID
 
 	// Kernel-BFS scratch: stamped visited array over (vertex, phase)
 	// slots, and the BFS queue of packed (vertex, phase) pairs.
@@ -100,40 +113,65 @@ type kbsNode struct {
 	phase int32
 }
 
+// newBuilder returns the builder that owns the index's canonical lists (the
+// sequential build's only builder, the parallel build's committer).
 func newBuilder(ix *Index) *builder {
+	n := ix.g.NumVertices()
+	return newBuilderOver(ix, make([][]entry, n), make([][]entry, n),
+		newLabelCSR(ix.g, true), newLabelCSR(ix.g, false), nil)
+}
+
+// newBuilderOver is the one place a builder's scratch is made: the entry
+// lists and the label-partitioned adjacency come from the caller (fresh for
+// the committer, the committer's own for a worker, which passes its
+// speculation state as spec); everything else is private to the builder.
+func newBuilderOver(ix *Index, in, out [][]entry, inByLabel, outByLabel *labelCSR, spec *specScratch) *builder {
 	return &builder{
 		ix:         ix,
 		g:          ix.g,
 		coder:      ix.dict.Coder(),
 		k:          ix.k,
-		in:         make([][]entry, ix.g.NumVertices()),
-		out:        make([][]entry, ix.g.NumVertices()),
-		inByLabel:  newLabelCSR(ix.g, true),
-		outByLabel: newLabelCSR(ix.g, false),
-		seen:       make(map[dedupKey]struct{}),
-		frontiers:  make(map[labelseq.Code]*kernelFrontier),
-		fixedSet:   make(map[uint64]struct{}),
+		in:         in,
+		out:        out,
+		inByLabel:  inByLabel,
+		outByLabel: outByLabel,
+		seen:       newStampTable(scratchLogSlots),
+		frontierOf: newStampTable(scratchLogSlots),
+		member:     newStampTable(scratchLogSlots),
+		fixedSet:   newStampTable(scratchLogSlots),
+		knownID:    labelseq.InvalidID,
 		visited:    make([]uint32, ix.g.NumVertices()*ix.k),
+		spec:       spec,
 	}
 }
 
+// scratchLogSlots sizes a fresh scratch table (256 slots); tables double as
+// the searches need.
+const scratchLogSlots = 8
+
 // labelCSR regroups a CSR adjacency so each vertex's edges sort by
-// (label, neighbor), making "neighbors of v through label l" one binary
-// search plus a contiguous scan.
+// (label, neighbor) and records where each label's run starts: vertex v has
+// one run per distinct label on its edges, runs runOff[v]..runOff[v+1], the
+// i-th carrying label runLbl[i] and the neighbors nbr[runAt[i]:runAt[i+1]].
+// Runs are contiguous across vertices and runAt ends with a sentinel, so
+// "neighbors of v through label l" is a scan of v's few distinct labels and
+// no walk over the run itself. The run arrays hold at most one element per
+// edge.
 type labelCSR struct {
-	off []int64
-	nbr []graph.Vertex
-	lbl []labelseq.Label
+	runOff []int64
+	runLbl []labelseq.Label
+	runAt  []int64
+	nbr    []graph.Vertex
 }
 
 func newLabelCSR(g *graph.Graph, backward bool) *labelCSR {
 	n := g.NumVertices()
 	c := &labelCSR{
-		off: make([]int64, n+1),
-		nbr: make([]graph.Vertex, g.NumEdges()),
-		lbl: make([]labelseq.Label, g.NumEdges()),
+		runOff: make([]int64, n+1),
+		nbr:    make([]graph.Vertex, g.NumEdges()),
 	}
-	pos := int64(0)
+	lbl := make([]labelseq.Label, g.NumEdges())
+	pos := 0
 	for v := graph.Vertex(0); int(v) < n; v++ {
 		var nbrs []graph.Vertex
 		var lbls []labelseq.Label
@@ -142,14 +180,21 @@ func newLabelCSR(g *graph.Graph, backward bool) *labelCSR {
 		} else {
 			nbrs, lbls = g.OutEdges(v)
 		}
-		c.off[v] = pos
-		copy(c.nbr[pos:], nbrs)
-		copy(c.lbl[pos:], lbls)
-		run := int(pos) + len(nbrs)
-		sortRun(c.nbr[pos:run], c.lbl[pos:run])
-		pos = int64(run)
+		end := pos + len(nbrs)
+		copy(c.nbr[pos:end], nbrs)
+		copy(lbl[pos:end], lbls)
+		sortRun(c.nbr[pos:end], lbl[pos:end])
+		c.runOff[v] = int64(len(c.runLbl))
+		for i := pos; i < end; i++ {
+			if i == pos || lbl[i] != lbl[i-1] {
+				c.runLbl = append(c.runLbl, lbl[i])
+				c.runAt = append(c.runAt, int64(i))
+			}
+		}
+		pos = end
 	}
-	c.off[n] = pos
+	c.runOff[n] = int64(len(c.runLbl))
+	c.runAt = append(c.runAt, int64(pos))
 	return c
 }
 
@@ -176,26 +221,21 @@ func (r *runSorter) Swap(i, j int) {
 	r.lbl[i], r.lbl[j] = r.lbl[j], r.lbl[i]
 }
 
-// edges returns the neighbors of v through label l. The binary search is
-// hand-rolled: this sits on the kernel-BFS hot path, where the closure of
-// sort.Search is measurable.
+// edges returns the neighbors of v through label l: a linear scan of v's
+// ascending run labels — a vertex rarely has more than a handful — on the
+// kernel-BFS hot path, once per dequeued node.
+//
+//rlc:noalloc
 func (c *labelCSR) edges(v graph.Vertex, l labelseq.Label) []graph.Vertex {
-	lo, hi := c.off[v], c.off[v+1]
-	lbls := c.lbl[lo:hi]
-	i, j := 0, len(lbls)
-	for i < j {
-		h := int(uint(i+j) >> 1)
-		if lbls[h] < l {
-			i = h + 1
-		} else {
-			j = h
+	for i, end := c.runOff[v], c.runOff[v+1]; i < end; i++ {
+		if c.runLbl[i] >= l {
+			if c.runLbl[i] == l {
+				return c.nbr[c.runAt[i]:c.runAt[i+1]]
+			}
+			break
 		}
 	}
-	end := i
-	for end < len(lbls) && lbls[end] == l {
-		end++
-	}
-	return c.nbr[lo+int64(i) : lo+int64(end)]
+	return nil
 }
 
 // kbs runs one kernel-based search from src: the kernel-search phase
@@ -206,17 +246,16 @@ func (b *builder) kbs(src graph.Vertex, dir direction) {
 	b.loadFixedSet(src, dir)
 	b.kernelSearch(src, dir)
 
-	// Deterministic kernel order (map iteration is randomized).
-	codes := make([]labelseq.Code, 0, len(b.frontiers))
-	for c := range b.frontiers {
-		codes = append(codes, c)
-	}
-	sort.Slice(codes, func(i, j int) bool { return codes[i] < codes[j] })
-	for _, c := range codes {
-		f := b.frontiers[c]
-		b.kernelBFS(src, dir, f)
+	// Kernels run in ascending code order, whatever order the search met
+	// them in. The registry's slot numbers die with this sort; nothing
+	// reads frontierOf or member until the next kernelSearch resets them.
+	slices.SortFunc(b.frontiers, frontierByCode)
+	for i := range b.frontiers {
+		b.kernelBFS(src, dir, &b.frontiers[i])
 	}
 }
+
+func frontierByCode(x, y kernelFrontier) int { return cmp.Compare(x.code, y.code) }
 
 // loadFixedSet snapshots the fixed side of every PR1 query the KBS (or a
 // commit replay) issues: Lin(src) for backward searches, Lout(src) for
@@ -225,7 +264,7 @@ func (b *builder) kbs(src graph.Vertex, dir direction) {
 // its own buffered inserts at src and records the read for commit-time
 // validation.
 func (b *builder) loadFixedSet(src graph.Vertex, dir direction) {
-	clear(b.fixedSet)
+	b.fixedSet.reset()
 	var fixed []entry
 	if dir == backward {
 		fixed = b.in[src]
@@ -233,13 +272,13 @@ func (b *builder) loadFixedSet(src graph.Vertex, dir direction) {
 		fixed = b.out[src]
 	}
 	for _, e := range fixed {
-		b.fixedSet[fixedKey(e.mr, e.hub)] = struct{}{}
+		b.fixedSet.put(fixedKey(e.mr, e.hub), 0, 0)
 	}
 	if sc := b.spec; sc != nil {
 		sc.recordRead(src, fixedSide(dir))
 		rank := b.ix.rank[src]
 		for idx := sc.overlayHead(src, fixedSide(dir)); idx >= 0; idx = sc.ovNext[idx] {
-			b.fixedSet[fixedKey(sc.cur.inserts[idx].mrID, rank)] = struct{}{}
+			b.fixedSet.put(fixedKey(sc.cur.inserts[idx].mrID, rank), 0, 0)
 		}
 	}
 }
@@ -249,14 +288,15 @@ func (b *builder) loadFixedSet(src graph.Vertex, dir direction) {
 // here — PR3 applies only to kernel-BFS) and registers the endpoint as a
 // frontier vertex of the state's minimum repeat.
 func (b *builder) kernelSearch(src graph.Vertex, dir direction) {
-	clear(b.seen)
-	clear(b.frontiers)
+	b.seen.reset()
+	b.frontierOf.reset()
+	b.member.reset()
+	b.frontiers = b.frontiers[:0]
 	b.queue = b.queue[:0]
 
 	b.queue = append(b.queue, searchState{v: src})
-	b.seen[dedupKey{src, 0}] = struct{}{}
+	b.seen.put(0, uint32(src), 0)
 
-	var mrBuf labelseq.Seq
 	for head := 0; head < len(b.queue); head++ {
 		// Index rather than copy: states are small but the queue grows
 		// while iterating.
@@ -284,19 +324,20 @@ func (b *builder) kernelSearch(src graph.Vertex, dir direction) {
 				next.seq[st.depth] = l
 				next.code = b.coder.Append(st.code, l)
 			}
-			key := dedupKey{y, next.code}
-			if _, dup := b.seen[key]; dup {
+			if _, dup := b.seen.put(uint64(next.code), uint32(y), 0); dup {
 				continue
 			}
-			b.seen[key] = struct{}{}
 			b.stats.KernelSearchStates++
 
-			seq := labelseq.Seq(next.seq[:next.depth])
-			mrBuf = labelseq.MinimumRepeat(seq)
-			mrCode := b.coder.Encode(mrBuf)
+			// MinimumRepeat returns a slice of its argument, and insert
+			// and registerFrontier keep it across calls the compiler
+			// cannot see through: slice the builder's copy, not next.
+			n := copy(b.seqBuf[:], next.seq[:next.depth])
+			mr := labelseq.MinimumRepeat(b.seqBuf[:n])
+			mrCode := b.coder.Encode(mr)
 			// Insert outcome deliberately ignored in phase 1.
-			b.insert(y, src, dir, mrBuf, mrCode)
-			b.registerFrontier(mrCode, mrBuf, y)
+			b.insert(y, src, dir, mr, mrCode)
+			b.registerFrontier(mrCode, mr, y)
 
 			if int(next.depth) < b.k {
 				b.queue = append(b.queue, next)
@@ -305,20 +346,31 @@ func (b *builder) kernelSearch(src graph.Vertex, dir direction) {
 	}
 }
 
+// registerFrontier adds v to the frontier of the kernel with the given code,
+// opening the kernel's slot on first sight. A slot past len(frontiers) but
+// within its capacity is an earlier KBS's: its slices are reused.
+//
+//rlc:noalloc
 func (b *builder) registerFrontier(code labelseq.Code, kernel labelseq.Seq, v graph.Vertex) {
-	f := b.frontiers[code]
-	if f == nil {
-		f = &kernelFrontier{
-			kernel: kernel.Clone(),
-			code:   code,
-			member: make(map[graph.Vertex]struct{}),
+	slot, known := b.frontierOf.put(uint64(code), 0, int32(len(b.frontiers)))
+	if !known {
+		if len(b.frontiers) < cap(b.frontiers) {
+			b.frontiers = b.frontiers[:slot+1]
+		} else {
+			//rlc:allocok the registry grows to the most kernels any one KBS met
+			b.frontiers = append(b.frontiers, kernelFrontier{})
 		}
-		b.frontiers[code] = f
+		f := &b.frontiers[slot]
+		f.code = code
+		//rlc:allocok a recycled slot's kernel already has capacity for k labels
+		f.kernel = append(f.kernel[:0], kernel...)
+		f.verts = f.verts[:0]
 	}
-	if _, ok := f.member[v]; ok {
+	if _, dup := b.member.put(uint64(slot), uint32(v), 0); dup {
 		return
 	}
-	f.member[v] = struct{}{}
+	f := &b.frontiers[slot]
+	//rlc:allocok verts grows to the largest frontier its slot has held
 	f.verts = append(f.verts, v)
 }
 
@@ -327,6 +379,8 @@ func (b *builder) registerFrontier(code labelseq.Code, kernel labelseq.Seq, v gr
 // under the constraint L+. The phase of a node is the number of labels
 // consumed in the current period; completing a period (phase back to 0)
 // attempts an insert, and — PR3 — a pruned insert stops expansion there.
+//
+//rlc:noalloc
 func (b *builder) kernelBFS(src graph.Vertex, dir direction, f *kernelFrontier) {
 	m := int32(len(f.kernel))
 	b.stamp++
@@ -339,6 +393,7 @@ func (b *builder) kernelBFS(src graph.Vertex, dir direction, f *kernelFrontier) 
 	b.bfsQ = b.bfsQ[:0]
 	for _, v := range f.verts {
 		b.mark(v, 0)
+		//rlc:allocok the queue grows to the largest kernel-BFS so far
 		b.bfsQ = append(b.bfsQ, kbsNode{v, 0})
 	}
 	mrCode := f.code
@@ -369,16 +424,19 @@ func (b *builder) kernelBFS(src graph.Vertex, dir direction, f *kernelFrontier) 
 			}
 			if next == 0 {
 				// y sits at a completed power L^m: record it.
+				//rlc:allocok a successful insert appends to y's entry list (and interns a new MR)
 				st := b.insert(y, src, dir, f.kernel, mrCode)
 				b.mark(y, 0)
 				if st != inserted && !b.ix.opts.DisablePR3 {
 					// PR3: y and everything beyond it are skipped.
 					continue
 				}
+				//rlc:allocok queue growth, as above
 				b.bfsQ = append(b.bfsQ, kbsNode{y, 0})
 				continue
 			}
 			b.mark(y, next)
+			//rlc:allocok queue growth, as above
 			b.bfsQ = append(b.bfsQ, kbsNode{y, next})
 		}
 	}
@@ -450,7 +508,7 @@ func (b *builder) insertCore(y, src graph.Vertex, dir direction, mr labelseq.Seq
 	if id != labelseq.InvalidID {
 		if !ix.opts.DisablePR1 {
 			// PR1: already answerable from the current snapshot.
-			if _, ok := b.fixedSet[fixedKey(id, ix.rank[y])]; ok {
+			if _, ok := b.fixedSet.get(fixedKey(id, ix.rank[y]), 0); ok {
 				return prunedPR1
 			}
 			rankSrc := ix.rank[src]
@@ -461,7 +519,7 @@ func (b *builder) insertCore(y, src graph.Vertex, dir direction, mr labelseq.Seq
 				if e.hub == rankSrc {
 					return prunedPR1
 				}
-				if _, ok := b.fixedSet[fixedKey(id, e.hub)]; ok {
+				if _, ok := b.fixedSet.get(fixedKey(id, e.hub), 0); ok {
 					return prunedPR1
 				}
 			}
@@ -488,6 +546,7 @@ func (b *builder) insertCore(y, src graph.Vertex, dir direction, mr labelseq.Seq
 	}
 	if id == labelseq.InvalidID {
 		id = ix.dict.InternCode(mrCode, mr)
+		b.knownCode, b.knownID = mrCode, id
 	}
 	e := entry{hub: ix.rank[src], mr: id}
 	if dir == backward {
@@ -504,16 +563,27 @@ func (b *builder) insertCore(y, src graph.Vertex, dir direction, mr labelseq.Seq
 	return inserted
 }
 
-// lookupCode resolves a packed minimum-repeat code to its interned ID,
-// falling back to the speculation's provisional interns on workers.
+// lookupCode resolves a packed minimum-repeat code to its interned ID. The
+// builder that owns the dictionary answers repeats of the last resolved code
+// from knownCode/knownID; a worker asks the dictionary snapshot and then the
+// speculation's provisional interns, and remembers nothing — a provisional
+// ID dies with its speculation.
 func (b *builder) lookupCode(code labelseq.Code) labelseq.ID {
+	if b.spec == nil {
+		if code == b.knownCode && b.knownID != labelseq.InvalidID {
+			return b.knownID
+		}
+		id := b.ix.dict.LookupCode(code)
+		if id != labelseq.InvalidID {
+			b.knownCode, b.knownID = code, id
+		}
+		return id
+	}
 	if id := b.ix.dict.LookupCode(code); id != labelseq.InvalidID {
 		return id
 	}
-	if b.spec != nil {
-		if id, ok := b.spec.shadow[code]; ok {
-			return id
-		}
+	if id, ok := b.spec.shadow[code]; ok {
+		return id
 	}
 	return labelseq.InvalidID
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"github.com/g-rpqs/rlc-go/internal/graph"
+	"github.com/g-rpqs/rlc-go/internal/labelseq"
 )
 
 // committer applies the speculations of one parallel build to the live
@@ -79,8 +80,10 @@ func (c *committer) apply(r *specResult) bool {
 
 // rollback undoes the current replay: appended entries are truncated off
 // their lists in reverse order and the dictionary is cut back to its length
-// at replay start. Dirty stamps set by the undone appends are left in place
-// — over-invalidation only costs a re-run, never correctness.
+// at replay start — which can retire the ID the builder remembers from its
+// last dictionary lookup, so that goes too. Dirty stamps set by the undone
+// appends are left in place — over-invalidation only costs a re-run, never
+// correctness.
 func (c *committer) rollback(dictLen0 int) {
 	b := c.b
 	for i := len(c.undo) - 1; i >= 0; i-- {
@@ -94,4 +97,5 @@ func (c *committer) rollback(dictLen0 int) {
 		}
 	}
 	b.ix.dict.TruncateTo(dictLen0)
+	b.knownID = labelseq.InvalidID
 }

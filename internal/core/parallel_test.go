@@ -4,11 +4,13 @@ import (
 	"bytes"
 	"math/rand"
 	"path/filepath"
+	"slices"
 	"sync"
 	"testing"
 
 	"github.com/g-rpqs/rlc-go/internal/gen"
 	"github.com/g-rpqs/rlc-go/internal/graph"
+	"github.com/g-rpqs/rlc-go/internal/labelseq"
 	"github.com/g-rpqs/rlc-go/internal/traversal"
 )
 
@@ -231,6 +233,84 @@ func TestParallelBuildRace(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
+}
+
+// TestRollbackDropsRememberedLookup forces the path a validated speculation
+// never takes: a replay whose insert right after a newly interned minimum
+// repeat fails, so apply rolls back and the dictionary is cut back past the
+// ID the committer remembers from its last lookup. The sequential re-run
+// that follows (what the scheduler does with a vertex that cannot commit)
+// must ask the dictionary again — a remembered ID would skip the intern,
+// leave entries naming a sequence the dictionary does not hold, and hand the
+// ID to the next new sequence. Every vertex whose speculation interns
+// something is put through this, so the truncation happens both on an empty
+// dictionary and on a populated one, and the finished index must still be
+// the sequential build's, byte for byte.
+func TestRollbackDropsRememberedLookup(t *testing.T) {
+	g, err := gen.ER(60, 240, 4, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := Options{K: 2, BuildWorkers: 1}
+	want := serialize(t, mustBuild(t, g, opts))
+
+	dict, err := labelseq.NewDict(g.NumLabels(), opts.K)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := g.NumVertices()
+	ix := &Index{g: g, k: opts.K, opts: opts, dict: dict, order: accessOrder(g, opts.Order), rank: make([]int32, n)}
+	for r, v := range ix.order {
+		ix.rank[v] = int32(r)
+	}
+	b := newBuilder(ix)
+	b.dirtyOut, b.dirtyIn = make([]uint64, n), make([]uint64, n)
+	w := newSpecBuilder(b)
+	c := &committer{b: b}
+
+	rollbacks := 0
+	for _, v := range ix.order {
+		b.dirtyStamp++
+		res := w.speculate(v)
+		fresh := slices.IndexFunc(res.inserts, func(ins specInsert) bool { return int(ins.mrID) >= dict.Len() })
+		if fresh < 0 {
+			if !c.apply(&res) {
+				t.Fatalf("vertex %d: untouched speculation did not commit", v)
+			}
+			continue
+		}
+		// The same insert twice in a row: the first interns its minimum
+		// repeat and appends, the second finds that entry and is pruned.
+		res.inserts = slices.Insert(res.inserts, fresh+1, res.inserts[fresh])
+		before := dict.Len()
+		if c.apply(&res) {
+			t.Fatalf("vertex %d: replay with a repeated insert committed", v)
+		}
+		if dict.Len() != before {
+			t.Fatalf("vertex %d: dictionary holds %d sequences after rollback, had %d", v, dict.Len(), before)
+		}
+		rollbacks++
+		b.kbs(v, backward)
+		b.kbs(v, forward)
+		for _, lists := range [][][]entry{b.out, b.in} {
+			for y, list := range lists {
+				for _, e := range list {
+					if int(e.mr) >= dict.Len() {
+						t.Fatalf("vertex %d: re-run left an entry at %d with MR id %d, dictionary holds %d", v, y, e.mr, dict.Len())
+					}
+				}
+			}
+		}
+	}
+	if rollbacks < 2 {
+		t.Fatalf("%d forced rollbacks; want one on the empty dictionary and one later", rollbacks)
+	}
+	if err := ix.seal(b.out, b.in); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(serialize(t, ix), want) {
+		t.Fatal("index built through forced rollbacks differs from the sequential build")
+	}
 }
 
 // BenchmarkBuildParallel times index construction across worker counts on

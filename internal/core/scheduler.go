@@ -217,22 +217,7 @@ func (r *specResult) mr(ins *specInsert) labelseq.Seq {
 // immutable inputs and the canonical list headers (read-only during the
 // speculation phase) but owns every piece of mutable scratch.
 func newSpecBuilder(b *builder) *builder {
-	n := b.g.NumVertices()
-	return &builder{
-		ix:         b.ix,
-		g:          b.g,
-		coder:      b.coder,
-		k:          b.k,
-		in:         b.in,
-		out:        b.out,
-		inByLabel:  b.inByLabel,
-		outByLabel: b.outByLabel,
-		seen:       make(map[dedupKey]struct{}),
-		frontiers:  make(map[labelseq.Code]*kernelFrontier),
-		fixedSet:   make(map[uint64]struct{}),
-		visited:    make([]uint32, n*b.k),
-		spec:       newSpecScratch(n),
-	}
+	return newBuilderOver(b.ix, b.in, b.out, b.inByLabel, b.outByLabel, newSpecScratch(b.g.NumVertices()))
 }
 
 // speculate runs the KBS pair of v against the committed snapshot and

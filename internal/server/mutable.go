@@ -33,6 +33,22 @@ type UpdateResult struct {
 	RebuildTriggered bool `json:"rebuild_triggered"`
 }
 
+// FoldPhases says where a fold's wall time went, in microseconds. The four
+// phases run back to back under the fold lock and sum to at most the fold's
+// total (RebuildResult.Duration, "micros", "last_rebuild_micros").
+type FoldPhases struct {
+	// UnionMicros is materializing base ∪ journal as one graph.
+	UnionMicros float64 `json:"union_micros"`
+	// BuildMicros is core.Build over that graph.
+	BuildMicros float64 `json:"build_micros"`
+	// BundleMicros is writing the folded bundle, fsync, reopening it and
+	// verifying its checksums (0 for in-process folds).
+	BundleMicros float64 `json:"bundle_micros"`
+	// SwapMicros is carrying over the journal tail and swapping the new
+	// generation in — the only phase writers wait for.
+	SwapMicros float64 `json:"swap_micros"`
+}
+
 // RebuildResult reports one completed fold-and-rebuild.
 type RebuildResult struct {
 	// Epoch is the epoch the fold produced.
@@ -49,6 +65,8 @@ type RebuildResult struct {
 	// Duration is the wall time of the fold, including the index build
 	// and bundle write.
 	Duration time.Duration `json:"-"`
+	// FoldPhases splits Duration; a phase the fold never reached is 0.
+	FoldPhases
 	// Err is set only on the OnRebuild callback for failed folds; the
 	// previous generation keeps serving.
 	Err error `json:"-"`
@@ -141,16 +159,20 @@ func (s *Server) rebuildOnce() (res RebuildResult, err error) {
 	defer func() { s.finishRebuild(&res, start, err) }()
 
 	union, folded, buildOpts, err := s.foldInput()
+	unionDone := time.Now()
+	res.UnionMicros = micros(unionDone.Sub(start))
 	if err != nil {
 		return res, err
 	}
 	if folded == 0 {
-		res = RebuildResult{Epoch: s.epoch.Load(), Generation: s.store.Generation()}
+		res.Epoch, res.Generation = s.epoch.Load(), s.store.Generation()
 		return res, nil
 	}
 
 	buildOpts.BuildWorkers = s.opts.RebuildWorkers
 	ix, err := core.Build(union, buildOpts)
+	buildDone := time.Now()
+	res.BuildMicros = micros(buildDone.Sub(unionDone))
 	if err != nil {
 		err = fmt.Errorf("server: fold rebuild: %w", err)
 		return res, err
@@ -159,6 +181,7 @@ func (s *Server) rebuildOnce() (res RebuildResult, err error) {
 		src    *core.Snapshot
 		source = "folded in-process"
 	)
+	bundleDone := buildDone
 	if s.opts.RebuildPath != "" {
 		if err = ix.SaveSnapshotFile(s.opts.RebuildPath); err != nil {
 			err = fmt.Errorf("server: write folded bundle: %w", err)
@@ -171,22 +194,25 @@ func (s *Server) rebuildOnce() (res RebuildResult, err error) {
 		}
 		ix = src.Index()
 		source = "folded snapshot " + s.opts.RebuildPath
+		bundleDone = time.Now()
+		res.BundleMicros = micros(bundleDone.Sub(buildDone))
 	}
 
 	leftover, epoch, err := s.installFolded(ix, src, folded, source)
+	res.SwapMicros = micros(time.Since(bundleDone))
 	if err != nil {
 		return res, err
 	}
 
-	res = RebuildResult{
-		Epoch:      epoch,
-		Generation: s.store.Generation(),
-		Folded:     folded,
-		Journal:    leftover,
-		Path:       s.opts.RebuildPath,
-	}
+	res.Epoch = epoch
+	res.Generation = s.store.Generation()
+	res.Folded = folded
+	res.Journal = leftover
+	res.Path = s.opts.RebuildPath
 	return res, nil
 }
+
+func micros(d time.Duration) float64 { return float64(d.Nanoseconds()) / 1e3 }
 
 // foldInput pins the serving generation just long enough to materialize
 // base ∪ journal and read the build parameters. The fold inherits the base
@@ -239,6 +265,8 @@ func (s *Server) installFolded(ix *core.Index, src *core.Snapshot, folded int, s
 func (s *Server) finishRebuild(res *RebuildResult, start time.Time, err error) {
 	res.Duration = time.Since(start)
 	s.lastRebuildUS.Store(res.Duration.Microseconds())
+	phases := res.FoldPhases
+	s.lastFoldPhases.Store(&phases)
 	msg := ""
 	if err != nil {
 		msg = err.Error()
@@ -406,6 +434,7 @@ type rebuildResponse struct {
 	Journal    int     `json:"journal"`
 	Path       string  `json:"path,omitempty"`
 	Micros     float64 `json:"micros"`
+	FoldPhases
 }
 
 // handleRebuild folds synchronously: the admin caller waits for the fold,
@@ -427,6 +456,7 @@ func (s *Server) handleRebuild(w http.ResponseWriter, r *http.Request) bool {
 		Folded:     res.Folded,
 		Journal:    res.Journal,
 		Path:       res.Path,
-		Micros:     float64(res.Duration.Nanoseconds()) / 1e3,
+		Micros:     micros(res.Duration),
+		FoldPhases: res.FoldPhases,
 	})
 }

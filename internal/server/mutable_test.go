@@ -329,6 +329,82 @@ func TestRebuildEndpoint(t *testing.T) {
 	}
 }
 
+// TestFoldPhaseTimings pins how a fold reports where its time went: the
+// POST /rebuild reply, the "mutable" section of /stats and RebuildResult all
+// carry union_micros, build_micros, bundle_micros and swap_micros beside the
+// total they already had (in /stats, like last_rebuild_micros, only once a
+// fold has run); the phases sum to no more than that total, and
+// bundle_micros is 0 exactly when the fold wrote no bundle.
+func TestFoldPhaseTimings(t *testing.T) {
+	phases := []string{"union_micros", "build_micros", "bundle_micros", "swap_micros"}
+	// check reads the phases out of a decoded JSON object and holds them to
+	// total, which the object carries under totalKey. /stats rounds its
+	// total down to whole microseconds; slack covers that.
+	check := func(t *testing.T, where string, obj map[string]any, totalKey string, slack float64, bundle bool) {
+		t.Helper()
+		total, ok := obj[totalKey].(float64)
+		if !ok {
+			t.Fatalf("%s: no numeric %q in %v", where, totalKey, obj)
+		}
+		sum := 0.0
+		for _, name := range phases {
+			v, ok := obj[name].(float64)
+			if !ok {
+				t.Fatalf("%s: no numeric %q in %v", where, name, obj)
+			}
+			if (v > 0) != (bundle || name != "bundle_micros") {
+				t.Errorf("%s: %s = %v on a fold with bundle = %v", where, name, v, bundle)
+			}
+			sum += v
+		}
+		if sum > total+slack {
+			t.Errorf("%s: phases sum to %v µs, %s is %v", where, sum, totalKey, total)
+		}
+	}
+
+	for _, bundle := range []bool{false, true} {
+		opts := Options{Mutable: true, RebuildThreshold: -1}
+		if bundle {
+			opts.RebuildPath = filepath.Join(t.TempDir(), "fold.rlcs")
+		}
+		srv, hts := newTestServer(t, buildIndex(t, graph.Fig2()), opts)
+		t.Cleanup(func() { srv.Close() })
+
+		var st struct {
+			Mutable map[string]any `json:"mutable"`
+		}
+		getJSON(t, hts.URL+"/stats", &st)
+		for _, name := range phases {
+			if v, ok := st.Mutable[name]; ok {
+				t.Fatalf("before the first fold /stats mutable has %s = %v", name, v)
+			}
+		}
+
+		if code := postJSON(t, hts.URL+"/update", `{"s":"v1","l":"l1","t":"v4"}`, nil); code != http.StatusOK {
+			t.Fatalf("update status %d", code)
+		}
+		var reply map[string]any
+		if code := postJSON(t, hts.URL+"/rebuild", `{}`, &reply); code != http.StatusOK {
+			t.Fatalf("rebuild status %d: %v", code, reply)
+		}
+		check(t, "/rebuild", reply, "micros", 0, bundle)
+		st.Mutable = nil
+		getJSON(t, hts.URL+"/stats", &st)
+		check(t, "/stats mutable", st.Mutable, "last_rebuild_micros", 1, bundle)
+
+		if _, err := srv.UpdateBatch([]graph.Edge{{Src: 5, Label: 1, Dst: 0}}); err != nil {
+			t.Fatal(err)
+		}
+		res, err := srv.Rebuild()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sum := res.UnionMicros + res.BuildMicros + res.BundleMicros + res.SwapMicros; sum > micros(res.Duration) || res.BuildMicros <= 0 {
+			t.Errorf("RebuildResult: phases %+v sum to %v µs of %v", res.FoldPhases, sum, res.Duration)
+		}
+	}
+}
+
 // TestRebuildWritesBundle: with RebuildPath set, a fold writes a fresh v2
 // bundle, swaps the server onto the mapped file, and the bundle re-opens
 // and verifies standalone with the folded answer baked in.

@@ -176,10 +176,11 @@ type Server struct {
 
 	// rebuilding dedups background fold goroutines; epoch counts
 	// completed folds across all generations.
-	rebuilding    atomic.Bool
-	epoch         atomic.Uint64
-	lastRebuildUS atomic.Int64
-	lastRebuildEr atomic.Pointer[string]
+	rebuilding     atomic.Bool
+	epoch          atomic.Uint64
+	lastRebuildUS  atomic.Int64
+	lastFoldPhases atomic.Pointer[FoldPhases]
+	lastRebuildEr  atomic.Pointer[string]
 
 	// batchQueries counts the queries received through POST /batch: one
 	// add per request, so /stats can price a batched query.
@@ -619,6 +620,10 @@ type MutableStats struct {
 	// LastRebuildMicros is the duration of the most recent fold (0 before
 	// the first).
 	LastRebuildMicros float64 `json:"last_rebuild_micros,omitempty"`
+	// FoldPhases splits LastRebuildMicros into union_micros, build_micros,
+	// bundle_micros and swap_micros; nil (and absent from /stats) before
+	// the first fold.
+	*FoldPhases
 	// LastRebuildError is the most recent fold failure ("" when the last
 	// fold succeeded).
 	LastRebuildError string `json:"last_rebuild_error,omitempty"`
@@ -676,6 +681,7 @@ func (s *Server) mutableStats(st *state) MutableStats {
 		Journal:           st.delta.JournalLen(),
 		Writes:            s.store.writes.Load(),
 		LastRebuildMicros: float64(s.lastRebuildUS.Load()),
+		FoldPhases:        s.lastFoldPhases.Load(),
 	}
 	ms.OverlaySearches, ms.OverlayVisited = st.delta.OverlayStats()
 	if e := s.lastRebuildEr.Load(); e != nil {

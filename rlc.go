@@ -500,6 +500,10 @@ type (
 	// returned by Server.Rebuild and delivered to ServerOptions.OnRebuild
 	// (with Err set on failures).
 	RebuildResult = server.RebuildResult
+	// FoldPhases splits a fold's wall time into union, build, bundle and
+	// swap microseconds; embedded in RebuildResult and (once a fold has
+	// run) MutableServerStats.
+	FoldPhases = server.FoldPhases
 	// MutableServerStats is the write-path section of a mutable server's
 	// /stats: epoch, journal length, accepted writes, and fold telemetry.
 	MutableServerStats = server.MutableStats
