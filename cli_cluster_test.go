@@ -21,6 +21,7 @@ type servingProc struct {
 	name  string
 	cmd   *exec.Cmd
 	base  string
+	head  string // stdout up to the "serving on" line
 	outCh chan string
 }
 
@@ -40,7 +41,7 @@ func startServing(t *testing.T, name string, bin string, args ...string) *servin
 	t.Cleanup(func() { cmd.Process.Kill() })
 
 	addrRe := regexp.MustCompile(`serving on (\S+)`)
-	addrCh := make(chan string, 1)
+	headCh := make(chan string, 1)
 	outCh := make(chan string, 1)
 	go func() {
 		var all strings.Builder
@@ -48,9 +49,9 @@ func startServing(t *testing.T, name string, bin string, args ...string) *servin
 		for {
 			n, err := stdout.Read(buf)
 			all.Write(buf[:n])
-			if m := addrRe.FindStringSubmatch(all.String()); m != nil {
+			if addrRe.MatchString(all.String()) {
 				select {
-				case addrCh <- m[1]:
+				case headCh <- all.String():
 				default:
 				}
 			}
@@ -61,8 +62,9 @@ func startServing(t *testing.T, name string, bin string, args ...string) *servin
 		}
 	}()
 	select {
-	case addr := <-addrCh:
-		return &servingProc{name: name, cmd: cmd, base: "http://" + addr, outCh: outCh}
+	case head := <-headCh:
+		addr := addrRe.FindStringSubmatch(head)[1]
+		return &servingProc{name: name, cmd: cmd, base: "http://" + addr, head: head, outCh: outCh}
 	case <-time.After(30 * time.Second):
 		t.Fatalf("%s did not report its listen address", name)
 		return nil

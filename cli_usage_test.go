@@ -19,7 +19,7 @@ import (
 var cliTools = map[string]string{
 	"rlcbuild":   "rlcbuild — build and serialize an RLC index for a graph file",
 	"rlcquery":   "rlcquery — evaluate RLC (and extended) queries against a graph",
-	"rlcserve":   "rlcserve — serve RLC reachability queries over HTTP with a result cache and hot-reloadable snapshots",
+	"rlcserve":   "rlcserve — serve RLC reachability queries over HTTP from hot-reloadable snapshots, with an optional write path",
 	"rlcgen":     "rlcgen — generate synthetic graphs and query workloads",
 	"rlcinspect": "rlcinspect — print RLC index internals: stats, distributions, entry sets",
 	"rlcbench":   "rlcbench — reproduce the paper's experimental tables and figures",
@@ -81,10 +81,12 @@ func TestCLIUsageConformance(t *testing.T) {
 	}
 }
 
-// TestCLIRejectedFlags pins two families of flag errors. The flags of the
-// retired v1 two-file format are gone — the flag package's unknown-flag
-// path exits 2 with usage — and a flag that only steers an on-the-fly build
-// is refused beside -snapshot, where it would be ignored without a word.
+// TestCLIRejectedFlags pins three families of flag errors. The flags of the
+// retired v1 two-file format and of the retired result cache are gone — the
+// flag package's unknown-flag path exits 2 with usage — as is the rlcbench
+// experiment that measured the cache; and a flag that only steers an
+// on-the-fly build is refused beside -snapshot, where it would be ignored
+// without a word.
 func TestCLIRejectedFlags(t *testing.T) {
 	if testing.Short() {
 		t.Skip("CLI usage test skipped in -short mode")
@@ -101,6 +103,11 @@ func TestCLIRejectedFlags(t *testing.T) {
 		{"rlcquery", []string{"-graph", "g", "-index", "x"}, 2, "usage: rlcquery"},
 		{"rlcserve", []string{"-graph", "g", "-index", "x"}, 2, "usage: rlcserve"},
 		{"rlcinspect", []string{"-graph", "g", "-index", "x"}, 2, "usage: rlcinspect"},
+
+		{"rlcserve", []string{"-graph", "g", "-cache", "0"}, 2, "usage: rlcserve"},
+		{"rlcserve", []string{"-graph", "g", "-cache-shards", "4"}, 2, "usage: rlcserve"},
+		{"rlccluster", []string{"-role", "leader", "-graph", "g", "-cache", "0"}, 2, "usage: rlccluster"},
+		{"rlcbench", []string{"-exp", "serve"}, 1, `unknown experiment "serve"`},
 
 		{"rlcserve", []string{"-snapshot", bundle, "-k", "3"}, 1, "-k and -max-index-bytes require -graph"},
 		{"rlcserve", []string{"-snapshot", bundle, "-max-index-bytes", "4096"}, 1, "-k and -max-index-bytes require -graph"},
@@ -265,5 +272,61 @@ func TestCLIServe(t *testing.T) {
 	}
 	if !strings.Contains(out, "shut down cleanly") {
 		t.Errorf("missing graceful-shutdown report in output:\n%s", out)
+	}
+}
+
+// TestPprofNotOnServingPort: the three serving binaries answer
+// /debug/pprof/ with 404 on the address that takes queries, with the -pprof
+// flag and without it; with it, the profiles are on the listener the flag
+// named and nowhere else.
+func TestPprofNotOnServingPort(t *testing.T) {
+	if testing.Short() {
+		t.Skip("CLI serve test skipped in -short mode")
+	}
+	dir := t.TempDir()
+	graphFile := filepath.Join(dir, "fig2.graph")
+	if out, err := exec.Command(buildTool(t, dir, "rlcgen"), "-model", "fig2", "-out", graphFile).CombinedOutput(); err != nil {
+		t.Fatalf("rlcgen fig2: %v\n%s", err, out)
+	}
+	status := func(url string) int {
+		t.Helper()
+		resp, err := http.Get(url)
+		if err != nil {
+			t.Fatalf("GET %s: %v", url, err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	pprofRe := regexp.MustCompile(`pprof on (http://\S+/debug/pprof/)`)
+	leader := startServing(t, "leader", buildTool(t, dir, "rlccluster"), "-role", "leader", "-graph", graphFile, "-addr", "127.0.0.1:0")
+	defer leader.terminate(t)
+	for tool, args := range map[string][]string{
+		"rlcserve":   {"-graph", graphFile},
+		"rlccluster": {"-role", "leader", "-graph", graphFile},
+		"rlcrouter":  {"-leader", leader.base},
+	} {
+		bin := buildTool(t, dir, tool)
+		args = append(args, "-addr", "127.0.0.1:0")
+		for _, flagged := range []bool{false, true} {
+			if flagged {
+				args = append(args, "-pprof", "127.0.0.1:0")
+			}
+			p := startServing(t, tool, bin, args...)
+			if code := status(p.base + "/debug/pprof/"); code != http.StatusNotFound {
+				t.Errorf("%s %v: /debug/pprof/ on the serving address answered %d, want 404", tool, args, code)
+			}
+			m := pprofRe.FindStringSubmatch(p.head)
+			switch {
+			case flagged && m == nil:
+				t.Errorf("%s %v did not say where pprof listens:\n%s", tool, args, p.head)
+			case flagged:
+				if code := status(m[1]); code != http.StatusOK {
+					t.Errorf("%s: %s answered %d, want 200", tool, m[1], code)
+				}
+			case m != nil:
+				t.Errorf("%s %v serves pprof without being asked:\n%s", tool, args, p.head)
+			}
+			p.terminate(t)
+		}
 	}
 }

@@ -26,7 +26,8 @@
 // contract); every replication response carries the lineage fingerprint
 // and a follower refuses a leader whose lineage is not its own. A
 // follower restarted from a previously adopted (post-fold) bundle names
-// its lineage explicitly with -origin.
+// its lineage explicitly with -origin. -pprof ADDR serves net/http/pprof
+// on a second listener; the serving address never does.
 package main
 
 import (
@@ -43,6 +44,7 @@ import (
 
 	rlc "github.com/g-rpqs/rlc-go"
 	"github.com/g-rpqs/rlc-go/internal/cluster"
+	"github.com/g-rpqs/rlc-go/internal/profiling"
 )
 
 const synopsis = "rlccluster — run a replicated RLC serving node: a journal-streaming leader or a self-healing follower"
@@ -59,8 +61,8 @@ func main() {
 		pollWait     = flag.Duration("poll-wait", 2*time.Second, "follower long-poll wait per segment request")
 		rebuildThr   = flag.Int("rebuild-threshold", 0, "leader journal length that triggers a background fold (0 = default, negative = manual)")
 		rebuildOut   = flag.String("rebuild-out", "", "leader writes each fold's bundle here and serves it memory-mapped (empty = heap)")
-		cacheSize    = flag.Int("cache", rlc.DefaultCacheEntries, "result-cache capacity in entries (0 = disable)")
 		drain        = flag.Duration("drain", 10*time.Second, "graceful-shutdown drain budget")
+		pprofAddr    = flag.String("pprof", "", profiling.Usage)
 	)
 	flag.Usage = usage
 	flag.Parse()
@@ -89,14 +91,9 @@ func main() {
 		fatalf("-leader and -origin apply to the follower role only")
 	}
 
-	cacheEntries := *cacheSize
-	if cacheEntries == 0 {
-		cacheEntries = -1
-	}
 	opts := rlc.ServerOptions{
 		Mutable:          true,
 		Role:             *role,
-		CacheEntries:     cacheEntries,
 		RebuildThreshold: *rebuildThr,
 		RebuildPath:      *rebuildOut,
 	}
@@ -159,6 +156,9 @@ func main() {
 		go func() { replDone <- fol.Run(ctx) }()
 	}
 
+	if err := profiling.Serve(*pprofAddr); err != nil {
+		fatalf("%v", err)
+	}
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
 		fatalf("listen: %v", err)

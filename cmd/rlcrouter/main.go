@@ -20,7 +20,8 @@
 // /healthz reports the router's live view of every backend; GET /stats
 // counts hedges fired and won, failed attempts, stale-connection retries,
 // dials, leader fallbacks and protocol errors, and the replies each backend
-// served.
+// served. -pprof ADDR serves net/http/pprof on a second listener; the
+// serving address never does.
 package main
 
 import (
@@ -36,6 +37,7 @@ import (
 	"syscall"
 	"time"
 
+	"github.com/g-rpqs/rlc-go/internal/profiling"
 	"github.com/g-rpqs/rlc-go/internal/router"
 )
 
@@ -49,6 +51,7 @@ func main() {
 		healthEvery  = flag.Duration("health-interval", 250*time.Millisecond, "backend /healthz poll interval")
 		hedgeDelay   = flag.Duration("hedge-delay", 25*time.Millisecond, "read hedge delay (negative = never hedge)")
 		drainTimeout = flag.Duration("drain", 10*time.Second, "graceful-shutdown drain budget")
+		pprofAddr    = flag.String("pprof", "", profiling.Usage)
 	)
 	flag.Usage = usage
 	flag.Parse()
@@ -78,6 +81,9 @@ func main() {
 	rt.Refresh(ctx)
 	go rt.Run(ctx)
 
+	if err := profiling.Serve(*pprofAddr); err != nil {
+		fatalf("%v", err)
+	}
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
 		fatalf("listen: %v", err)

@@ -1,8 +1,7 @@
 // Command rlcserve is a long-running HTTP/JSON query service over an RLC
 // index: serve a snapshot bundle (memory-mapped, hot-reloadable), or load a
 // graph and build the index on the fly, then answer single and batch
-// reachability queries with a sharded LRU result cache in front of the
-// index.
+// reachability queries straight from the index.
 //
 //	rlcserve -snapshot g.rlcs -addr :8080
 //	rlcserve -graph g.graph -k 2 -buildworkers 0 -addr :8080
@@ -13,10 +12,11 @@
 // Endpoints: GET /query (single query, any expression the CLIs accept,
 // including multi-segment ones like "a+ b+"), POST /batch (many L+ queries
 // fanned over the concurrent batch worker pool), POST /reload (snapshot
-// mode only: hot-swap the bundle), GET /stats (cache hit/miss/eviction
-// counters, per-endpoint latency histograms, index and build statistics,
-// serving generation), GET /healthz. SIGINT/SIGTERM trigger a graceful
-// shutdown that drains in-flight requests.
+// mode only: hot-swap the bundle), GET /stats (per-endpoint latency
+// histograms, index and build statistics, serving generation), GET
+// /healthz. SIGINT/SIGTERM trigger a graceful shutdown that drains in-flight
+// requests. -pprof ADDR serves net/http/pprof on a second listener; the
+// serving address never does.
 //
 // In snapshot mode, SIGHUP (or POST /reload) re-opens, verifies, and
 // atomically swaps in the bundle at the -snapshot path with zero downtime:
@@ -58,9 +58,10 @@ import (
 	"time"
 
 	rlc "github.com/g-rpqs/rlc-go"
+	"github.com/g-rpqs/rlc-go/internal/profiling"
 )
 
-const synopsis = "rlcserve — serve RLC reachability queries over HTTP with a result cache and hot-reloadable snapshots"
+const synopsis = "rlcserve — serve RLC reachability queries over HTTP from hot-reloadable snapshots, with an optional write path"
 
 func main() {
 	var (
@@ -70,14 +71,13 @@ func main() {
 		buildWorkers = flag.Int("buildworkers", 0, "construction workers when building on the fly (0 = GOMAXPROCS)")
 		maxIndex     = flag.Int64("max-index-bytes", 0, "size budget when building on the fly: demote low-ranked vertices to may-reach filters so the index fits (0 = unlimited; answers stay exact)")
 		addr         = flag.String("addr", ":8080", "listen address")
-		cacheSize    = flag.Int("cache", rlc.DefaultCacheEntries, "result-cache capacity in entries (0 = disable)")
-		cacheShards  = flag.Int("cache-shards", 0, "cache shard count, rounded up to a power of two (0 = 2*GOMAXPROCS)")
 		workers      = flag.Int("workers", 0, "batch-query worker goroutines (0 = GOMAXPROCS)")
 		maxBatch     = flag.Int("max-batch", 0, "largest accepted POST /batch request (0 = default)")
 		drain        = flag.Duration("drain", 10*time.Second, "graceful-shutdown drain budget")
 		mutable      = flag.Bool("mutable", false, "accept edge inserts via POST /update, with background fold-and-rebuild epochs (POST /rebuild and /stats \"mutable\" split each fold into union_micros, build_micros, bundle_micros, swap_micros)")
 		rebuildThr   = flag.Int("rebuild-threshold", 0, "journal length that triggers a background fold (0 = default, negative = manual folds only)")
 		rebuildOut   = flag.String("rebuild-out", "", "write each fold's v2 bundle here and serve it memory-mapped (empty = heap)")
+		pprofAddr    = flag.String("pprof", "", profiling.Usage)
 	)
 	flag.Usage = usage
 	flag.Parse()
@@ -105,18 +105,10 @@ func main() {
 		})
 	}
 
-	// The cache flag speaks "0 = off"; the library speaks "negative = off"
-	// so that its zero value serves with a default-sized cache.
-	cacheEntries := *cacheSize
-	if cacheEntries == 0 {
-		cacheEntries = -1
-	}
 	if !*mutable && (*rebuildThr != 0 || *rebuildOut != "") {
 		fatalf("-rebuild-threshold and -rebuild-out require -mutable")
 	}
 	opts := rlc.ServerOptions{
-		CacheEntries:     cacheEntries,
-		CacheShards:      *cacheShards,
 		BatchWorkers:     *workers,
 		MaxBatch:         *maxBatch,
 		Mutable:          *mutable,
@@ -221,6 +213,9 @@ func main() {
 		}
 	}()
 
+	if err := profiling.Serve(*pprofAddr); err != nil {
+		fatalf("%v", err)
+	}
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
 		fatalf("listen: %v", err)
@@ -231,7 +226,7 @@ func main() {
 	if *mutable {
 		endpoints = "/query /batch /update /rebuild /stats /healthz"
 	}
-	fmt.Printf("serving on %s (cache: %d entries; %s)\n", ln.Addr(), max(cacheEntries, 0), endpoints)
+	fmt.Printf("serving on %s (%s)\n", ln.Addr(), endpoints)
 
 	select {
 	case err := <-done:
@@ -248,12 +243,10 @@ func main() {
 	if err := <-done; err != nil && !errors.Is(err, http.ErrServerClosed) {
 		fatalf("serve: %v", err)
 	}
-	cs := srv.CacheStats()
 	if err := srv.Close(); err != nil {
 		fatalf("close snapshot: %v", err)
 	}
-	fmt.Printf("shut down cleanly; cache: %d hits, %d misses, %d coalesced, %d evictions (%.1f%% hit rate)\n",
-		cs.Hits, cs.Misses, cs.Coalesced, cs.Evictions, cs.HitRate()*100)
+	fmt.Println("shut down cleanly")
 }
 
 func printIndexStats(ix *rlc.Index) {

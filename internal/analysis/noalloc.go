@@ -274,6 +274,9 @@ func boxes(info *types.Info, expr ast.Expr, dst types.Type) bool {
 	if dst == nil {
 		return false
 	}
+	if _, ok := types.Unalias(dst).(*types.TypeParam); ok {
+		return false // a constraint, not an interface value: the call instantiates
+	}
 	if _, ok := dst.Underlying().(*types.Interface); !ok {
 		return false
 	}
@@ -357,6 +360,10 @@ func allowlistedCallee(fn *types.Func) bool {
 		return fn.Name() == "Is"
 	case "math/bits":
 		return true
+	case "internal/bytealg":
+		// The assembly search kernels under strings.IndexByte and
+		// bytes.IndexByte; the package's MakeNoZero does allocate.
+		return fn.Name() == "IndexByte" || fn.Name() == "IndexByteString"
 	case "unsafe":
 		return true
 	}

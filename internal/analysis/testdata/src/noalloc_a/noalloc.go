@@ -149,6 +149,16 @@ func okAtomics(p *atomic.Int64) int64 {
 	return p.Load()
 }
 
+func first[T string | []byte](v T) byte { return v[0] }
+
+// A type parameter is a constraint, not an interface value: the call
+// instantiates first, it boxes nothing.
+//
+//rlc:noalloc
+func okGenericArg(s string, b []byte) byte {
+	return first(s) + first(b)
+}
+
 //rlc:noalloc
 func okBuiltins(xs []int, dst []int) int {
 	n := copy(dst, xs)

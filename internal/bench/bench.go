@@ -213,7 +213,6 @@ func Experiments() []Experiment {
 		{ID: "ablation", Title: "Pruning-rule ablation (extension)", Run: RunAblation},
 		{ID: "batch", Title: "Concurrent batch-query throughput (extension)", Run: RunBatch},
 		{ID: "pbuild", Title: "Parallel index construction (extension)", Run: RunPBuild},
-		{ID: "serve", Title: "Cached vs uncached query serving (extension)", Run: RunServe},
 		{ID: "ingest", Title: "Mixed read/write serving with epoch rebuilds (extension)", Run: RunIngest},
 		{ID: "budget", Title: "Size-budgeted index tiers under MaxIndexBytes (extension)", Run: RunBudget},
 		{ID: "repl", Title: "Replicated serving: journal streaming and bundle cutover (extension)", Run: RunRepl},

@@ -33,8 +33,8 @@ func microConfig() Config {
 
 func TestRegistry(t *testing.T) {
 	exps := Experiments()
-	if len(exps) != 15 {
-		t.Fatalf("expected 15 experiments, got %d", len(exps))
+	if len(exps) != 14 {
+		t.Fatalf("expected 14 experiments, got %d", len(exps))
 	}
 	for _, e := range exps {
 		got, err := ByID(e.ID)
@@ -45,8 +45,11 @@ func TestRegistry(t *testing.T) {
 			t.Errorf("ByID(%s) returned %s", e.ID, got.ID)
 		}
 	}
-	if _, err := ByID("nope"); err == nil {
-		t.Error("unknown id must fail")
+	// "serve" measured the result cache and left with it.
+	for _, id := range []string{"nope", "serve"} {
+		if _, err := ByID(id); err == nil {
+			t.Errorf("ByID(%s) must fail", id)
+		}
 	}
 }
 
@@ -163,22 +166,6 @@ func TestRunBatchMicro(t *testing.T) {
 	checkTables(t, tables, err, 2) // AD and TW rows
 	if len(tables) != 1 {
 		t.Fatalf("batch should produce one table, got %d", len(tables))
-	}
-}
-
-func TestRunServeMicro(t *testing.T) {
-	tables, err := RunServe(microConfig())
-	checkTables(t, tables, err, 2) // AD and TW rows
-	if len(tables) != 1 {
-		t.Fatalf("serve should produce one table, got %d", len(tables))
-	}
-	// The Zipf replay must actually exercise the cache: with a 25x replay
-	// of the pool, the steady-state hit rate is way above this floor.
-	for _, row := range tables[0].Rows {
-		var pct float64
-		if _, err := fmt.Sscanf(row[3], "%f%%", &pct); err != nil || pct < 50 {
-			t.Errorf("serve row %v: implausible cache hit rate %q", row, row[3])
-		}
 	}
 }
 

@@ -5,9 +5,9 @@
 // configuration finishes on a laptop while preserving the shapes the paper
 // demonstrates (who wins, by what factor, and where the trends bend).
 //
-// Beyond the paper, four extension experiments measure what this repo adds:
+// Beyond the paper, extension experiments measure what this repo adds:
 // "ablation" (the pruning rules' individual contributions), "batch"
 // (concurrent batch-query throughput), "pbuild" (the deterministic parallel
-// build ladder, byte-identity gated), and "serve" (the internal/server
-// result cache: cached vs uncached QPS under a Zipf-skewed request stream).
+// build ladder, byte-identity gated), and "ingest", "budget" and "repl" (the
+// mutable, size-budgeted and replicated serving layers).
 package bench

@@ -18,9 +18,14 @@ import (
 const ingestHoldout = 10 // one edge in ten
 
 // ingestRequestFactor sizes the read stream as a multiple of the distinct
-// query pool (smaller than the serve experiment's: every read here shares
-// the machine with inserts and background rebuilds).
+// query pool (every read here shares the machine with inserts and background
+// rebuilds).
 const ingestRequestFactor = 10
+
+// ingestZipfS is the skew of the read stream. Real query logs are heavily
+// repetitive; s = 1.1 concentrates most of the traffic on a small head of
+// hot queries.
+const ingestZipfS = 1.1
 
 // RunIngest measures the mutable serving layer — the read/write epoch
 // pipeline. Each dataset replica is split into a base graph (indexed and
@@ -42,7 +47,7 @@ func RunIngest(cfg Config) ([]*Table, error) {
 			"Mixed ops/s", "Epochs", "Fold ms"},
 		Notes: []string{fmt.Sprintf(
 			"Zipf s = %.1f reads over the fig3 true+false pool (%dx replay) interleaved with 1-in-%d withheld edges as inserts; single client goroutine at the serving layer (no HTTP).",
-			serveZipfS, ingestRequestFactor, ingestHoldout),
+			ingestZipfS, ingestRequestFactor, ingestHoldout),
 			"Epochs counts completed fold-and-rebuilds (background plus the final explicit one); Fold ms is the last fold's wall time. Answers are verified exact against the full-graph ground truth both before and after the final fold.",
 			"Single-core numbers: background folds share the CPU with serving here; on multi-core hardware folding is off-thread and steals no serving time."},
 	}
@@ -154,4 +159,16 @@ func verifyPool(ctx context.Context, srv *server.Server, pool []workload.Query, 
 		}
 	}
 	return nil
+}
+
+// zipfStream draws n indexes over [0, pool) from a Zipf(s) distribution,
+// shuffled by the generator's own order (rand.Zipf is already i.i.d.).
+func zipfStream(seed int64, pool, n int) []int {
+	r := rand.New(rand.NewSource(seed*7919 + 17))
+	z := rand.NewZipf(r, ingestZipfS, 1, uint64(pool-1))
+	out := make([]int, n)
+	for i := range out {
+		out[i] = int(z.Uint64())
+	}
+	return out
 }

@@ -8,31 +8,21 @@ import (
 	"github.com/g-rpqs/rlc-go/internal/labelseq"
 )
 
-// TestAnswerRLCHitAllocFree pins the serving layer's cache-hit contract —
-// the runtime counterpart of the //rlc:noalloc annotation on answerRLC: once
-// a single-segment answer is resident, repeating the query costs one
-// packed-key probe and zero heap allocations (no canonical-expression
-// string, no detached context, no compute closure).
-func TestAnswerRLCHitAllocFree(t *testing.T) {
-	ix := buildIndex(t, graph.Fig2())
-	s := New(ix, Options{})
+// TestAnswerRLCAllocFree is the runtime counterpart of the //rlc:noalloc
+// annotation on computeSeq: an index-class query on an immutable generation
+// costs the pin, the probe, and zero heap allocations.
+func TestAnswerRLCAllocFree(t *testing.T) {
+	s := New(buildIndex(t, graph.Fig2()), Options{})
 	defer s.Close()
 
 	ctx := context.Background()
 	l := labelseq.Seq{0, 1}
-	if _, _, err := s.AnswerRLC(ctx, 0, 2, l); err != nil {
-		t.Fatalf("warm-up: %v", err)
-	}
-	if _, cached, err := s.AnswerRLC(ctx, 0, 2, l); err != nil || !cached {
-		t.Fatalf("second call: cached=%v err=%v, want a cache hit", cached, err)
-	}
 	avg := testing.AllocsPerRun(200, func() {
-		_, cached, err := s.AnswerRLC(ctx, 0, 2, l)
-		if err != nil || !cached {
-			panic("expected a resident cache hit")
+		if _, cached, err := s.AnswerRLC(ctx, 0, 2, l); err != nil || cached {
+			panic("AnswerRLC failed, or claimed a cache hit")
 		}
 	})
 	if avg != 0 {
-		t.Errorf("AnswerRLC cache hit: %.1f allocs/op, want 0", avg)
+		t.Errorf("AnswerRLC: %.1f allocs/op, want 0", avg)
 	}
 }

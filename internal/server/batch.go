@@ -488,13 +488,15 @@ func failSlot(err error) []byte {
 	return b
 }
 
-// vertexOf resolves a vertex token: decimal digits naming a vertex of the
-// graph without leaving the body, everything else — names, signs, ids out
-// of range and their errors — through state.vertex.
-func (st *state) vertexOf(tok []byte) (graph.Vertex, error) {
+// vertexOf resolves a vertex token of /batch (bytes of the body) or /query
+// (a piece of the query string): decimal digits naming a vertex of the graph
+// where they lie, everything else — names, signs, ids out of range and
+// their errors — through state.vertex.
+func vertexOf[T string | []byte](st *state, tok T) (graph.Vertex, error) {
 	if 0 < len(tok) && len(tok) <= 9 {
 		id := 0
-		for _, c := range tok {
+		for i := 0; i < len(tok); i++ {
+			c := tok[i]
 			if c < '0' || c > '9' {
 				id = -1
 				break
@@ -535,10 +537,10 @@ func (bs *batchState) constraint(st *state, text []byte) batchConstraint {
 func (bs *batchState) resolve(st *state, i int) (q core.BatchQuery, fail []byte) {
 	slot := &bs.slots[i]
 	var err error
-	if q.S, err = st.vertexOf(slot.s); err != nil {
+	if q.S, err = vertexOf(st, slot.s); err != nil {
 		return q, failSlot(fmt.Errorf("s: %w", err)) //rlc:allocok error slot
 	}
-	if q.T, err = st.vertexOf(slot.t); err != nil {
+	if q.T, err = vertexOf(st, slot.t); err != nil {
 		return q, failSlot(fmt.Errorf("t: %w", err)) //rlc:allocok error slot
 	}
 	c := bs.constraint(st, slot.l)
@@ -562,7 +564,7 @@ func (bs *batchState) answer(i int, reachable bool, err error) {
 // appendReply joins the slots into bs.reply.
 //
 //rlc:noalloc
-func (bs *batchState) appendReply(cached int, micros float64) []byte {
+func (bs *batchState) appendReply(micros float64) []byte {
 	size := len(replyHead) + replyTailMax
 	for _, slot := range bs.out {
 		size += len(slot) + 1
@@ -576,23 +578,21 @@ func (bs *batchState) appendReply(cached int, micros float64) []byte {
 		}
 		at += copy(b[at:], slot)
 	}
-	bs.reply = appendReplyTail(b[:at], len(bs.out), cached, micros) //rlc:allocok appends into the capacity reserved above
+	bs.reply = appendReplyTail(b[:at], len(bs.out), micros) //rlc:allocok appends into the capacity reserved above
 	return bs.reply
 }
 
-// replyTailMax bounds what appendReplyTail writes: 31 bytes of keys and
-// punctuation, two ints of at most 20, and a float that stays under 32
-// printed with 'f'.
+// replyTailMax bounds what appendReplyTail writes: 33 bytes of keys and
+// punctuation, an int of at most 20, and a float of at most 24.
 const replyTailMax = 128
 
-func appendReplyTail(b []byte, count, cached int, micros float64) []byte {
+func appendReplyTail(b []byte, count int, micros float64) []byte {
 	b = append(b, `],"count":`...)
 	b = strconv.AppendInt(b, int64(count), 10)
-	b = append(b, `,"cached":`...)
-	b = strconv.AppendInt(b, int64(cached), 10)
-	b = append(b, `,"micros":`...)
-	b = strconv.AppendFloat(b, micros, 'f', -1, 64)
-	return append(b, "}\n"...)
+	// "cached" counted result-cache hits; the field stays so that clients
+	// decoding it keep working.
+	b = append(b, `,"cached":0`...)
+	return appendMicros(b, micros)
 }
 
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) bool {
@@ -603,7 +603,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) bool {
 	defer st.release()
 	// Same pre-compute capture as /query: every per-query answer below is
 	// computed at or after this point, so the floor holds for all of them.
-	replHeaders(w, st, st.seqNow())
+	st.replHeaders(w.Header())
 	s.limitBody(w, r)
 
 	bs := batchStates.Get().(*batchState)
@@ -639,29 +639,24 @@ func (s *Server) serveBatch(st *state, bs *batchState, w http.ResponseWriter, r 
 
 	start := time.Now()
 	bs.out = slices.Grow(bs.out[:0], len(slots))[:len(slots)]
-	cached := 0
 	if st.delta != nil && st.delta.JournalLen() > 0 {
 		// Journal edges are pending, and the worker pool below reads the
-		// base index only: each query takes the full serving path instead —
-		// cache, singleflight, overlay search. That path fronts a search,
-		// so its cache earns its keep and "cached" counts its hits.
+		// base index only: each query is answered the way /query answers
+		// it, base index first and then the overlay search, under the
+		// request's context.
 		for i := range slots {
 			q, fail := bs.resolve(st, i)
 			if fail != nil {
 				bs.out[i] = fail
 				continue
 			}
-			reachable, hit, err := st.answerRLC(r.Context(), q.S, q.T, q.L)
+			reachable, err := st.computeSeq(r.Context(), q.S, q.T, q.L)
 			bs.answer(i, reachable, err)
-			if hit {
-				cached++
-			}
 		}
 	} else {
 		// The journal is empty — checking that is a valid linearization
 		// point — so the base index is exact, and every query that resolved
-		// goes to it in one sub-batch. The result cache is neither read nor
-		// filled: a lookup costs more than the probe it would save.
+		// goes to it in one sub-batch.
 		bs.queries = bs.queries[:0]
 		for i := range slots {
 			q, fail := bs.resolve(st, i)
@@ -679,12 +674,6 @@ func (s *Server) serveBatch(st *state, bs *batchState, w http.ResponseWriter, r 
 			}
 		}
 	}
-	reply := bs.appendReply(cached, float64(time.Since(start).Nanoseconds())/1e3)
-	h := w.Header()
-	h.Set("Content-Type", "application/json")
-	h.Set("Content-Length", strconv.Itoa(len(reply)))
-	w.WriteHeader(http.StatusOK)
-	// The status line is out; a failed write leaves the client a short body.
-	_, _ = w.Write(reply)
+	sendJSON(w, bs.appendReply(float64(time.Since(start).Nanoseconds())/1e3))
 	return true
 }

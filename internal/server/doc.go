@@ -11,35 +11,33 @@
 //	POST /update           mutable: insert edges (single or atomic batch)
 //	POST /rebuild          mutable: fold the journal into a rebuilt base
 //	POST /reload           immutable snapshot servers: hot-swap the bundle
-//	GET  /stats            cache counters, latency histograms, index stats,
-//	                       write-path epoch/journal
+//	GET  /stats            latency histograms, index stats, write-path
+//	                       epoch/journal
 //	GET  /healthz          liveness, generation, epoch/journal when mutable
 //
-// Every serving generation — index, graph, result cache, hybrid pool, delta
-// overlay, backing snapshot mapping — lives in one RCU state (store.go)
+// Every serving generation — index, graph, hybrid pool, delta overlay,
+// backing snapshot mapping — lives in one RCU state (store.go)
 // each request pins for its lifetime, so reloads AND the write path's
 // background folds swap generations with zero downtime and exact answers
 // throughout (mutable.go drives the fold: build base ∪ journal, optionally
 // write + verify a fresh v2 bundle, carry un-folded edges over, swap).
 //
-// In front of the index sits a sharded LRU result cache (cache.go): lookups
-// hash to one of a power-of-two number of independently locked shards, each
-// an intrusive-list LRU over a flat node slice. Concurrent identical misses
-// are deduplicated singleflight-style — the first caller computes, the rest
-// wait on its in-flight handle — so a thundering herd on one hot query costs
-// one index probe. Over an immutable generation answers never go stale; on
-// mutable servers entries are version-stamped by the journal position, and
-// insert-only monotonicity (deletions are rejected) means cached TRUEs stay
-// valid across writes while FALSEs revalidate — one insert logically
-// invalidates every negative entry without touching memory.
-//
-// The cache fronts searches, not batched probes. POST /batch (batch.go)
-// scans its one accepted schema with a hand-written streaming decoder,
-// parses each distinct constraint once per request, hands every resolved
-// query straight to Index.QueryBatchIntoCtx and joins the reply in one
-// pooled buffer — no allocation per query, and no cache lookup around a
-// ~150 ns probe; "cached" in its reply counts hits only when journal edges
-// are pending and each query takes the cached overlay path instead.
+// Nothing sits in front of the index: a probe costs 100–250 ns, less than
+// the bookkeeping of a result cache that would save it, so every read is
+// parse → compute → append. GET /query
+// (query.go) reads s, t and l out of the raw query string where it lies,
+// resolves them, calls computeSeq (or computeExpr for a multi-segment
+// expression) under the request's own context, writes the reply into a
+// pooled buffer and sends it with one Write. POST /batch (batch.go) scans its
+// one accepted schema with a hand-written streaming decoder, parses each
+// distinct constraint once per request, hands every resolved query straight
+// to Index.QueryBatchIntoCtx — or, with journal edges pending, to the same
+// computeSeq one by one — and joins the reply in one pooled buffer. Neither
+// endpoint allocates per query beyond the constraint parse; fuzzers hold both
+// hand-written halves of each to net/url and encoding/json. On a mutable
+// server exactness under writes rests on the journal alone: a read pins one
+// generation and searches base ∪ journal as of its own start. "cached" stays
+// in both replies, constant (false, 0), for the clients that decode it.
 //
 // Latency is tracked per endpoint in lock-free log2-bucket histograms
 // (metrics.go); /stats reports mean, p50/p90/p99 upper bounds, and max in

@@ -88,9 +88,8 @@ func (s *Server) UpdateBatch(edges []graph.Edge) (UpdateResult, error) {
 		return UpdateResult{}, errServerClosed
 	}
 	defer st.release()
-	// Publishing the batch advances seqNow, which is also the cache version:
-	// a FALSE computed before it carries an older stamp and is never served
-	// to a request that can see the new edges.
+	// Publishing the batch advances seqNow: a read stamped with the new
+	// sequence already searches the new edges.
 	if err := st.delta.AddEdges(edges); err != nil {
 		return UpdateResult{}, err
 	}

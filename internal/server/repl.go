@@ -93,15 +93,17 @@ func (st *state) seqNow() uint64 {
 	return st.seqBase
 }
 
-// replHeaders stamps a response with the pinned generation's replication
-// coordinates. The caller captures seq at the response's linearization
-// point: before computing an answer (a freshness floor the answer is
-// guaranteed to reflect), after appending a batch (a token covering the
-// write). Must run before the status line is written.
-func replHeaders(w http.ResponseWriter, st *state, seq uint64) {
-	h := w.Header()
-	h.Set(HeaderEpoch, strconv.FormatUint(st.epoch, 10))
-	h.Set(HeaderSeq, strconv.FormatUint(seq, 10))
+// replHeaders stamps a read's response headers with the pinned generation's
+// replication coordinates. It reads the sequence itself, so it must run
+// before the answer is computed — the header is then a freshness floor the
+// answer is guaranteed to reflect — and before the status line is written.
+func (st *state) replHeaders(h http.Header) {
+	h[HeaderEpoch] = st.epochHdr
+	if st.delta == nil {
+		h[HeaderSeq] = st.seqHdr // seqBase, for good
+	} else {
+		h[HeaderSeq] = []string{strconv.FormatUint(st.seqNow(), 10)}
+	}
 }
 
 // limitBody caps r.Body at Options.MaxBodyBytes; reads past the cap fail

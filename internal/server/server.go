@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"net"
 	"net/http"
-	"runtime"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -24,8 +23,9 @@ import (
 
 // Default sizing for the zero-value Options.
 const (
-	// DefaultCacheEntries is the result-cache capacity when
-	// Options.CacheEntries is zero: 64Ki answers at ~tens of bytes each.
+	// DefaultCacheEntries was the capacity of the result cache, which is
+	// gone; benchmark/ sizes its warm-up by it.
+	// Kept for benchmark/; leaves with ROADMAP item 2.
 	DefaultCacheEntries = 1 << 16
 	// DefaultMaxBatch bounds a single POST /batch request.
 	DefaultMaxBatch = 8192
@@ -36,18 +36,9 @@ const (
 	DefaultMaxBodyBytes = 8 << 20
 )
 
-// Options configures a Server. The zero value serves with a default-sized
-// cache, GOMAXPROCS batch workers, and the default batch size limit.
+// Options configures a Server. The zero value serves with GOMAXPROCS batch
+// workers and the default batch size limit.
 type Options struct {
-	// CacheEntries is the total result-cache capacity across all shards.
-	// Zero selects DefaultCacheEntries; negative disables the cache (every
-	// request goes to the index — the bench "serve" experiment's baseline).
-	CacheEntries int
-
-	// CacheShards is the number of independently locked cache shards,
-	// rounded up to a power of two. Zero selects 2*GOMAXPROCS (rounded).
-	CacheShards int
-
 	// BatchWorkers is the worker count handed to Index.QueryBatchIntoCtx
 	// for POST /batch requests; 0 means GOMAXPROCS.
 	BatchWorkers int
@@ -116,13 +107,6 @@ type Options struct {
 }
 
 func (o Options) withDefaults() Options {
-	if o.CacheEntries == 0 {
-		o.CacheEntries = DefaultCacheEntries
-	}
-	if o.CacheShards <= 0 {
-		o.CacheShards = 2 * runtime.GOMAXPROCS(0)
-	}
-	o.CacheShards = nextPow2(o.CacheShards)
 	if o.MaxBatch <= 0 {
 		o.MaxBatch = DefaultMaxBatch
 	}
@@ -135,24 +119,8 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// maxCacheShards bounds the shard count: far above any real contention need,
-// and it keeps the power-of-two rounding below from overflowing on absurd
-// operator input.
-const maxCacheShards = 1 << 16
-
-func nextPow2(v int) int {
-	if v > maxCacheShards {
-		return maxCacheShards
-	}
-	p := 1
-	for p < v {
-		p <<= 1
-	}
-	return p
-}
-
 // Server answers RLC reachability queries over HTTP. All serving state —
-// index, graph, result cache, hybrid-evaluator pool — lives in a Store
+// index, graph, hybrid-evaluator pool, delta overlay — lives in a Store
 // generation that every request pins for its own lifetime, so the served
 // snapshot can be hot-swapped (SIGHUP / POST /reload in rlcserve) with zero
 // downtime: in-flight queries finish against the generation they started
@@ -254,7 +222,7 @@ func (s *Server) Reload() (uint64, error) {
 //	POST /update           mutable servers: insert edges ({"s":0,"l":"l1","t":4} or {"edges":[...]})
 //	POST /rebuild          mutable servers: fold the journal into a rebuilt base, synchronously
 //	POST /reload           hot-swap the serving snapshot (immutable servers, when configured)
-//	GET  /stats            cache, latency, index, build, and write-path statistics
+//	GET  /stats            latency, index, build, and write-path statistics
 //	GET  /healthz          liveness, with the serving generation and (mutable) epoch/journal
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
@@ -299,162 +267,77 @@ func (s *Server) Close() error {
 	return s.store.Close()
 }
 
-// CacheStats snapshots the current generation's result-cache counters (the
-// zero value when the cache is disabled or the server is closed).
-func (s *Server) CacheStats() CacheStats {
-	st := s.store.acquire()
-	if st == nil {
-		return CacheStats{}
-	}
-	defer st.release()
-	if st.cache == nil {
-		return CacheStats{}
-	}
-	return st.cache.stats()
-}
+// CacheStats is the shape the result cache's counters had.
+// Kept for benchmark/; leaves with ROADMAP item 2.
+type CacheStats struct{ Hits, Misses, Evictions int64 }
+
+// CacheStats returns the zero value: there is no result cache.
+// Kept for benchmark/; leaves with ROADMAP item 2.
+func (s *Server) CacheStats() CacheStats { return CacheStats{} }
 
 // errServerClosed is returned to queries arriving after Close.
 var errServerClosed = errors.New("server: closed")
 
-// AnswerRLC answers one (s, t, L+) query through the serving path — cache,
-// singleflight, then index (or the traversal fallback when L is outside the
-// index's class) — without the HTTP layer. cached reports a cache hit. The
-// bench "serve" experiment uses it to measure the serving layer itself
-// rather than the HTTP stack; a cache hit costs one packed-key probe and no
-// allocation.
+// AnswerRLC answers one (s, t, L+) query the way the serving path does —
+// the index, the traversal fallback when L is outside the index's class,
+// the delta overlay when journal edges are pending — without the HTTP
+// layer, under ctx. cached is always false.
+// Kept for benchmark/; leaves with ROADMAP item 2.
 func (s *Server) AnswerRLC(ctx context.Context, src, dst graph.Vertex, l labelseq.Seq) (reachable, cached bool, err error) {
-	st := s.store.acquire()
-	if st == nil {
-		return false, false, errServerClosed
-	}
-	defer st.release()
-	return st.answerRLC(ctx, src, dst, l)
+	reachable, err = s.QueryRLC(ctx, src, dst, l)
+	return reachable, false, err
 }
 
 // QueryRLC answers one (s, t, L+) query through the serving path,
 // satisfying the facade's Querier interface.
 func (s *Server) QueryRLC(ctx context.Context, src, dst graph.Vertex, l labelseq.Seq) (bool, error) {
-	ok, _, err := s.AnswerRLC(ctx, src, dst, l)
-	return ok, err
+	st := s.store.acquire()
+	if st == nil {
+		return false, errServerClosed
+	}
+	defer st.release()
+	return st.computeSeq(ctx, src, dst, l)
 }
 
-// answerRLC is AnswerRLC against one pinned generation. The cache version
-// is the generation's journal position (seqNow), read once at entry: any
-// answer computed after that read reflects at least that journal prefix,
-// so serving it (or stamping it into the cache) is linearizable even as
-// inserts land concurrently — and a cached FALSE is served only to a
-// request whose own seqNow read equals the stamp, i.e. one that can claim
-// no edge the answer has not seen. The journal itself is the version, so
-// there is no window between publishing an edge and invalidating the
-// negatives it may flip.
-//
-// The function is annotated noalloc for its hit path: a resident answer
-// costs one packed-key probe and nothing else. The detached context and
-// compute closure — both heap allocations — are built only after the probe
-// misses, on the lines waived below.
+// computeSeq answers (src, dst, l+) on one pinned generation. Immutable
+// generations (and mutable ones with an empty journal — checking emptiness
+// first is a valid linearization point) go straight to the base:
+// Index.Query when the constraint is in the index's class, the pooled hybrid
+// evaluator (which falls back to NFA-guided traversal) otherwise. With
+// journal edges pending, the delta overlay answers: the base index first and
+// then the bidirectional search over the union for index-class constraints,
+// that search alone for the rest. An index-class answer from the base costs
+// the probe and nothing else.
 //
 //rlc:noalloc
-func (st *state) answerRLC(ctx context.Context, src, dst graph.Vertex, l labelseq.Seq) (reachable, cached bool, err error) {
-	if st.cache == nil {
-		reachable, err = st.computeSeq(ctx, src, dst, l) //rlc:allocok uncached configuration, not the serving hot path
-		return reachable, false, err
-	}
-	ver := st.seqNow()
-	key := st.seqKey(src, dst, l)
-	if val, ok := st.cache.hitProbe(key, ver); ok {
-		return val, true, nil
-	}
-	// Miss: compute through the singleflight. A flight's result is broadcast
-	// to every coalesced waiter, so the leader must not abort on its own
-	// client's disconnect — that would fail healthy waiters with a spurious
-	// "canceled". Compute detached; the answer also warms the cache for the
-	// next request.
-	dctx := context.WithoutCancel(ctx)                                          //rlc:allocok miss path: detached context outlives the request
-	compute := func() (bool, error) { return st.computeSeq(dctx, src, dst, l) } //rlc:allocok miss path: closure handed to the singleflight
-	return st.cache.do(key, ver, compute)                                       //rlc:allocok miss path: flight bookkeeping allocates
-}
-
-// computeSeq answers (src, dst, l+) on a cache miss. Immutable generations
-// (and mutable ones with an empty journal — checking emptiness first is a
-// valid linearization point) go straight to the base: Index.Query when the
-// constraint is in the index's class, the pooled hybrid evaluator (which
-// falls back to NFA-guided traversal) otherwise. With journal edges
-// pending, the delta overlay answers: the base index first and then the
-// bidirectional search over the union for index-class constraints, that
-// search alone for the rest.
 func (st *state) computeSeq(ctx context.Context, src, dst graph.Vertex, l labelseq.Seq) (bool, error) {
 	indexClass := len(l) > 0 && len(l) <= st.ix.K() && labelseq.IsPrimitive(l)
 	if st.delta != nil && st.delta.JournalLen() > 0 {
 		if indexClass {
-			return st.delta.QueryRLC(ctx, src, dst, l)
+			return st.delta.QueryRLC(ctx, src, dst, l) //rlc:allocok overlay search
 		}
-		return st.delta.EvalExprCtx(ctx, src, dst, automaton.Plus(l))
+		return st.delta.EvalExprCtx(ctx, src, dst, automaton.Plus(l)) //rlc:allocok overlay search
 	}
 	if indexClass {
 		return st.ix.QueryRLC(ctx, src, dst, l)
 	}
 	h := st.hybrids.Get().(*hybrid.Evaluator)
 	defer st.hybrids.Put(h)
-	return h.EvalCtx(ctx, src, dst, automaton.Plus(l))
+	return h.EvalCtx(ctx, src, dst, automaton.Plus(l)) //rlc:allocok traversal fallback
 }
 
-// seqKey builds the cache key of a single-L+ query: the packed sequence code
-// when it fits, the canonical expression text otherwise.
-//
-//rlc:noalloc
-func (st *state) seqKey(src, dst graph.Vertex, l labelseq.Seq) cacheKey {
-	if code, ok := st.packSeq(l); ok {
-		return cacheKey{s: int32(src), t: int32(dst), code: code}
-	}
-	//rlc:allocok overflow fallback: sequences past 63 bits key by canonical text
-	return cacheKey{s: int32(src), t: int32(dst), expr: canonicalExpr(automaton.Plus(l))}
-}
-
-// packSeq packs l into the base-(numLabels+1) code cacheKey uses, refusing
-// sequences that overflow 63 bits or carry out-of-range labels (both are
-// answered — and rejected — downstream; they just can't use the packed key).
-//
-//rlc:noalloc
-func (st *state) packSeq(l labelseq.Seq) (uint64, bool) {
-	base := uint64(st.g.NumLabels() + 1)
-	var code uint64
-	for _, lb := range l {
-		if lb < 0 || uint64(lb+1) >= base || code > (1<<63)/base {
-			return 0, false
-		}
-		code = code*base + uint64(lb+1)
-	}
-	return code, true
-}
-
-// answerExpr answers a parsed expression through the cache. Single
-// plus-segment expressions take the packed-key path; multi-segment
-// expressions are keyed by canonical text and computed by a pooled hybrid
-// evaluator.
-func (st *state) answerExpr(ctx context.Context, src, dst graph.Vertex, e automaton.Expr) (reachable, cached bool, err error) {
+// answerExpr answers a parsed expression: a single plus-segment is an RLC
+// query, anything else goes to computeExpr.
+func (st *state) answerExpr(ctx context.Context, src, dst graph.Vertex, e automaton.Expr) (bool, error) {
 	if len(e.Segments) == 1 && e.Segments[0].Plus {
-		return st.answerRLC(ctx, src, dst, e.Segments[0].Labels)
+		return st.computeSeq(ctx, src, dst, e.Segments[0].Labels)
 	}
-	if st.cache == nil {
-		reachable, err = st.computeExpr(ctx, src, dst, e)
-		return reachable, false, err
-	}
-	ver := st.seqNow()
-	key := cacheKey{s: int32(src), t: int32(dst), expr: canonicalExpr(e)}
-	if val, ok := st.cache.hitProbe(key, ver); ok {
-		return val, true, nil
-	}
-	// Detached for the same reason as answerRLC: coalesced waiters share
-	// the leader's result. Built only on a miss — a hit pays for the key's
-	// canonical text and nothing else.
-	dctx := context.WithoutCancel(ctx)
-	compute := func() (bool, error) { return st.computeExpr(dctx, src, dst, e) }
-	return st.cache.do(key, ver, compute)
+	return st.computeExpr(ctx, src, dst, e)
 }
 
-// computeExpr answers a multi-segment expression on a cache miss: the delta
-// overlay's exact NFA search when journal edges are pending, the pooled
-// hybrid evaluator over the base otherwise.
+// computeExpr answers a multi-segment expression: the delta overlay's exact
+// NFA search when journal edges are pending, the pooled hybrid evaluator
+// over the base otherwise.
 func (st *state) computeExpr(ctx context.Context, src, dst graph.Vertex, e automaton.Expr) (bool, error) {
 	if st.delta != nil && st.delta.JournalLen() > 0 {
 		return st.delta.EvalExprCtx(ctx, src, dst, e)
@@ -462,13 +345,6 @@ func (st *state) computeExpr(ctx context.Context, src, dst graph.Vertex, e autom
 	h := st.hybrids.Get().(*hybrid.Evaluator)
 	defer st.hybrids.Put(h)
 	return h.EvalCtx(ctx, src, dst, e)
-}
-
-// canonicalExpr renders a parsed expression so that every spelling of the
-// same query shares one cache key; automaton.Expr.String is injective over
-// the parsed form, so it is the canonical encoding.
-func canonicalExpr(e automaton.Expr) string {
-	return e.String()
 }
 
 // parseExpr resolves an expression with the shared graph-aware rules
@@ -517,59 +393,6 @@ func (s *Server) timed(h *histogram, fn func(http.ResponseWriter, *http.Request)
 		ok := fn(w, r)
 		h.observe(time.Since(start), !ok)
 	}
-}
-
-// queryResponse is the GET /query reply.
-type queryResponse struct {
-	S         string  `json:"s"`
-	T         string  `json:"t"`
-	L         string  `json:"l"`
-	Reachable bool    `json:"reachable"`
-	Cached    bool    `json:"cached"`
-	Micros    float64 `json:"micros"`
-}
-
-func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) bool {
-	st := s.store.acquire()
-	if st == nil {
-		return writeError(w, http.StatusServiceUnavailable, "server closed")
-	}
-	defer st.release()
-	q := r.URL.Query()
-	sTok, tTok, lTok := q.Get("s"), q.Get("t"), q.Get("l")
-	if sTok == "" || tTok == "" || lTok == "" {
-		return writeError(w, http.StatusBadRequest, "missing parameter: s, t, and l are all required")
-	}
-	src, err := st.vertex(sTok)
-	if err != nil {
-		return writeErr(w, http.StatusBadRequest, fmt.Errorf("s: %w", err))
-	}
-	dst, err := st.vertex(tTok)
-	if err != nil {
-		return writeErr(w, http.StatusBadRequest, fmt.Errorf("t: %w", err))
-	}
-	e, err := st.parseExpr(lTok)
-	if err != nil {
-		return writeErr(w, http.StatusBadRequest, fmt.Errorf("l: %w", err))
-	}
-
-	start := time.Now()
-	// Coordinates are captured before the answer is computed, so the seq
-	// header is a floor the answer provably reflects (inserts are
-	// monotone: later edges can only add reachability the claim omits).
-	replHeaders(w, st, st.seqNow())
-	reachable, cached, err := st.answerExpr(r.Context(), src, dst, e)
-	if err != nil {
-		return writeErr(w, http.StatusUnprocessableEntity, err)
-	}
-	return writeJSON(w, http.StatusOK, queryResponse{
-		S:         sTok,
-		T:         tTok,
-		L:         lTok,
-		Reachable: reachable,
-		Cached:    cached,
-		Micros:    float64(time.Since(start).Nanoseconds()) / 1e3,
-	})
 }
 
 // reloadResponse is the POST /reload reply.
@@ -653,7 +476,6 @@ type statsResponse struct {
 	Index         core.Stats         `json:"index"`
 	Tiers         *tierStatsResponse `json:"tiers,omitempty"`
 	Build         *core.BuildStats   `json:"build,omitempty"`
-	Cache         *CacheStats        `json:"cache,omitempty"`
 	Mutable       *MutableStats      `json:"mutable,omitempty"`
 	// BatchQueries is the number of queries received through POST /batch;
 	// endpoints.batch.mean_us × count ÷ batch_queries prices one of them.
@@ -726,10 +548,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) bool {
 			FilterDefinite:     ts.FilterDefinite,
 			FilterMaybe:        ts.FilterMaybe,
 		}
-	}
-	if st.cache != nil {
-		cst := st.cache.stats()
-		resp.Cache = &cst
 	}
 	if st.delta != nil {
 		ms := s.mutableStats(st)
@@ -840,8 +658,6 @@ func errorCode(err error) string {
 		return "empty_expression"
 	case errors.Is(err, errServerClosed):
 		return "server_closed"
-	case errors.Is(err, errComputePanicked):
-		return "compute_panicked"
 	case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
 		return "canceled"
 	default:

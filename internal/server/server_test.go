@@ -61,8 +61,8 @@ func queryURL(base string, s, tk, l string) string {
 
 // TestQueryEndpointMatchesIndex is the acceptance gate for GET /query: over
 // every (s, t) pair of the Fig. 2 graph and a spread of constraints, the
-// HTTP answer must equal Index.Query — twice, so the second (cached) pass is
-// also checked against the index.
+// HTTP answer must equal Index.Query, and "cached" reads false — on a second
+// pass too, since nothing keeps the first one's answers.
 func TestQueryEndpointMatchesIndex(t *testing.T) {
 	g := graph.Fig2()
 	ix := buildIndex(t, g)
@@ -79,7 +79,6 @@ func TestQueryEndpointMatchesIndex(t *testing.T) {
 		{"(l2 l1)+", labelseq.Seq{1, 0}},
 	}
 	for pass := 0; pass < 2; pass++ {
-		wantCached := pass == 1
 		for s := 0; s < g.NumVertices(); s++ {
 			for dst := 0; dst < g.NumVertices(); dst++ {
 				for _, c := range constraints {
@@ -95,8 +94,8 @@ func TestQueryEndpointMatchesIndex(t *testing.T) {
 					if resp.Reachable != want {
 						t.Fatalf("(%d,%d,%q): HTTP says %v, index says %v", s, dst, c.text, resp.Reachable, want)
 					}
-					if resp.Cached != wantCached {
-						t.Fatalf("(%d,%d,%q) pass %d: cached=%v, want %v", s, dst, c.text, pass, resp.Cached, wantCached)
+					if resp.Cached {
+						t.Fatalf("(%d,%d,%q) pass %d: cached=true from a server without a cache", s, dst, c.text, pass)
 					}
 				}
 			}
@@ -224,8 +223,7 @@ func postBatch(t *testing.T, base string, body string) (int, batchResponse, stri
 // TestBatchMatchesQueryBatch is the acceptance gate for POST /batch: over a
 // generated ER graph and workload, the endpoint's answers must be identical,
 // position for position, to Index.QueryBatch — and again on a second pass,
-// which finds nothing cached: a batch on an empty journal goes to the index
-// and leaves the result cache alone.
+// which reports nothing cached either.
 func TestBatchMatchesQueryBatch(t *testing.T) {
 	g, err := gen.ER(400, 1600, 4, 11)
 	if err != nil {
@@ -236,7 +234,7 @@ func TestBatchMatchesQueryBatch(t *testing.T) {
 		t.Fatalf("workload: %v", err)
 	}
 	ix := buildIndex(t, g)
-	srv, hts := newTestServer(t, ix, Options{})
+	_, hts := newTestServer(t, ix, Options{})
 
 	qs := w.All()
 	batch := make([]core.BatchQuery, len(qs))
@@ -276,9 +274,6 @@ func TestBatchMatchesQueryBatch(t *testing.T) {
 			t.Fatalf("pass %d: cached = %d, want 0", pass, br.Cached)
 		}
 	}
-	if cs := srv.CacheStats(); cs.Hits+cs.Misses+cs.Entries != 0 {
-		t.Fatalf("batches touched the result cache: %+v", cs)
-	}
 }
 
 // goldenBatchBody is the request TestBatchGoldenResponse pins the reply of;
@@ -293,8 +288,8 @@ const goldenBatchBody = `{"queries":[
 	]}`
 
 // TestBatchGoldenResponse pins the exact response body of POST /batch on the
-// Fig. 2 graph — field names, error strings, ordering, and cache counts —
-// with only the micros timing normalized to 0.
+// Fig. 2 graph — field names, error strings, ordering, and the constant
+// "cached" — with only the micros timing normalized to 0.
 func TestBatchGoldenResponse(t *testing.T) {
 	g := graph.Fig2()
 	_, hts := newTestServer(t, buildIndex(t, g), Options{})
@@ -306,7 +301,7 @@ func TestBatchGoldenResponse(t *testing.T) {
 		`{"code":"not_minimum_repeat","error":"rlc: query constraint is not a minimum repeat (L != MR(L)); the even-path fragment is out of scope: (l0,l0)","reachable":false},` +
 		`{"code":"vertex_range","error":"t: rlc: vertex id out of range: vertex 99 out of range [0, 6)","reachable":false},` +
 		`{"error":"l: batch queries need a single L+ segment; use GET /query for multi-segment expressions","reachable":false}]}`
-	// The second pass reads the same: nothing was cached by the first.
+	// The second pass reads the same.
 	for pass := 0; pass < 2; pass++ {
 		code, _, raw := postBatch(t, hts.URL, goldenBatchBody)
 		if code != http.StatusOK {
@@ -399,7 +394,6 @@ func TestStatsEndpoint(t *testing.T) {
 	ix := buildIndex(t, g)
 	_, hts := newTestServer(t, ix, Options{})
 
-	// Two identical queries: one miss, one hit.
 	var qr queryResponse
 	getJSON(t, queryURL(hts.URL, "0", "4", "l1 l2"), &qr)
 	getJSON(t, queryURL(hts.URL, "0", "4", "l1 l2"), &qr)
@@ -407,9 +401,6 @@ func TestStatsEndpoint(t *testing.T) {
 	var st statsResponse
 	if code := getJSON(t, hts.URL+"/stats", &st); code != http.StatusOK {
 		t.Fatalf("stats: status %d", code)
-	}
-	if st.Cache == nil || st.Cache.Hits != 1 || st.Cache.Misses != 1 || st.Cache.Entries != 1 {
-		t.Fatalf("cache stats: %+v", st.Cache)
 	}
 	if st.Index.Entries != ix.Stats().Entries || st.Index.K != 2 {
 		t.Fatalf("index stats drifted: %+v", st.Index)
@@ -431,31 +422,15 @@ func TestStatsEndpoint(t *testing.T) {
 	if string(raw["batch_queries"]) != "7" {
 		t.Fatalf("batch_queries = %s, want 7", raw["batch_queries"])
 	}
+	if _, ok := raw["cache"]; ok {
+		t.Fatalf("/stats reports a cache section: %s", raw["cache"])
+	}
 	getJSON(t, hts.URL+"/stats", &st)
 	if b := st.Endpoints["batch"]; b.Count != 3 || b.Errors != 1 {
 		t.Fatalf("batch endpoint stats: %+v", b)
 	}
 	if st.UptimeSeconds <= 0 {
 		t.Fatalf("uptime %v", st.UptimeSeconds)
-	}
-}
-
-// TestCacheDisabled covers the CacheEntries < 0 serving mode: every answer
-// recomputes, nothing reports cached, and /stats omits the cache block.
-func TestCacheDisabled(t *testing.T) {
-	g := graph.Fig2()
-	_, hts := newTestServer(t, buildIndex(t, g), Options{CacheEntries: -1})
-	var qr queryResponse
-	for i := 0; i < 2; i++ {
-		getJSON(t, queryURL(hts.URL, "0", "4", "l1 l2"), &qr)
-		if qr.Cached {
-			t.Fatal("cache disabled but response says cached")
-		}
-	}
-	var st statsResponse
-	getJSON(t, hts.URL+"/stats", &st)
-	if st.Cache != nil {
-		t.Fatalf("cache stats present with cache disabled: %+v", st.Cache)
 	}
 }
 

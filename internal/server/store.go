@@ -1,6 +1,7 @@
 package server
 
 import (
+	"strconv"
 	"sync"
 	"sync/atomic"
 
@@ -11,20 +12,19 @@ import (
 )
 
 // state is one immutable serving generation: an index, its graph, the
-// per-generation result cache and hybrid-evaluator pool, the delta overlay
-// accepting writes against this base (mutable servers only), and — when the
-// generation came from a snapshot bundle — the mapping that backs it all.
-// Everything that must change together on a hot reload lives here, so a
-// query pins one coherent generation for its whole lifetime and can never
-// observe a new index through an old cache (or vice versa). The overlay
-// belongs to the generation because its lock-free readers hold references
-// into the base index: pinning the generation is what keeps a mid-query
-// hot swap from unmapping the snapshot under the delta search.
+// hybrid-evaluator pool, the delta overlay accepting writes against this
+// base (mutable servers only), and — when the generation came from a
+// snapshot bundle — the mapping that backs it all. Everything that must
+// change together on a hot reload lives here, so a query pins one coherent
+// generation for its whole lifetime and can never observe a new index
+// through an old overlay (or vice versa). The overlay belongs to the
+// generation because its lock-free readers hold references into the base
+// index: pinning the generation is what keeps a mid-query hot swap from
+// unmapping the snapshot under the delta search.
 type state struct {
 	ix     *core.Index
 	g      *graph.Graph
 	src    *core.Snapshot // backing snapshot to retire with the state; nil for heap-built indexes
-	cache  *cache         // nil when disabled
 	build  *core.BuildStats
 	gen    uint64
 	source string // human-readable origin for /stats
@@ -37,6 +37,12 @@ type state struct {
 	// reader that pinned the state can translate without racing a fold.
 	epoch   uint64
 	seqBase uint64
+
+	// epochHdr is the X-Rlc-Epoch value of every reply from this generation
+	// and seqHdr the X-Rlc-Seq value of one without an overlay, whose
+	// sequence never moves; both are assigned into header maps as they are
+	// and never written again.
+	epochHdr, seqHdr []string
 
 	// fp is the compact fingerprint of the base graph this generation
 	// serves: the bundle's embedded fingerprint when snapshot-backed,
@@ -89,22 +95,20 @@ func (st *state) close() {
 // old one only after its in-flight readers drain. Queries therefore never
 // error, block, or see a torn index during a swap.
 type Store struct {
-	opts   Options // sizing for per-generation caches
-	cur    atomic.Pointer[state]
-	mu     sync.Mutex // serializes swaps
-	gen    uint64     // last generation handed out; guarded by mu
-	closed bool       // guarded by mu; a closed store stays closed
+	mutable bool // Options.Mutable: every generation gets a write overlay
+	cur     atomic.Pointer[state]
+	mu      sync.Mutex // serializes swaps
+	gen     uint64     // last generation handed out; guarded by mu
+	closed  bool       // guarded by mu; a closed store stays closed
 
 	// writes counts accepted edge inserts across all generations, for
-	// /stats. (Cache entries are stamped with the serving generation's
-	// journal position, state.seqNow — not with this counter, which is
-	// bumped after the journal publishes.)
+	// /stats.
 	writes atomic.Uint64
 }
 
 // NewStore returns a store serving ix (a heap-built index, generation 1).
 func NewStore(ix *core.Index, opts Options) *Store {
-	s := &Store{opts: opts.withDefaults()}
+	s := &Store{mutable: opts.Mutable}
 	s.install(s.newState(ix, nil, opts.BuildStats, "built in-process", s.newDelta(ix, nil), 0, 0))
 	return s
 }
@@ -113,7 +117,7 @@ func NewStore(ix *core.Index, opts Options) *Store {
 // The store takes ownership: the snapshot is closed when its generation is
 // retired (by a later Swap) or by Close.
 func NewStoreFromSnapshot(snap *core.Snapshot, opts Options) *Store {
-	s := &Store{opts: opts.withDefaults()}
+	s := &Store{mutable: opts.Mutable}
 	s.install(s.newState(snap.Index(), snap, nil, snapshotSource(snap), s.newDelta(snap.Index(), nil), 0, 0))
 	return s
 }
@@ -124,7 +128,7 @@ func NewStoreFromSnapshot(snap *core.Snapshot, opts Options) *Store {
 // the serving layer folds, because its folds also write bundles and swap
 // generations.
 func (s *Store) newDelta(ix *core.Index, journal []graph.Edge) *dynamic.DeltaGraph {
-	if !s.opts.Mutable {
+	if !s.mutable {
 		return nil
 	}
 	d, err := dynamic.NewWithJournal(ix.Graph(), ix, dynamic.Options{RebuildThreshold: -1}, journal)
@@ -143,10 +147,7 @@ func snapshotSource(snap *core.Snapshot) string {
 	return "snapshot (in-memory)"
 }
 
-// newState assembles a generation around ix with a fresh cache and hybrid
-// pool. A fresh cache is not an optimization detail: results cached against
-// the old index may be wrong for the new one, so cache lifetime is bounded
-// by generation lifetime.
+// newState assembles a generation around ix with a fresh hybrid pool.
 func (s *Store) newState(ix *core.Index, src *core.Snapshot, build *core.BuildStats, source string, delta *dynamic.DeltaGraph, epoch, seqBase uint64) *state {
 	st := &state{
 		ix:      ix,
@@ -166,8 +167,9 @@ func (s *Store) newState(ix *core.Index, src *core.Snapshot, build *core.BuildSt
 	} else {
 		st.fp = st.g.Fingerprint().Compact()
 	}
-	if s.opts.CacheEntries > 0 {
-		st.cache = newCache(s.opts.CacheEntries, s.opts.CacheShards)
+	st.epochHdr = []string{strconv.FormatUint(epoch, 10)}
+	if delta == nil {
+		st.seqHdr = []string{strconv.FormatUint(seqBase, 10)}
 	}
 	st.hybrids.New = func() any { return hybrid.New(ix) }
 	st.refs.Store(1) // the Store's own reference while current
@@ -240,8 +242,8 @@ func (s *Store) SwapSnapshot(snap *core.Snapshot) {
 // un-folded journal tail. epoch and seqBase place the new generation on
 // the replication timeline (the fold that produced it advanced both). It
 // rides the same drain path as SwapSnapshot: queries pinned to the
-// pre-fold generation finish against it — overlay, cache, mapping and all
-// — before its snapshot is released.
+// pre-fold generation finish against it — overlay, mapping and all —
+// before its snapshot is released.
 func (s *Store) SwapFolded(ix *core.Index, src *core.Snapshot, journal []graph.Edge, source string, epoch, seqBase uint64) {
 	s.install(s.newState(ix, src, nil, source, s.newDelta(ix, journal), epoch, seqBase))
 }

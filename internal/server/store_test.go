@@ -3,7 +3,6 @@ package server
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -231,30 +230,6 @@ func TestSwapAfterCloseStaysClosed(t *testing.T) {
 	}
 	if late.Index() != nil {
 		t.Fatal("late snapshot not closed; its mapping leaks")
-	}
-}
-
-// TestCancellationDoesNotPoisonFlights pins the singleflight/context
-// interaction: with the cache on, a flight leader computes detached from
-// its own request's cancellation (a coalesced waiter with a healthy
-// connection must still get an answer), while the cache-disabled path —
-// where no one shares the result — honors cancellation.
-func TestCancellationDoesNotPoisonFlights(t *testing.T) {
-	g := chainGraph(6, 0)
-	canceled, cancel := context.WithCancel(context.Background())
-	cancel()
-
-	cached := New(mustBuild(t, g), Options{})
-	defer cached.Close()
-	ok, _, err := cached.AnswerRLC(canceled, 0, 5, labelseq.Seq{0})
-	if err != nil || !ok {
-		t.Fatalf("cached path under canceled ctx: (%v, %v), want the shared answer (true, nil)", ok, err)
-	}
-
-	uncached := New(mustBuild(t, g), Options{CacheEntries: -1})
-	defer uncached.Close()
-	if _, _, err := uncached.AnswerRLC(canceled, 0, 5, labelseq.Seq{0}); !errors.Is(err, context.Canceled) {
-		t.Fatalf("uncached path under canceled ctx: err = %v, want context.Canceled", err)
 	}
 }
 

@@ -82,11 +82,10 @@
 //
 // # Serving
 //
-// NewServer wraps an index in a long-running HTTP/JSON query service with a
-// sharded LRU result cache (with singleflight deduplication of concurrent
-// identical misses) in front of the index, per-endpoint latency histograms,
-// and graceful shutdown — the production read path the rlcserve command
-// exposes:
+// NewServer wraps an index in a long-running HTTP/JSON query service —
+// every read goes straight to the index (a probe costs less than a cache
+// lookup in front of it would), with per-endpoint latency histograms and
+// graceful shutdown — the production read path the rlcserve command exposes:
 //
 //	srv := rlc.NewServer(ix, rlc.ServerOptions{})
 //	go srv.ListenAndServe(":8080")
@@ -119,10 +118,8 @@
 // (ServerOptions.RebuildPath), and hot-swaps the new epoch through the
 // same Store drain path as a reload, carrying over edges inserted while it
 // ran. Queries never block on a fold and answers stay exact across the
-// swap; the result cache invalidates its negative entries on every write
-// and survives wholesale only until the epoch rolls (cached TRUEs remain
-// valid throughout — monotonicity again). ServerOptions.OnRebuild observes
-// every fold; /stats and /healthz expose the epoch and journal length.
+// swap. ServerOptions.OnRebuild observes every fold; /stats and /healthz
+// expose the epoch and journal length.
 //
 // The Querier interface (QueryRLC) is the common read surface of *Index,
 // *HybridEvaluator, and *Server, so read-only code can swap layers freely;
@@ -222,8 +219,8 @@ var (
 // context. It is the read interface shared by every query-answering layer
 // of the module: the raw index (*Index), the hybrid evaluator
 // (*HybridEvaluator, which also accepts constraints outside the index's
-// class), and the serving path (*Server, which adds the result cache and
-// hot-swappable snapshots). Code that only reads — handlers, background
+// class), and the serving path (*Server, which adds hot-swappable snapshots
+// and the write overlay). Code that only reads — handlers, background
 // checkers, tests — should accept a Querier and stay agnostic about which
 // layer backs it.
 type Querier interface {
@@ -472,16 +469,14 @@ func BuildDeltaGraph(g *Graph, opts DeltaOptions) (*DeltaGraph, error) {
 }
 
 // Query-serving layer (internal/server): a long-running HTTP/JSON service
-// with a sharded LRU result cache fronting the index.
+// over the index.
 type (
 	// Server answers RLC queries over HTTP; see its Handler method for
 	// the endpoints.
 	Server = server.Server
-	// ServerOptions configures NewServer; the zero value serves with a
-	// default-sized cache.
+	// ServerOptions configures NewServer; the zero value serves with
+	// GOMAXPROCS batch workers and the default batch and body limits.
 	ServerOptions = server.Options
-	// CacheStats is a snapshot of the server's result-cache counters.
-	CacheStats = server.CacheStats
 	// EndpointStats is the /stats rendering of one endpoint's latency
 	// histogram.
 	EndpointStats = server.EndpointStats
@@ -508,10 +503,6 @@ type (
 	// /stats: epoch, journal length, accepted writes, and fold telemetry.
 	MutableServerStats = server.MutableStats
 )
-
-// DefaultCacheEntries is the server's result-cache capacity when
-// ServerOptions.CacheEntries is zero.
-const DefaultCacheEntries = server.DefaultCacheEntries
 
 // NewServer returns an HTTP query server over ix. Start it with
 // ListenAndServe or mount its Handler; stop it with Shutdown (and Close to

@@ -14,7 +14,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-for exp in serve ingest budget repl; do
+for exp in ingest budget repl; do
   echo "=== bench.sh: $exp -> BENCH_${exp}.json" >&2
   go run ./cmd/rlcbench -exp "$exp" -json "BENCH_${exp}.json" -quiet "$@"
 done

@@ -4,7 +4,8 @@
 # invariants; see internal/analysis) over every package, the one-kernel
 # check (NFA.Step call sites), the one-v1-reader check ("RLCX"), the
 # no-closure-in-the-overlay check, the one-decoder-on-/batch check, the
-# one-client-stack-in-the-router check, then staticcheck and govulncheck
+# one-pass-on-/query check, the one-client-stack-in-the-router check, then
+# staticcheck and govulncheck
 # when available. CI runs this in the lint job; run it locally before
 # sending a change that touches the serving or query path.
 #
@@ -75,6 +76,18 @@ fi
 echo "==> json.NewDecoder in internal/server/batch.go"
 if stray=$(grep -n 'json\.NewDecoder(' internal/server/batch.go); then
 	echo "internal/server/batch.go decodes through encoding/json; extend batchScanner instead:" >&2
+	echo "$stray" >&2
+	status=1
+fi
+
+# One pass on /query: internal/server/query.go reads s, t and l out of the
+# raw query string and appends the reply itself (rlcvet holds both to no
+# allocation, two fuzzers hold them to net/url and encoding/json). URL.Query()
+# there is the map per request coming back; a json encoder, the reflection
+# walk around a 200 ns answer.
+echo "==> general-purpose parsers in internal/server/query.go"
+if stray=$(grep -nE 'URL\.Query\(\)|json\.NewEncoder\(|json\.Marshal\(' internal/server/query.go); then
+	echo "internal/server/query.go parses or renders through a general-purpose package; extend queryParams or appendQueryReply instead:" >&2
 	echo "$stray" >&2
 	status=1
 fi
