@@ -82,9 +82,10 @@ func TestCLIUsageConformance(t *testing.T) {
 }
 
 // TestCLIRejectedFlags pins three families of flag errors. The flags of the
-// retired v1 two-file format and of the retired result cache are gone — the
-// flag package's unknown-flag path exits 2 with usage — as is the rlcbench
-// experiment that measured the cache; and a flag that only steers an
+// retired v1 two-file format, of the retired result cache and of the retired
+// parallel build are gone — the flag package's unknown-flag path exits 2 with
+// usage — as are the rlcbench experiments that measured the cache and the
+// parallel build; and a flag that only steers an
 // on-the-fly build is refused beside -snapshot, where it would be ignored
 // without a word.
 func TestCLIRejectedFlags(t *testing.T) {
@@ -109,10 +110,14 @@ func TestCLIRejectedFlags(t *testing.T) {
 		{"rlccluster", []string{"-role", "leader", "-graph", "g", "-cache", "0"}, 2, "usage: rlccluster"},
 		{"rlcbench", []string{"-exp", "serve"}, 1, `unknown experiment "serve"`},
 
+		{"rlcbuild", []string{"-buildworkers", "1"}, 2, "usage: rlcbuild"},
+		{"rlcserve", []string{"-graph", "g", "-buildworkers", "1"}, 2, "usage: rlcserve"},
+		{"rlcbench", []string{"-buildworkers", "1,2"}, 2, "usage: rlcbench"},
+		{"rlcbench", []string{"-exp", "pbuild"}, 1, `unknown experiment "pbuild"`},
+
 		{"rlcserve", []string{"-snapshot", bundle, "-k", "3"}, 1, "-k and -max-index-bytes require -graph"},
 		{"rlcserve", []string{"-snapshot", bundle, "-max-index-bytes", "4096"}, 1, "-k and -max-index-bytes require -graph"},
 		{"rlcserve", []string{"-snapshot", bundle, "-mutable", "-k", "3"}, 1, "-k and -max-index-bytes require -graph"},
-		{"rlcserve", []string{"-snapshot", bundle, "-buildworkers", "2"}, 1, "-buildworkers requires -graph or -mutable"},
 		{"rlccluster", []string{"-role", "leader", "-snapshot", bundle, "-k", "3"}, 1, "-k requires -graph"},
 		{"rlcquery", []string{"-snapshot", bundle, "-k", "3", "-s", "0", "-t", "1", "-expr", "l0+"}, 1, "-k requires -graph"},
 		{"rlcinspect", []string{"-snapshot", bundle, "-k", "3"}, 1, "-k requires -graph"},

@@ -18,7 +18,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"strconv"
 	"strings"
 	"time"
 
@@ -29,7 +28,7 @@ const synopsis = "rlcbench — reproduce the paper's experimental tables and fig
 
 func main() {
 	var (
-		exp      = flag.String("exp", "all", "experiment id (table3..5, fig3..7, ablation, batch, pbuild, ingest, budget, repl) or \"all\"")
+		exp      = flag.String("exp", "all", "experiment id (table3..5, fig3..7, ablation, batch, ingest, budget, repl) or \"all\"")
 		scale    = flag.Float64("scale", 0, "dataset replica scale (0 = default)")
 		maxV     = flag.Int("max-vertices", 0, "replica vertex cap (0 = default)")
 		queries  = flag.Int("queries", 0, "queries per true/false set (0 = default)")
@@ -38,7 +37,6 @@ func main() {
 		synthV   = flag.Int("synth-vertices", 0, "fig5 synthetic |V| (0 = default)")
 		out      = flag.String("out", "", "directory for markdown output (empty = stdout only)")
 		etcLimit = flag.Duration("etc-limit", 0, "ETC construction budget (0 = default)")
-		bworkers = flag.String("buildworkers", "", "comma-separated worker ladder for the pbuild experiment (empty = 1,2,4)")
 		jsonOut  = flag.String("json", "", "write a machine-readable JSON report of the whole run to this file")
 		quiet    = flag.Bool("quiet", false, "suppress progress output")
 	)
@@ -60,15 +58,6 @@ func main() {
 	}
 	if *dsets != "" {
 		cfg.Datasets = strings.Split(*dsets, ",")
-	}
-	if *bworkers != "" {
-		for _, tok := range strings.Split(*bworkers, ",") {
-			w, err := strconv.Atoi(strings.TrimSpace(tok))
-			if err != nil || w < 0 {
-				fatalf("bad -buildworkers entry %q (want non-negative integers)", tok)
-			}
-			cfg.BuildWorkers = append(cfg.BuildWorkers, w)
-		}
 	}
 	if !*quiet {
 		cfg.Progress = os.Stderr

@@ -4,12 +4,10 @@
 // rlcinspect read with -snapshot.
 //
 //	rlcbuild -graph g.graph -k 2 -o g.rlcs
-//	rlcbuild -graph g.graph -k 2 -buildworkers 8 -o g.rlcs
 //
 // It prints the indexing time and index statistics that Table IV reports.
-// Construction is deterministic for every -buildworkers value: the written
-// bundle bytes are identical whether the build ran sequentially or on all
-// cores.
+// Construction is deterministic: the same graph and flags always write the
+// same bundle bytes.
 package main
 
 import (
@@ -28,7 +26,6 @@ func main() {
 		graphPath = flag.String("graph", "", "input graph file (required)")
 		k         = flag.Int("k", 2, "recursive k")
 		bundle    = flag.String("o", "", "output snapshot bundle (required; self-contained, mmap-served)")
-		workers   = flag.Int("buildworkers", 0, "construction workers (0 = GOMAXPROCS, 1 = sequential)")
 		maxBytes  = flag.Int64("max-index-bytes", 0, "size budget for the index: keep exact entry lists for the top-ranked vertices that fit, demote the rest to may-reach filters (0 = unlimited; answers stay exact either way)")
 		noPR1     = flag.Bool("no-pr1", false, "disable pruning rule PR1 (ablation)")
 		noPR2     = flag.Bool("no-pr2", false, "disable pruning rule PR2 (ablation)")
@@ -47,9 +44,6 @@ func main() {
 	if *bundle == "" {
 		fatalf("missing -o")
 	}
-	if *workers < 0 {
-		fatalf("-buildworkers must be >= 0 (0 = GOMAXPROCS), got %d", *workers)
-	}
 	if *maxBytes < 0 {
 		fatalf("-max-index-bytes must be >= 0 (0 = unlimited), got %d", *maxBytes)
 	}
@@ -63,7 +57,6 @@ func main() {
 	start := time.Now()
 	ix, bst, err := rlc.BuildIndexWithStats(g, rlc.Options{
 		K:             *k,
-		BuildWorkers:  *workers,
 		MaxIndexBytes: *maxBytes,
 		DisablePR1:    *noPR1,
 		DisablePR2:    *noPR2,
@@ -75,7 +68,7 @@ func main() {
 	elapsed := time.Since(start)
 
 	st := ix.Stats()
-	fmt.Printf("indexing time: %.3fs (%d build workers)\n", elapsed.Seconds(), bst.Workers)
+	fmt.Printf("indexing time: %.3fs\n", elapsed.Seconds())
 	fmt.Printf("index size:    %.2f MB (%d entries: %d in, %d out; %d distinct MRs)\n",
 		float64(st.SizeBytes)/(1024*1024), st.Entries, st.InEntries, st.OutEntries, st.DistinctMRs)
 	fmt.Printf("packed:        %.2f MB (%d groups, %d hash-consed sets, %d pool words)\n",
@@ -91,10 +84,6 @@ func main() {
 	}
 	fmt.Printf("construction:  %d kernel searches, %d kernel-BFS nodes; %d inserts, pruned %d by PR1, %d by PR2\n",
 		bst.KernelBFSRuns, bst.KernelBFSNodes, bst.Inserted, bst.PrunedPR1, bst.PrunedPR2)
-	if bst.Workers > 1 {
-		fmt.Printf("scheduling:    %d rounds, %d speculations (%d committed, %d re-run)\n",
-			bst.Windows, bst.Speculated, bst.Committed, bst.Rerun)
-	}
 
 	if err := ix.SaveSnapshotFile(*bundle); err != nil {
 		fatalf("save snapshot: %v", err)

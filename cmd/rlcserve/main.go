@@ -4,7 +4,7 @@
 // reachability queries straight from the index.
 //
 //	rlcserve -snapshot g.rlcs -addr :8080
-//	rlcserve -graph g.graph -k 2 -buildworkers 0 -addr :8080
+//	rlcserve -graph g.graph -k 2 -addr :8080
 //	curl 'localhost:8080/query?s=0&t=4&l=(l0 l1)+'
 //	curl -X POST localhost:8080/batch -d '{"queries":[{"s":0,"t":4,"l":"l0 l1"}]}'
 //	curl localhost:8080/stats
@@ -34,9 +34,9 @@
 // Inserts append to a journal every query consults exactly — answers flip
 // as soon as the update returns, no downtime, queries never block. When
 // the journal passes -rebuild-threshold the server folds base + journal in
-// the background, rebuilds the index with the deterministic parallel
-// builder, writes a fresh v2 bundle to -rebuild-out (when set), and
-// hot-swaps the new epoch in while writes continue. /stats and /healthz
+// the background, rebuilds the index, writes a fresh v2 bundle to
+// -rebuild-out (when set), and hot-swaps the new epoch in while writes
+// continue. /stats and /healthz
 // report the epoch and journal length; the POST /rebuild reply and the
 // "mutable" section of /stats say where the last fold's time went
 // (union_micros, build_micros, bundle_micros, swap_micros beside the
@@ -68,7 +68,6 @@ func main() {
 		snapshotPath = flag.String("snapshot", "", "snapshot bundle (.rlcs) to serve; enables SIGHUP / POST /reload hot swaps")
 		graphPath    = flag.String("graph", "", "input graph file (index built on the fly)")
 		k            = flag.Int("k", 2, "recursive k when building on the fly")
-		buildWorkers = flag.Int("buildworkers", 0, "construction workers when building on the fly (0 = GOMAXPROCS)")
 		maxIndex     = flag.Int64("max-index-bytes", 0, "size budget when building on the fly: demote low-ranked vertices to may-reach filters so the index fits (0 = unlimited; answers stay exact)")
 		addr         = flag.String("addr", ":8080", "listen address")
 		workers      = flag.Int("workers", 0, "batch-query worker goroutines (0 = GOMAXPROCS)")
@@ -89,18 +88,12 @@ func main() {
 	if (*snapshotPath == "") == (*graphPath == "") {
 		fatalf("exactly one of -snapshot or -graph is required")
 	}
-	if *buildWorkers < 0 {
-		fatalf("-buildworkers must be >= 0 (0 = GOMAXPROCS), got %d", *buildWorkers)
-	}
 	if *snapshotPath != "" {
 		// A bundle is served as built (folds inherit its k and budget), so a
 		// build parameter here would be ignored without a word.
 		flag.Visit(func(f *flag.Flag) {
-			switch {
-			case f.Name == "k" || f.Name == "max-index-bytes":
+			if f.Name == "k" || f.Name == "max-index-bytes" {
 				fatalf("-k and -max-index-bytes require -graph")
-			case f.Name == "buildworkers" && !*mutable:
-				fatalf("-buildworkers requires -graph or -mutable")
 			}
 		})
 	}
@@ -114,7 +107,6 @@ func main() {
 		Mutable:          *mutable,
 		RebuildThreshold: *rebuildThr,
 		RebuildPath:      *rebuildOut,
-		RebuildWorkers:   *buildWorkers,
 	}
 	opts.OnRebuild = func(r rlc.RebuildResult) {
 		if r.Err != nil {
@@ -160,12 +152,12 @@ func main() {
 		}
 		fmt.Printf("graph: %d vertices, %d edges, %d labels\n", g.NumVertices(), g.NumEdges(), g.NumLabels())
 		start := time.Now()
-		ix, st, err := rlc.BuildIndexWithStats(g, rlc.Options{K: *k, BuildWorkers: *buildWorkers, MaxIndexBytes: *maxIndex})
+		ix, st, err := rlc.BuildIndexWithStats(g, rlc.Options{K: *k, MaxIndexBytes: *maxIndex})
 		if err != nil {
 			fatalf("build index: %v", err)
 		}
 		opts.BuildStats = &st
-		fmt.Printf("index built in %v (%d build workers)\n", time.Since(start).Round(time.Millisecond), st.Workers)
+		fmt.Printf("index built in %v\n", time.Since(start).Round(time.Millisecond))
 		printIndexStats(ix)
 		srv = rlc.NewServer(ix, opts)
 	}

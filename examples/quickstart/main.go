@@ -5,7 +5,6 @@
 package main
 
 import (
-	"bytes"
 	"fmt"
 	"log"
 
@@ -81,27 +80,4 @@ func main() {
 		}
 		fmt.Printf("%-22s = %v\n", queries[i].name, res.Reachable)
 	}
-
-	// Parallel construction: Options.BuildWorkers spreads the build over a
-	// worker pool (0 = GOMAXPROCS, 1 = sequential). The build is
-	// deterministic for every worker count, so an index built with 4
-	// workers writes a snapshot bundle byte-for-byte identical to the
-	// sequential one's.
-	seq, err := rlc.BuildIndex(g, rlc.Options{K: 2, BuildWorkers: 1})
-	if err != nil {
-		log.Fatal(err)
-	}
-	par, err := rlc.BuildIndex(g, rlc.Options{K: 2, BuildWorkers: 4})
-	if err != nil {
-		log.Fatal(err)
-	}
-	var seqBytes, parBytes bytes.Buffer
-	if err := seq.WriteSnapshot(&seqBytes); err != nil {
-		log.Fatal(err)
-	}
-	if err := par.WriteSnapshot(&parBytes); err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("\nparallel build (4 workers) byte-identical to sequential: %v\n",
-		bytes.Equal(seqBytes.Bytes(), parBytes.Bytes()))
 }

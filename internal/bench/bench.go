@@ -48,9 +48,6 @@ type Config struct {
 	KSweep []int
 	// EngineQueries is the per-query-type sample size for Table V.
 	EngineQueries int
-	// BuildWorkers is the worker-count ladder of the pbuild experiment
-	// (empty = 1, 2, 4). The first entry is the speedup baseline.
-	BuildWorkers []int
 	// Progress receives per-step progress lines (nil = silent).
 	Progress io.Writer
 }
@@ -212,7 +209,6 @@ func Experiments() []Experiment {
 		{ID: "table5", Title: "Speed-ups and break-even points over graph engines", Run: RunTable5},
 		{ID: "ablation", Title: "Pruning-rule ablation (extension)", Run: RunAblation},
 		{ID: "batch", Title: "Concurrent batch-query throughput (extension)", Run: RunBatch},
-		{ID: "pbuild", Title: "Parallel index construction (extension)", Run: RunPBuild},
 		{ID: "ingest", Title: "Mixed read/write serving with epoch rebuilds (extension)", Run: RunIngest},
 		{ID: "budget", Title: "Size-budgeted index tiers under MaxIndexBytes (extension)", Run: RunBudget},
 		{ID: "repl", Title: "Replicated serving: journal streaming and bundle cutover (extension)", Run: RunRepl},

@@ -33,8 +33,8 @@ func microConfig() Config {
 
 func TestRegistry(t *testing.T) {
 	exps := Experiments()
-	if len(exps) != 14 {
-		t.Fatalf("expected 14 experiments, got %d", len(exps))
+	if len(exps) != 13 {
+		t.Fatalf("expected 13 experiments, got %d", len(exps))
 	}
 	for _, e := range exps {
 		got, err := ByID(e.ID)
@@ -45,8 +45,9 @@ func TestRegistry(t *testing.T) {
 			t.Errorf("ByID(%s) returned %s", e.ID, got.ID)
 		}
 	}
-	// "serve" measured the result cache and left with it.
-	for _, id := range []string{"nope", "serve"} {
+	// "serve" measured the result cache and "pbuild" the parallel build;
+	// each left with what it measured.
+	for _, id := range []string{"nope", "serve", "pbuild"} {
 		if _, err := ByID(id); err == nil {
 			t.Errorf("ByID(%s) must fail", id)
 		}
@@ -166,18 +167,6 @@ func TestRunBatchMicro(t *testing.T) {
 	checkTables(t, tables, err, 2) // AD and TW rows
 	if len(tables) != 1 {
 		t.Fatalf("batch should produce one table, got %d", len(tables))
-	}
-}
-
-func TestRunPBuildMicro(t *testing.T) {
-	cfg := microConfig()
-	cfg.BuildWorkers = []int{1, 2}
-	tables, err := RunPBuild(cfg)
-	checkTables(t, tables, err, 4) // 2 graphs x 2 worker counts
-	for _, row := range tables[0].Rows {
-		if row[len(row)-1] != "true" {
-			t.Errorf("pbuild row %v reports a non-identical parallel build", row)
-		}
 	}
 }
 

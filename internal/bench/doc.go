@@ -7,7 +7,6 @@
 //
 // Beyond the paper, extension experiments measure what this repo adds:
 // "ablation" (the pruning rules' individual contributions), "batch"
-// (concurrent batch-query throughput), "pbuild" (the deterministic parallel
-// build ladder, byte-identity gated), and "ingest", "budget" and "repl" (the
+// (concurrent batch-query throughput), and "ingest", "budget" and "repl" (the
 // mutable, size-budgeted and replicated serving layers).
 package bench

@@ -29,12 +29,12 @@ func servingGraph(tb testing.TB) *graph.Graph {
 var logServingStats sync.Once
 
 // BenchmarkBuildServingGraph is the harness's core.build_s without the
-// harness: one sequential k = 2 build of the serving graph per iteration —
+// harness: one k = 2 build of the serving graph per iteration —
 // what rlcbuild spends its set-up on and what a fold spends its time in.
 // Profile it with -cpuprofile / -memprofile.
 func BenchmarkBuildServingGraph(b *testing.B) {
 	g := servingGraph(b)
-	opts := core.Options{K: 2, BuildWorkers: 1}
+	opts := core.Options{K: 2}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -46,7 +46,7 @@ func BenchmarkBuildServingGraph(b *testing.B) {
 	}
 }
 
-// TestBuildAllocs holds one sequential build of the serving graph under
+// TestBuildAllocs holds one build of the serving graph under
 // 100,000 heap allocations. With map-based scratch it took 1,676,106 (one
 // escaping search state per edge visited, one member map per kernel
 // candidate); what is left is the entry lists' growth, the dictionary and
@@ -56,13 +56,13 @@ func TestBuildAllocs(t *testing.T) {
 		t.Skip("builds the 5,000-vertex serving graph twice")
 	}
 	g := servingGraph(t)
-	opts := core.Options{K: 2, BuildWorkers: 1}
+	opts := core.Options{K: 2}
 	allocs := testing.AllocsPerRun(1, func() {
 		if _, err := core.Build(g, opts); err != nil {
 			t.Fatal(err)
 		}
 	})
 	if allocs > 100_000 {
-		t.Errorf("sequential build of the serving graph: %.0f allocations, want <= 100,000", allocs)
+		t.Errorf("build of the serving graph: %.0f allocations, want <= 100,000", allocs)
 	}
 }

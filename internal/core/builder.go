@@ -30,25 +30,15 @@ type kernelFrontier struct {
 
 // builder holds the reusable scratch space for all KBS runs of one Build,
 // plus the mutable per-vertex entry lists that insert appends to. The lists
-// stay per-vertex during construction (cheap appends, no shifting) and are
-// compacted into the Index's flat CSR layout by freeze once the last KBS
-// finished.
-//
-// A parallel build uses several builders over the same index: one committer
-// (spec == nil) that owns the canonical lists, and one speculating builder
-// per worker (spec != nil) that reads the canonical lists but buffers its
-// inserts in worker-local state (see scheduler.go). The in/out slice
-// headers and the label-partitioned adjacency are shared; all per-KBS
-// scratch is per-builder.
+// stay per-vertex during construction (cheap appends, no shifting); seal
+// packs them into hub-sorted groups once the last KBS finished.
 type builder struct {
 	ix    *Index
 	g     *graph.Graph
 	coder *labelseq.Coder
 	k     int
 
-	// Mutable Lin/Lout under construction, indexed by vertex id. Only the
-	// committer appends; speculating builders treat them as a read-only
-	// snapshot of the entries committed by earlier windows.
+	// Mutable Lin/Lout under construction, indexed by vertex id.
 	in  [][]entry
 	out [][]entry
 
@@ -80,11 +70,10 @@ type builder struct {
 	// vertex's own list plus O(1) membership probes here.
 	fixedSet *stampTable
 
-	// The last minimum-repeat code the live dictionary resolved, and its
-	// ID: a kernel-BFS issues every insert under one code, so the
-	// dictionary is asked once per run rather than once per insert. Only
-	// the builder that owns the dictionary keeps one (spec == nil), and a
-	// commit rollback drops it — TruncateTo can retire the ID.
+	// The last minimum-repeat code the dictionary resolved, and its ID: a
+	// kernel-BFS issues every insert under one code, so the dictionary is
+	// asked once per run rather than once per insert. The dictionary only
+	// grows during a build, so the pair stays valid until the build ends.
 	knownCode labelseq.Code
 	knownID   labelseq.ID
 
@@ -94,17 +83,6 @@ type builder struct {
 	stamp   uint32
 	bfsQ    []kbsNode
 
-	// Commit-side write tracking (parallel builds only): every append to
-	// out[y]/in[y] stamps the list with the current round, so the
-	// scheduler can invalidate speculations that read it. Nil on the
-	// sequential path.
-	dirtyOut   []uint64
-	dirtyIn    []uint64
-	dirtyStamp uint64
-
-	// Speculation state (parallel build workers only, see scheduler.go).
-	spec *specScratch
-
 	stats BuildStats
 }
 
@@ -113,35 +91,24 @@ type kbsNode struct {
 	phase int32
 }
 
-// newBuilder returns the builder that owns the index's canonical lists (the
-// sequential build's only builder, the parallel build's committer).
+// newBuilder returns the builder of ix, with empty entry lists.
 func newBuilder(ix *Index) *builder {
 	n := ix.g.NumVertices()
-	return newBuilderOver(ix, make([][]entry, n), make([][]entry, n),
-		newLabelCSR(ix.g, true), newLabelCSR(ix.g, false), nil)
-}
-
-// newBuilderOver is the one place a builder's scratch is made: the entry
-// lists and the label-partitioned adjacency come from the caller (fresh for
-// the committer, the committer's own for a worker, which passes its
-// speculation state as spec); everything else is private to the builder.
-func newBuilderOver(ix *Index, in, out [][]entry, inByLabel, outByLabel *labelCSR, spec *specScratch) *builder {
 	return &builder{
 		ix:         ix,
 		g:          ix.g,
 		coder:      ix.dict.Coder(),
 		k:          ix.k,
-		in:         in,
-		out:        out,
-		inByLabel:  inByLabel,
-		outByLabel: outByLabel,
+		in:         make([][]entry, n),
+		out:        make([][]entry, n),
+		inByLabel:  newLabelCSR(ix.g, true),
+		outByLabel: newLabelCSR(ix.g, false),
 		seen:       newStampTable(scratchLogSlots),
 		frontierOf: newStampTable(scratchLogSlots),
 		member:     newStampTable(scratchLogSlots),
 		fixedSet:   newStampTable(scratchLogSlots),
 		knownID:    labelseq.InvalidID,
-		visited:    make([]uint32, ix.g.NumVertices()*ix.k),
-		spec:       spec,
+		visited:    make([]uint32, n*ix.k),
 	}
 }
 
@@ -257,12 +224,9 @@ func (b *builder) kbs(src graph.Vertex, dir direction) {
 
 func frontierByCode(x, y kernelFrontier) int { return cmp.Compare(x.code, y.code) }
 
-// loadFixedSet snapshots the fixed side of every PR1 query the KBS (or a
-// commit replay) issues: Lin(src) for backward searches, Lout(src) for
-// forward ones. Neither list changes while the KBS runs, so (mr, hub)
-// membership is captured once. A speculating builder additionally layers in
-// its own buffered inserts at src and records the read for commit-time
-// validation.
+// loadFixedSet snapshots the fixed side of every PR1 query the KBS issues:
+// Lin(src) for backward searches, Lout(src) for forward ones. Neither list
+// changes while the KBS runs, so (mr, hub) membership is captured once.
 func (b *builder) loadFixedSet(src graph.Vertex, dir direction) {
 	b.fixedSet.reset()
 	var fixed []entry
@@ -273,13 +237,6 @@ func (b *builder) loadFixedSet(src graph.Vertex, dir direction) {
 	}
 	for _, e := range fixed {
 		b.fixedSet.put(fixedKey(e.mr, e.hub), 0, 0)
-	}
-	if sc := b.spec; sc != nil {
-		sc.recordRead(src, fixedSide(dir))
-		rank := b.ix.rank[src]
-		for idx := sc.overlayHead(src, fixedSide(dir)); idx >= 0; idx = sc.ovNext[idx] {
-			b.fixedSet.put(fixedKey(sc.cur.inserts[idx].mrID, rank), 0, 0)
-		}
 	}
 }
 
@@ -480,12 +437,6 @@ func (b *builder) insert(y, src graph.Vertex, dir direction, mr labelseq.Seq, mr
 // fixed side is (mr, rank(y)) ∈ fixedSet; Case 2 on y's side is an entry
 // with hub rank(src); Case 1 is an entry of y whose (mr, hub) also sits in
 // fixedSet.
-//
-// On a speculating builder the decision additionally covers the
-// speculation's own buffered inserts (in the sequential build those are
-// already in y's list), the read of y's list is recorded for commit-time
-// validation, and a successful insert is buffered instead of applied — the
-// dictionary and the canonical lists are never touched by a worker.
 func (b *builder) insertCore(y, src graph.Vertex, dir direction, mr labelseq.Seq, mrCode labelseq.Code) insertStatus {
 	ix := b.ix
 	// PR2: skip entries at vertices with a strictly smaller rank than the
@@ -499,9 +450,6 @@ func (b *builder) insertCore(y, src graph.Vertex, dir direction, mr labelseq.Seq
 		yList = b.out[y]
 	} else {
 		yList = b.in[y]
-	}
-	if b.spec != nil {
-		b.spec.recordRead(y, ySide(dir))
 	}
 
 	id := b.lookupCode(mrCode)
@@ -523,26 +471,13 @@ func (b *builder) insertCore(y, src graph.Vertex, dir direction, mr labelseq.Seq
 					return prunedPR1
 				}
 			}
-			// Buffered inserts at y all carry hub rank(src) — the
-			// speculating vertex is the KBS source — so any mr match
-			// is the e.hub == rankSrc case above.
-			if b.spec != nil && b.spec.overlayHas(y, ySide(dir), id) {
-				return prunedPR1
-			}
 		} else {
 			// Without PR1 still refuse exact duplicates, otherwise
 			// entry lists would grow unboundedly within one search.
 			if hasEntry(yList, ix.rank[src], id) {
 				return prunedDup
 			}
-			if b.spec != nil && b.spec.overlayHas(y, ySide(dir), id) {
-				return prunedDup
-			}
 		}
-	}
-	if b.spec != nil {
-		b.spec.bufferInsert(y, dir, mr, mrCode, id)
-		return inserted
 	}
 	if id == labelseq.InvalidID {
 		id = ix.dict.InternCode(mrCode, mr)
@@ -551,39 +486,21 @@ func (b *builder) insertCore(y, src graph.Vertex, dir direction, mr labelseq.Seq
 	e := entry{hub: ix.rank[src], mr: id}
 	if dir == backward {
 		b.out[y] = append(b.out[y], e)
-		if b.dirtyOut != nil {
-			b.dirtyOut[y] = b.dirtyStamp
-		}
 	} else {
 		b.in[y] = append(b.in[y], e)
-		if b.dirtyIn != nil {
-			b.dirtyIn[y] = b.dirtyStamp
-		}
 	}
 	return inserted
 }
 
-// lookupCode resolves a packed minimum-repeat code to its interned ID. The
-// builder that owns the dictionary answers repeats of the last resolved code
-// from knownCode/knownID; a worker asks the dictionary snapshot and then the
-// speculation's provisional interns, and remembers nothing — a provisional
-// ID dies with its speculation.
+// lookupCode resolves a packed minimum-repeat code to its interned ID,
+// answering repeats of the last resolved code from knownCode/knownID.
 func (b *builder) lookupCode(code labelseq.Code) labelseq.ID {
-	if b.spec == nil {
-		if code == b.knownCode && b.knownID != labelseq.InvalidID {
-			return b.knownID
-		}
-		id := b.ix.dict.LookupCode(code)
-		if id != labelseq.InvalidID {
-			b.knownCode, b.knownID = code, id
-		}
-		return id
+	if code == b.knownCode && b.knownID != labelseq.InvalidID {
+		return b.knownID
 	}
-	if id := b.ix.dict.LookupCode(code); id != labelseq.InvalidID {
-		return id
+	id := b.ix.dict.LookupCode(code)
+	if id != labelseq.InvalidID {
+		b.knownCode, b.knownID = code, id
 	}
-	if id, ok := b.spec.shadow[code]; ok {
-		return id
-	}
-	return labelseq.InvalidID
+	return id
 }

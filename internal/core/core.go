@@ -57,15 +57,6 @@ type Options struct {
 	// IN-OUT strategy.
 	Order Order
 
-	// BuildWorkers is the number of concurrent construction workers: 0
-	// means GOMAXPROCS, 1 forces the plain sequential path, and negative
-	// values are rejected by Build. The worker count never changes the
-	// result — the parallel scheduler (scheduler.go) is deterministic and
-	// produces entry lists, dictionary, and serialized bytes identical to
-	// the sequential build's — it only changes how fast the index is
-	// built.
-	BuildWorkers int
-
 	// DisablePR1/2/3 switch off the corresponding pruning rule. The index
 	// remains sound and complete with any combination disabled (it only
 	// grows and takes longer to build); the flags exist for the ablation
@@ -98,8 +89,8 @@ func (o Options) k() int {
 // entry is one index entry: the hub's access rank (0-based position in the
 // IN-OUT order, so lists sort ascending by construction) and the interned
 // minimum repeat. 8 bytes per entry, matching the paper's (vid, mr) schema.
-// Entries are the build-time and legacy-import form only; the resident index
-// groups them by hub (packed.go).
+// Entries are the build-time form only; the resident index groups them by
+// hub (packed.go).
 type entry struct {
 	hub int32
 	mr  labelseq.ID
@@ -138,10 +129,10 @@ func (ix *Index) lin(v graph.Vertex) iter.Seq[entry] {
 	return ix.packed.entries(ix.packed.lin(v))
 }
 
-// seal turns the per-vertex entry lists Build or Load produced into the
-// resident index: size budgeting first (cut selection and filter
-// construction read the complete lists, then the demoted ones are dropped),
-// then one pack of what is retained. A budget the full index fits leaves
+// seal turns the per-vertex entry lists Build produced into the resident
+// index: size budgeting first (cut selection and filter construction read the
+// complete lists, then the demoted ones are dropped), then one pack of what
+// is retained. A budget the full index fits leaves
 // everything bit-identical to an unbudgeted build. The lists are the
 // caller's to discard afterwards; seal leaves them equal to what the index
 // retains.

@@ -315,24 +315,6 @@ func TestDeterministicBuild(t *testing.T) {
 	}
 }
 
-func TestLoadRejectsCorruptInput(t *testing.T) {
-	good, g := v1Fixture(t, "fig2_k2")
-
-	if _, err := Load(bytes.NewReader(nil), g); err == nil {
-		t.Error("empty input must fail")
-	}
-	if _, err := Load(bytes.NewReader([]byte("NOPE")), g); err == nil {
-		t.Error("bad magic must fail")
-	}
-	if _, err := Load(bytes.NewReader(good[:len(good)/2]), g); err == nil {
-		t.Error("truncated input must fail")
-	}
-	other := graph.Fig1()
-	if _, err := Load(bytes.NewReader(good), other); err == nil {
-		t.Error("loading against a different graph must fail")
-	}
-}
-
 func TestStats(t *testing.T) {
 	ix := mustBuild(t, graph.Fig2(), Options{K: 2})
 	st := ix.Stats()

@@ -8,9 +8,8 @@ import (
 	"github.com/g-rpqs/rlc-go/internal/datasets"
 )
 
-// algoCounters is the deterministic half of BuildStats, in declaration
-// order: KernelSearchStates, KernelBFSRuns, KernelBFSNodes, Inserted,
-// PrunedPR1, PrunedPR2, PrunedDup.
+// algoCounters is BuildStats in declaration order: KernelSearchStates,
+// KernelBFSRuns, KernelBFSNodes, Inserted, PrunedPR1, PrunedPR2, PrunedDup.
 func algoCounters(st BuildStats) [7]int64 {
 	return [7]int64{
 		st.KernelSearchStates, st.KernelBFSRuns, st.KernelBFSNodes,
@@ -20,11 +19,10 @@ func algoCounters(st BuildStats) [7]int64 {
 
 // TestBuildDigestStable pins the build's output across commits: the sha256
 // of the WriteSnapshot bytes and the seven algorithm counters of three
-// non-trivial graphs, sequential and parallel. The constants were recorded
-// at c633a7b, before the builder's scratch state was rewritten; a change to
-// the builder that moves any of them changed the index, not just its speed.
-// (TestParallelBuildMatchesSequential compares two runs of the same code and
-// the Fig. 2 golden has six vertices.)
+// non-trivial graphs. The constants were recorded at c633a7b, before the
+// builder's scratch state was rewritten; a change to the builder that moves
+// any of them changed the index, not just its speed. (TestDeterministicBuild
+// compares two runs of the same code and the Fig. 2 golden has six vertices.)
 func TestBuildDigestStable(t *testing.T) {
 	cases := []struct {
 		dataset  string
@@ -49,20 +47,18 @@ func TestBuildDigestStable(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, workers := range []int{1, 4} {
-			ix, st, err := BuildWithStats(g, Options{K: tc.k, BuildWorkers: workers})
-			if err != nil {
-				t.Fatalf("%s workers=%d: %v", tc.dataset, workers, err)
-			}
-			sum := sha256.Sum256(serialize(t, ix))
-			if got := hex.EncodeToString(sum[:]); got != tc.digest {
-				t.Errorf("%s@%d k=%d workers=%d: bundle sha256 = %s, want %s",
-					tc.dataset, tc.vertices, tc.k, workers, got, tc.digest)
-			}
-			if got := algoCounters(st); got != tc.counters {
-				t.Errorf("%s@%d k=%d workers=%d: counters = %v, want %v",
-					tc.dataset, tc.vertices, tc.k, workers, got, tc.counters)
-			}
+		ix, st, err := BuildWithStats(g, Options{K: tc.k})
+		if err != nil {
+			t.Fatalf("%s: %v", tc.dataset, err)
+		}
+		sum := sha256.Sum256(serialize(t, ix))
+		if got := hex.EncodeToString(sum[:]); got != tc.digest {
+			t.Errorf("%s@%d k=%d: bundle sha256 = %s, want %s",
+				tc.dataset, tc.vertices, tc.k, got, tc.digest)
+		}
+		if got := algoCounters(st); got != tc.counters {
+			t.Errorf("%s@%d k=%d: counters = %v, want %v",
+				tc.dataset, tc.vertices, tc.k, got, tc.counters)
 		}
 	}
 }

@@ -10,40 +10,36 @@ import (
 	"github.com/g-rpqs/rlc-go/internal/labelseq"
 )
 
-// v1Fixture returns the bytes of a checked-in v1 index and the graph it
-// binds to. Nothing in the tree writes v1 any more, so the fixtures are
-// never regenerated: "fig2_k2" is the golden over graph.Fig2(); "er12_k2"
-// was written by the last commit that had `rlcbuild -out`, over
-// testdata/er12.graph (rlcgen -model er -n 12 -d 4 -labels 3 -seed 12).
-func v1Fixture(t testing.TB, name string) ([]byte, *graph.Graph) {
+// serialize renders an index to its bundle bytes — the one definition of
+// "same index".
+func serialize(t testing.TB, ix *Index) []byte {
 	t.Helper()
-	data, err := os.ReadFile(filepath.Join("testdata", name+"_v1.rlc"))
+	var buf bytes.Buffer
+	if err := ix.WriteSnapshot(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestGoldenFormatStability pins the bundle format and the build together:
+// testdata/fig2_k2.rlcs was written by rlcbuild at 63097c1 (the last commit
+// with a second builder) over `rlcgen -model fig2`, and it must keep opening,
+// verifying and answering — and a fresh build of Fig. 2 must keep writing
+// exactly those bytes. Never regenerate it to make a change pass.
+func TestGoldenFormatStability(t *testing.T) {
+	golden, err := os.ReadFile(filepath.Join("testdata", "fig2_k2.rlcs"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	switch name {
-	case "fig2_k2":
-		return data, graph.Fig2()
-	case "er12_k2":
-		g, err := graph.LoadFile(filepath.Join("testdata", "er12.graph"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return data, g
-	}
-	t.Fatalf("no graph known for v1 fixture %q", name)
-	return nil, nil
-}
-
-// TestGoldenFormatStability pins the v1 import: an index file written by
-// version 1 of the format (checked into testdata) must keep loading and
-// answering correctly forever.
-func TestGoldenFormatStability(t *testing.T) {
-	data, g := v1Fixture(t, "fig2_k2")
-	ix, err := Load(bytes.NewReader(data), g)
+	s, err := OpenSnapshotBytes(golden)
 	if err != nil {
-		t.Fatalf("golden file no longer loads — the format changed without a version bump: %v", err)
+		t.Fatalf("golden bundle no longer opens — the format changed without a version bump: %v", err)
 	}
+	defer s.Close()
+	if err := s.Verify(); err != nil {
+		t.Fatalf("golden bundle no longer verifies: %v", err)
+	}
+	ix, g := s.Index(), s.Graph()
 	if ix.K() != 2 {
 		t.Errorf("golden k = %d", ix.K())
 	}
@@ -61,14 +57,15 @@ func TestGoldenFormatStability(t *testing.T) {
 		t.Errorf("golden index incomplete: %v", err)
 	}
 
-	// A fresh build must write the same bundle as the golden index
-	// (determinism pin): same dictionary interning order, access order and
-	// packed groups.
+	// Determinism pin: same dictionary interning order, access order and
+	// packed groups, byte for byte. rlcbuild numbered the vertices in file
+	// order, so the fresh build is over the bundle's own graph, not
+	// graph.Fig2().
 	fresh, err := Build(g, Options{K: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(serialize(t, fresh), serialize(t, ix)) {
-		t.Error("fresh build of Fig. 2 serializes differently from the golden index — construction or format drifted")
+	if !bytes.Equal(serialize(t, fresh), golden) {
+		t.Error("fresh build of Fig. 2 serializes differently from the golden bundle — construction or format drifted")
 	}
 }

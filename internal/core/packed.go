@@ -23,11 +23,10 @@ import (
 // across thousands of vertices), so each distinct set is resident exactly
 // once and a group references it by a 4-byte id.
 //
-// Build and the v1 loader produce per-vertex []entry lists as a build-time
-// intermediate; pack consumes them once and they are dropped. Everything
-// that needs the (hub, mr) pairs back — inspection, validation — decodes
-// them from the groups with entries. While both forms coexist (the end of a
-// Build or Load, a legacy bundle that still carries its entry sections)
+// Build produces per-vertex []entry lists as a build-time intermediate;
+// pack consumes them once and they are dropped. Everything that needs the
+// (hub, mr) pairs back — inspection, validation — decodes them from the
+// groups with entries. While both forms coexist (the end of a Build)
 // verifyAgainst demands they are bit-for-bit equal.
 
 // packedGroup is one (hub, MR-set) pair of a packed per-vertex list: the
@@ -332,11 +331,8 @@ func (ix *Index) PackedStats() PackedStats {
 // verifyAgainst demands bit-for-bit equality between the packed form and
 // the per-vertex entry lists it claims to stand for: identical hub
 // sequences, every entry's MR bit set, and per-group popcounts equal to the
-// run lengths (so the packed side holds no extra bits either). It runs
-// wherever the two forms coexist: at the end of every Build and Load, and in
-// Snapshot.VerifyContents for legacy bundles that still carry their entry
-// sections — checksums catch flipped bits, this catches internally
-// consistent packed sections that simply disagree with the entries.
+// run lengths (so the packed side holds no extra bits either). seal runs it
+// at the end of every Build, the one place the two forms coexist.
 func (p *packed) verifyAgainst(out, in [][]entry) error {
 	check := func(what string, list []entry, groups []packedGroup, v int) error {
 		gi := 0

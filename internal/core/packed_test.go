@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"github.com/g-rpqs/rlc-go/internal/gen"
@@ -179,63 +180,38 @@ func packedPropertyGraphs(t *testing.T) map[string]*graph.Graph {
 	}
 }
 
-// TestPackedEquivalenceProperty: across the generator family, k 1..3, and
-// every build worker count, the packed index answers every (s, t, MR)
-// exactly like the entry lists it was packed from, and matches the online
-// traversal on a sample.
+// TestPackedEquivalenceProperty: across the generator family and k 1..3,
+// the packed index answers every (s, t, MR) exactly like the entry lists it
+// was packed from, and matches the online traversal on a sample.
 func TestPackedEquivalenceProperty(t *testing.T) {
 	for name, g := range packedPropertyGraphs(t) {
 		for k := 1; k <= 3; k++ {
-			for _, workers := range []int{1, 2, 4} {
-				t.Run(fmt.Sprintf("%s/k%d/w%d", name, k, workers), func(t *testing.T) {
-					packed, lists := buildWithOracle(t, g, Options{K: k, BuildWorkers: workers})
-					// Exhaustive packed == lists over every pair and MR.
-					assertMatchesLists(t, packed, lists)
-					// Sampled equality against the traversal oracle ties both
-					// to ground truth.
-					r := rand.New(rand.NewSource(int64(k*10 + workers)))
-					constraints := PrimitiveConstraints(g.NumLabels(), k)
-					n := g.NumVertices()
-					for i := 0; i < 150; i++ {
-						s := graph.Vertex(r.Intn(n))
-						d := graph.Vertex(r.Intn(n))
-						l := constraints[r.Intn(len(constraints))]
-						got, err := packed.Query(s, d, l)
-						if err != nil {
-							t.Fatalf("Query(%d, %d, %v): %v", s, d, l, err)
-						}
-						want, err := traversal.EvalRLC(g, s, d, l)
-						if err != nil {
-							t.Fatalf("EvalRLC(%d, %d, %v): %v", s, d, l, err)
-						}
-						if got != want {
-							t.Fatalf("Query(%d, %d, %v) = %v, traversal says %v", s, d, l, got, want)
-						}
+			t.Run(fmt.Sprintf("%s/k%d", name, k), func(t *testing.T) {
+				packed, lists := buildWithOracle(t, g, Options{K: k})
+				// Exhaustive packed == lists over every pair and MR.
+				assertMatchesLists(t, packed, lists)
+				// Sampled equality against the traversal oracle ties both
+				// to ground truth.
+				r := rand.New(rand.NewSource(int64(k*10 + 1)))
+				constraints := PrimitiveConstraints(g.NumLabels(), k)
+				n := g.NumVertices()
+				for i := 0; i < 150; i++ {
+					s := graph.Vertex(r.Intn(n))
+					d := graph.Vertex(r.Intn(n))
+					l := constraints[r.Intn(len(constraints))]
+					got, err := packed.Query(s, d, l)
+					if err != nil {
+						t.Fatalf("Query(%d, %d, %v): %v", s, d, l, err)
 					}
-				})
-			}
-		}
-	}
-}
-
-// TestPackedDeterministicAcrossWorkers: the packed sections, like the entry
-// lists they derive from, are byte-identical at every worker count.
-func TestPackedDeterministicAcrossWorkers(t *testing.T) {
-	r := rand.New(rand.NewSource(17))
-	g := randomGraph(r, 64, 3, 300)
-	var want []byte
-	for _, workers := range []int{1, 2, 4, 8} {
-		ix := mustBuild(t, g, Options{K: 2, BuildWorkers: workers})
-		var buf bytes.Buffer
-		if err := ix.WriteSnapshot(&buf); err != nil {
-			t.Fatal(err)
-		}
-		if want == nil {
-			want = buf.Bytes()
-			continue
-		}
-		if !bytes.Equal(want, buf.Bytes()) {
-			t.Fatalf("bundle bytes differ at %d workers", workers)
+					want, err := traversal.EvalRLC(g, s, d, l)
+					if err != nil {
+						t.Fatalf("EvalRLC(%d, %d, %v): %v", s, d, l, err)
+					}
+					if got != want {
+						t.Fatalf("Query(%d, %d, %v) = %v, traversal says %v", s, d, l, got, want)
+					}
+				}
+			})
 		}
 	}
 }
@@ -288,145 +264,6 @@ func TestGoldenPackedSections(t *testing.T) {
 	}
 }
 
-// Legacy v2 bundles of Fig. 2 at k = 2, written by the last rlcbuild that
-// still stored the entry array (sections 10-12): one with the packed block
-// beside it (that writer's default), one without (its packed flag off).
-const (
-	legacyEntriesPacked = "fig2_k2_v2_entries_packed.rlcs"
-	legacyEntriesOnly   = "fig2_k2_v2_entries_only.rlcs"
-)
-
-func readLegacyBundle(t *testing.T, name string) []byte {
-	t.Helper()
-	data, err := os.ReadFile(filepath.Join("testdata", name))
-	if err != nil {
-		t.Fatal(err)
-	}
-	return data
-}
-
-// TestLegacyBundleCompat: bundles from before the packed form became the
-// index keep opening, verifying and answering like a fresh build, and
-// re-serialize into the current format — no entry sections, packed block
-// byte-identical to the fresh build's.
-func TestLegacyBundleCompat(t *testing.T) {
-	for _, name := range []string{legacyEntriesPacked, legacyEntriesOnly} {
-		t.Run(name, func(t *testing.T) {
-			s, err := OpenSnapshotBytes(readLegacyBundle(t, name))
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer s.Close()
-			if err := s.Verify(); err != nil {
-				t.Fatal(err)
-			}
-			// rlcbuild numbered the vertices in file order, so the fresh
-			// build is over the bundle's own graph, not graph.Fig2().
-			ix, g := s.Index(), s.Graph()
-			fresh, freshData := bundleBytes(t, g, 2)
-			if ix.Stats() != fresh.Stats() {
-				t.Fatalf("legacy bundle reports %+v, fresh build %+v", ix.Stats(), fresh.Stats())
-			}
-			for a := graph.Vertex(0); int(a) < g.NumVertices(); a++ {
-				for b := graph.Vertex(0); int(b) < g.NumVertices(); b++ {
-					for mr := 0; mr < fresh.dict.Len(); mr++ {
-						if ix.queryByID(a, b, labelseq.ID(mr)) != fresh.queryByID(a, b, labelseq.ID(mr)) {
-							t.Fatalf("queryByID(%d, %d, mr %d) differs from the fresh build", a, b, mr)
-						}
-					}
-				}
-			}
-			var buf bytes.Buffer
-			if err := ix.WriteSnapshot(&buf); err != nil {
-				t.Fatal(err)
-			}
-			f, err := snapshot.OpenBytes(buf.Bytes())
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, id := range []uint32{secEntries, secIndexOutOff, secIndexInOff} {
-				if _, ok := f.Section(id); ok {
-					t.Fatalf("re-written bundle carries legacy section %d", id)
-				}
-			}
-			if !bytes.Equal(sectionBytes(t, buf.Bytes(), secPackedMeta, secPackedSetDesc),
-				sectionBytes(t, freshData, secPackedMeta, secPackedSetDesc)) {
-				t.Fatal("re-written packed sections differ from the fresh build's")
-			}
-		})
-	}
-}
-
-// TestPrePackedBundleBackCompat pins the oldest v2 layout: a bundle with the
-// entry array and no packed block at all. Every section it shares with a
-// bundle written today is byte-identical (the packed form changed nothing
-// outside its own sections), and opening it packs the entries on the heap.
-func TestPrePackedBundleBackCompat(t *testing.T) {
-	plainData := readLegacyBundle(t, legacyEntriesOnly)
-	s, err := OpenSnapshotBytes(plainData)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	if err := s.Verify(); err != nil {
-		t.Fatal(err)
-	}
-	g := s.Graph()
-	freshIx, freshData := bundleBytes(t, g, 2)
-	if got, want := s.Index().PackedStats(), freshIx.PackedStats(); got != want {
-		t.Fatalf("packing the legacy entries gave %+v, fresh build %+v", got, want)
-	}
-	assertEquivalent(t, g, freshIx, s.Index())
-
-	ff, err := snapshot.OpenBytes(freshData)
-	if err != nil {
-		t.Fatal(err)
-	}
-	uf, err := snapshot.OpenBytes(plainData)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for id := uint32(secPackedMeta); id <= secPackedSetDesc; id++ {
-		if _, ok := uf.Section(id); ok {
-			t.Fatalf("entries-only fixture carries packed section %d", id)
-		}
-	}
-	shared := 0
-	for _, info := range uf.Sections() {
-		fb, ok := ff.Section(info.ID)
-		if !ok {
-			continue // 10-12: no longer written
-		}
-		shared++
-		ub, _ := uf.Section(info.ID)
-		if !bytes.Equal(fb, ub) {
-			t.Fatalf("shared section %d differs between the entries-only and today's bundle", info.ID)
-		}
-	}
-	if shared != 11 { // 1-9, 13, 14
-		t.Fatalf("entries-only fixture shares %d sections with today's bundle, want 11", shared)
-	}
-}
-
-// TestV1LoadPacks: a v1 file written by the last v1 writer imports into the
-// index a fresh build of its graph produces — same stats, same answers, same
-// bundle bytes.
-func TestV1LoadPacks(t *testing.T) {
-	data, g := v1Fixture(t, "er12_k2")
-	ix := mustBuild(t, g, Options{K: 2})
-	loaded, err := Load(bytes.NewReader(data), g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if loaded.Stats() != ix.Stats() {
-		t.Fatalf("v1 import reports %+v, fresh build %+v", loaded.Stats(), ix.Stats())
-	}
-	assertEquivalent(t, g, ix, loaded)
-	if !bytes.Equal(serialize(t, loaded), serialize(t, ix)) {
-		t.Fatal("v1 import writes a different bundle than a fresh build of the same graph")
-	}
-}
-
 // TestSnapshotPackedSemanticCorruption drives openPacked's structural
 // validation: bundles whose packed block is internally inconsistent must be
 // rejected typed, never panic, never open.
@@ -442,7 +279,6 @@ func TestSnapshotPackedSemanticCorruption(t *testing.T) {
 		{"packed-groupcount-drift", func(s map[uint32][]byte) { s[secPackedMeta][8]++ }},
 		{"packed-wordcount-drift", func(s map[uint32][]byte) { s[secPackedMeta][16]++ }},
 		{"packed-missing-block", func(s map[uint32][]byte) {
-			// Neither the packed block nor legacy entry sections: no index.
 			for id := uint32(secPackedMeta); id <= secPackedSetDesc; id++ {
 				delete(s, id)
 			}
@@ -473,6 +309,12 @@ func TestSnapshotPackedSemanticCorruption(t *testing.T) {
 			copy(s[secPackedSetDesc][0:4], []byte{0xff, 0xff, 0xff, 0x7f})
 		}},
 		{"packed-outoff-nonzero", func(s map[uint32][]byte) { s[secPackedOutOff][0] = 1 }},
+		{"packed-outoff-overshoot", func(s map[uint32][]byte) {
+			// An offset past the group array that a later one walks back
+			// from: ordered at vertex 0, so only a bound check stops the
+			// slice (FuzzOpenSnapshot found the panic).
+			copy(s[secPackedOutOff][4:8], []byte{0x30, 0x30, 0x30, 0x30})
+		}},
 		{"packed-inoff-decreasing", func(s map[uint32][]byte) {
 			b := s[secPackedInOff]
 			copy(b[len(b)-4:], []byte{0, 0, 0, 0})
@@ -514,33 +356,35 @@ func TestSnapshotPackedSemanticCorruption(t *testing.T) {
 			if !errors.Is(err, snapshot.ErrCorrupt) {
 				t.Fatalf("error not typed ErrCorrupt: %v", err)
 			}
+			// A bundle with no index at all says which section it wanted.
+			if tc.name == "packed-missing-block" && !strings.Contains(err.Error(), "missing packed-meta section (id 15)") {
+				t.Fatalf("error does not name the missing packed-meta section: %v", err)
+			}
 		})
 	}
 }
 
-// TestSnapshotVerifyCatchesPackedDivergence pins the deepest integrity
-// layer on a legacy bundle that carries both forms: a packed block that is
-// structurally sound and carries valid checksums (rebundle recomputes them)
-// but disagrees with the entry array must fail Verify — queries answer from
-// the packed form, so checksums alone cannot vouch for the bundle.
-func TestSnapshotVerifyCatchesPackedDivergence(t *testing.T) {
-	data := rebundle(t, readLegacyBundle(t, legacyEntriesPacked), func(s map[uint32][]byte) {
-		// Swap one MR of the first pooled set for one it does not hold: the
-		// entry count still matches meta, so only the cross-check can object.
-		word := s[secPackedSets][0]
-		has := word & -word
-		lacks := ^word & (word + 1)
-		s[secPackedSets][0] = word ^ has ^ lacks
+// TestSnapshotIgnoresRetiredSections: ids 10-12 once held the entry arrays.
+// A bundle that still carries them beside its packed block is served from
+// the packed block; their payload is never decoded, only checksummed like
+// any section the reader does not know.
+func TestSnapshotIgnoresRetiredSections(t *testing.T) {
+	g := graph.Fig2()
+	fresh, base := bundleBytes(t, g, 2)
+	data := rebundle(t, base, func(s map[uint32][]byte) {
+		for id := uint32(10); id <= 12; id++ {
+			s[id] = []byte("not an entry array")
+		}
 	})
 	s, err := OpenSnapshotBytes(data)
 	if err != nil {
-		t.Fatalf("structurally sound divergence failed open: %v", err)
+		t.Fatalf("bundle with retired sections 10-12 does not open: %v", err)
 	}
 	defer s.Close()
-	err = s.Verify()
-	if !errors.Is(err, snapshot.ErrCorrupt) {
-		t.Fatalf("Verify = %v, want typed ErrCorrupt", err)
+	if err := s.Verify(); err != nil {
+		t.Fatal(err)
 	}
+	assertEquivalent(t, g, fresh, s.Index())
 }
 
 // BenchmarkQueryPacked measures the query path on one mid-size random graph,

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"math/rand"
 	"sync"
 	"testing"
@@ -9,79 +8,6 @@ import (
 	"github.com/g-rpqs/rlc-go/internal/graph"
 	"github.com/g-rpqs/rlc-go/internal/labelseq"
 )
-
-// loadHostile feeds data to the v1 importer and holds it to the contract for
-// outside input: a clean error, or an index whose every decoded entry is
-// inside the graph's universe — never a panic.
-func loadHostile(t *testing.T, data []byte, g *graph.Graph) {
-	t.Helper()
-	defer func() {
-		if p := recover(); p != nil {
-			t.Fatalf("Load panicked: %v", p)
-		}
-	}()
-	loaded, err := Load(bytes.NewReader(data), g)
-	if err != nil {
-		return // clean rejection
-	}
-	for v := 0; v < g.NumVertices(); v++ {
-		for _, list := range [][]EntryView{loaded.LinEntries(graph.Vertex(v)), loaded.LoutEntries(graph.Vertex(v))} {
-			for _, e := range list {
-				if e.Hub < 0 || int(e.Hub) >= g.NumVertices() || len(e.MR) == 0 || len(e.MR) > loaded.K() {
-					t.Fatalf("accepted index leaked invalid entry %+v", e)
-				}
-			}
-		}
-	}
-}
-
-// TestLoadSurvivesCorruption flips random bytes of a v1 index file and
-// holds Load to loadHostile's contract.
-func TestLoadSurvivesCorruption(t *testing.T) {
-	r := rand.New(rand.NewSource(700))
-	pristine, g := v1Fixture(t, "er12_k2")
-	for trial := 0; trial < 500; trial++ {
-		corrupt := bytes.Clone(pristine)
-		// Flip 1-4 random bytes.
-		for i := 0; i < 1+r.Intn(4); i++ {
-			corrupt[r.Intn(len(corrupt))] ^= byte(1 + r.Intn(255))
-		}
-		loadHostile(t, corrupt, g)
-	}
-}
-
-// TestLoadSurvivesTruncation truncates a v1 index file at every length and
-// asserts clean failures.
-func TestLoadSurvivesTruncation(t *testing.T) {
-	data, g := v1Fixture(t, "fig2_k2")
-	for cut := 0; cut < len(data); cut++ {
-		if _, err := Load(bytes.NewReader(data[:cut]), g); err == nil {
-			t.Fatalf("truncation at %d/%d accepted", cut, len(data))
-		}
-	}
-}
-
-// FuzzLoad mutates v1 index bytes arbitrarily. The first byte of the input
-// picks which fixture's graph the rest is loaded against.
-func FuzzLoad(f *testing.F) {
-	fig2, fig2Graph := v1Fixture(f, "fig2_k2")
-	er12, er12Graph := v1Fixture(f, "er12_k2")
-	f.Add(append([]byte{0}, fig2...))
-	f.Add(append([]byte{1}, er12...))
-	f.Add(append([]byte{1}, er12[:len(er12)/2]...))
-	f.Add([]byte{0, 'R', 'L', 'C', 'X'})
-	f.Add([]byte{})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		g := fig2Graph
-		if len(data) > 0 {
-			if data[0]&1 == 1 {
-				g = er12Graph
-			}
-			data = data[1:]
-		}
-		loadHostile(t, data, g)
-	})
-}
 
 // TestConcurrentQueries exercises the documented contract that queries are
 // safe for concurrent use (run with -race to make this meaningful).

@@ -39,18 +39,12 @@ const (
 	secVertexNames = 13 // optional: count u32, then len u32 + bytes each
 	secLabelNames  = 14 // optional
 
-	// Legacy entry-array sections: read-only, never written. Bundles from
-	// before the packed form became the index carry them — alongside the
-	// packed block (which OpenSnapshot adopts, and VerifyContents
-	// cross-checks against them) or alone (OpenSnapshot packs them on the
-	// heap).
-	secEntries     = 10 // entry[entryCount]: (hub i32, mr u32)
-	secIndexOutOff = 11 // int32[n+1]
-	secIndexInOff  = 12 // int32[n+1]
+	// Ids 10-12 held the entry arrays of bundles written before the packed
+	// form became the index; they are never written and, like any id not
+	// listed here, ignored when present.
 
 	// Packed bit-parallel MR-set sections (see packed.go): the index. All
-	// six or none; none only in a legacy bundle that carries sections 10-12
-	// instead. On the mmap path they are served zero-copy.
+	// six are required. On the mmap path they are served zero-copy.
 	secPackedMeta    = 15 // fixed 24 bytes: setCount u32, reserved u32, groupCount u64, wordCount u64
 	secPackedGroups  = 16 // packedGroup[groupCount]: (hub i32, set u32)
 	secPackedOutOff  = 17 // int32[n+1]
@@ -86,11 +80,9 @@ const (
 	flagLabelNames  = 1 << 1
 )
 
-// ErrGraphMismatch is returned when an index is bound to a graph other than
-// the one it was built from — by the v1 loader when the supplied graph's
-// shape differs from the one recorded at build time, and by snapshot
-// verification when the embedded fingerprint does not match the embedded
-// graph.
+// ErrGraphMismatch is returned by snapshot verification when the fingerprint
+// a bundle records does not match the graph it embeds — an index bound to a
+// graph other than the one it was built from.
 var ErrGraphMismatch = errors.New("rlc: index was built for a different graph")
 
 // encodeMeta renders the fixed meta section.
@@ -274,12 +266,10 @@ type Snapshot struct {
 // OpenSnapshot opens a v2 bundle file. The large sections are mapped
 // zero-copy where the platform allows (Mapped reports whether that
 // happened); open-time work is structural validation only — O(n + m) word
-// scans with no per-entry decoding or allocation (a legacy bundle without a
-// packed block is the exception: its entry array is packed on the heap) —
-// which is what makes opening a multi-gigabyte bundle effectively instant
-// compared to the v1 load path. Payload checksums are deliberately not verified here; call
-// Verify before trusting a bundle from an untrusted medium or before
-// hot-swapping it into a server.
+// scans with no per-entry decoding or allocation — which is what makes
+// opening a multi-gigabyte bundle effectively instant. Payload checksums are
+// deliberately not verified here; call Verify before trusting a bundle from
+// an untrusted medium or before hot-swapping it into a server.
 func OpenSnapshot(path string) (*Snapshot, error) {
 	f, err := snapshot.Open(path)
 	if err != nil {
@@ -405,7 +395,7 @@ func newSnapshot(f *snapshot.File) (*Snapshot, error) {
 		return nil, snapshot.Corruptf("%v", err)
 	}
 
-	// Dictionary (small, heap-decoded with the same validation as v1 load).
+	// Dictionary (small, heap-decoded).
 	dictBytes, ok := f.Section(secDict)
 	if !ok {
 		return nil, snapshot.Corruptf("missing dictionary section")
@@ -435,20 +425,9 @@ func newSnapshot(f *snapshot.File) (*Snapshot, error) {
 		rank[v] = int32(i)
 	}
 
-	// The index: the packed block, or — a legacy bundle without one — the
-	// entry sections packed on the heap.
 	p, err := openPacked(f, n, meta.dictLen)
 	if err != nil {
 		return nil, err
-	}
-	if p == nil {
-		out, in, err := legacyLists(f, n, meta)
-		if err != nil {
-			return nil, err
-		}
-		if p, err = pack(out, in, meta.dictLen); err != nil {
-			return nil, snapshot.Corruptf("%v", err)
-		}
 	}
 	if got := p.outEntries + p.inEntries; got != meta.entryCount {
 		return nil, snapshot.Corruptf("packed sets hold %d entries, meta records %d", got, meta.entryCount)
@@ -477,75 +456,15 @@ func newSnapshot(f *snapshot.File) (*Snapshot, error) {
 	return &Snapshot{f: f, ix: ix, g: g, meta: meta}, nil
 }
 
-// legacyLists reads the legacy entry-array sections (10-12) into per-vertex
-// Lout/Lin lists, with the structural validation pack and verifyAgainst rely
-// on: offsets that tile the array, hub-sorted lists, every hub a real rank
-// and every mr an interned sequence. The lists alias the mapping; callers
-// pack or compare them and let go.
-//
-//rlc:viewowner
-func legacyLists(f *snapshot.File, n int, meta snapshotMeta) (out, in [][]entry, err error) {
-	ixOutB, err := section(f, secIndexOutOff, int64(n+1)*4, "index out-offset")
-	if err != nil {
-		return nil, nil, err
-	}
-	ixInB, err := section(f, secIndexInOff, int64(n+1)*4, "index in-offset")
-	if err != nil {
-		return nil, nil, err
-	}
-	entriesB, err := section(f, secEntries, meta.entryCount*8, "entry")
-	if err != nil {
-		return nil, nil, err
-	}
-	outOff := snapshot.I32s[int32](ixOutB)
-	inOff := snapshot.I32s[int32](ixInB)
-	entries := entriesView(entriesB)
-	if outOff[0] != 0 || outOff[n] != inOff[0] || int64(inOff[n]) != meta.entryCount {
-		return nil, nil, snapshot.Corruptf("index offsets span [%d..%d, %d..%d], want [0..x, x..%d]",
-			outOff[0], outOff[n], inOff[0], inOff[n], meta.entryCount)
-	}
-	lists := func(off []int32) ([][]entry, error) {
-		ls := make([][]entry, n)
-		for v := 0; v < n; v++ {
-			if off[v] > off[v+1] {
-				return nil, snapshot.Corruptf("index offsets decrease at vertex %d", v)
-			}
-			ls[v] = entries[off[v]:off[v+1]]
-			prev := int32(-1)
-			for _, e := range ls[v] {
-				if e.hub < prev {
-					return nil, snapshot.Corruptf("entry list of vertex %d not hub-sorted", v)
-				}
-				prev = e.hub
-				if e.hub < 0 || int(e.hub) >= n || int64(e.mr) >= int64(meta.dictLen) {
-					return nil, snapshot.Corruptf("entry (%d, %d) of vertex %d out of range", e.hub, e.mr, v)
-				}
-			}
-		}
-		return ls, nil
-	}
-	if out, err = lists(outOff); err != nil {
-		return nil, nil, err
-	}
-	if in, err = lists(inOff); err != nil {
-		return nil, nil, err
-	}
-	return out, in, nil
-}
-
-// openPacked adopts the packed bit-parallel sections. A bundle either
-// carries the whole block or none of it: absent packed-meta means a legacy
-// entry-array bundle (nil); a present packed-meta makes the other five
-// sections required, so a partially stripped bundle surfaces as corrupt.
+// openPacked adopts the packed bit-parallel sections — the index. All six
+// are required, so a bundle without them (or partially stripped of them)
+// surfaces as corrupt.
 //
 //rlc:viewowner
 func openPacked(f *snapshot.File, n, dictLen int) (*packed, error) {
-	pm, ok := f.Section(secPackedMeta)
-	if !ok {
-		return nil, nil
-	}
-	if len(pm) != packedMetaSize {
-		return nil, snapshot.Corruptf("packed-meta section is %d bytes, want %d", len(pm), packedMetaSize)
+	pm, err := section(f, secPackedMeta, packedMetaSize, "packed-meta")
+	if err != nil {
+		return nil, err
 	}
 	le := binary.LittleEndian
 	setCount := int64(le.Uint32(pm[0:]))
@@ -597,8 +516,8 @@ func openPacked(f *snapshot.File, n, dictLen int) (*packed, error) {
 	// point into the pool.
 	for _, off := range [2][]int32{p.outOff, p.inOff} {
 		for v := 0; v < n; v++ {
-			if off[v] > off[v+1] {
-				return nil, snapshot.Corruptf("packed offsets decrease at vertex %d", v)
+			if off[v] > off[v+1] || int64(off[v+1]) > groupCount {
+				return nil, snapshot.Corruptf("packed offsets decrease or overshoot at vertex %d", v)
 			}
 			prev := int32(-1)
 			for _, pg := range p.groups[off[v]:off[v+1]] {
@@ -772,12 +691,10 @@ func (s *Snapshot) Verify() error {
 
 // VerifyContents is the part of Verify that checksums cannot do — a bundle
 // assembled from mismatched halves checksums clean. It recomputes the
-// embedded graph's fingerprint against the one recorded in the meta section,
-// checks that a tier block's retention split agrees with the packed groups
-// (demoted vertices have none), and, for a legacy bundle that still carries
-// its entry array, that the packed form queries answer from equals it.
-// Callers that checksum sections themselves (rlcinspect, one VerifySection
-// per table row) run it after.
+// embedded graph's fingerprint against the one recorded in the meta section
+// and checks that a tier block's retention split agrees with the packed
+// groups (demoted vertices have none). Callers that checksum sections
+// themselves (rlcinspect, one VerifySection per table row) run it after.
 func (s *Snapshot) VerifyContents() error {
 	if got := s.g.Fingerprint(); got != s.meta.fp {
 		return fmt.Errorf("%w: %w: bundle records %v, embedded graph hashes to %v",
@@ -785,15 +702,6 @@ func (s *Snapshot) VerifyContents() error {
 	}
 	if err := s.ix.verifyTiers(); err != nil {
 		return fmt.Errorf("%w: %w", snapshot.ErrCorrupt, err)
-	}
-	if _, legacy := s.f.Section(secEntries); legacy {
-		out, in, err := legacyLists(s.f, s.meta.fp.N, s.meta)
-		if err != nil {
-			return err
-		}
-		if err := s.ix.packed.verifyAgainst(out, in); err != nil {
-			return fmt.Errorf("%w: legacy entry sections: %w", snapshot.ErrCorrupt, err)
-		}
 	}
 	return nil
 }
@@ -807,9 +715,8 @@ func (s *Snapshot) Close() error {
 }
 
 // encodeDict renders the dictionary section: per interned sequence, a u8
-// length followed by that many little-endian i32 labels — the same
-// per-sequence encoding as the v1 format, minus the count (the meta section
-// carries it).
+// length followed by that many little-endian i32 labels; the meta section
+// carries the count.
 func encodeDict(d *labelseq.Dict) []byte {
 	var out []byte
 	var tmp [4]byte
@@ -824,9 +731,9 @@ func encodeDict(d *labelseq.Dict) []byte {
 	return out
 }
 
-// decodeDict rebuilds the interning dictionary, enforcing the same
-// invariants as the v1 loader: lengths within k, labels within the label
-// set, no duplicate sequences, and no trailing bytes.
+// decodeDict rebuilds the interning dictionary, enforcing its invariants:
+// lengths within 1..k, labels within the label set, no duplicate sequences,
+// and no trailing bytes.
 func decodeDict(b []byte, dictLen, numLabels, k int) (*labelseq.Dict, error) {
 	coderLabels := numLabels
 	if coderLabels == 0 {
@@ -909,30 +816,6 @@ func decodeNames(b []byte, want int, what string) ([]string, error) {
 		return nil, snapshot.Corruptf("%d trailing bytes after the %s names", len(b)-pos, what)
 	}
 	return names, nil
-}
-
-// entriesView returns the legacy entry section b as an entry slice —
-// zero-copy when the host is little-endian and the section is aligned, a
-// decoded copy otherwise. The entry struct is exactly its on-disk layout:
-// hub i32 then mr u32, 8 bytes, no padding. The caller must have checked
-// len(b)%8 == 0.
-//
-//rlc:view
-func entriesView(b []byte) []entry {
-	if len(b) == 0 {
-		return nil
-	}
-	if snapshot.HostLittleEndian() && uintptr(unsafe.Pointer(&b[0]))%unsafe.Alignof(entry{}) == 0 {
-		return unsafe.Slice((*entry)(unsafe.Pointer(&b[0])), len(b)/8)
-	}
-	out := make([]entry, len(b)/8)
-	for i := range out {
-		out[i] = entry{
-			hub: int32(binary.LittleEndian.Uint32(b[i*8:])),
-			mr:  labelseq.ID(binary.LittleEndian.Uint32(b[i*8+4:])),
-		}
-	}
-	return out
 }
 
 // groupBytes returns the little-endian on-disk bytes of a packed-group

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"github.com/g-rpqs/rlc-go/internal/graph"
@@ -174,52 +175,6 @@ func TestSnapshotNoNames(t *testing.T) {
 	assertEquivalent(t, g, s.Index(), ix)
 }
 
-// TestGoldenV1ToV2Compat is the compatibility pin: the checked-in v1 golden
-// file must load through the v1 reader, round-trip into a v2 bundle, and
-// answer queries identically — the migration path for every pre-bundle
-// index artifact. CI runs it in a dedicated compat job.
-func TestGoldenV1ToV2Compat(t *testing.T) {
-	data, g := v1Fixture(t, "fig2_k2")
-	v1, err := Load(bytes.NewReader(data), g)
-	if err != nil {
-		t.Fatalf("golden v1 load: %v", err)
-	}
-	var buf bytes.Buffer
-	if err := v1.WriteSnapshot(&buf); err != nil {
-		t.Fatal(err)
-	}
-	s, err := OpenSnapshotBytes(buf.Bytes())
-	if err != nil {
-		t.Fatalf("v2 bundle of golden index does not open: %v", err)
-	}
-	defer s.Close()
-	if err := s.Verify(); err != nil {
-		t.Fatal(err)
-	}
-	assertEquivalent(t, g, v1, s.Index())
-	if err := s.Index().ValidateComplete(); err != nil {
-		t.Fatalf("v2 round-trip of golden index incomplete: %v", err)
-	}
-	// Example 4's answers, same as the v1 golden assertions.
-	v := func(name string) graph.Vertex { id, _ := g.VertexByName(name); return id }
-	if ok, err := s.Index().Query(v("v3"), v("v6"), labelseq.Seq{1, 0}); err != nil || !ok {
-		t.Errorf("golden-via-v2 Q1 = %v, %v", ok, err)
-	}
-	if ok, err := s.Index().Query(v("v1"), v("v3"), labelseq.Seq{0}); err != nil || ok {
-		t.Errorf("golden-via-v2 Q3 = %v, %v", ok, err)
-	}
-}
-
-// TestLoadV1GraphMismatchTyped pins the typed sentinel on the v1 loader's
-// shape check.
-func TestLoadV1GraphMismatchTyped(t *testing.T) {
-	data, _ := v1Fixture(t, "fig2_k2")
-	other := graph.FromEdges(3, 2, []graph.Edge{{Src: 0, Dst: 1, Label: 0}, {Src: 1, Dst: 2, Label: 1}})
-	if _, err := Load(bytes.NewReader(data), other); !errors.Is(err, ErrGraphMismatch) {
-		t.Fatalf("Load with wrong graph: err = %v, want ErrGraphMismatch", err)
-	}
-}
-
 // TestSnapshotTruncation feeds every prefix of a valid bundle to the v2
 // reader: all required sections make any strict prefix invalid, so each
 // must fail with the typed corruption error and never panic.
@@ -258,9 +213,10 @@ func TestSnapshotTruncationOnDisk(t *testing.T) {
 	}
 }
 
-// rebundle re-renders a bundle after mutate edited its section map (nil
-// value = drop the section). Checksums are recomputed, so these bundles
-// exercise the semantic validation behind the container layer.
+// rebundle re-renders a bundle after mutate edited its section map (deleted
+// key = drop the section; a new key = one more section, after the original
+// ones). Checksums are recomputed, so these bundles exercise the semantic
+// validation behind the container layer.
 func rebundle(t *testing.T, data []byte, mutate func(secs map[uint32][]byte)) []byte {
 	t.Helper()
 	f, err := snapshot.OpenBytes(data)
@@ -279,7 +235,16 @@ func rebundle(t *testing.T, data []byte, mutate func(secs map[uint32][]byte)) []
 	for _, id := range order {
 		if b, ok := secs[id]; ok {
 			w.Add(id, b)
+			delete(secs, id)
 		}
+	}
+	added := make([]uint32, 0, len(secs))
+	for id := range secs {
+		added = append(added, id)
+	}
+	slices.Sort(added)
+	for _, id := range added {
+		w.Add(id, secs[id])
 	}
 	var buf bytes.Buffer
 	if _, err := w.WriteTo(&buf); err != nil {
@@ -292,67 +257,45 @@ func rebundle(t *testing.T, data []byte, mutate func(secs map[uint32][]byte)) []
 // validation: plausible containers with nonsense payloads must be rejected
 // with the typed error, never panic, never open.
 func TestSnapshotSemanticCorruption(t *testing.T) {
-	_, fresh := bundleBytes(t, graph.Fig2(), 2)
-	// The entry-array cases need a bundle whose index is read from sections
-	// 10-12: the legacy fixture without a packed block.
-	legacy := readLegacyBundle(t, legacyEntriesOnly)
+	_, base := bundleBytes(t, graph.Fig2(), 2)
 	cases := []struct {
 		name   string
-		base   []byte
 		mutate func(secs map[uint32][]byte)
 	}{
-		{"meta-k-zero", fresh, func(s map[uint32][]byte) { s[secMeta][0] = 0 }},
-		{"meta-k-huge", fresh, func(s map[uint32][]byte) { s[secMeta][0] = MaxK + 1 }},
-		{"meta-entrycount-drift", fresh, func(s map[uint32][]byte) { s[secMeta][32]++ }},
-		{"legacy-entrycount-drift", legacy, func(s map[uint32][]byte) { s[secMeta][32]++ }},
-		{"missing-entries", legacy, func(s map[uint32][]byte) { delete(s, secEntries) }},
-		{"missing-dict", fresh, func(s map[uint32][]byte) { delete(s, secDict) }},
-		{"missing-graph", fresh, func(s map[uint32][]byte) { delete(s, secGraphOutDst) }},
-		{"order-duplicate", fresh, func(s map[uint32][]byte) { copy(s[secOrder][4:8], s[secOrder][0:4]) }},
-		{"order-oob", fresh, func(s map[uint32][]byte) {
+		{"meta-k-zero", func(s map[uint32][]byte) { s[secMeta][0] = 0 }},
+		{"meta-k-huge", func(s map[uint32][]byte) { s[secMeta][0] = MaxK + 1 }},
+		{"meta-entrycount-drift", func(s map[uint32][]byte) { s[secMeta][32]++ }},
+		{"missing-dict", func(s map[uint32][]byte) { delete(s, secDict) }},
+		{"missing-graph", func(s map[uint32][]byte) { delete(s, secGraphOutDst) }},
+		{"order-duplicate", func(s map[uint32][]byte) { copy(s[secOrder][4:8], s[secOrder][0:4]) }},
+		{"order-oob", func(s map[uint32][]byte) {
 			s[secOrder][0] = 0xff
 			s[secOrder][1] = 0xff
 			s[secOrder][2] = 0xff
 			s[secOrder][3] = 0x7f
 		}},
-		{"index-outoff-nonzero", legacy, func(s map[uint32][]byte) { s[secIndexOutOff][0] = 1 }},
-		{"index-inoff-decreasing", legacy, func(s map[uint32][]byte) {
-			b := s[secIndexInOff]
-			copy(b[len(b)-4:], []byte{0, 0, 0, 0})
-		}},
-		{"entry-mr-oob", legacy, func(s map[uint32][]byte) {
-			b := s[secEntries]
-			copy(b[4:8], []byte{0xff, 0xff, 0xff, 0x7f})
-		}},
-		{"entry-hub-negative", legacy, func(s map[uint32][]byte) {
-			// hub = -1 sails past the sorted check (prev starts at -1) and
-			// the upper bound; the explicit sign check must catch it or
-			// the packed groups would carry a negative hub.
-			b := s[secEntries]
-			copy(b[0:4], []byte{0xff, 0xff, 0xff, 0xff})
-		}},
-		{"graph-dst-oob", fresh, func(s map[uint32][]byte) {
+		{"graph-dst-oob", func(s map[uint32][]byte) {
 			b := s[secGraphOutDst]
 			copy(b[0:4], []byte{0xff, 0xff, 0xff, 0x7f})
 		}},
-		{"dict-label-oob", fresh, func(s map[uint32][]byte) {
+		{"dict-label-oob", func(s map[uint32][]byte) {
 			b := s[secDict]
 			// First sequence has len >= 1; poison its first label.
 			copy(b[1:5], []byte{0xff, 0xff, 0xff, 0x7f})
 		}},
-		{"dict-seq-empty", fresh, func(s map[uint32][]byte) {
+		{"dict-seq-empty", func(s map[uint32][]byte) {
 			// The first sequence shrinks to 0 labels and nothing else moves:
 			// the count, every other sequence and the section's end all
 			// still line up, so only the 1..k length check can object.
 			b := s[secDict]
 			s[secDict] = append([]byte{0}, b[1+4*int(b[0]):]...)
 		}},
-		{"dict-trailing", fresh, func(s map[uint32][]byte) { s[secDict] = append(s[secDict], 0xaa) }},
-		{"names-count-drift", fresh, func(s map[uint32][]byte) { s[secVertexNames][0]++ }},
+		{"dict-trailing", func(s map[uint32][]byte) { s[secDict] = append(s[secDict], 0xaa) }},
+		{"names-count-drift", func(s map[uint32][]byte) { s[secVertexNames][0]++ }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			data := rebundle(t, tc.base, tc.mutate)
+			data := rebundle(t, base, tc.mutate)
 			s, err := OpenSnapshotBytes(data)
 			if err == nil {
 				s.Close()

@@ -188,30 +188,20 @@ func TestTierBudgetLargerThanIndex(t *testing.T) {
 	}
 }
 
-// TestTierDeterministicAcrossWorkers: the tier sections, like everything
-// they derive from, are byte-identical at every worker count.
-func TestTierDeterministicAcrossWorkers(t *testing.T) {
+// TestTierDeterministic: two budgeted builds of the same graph write the same
+// bytes, tier sections included.
+func TestTierDeterministic(t *testing.T) {
 	r := rand.New(rand.NewSource(19))
 	g := randomGraph(r, 64, 3, 300)
 	full := mustBuild(t, g, Options{K: 2})
 	budget := full.SizeBytes() / 3
-	var want []byte
-	for _, workers := range []int{1, 2, 4, 8} {
-		ix := mustBuild(t, g, Options{K: 2, BuildWorkers: workers, MaxIndexBytes: budget})
-		if !ix.Tiered() {
-			t.Fatalf("budget %d not tiered at %d workers", budget, workers)
-		}
-		var buf bytes.Buffer
-		if err := ix.WriteSnapshot(&buf); err != nil {
-			t.Fatal(err)
-		}
-		if want == nil {
-			want = buf.Bytes()
-			continue
-		}
-		if !bytes.Equal(want, buf.Bytes()) {
-			t.Fatalf("tiered bundle bytes differ at %d workers", workers)
-		}
+	first := mustBuild(t, g, Options{K: 2, MaxIndexBytes: budget})
+	if !first.Tiered() {
+		t.Fatalf("budget %d not tiered", budget)
+	}
+	second := mustBuild(t, g, Options{K: 2, MaxIndexBytes: budget})
+	if !bytes.Equal(serialize(t, first), serialize(t, second)) {
+		t.Fatal("two budgeted builds of the same graph serialized differently")
 	}
 }
 

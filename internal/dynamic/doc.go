@@ -35,13 +35,11 @@
 // Amortization: when the journal grows past RebuildThreshold edges, the
 // insert that crossed the line triggers a BACKGROUND fold — never the query
 // path, and never inline on the inserting caller beyond a compare-and-swap.
-// The folder materializes the union, rebuilds the index (honoring
-// Options.IndexOptions.BuildWorkers; the parallel build is deterministic,
-// so the rebuilt index is byte-identical to a sequential rebuild's), and
-// installs the next epoch with any concurrently inserted edges carried
-// over. Queries pinned to the old epoch keep answering exactly against the
-// same edge set throughout; Rebuild folds synchronously and Quiesce waits
-// for an in-flight background fold.
+// The folder materializes the union, rebuilds the index under
+// Options.IndexOptions, and installs the next epoch with any concurrently
+// inserted edges carried over. Queries pinned to the old epoch keep answering
+// exactly against the same edge set throughout; Rebuild folds synchronously
+// and Quiesce waits for an in-flight background fold.
 //
 // The serving layer (internal/server) drives the same epoch machinery
 // itself — FoldInput, JournalTail, NewWithJournal — because its folds also

@@ -1,7 +1,6 @@
 package dynamic
 
 import (
-	"bytes"
 	"cmp"
 	"math/bits"
 	"math/rand"
@@ -240,53 +239,6 @@ func TestCachedAutomatonSeesInserts(t *testing.T) {
 	ok, err := d.Query(0, 3, l)
 	if err != nil || !ok {
 		t.Fatalf("after insert: %v, %v; want true", ok, err)
-	}
-}
-
-// TestParallelRebuildMatchesSequential: a fold-and-rebuild with parallel
-// IndexOptions.BuildWorkers produces exactly the index a sequential rebuild
-// produces — the DeltaGraph surface of the deterministic parallel build.
-func TestParallelRebuildMatchesSequential(t *testing.T) {
-	r := rand.New(rand.NewSource(602))
-	g := randomGraph(r, 60, 3, 240)
-	edges := make([]graph.Edge, 12)
-	for i := range edges {
-		edges[i] = graph.Edge{
-			Src:   graph.Vertex(r.Intn(60)),
-			Dst:   graph.Vertex(r.Intn(60)),
-			Label: graph.Label(r.Intn(3)),
-		}
-	}
-
-	rebuild := func(workers int) *core.Index {
-		t.Helper()
-		d, err := Build(g, Options{
-			IndexOptions:     core.Options{K: 2, BuildWorkers: workers},
-			RebuildThreshold: -1,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, e := range edges {
-			if err := d.AddEdge(e.Src, e.Label, e.Dst); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := d.Rebuild(); err != nil {
-			t.Fatal(err)
-		}
-		return d.Index()
-	}
-
-	var seqBytes, parBytes bytes.Buffer
-	if err := rebuild(1).WriteSnapshot(&seqBytes); err != nil {
-		t.Fatal(err)
-	}
-	if err := rebuild(4).WriteSnapshot(&parBytes); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(seqBytes.Bytes(), parBytes.Bytes()) {
-		t.Error("parallel fold-and-rebuild wrote a different bundle than the sequential rebuild")
 	}
 }
 

@@ -172,19 +172,6 @@ func (d *Dict) LookupCode(code Code) ID {
 	return InvalidID
 }
 
-// TruncateTo removes every sequence interned at or after position n,
-// restoring the dictionary to an earlier length. IDs are assigned densely in
-// interning order, so truncation is exact rollback: the surviving IDs and
-// codes are untouched. The parallel index build uses this to discard the
-// interns of a commit replay that had to be abandoned.
-func (d *Dict) TruncateTo(n int) {
-	for i := len(d.seqs) - 1; i >= n; i-- {
-		delete(d.ids, d.codes[i])
-	}
-	d.seqs = d.seqs[:n]
-	d.codes = d.codes[:n]
-}
-
 // Seq returns the sequence interned under id. The result must not be
 // mutated.
 func (d *Dict) Seq(id ID) Seq {

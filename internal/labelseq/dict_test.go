@@ -159,32 +159,3 @@ func TestDictInternClones(t *testing.T) {
 		t.Error("dictionary aliased the caller's slice")
 	}
 }
-
-func TestDictTruncateTo(t *testing.T) {
-	d, err := NewDict(4, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a := d.Intern(Seq{0})
-	b := d.Intern(Seq{1, 2})
-	if d.Len() != 2 {
-		t.Fatalf("len = %d", d.Len())
-	}
-	c := d.Intern(Seq{3})
-	d.Intern(Seq{2, 2, 1})
-	d.TruncateTo(2)
-	if d.Len() != 2 {
-		t.Fatalf("after truncate: len = %d", d.Len())
-	}
-	// Survivors keep their IDs and codes; truncated sequences are gone and
-	// re-interning them assigns fresh dense IDs from the cut point.
-	if d.Lookup(Seq{0}) != a || d.Lookup(Seq{1, 2}) != b {
-		t.Error("surviving IDs changed")
-	}
-	if d.Lookup(Seq{3}) != InvalidID || d.Lookup(Seq{2, 2, 1}) != InvalidID {
-		t.Error("truncated sequences still resolve")
-	}
-	if got := d.Intern(Seq{2, 2, 1}); got != c {
-		t.Errorf("re-intern after truncate = %d, want %d", got, c)
-	}
-}

@@ -168,7 +168,6 @@ func (s *Server) rebuildOnce() (res RebuildResult, err error) {
 		return res, nil
 	}
 
-	buildOpts.BuildWorkers = s.opts.RebuildWorkers
 	ix, err := core.Build(union, buildOpts)
 	buildDone := time.Now()
 	res.BuildMicros = micros(buildDone.Sub(unionDone))

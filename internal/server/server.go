@@ -80,12 +80,6 @@ type Options struct {
 	// swap in the heap-built index directly. Ignored unless Mutable.
 	RebuildPath string
 
-	// RebuildWorkers is the construction worker count for fold rebuilds
-	// (0 = GOMAXPROCS). The parallel build is deterministic, so the
-	// folded index is identical for every setting. Ignored unless
-	// Mutable.
-	RebuildWorkers int
-
 	// OnRebuild, when non-nil, observes every completed fold — background
 	// and explicit, including failed ones (Err set). It runs on the
 	// folding goroutine after the swap; keep it quick.

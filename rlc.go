@@ -40,29 +40,13 @@
 // QueryBatchInto is the same fan-out writing into a caller-reused result
 // buffer, for serving loops that want zero allocations per batch.
 //
-// # Parallel construction
-//
-// BuildIndex itself is parallel: Options.BuildWorkers sets the number of
-// construction workers (0 = GOMAXPROCS, 1 = the plain sequential path of
-// Algorithm 2). The build is deterministic for every worker count — the
-// scheduler speculates ahead of a sequentially advancing commit frontier
-// and only commits speculations proven to match the sequential trajectory
-// — so the resulting index, including its serialized bytes, is identical
-// whether it was built on one core or all of them:
-//
-//	ix, err := rlc.BuildIndex(g, rlc.Options{K: 2, BuildWorkers: 8})
-//
-// Rebuilds of a DeltaGraph inherit the same option through
-// DeltaOptions.IndexOptions.
-//
 // # Snapshot bundles
 //
 // A built index freezes into a snapshot bundle: one self-contained file
 // (graph CSR + packed index + label dictionary as checksummed sections)
 // that OpenSnapshot memory-maps zero-copy — startup does structural
-// validation only, no deserialization, so opening is orders of magnitude
-// faster than LoadIndex and the mapping is shared between processes
-// serving the same bundle:
+// validation only, no deserialization, and the mapping is shared between
+// processes serving the same bundle:
 //
 //	rlc.SaveSnapshotFile("g.rlcs", ix)         // or: rlcbuild -o g.rlcs
 //	snap, err := rlc.OpenSnapshot("g.rlcs")    // mmap, O(1) in the payload
@@ -73,12 +57,7 @@
 // Corrupt or truncated bundles fail with errors wrapping
 // ErrCorruptSnapshot — never a panic — and the embedded graph fingerprint
 // makes binding an index to the wrong graph (ErrGraphMismatch) impossible.
-// The bundle is the only format this package writes. A v1 two-file index
-// (.rlc beside its graph file) from an older release is import-only;
-// migrate it once:
-//
-//	ix, err := rlc.LoadIndexFile("g.rlc", g)
-//	err = rlc.SaveSnapshotFile("g.rlcs", ix)
+// The bundle is the only format this package writes or reads.
 //
 // # Serving
 //
@@ -113,13 +92,12 @@
 // exactly and without locking (answers may only flip false→true: the write
 // path is insert-only, deletions are rejected). When the journal crosses
 // ServerOptions.RebuildThreshold — or on Server.Rebuild / POST /rebuild /
-// SIGUSR1 — a background goroutine folds base ∪ journal, reruns the
-// deterministic parallel build, optionally writes a fresh v2 bundle
-// (ServerOptions.RebuildPath), and hot-swaps the new epoch through the
-// same Store drain path as a reload, carrying over edges inserted while it
-// ran. Queries never block on a fold and answers stay exact across the
-// swap. ServerOptions.OnRebuild observes every fold; /stats and /healthz
-// expose the epoch and journal length.
+// SIGUSR1 — a background goroutine folds base ∪ journal, reruns the build,
+// optionally writes a fresh v2 bundle (ServerOptions.RebuildPath), and
+// hot-swaps the new epoch through the same Store drain path as a reload,
+// carrying over edges inserted while it ran. Queries never block on a fold
+// and answers stay exact across the swap. ServerOptions.OnRebuild observes
+// every fold; /stats and /healthz expose the epoch and journal length.
 //
 // The Querier interface (QueryRLC) is the common read surface of *Index,
 // *HybridEvaluator, and *Server, so read-only code can swap layers freely;
@@ -211,7 +189,7 @@ var (
 	// checksum mismatches, structural violations.
 	ErrCorruptSnapshot = snapshot.ErrCorrupt
 	// ErrGraphMismatch reports an index bound to a graph other than the
-	// one it was built from (v1 shape check, snapshot fingerprint check).
+	// one it was built from (the snapshot fingerprint check).
 	ErrGraphMismatch = core.ErrGraphMismatch
 )
 
@@ -295,17 +273,6 @@ func BuildIndexWithStats(g *Graph, opts Options) (*Index, BuildStats, error) {
 	return core.BuildWithStats(g, opts)
 }
 
-// LoadIndex imports a v1 index (the two-file format older releases wrote;
-// nothing writes it any more), binding it to g. Loading against a graph
-// whose shape differs from the build-time one fails with ErrGraphMismatch.
-// (v1 records only the shape triple; snapshot bundles embed the full
-// fingerprint including an edge hash and need no external graph at all.)
-// Save the result with SaveSnapshotFile to migrate the file.
-func LoadIndex(r io.Reader, g *Graph) (*Index, error) { return core.Load(r, g) }
-
-// LoadIndexFile imports a v1 index file and binds it to g.
-func LoadIndexFile(path string, g *Graph) (*Index, error) { return core.LoadFile(path, g) }
-
 // Snapshot is an open v2 snapshot bundle: one self-contained,
 // checksum-sectioned file holding a graph and the index built over it,
 // memory-mapped zero-copy where the platform allows. Snapshot.Index and
@@ -344,14 +311,6 @@ func SaveSnapshotFile(path string, ix *Index) error { return ix.SaveSnapshotFile
 // GOMAXPROCS) — small batches clamp to the available work.
 func EffectiveBatchWorkers(numQueries, workers int) int {
 	return core.EffectiveBatchWorkers(numQueries, workers)
-}
-
-// EffectiveBuildWorkers reports how many construction workers BuildIndex
-// actually runs for a graph of numVertices when Options.BuildWorkers
-// requests workers (<= 0 meaning GOMAXPROCS) — tiny graphs clamp to the
-// vertex count, and one worker selects the sequential path.
-func EffectiveBuildWorkers(numVertices, workers int) int {
-	return core.EffectiveBuildWorkers(numVertices, workers)
 }
 
 // MinimumRepeat returns MR(s): the unique shortest sequence whose repetition

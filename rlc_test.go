@@ -175,11 +175,10 @@ func TestFacadeGraphIO(t *testing.T) {
 	}
 }
 
-// TestFacadeIndexIO walks the documented v1 migration: import the two-file
-// index, save a bundle, open it verified.
+// TestFacadeIndexIO walks the index's only I/O: build, save a bundle, open
+// it verified.
 func TestFacadeIndexIO(t *testing.T) {
-	g := rlc.ExampleFig2()
-	ix, err := rlc.LoadIndexFile(filepath.Join("internal", "core", "testdata", "fig2_k2_v1.rlc"), g)
+	ix, err := rlc.BuildIndex(rlc.ExampleFig2(), rlc.Options{K: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +192,7 @@ func TestFacadeIndexIO(t *testing.T) {
 	}
 	defer snap.Close()
 	if snap.Index().NumEntries() != ix.NumEntries() {
-		t.Error("migrating the v1 golden to a bundle changed the entry count")
+		t.Error("the bundle round trip changed the entry count")
 	}
 }
 

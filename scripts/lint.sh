@@ -2,8 +2,8 @@
 # lint.sh — run the repo's static-analysis gate: rlcvet (the in-tree
 # analyzer suite enforcing pin, zero-copy view, noalloc, and error-code
 # invariants; see internal/analysis) over every package, the one-kernel
-# check (NFA.Step call sites), the one-v1-reader check ("RLCX"), the
-# no-closure-in-the-overlay check, the one-decoder-on-/batch check, the
+# check (NFA.Step call sites), the no-v1-reader check ("RLCX"), the
+# one-builder-one-reader check, the no-closure-in-the-overlay check, the one-decoder-on-/batch check, the
 # one-pass-on-/query check, the one-client-stack-in-the-router check, then
 # staticcheck and govulncheck
 # when available. CI runs this in the lint job; run it locally before
@@ -44,14 +44,27 @@ if [ -n "$stray" ]; then
 	status=1
 fi
 
-# One on-disk format: the v1 index magic belongs to the import-only reader
-# in internal/core/serialize.go. Anywhere else it is a second reader, or the
-# writer creeping back.
+# One on-disk format: the v1 index's import-only reader is gone, so its
+# magic anywhere in non-test Go is a second reader, or the writer, creeping
+# back.
 echo "==> v1 magic \"RLCX\" sites"
 stray=$(grep -rn --include='*.go' --exclude-dir=.bench_build '"RLCX"' . |
-	grep -vE '^\./internal/core/serialize\.go:|_test\.go:' || true)
+	grep -v '_test\.go:' || true)
 if [ -n "$stray" ]; then
-	echo "the v1 index magic appears outside internal/core/serialize.go:" >&2
+	echo "the v1 index magic is back:" >&2
+	echo "$stray" >&2
+	status=1
+fi
+
+# One builder, one reader: the speculative parallel build was measured 1.7-2.3x
+# slower than Algorithm 2 on every graph and host it ever ran on, and the
+# entry-array bundle sections had no writer (CHANGES PR 23). Bring a number
+# from benchmark/run.sh before bringing either back.
+echo "==> parallel-build and entry-array identifiers"
+stray=$(grep -rnE --include='*.go' --exclude-dir=.bench_build --exclude-dir=benchmark \
+	'BuildWorkers|RebuildWorkers|runParallelBuild|secEntries' . || true)
+if [ -n "$stray" ]; then
+	echo "a second builder or a second index reader is back:" >&2
 	echo "$stray" >&2
 	status=1
 fi
