@@ -22,7 +22,6 @@ import (
 	"github.com/g-rpqs/rlc-go/internal/graph"
 	"github.com/g-rpqs/rlc-go/internal/hybrid"
 	"github.com/g-rpqs/rlc-go/internal/labelseq"
-	"github.com/g-rpqs/rlc-go/internal/plain"
 	"github.com/g-rpqs/rlc-go/internal/traversal"
 	"github.com/g-rpqs/rlc-go/internal/workload"
 )
@@ -472,23 +471,5 @@ func BenchmarkDeltaQuery(b *testing.B) {
 			}
 			b.ReportMetric(float64(worst.Nanoseconds()), "max-ns")
 		})
-	}
-}
-
-// BenchmarkPlainReachability measures the label-blind 2-hop substrate next
-// to the RLC index lookup.
-func BenchmarkPlainReachability(b *testing.B) {
-	fixtures(b)
-	p, err := plain.Build(fix.tw)
-	if err != nil {
-		b.Fatal(err)
-	}
-	queries := fix.twWork.All()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		q := queries[i%len(queries)]
-		if _, err := p.Reaches(q.S, q.T); err != nil {
-			b.Fatal(err)
-		}
 	}
 }

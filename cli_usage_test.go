@@ -84,10 +84,10 @@ func TestCLIUsageConformance(t *testing.T) {
 // TestCLIRejectedFlags pins three families of flag errors. The flags of the
 // retired v1 two-file format, of the retired result cache and of the retired
 // parallel build are gone — the flag package's unknown-flag path exits 2 with
-// usage — as are the rlcbench experiments that measured the cache and the
-// parallel build; and a flag that only steers an
-// on-the-fly build is refused beside -snapshot, where it would be ignored
-// without a word.
+// usage — as are the rlcbench experiments that measured the cache, the
+// parallel build and the serving stack (benchmark/ measures that); and a flag
+// that only steers an on-the-fly build is refused beside -snapshot, where it
+// would be ignored without a word.
 func TestCLIRejectedFlags(t *testing.T) {
 	if testing.Short() {
 		t.Skip("CLI usage test skipped in -short mode")
@@ -114,6 +114,11 @@ func TestCLIRejectedFlags(t *testing.T) {
 		{"rlcserve", []string{"-graph", "g", "-buildworkers", "1"}, 2, "usage: rlcserve"},
 		{"rlcbench", []string{"-buildworkers", "1,2"}, 2, "usage: rlcbench"},
 		{"rlcbench", []string{"-exp", "pbuild"}, 1, `unknown experiment "pbuild"`},
+
+		{"rlcbench", []string{"-exp", "ingest"}, 1, `unknown experiment "ingest"`},
+		{"rlcbench", []string{"-exp", "budget"}, 1, `unknown experiment "budget"`},
+		{"rlcbench", []string{"-exp", "repl"}, 1, `unknown experiment "repl"`},
+		{"rlcbench", []string{"-exp", "batch"}, 1, `unknown experiment "batch"`},
 
 		{"rlcserve", []string{"-snapshot", bundle, "-k", "3"}, 1, "-k and -max-index-bytes require -graph"},
 		{"rlcserve", []string{"-snapshot", bundle, "-max-index-bytes", "4096"}, 1, "-k and -max-index-bytes require -graph"},

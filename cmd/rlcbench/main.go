@@ -5,7 +5,7 @@
 //	rlcbench -exp table4 -scale 0.01       # larger replicas
 //	rlcbench -exp fig3 -datasets AD,TW,WN  # subset of datasets
 //	rlcbench -exp table5 -out results/     # write markdown files
-//	rlcbench -exp ingest -json BENCH.json  # machine-readable report (scripts/bench.sh)
+//	rlcbench -exp table4 -json r.json      # machine-readable report, commit-stamped
 //
 // Scale guidance: the default (-scale 0.004, cap 20000 vertices) finishes
 // in minutes on a laptop. The paper's absolute numbers used graphs up to
@@ -28,7 +28,7 @@ const synopsis = "rlcbench — reproduce the paper's experimental tables and fig
 
 func main() {
 	var (
-		exp      = flag.String("exp", "all", "experiment id (table3..5, fig3..7, ablation, batch, ingest, budget, repl) or \"all\"")
+		exp      = flag.String("exp", "all", "experiment id (table3..5, fig3..7, ablation) or \"all\"")
 		scale    = flag.Float64("scale", 0, "dataset replica scale (0 = default)")
 		maxV     = flag.Int("max-vertices", 0, "replica vertex cap (0 = default)")
 		queries  = flag.Int("queries", 0, "queries per true/false set (0 = default)")

@@ -121,8 +121,7 @@ func (c Config) progressf(format string, args ...any) {
 }
 
 // Table is one rendered result table. The JSON tags are the machine-
-// readable schema `rlcbench -json` (and scripts/bench.sh's BENCH_*.json
-// trajectory files) emit.
+// readable schema `rlcbench -json` emits.
 type Table struct {
 	ID      string     `json:"id"`
 	Title   string     `json:"title"`
@@ -208,10 +207,6 @@ func Experiments() []Experiment {
 		{ID: "fig7", Title: "Impact of recursive k (synthetic graphs)", Run: RunFig7},
 		{ID: "table5", Title: "Speed-ups and break-even points over graph engines", Run: RunTable5},
 		{ID: "ablation", Title: "Pruning-rule ablation (extension)", Run: RunAblation},
-		{ID: "batch", Title: "Concurrent batch-query throughput (extension)", Run: RunBatch},
-		{ID: "ingest", Title: "Mixed read/write serving with epoch rebuilds (extension)", Run: RunIngest},
-		{ID: "budget", Title: "Size-budgeted index tiers under MaxIndexBytes (extension)", Run: RunBudget},
-		{ID: "repl", Title: "Replicated serving: journal streaming and bundle cutover (extension)", Run: RunRepl},
 	}
 }
 

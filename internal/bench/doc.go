@@ -5,8 +5,7 @@
 // configuration finishes on a laptop while preserving the shapes the paper
 // demonstrates (who wins, by what factor, and where the trends bend).
 //
-// Beyond the paper, extension experiments measure what this repo adds:
-// "ablation" (the pruning rules' individual contributions), "batch"
-// (concurrent batch-query throughput), and "ingest", "budget" and "repl" (the
-// mutable, size-budgeted and replicated serving layers).
+// Beyond the paper there is one extension experiment, "ablation" (the
+// pruning rules' individual contributions). How fast the serving stack is
+// is not this package's question: benchmark/ answers it over real sockets.
 package bench

@@ -4,12 +4,12 @@ import (
 	"encoding/json"
 	"os"
 	"runtime"
+	"runtime/debug"
 	"time"
 )
 
 // Report is the machine-readable rendering of one rlcbench run — what
-// `rlcbench -json <file>` writes and scripts/bench.sh commits as
-// BENCH_<experiment>.json, so the perf trajectory is diffable across PRs.
+// `rlcbench -json <file>` writes.
 type Report struct {
 	// Generated is the RFC 3339 wall time of the run.
 	Generated string `json:"generated"`
@@ -19,10 +19,11 @@ type Report struct {
 	GoVersion  string `json:"go_version"`
 	GOMAXPROCS int    `json:"gomaxprocs"`
 	NumCPU     int    `json:"num_cpu"`
-	// Note carries environment caveats (set automatically for single-CPU
-	// hosts, where parallel speedups are unobservable and background folds
-	// share the serving core).
-	Note string `json:"note,omitempty"`
+	// Commit and Dirty are the binary's vcs.revision and vcs.modified build
+	// settings: which tree the numbers came from. Both read "unknown" when
+	// the binary carries none (go run, go test).
+	Commit string `json:"commit"`
+	Dirty  string `json:"dirty"`
 	// Experiments lists each experiment run, in execution order.
 	Experiments []ReportExperiment `json:"experiments"`
 }
@@ -42,9 +43,18 @@ func NewReport() *Report {
 		GoVersion:  runtime.Version(),
 		GOMAXPROCS: runtime.GOMAXPROCS(0),
 		NumCPU:     runtime.NumCPU(),
+		Commit:     "unknown",
+		Dirty:      "unknown",
 	}
-	if r.NumCPU == 1 {
-		r.Note = "single-CPU host: parallel-build and concurrent-serving numbers measure scheduler overhead, not speedup; project multi-core performance from the measured parallel fraction (commit phase ~5% of build time => ~2x at 4 cores)"
+	if info, ok := debug.ReadBuildInfo(); ok {
+		for _, s := range info.Settings {
+			switch s.Key {
+			case "vcs.revision":
+				r.Commit = s.Value
+			case "vcs.modified":
+				r.Dirty = s.Value
+			}
+		}
 	}
 	return r
 }

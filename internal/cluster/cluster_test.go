@@ -51,12 +51,13 @@ func startLeader(t *testing.T, srv *server.Server) (*Leader, *httptest.Server) {
 
 func newTestFollower(t *testing.T, srv *server.Server, leaderURL string) *Follower {
 	t.Helper()
-	return NewFollower(srv, FollowerOptions{
-		LeaderURL:     leaderURL,
-		PollWait:      50 * time.Millisecond,
-		RetryInterval: 10 * time.Millisecond,
-		Logf:          t.Logf,
+	f := NewFollower(srv, FollowerOptions{
+		LeaderURL: leaderURL,
+		PollWait:  50 * time.Millisecond,
+		Logf:      t.Logf,
 	})
+	f.retryInterval = 10 * time.Millisecond
+	return f
 }
 
 // waitFor polls cond until it holds or the deadline passes.

@@ -32,8 +32,6 @@ type FollowerOptions struct {
 	// PollWait is the long-poll wait the follower asks the leader for.
 	// Zero selects 2s.
 	PollWait time.Duration
-	// RetryInterval paces retries after transient errors. Zero selects 200ms.
-	RetryInterval time.Duration
 	// Origin is the expected lineage identity (the leader's X-Rlc-Origin).
 	// Empty selects the follower server's own fingerprint at construction —
 	// correct when leader and follower booted from the same seed bundle,
@@ -66,6 +64,9 @@ type Follower struct {
 	// with errForeignLog before a single edge is applied.
 	origin string
 
+	// retryInterval paces retries after transient errors.
+	retryInterval time.Duration
+
 	segments atomic.Uint64
 	edges    atomic.Uint64
 	cutovers atomic.Uint64
@@ -81,14 +82,11 @@ func NewFollower(srv *server.Server, opts FollowerOptions) *Follower {
 	if opts.PollWait <= 0 {
 		opts.PollWait = 2 * time.Second
 	}
-	if opts.RetryInterval <= 0 {
-		opts.RetryInterval = 200 * time.Millisecond
-	}
 	origin := opts.Origin
 	if origin == "" {
 		origin = srv.ReplState().Fingerprint
 	}
-	return &Follower{srv: srv, opts: opts, origin: origin}
+	return &Follower{srv: srv, opts: opts, origin: origin, retryInterval: 200 * time.Millisecond}
 }
 
 // Stats returns cumulative replication counters.
@@ -145,7 +143,7 @@ func (f *Follower) Run(ctx context.Context) error {
 			select {
 			case <-ctx.Done():
 				return ctx.Err()
-			case <-time.After(f.opts.RetryInterval):
+			case <-time.After(f.retryInterval):
 			}
 		}
 	}

@@ -173,10 +173,10 @@ func runClusterSoak(t *testing.T, cfg clusterSoakConfig) {
 		t.Cleanup(hts.Close)
 		followerURLs[i] = hts.URL
 		fol := NewFollower(srv, FollowerOptions{
-			LeaderURL:     leaderHTS.URL,
-			PollWait:      200 * time.Millisecond,
-			RetryInterval: 20 * time.Millisecond,
+			LeaderURL: leaderHTS.URL,
+			PollWait:  200 * time.Millisecond,
 		})
+		fol.retryInterval = 20 * time.Millisecond
 		followers[i] = fol
 		go fol.Run(ctx)
 	}

@@ -10,10 +10,12 @@ import (
 	"path/filepath"
 	"testing"
 
+	"github.com/g-rpqs/rlc-go/internal/datasets"
 	"github.com/g-rpqs/rlc-go/internal/graph"
 	"github.com/g-rpqs/rlc-go/internal/labelseq"
 	"github.com/g-rpqs/rlc-go/internal/snapshot"
 	"github.com/g-rpqs/rlc-go/internal/traversal"
+	"github.com/g-rpqs/rlc-go/internal/workload"
 )
 
 // tierBudgets returns the budget sweep for a graph whose full (unbudgeted)
@@ -141,6 +143,71 @@ func TestTierCannotShrinkStaysExact(t *testing.T) {
 		if !bytes.Equal(plainData, buf.Bytes()) {
 			t.Fatalf("budget %d bundle differs from the unbudgeted bundle", budget)
 		}
+	}
+}
+
+// TestTierBudgetSweepDatasets holds the budget contract on the paper's
+// thirteen graph shapes rather than random ones: a size restriction trades
+// time and never an answer. Every replica is built untiered and at 1/2, 1/4
+// and 1/10 of its untiered size; every index must answer a seeded workload
+// (true and false queries, ground truth by BiBFS) exactly; a budgeted size
+// may not grow as the budget tightens nor exceed the untiered size; and a
+// replica whose lists are cheaper than the filter floor (TW) must come out
+// byte-equal to the untiered build at every budget.
+func TestTierBudgetSweepDatasets(t *testing.T) {
+	demoted := false
+	for _, d := range datasets.All() {
+		t.Run(d.Name, func(t *testing.T) {
+			g, err := d.Generate(300, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			w, err := workload.Generate(g, workload.Options{NumTrue: 100, NumFalse: 100, ConcatLen: 2, Seed: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			pool := w.All()
+			exact := func(what string, ix *Index) {
+				t.Helper()
+				for _, q := range pool {
+					got, err := ix.Query(q.S, q.T, q.L)
+					if err != nil {
+						t.Fatalf("%s: Query(%d, %d, %v): %v", what, q.S, q.T, q.L, err)
+					}
+					if got != q.Expected {
+						t.Fatalf("%s: Query(%d, %d, %v) = %v, BiBFS says %v", what, q.S, q.T, q.L, got, q.Expected)
+					}
+				}
+			}
+
+			full, fullData := bundleBytes(t, g, 2)
+			exact("untiered", full)
+			prev := full.SizeBytes()
+			for _, div := range []int64{2, 4, 10} {
+				what := fmt.Sprintf("budget 1/%d", div)
+				ix := mustBuild(t, g, Options{K: 2, MaxIndexBytes: full.SizeBytes() / div})
+				size := ix.SizeBytes()
+				if size > prev {
+					t.Fatalf("%s: %d B, larger than the %d B of the looser budget", what, size, prev)
+				}
+				prev = size
+				if !ix.Tiered() {
+					var buf bytes.Buffer
+					if err := ix.WriteSnapshot(&buf); err != nil {
+						t.Fatal(err)
+					}
+					if !bytes.Equal(fullData, buf.Bytes()) {
+						t.Fatalf("%s: refused to tier, yet the bundle differs from the untiered one", what)
+					}
+				} else if ix.TierStats().DemotedVertices > 0 {
+					demoted = true
+				}
+				exact(what, ix)
+			}
+		})
+	}
+	if !demoted {
+		t.Error("no replica demoted a vertex at any budget: the sweep never reached the filter tier")
 	}
 }
 

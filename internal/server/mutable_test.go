@@ -763,12 +763,11 @@ func runMutableSoak(t *testing.T, cfg soakConfig) {
 	for srv.rebuilding.Load() && time.Now().Before(deadline) {
 		time.Sleep(5 * time.Millisecond)
 	}
-	ms := srv.MutableStats()
-	if ms.Epoch < 3 {
-		t.Fatalf("soak spanned %d rebuild epochs, want >= 3", ms.Epoch)
+	if epoch := srv.epoch.Load(); epoch < 3 {
+		t.Fatalf("soak spanned %d rebuild epochs, want >= 3", epoch)
 	}
-	if ms.Writes != uint64(inserts) {
-		t.Fatalf("writes counter = %d, want %d", ms.Writes, inserts)
+	if writes := srv.store.writes.Load(); writes != uint64(inserts) {
+		t.Fatalf("writes counter = %d, want %d", writes, inserts)
 	}
 	final := prefix(inserts)
 	for i := range pool {

@@ -419,8 +419,8 @@ func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) bool {
 	})
 }
 
-// MutableStats is the write-path section of GET /stats (and Server.
-// MutableStats): the current epoch, the pending journal, and fold history.
+// MutableStats is the write-path section of GET /stats: the current epoch,
+// the pending journal, and fold history.
 type MutableStats struct {
 	// Epoch counts completed folds across the server's lifetime.
 	Epoch uint64 `json:"epoch"`
@@ -475,20 +475,6 @@ type statsResponse struct {
 	// endpoints.batch.mean_us × count ÷ batch_queries prices one of them.
 	BatchQueries int64                    `json:"batch_queries"`
 	Endpoints    map[string]EndpointStats `json:"endpoints"`
-}
-
-// MutableStats snapshots the write path (the zero value when the server is
-// immutable or closed).
-func (s *Server) MutableStats() MutableStats {
-	if !s.opts.Mutable {
-		return MutableStats{}
-	}
-	st := s.store.acquire()
-	if st == nil {
-		return MutableStats{}
-	}
-	defer st.release()
-	return s.mutableStats(st)
 }
 
 func (s *Server) mutableStats(st *state) MutableStats {

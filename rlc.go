@@ -123,7 +123,6 @@ import (
 	"github.com/g-rpqs/rlc-go/internal/graph"
 	"github.com/g-rpqs/rlc-go/internal/hybrid"
 	"github.com/g-rpqs/rlc-go/internal/labelseq"
-	"github.com/g-rpqs/rlc-go/internal/plain"
 	"github.com/g-rpqs/rlc-go/internal/server"
 	"github.com/g-rpqs/rlc-go/internal/snapshot"
 	"github.com/g-rpqs/rlc-go/internal/traversal"
@@ -227,15 +226,6 @@ const (
 	OrderNatural   = core.OrderNatural
 	OrderReverse   = core.OrderReverse
 )
-
-// PlainIndex is a pruned 2-hop labeling for plain (label-blind)
-// reachability — the classical framework the RLC index generalizes. Use it
-// as a negative pre-filter: if Reaches(s, t) is false, every RLC query
-// (s, t, L+) is false.
-type PlainIndex = plain.Index
-
-// BuildPlainIndex constructs the plain-reachability labeling of g.
-func BuildPlainIndex(g *Graph) (*PlainIndex, error) { return plain.Build(g) }
 
 // NewGraphBuilder returns a builder for a graph with n vertices and
 // numLabels labels; both grow as edges are added.

@@ -255,25 +255,6 @@ func TestFacadeDeltaGraph(t *testing.T) {
 	}
 }
 
-func TestFacadePlainIndex(t *testing.T) {
-	g := rlc.ExampleFig2()
-	p, err := rlc.BuildPlainIndex(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	v1, _ := g.VertexByName("v1")
-	v3, _ := g.VertexByName("v3")
-	v6, _ := g.VertexByName("v6")
-	ok, err := p.Reaches(v1, v3)
-	if err != nil || !ok {
-		t.Errorf("plain Reaches(v1, v3) = %v, %v; want true", ok, err)
-	}
-	ok, err = p.Reaches(v6, v1)
-	if err != nil || ok {
-		t.Errorf("plain Reaches(v6, v1) = %v, %v; want false (v6 has no out-edges)", ok, err)
-	}
-}
-
 func TestFacadeDFS(t *testing.T) {
 	g := rlc.ExampleFig2()
 	ok, err := rlc.EvalDFS(g, 2, 5, rlc.Seq{1, 0}) // v3 -> v6 under (l2 l1)+

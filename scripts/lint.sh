@@ -3,7 +3,8 @@
 # analyzer suite enforcing pin, zero-copy view, noalloc, and error-code
 # invariants; see internal/analysis) over every package, the one-kernel
 # check (NFA.Step call sites), the no-v1-reader check ("RLCX"), the
-# one-builder-one-reader check, the no-closure-in-the-overlay check, the one-decoder-on-/batch check, the
+# one-builder-one-reader check, the one-harness-per-question check, the
+# no-closure-in-the-overlay check, the one-decoder-on-/batch check, the
 # one-pass-on-/query check, the one-client-stack-in-the-router check, then
 # staticcheck and govulncheck
 # when available. CI runs this in the lint job; run it locally before
@@ -65,6 +66,26 @@ stray=$(grep -rnE --include='*.go' --exclude-dir=.bench_build --exclude-dir=benc
 	'BuildWorkers|RebuildWorkers|runParallelBuild|secEntries' . || true)
 if [ -n "$stray" ]; then
 	echo "a second builder or a second index reader is back:" >&2
+	echo "$stray" >&2
+	status=1
+fi
+
+# One harness per question: a serving number comes from a stamped
+# benchmark/run.sh report, a paper number from rlcbench. The in-process
+# serving experiments, their committed BENCH_*.json and the plain 2-hop index
+# no experiment used are gone (CHANGES PR 24); bring a workload to
+# benchmark/, not a third harness.
+echo "==> second serving harness"
+stray=$(grep -rnE --include='*.go' --exclude-dir=.bench_build --exclude-dir=benchmark \
+	'RunIngest|RunBudget|RunRepl|RunBatch|BuildPlainIndex|internal/plain' . || true)
+for f in scripts/bench.sh BENCH_*.json; do
+	if [ -e "$f" ]; then
+		stray="$stray${stray:+
+}$f exists"
+	fi
+done
+if [ -n "$stray" ]; then
+	echo "a serving experiment outside benchmark/, its output, or the plain index is back:" >&2
 	echo "$stray" >&2
 	status=1
 fi
