@@ -32,25 +32,28 @@ type BatchResult struct {
 const batchChunk = 64
 
 // batchScratch is the per-worker scratch of QueryBatch. Query workloads
-// repeat a small set of constraints, so a tiny linear-scan memo from packed
+// repeat a small set of constraints, so a direct-mapped memo from packed
 // constraint code to interned MR id turns the per-query dictionary hash
-// lookup into a scan of a few contiguous words. Everything here lives on
-// one worker's stack frame — no sharing, no locks, no per-query allocation.
+// lookup into one indexed load. Slot code%batchMemoSlots holds the last
+// constraint seen there; 128 slots hold every code below 128 apart, which
+// covers all 72 constraints of k = 2 over 8 labels (codes 1..80). Code 0 is
+// the empty sequence, which checkShape refuses, so a zero slot is empty.
+// Everything here lives on one worker's stack frame — no sharing, no locks,
+// no per-query allocation.
 type batchScratch struct {
-	n     int
 	codes [batchMemoSlots]labelseq.Code
 	ids   [batchMemoSlots]labelseq.ID
 }
 
-const batchMemoSlots = 16
+const batchMemoSlots = 128
 
 // lookupMR validates the constraint and resolves its interned MR id
 // through the memo. A memo hit proves the whole constraint valid — equal
 // packed codes mean equal sequences, so the primitivity (minimum-repeat)
 // check amortizes across the batch instead of re-running per query.
 // Negative lookups (InvalidID: no path in the graph carries this k-MR) are
-// cached too — false-query workloads hit them constantly. Once the memo is
-// full, unseen constraints fall back to the dictionary.
+// cached too — false-query workloads hit them constantly. A constraint
+// whose slot another code holds goes to the dictionary and takes the slot.
 //
 //rlc:noalloc
 func (sc *batchScratch) lookupMR(ix *Index, l labelseq.Seq) (labelseq.ID, error) {
@@ -58,20 +61,16 @@ func (sc *batchScratch) lookupMR(ix *Index, l labelseq.Seq) (labelseq.ID, error)
 		return labelseq.InvalidID, err
 	}
 	code := ix.dict.Coder().Encode(l)
-	for i := 0; i < sc.n; i++ {
-		if sc.codes[i] == code {
-			return sc.ids[i], nil
-		}
+	slot := code % batchMemoSlots
+	if sc.codes[slot] == code {
+		return sc.ids[slot], nil
 	}
 	if !labelseq.IsPrimitive(l) {
 		//rlc:allocok rejection path builds the validation error
 		return labelseq.InvalidID, fmt.Errorf("%w: %v", ErrNotMinimumRepeat, l)
 	}
 	id := ix.dict.LookupCode(code)
-	if sc.n < batchMemoSlots {
-		sc.codes[sc.n], sc.ids[sc.n] = code, id
-		sc.n++
-	}
+	sc.codes[slot], sc.ids[slot] = code, id
 	return id, nil
 }
 

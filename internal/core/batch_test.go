@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"sync"
 	"testing"
@@ -54,6 +55,64 @@ func TestQueryBatchMatchesQuery(t *testing.T) {
 					t.Fatalf("workers=%d query %d (%d,%d,%v): batch=%v query=%v",
 						workers, i, qs[i].S, qs[i].T, qs[i].L, rr.Reachable, want[i])
 				}
+			}
+		}
+	}
+}
+
+// TestQueryBatchMemoPastItsSlots: with more distinct constraints than the
+// batch memo has slots — every sequence of length 1..3 over 6 labels, so
+// codes share slots, some are not minimum repeats and many name a k-MR no
+// path carries — every result is still Query's answer and error.
+func TestQueryBatchMemoPastItsSlots(t *testing.T) {
+	r := rand.New(rand.NewSource(804))
+	g := randomGraph(r, 40, 6, 90)
+	ix := mustBuild(t, g, Options{K: 3})
+	var constraints []labelseq.Seq
+	for n, count := 1, 6; n <= 3; n, count = n+1, count*6 {
+		for c := 0; c < count; c++ {
+			l := make(labelseq.Seq, n)
+			for i, digits := 0, c; i < n; i, digits = i+1, digits/6 {
+				l[i] = labelseq.Label(digits % 6)
+			}
+			constraints = append(constraints, l)
+		}
+	}
+	slots := map[labelseq.Code]bool{}
+	var shared, unprimitive, undictionaried int
+	for _, l := range constraints {
+		code := ix.dict.Coder().Encode(l)
+		if slots[code%batchMemoSlots] {
+			shared++
+		}
+		slots[code%batchMemoSlots] = true
+		switch {
+		case !labelseq.IsPrimitive(l):
+			unprimitive++
+		case ix.dict.LookupCode(code) == labelseq.InvalidID:
+			undictionaried++
+		}
+	}
+	if len(constraints) <= batchMemoSlots || shared == 0 || unprimitive == 0 || undictionaried == 0 {
+		t.Fatalf("%d constraints, %d sharing a slot, %d not minimum repeats, %d not in the dictionary",
+			len(constraints), shared, unprimitive, undictionaried)
+	}
+
+	qs := make([]BatchQuery, 5000)
+	for i := range qs {
+		qs[i] = BatchQuery{
+			S: graph.Vertex(r.Intn(g.NumVertices())),
+			T: graph.Vertex(r.Intn(g.NumVertices())),
+			L: constraints[r.Intn(len(constraints))],
+		}
+	}
+	for _, workers := range []int{1, 4} {
+		for i, res := range ix.QueryBatch(qs, workers) {
+			q := qs[i]
+			want, err := ix.Query(q.S, q.T, q.L)
+			if res.Reachable != want || fmt.Sprint(res.Err) != fmt.Sprint(err) {
+				t.Fatalf("workers=%d query %d (%d,%d,%v): batch (%v, %v), Query (%v, %v)",
+					workers, i, q.S, q.T, q.L, res.Reachable, res.Err, want, err)
 			}
 		}
 	}

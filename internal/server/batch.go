@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"runtime"
 	"slices"
 	"strconv"
 	"sync"
@@ -23,11 +24,13 @@ import (
 //	{"workers":n,"queries":[{"s":…,"t":…,"l":"…"},…]}
 //
 // and answers it in four steps over one pooled batchState: scan the body as
-// it arrives (batchScanner), resolve every query with each distinct
-// constraint parsed once (resolve), answer, and send the reply from one
-// buffer (appendReply). A batched index probe costs ~150 ns, so everything
-// here is held to "no allocation per query": rlcvet checks the annotated
-// functions and TestBatchSteadyStateAllocs the whole of serveBatch.
+// it arrives (batchScanner, which takes the compact query object clients
+// send in one step), resolve every query with each distinct constraint
+// parsed once per serving generation (resolve), answer, and send the reply
+// from one buffer (appendReply). A batched index probe costs ~100 ns, so
+// everything here is held to "no allocation per query, nor per request for
+// a constraint already seen": rlcvet checks the annotated functions and
+// TestBatchSteadyStateAllocs the whole of serveBatch.
 
 // batchQueryResult is one slot of the POST /batch reply; Error (and its
 // machine-readable Code) is set — and Reachable false — when that query
@@ -413,8 +416,12 @@ func (d *batchScanner) queries(slots []batchSlot, limit int) ([]batchSlot, int, 
 	return slots, n, nil
 }
 
-// query scans one query object, whose '{' is consumed, into q.
+// query scans one query object, whose '{' is consumed, into q: the spelling
+// clients send in one step, anything else key by key.
 func (d *batchScanner) query(q *batchSlot) error {
+	if d.quick(q) {
+		return nil
+	}
 	for first := true; ; first = false {
 		if more, err := d.element(first, '}'); err != nil || !more {
 			return err
@@ -446,25 +453,89 @@ func (d *batchScanner) query(q *batchSlot) error {
 	}
 }
 
-// batchConstraint is what one distinct constraint text of a request came
-// to: the labels of its single L+ segment, or the reply slot every query
-// carrying it gets.
+// quick scans the one spelling clients send for a query object,
+//
+//	{"s":<digits>,"t":<digits>,"l":"<plain ASCII>"}
+//
+// compact, its keys lower-case and in that order, out of the bytes already
+// buffered past the consumed '{'. A digit run is taken only where number
+// would take it whole: no sign, no leading zero, and the literal that must
+// follow rules out a fraction or an exponent. l stops at the first '"',
+// '\\', control or non-ASCII byte. On any mismatch, or when the object runs
+// past the buffer, it consumes nothing and reports false, and query's
+// general loop scans the object instead.
+//
+//rlc:noalloc
+func (d *batchScanner) quick(q *batchSlot) bool {
+	s, b, ok := cutDigits(d.b[d.i:], `"s":`)
+	if !ok {
+		return false
+	}
+	t, b, ok := cutDigits(b, `,"t":`)
+	if !ok || !hasLiteral(b, `,"l":"`) {
+		return false
+	}
+	b = b[len(`,"l":"`):]
+	n := 0
+	for n < len(b) && ' ' <= b[n] && b[n] < utf8.RuneSelf && b[n] != '"' && b[n] != '\\' {
+		n++
+	}
+	if !hasLiteral(b[n:], `"}`) {
+		return false
+	}
+	q.s, q.t, q.l = s, t, b[:n]
+	d.i = len(d.b) - len(b) + n + len(`"}`)
+	return true
+}
+
+// cutDigits matches key at the front of b and then the digits of an
+// unsigned JSON integer, and returns the digits and what follows them.
+//
+//rlc:noalloc
+func cutDigits(b []byte, key string) (digits, rest []byte, ok bool) {
+	if !hasLiteral(b, key) {
+		return nil, nil, false
+	}
+	b = b[len(key):]
+	n := 0
+	for n < len(b) && '0' <= b[n] && b[n] <= '9' {
+		n++
+	}
+	if n == 0 || n > 1 && b[0] == '0' {
+		return nil, nil, false
+	}
+	return b[:n], b[n:], true
+}
+
+func hasLiteral(b []byte, lit string) bool {
+	return len(b) >= len(lit) && string(b[:len(lit)]) == lit
+}
+
+// batchConstraint is what one distinct constraint text came to on one
+// generation: the labels of its single L+ segment, or the reply slot every
+// query carrying it gets.
 type batchConstraint struct {
 	seq  labelseq.Seq
 	fail []byte
 }
 
 // batchState is everything one /batch request needs, pooled whole so a
-// steady stream of batches allocates per request and per distinct
-// constraint, never per query.
+// steady stream of batches allocates per request, and per distinct
+// constraint per generation, never per query.
 type batchState struct {
-	scan        batchScanner
-	slots       []batchSlot
-	constraints map[string]batchConstraint // by constraint text; this request's only
-	queries     []core.BatchQuery          // the queries that resolved, in slot order
-	results     []core.BatchResult
-	out         [][]byte // per slot: its reply bytes; nil while its query is pending
-	reply       []byte
+	scan  batchScanner
+	slots []batchSlot
+
+	// constraints holds, by constraint text, what each text came to on the
+	// generation whose uid is owner; tableBytes roughly sizes it.
+	constraints map[string]batchConstraint
+	owner       uint64
+	tableBytes  int
+
+	queries []core.BatchQuery // the queries that resolved, in slot order
+	results []core.BatchResult
+	out     [][]byte // per slot: its reply bytes; nil while its query is pending
+	reply   []byte
 }
 
 var batchStates = sync.Pool{New: func() any {
@@ -474,6 +545,20 @@ var batchStates = sync.Pool{New: func() any {
 // batchKeepBytes is the largest body or reply buffer a state may take back
 // to the pool; one oversized request must not pin its buffers for good.
 const batchKeepBytes = 1 << 20
+
+// batchTableBytes bounds the constraint table: an entry counts its text,
+// its rendered failure and 64 bytes of upkeep, and the table starts over
+// once past the bound, so constraint texts nobody repeats cannot grow it.
+const batchTableBytes = 64 << 10
+
+// serving points the constraint table at st, emptying it when it was filled
+// on another generation: the same text may name other labels there, or none.
+func (bs *batchState) serving(st *state) {
+	if bs.owner != st.uid {
+		clear(bs.constraints)
+		bs.owner, bs.tableBytes = st.uid, 0
+	}
+}
 
 func (bs *batchState) release() {
 	if cap(bs.scan.b) <= batchKeepBytes && cap(bs.reply) <= batchKeepBytes {
@@ -510,8 +595,9 @@ func vertexOf[T string | []byte](st *state, tok T) (graph.Vertex, error) {
 	return st.vertex(string(tok)) //rlc:allocok names and rejections
 }
 
-// constraint parses text on its first appearance in the request and hands
-// the same outcome — labels or rendered error — to every later one.
+// constraint parses text on its first appearance on the generation the
+// table serves and hands the same outcome — labels or rendered error — to
+// every later one.
 func (bs *batchState) constraint(st *state, text []byte) batchConstraint {
 	if c, ok := bs.constraints[string(text)]; ok {
 		return c
@@ -525,6 +611,11 @@ func (bs *batchState) constraint(st *state, text []byte) batchConstraint {
 	default:
 		c.seq = e.Segments[0].Labels
 	}
+	if bs.tableBytes > batchTableBytes {
+		clear(bs.constraints)
+		bs.tableBytes = 0
+	}
+	bs.tableBytes += len(text) + len(c.fail) + 64
 	bs.constraints[string(text)] = c //rlc:allocok intern miss
 	return c
 }
@@ -611,10 +702,23 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) bool {
 	return s.serveBatch(st, bs, w, r)
 }
 
+// batchWorkers is the worker count of a request that asked for requested:
+// the server's own (0 meaning GOMAXPROCS), which a request may lower and
+// never raise.
+func (s *Server) batchWorkers(requested int) int {
+	limit := s.opts.BatchWorkers
+	if limit <= 0 {
+		limit = runtime.GOMAXPROCS(0)
+	}
+	if requested <= 0 || requested > limit {
+		return limit
+	}
+	return requested
+}
+
 // serveBatch is handleBatch on a pinned generation, with bs as its scratch.
 func (s *Server) serveBatch(st *state, bs *batchState, w http.ResponseWriter, r *http.Request) bool {
 	bs.scan = batchScanner{src: r.Body, b: bs.scan.b[:0]}
-	clear(bs.constraints) // the last request's, parsed for what may be another graph
 	workers, slots, err := bs.scan.decode(bs.slots, s.opts.MaxBatch)
 	var tooLarge *http.MaxBytesError
 	switch {
@@ -633,9 +737,8 @@ func (s *Server) serveBatch(st *state, bs *batchState, w http.ResponseWriter, r 
 	}
 	bs.slots = slots
 	s.batchQueries.Add(int64(len(slots)))
-	if s.opts.BatchWorkers > 0 && (workers <= 0 || workers > s.opts.BatchWorkers) {
-		workers = s.opts.BatchWorkers // a request may ask for fewer workers, never more
-	}
+	workers = s.batchWorkers(workers)
+	bs.serving(st)
 
 	start := time.Now()
 	bs.out = slices.Grow(bs.out[:0], len(slots))[:len(slots)]

@@ -8,10 +8,12 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"regexp"
 	"runtime"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"testing/iotest"
 
@@ -98,6 +100,9 @@ func FuzzDecodeBatch(f *testing.F) {
 	} {
 		f.Add([]byte(seed))
 	}
+	for _, c := range quickObjects {
+		f.Add([]byte(`{"queries":[{` + c.obj + `]}`))
+	}
 	f.Fuzz(func(t *testing.T, body []byte) {
 		workers, slots, err := scanBatch(body, false, 1<<30)
 		w1, s1, err1 := scanBatch(body, true, 1<<30)
@@ -126,6 +131,42 @@ func FuzzDecodeBatch(f *testing.F) {
 			}
 		}
 	})
+}
+
+// quickObjects are query objects, past their '{', at the edges of the one
+// spelling batchScanner.quick takes, and whether it takes them. Whole
+// bodies scan them with quick first and byte-at-a-time bodies without it,
+// so FuzzDecodeBatch starts from them.
+var quickObjects = []struct {
+	obj   string
+	quick bool
+}{
+	{`"s":12,"t":0,"l":"(l1 l2)+"}`, true},
+	{`"s":0,"t":3,"l":""}`, true},
+	{`"s":1,"t":2,"l":"a"},{"s":3`, true},
+	{`"s":01,"t":2,"l":"a"}`, false},
+	{`"s":-1,"t":2,"l":"a"}`, false},
+	{`"s":1.0,"t":2,"l":"a"}`, false},
+	{`"s":1e2,"t":2,"l":"a"}`, false},
+	{`"s":1,"t":2,"l":"a\"b"}`, false},
+	{`"s":1,"t":2,"l":"é"}`, false},
+	{`"S":1,"t":2,"l":"a"}`, false},
+	{`"s": 1,"t":2,"l":"a"}`, false},
+	{`"s":1,"t":2,"l":"a"`, false},
+}
+
+// TestBatchQuickSpelling: quick takes exactly the objects quickObjects
+// marks, consuming the whole object or nothing.
+func TestBatchQuickSpelling(t *testing.T) {
+	for _, c := range quickObjects {
+		d := batchScanner{b: []byte(c.obj)}
+		var q batchSlot
+		got := d.quick(&q)
+		end := strings.Index(c.obj, "}") + 1
+		if got != c.quick || !got && d.i != 0 || got && d.i != end {
+			t.Errorf("%s: taken %v, want %v; stopped at byte %d", c.obj, got, c.quick, d.i)
+		}
+	}
 }
 
 func sameSlots(a, b []batchSlot) bool {
@@ -359,10 +400,10 @@ func wnServer(tb testing.TB, vertices int, opts Options) (*Server, *graph.Graph)
 }
 
 // TestBatchSteadyStateAllocs is the runtime side of the //rlc:noalloc
-// annotations in batch.go: once a batchState has grown to a 512-query body,
-// answering one allocates exactly what answering a 64-query body over the
-// same 8 constraints does — per request and per distinct constraint, nothing
-// per query.
+// annotations in batch.go: once a batchState has grown to a 512-query body
+// and seen its constraints on this generation, answering a 512-query body
+// over 56 constraints allocates no more than a 64-query body over 8 — per
+// request, nothing per query and nothing per constraint already parsed.
 func TestBatchSteadyStateAllocs(t *testing.T) {
 	s, g := wnServer(t, 600, Options{BatchWorkers: 1})
 	st := s.store.acquire()
@@ -377,11 +418,11 @@ func TestBatchSteadyStateAllocs(t *testing.T) {
 			}
 		})
 	}
-	big := batchBodies(g, 1, 512, 8, 1)[0]
+	big := batchBodies(g, 1, 512, 56, 1)[0]
 	small := batchBodies(g, 1, 64, 8, 2)[0]
-	allocs(big) // grows bs to its steady size
-	if a, b := allocs(small), allocs(big); a != b {
-		t.Fatalf("64 queries: %.0f allocs; 512 queries: %.0f allocs", a, b)
+	allocs(big) // grows bs to its steady size and parses the 56 constraints
+	if a, b := allocs(small), allocs(big); b > a {
+		t.Fatalf("64 queries over 8 constraints: %.0f allocs; 512 queries over 56: %.0f allocs", a, b)
 	}
 }
 
@@ -434,25 +475,39 @@ func TestBatchStateOversizeNotPooled(t *testing.T) {
 }
 
 // TestBatchWorkersAccepted: every spelling of "workers" a Go int decoded is
-// taken, and none of them moves an answer.
+// taken, none of them moves an answer, and none of them raises the server's
+// worker count — configured, or GOMAXPROCS when the option is 0.
 func TestBatchWorkersAccepted(t *testing.T) {
-	s, g := wnServer(t, 600, Options{BatchWorkers: 2})
-	body := batchBodies(g, 1, 512, 8, 3)[0]
-	with := func(workers string) []byte {
-		return append([]byte(`{"workers":`+workers+`,`), body[1:]...)
-	}
 	var answers []byte
-	for _, b := range [][]byte{body, with("1"), with("64"), with("-3"), with("null")} {
-		rec := httptest.NewRecorder()
-		s.Handler().ServeHTTP(rec, httptest.NewRequest("POST", "/batch", bytes.NewReader(b)))
-		if rec.Code != http.StatusOK {
-			t.Fatalf("status %d: %s", rec.Code, rec.Body)
+	for _, configured := range []int{0, 2} {
+		s, g := wnServer(t, 600, Options{BatchWorkers: configured})
+		body := batchBodies(g, 1, 512, 8, 3)[0]
+		with := func(workers string) []byte {
+			return append([]byte(`{"workers":`+workers+`,`), body[1:]...)
 		}
-		got := microsField.ReplaceAll(rec.Body.Bytes(), nil)
-		if answers == nil {
-			answers = got
-		} else if !bytes.Equal(got, answers) {
-			t.Fatalf("answers moved with the worker count")
+		for _, b := range [][]byte{body, with("1"), with("64"), with("-3"), with("null")} {
+			rec := httptest.NewRecorder()
+			s.Handler().ServeHTTP(rec, httptest.NewRequest("POST", "/batch", bytes.NewReader(b)))
+			if rec.Code != http.StatusOK {
+				t.Fatalf("status %d: %s", rec.Code, rec.Body)
+			}
+			got := microsField.ReplaceAll(rec.Body.Bytes(), nil)
+			if answers == nil {
+				answers = got
+			} else if !bytes.Equal(got, answers) {
+				t.Fatalf("answers moved with the worker count")
+			}
+		}
+		limit := configured
+		if limit == 0 {
+			limit = runtime.GOMAXPROCS(0)
+		}
+		for _, requested := range []int{0, -3, 1, 64, runtime.GOMAXPROCS(0) + 1} {
+			got := core.EffectiveBatchWorkers(512, s.batchWorkers(requested))
+			lowered := 0 < requested && requested <= limit
+			if got > limit || lowered && got != core.EffectiveBatchWorkers(512, requested) {
+				t.Errorf("-workers %d, request asking for %d: %d workers", configured, requested, got)
+			}
 		}
 	}
 }
@@ -480,6 +535,136 @@ func TestBatchPendingJournalReadsOverlay(t *testing.T) {
 	if folded.Cached != 0 || !folded.Results[0].Reachable {
 		t.Fatalf("after the fold: %+v", folded)
 	}
+}
+
+// relabelled is Fig. 2's vertices with each edge's label mapped through
+// labels (old id → new id), over labels named names.
+func relabelled(labels []graph.Label, names ...string) *graph.Graph {
+	fig2 := graph.Fig2()
+	b := graph.NewBuilder(fig2.NumVertices(), len(names))
+	b.SetVertexNames(fig2.VertexNames())
+	b.SetLabelNames(names)
+	for _, e := range fig2.Edges() {
+		b.AddEdge(e.Src, labels[e.Label], e.Dst)
+	}
+	return b.Build()
+}
+
+// TestBatchConstraintTablePerGeneration: the constraint table a pooled
+// batchState keeps never answers for a generation it was not filled on.
+// Two servers in one process serve Fig. 2 under label names that give the
+// same text other labels (both are generation 1 of their store), one
+// batchState serves them in turn, and then one server swaps onto a third
+// graph where a text names no label at all. After every request each slot
+// must be what that server's GET /query answers, error text included.
+func TestBatchConstraintTablePerGeneration(t *testing.T) {
+	a := New(buildIndex(t, graph.Fig2()), Options{})
+	defer a.Close()
+	b := New(buildIndex(t, relabelled([]graph.Label{2, 0, 1}, "l2", "l3", "l1")), Options{})
+	defer b.Close()
+	third := relabelled([]graph.Label{1, 0, 1}, "l2", "l1")
+
+	texts := []string{"l1", "l2", "l3", "l1 l2", "l2 l1", "(l1 l3)+", "l3 l2", "l1+ l2+"}
+	var body []byte
+	for s := 0; s < 6; s++ {
+		for tt := 0; tt < 6; tt++ {
+			for _, l := range texts {
+				body = fmt.Appendf(body, `,{"s":%d,"t":%d,"l":%q}`, s, tt, l)
+			}
+		}
+	}
+	body = append(append([]byte(`{"queries":[`), body[1:]...), "]}"...)
+
+	bs := batchStates.New().(*batchState)
+	check := func(name string, s *Server) []byte {
+		st := s.store.acquire()
+		rec := httptest.NewRecorder()
+		ok := s.serveBatch(st, bs, rec, httptest.NewRequest("POST", "/batch", bytes.NewReader(body)))
+		st.release()
+		var got batchResponse
+		if !ok || json.Unmarshal(rec.Body.Bytes(), &got) != nil {
+			t.Fatalf("%s: status %d: %s", name, rec.Code, rec.Body)
+		}
+		i := 0
+		for src := 0; src < 6; src++ {
+			for dst := 0; dst < 6; dst++ {
+				for _, l := range texts {
+					slot := got.Results[i]
+					i++
+					if l == "l1+ l2+" { // /query answers it; /batch refuses it
+						if slot.Error != errBatchSegments.Error() {
+							t.Fatalf("%s: (%d, %d, %s): %+v", name, src, dst, l, slot)
+						}
+						continue
+					}
+					q := httptest.NewRecorder()
+					s.Handler().ServeHTTP(q, httptest.NewRequest("GET",
+						fmt.Sprintf("/query?s=%d&t=%d&l=%s", src, dst, url.QueryEscape(l)), nil))
+					var want batchQueryResult
+					var err error
+					if q.Code == http.StatusOK {
+						var qr queryResponse
+						err = json.Unmarshal(q.Body.Bytes(), &qr)
+						want.Reachable = qr.Reachable
+					} else {
+						err = json.Unmarshal(q.Body.Bytes(), &want)
+					}
+					if err != nil || slot != want {
+						t.Fatalf("%s: (%d, %d, %s): /batch %+v, /query %d %s", name, src, dst, l, slot, q.Code, q.Body)
+					}
+				}
+			}
+		}
+		return microsField.ReplaceAll(rec.Body.Bytes(), nil)
+	}
+	check("a", a)
+	check("b", b)
+	check("a again", a)
+	check("b again", b)
+	ixThird := buildIndex(t, third)
+	b.Store().SwapIndex(ixThird)
+	check("b on the third graph", b)
+	wantA := check("a after b's swap", a)
+	wantB := check("b on the third graph again", b)
+
+	// Then through the handlers, from several goroutines sharing the pool,
+	// while b keeps swapping onto new generations of the same index: every
+	// reply stays the one just checked.
+	var swaps, posts sync.WaitGroup
+	stop := make(chan struct{})
+	swaps.Add(1)
+	go func() {
+		defer swaps.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				b.Store().SwapIndex(ixThird)
+			}
+		}
+	}()
+	for w := 0; w < 4; w++ {
+		posts.Add(1)
+		go func() {
+			defer posts.Done()
+			for i := 0; i < 20; i++ {
+				s, want := a, wantA
+				if (w+i)%2 == 1 {
+					s, want = b, wantB
+				}
+				rec := httptest.NewRecorder()
+				s.Handler().ServeHTTP(rec, httptest.NewRequest("POST", "/batch", bytes.NewReader(body)))
+				if got := microsField.ReplaceAll(rec.Body.Bytes(), nil); !bytes.Equal(got, want) {
+					t.Errorf("concurrent request %d on server %d: status %d", i, (w+i)%2, rec.Code)
+					return
+				}
+			}
+		}()
+	}
+	posts.Wait()
+	close(stop)
+	swaps.Wait()
 }
 
 // BenchmarkHandleBatch is the /batch handler alone on the benchmark's

@@ -29,6 +29,11 @@ type state struct {
 	gen    uint64
 	source string // human-readable origin for /stats
 
+	// uid names this generation uniquely within the process. gen does not:
+	// it counts per Store, and several Servers in one process share the
+	// pooled /batch scratch whose constraint table uid keys.
+	uid uint64
+
 	// epoch and seqBase place this generation on the replication timeline:
 	// epoch counts completed folds (leader-side or adopted), and seqBase is
 	// the global insert sequence already folded into this generation's
@@ -147,6 +152,9 @@ func snapshotSource(snap *core.Snapshot) string {
 	return "snapshot (in-memory)"
 }
 
+// stateUIDs hands out state.uid.
+var stateUIDs atomic.Uint64
+
 // newState assembles a generation around ix with a fresh hybrid pool.
 func (s *Store) newState(ix *core.Index, src *core.Snapshot, build *core.BuildStats, source string, delta *dynamic.DeltaGraph, epoch, seqBase uint64) *state {
 	st := &state{
@@ -155,6 +163,7 @@ func (s *Store) newState(ix *core.Index, src *core.Snapshot, build *core.BuildSt
 		src:     src,
 		build:   build,
 		source:  source,
+		uid:     stateUIDs.Add(1),
 		delta:   delta,
 		epoch:   epoch,
 		seqBase: seqBase,
