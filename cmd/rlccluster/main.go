@@ -44,6 +44,7 @@ import (
 
 	rlc "github.com/g-rpqs/rlc-go"
 	"github.com/g-rpqs/rlc-go/internal/cluster"
+	"github.com/g-rpqs/rlc-go/internal/httpd"
 	"github.com/g-rpqs/rlc-go/internal/profiling"
 )
 
@@ -163,7 +164,7 @@ func main() {
 	if err != nil {
 		fatalf("listen: %v", err)
 	}
-	httpSrv := &http.Server{Handler: handler}
+	httpSrv := &httpd.Server{Handler: handler}
 	done := make(chan error, 1)
 	go func() { done <- httpSrv.Serve(ln) }()
 	fmt.Printf("serving on %s (role %s)\n", ln.Addr(), *role)

@@ -37,6 +37,7 @@ import (
 	"syscall"
 	"time"
 
+	"github.com/g-rpqs/rlc-go/internal/httpd"
 	"github.com/g-rpqs/rlc-go/internal/profiling"
 	"github.com/g-rpqs/rlc-go/internal/router"
 )
@@ -88,7 +89,7 @@ func main() {
 	if err != nil {
 		fatalf("listen: %v", err)
 	}
-	httpSrv := &http.Server{Handler: rt.Handler()}
+	httpSrv := &httpd.Server{Handler: rt.Handler()}
 	done := make(chan error, 1)
 	go func() { done <- httpSrv.Serve(ln) }()
 	fmt.Printf("serving on %s (leader %s, %d followers)\n", ln.Addr(), *leaderURL, len(followers))

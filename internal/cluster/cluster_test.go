@@ -6,12 +6,12 @@ import (
 	"errors"
 	"io"
 	"net/http"
-	"net/http/httptest"
 	"testing"
 	"time"
 
 	"github.com/g-rpqs/rlc-go/internal/core"
 	"github.com/g-rpqs/rlc-go/internal/graph"
+	"github.com/g-rpqs/rlc-go/internal/httpd/httpdtest"
 	"github.com/g-rpqs/rlc-go/internal/server"
 )
 
@@ -39,12 +39,12 @@ func testEdges(g *graph.Graph, n, salt int) []graph.Edge {
 	return edges
 }
 
-// startLeader wires a leader over an httptest server with a fast poll tick.
-func startLeader(t *testing.T, srv *server.Server) (*Leader, *httptest.Server) {
+// startLeader serves a leader through httpd with a fast poll tick.
+func startLeader(t *testing.T, srv *server.Server) (*Leader, *httpdtest.Server) {
 	t.Helper()
 	l := NewLeader(srv)
 	l.pollInterval = time.Millisecond
-	hts := httptest.NewServer(l.Handler())
+	hts := httpdtest.NewServer(l.Handler())
 	t.Cleanup(hts.Close)
 	return l, hts
 }
@@ -241,7 +241,7 @@ func TestCutoverDoesNotWaitOutThePoll(t *testing.T) {
 	g := graph.Fig2()
 	leaderSrv := buildServer(t, g, "leader")
 	l := NewLeader(leaderSrv) // the shipped 5 ms re-check, not the tests' 1 ms
-	hts := httptest.NewServer(l.Handler())
+	hts := httpdtest.NewServer(l.Handler())
 	t.Cleanup(hts.Close)
 	followerSrv := buildServer(t, g, "follower")
 	fol := NewFollower(followerSrv, FollowerOptions{LeaderURL: hts.URL, PollWait: 2 * time.Second, Logf: t.Logf})

@@ -7,7 +7,6 @@ import (
 	"io"
 	"math/rand"
 	"net/http"
-	"net/http/httptest"
 	"net/url"
 	"strconv"
 	"strings"
@@ -19,6 +18,7 @@ import (
 	"github.com/g-rpqs/rlc-go/internal/core"
 	"github.com/g-rpqs/rlc-go/internal/gen"
 	"github.com/g-rpqs/rlc-go/internal/graph"
+	"github.com/g-rpqs/rlc-go/internal/httpd/httpdtest"
 	"github.com/g-rpqs/rlc-go/internal/labelseq"
 	"github.com/g-rpqs/rlc-go/internal/router"
 	"github.com/g-rpqs/rlc-go/internal/server"
@@ -158,7 +158,7 @@ func runClusterSoak(t *testing.T, cfg clusterSoakConfig) {
 	leaderSrv := build("leader")
 	ldr := NewLeader(leaderSrv)
 	ldr.pollInterval = 2 * time.Millisecond
-	leaderHTS := httptest.NewServer(ldr.Handler())
+	leaderHTS := httpdtest.NewServer(ldr.Handler())
 	t.Cleanup(leaderHTS.Close)
 
 	ctx, cancel := context.WithCancel(context.Background())
@@ -169,7 +169,7 @@ func runClusterSoak(t *testing.T, cfg clusterSoakConfig) {
 	for i := range followerSrvs {
 		srv := build("follower")
 		followerSrvs[i] = srv
-		hts := httptest.NewServer(srv.Handler())
+		hts := httpdtest.NewServer(srv.Handler())
 		t.Cleanup(hts.Close)
 		followerURLs[i] = hts.URL
 		fol := NewFollower(srv, FollowerOptions{
@@ -193,7 +193,7 @@ func runClusterSoak(t *testing.T, cfg clusterSoakConfig) {
 	})
 	rt.Refresh(ctx)
 	go rt.Run(ctx)
-	routerHTS := httptest.NewServer(rt.Handler())
+	routerHTS := httpdtest.NewServer(rt.Handler())
 	t.Cleanup(routerHTS.Close)
 
 	var (

@@ -1,6 +1,7 @@
 // Package profiling gives the serving binaries their -pprof flag: the
 // net/http/pprof handlers on a listener of their own, never on the address
-// that answers queries.
+// that answers queries, served by the same connection loop (internal/httpd)
+// as the queries, so a profile shows the serving path as it runs.
 package profiling
 
 import (
@@ -8,6 +9,8 @@ import (
 	"net"
 	"net/http"
 	_ "net/http/pprof" // registers /debug/pprof/ on http.DefaultServeMux, which no serving port of this module uses
+
+	"github.com/g-rpqs/rlc-go/internal/httpd"
 )
 
 // Usage is the help text of the -pprof flag.
@@ -25,6 +28,6 @@ func Serve(addr string) error {
 	}
 	fmt.Printf("pprof on http://%s/debug/pprof/\n", ln.Addr())
 	// Nothing stops this listener or waits for it: the process exiting does.
-	go func() { _ = http.Serve(ln, nil) }()
+	go func() { _ = (&httpd.Server{Handler: http.DefaultServeMux}).Serve(ln) }()
 	return nil
 }

@@ -37,4 +37,9 @@
 // losers' connections instead of pooling them, so a late reply can never be
 // read by another request. Health polls use the same pool. GET /stats
 // counts what the slow paths did and what each backend served.
+//
+// The router's own clients are served by internal/httpd, the connection
+// loop of every serving binary. A /update or /batch body past the
+// replicas' cap (server.DefaultMaxBodyBytes) is refused here, 413 with code
+// body_too_large, before a backend connection is taken.
 package router

@@ -291,10 +291,12 @@ func relay(w http.ResponseWriter, rep *reply, served *backend, p pin) {
 	served.served.Add(1)
 }
 
-func routerError(w http.ResponseWriter, status int, format string, args ...any) {
+// routerError answers a request the router itself fails, with a wire code:
+// "router", or the replicas' own code for a failure they share.
+func routerError(w http.ResponseWriter, status int, code, format string, args ...any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(map[string]string{"error": fmt.Sprintf(format, args...), "code": "router"})
+	_ = json.NewEncoder(w).Encode(map[string]string{"error": fmt.Sprintf(format, args...), "code": code})
 }
 
 // race finishes a read its first backend did not answer in time (inflight
@@ -418,12 +420,26 @@ func (r *Router) handleRead(w http.ResponseWriter, req *http.Request) {
 // handleBatch buffers the body (it must be replayable across hedge
 // attempts) and routes like a read — batches are idempotent queries.
 func (r *Router) handleBatch(w http.ResponseWriter, req *http.Request) {
-	body, err := io.ReadAll(io.LimitReader(req.Body, server.DefaultMaxBodyBytes+1))
-	if err != nil {
-		routerError(w, http.StatusBadRequest, "read body: %v", err)
-		return
+	if body, ok := readBody(w, req); ok {
+		r.routeRead(w, req, body)
 	}
-	r.routeRead(w, req, body)
+}
+
+// readBody buffers the body of a request the router forwards. One past the
+// replicas' own cap is refused here, with their code, before a backend
+// connection is taken: forwarding it would cost the whole capped transfer
+// only for the backend to refuse it.
+func readBody(w http.ResponseWriter, req *http.Request) ([]byte, bool) {
+	body, err := io.ReadAll(io.LimitReader(req.Body, server.DefaultMaxBodyBytes+1))
+	switch {
+	case err != nil:
+		routerError(w, http.StatusBadRequest, "router", "read body: %v", err)
+		return nil, false
+	case len(body) > server.DefaultMaxBodyBytes:
+		routerError(w, http.StatusRequestEntityTooLarge, "body_too_large", "request body exceeds %d bytes", server.DefaultMaxBodyBytes)
+		return nil, false
+	}
+	return body, true
 }
 
 // routeRead runs the first attempt on this goroutine: send to the preferred
@@ -433,7 +449,7 @@ func (r *Router) handleBatch(w http.ResponseWriter, req *http.Request) {
 func (r *Router) routeRead(w http.ResponseWriter, req *http.Request, body []byte) {
 	p, err := parsePin(req)
 	if err != nil {
-		routerError(w, http.StatusBadRequest, "%v", err)
+		routerError(w, http.StatusBadRequest, "router", "%v", err)
 		return
 	}
 	var buf [8]*backend
@@ -454,7 +470,7 @@ func (r *Router) routeRead(w http.ResponseWriter, req *http.Request, body []byte
 			c, b, err = r.race(req.Context(), m, c, cands, err)
 		}
 		if err != nil {
-			routerError(w, http.StatusBadGateway, "no backend answered: %v", err)
+			routerError(w, http.StatusBadGateway, "router", "no backend answered: %v", err)
 			return
 		}
 	}
@@ -469,19 +485,18 @@ func (r *Router) routeRead(w http.ResponseWriter, req *http.Request, body []byte
 func (r *Router) handleWrite(w http.ResponseWriter, req *http.Request) {
 	p, err := parsePin(req)
 	if err != nil {
-		routerError(w, http.StatusBadRequest, "%v", err)
+		routerError(w, http.StatusBadRequest, "router", "%v", err)
 		return
 	}
-	body, err := io.ReadAll(io.LimitReader(req.Body, server.DefaultMaxBodyBytes+1))
-	if err != nil {
-		routerError(w, http.StatusBadRequest, "read body: %v", err)
+	body, ok := readBody(w, req)
+	if !ok {
 		return
 	}
 	m := requestMessage(req, body, false)
 	c, err := r.leader.exchange(&m, 0, nil)
 	if err != nil {
 		r.stats.attemptsFailed.Add(1)
-		routerError(w, http.StatusBadGateway, "leader: %v", err)
+		routerError(w, http.StatusBadGateway, "router", "leader: %v", err)
 		return
 	}
 	relay(w, &c.rep, r.leader, p)

@@ -7,10 +7,12 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"github.com/g-rpqs/rlc-go/internal/httpd/httpdtest"
 	"github.com/g-rpqs/rlc-go/internal/server"
 )
 
@@ -75,7 +77,7 @@ func newFakeBackend(t *testing.T, role string) *fakeBackend {
 	return f
 }
 
-func newTestRouter(t *testing.T, leader *fakeBackend, followers []*fakeBackend, hedge time.Duration) (*Router, *httptest.Server) {
+func newTestRouter(t *testing.T, leader *fakeBackend, followers []*fakeBackend, hedge time.Duration) (*Router, *httpdtest.Server) {
 	t.Helper()
 	urls := make([]string, len(followers))
 	for i, f := range followers {
@@ -83,7 +85,7 @@ func newTestRouter(t *testing.T, leader *fakeBackend, followers []*fakeBackend, 
 	}
 	rt := New(Options{LeaderURL: leader.hts.URL, FollowerURLs: urls, HedgeDelay: hedge})
 	rt.Refresh(context.Background())
-	hts := httptest.NewServer(rt.Handler())
+	hts := httpdtest.NewServer(rt.Handler())
 	t.Cleanup(hts.Close)
 	return rt, hts
 }
@@ -318,5 +320,53 @@ func TestStatsShape(t *testing.T) {
 	want := []backendStats{{leader.hts.URL, "leader", 2}, {slow.hts.URL, "follower", 0}}
 	if len(st.Backends) != 2 || st.Backends[0] != want[0] || st.Backends[1] != want[1] {
 		t.Errorf("backends %+v, want %+v", st.Backends, want)
+	}
+}
+
+// TestOverLimitBodyRefused: a /update or /batch body past the replicas'
+// cap is answered 413 body_too_large by the router itself, and no backend
+// sees a byte of it (before this check the leader and the follower each
+// received the first 8 MiB + 1 bytes and refused them). A body at the cap
+// is forwarded.
+func TestOverLimitBodyRefused(t *testing.T) {
+	leader := newFakeBackend(t, "leader")
+	follower := newFakeBackend(t, "follower")
+	var forwarded atomic.Int64
+	count := func(w http.ResponseWriter, r *http.Request) bool {
+		if r.Method == http.MethodPost {
+			forwarded.Add(1)
+		}
+		return false
+	}
+	leader.override.Store(&count)
+	follower.override.Store(&count)
+	_, hts := newTestRouter(t, leader, []*fakeBackend{follower}, -1)
+
+	post := func(path string, size int) (int, string) {
+		t.Helper()
+		resp, err := http.Post(hts.URL+path, "application/json", strings.NewReader(strings.Repeat("x", size)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var er struct {
+			Code string `json:"code"`
+		}
+		json.NewDecoder(resp.Body).Decode(&er)
+		return resp.StatusCode, er.Code
+	}
+	for _, path := range []string{"/update", "/batch"} {
+		if status, code := post(path, server.DefaultMaxBodyBytes+1); status != http.StatusRequestEntityTooLarge || code != "body_too_large" {
+			t.Fatalf("%s past the cap: status %d code %q, want 413 body_too_large", path, status, code)
+		}
+	}
+	if n := forwarded.Load(); n != 0 {
+		t.Fatalf("%d over-limit bodies reached a backend", n)
+	}
+	if status, _ := post("/update", server.DefaultMaxBodyBytes); status != http.StatusOK {
+		t.Fatalf("/update at the cap: status %d", status)
+	}
+	if n := forwarded.Load(); n != 1 {
+		t.Fatalf("a body at the cap reached the backends %d times, want 1", n)
 	}
 }

@@ -39,6 +39,13 @@
 // generation and searches base ∪ journal as of its own start. "cached" stays
 // in both replies, constant (false, 0), for the clients that decode it.
 //
+// Server.Serve speaks HTTP/1.1 through internal/httpd's connection loop, not
+// net/http.Server: http.ReadRequest parses each head, the handler runs on the
+// connection's goroutine, and a reply that fits the buffer leaves in one
+// Write. A request's context is its connection's — cancelled when the
+// connection ends or the server is closed, not when a client hangs up
+// mid-request.
+//
 // Latency is tracked per endpoint in lock-free log2-bucket histograms
 // (metrics.go); /stats reports mean, p50/p90/p99 upper bounds, and max in
 // microseconds.

@@ -16,6 +16,7 @@ import (
 	"github.com/g-rpqs/rlc-go/internal/core"
 	"github.com/g-rpqs/rlc-go/internal/dynamic"
 	"github.com/g-rpqs/rlc-go/internal/graph"
+	"github.com/g-rpqs/rlc-go/internal/httpd"
 	"github.com/g-rpqs/rlc-go/internal/hybrid"
 	"github.com/g-rpqs/rlc-go/internal/labelseq"
 	"github.com/g-rpqs/rlc-go/internal/snapshot"
@@ -159,7 +160,7 @@ type Server struct {
 	// hs is created eagerly so a Shutdown that races ahead of Serve still
 	// marks the server closed (Serve then returns http.ErrServerClosed,
 	// matching the net/http contract) instead of silently no-opping.
-	hs *http.Server
+	hs *httpd.Server
 }
 
 // New returns a Server over a heap-built index.
@@ -180,7 +181,7 @@ func newServer(store *Store, opts Options) *Server {
 		opts:  opts.withDefaults(),
 		start: time.Now(),
 	}
-	s.hs = &http.Server{Handler: s.Handler()}
+	s.hs = &httpd.Server{Handler: s.Handler()}
 	return s
 }
 
@@ -230,8 +231,9 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
-// Serve accepts connections on ln until Shutdown. It returns
-// http.ErrServerClosed after a clean shutdown, like net/http.
+// Serve accepts connections on ln and serves them through httpd's
+// connection loop until Shutdown. It returns http.ErrServerClosed after a
+// clean shutdown, like net/http.
 func (s *Server) Serve(ln net.Listener) error {
 	return s.hs.Serve(ln)
 }

@@ -8,7 +8,6 @@ import (
 	"io"
 	"net"
 	"net/http"
-	"net/http/httptest"
 	"net/url"
 	"strings"
 	"sync"
@@ -19,6 +18,7 @@ import (
 	"github.com/g-rpqs/rlc-go/internal/core"
 	"github.com/g-rpqs/rlc-go/internal/gen"
 	"github.com/g-rpqs/rlc-go/internal/graph"
+	"github.com/g-rpqs/rlc-go/internal/httpd/httpdtest"
 	"github.com/g-rpqs/rlc-go/internal/hybrid"
 	"github.com/g-rpqs/rlc-go/internal/labelseq"
 	"github.com/g-rpqs/rlc-go/internal/traversal"
@@ -34,10 +34,10 @@ func buildIndex(t *testing.T, g *graph.Graph) *core.Index {
 	return ix
 }
 
-func newTestServer(t *testing.T, ix *core.Index, opts Options) (*Server, *httptest.Server) {
+func newTestServer(t *testing.T, ix *core.Index, opts Options) (*Server, *httpdtest.Server) {
 	t.Helper()
 	s := New(ix, opts)
-	hts := httptest.NewServer(s.Handler())
+	hts := httpdtest.NewServer(s.Handler())
 	t.Cleanup(hts.Close)
 	return s, hts
 }

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
-	"net/http/httptest"
 	"path/filepath"
 	"strings"
 	"sync"
@@ -14,6 +13,7 @@ import (
 
 	"github.com/g-rpqs/rlc-go/internal/core"
 	"github.com/g-rpqs/rlc-go/internal/graph"
+	"github.com/g-rpqs/rlc-go/internal/httpd/httpdtest"
 	"github.com/g-rpqs/rlc-go/internal/labelseq"
 )
 
@@ -186,7 +186,7 @@ func TestStoreDrainClosesOldSnapshot(t *testing.T) {
 
 func TestStoreCloseRejectsQueries(t *testing.T) {
 	srv := New(mustBuild(t, chainGraph(5, 0)), Options{})
-	hts := httptest.NewServer(srv.Handler())
+	hts := httpdtest.NewServer(srv.Handler())
 	defer hts.Close()
 	if _, err := srv.QueryRLC(context.Background(), 0, 4, labelseq.Seq{0}); err != nil {
 		t.Fatalf("pre-close query: %v", err)
@@ -264,7 +264,7 @@ func TestReloadEndpoint(t *testing.T) {
 	}
 	srv := NewFromSnapshot(openSnapshot(t, path), opts)
 	defer srv.Close()
-	hts := httptest.NewServer(srv.Handler())
+	hts := httpdtest.NewServer(srv.Handler())
 	defer hts.Close()
 
 	query := func() (bool, bool) {
@@ -312,7 +312,7 @@ func TestReloadEndpoint(t *testing.T) {
 func TestReloadUnconfigured(t *testing.T) {
 	srv := New(mustBuild(t, chainGraph(5, 0)), Options{})
 	defer srv.Close()
-	hts := httptest.NewServer(srv.Handler())
+	hts := httpdtest.NewServer(srv.Handler())
 	defer hts.Close()
 	resp, err := http.Post(hts.URL+"/reload", "", nil)
 	if err != nil {
@@ -330,7 +330,7 @@ func TestErrorCodes(t *testing.T) {
 	g := graph.Fig2()
 	srv := New(mustBuild(t, g), Options{})
 	defer srv.Close()
-	hts := httptest.NewServer(srv.Handler())
+	hts := httpdtest.NewServer(srv.Handler())
 	defer hts.Close()
 
 	cases := []struct {

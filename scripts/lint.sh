@@ -5,10 +5,10 @@
 # check (NFA.Step call sites), the no-v1-reader check ("RLCX"), the
 # one-builder-one-reader check, the one-harness-per-question check, the
 # no-closure-in-the-overlay check, the one-decoder-on-/batch check, the
-# one-pass-on-/query check, the one-client-stack-in-the-router check, then
-# staticcheck and govulncheck
-# when available. CI runs this in the lint job; run it locally before
-# sending a change that touches the serving or query path.
+# one-pass-on-/query check, the one-client-stack-in-the-router check, the
+# one-server-stack check, then staticcheck and govulncheck when available.
+# CI runs this in the lint job; run it locally before sending a change that
+# touches the serving or query path.
 #
 # rlcvet is built from this module and needs nothing beyond the standard
 # toolchain. staticcheck and govulncheck are external: when the pinned
@@ -136,6 +136,23 @@ stray=$(grep -nE 'http\.(Client|NewRequest|DefaultTransport|DefaultClient)' inte
 	grep -v '_test\.go:' || true)
 if [ -n "$stray" ]; then
 	echo "internal/router uses net/http's client; send through backend.exchange instead:" >&2
+	echo "$stray" >&2
+	status=1
+fi
+
+# One server stack: the serving binaries and their pprof listeners serve
+# through internal/httpd's connection loop. An http.Server is the second
+# stack coming back, and with it a background read per request to notice a
+# client hanging up: point-hot cost 14.1 us of server CPU per query through
+# http.Server against 10.7 through the loop on a 2-vCPU box (CHANGES.md has
+# every run). benchmark/ keeps its traced loopback until ROADMAP item 2 moves
+# it onto the loop.
+echo "==> net/http server outside internal/httpd"
+stray=$(grep -rnE --include='*.go' --exclude-dir=.bench_build --exclude-dir=benchmark \
+	'http\.(Server\{|Serve\(|ListenAndServe)' . |
+	grep -v '_test\.go:' || true)
+if [ -n "$stray" ]; then
+	echo "a net/http server is back; serve through internal/httpd instead:" >&2
 	echo "$stray" >&2
 	status=1
 fi
