@@ -439,7 +439,7 @@ func BenchmarkDeltaQuery(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	d, err := dynamic.NewWithJournal(base, ix, dynamic.Options{RebuildThreshold: -1}, edges[:withheld])
+	d, err := dynamic.NewWithJournal(base, ix, edges[:withheld])
 	if err != nil {
 		b.Fatal(err)
 	}

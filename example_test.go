@@ -123,7 +123,7 @@ func ExampleMinimumRepeat() {
 // Insert-only dynamic updates with exact answers.
 func ExampleDeltaGraph() {
 	g := rlc.GraphFromEdges(3, 2, []rlc.Edge{{Src: 0, Dst: 1, Label: 0}})
-	d, err := rlc.BuildDeltaGraph(g, rlc.DeltaOptions{IndexOptions: rlc.Options{K: 2}})
+	d, err := rlc.BuildDeltaGraph(g, rlc.Options{K: 2})
 	if err != nil {
 		panic(err)
 	}

@@ -3,10 +3,10 @@ package dynamic
 import (
 	"context"
 	"math/rand"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"github.com/g-rpqs/rlc-go/internal/automaton"
 	"github.com/g-rpqs/rlc-go/internal/core"
@@ -15,70 +15,12 @@ import (
 	"github.com/g-rpqs/rlc-go/internal/traversal"
 )
 
-// TestQueryNeverFoldsInline is the latency regression pin for the old
-// behavior where crossing the rebuild threshold made the NEXT QUERY fold and
-// rebuild inline on the caller's goroutine. It wedges the fold path (by
-// holding foldMu, which every fold must take) and proves that queries keep
-// completing promptly while the journal sits far past the threshold — i.e.
-// Query costs O(delta search), never O(rebuild).
-func TestQueryNeverFoldsInline(t *testing.T) {
-	r := rand.New(rand.NewSource(700))
-	g := randomGraph(r, 50, 2, 200)
-	d, err := Build(g, Options{IndexOptions: core.Options{K: 2}, RebuildThreshold: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Block every fold before it can start rebuilding.
-	d.foldMu.Lock()
-	for i := 0; i < 40; i++ { // 10x past the threshold
-		if err := d.AddEdge(graph.Vertex(r.Intn(50)), graph.Label(r.Intn(2)), graph.Vertex(r.Intn(50))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if d.JournalLen() < 40 {
-		t.Fatalf("journal = %d, want all 40 pending while folds are blocked", d.JournalLen())
-	}
-
-	// Queries must complete while the fold is wedged. If Query performed or
-	// waited for the rebuild, this goroutine would block on foldMu forever
-	// and the deadline below would fire.
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for i := 0; i < 200; i++ {
-			s := graph.Vertex(r.Intn(50))
-			tt := graph.Vertex(r.Intn(50))
-			if _, err := d.Query(s, tt, labelseq.Seq{0, 1}); err != nil {
-				t.Errorf("query under wedged fold: %v", err)
-				return
-			}
-		}
-	}()
-	select {
-	case <-done:
-	case <-time.After(30 * time.Second):
-		t.Fatal("queries blocked behind the fold path: Query must be O(delta search), never O(rebuild)")
-	}
-
-	// Release the fold and let it drain: the journal folds in background.
-	d.foldMu.Unlock()
-	d.Quiesce()
-	if d.JournalLen() >= 4 {
-		t.Errorf("journal = %d after quiesce, want < threshold", d.JournalLen())
-	}
-	if d.Epoch() == 0 {
-		t.Error("background fold never ran after release")
-	}
-}
-
-// TestConcurrentAddQueryFold is the -race soak: readers query while a writer
-// inserts and background folds rebuild and swap epochs underneath them.
-// Exactness is checked two ways — monotonicity during the run (an answer
-// that was once true can never become false: the graph only grows), and
-// full agreement with online traversal over the final union after the dust
-// settles.
-func TestConcurrentAddQueryFold(t *testing.T) {
+// TestConcurrentAddQuery is the -race soak: readers query while a writer
+// inserts, sealing segments and publishing views underneath them. Exactness
+// is checked two ways — monotonicity during the run (an answer that was once
+// true can never become false: the graph only grows), and full agreement
+// with online traversal over the final union once the writer is done.
+func TestConcurrentAddQuery(t *testing.T) {
 	r := rand.New(rand.NewSource(701))
 	const (
 		n       = 120
@@ -87,17 +29,7 @@ func TestConcurrentAddQueryFold(t *testing.T) {
 		readers = 4
 	)
 	g := randomGraph(r, n, labels, 3*n)
-	var folds atomic.Uint64
-	d, err := Build(g, Options{
-		IndexOptions:     core.Options{K: 2},
-		RebuildThreshold: 100,
-		OnFold: func(st FoldStats) {
-			if st.Err != nil {
-				t.Errorf("fold failed: %v", st.Err)
-			}
-			folds.Add(1)
-		},
-	})
+	d, err := Build(g, core.Options{K: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +59,10 @@ func TestConcurrentAddQueryFold(t *testing.T) {
 		}
 	}
 
-	var stop atomic.Bool
+	// The writer waits for the readers' progress before each insert, so
+	// queries interleave with the whole insert stream.
+	var stop, failed atomic.Bool
+	var reads atomic.Int64
 	var wg sync.WaitGroup
 	for w := 0; w < readers; w++ {
 		wg.Add(1)
@@ -141,33 +76,32 @@ func TestConcurrentAddQueryFold(t *testing.T) {
 				got, err := d.Query(q.s, q.t, q.l)
 				if err != nil {
 					t.Errorf("concurrent query: %v", err)
+					failed.Store(true)
 					return
 				}
 				if seenTrue[i] && !got {
 					t.Errorf("monotonicity violated: (%d,%d,%v+) was true, now false", q.s, q.t, q.l)
+					failed.Store(true)
 					return
 				}
 				if got {
 					seenTrue[i] = true
 				}
+				reads.Add(1)
 			}
 		}(int64(800 + w))
 	}
 
-	for _, e := range edges {
+	for i, e := range edges {
+		for reads.Load() < int64(i) && !failed.Load() {
+			runtime.Gosched()
+		}
 		if err := d.AddEdge(e.Src, e.Label, e.Dst); err != nil {
 			t.Fatal(err)
 		}
 	}
-	// Let readers overlap the tail of the fold churn, then stop them.
-	time.Sleep(50 * time.Millisecond)
 	stop.Store(true)
 	wg.Wait()
-	d.Quiesce()
-
-	if folds.Load() == 0 {
-		t.Error("soak never crossed a fold epoch")
-	}
 
 	// Final exactness: delta answers equal traversal over the final union.
 	union := d.Graph()
@@ -186,20 +120,20 @@ func TestConcurrentAddQueryFold(t *testing.T) {
 	}
 }
 
-// TestEpochEquivalenceOracle folds repeatedly and, at every epoch (before
-// and after each fold), requires the delta answers to agree with an index
-// rebuilt from scratch over the same union — the "delta == from-scratch"
-// oracle across the whole epoch lifecycle.
+// TestEpochEquivalenceOracle inserts in rounds and, after every round,
+// requires the delta answers to agree with an index rebuilt from scratch over
+// the same union — the "delta == from-scratch" oracle a fold relies on: the
+// next generation's base answers exactly what this one's overlay did.
 func TestEpochEquivalenceOracle(t *testing.T) {
 	r := rand.New(rand.NewSource(702))
 	const n, labels = 12, 2
 	g := randomGraph(r, n, labels, 18)
-	d, err := Build(g, Options{IndexOptions: core.Options{K: 2}, RebuildThreshold: -1})
+	d, err := Build(g, core.Options{K: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	checkEpoch := func(stage string) {
+	check := func(round int) {
 		t.Helper()
 		union := d.Graph()
 		fresh, err := core.Build(union, core.Options{K: 2})
@@ -218,32 +152,22 @@ func TestEpochEquivalenceOracle(t *testing.T) {
 						t.Fatal(err)
 					}
 					if got != want {
-						t.Fatalf("%s (epoch %d, journal %d): delta(%d,%d,%v+) = %v, from-scratch rebuild = %v",
-							stage, d.Epoch(), d.JournalLen(), s, tt, l, got, want)
+						t.Fatalf("round %d (journal %d): delta(%d,%d,%v+) = %v, from-scratch rebuild = %v",
+							round, d.JournalLen(), s, tt, l, got, want)
 					}
 				}
 			}
 		}
 	}
 
-	checkEpoch("initial")
-	for round := 0; round < 4; round++ {
+	check(0)
+	for round := 1; round <= 4; round++ {
 		for i := 0; i < 5+r.Intn(6); i++ {
 			if err := d.AddEdge(graph.Vertex(r.Intn(n)), graph.Label(r.Intn(labels)), graph.Vertex(r.Intn(n))); err != nil {
 				t.Fatal(err)
 			}
 		}
-		checkEpoch("pre-fold")
-		if err := d.Rebuild(); err != nil {
-			t.Fatal(err)
-		}
-		if d.JournalLen() != 0 {
-			t.Fatalf("round %d: journal = %d after fold", round, d.JournalLen())
-		}
-		if got := d.Epoch(); got != uint64(round+1) {
-			t.Fatalf("round %d: epoch = %d", round, got)
-		}
-		checkEpoch("post-fold")
+		check(round)
 	}
 }
 
@@ -253,7 +177,7 @@ func TestEpochEquivalenceOracle(t *testing.T) {
 func TestEvalExprOverUnion(t *testing.T) {
 	r := rand.New(rand.NewSource(703))
 	g := randomGraph(r, 30, 3, 90)
-	d, err := Build(g, Options{IndexOptions: core.Options{K: 2}, RebuildThreshold: -1})
+	d, err := Build(g, core.Options{K: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -296,7 +220,7 @@ func TestEvalExprOverUnion(t *testing.T) {
 // whole batch, and a valid batch becomes visible in one publish.
 func TestAddEdgesBatchAtomic(t *testing.T) {
 	g := graph.FromEdges(4, 2, []graph.Edge{{Src: 0, Dst: 1, Label: 0}})
-	d, err := Build(g, Options{IndexOptions: core.Options{K: 2}, RebuildThreshold: -1})
+	d, err := Build(g, core.Options{K: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -330,7 +254,7 @@ func TestNewWithJournal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := NewWithJournal(g, ix, Options{RebuildThreshold: -1}, []graph.Edge{{Src: 1, Dst: 2, Label: 1}})
+	d, err := NewWithJournal(g, ix, []graph.Edge{{Src: 1, Dst: 2, Label: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -341,7 +265,7 @@ func TestNewWithJournal(t *testing.T) {
 	if err != nil || !ok {
 		t.Fatalf("seeded query = %v, %v; want true", ok, err)
 	}
-	if _, err := NewWithJournal(g, ix, Options{}, []graph.Edge{{Src: 0, Dst: 7, Label: 0}}); err == nil {
+	if _, err := NewWithJournal(g, ix, []graph.Edge{{Src: 0, Dst: 7, Label: 0}}); err == nil {
 		t.Error("invalid seeded edge must fail")
 	}
 }
@@ -353,7 +277,7 @@ func TestSealBoundary(t *testing.T) {
 	r := rand.New(rand.NewSource(704))
 	const n = 40
 	g := randomGraph(r, n, 2, 60)
-	d, err := Build(g, Options{IndexOptions: core.Options{K: 2}, RebuildThreshold: -1})
+	d, err := Build(g, core.Options{K: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -390,7 +314,7 @@ func TestSealBoundary(t *testing.T) {
 // base index misses: 2 has no in-edges.
 func TestOverlayQueryCancelled(t *testing.T) {
 	g := graph.FromEdges(4, 2, []graph.Edge{{Src: 0, Dst: 1, Label: 0}})
-	d, err := Build(g, Options{IndexOptions: core.Options{K: 2}, RebuildThreshold: -1})
+	d, err := Build(g, core.Options{K: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

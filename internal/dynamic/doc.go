@@ -19,9 +19,9 @@
 //     EvalExpr is the same search without step 1, for expressions outside
 //     the index's class. This package contains no frontier loop.
 //
-// # Concurrency: the epoch pipeline
+// # Concurrency
 //
-// A DeltaGraph is an RCU-style epoch structure. All state a reader touches
+// A DeltaGraph is an RCU-style structure. All state a reader touches
 // lives in one immutable view — base graph, base index, a frozen journal
 // prefix, the sealed part of the journal as two copy-on-write edge lists
 // (sorted by source and by destination), and a per-constraint cache of
@@ -32,18 +32,16 @@
 // two sorted lists (never in place), and publish a successor view. The
 // whole structure is -race-clean by construction.
 //
-// Amortization: when the journal grows past RebuildThreshold edges, the
-// insert that crossed the line triggers a BACKGROUND fold — never the query
-// path, and never inline on the inserting caller beyond a compare-and-swap.
-// The folder materializes the union, rebuilds the index under
-// Options.IndexOptions, and installs the next epoch with any concurrently
-// inserted edges carried over. Queries pinned to the old epoch keep answering
-// exactly against the same edge set throughout; Rebuild folds synchronously
-// and Quiesce waits for an in-flight background fold.
+// # Folding
 //
-// The serving layer (internal/server) drives the same epoch machinery
-// itself — FoldInput, JournalTail, NewWithJournal — because its folds also
-// write v2 snapshot bundles and hot-swap server generations. Deletions are
-// not supported (they can invalidate arbitrary entries); delete-heavy
-// workloads should rebuild, exactly as the paper's static setting implies.
+// A DeltaGraph never folds and starts no goroutine: it is the overlay of one
+// serving generation, and its base index is fixed for its life. The serving
+// layer (internal/server, mutable.go) owns the one fold: it materializes the
+// union with FoldInput, builds (and bundles) the next base index, and swaps
+// in a new generation whose DeltaGraph NewWithJournal seeds with the
+// JournalTail inserted while the build ran. Queries pinned to the old
+// generation keep answering exactly against its edge set throughout.
+// Deletions are not supported (they can invalidate arbitrary entries);
+// delete-heavy workloads should rebuild, exactly as the paper's static
+// setting implies.
 package dynamic

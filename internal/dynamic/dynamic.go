@@ -8,7 +8,6 @@ import (
 	"slices"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"github.com/g-rpqs/rlc-go/internal/automaton"
 	"github.com/g-rpqs/rlc-go/internal/core"
@@ -16,61 +15,35 @@ import (
 	"github.com/g-rpqs/rlc-go/internal/labelseq"
 )
 
-// DefaultRebuildThreshold is the journal size that triggers an automatic
-// background fold-and-rebuild.
-const DefaultRebuildThreshold = 1024
-
 // segmentSize is how many journal edges accumulate before the writer seals
 // them into the copy-on-write sorted lists. Readers scan at most one
 // unsealed segment linearly per visited vertex, so the constant bounds the
 // per-vertex overhead of the delta search while a seal's merge (linear in
-// the sealed journal, which a fold bounds) is shared by a whole segment.
+// the sealed journal, which the next fold bounds) is shared by a whole
+// segment.
 const segmentSize = 32
 
 // ErrDeletionsUnsupported is returned by RemoveEdge.
 var ErrDeletionsUnsupported = errors.New("dynamic: edge deletions require a rebuild; the RLC index is insert-only incremental")
 
-// FoldStats describes one completed fold-and-rebuild.
-type FoldStats struct {
-	// Epoch is the epoch the fold produced (first fold: 1).
-	Epoch uint64
-	// Folded is the number of journal edges folded into the new base.
-	Folded int
-	// Journal is the number of un-folded edges carried into the new epoch
-	// (edges inserted while the rebuild ran).
-	Journal int
-	// Duration is the wall time of the fold, including the index build.
-	Duration time.Duration
-	// Err is non-nil when the rebuild failed; the previous epoch keeps
-	// serving and the journal keeps growing.
-	Err error
-}
-
-// Options configures a DeltaGraph.
+// Options is accepted by New and ignored: a DeltaGraph never folds, so it
+// has nothing to configure. It stays so that callers written against the
+// folding overlay (benchmark/trace.go) still compile.
 type Options struct {
-	// RebuildThreshold is the journal size at which an insert triggers a
-	// background fold-and-rebuild. Zero means DefaultRebuildThreshold;
-	// negative disables automatic rebuilds (the caller folds explicitly
-	// with Rebuild, as the serving layer does).
+	// RebuildThreshold is ignored. The serving layer's threshold is
+	// server.Options.RebuildThreshold.
 	RebuildThreshold int
-	// IndexOptions configures (re)builds of the base index.
-	IndexOptions core.Options
-	// OnFold, when non-nil, is called after every completed fold — the
-	// background ones and explicit Rebuild calls — including failed ones
-	// (Err set). It runs on the folding goroutine; keep it quick.
-	OnFold func(FoldStats)
 }
 
-// view is one immutable epoch of the delta graph: a base graph with its
-// index, plus the journal prefix this view can see. Readers load the current
-// view with one atomic pointer load and then touch nothing mutable — the
-// journal prefix [:jlen] is frozen (the writer only ever appends at >= jlen
-// of the newest view), bySrc and byDst are never mutated after publication,
-// and constraints is a concurrent map of immutable values.
+// view is one immutable state of the overlay: a base graph with its index,
+// plus the journal prefix this view can see. Readers load the current view
+// with one atomic pointer load and then touch nothing mutable — the journal
+// prefix [:jlen] is frozen (the writer only ever appends at >= jlen of the
+// newest view), bySrc and byDst are never mutated after publication, and
+// constraints is a concurrent map of immutable values.
 type view struct {
-	epoch uint64
-	base  *graph.Graph
-	ix    *core.Index
+	base *graph.Graph
+	ix   *core.Index
 
 	// journal is the shared append-only edge log; this view reads only
 	// journal[:jlen]. The writer may append at index jlen of the NEWEST
@@ -93,34 +66,21 @@ type view struct {
 	// automaton (*automaton.NFA, which carries its own reverse). An automaton
 	// depends only on the constraint and the label universe, so the cache
 	// needs no invalidation on inserts and is shared by every view of the
-	// epoch; a fold starts an empty one, which bounds its size.
+	// DeltaGraph; each generation starts an empty one, which bounds its size.
 	constraints *sync.Map
 }
 
 // DeltaGraph is an RLC-indexed graph that accepts edge insertions while
 // answering queries exactly. It is safe for concurrent use: any number of
-// goroutines may Query (the read path takes no locks) while others insert,
-// and a background goroutine folds the journal into a rebuilt base index
-// once it crosses Options.RebuildThreshold — queries never block on, or
-// perform, a rebuild.
+// goroutines may Query (the read path takes no locks) while others insert.
+// It never folds: its base index is fixed for its life, and the serving
+// layer folds by building the next base from FoldInput and wrapping it in a
+// new DeltaGraph seeded with JournalTail.
 type DeltaGraph struct {
-	opts Options
-
-	// mu serializes writers (AddEdge/AddEdges) and epoch installs. The
-	// read path never takes it.
+	// mu serializes writers (AddEdge/AddEdges/Seal). The read path never
+	// takes it.
 	mu  sync.Mutex
 	cur atomic.Pointer[view]
-
-	// foldMu serializes folds (background and explicit Rebuild). foldCtl
-	// guards the background-folder bookkeeping: foldRunning dedups folder
-	// goroutines, and foldDone is closed when the current folder exits —
-	// what Quiesce waits on. (A plain channel instead of a WaitGroup: a
-	// reused WaitGroup would race a new folder's Add against a parked
-	// Quiesce Wait.)
-	foldMu      sync.Mutex
-	foldCtl     sync.Mutex
-	foldRunning bool
-	foldDone    chan struct{}
 
 	// searchers pools the overlay's product searches (see eval.go): one is
 	// not concurrent-safe, queries are.
@@ -133,18 +93,9 @@ type DeltaGraph struct {
 }
 
 // New wraps an already-indexed graph. The index must have been built over g.
-func New(g *graph.Graph, ix *core.Index, opts Options) *DeltaGraph {
-	if opts.RebuildThreshold == 0 {
-		opts.RebuildThreshold = DefaultRebuildThreshold
-	}
-	if opts.IndexOptions == (core.Options{}) {
-		// Unconfigured folds inherit the wrapped index's build options (k,
-		// packed form, size budget), so every rebuilt epoch keeps the base
-		// index's representation — in particular a size-budgeted base stays
-		// within its MaxIndexBytes across folds.
-		opts.IndexOptions = ix.BuildOptions()
-	}
-	d := &DeltaGraph{opts: opts}
+// opts is ignored (see Options).
+func New(g *graph.Graph, ix *core.Index, _ Options) *DeltaGraph {
+	d := &DeltaGraph{}
 	n := g.NumVertices()
 	d.searchers.New = func() any { return newSearcher(n) }
 	d.cur.Store(&view{base: g, ix: ix, constraints: &sync.Map{}})
@@ -153,41 +104,34 @@ func New(g *graph.Graph, ix *core.Index, opts Options) *DeltaGraph {
 
 // NewWithJournal wraps an indexed graph and seeds the journal with edges not
 // yet folded into it — how the serving layer carries un-folded inserts from
-// a retired epoch into the one built from a fresh snapshot. Every edge is
-// validated against g like an AddEdge.
-func NewWithJournal(g *graph.Graph, ix *core.Index, opts Options, journal []graph.Edge) (*DeltaGraph, error) {
-	d := New(g, ix, opts)
+// a retired generation into the one built from a fresh snapshot. Every edge
+// is validated against g like an AddEdge.
+func NewWithJournal(g *graph.Graph, ix *core.Index, journal []graph.Edge) (*DeltaGraph, error) {
+	d := New(g, ix, Options{})
 	if err := d.AddEdges(journal); err != nil {
 		return nil, err
 	}
 	return d, nil
 }
 
-// Build indexes g and wraps it in one step.
-func Build(g *graph.Graph, opts Options) (*DeltaGraph, error) {
-	ix, err := core.Build(g, opts.IndexOptions)
+// Build indexes g under opts and wraps it in one step.
+func Build(g *graph.Graph, opts core.Options) (*DeltaGraph, error) {
+	ix, err := core.Build(g, opts)
 	if err != nil {
 		return nil, err
 	}
-	return New(g, ix, opts), nil
+	return New(g, ix, Options{}), nil
 }
 
 // Graph materializes the current union graph (base + journal). Unlike the
-// read path it allocates; it exists for folds, tests, and inspection.
+// read path it allocates; it exists for tests and inspection.
 func (d *DeltaGraph) Graph() *graph.Graph {
-	v := d.cur.Load()
-	return unionGraph(v.base, v.journal[:v.jlen])
+	union, _ := d.FoldInput()
+	return union
 }
-
-// Index returns the current epoch's base index. It reflects the base graph
-// only; use Query for answers that include journal edges.
-func (d *DeltaGraph) Index() *core.Index { return d.cur.Load().ix }
 
 // JournalLen returns the number of edges awaiting a fold.
 func (d *DeltaGraph) JournalLen() int { return d.cur.Load().jlen }
-
-// Epoch returns how many folds have completed (0 for the initial base).
-func (d *DeltaGraph) Epoch() uint64 { return d.cur.Load().epoch }
 
 // validateEdge checks an insert against the fixed vertex/label universe,
 // wrapping the index's typed sentinels so callers (and HTTP clients, via the
@@ -228,11 +172,8 @@ func (d *DeltaGraph) AddEdges(edges []graph.Edge) error {
 			return err
 		}
 	}
-	nv := v.appendEdges(edges)
-	d.cur.Store(nv)
-	jlen := nv.jlen
+	d.cur.Store(v.appendEdges(edges))
 	d.mu.Unlock()
-	d.maybeTriggerFold(jlen)
 	return nil
 }
 
@@ -240,21 +181,13 @@ func (d *DeltaGraph) AddEdges(edges []graph.Edge) error {
 // sealing full segments into fresh copy-on-write sorted lists. Called with
 // d.mu held; the receiver stays untouched.
 func (v *view) appendEdges(edges []graph.Edge) *view {
-	nv := &view{
-		epoch:       v.epoch,
-		base:        v.base,
-		ix:          v.ix,
-		journal:     append(v.journal[:v.jlen], edges...),
-		jlen:        v.jlen + len(edges),
-		bySrc:       v.bySrc,
-		byDst:       v.byDst,
-		sealed:      v.sealed,
-		constraints: v.constraints,
-	}
+	nv := *v
+	nv.journal = append(v.journal[:v.jlen], edges...)
+	nv.jlen += len(edges)
 	if nv.jlen-nv.sealed >= segmentSize {
 		nv.seal()
 	}
-	return nv
+	return &nv
 }
 
 // seal merges journal[sealed:jlen] into fresh sorted lists, so no memory
@@ -302,7 +235,7 @@ func span(sorted []graph.Edge, key edgeEnd, x graph.Vertex) []graph.Edge {
 // SealedLen returns the sealed journal watermark: every edge in
 // journal[:SealedLen()] has been merged into the copy-on-write sorted lists
 // and frozen for good. Only sealed edges are exported for replication —
-// the watermark never moves backwards within an epoch, so an exporter that
+// the watermark never moves backwards, so an exporter that
 // advances a cursor by what ExportSealed returned can never ship an edge
 // twice or ship one the writer could still be arranging.
 func (d *DeltaGraph) SealedLen() int { return d.cur.Load().sealed }
@@ -311,8 +244,7 @@ func (d *DeltaGraph) SealedLen() int { return d.cur.Load().sealed }
 // replication export hook. from must be a cursor previously advanced by
 // this method (or 0); a cursor beyond the sealed watermark returns nil.
 // The copy is taken from one immutable view, so it is safe against
-// concurrent writers and folds; the caller advances its cursor by
-// len(result).
+// concurrent writers; the caller advances its cursor by len(result).
 func (d *DeltaGraph) ExportSealed(from int) []graph.Edge {
 	v := d.cur.Load()
 	if from < 0 || from >= v.sealed {
@@ -335,19 +267,9 @@ func (d *DeltaGraph) Seal() {
 	if v.sealed == v.jlen {
 		return
 	}
-	nv := &view{
-		epoch:       v.epoch,
-		base:        v.base,
-		ix:          v.ix,
-		journal:     v.journal,
-		jlen:        v.jlen,
-		bySrc:       v.bySrc,
-		byDst:       v.byDst,
-		sealed:      v.sealed,
-		constraints: v.constraints,
-	}
+	nv := *v
 	nv.seal()
-	d.cur.Store(nv)
+	d.cur.Store(&nv)
 }
 
 // RemoveEdge always fails: see ErrDeletionsUnsupported.
@@ -355,8 +277,7 @@ func (d *DeltaGraph) RemoveEdge(src graph.Vertex, label graph.Label, dst graph.V
 	return ErrDeletionsUnsupported
 }
 
-// Query answers the RLC query (s, t, L+) over the current epoch's graph
-// (base plus journal), exactly. The read path is lock-free: it pins one
+// Query answers the RLC query (s, t, L+) over base plus journal, exactly. The read path is lock-free: it pins one
 // immutable view, tries the base index (sound, because insertions only add
 // paths), and only on a miss runs the bidirectional delta search. It never
 // performs or waits for a rebuild.
@@ -390,7 +311,7 @@ func (d *DeltaGraph) QueryRLC(ctx context.Context, s, t graph.Vertex, l labelseq
 	return d.reaches(ctx, v, s, t, nfa)
 }
 
-// automatonFor returns the epoch's cached automaton for l+. l has passed the
+// automatonFor returns the DeltaGraph's cached automaton for l+. l has passed the
 // index's validation (Query accepted it).
 func (v *view) automatonFor(l labelseq.Seq) (*automaton.NFA, error) {
 	code := v.ix.ConstraintCode(l)

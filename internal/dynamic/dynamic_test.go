@@ -29,7 +29,7 @@ func TestInsertMakesQueryTrue(t *testing.T) {
 		{Src: 0, Dst: 1, Label: 0},
 		{Src: 2, Dst: 3, Label: 1},
 	})
-	d, err := Build(g, Options{IndexOptions: core.Options{K: 2}})
+	d, err := Build(g, core.Options{K: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +62,7 @@ func TestDeltaEquivalence(t *testing.T) {
 		labels := 1 + r.Intn(3)
 		g := randomGraph(r, n, labels, 1+r.Intn(2*n))
 		k := 1 + r.Intn(2)
-		d, err := Build(g, Options{IndexOptions: core.Options{K: k}, RebuildThreshold: -1})
+		d, err := Build(g, core.Options{K: k})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -107,76 +107,66 @@ func TestDeltaEquivalence(t *testing.T) {
 	}
 }
 
-// TestRebuildFoldsJournal: after Rebuild the journal empties, queries stay
-// correct, and the base index alone answers everything.
+// TestRebuildFoldsJournal folds the way the serving layer does — FoldInput,
+// a fresh index over the union, and a new DeltaGraph seeded with the
+// JournalTail inserted while it was built — and requires the next
+// generation to carry exactly that tail and to answer like traversal over
+// the final union.
 func TestRebuildFoldsJournal(t *testing.T) {
 	r := rand.New(rand.NewSource(601))
 	g := randomGraph(r, 10, 2, 20)
-	d, err := Build(g, Options{IndexOptions: core.Options{K: 2}, RebuildThreshold: -1})
+	d, err := Build(g, core.Options{K: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 5; i++ {
-		if err := d.AddEdge(graph.Vertex(r.Intn(10)), graph.Label(r.Intn(2)), graph.Vertex(r.Intn(10))); err != nil {
-			t.Fatal(err)
+	add := func(k int) {
+		t.Helper()
+		for i := 0; i < k; i++ {
+			if err := d.AddEdge(graph.Vertex(r.Intn(10)), graph.Label(r.Intn(2)), graph.Vertex(r.Intn(10))); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
-	union := d.Graph()
-	if err := d.Rebuild(); err != nil {
+	add(5)
+	union, folded := d.FoldInput()
+	if folded != 5 {
+		t.Fatalf("FoldInput covers %d journal edges, want 5", folded)
+	}
+	add(2) // inserted while the next base is built
+	ix, err := core.Build(union, core.Options{K: 2})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if d.JournalLen() != 0 {
-		t.Fatalf("journal not folded: %d", d.JournalLen())
+	final := d.Graph()
+	next, err := NewWithJournal(union, ix, d.JournalTail(folded))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if next.JournalLen() != 2 {
+		t.Fatalf("the next generation carries %d journal edges, want 2", next.JournalLen())
 	}
 	for _, l := range core.PrimitiveConstraints(2, 2) {
 		for s := graph.Vertex(0); int(s) < 10; s++ {
 			for tt := graph.Vertex(0); int(tt) < 10; tt++ {
-				want, err := traversal.EvalRLC(union, s, tt, l)
+				want, err := traversal.EvalRLC(final, s, tt, l)
 				if err != nil {
 					t.Fatal(err)
 				}
-				got, err := d.Query(s, tt, l)
+				got, err := next.Query(s, tt, l)
 				if err != nil {
 					t.Fatal(err)
 				}
 				if got != want {
-					t.Fatalf("post-rebuild Query(%d,%d,%v+) = %v, want %v", s, tt, l, got, want)
+					t.Fatalf("post-fold Query(%d,%d,%v+) = %v, want %v", s, tt, l, got, want)
 				}
 			}
 		}
 	}
 }
 
-// TestAutoRebuildThreshold: crossing the threshold triggers a BACKGROUND
-// fold; after quiescing, the journal is empty and the epoch advanced.
-func TestAutoRebuildThreshold(t *testing.T) {
-	g := graph.FromEdges(4, 2, []graph.Edge{{Src: 0, Dst: 1, Label: 0}})
-	d, err := Build(g, Options{IndexOptions: core.Options{K: 2}, RebuildThreshold: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 3; i++ {
-		if err := d.AddEdge(1, 1, graph.Vertex(i%4)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	d.Quiesce()
-	if d.JournalLen() != 0 {
-		t.Errorf("threshold rebuild did not trigger: journal = %d", d.JournalLen())
-	}
-	if d.Epoch() == 0 {
-		t.Error("epoch did not advance after a background fold")
-	}
-	// Queries over the folded graph answer from the new base alone.
-	ok, err := d.Query(0, 1, labelseq.Seq{0})
-	if err != nil || !ok {
-		t.Fatalf("post-fold query = %v, %v; want true", ok, err)
-	}
-}
-
 func TestAddEdgeValidation(t *testing.T) {
 	g := graph.FromEdges(3, 2, []graph.Edge{{Src: 0, Dst: 1, Label: 0}})
-	d, err := Build(g, Options{IndexOptions: core.Options{K: 2}})
+	d, err := Build(g, core.Options{K: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +188,7 @@ func TestAddEdgeValidation(t *testing.T) {
 // edges at once.
 func TestChainThroughMultipleNewEdges(t *testing.T) {
 	g := graph.FromEdges(6, 1, []graph.Edge{{Src: 0, Dst: 1, Label: 0}})
-	d, err := Build(g, Options{IndexOptions: core.Options{K: 1}, RebuildThreshold: -1})
+	d, err := Build(g, core.Options{K: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,7 +215,7 @@ func TestChainThroughMultipleNewEdges(t *testing.T) {
 // not leak stale answers across insertions.
 func TestCachedAutomatonSeesInserts(t *testing.T) {
 	g := graph.FromEdges(4, 1, []graph.Edge{{Src: 0, Dst: 1, Label: 0}})
-	d, err := Build(g, Options{IndexOptions: core.Options{K: 1}, RebuildThreshold: -1})
+	d, err := Build(g, core.Options{K: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,7 +249,7 @@ func TestOverlayQueryAllocsIndependentOfGraphSize(t *testing.T) {
 			edges = append(edges, graph.Edge{Src: graph.Vertex(v), Dst: graph.Vertex(v + 1), Label: 0})
 		}
 	}
-	d, err := Build(graph.FromEdges(n, 1, edges), Options{IndexOptions: core.Options{K: 1}, RebuildThreshold: -1})
+	d, err := Build(graph.FromEdges(n, 1, edges), core.Options{K: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -310,7 +300,7 @@ func TestOverlayFalseStopsAtTheSmallerSide(t *testing.T) {
 			graph.Edge{Src: graph.Vertex(v), Dst: graph.Vertex(2*v + 2), Label: level})
 	}
 	const target, a, b = tree, tree + 1, tree + 2
-	d, err := Build(graph.FromEdges(tree+3, 2, edges), Options{IndexOptions: core.Options{K: 2}, RebuildThreshold: -1})
+	d, err := Build(graph.FromEdges(tree+3, 2, edges), core.Options{K: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -368,13 +358,13 @@ func sortEdges(es []graph.Edge) {
 // TestUnionSourcesMirror: the overlay's in-edge source is the transpose of
 // its out-edge source, and both are exactly base ∪ journal as a multiset
 // (duplicates included) — with only an unsealed tail, exactly at a seal
-// boundary, after many seals, and after a fold that carries a journal tail
-// into the new epoch.
+// boundary, after many seals, and in the next generation's overlay seeded
+// with the tail a fold carries over.
 func TestUnionSourcesMirror(t *testing.T) {
 	r := rand.New(rand.NewSource(1501))
 	const n, labels = 24, 3
 	g := randomGraph(r, n, labels, 60)
-	d, err := Build(g, Options{IndexOptions: core.Options{K: 2}, RebuildThreshold: -1})
+	d, err := Build(g, core.Options{K: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -409,17 +399,16 @@ func TestUnionSourcesMirror(t *testing.T) {
 	add(5*segmentSize + 7)
 	check("after many seals", 6*segmentSize)
 
-	// A fold that began before the last 7+3 edges: they are carried over.
-	v := d.cur.Load()
-	folded := v.jlen - 7
-	union := unionGraph(v.base, v.journal[:folded])
-	add(3)
+	// A fold: the next generation's overlay is seeded with the edges
+	// inserted after FoldInput, one segment and more, so it seals them.
+	union, folded := d.FoldInput()
+	add(segmentSize + 8)
 	ix, err := core.Build(union, core.Options{K: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st := d.install(union, ix, folded); st.Journal != 10 {
-		t.Fatalf("the fold carried %d journal edges over, want 10", st.Journal)
+	if d, err = NewWithJournal(union, ix, d.JournalTail(folded)); err != nil {
+		t.Fatal(err)
 	}
-	check("after a fold with a carried tail", 10)
+	check("after a fold with a carried tail", segmentSize+8)
 }

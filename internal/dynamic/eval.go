@@ -59,8 +59,8 @@ func (sr *searcher) union(x graph.Vertex, nbrs []graph.Vertex, lbls []graph.Labe
 }
 
 // newSearcher builds a searcher for graphs on n vertices. The vertex
-// universe is fixed for a DeltaGraph's life (inserts outside it are rejected,
-// folds keep it), so a pooled evaluator's marks fit every epoch.
+// universe is fixed for a DeltaGraph's life (inserts outside it are
+// rejected), so a pooled evaluator's marks fit every view.
 func newSearcher(n int) *searcher {
 	sr := &searcher{}
 	sr.ev = traversal.NewEvaluatorOver(n, sr.out, sr.in)
@@ -74,7 +74,7 @@ func (d *DeltaGraph) reaches(ctx context.Context, v *view, s, t graph.Vertex, nf
 	sr := d.searchers.Get().(*searcher)
 	sr.v = v
 	ok, err := sr.ev.BiBFSCtx(ctx, s, t, nfa)
-	sr.v = nil // a parked searcher must not keep a retired epoch alive
+	sr.v = nil // a parked searcher must not keep a superseded view alive
 	d.overlaySearches.Add(1)
 	d.overlayVisited.Add(uint64(sr.ev.LastVisited))
 	d.searchers.Put(sr)

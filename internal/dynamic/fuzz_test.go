@@ -66,7 +66,7 @@ func FuzzUnionSearch(f *testing.F) {
 			return
 		}
 		g := graph.FromEdges(fuzzVertices, fuzzLabels, fuzzEdges(base))
-		d, err := Build(g, Options{IndexOptions: core.Options{K: fuzzK}, RebuildThreshold: -1})
+		d, err := Build(g, core.Options{K: fuzzK})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -20,7 +20,7 @@ import (
 func TestSealBoundaryDeterministic(t *testing.T) {
 	r := rand.New(rand.NewSource(41))
 	g := randomGraph(r, 32, 2, 40)
-	d, err := Build(g, Options{RebuildThreshold: -1, IndexOptions: core.Options{K: 2}})
+	d, err := Build(g, core.Options{K: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +104,7 @@ func TestSealBoundaryConcurrentExport(t *testing.T) {
 	const rounds = 30
 	r := rand.New(rand.NewSource(42))
 	g := randomGraph(r, 64, 2, 80)
-	d, err := Build(g, Options{RebuildThreshold: -1, IndexOptions: core.Options{K: 2}})
+	d, err := Build(g, core.Options{K: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"math/rand"
 	"net/http"
 	"path/filepath"
@@ -392,6 +393,133 @@ func TestFoldPhaseTimings(t *testing.T) {
 	}
 }
 
+// TestFoldNeverBlocksQueriesOrUpdates holds swapMu — the lock every
+// rebuildOnce takes first — so the fold an update triggers is wedged before
+// it starts. With the journal ten times past the threshold, every read path
+// and a further update must still complete: a query costs a delta search,
+// never a rebuild, and a writer never waits for one. Released, the
+// background fold drains the journal in one epoch and answers stay exact.
+func TestFoldNeverBlocksQueriesOrUpdates(t *testing.T) {
+	const n, labels, threshold = 50, 2, 4
+	r := rand.New(rand.NewSource(700))
+	g, err := genER(n, 200, labels, 700)
+	if err != nil {
+		t.Fatal(err)
+	}
+	randomEdges := func(k int) []graph.Edge {
+		es := make([]graph.Edge, k)
+		for i := range es {
+			es[i] = graph.Edge{Src: graph.Vertex(r.Intn(n)), Dst: graph.Vertex(r.Intn(n)), Label: graph.Label(r.Intn(labels))}
+		}
+		return es
+	}
+	// One fold is expected; the slack keeps a stray second one from
+	// blocking OnRebuild, which runs on the folding goroutine.
+	folds := make(chan RebuildResult, 8)
+	srv, hts := newTestServer(t, buildIndex(t, g), Options{
+		Mutable:          true,
+		RebuildThreshold: threshold,
+		OnRebuild:        func(res RebuildResult) { folds <- res },
+	})
+	t.Cleanup(func() { srv.Close() })
+
+	srv.swapMu.Lock()
+	var unlock sync.Once
+	release := func() { unlock.Do(srv.swapMu.Unlock) }
+	t.Cleanup(release) // runs first: a failed test must not strand the fold
+
+	// within runs f off the test goroutine and fails the test if it has not
+	// returned by the deadline; f reports through its error, never through t.
+	within := func(what string, f func() error) {
+		t.Helper()
+		done := make(chan error, 1)
+		go func() { done <- f() }()
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatalf("%s: %v", what, err)
+			}
+		case <-time.After(20 * time.Second):
+			t.Fatalf("%s waited on the wedged fold: queries and updates must never wait for a rebuild", what)
+		}
+	}
+	ok200 := func(resp *http.Response, err error) error {
+		if err != nil {
+			return err
+		}
+		defer resp.Body.Close()
+		if _, err := io.Copy(io.Discard, resp.Body); err != nil {
+			return err
+		}
+		if resp.StatusCode != http.StatusOK {
+			return fmt.Errorf("status %d", resp.StatusCode)
+		}
+		return nil
+	}
+
+	inserted := randomEdges(10 * threshold)
+	within("UpdateBatch past the threshold", func() error {
+		res, err := srv.UpdateBatch(inserted)
+		if err == nil && (!res.RebuildTriggered || res.Journal != len(inserted)) {
+			err = fmt.Errorf("result %+v, want RebuildTriggered and journal %d", res, len(inserted))
+		}
+		return err
+	})
+	within("AnswerRLC", func() error {
+		for i := 0; i < 200; i++ {
+			if _, _, err := srv.AnswerRLC(context.Background(), graph.Vertex(r.Intn(n)), graph.Vertex(r.Intn(n)), labelseq.Seq{0, 1}); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	within("GET /query", func() error { return ok200(http.Get(queryURL(hts.URL, "0", "1", "l0 l1"))) })
+	within("POST /batch", func() error {
+		return ok200(http.Post(hts.URL+"/batch", "application/json",
+			strings.NewReader(`{"queries":[{"s":0,"t":1,"l":"l0 l1"},{"s":2,"t":3,"l":"l1"}]}`)))
+	})
+	more := randomEdges(threshold)
+	within("a further UpdateBatch", func() error {
+		res, err := srv.UpdateBatch(more)
+		if err == nil && res.RebuildTriggered {
+			err = fmt.Errorf("started a second fold while one is pending: %+v", res)
+		}
+		return err
+	})
+
+	release()
+	select {
+	case res := <-folds:
+		if res.Err != nil {
+			t.Fatalf("fold failed: %v", res.Err)
+		}
+	case <-time.After(60 * time.Second):
+		t.Fatal("the released fold never completed")
+	}
+	var st statsResponse
+	getJSON(t, hts.URL+"/stats", &st)
+	if st.Mutable == nil || st.Mutable.Epoch != 1 || st.Mutable.Journal >= threshold {
+		t.Fatalf("after the fold: mutable %+v, want epoch 1 and a journal below %d", st.Mutable, threshold)
+	}
+	union := unionOf(g, append(inserted, more...))
+	for _, l := range []labelseq.Seq{{0}, {1}, {0, 1}, {1, 0}} {
+		for i := 0; i < 100; i++ {
+			s, tt := graph.Vertex(r.Intn(n)), graph.Vertex(r.Intn(n))
+			want, err := traversal.EvalRLC(union, s, tt, l)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, _, err := srv.AnswerRLC(context.Background(), s, tt, l)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got != want {
+				t.Fatalf("after the fold (%d,%d,%v+) = %v, union traversal %v", s, tt, l, got, want)
+			}
+		}
+	}
+}
+
 // TestRebuildWritesBundle: with RebuildPath set, a fold writes a fresh v2
 // bundle, swaps the server onto the mapped file, and the bundle re-opens
 // and verifies standalone with the folded answer baked in.
@@ -760,7 +888,13 @@ func runMutableSoak(t *testing.T, cfg soakConfig) {
 	// Drain any in-flight background fold, then check the epoch count and
 	// final exactness against the fully-inserted ground truth.
 	deadline := time.Now().Add(60 * time.Second)
-	for srv.rebuilding.Load() && time.Now().Before(deadline) {
+	for srv.rebuilding.Load() {
+		if time.Now().After(deadline) {
+			st := srv.store.acquire()
+			journal := st.delta.JournalLen()
+			st.release()
+			t.Fatalf("a fold is still running 60 s after the last insert (epoch %d, journal %d)", srv.epoch.Load(), journal)
+		}
 		time.Sleep(5 * time.Millisecond)
 	}
 	if epoch := srv.epoch.Load(); epoch < 3 {

@@ -28,6 +28,10 @@ const (
 	// gone; benchmark/ sizes its warm-up by it.
 	// Kept for benchmark/; leaves with ROADMAP item 2.
 	DefaultCacheEntries = 1 << 16
+	// DefaultRebuildThreshold is the journal length at which an update to a
+	// mutable server triggers a background fold when
+	// Options.RebuildThreshold is zero.
+	DefaultRebuildThreshold = 1024
 	// DefaultMaxBatch bounds a single POST /batch request.
 	DefaultMaxBatch = 8192
 	// DefaultMaxBodyBytes caps JSON request bodies (POST /update, /batch)
@@ -70,7 +74,7 @@ type Options struct {
 
 	// RebuildThreshold is the journal length at which an update triggers
 	// a background fold-and-rebuild. Zero selects
-	// dynamic.DefaultRebuildThreshold; negative disables automatic folds
+	// DefaultRebuildThreshold; negative disables automatic folds
 	// (POST /rebuild, Server.Rebuild, or SIGUSR1 in rlcserve still fold
 	// on demand). Ignored unless Mutable.
 	RebuildThreshold int
@@ -109,7 +113,7 @@ func (o Options) withDefaults() Options {
 		o.MaxBodyBytes = DefaultMaxBodyBytes
 	}
 	if o.Mutable && o.RebuildThreshold == 0 {
-		o.RebuildThreshold = dynamic.DefaultRebuildThreshold
+		o.RebuildThreshold = DefaultRebuildThreshold
 	}
 	return o
 }

@@ -129,14 +129,12 @@ func NewStoreFromSnapshot(snap *core.Snapshot, opts Options) *Store {
 
 // newDelta builds the write overlay for a generation around ix, seeded with
 // journal (un-folded edges carried over from the previous epoch). Returns
-// nil on immutable stores. The overlay's own automatic rebuild is disabled:
-// the serving layer folds, because its folds also write bundles and swap
-// generations.
+// nil on immutable stores.
 func (s *Store) newDelta(ix *core.Index, journal []graph.Edge) *dynamic.DeltaGraph {
 	if !s.mutable {
 		return nil
 	}
-	d, err := dynamic.NewWithJournal(ix.Graph(), ix, dynamic.Options{RebuildThreshold: -1}, journal)
+	d, err := dynamic.NewWithJournal(ix.Graph(), ix, journal)
 	if err != nil {
 		// Carried-over edges were validated against the same vertex/label
 		// universe when first accepted; a fold never shrinks it.

@@ -389,31 +389,24 @@ func GenerateBA(n, m, numLabels int, seed int64) (*Graph, error) {
 
 // Dynamic-graph extension: the paper's index is static; DeltaGraph overlays
 // edge insertions with exact query answers (the base index, then a
-// bidirectional search over base ∪ journal) and epoch-based background
-// rebuilds (see internal/dynamic).
-type (
-	// DeltaGraph is an RLC-indexed graph accepting edge insertions. It is
-	// safe for concurrent use: queries take no locks and never block on
-	// (or perform) a rebuild; crossing DeltaOptions.RebuildThreshold
-	// triggers a background fold into a fresh epoch.
-	DeltaGraph = dynamic.DeltaGraph
-	// DeltaOptions configures a DeltaGraph.
-	DeltaOptions = dynamic.Options
-	// FoldStats describes one completed DeltaGraph fold-and-rebuild,
-	// delivered to DeltaOptions.OnFold.
-	FoldStats = dynamic.FoldStats
-)
+// bidirectional search over base ∪ journal; see internal/dynamic). It never
+// folds: a Server with ServerOptions.Mutable folds the journal into a
+// rebuilt base and serves each generation through a fresh DeltaGraph.
+
+// DeltaGraph is an RLC-indexed graph accepting edge insertions. It is safe
+// for concurrent use: queries take no locks and never wait for an insert.
+type DeltaGraph = dynamic.DeltaGraph
 
 // ErrDeletionsUnsupported is returned by DeltaGraph.RemoveEdge.
 var ErrDeletionsUnsupported = dynamic.ErrDeletionsUnsupported
 
 // NewDeltaGraph wraps an already-indexed graph for edge insertions.
-func NewDeltaGraph(g *Graph, ix *Index, opts DeltaOptions) *DeltaGraph {
-	return dynamic.New(g, ix, opts)
+func NewDeltaGraph(g *Graph, ix *Index) *DeltaGraph {
+	return dynamic.New(g, ix, dynamic.Options{})
 }
 
-// BuildDeltaGraph indexes g and wraps it in one step.
-func BuildDeltaGraph(g *Graph, opts DeltaOptions) (*DeltaGraph, error) {
+// BuildDeltaGraph indexes g under opts and wraps it in one step.
+func BuildDeltaGraph(g *Graph, opts Options) (*DeltaGraph, error) {
 	return dynamic.Build(g, opts)
 }
 

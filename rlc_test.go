@@ -233,7 +233,7 @@ func TestFacadeGeneratorsAndWorkload(t *testing.T) {
 
 func TestFacadeDeltaGraph(t *testing.T) {
 	g := rlc.ExampleFig2()
-	d, err := rlc.BuildDeltaGraph(g, rlc.DeltaOptions{IndexOptions: rlc.Options{K: 2}})
+	d, err := rlc.BuildDeltaGraph(g, rlc.Options{K: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

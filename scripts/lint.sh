@@ -4,7 +4,8 @@
 # invariants; see internal/analysis) over every package, the one-kernel
 # check (NFA.Step call sites), the no-v1-reader check ("RLCX"), the
 # one-builder-one-reader check, the one-harness-per-question check, the
-# no-closure-in-the-overlay check, the one-decoder-on-/batch check, the
+# no-closure-in-the-overlay check, the one-fold-state-machine check, the
+# one-decoder-on-/batch check, the
 # one-pass-on-/query check, the one-client-stack-in-the-router check, the
 # one-server-stack check, then staticcheck and govulncheck when available.
 # CI runs this in the lint job; run it locally before sending a change that
@@ -99,6 +100,23 @@ stray=$(grep -rnE --include='*.go' 'Reachable(From|Into)ManyFunc\(' internal/dyn
 	grep -v '_test\.go:' || true)
 if [ -n "$stray" ]; then
 	echo "internal/dynamic runs a one-sided closure search; use the evaluator's BiBFSCtx:" >&2
+	echo "$stray" >&2
+	status=1
+fi
+
+# One fold state machine: internal/server/mutable.go folds (rebuildOnce), and
+# a dynamic.DeltaGraph is the overlay of one serving generation. A fold
+# trigger, a wait for it, its callback, its stats or its threshold in
+# internal/dynamic or the facade is the overlay's own background folder
+# coming back: a second state machine that every change to folding would
+# have to change too. So is any goroutine internal/dynamic starts.
+echo "==> fold state machine outside internal/server"
+stray=$({
+	grep -rnE --include='*.go' 'maybeTriggerFold|foldOnce|Quiesce|OnFold|FoldStats|DefaultRebuildThreshold' internal/dynamic rlc.go
+	grep -rnE --include='*.go' '(^|[;{])[[:space:]]*go[[:space:]]+[[:alnum:]_(]' internal/dynamic
+} | grep -v '_test\.go:' || true)
+if [ -n "$stray" ]; then
+	echo "internal/dynamic folds or starts a goroutine; fold in internal/server/mutable.go instead:" >&2
 	echo "$stray" >&2
 	status=1
 fi

@@ -54,10 +54,7 @@ func TestSoakDeltaGraph(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := rlc.BuildDeltaGraph(g, rlc.DeltaOptions{
-		IndexOptions:     rlc.Options{K: 2},
-		RebuildThreshold: 40,
-	})
+	d, err := rlc.BuildDeltaGraph(g, rlc.Options{K: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
