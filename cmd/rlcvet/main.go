@@ -1,25 +1,20 @@
-// Command rlcvet runs the repo's custom static-analysis suite: four
-// analyzers that enforce invariants the compiler cannot — RCU pin/release
-// pairing (pinrelease), zero-copy view lifetimes (viewescape), allocation-free
-// hot paths (noalloc), and exhaustive sentinel-to-wire-code mapping (errcode).
+// Command rlcvet runs the repo's custom static-analysis suite: three
+// analyzers that enforce invariants the compiler cannot — zero-copy view
+// lifetimes (viewescape), allocation-free hot paths (noalloc), and exhaustive
+// sentinel-to-wire-code mapping (errcode).
 //
 //	rlcvet ./...
-//	rlcvet -checks pinrelease,noalloc ./internal/server
+//	rlcvet -checks noalloc,errcode ./internal/server
 //	rlcvet -list
-//	go vet -vettool=$(which rlcvet) ./...
 //
-// Standalone mode (package patterns) loads and type-checks the whole module
-// plus its dependency closure from source, giving every analyzer
-// cross-package visibility of //rlc: annotations; this is the mode CI runs.
-// Under `go vet -vettool` the build system drives rlcvet one package at a
-// time with export data for dependencies, so cross-package annotation
-// visibility is reduced to same-package facts.
+// It loads and type-checks the whole module plus its dependency closure
+// from source, giving every analyzer cross-package visibility of //rlc:
+// annotations; scripts/lint.sh and CI run it this way.
 //
 // Exit status: 0 clean, 1 findings reported, 2 usage or load error.
 package main
 
 import (
-	"crypto/sha256"
 	"flag"
 	"fmt"
 	"os"
@@ -28,37 +23,17 @@ import (
 	"github.com/g-rpqs/rlc-go/internal/analysis"
 )
 
-const synopsis = "rlcvet — static analysis enforcing rlc-go's pin, zero-copy view, noalloc, and error-code invariants"
+const synopsis = "rlcvet — static analysis enforcing rlc-go's zero-copy view, noalloc, and error-code invariants"
 
 func main() {
 	var (
 		checks = flag.String("checks", "", "comma-separated analyzer subset to run (default: all)")
 		list   = flag.Bool("list", false, "list the analyzers and exit")
 		dir    = flag.String("C", ".", "directory to resolve package patterns from")
-		vFlag  = flag.String("V", "", "version handshake for the go command (go vet passes -V=full)")
 	)
 	flag.Usage = usage
-
-	// `go vet -vettool` probes the tool with a literal `-flags` argument
-	// before anything else, expecting a JSON list of the tool's analyzer
-	// flags so it can forward matching vet flags. rlcvet exposes none
-	// through that channel (selection happens via -checks when run
-	// standalone), so the answer is the empty list. Handled before
-	// flag.Parse, which would reject the unregistered flag.
-	if len(os.Args) == 2 && os.Args[1] == "-flags" {
-		fmt.Println("[]")
-		return
-	}
 	flag.Parse()
 
-	if *vFlag != "" {
-		// `go vet -vettool` handshake: the build system demands
-		// `rlcvet version devel ... buildID=<content hash>` and uses the
-		// hash as the cache key, so vet results are invalidated exactly
-		// when the analyzer binary itself changes.
-		printVersion()
-		return
-	}
 	if *list {
 		for _, a := range analysis.All() {
 			fmt.Printf("%-12s %s\n", a.Name, a.Doc)
@@ -72,16 +47,11 @@ func main() {
 		usage()
 		os.Exit(2)
 	}
-
-	args := flag.Args()
-	if len(args) == 1 && strings.HasSuffix(args[0], ".cfg") {
-		os.Exit(unitVet(analyzers, args[0]))
-	}
-	os.Exit(standalone(analyzers, *dir, args))
+	os.Exit(vet(analyzers, *dir, flag.Args()))
 }
 
-// standalone loads the whole program from source and runs the suite.
-func standalone(analyzers []*analysis.Analyzer, dir string, patterns []string) int {
+// vet loads the whole program from source and runs the suite.
+func vet(analyzers []*analysis.Analyzer, dir string, patterns []string) int {
 	prog, err := analysis.Load(dir, patterns...)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "rlcvet: %v\n", err)
@@ -124,22 +94,6 @@ func selectAnalyzers(checks string) ([]*analysis.Analyzer, error) {
 		return nil, fmt.Errorf("-checks selected no analyzers")
 	}
 	return out, nil
-}
-
-// printVersion answers the -V handshake with a content hash of the running
-// executable, the same scheme x/tools' unitchecker uses.
-func printVersion() {
-	exe, err := os.Executable()
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "rlcvet: %v\n", err)
-		os.Exit(2)
-	}
-	data, err := os.ReadFile(exe)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "rlcvet: %v\n", err)
-		os.Exit(2)
-	}
-	fmt.Printf("rlcvet version devel buildID=%02x\n", sha256.Sum256(data))
 }
 
 func usage() {

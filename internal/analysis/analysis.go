@@ -6,7 +6,6 @@ import (
 	"go/token"
 	"go/types"
 	"sort"
-	"strings"
 )
 
 // Analyzer is one named invariant checker. The shape deliberately mirrors
@@ -83,19 +82,11 @@ type Program struct {
 	// Targets are the pattern-matched packages, in load order.
 	Targets []*Package
 
-	// Unit marks a single-package load driven by `go vet -vettool`, where
-	// dependencies exist as export data only. Checks that need callee or
-	// cross-package source (noalloc callee verdicts, errcode's imported
-	// sentinel sweep) degrade to same-package facts instead of reporting
-	// everything outside the universe as unknowable; the standalone
-	// whole-program mode remains the authoritative CI gate.
-	Unit bool
-
 	directives *directiveIndex
 }
 
 // SourcePackage returns the loaded package with source for path, nil if the
-// path is unknown or was imported from export data only.
+// path is unknown or has no source in the universe.
 func (prog *Program) SourcePackage(path string) *Package {
 	p := prog.Packages[path]
 	if p == nil || len(p.Files) == 0 {
@@ -114,7 +105,7 @@ func (prog *Program) PackageOf(obj types.Object) *Package {
 }
 
 // FuncDeclOf returns the source declaration of fn, nil when the body is not
-// part of the universe (standard library, export-data import, interface
+// part of the universe (a package loaded without source, an interface
 // method).
 func (prog *Program) FuncDeclOf(fn *types.Func) *ast.FuncDecl {
 	pkg := prog.PackageOf(fn)
@@ -146,16 +137,9 @@ func (prog *Program) Run(analyzers []*Analyzer) ([]Diagnostic, error) {
 				Prog:     prog,
 				Pkg:      pkg,
 				Fset:     prog.Fset,
-				Report: func(d Diagnostic) {
-					// The suite enforces production-code invariants; test
-					// files (loaded in unit mode, where go vet hands over
-					// the test variant of a package) may hold pins across
-					// assertions or allocate freely.
-					if strings.HasSuffix(prog.Fset.Position(d.Pos).Filename, "_test.go") {
-						return
-					}
-					diags = append(diags, d)
-				},
+				// Load reads no _test.go file: the suite polices
+				// production code only.
+				Report: func(d Diagnostic) { diags = append(diags, d) },
 			}
 			if err := a.Run(pass); err != nil {
 				return diags, fmt.Errorf("%s: %s: %w", a.Name, pkg.Path, err)
@@ -177,7 +161,7 @@ func (prog *Program) Run(analyzers []*Analyzer) ([]Diagnostic, error) {
 
 // All returns the full analyzer suite in reporting order.
 func All() []*Analyzer {
-	return []*Analyzer{PinRelease, ViewEscape, NoAlloc, ErrCode}
+	return []*Analyzer{ViewEscape, NoAlloc, ErrCode}
 }
 
 // ByName resolves one analyzer, nil if unknown.

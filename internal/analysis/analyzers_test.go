@@ -2,14 +2,6 @@ package analysis
 
 import "testing"
 
-func TestPinRelease(t *testing.T) {
-	runFixture(t, PinRelease, "pinrelease_a")
-}
-
-func TestPinReleaseLoops(t *testing.T) {
-	runFixture(t, PinRelease, "pinrelease_loop")
-}
-
 func TestViewEscape(t *testing.T) {
 	runFixture(t, ViewEscape, "viewescape_a")
 }

@@ -40,16 +40,6 @@ func localVar(info *types.Info, expr ast.Expr) *types.Var {
 	return v
 }
 
-// isNilIdent reports whether expr is the predeclared nil.
-func isNilIdent(info *types.Info, expr ast.Expr) bool {
-	id, ok := ast.Unparen(expr).(*ast.Ident)
-	if !ok {
-		return false
-	}
-	_, isNil := info.Uses[id].(*types.Nil)
-	return isNil
-}
-
 // isConversion reports whether call is a type conversion rather than a
 // function call.
 func isConversion(info *types.Info, call *ast.CallExpr) bool {

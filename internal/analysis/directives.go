@@ -19,10 +19,6 @@ const (
 	// dirViewOwner marks a function blessed to retain views because it
 	// manages the mapping's lifetime (snapshot adoption).
 	dirViewOwner
-	// dirAcquire marks a function returning an RCU pin (pinrelease).
-	dirAcquire
-	// dirRelease marks the method that drops an RCU pin (pinrelease).
-	dirRelease
 	// dirErrCode marks the sentinel-to-wire-code mapping function whose
 	// exhaustiveness the errcode analyzer enforces.
 	dirErrCode
@@ -36,8 +32,6 @@ var directiveNames = map[string]dirSet{
 	"noalloc":        dirNoAlloc,
 	"view":           dirView,
 	"viewowner":      dirViewOwner,
-	"acquire":        dirAcquire,
-	"release":        dirRelease,
 	"errcode":        dirErrCode,
 	"errcode-exempt": dirErrCodeExempt,
 }

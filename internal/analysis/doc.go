@@ -1,17 +1,12 @@
-// Package analysis is the repo's static-analysis suite: four custom
+// Package analysis is the repo's static-analysis suite: three custom
 // analyzers that machine-check the invariants the concurrent serving stack
 // rests on, plus the self-contained framework that runs them (the container
 // deliberately carries no module dependencies, so the framework mirrors the
 // golang.org/x/tools/go/analysis API shape on the standard library alone —
 // go/ast + go/types over packages enumerated with `go list -json -deps`).
 //
-// The analyzers, surfaced through cmd/rlcvet (standalone or as
-// `go vet -vettool`):
+// The analyzers, surfaced through cmd/rlcvet:
 //
-//   - pinrelease: every RCU pin taken with an //rlc:acquire function is
-//     paired with exactly one //rlc:release on every control-flow path,
-//     including panic edges — leaks, double releases, and defer-in-loop
-//     pin pile-ups are vet errors.
 //   - viewescape: zero-copy slices produced by //rlc:view accessors are
 //     borrows of mmap'd memory; storing one to a struct field, global,
 //     channel, or returning it from an unannotated function is a vet error.
@@ -24,6 +19,10 @@
 //     must be mapped to a machine-readable wire code in the function
 //     annotated //rlc:errcode; adding a sentinel without a code is a vet
 //     error (exempt a sentinel with //rlc:errcode-exempt).
+//
+// Generation pins need no analyzer: internal/server takes every one through
+// Store.with, which releases it with defer, and scripts/lint.sh fails on a
+// refcount call anywhere else in the package.
 //
 // Annotations are ordinary //rlc:<name> directive comments on the
 // declaration they govern, so the invariant travels with the code it

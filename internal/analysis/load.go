@@ -170,37 +170,3 @@ func typecheck(fset *token.FileSet, path string, files []*ast.File, imp types.Im
 func sourceImporter(fset *token.FileSet) types.Importer {
 	return importer.ForCompiler(fset, "source", nil)
 }
-
-// NewProgram returns an empty Program ready for explicit package loading —
-// the `go vet -vettool` unit-checking mode, where the build system hands the
-// driver one package at a time with export data for its dependencies.
-func NewProgram() *Program {
-	return &Program{
-		Fset:     token.NewFileSet(),
-		Packages: make(map[string]*Package),
-	}
-}
-
-// LoadPackage parses and type-checks one package from explicit file names,
-// resolving imports through imp (typically export data supplied by the build
-// system), and registers it as an analysis target. Cross-package annotation
-// visibility is limited to packages with source in prog, so unit-mode runs
-// see a subset of what whole-program Load sees.
-func (prog *Program) LoadPackage(path string, filenames []string, imp types.Importer) (*Package, error) {
-	var files []*ast.File
-	for _, name := range filenames {
-		f, err := parser.ParseFile(prog.Fset, name, nil, parser.ParseComments|parser.SkipObjectResolution)
-		if err != nil {
-			return nil, fmt.Errorf("parse %s: %w", name, err)
-		}
-		files = append(files, f)
-	}
-	tpkg, info, errs := typecheck(prog.Fset, path, files, imp)
-	pkg := &Package{Path: path, Name: tpkg.Name(), Files: files, Types: tpkg, Info: info, Target: true, TypeErrors: errs}
-	if len(errs) > 0 {
-		return pkg, fmt.Errorf("typecheck %s: %v", path, errs[0])
-	}
-	prog.Packages[path] = pkg
-	prog.Targets = append(prog.Targets, pkg)
-	return pkg, nil
-}

@@ -182,10 +182,7 @@ func (ac *allocChecker) call(pkg *Package, call *ast.CallExpr, report func(token
 		ac.boxingInCall(info, call, callee, report)
 		if v := ac.verdictOf(callee); v != nil && v.bad {
 			report(call.Pos(), fmt.Sprintf("calls %s which allocates (%s)", calleeLabel(callee), v.what))
-		} else if v == nil && !ac.pass.Prog.Unit {
-			// In unit mode dependency bodies are export data only, so an
-			// unavailable body is the norm, not a finding; the standalone
-			// whole-program run is where this check has teeth.
+		} else if v == nil {
 			report(call.Pos(), fmt.Sprintf("calls %s whose body is outside the analysis universe: allocation unknowable", calleeLabel(callee)))
 		}
 		return

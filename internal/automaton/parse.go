@@ -97,16 +97,20 @@ func parseLabels(toks []string, resolve func(string) (labelseq.Label, bool)) (la
 // facade, the CLIs, the HTTP server — goes through this one resolver, so
 // the accepted token forms cannot drift between them.
 func ParseForGraph(s string, g *graph.Graph) (Expr, error) {
-	return Parse(s, func(tok string) (labelseq.Label, bool) {
-		if l, ok := g.LabelByName(tok); ok {
-			return l, true
-		}
-		l, ok := NumericLabels(tok)
-		if !ok || int(l) >= g.NumLabels() {
-			return l, false
-		}
-		return l, ok
-	})
+	return Parse(s, func(tok string) (labelseq.Label, bool) { return LabelForGraph(tok, g) })
+}
+
+// LabelForGraph is ParseForGraph's resolver for one label token: g's label
+// names first, then the "l0"/"0" numeric forms bounded by g's label count.
+func LabelForGraph(tok string, g *graph.Graph) (labelseq.Label, bool) {
+	if l, ok := g.LabelByName(tok); ok {
+		return l, true
+	}
+	l, ok := NumericLabels(tok)
+	if !ok || int(l) >= g.NumLabels() {
+		return l, false
+	}
+	return l, ok
 }
 
 // NumericLabels resolves tokens of the form "l3" or "3" to label 3. Use it

@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"encoding/json"
-	"io"
 	"net/http"
 	"strconv"
 	"time"
@@ -162,16 +161,16 @@ func (l *Leader) handleBundle(w http.ResponseWriter, r *http.Request) {
 		badRequest(w, "bundle: bad or missing epoch parameter: "+err.Error())
 		return
 	}
-	rc, rs, err := l.srv.BundleReader(epoch)
-	l.handshake(w, rs)
+	rs, err := l.srv.SendBundle(epoch, func(rs server.ReplState, bundle []byte) {
+		l.handshake(w, rs)
+		w.Header().Set("Content-Type", "application/octet-stream")
+		w.Header().Set("Content-Length", strconv.Itoa(len(bundle)))
+		// The bundle is the pinned generation's mapping, valid until this
+		// function returns: it is written straight from it, in one call.
+		_, _ = w.Write(bundle)
+	})
 	if err != nil {
+		l.handshake(w, rs)
 		replError(w, err)
-		return
 	}
-	defer rc.Close()
-	w.Header().Set("Content-Type", "application/octet-stream")
-	if rs.BundleBytes > 0 {
-		w.Header().Set("Content-Length", strconv.FormatInt(rs.BundleBytes, 10))
-	}
-	_, _ = io.Copy(w, rc)
 }

@@ -686,16 +686,11 @@ func appendReplyTail(b []byte, count int, micros float64) []byte {
 	return appendMicros(b, micros)
 }
 
-func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) bool {
-	st := s.store.acquire()
-	if st == nil {
-		return writeError(w, http.StatusServiceUnavailable, "server closed")
-	}
-	defer st.release()
+func (s *Server) handleBatch(st *state, w http.ResponseWriter, r *http.Request) bool {
 	// Same pre-compute capture as /query: every per-query answer below is
 	// computed at or after this point, so the floor holds for all of them.
 	st.replHeaders(w.Header())
-	s.limitBody(w, r)
+	limitBody(w, r)
 
 	bs := batchStates.Get().(*batchState)
 	defer bs.release()

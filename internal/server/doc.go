@@ -16,11 +16,13 @@
 //	GET  /healthz          liveness, generation, epoch/journal when mutable
 //
 // Every serving generation — index, graph, hybrid pool, delta overlay,
-// backing snapshot mapping — lives in one RCU state (store.go)
-// each request pins for its lifetime, so reloads AND the write path's
-// background folds swap generations with zero downtime and exact answers
-// throughout (mutable.go drives the fold: build base ∪ journal, optionally
-// write + verify a fresh v2 bundle, carry un-folded edges over, swap).
+// backing snapshot mapping — lives in one RCU state (store.go) that each
+// request pins for its lifetime, so reloads AND the write path's background
+// folds swap generations with zero downtime and exact answers throughout
+// (mutable.go drives the fold: build base ∪ journal, optionally write +
+// verify a fresh v2 bundle, carry un-folded edges over, swap). Every pin is
+// taken through Store.with, which releases it with defer: a pinned state is
+// a function argument, never a value a caller must remember to release.
 //
 // Nothing sits in front of the index: a probe costs 100–250 ns, less than
 // the bookkeeping of a result cache that would save it, so every read is

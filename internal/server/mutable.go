@@ -8,6 +8,7 @@ import (
 	"strconv"
 	"time"
 
+	"github.com/g-rpqs/rlc-go/internal/automaton"
 	"github.com/g-rpqs/rlc-go/internal/core"
 	"github.com/g-rpqs/rlc-go/internal/dynamic"
 	"github.com/g-rpqs/rlc-go/internal/graph"
@@ -77,32 +78,34 @@ type RebuildResult struct {
 // Queries racing with the batch never block and answer exactly against
 // whatever prefix of the batch is visible. Crossing Options.
 // RebuildThreshold triggers a background fold; the call never waits for it.
-func (s *Server) UpdateBatch(edges []graph.Edge) (UpdateResult, error) {
+func (s *Server) UpdateBatch(edges []graph.Edge) (res UpdateResult, err error) {
 	if !s.opts.Mutable {
 		return UpdateResult{}, errNotMutable
 	}
 	s.updateMu.Lock()
 	defer s.updateMu.Unlock()
-	st := s.store.acquire()
-	if st == nil {
+	if !s.store.with(func(st *state) {
+		// Publishing the batch advances seqNow: a read stamped with the new
+		// sequence already searches the new edges.
+		if err = st.delta.AddEdges(edges); err != nil {
+			return
+		}
+		// Epoch and Seq come from the pinned generation the batch landed in
+		// (updateMu excludes a concurrent fold's swap, so it IS the current
+		// one) — mutually consistent coordinates for the write token.
+		res = UpdateResult{
+			Accepted: len(edges),
+			Journal:  st.delta.JournalLen(),
+			Epoch:    st.epoch,
+			Seq:      st.seqNow(),
+		}
+	}) {
 		return UpdateResult{}, errServerClosed
 	}
-	defer st.release()
-	// Publishing the batch advances seqNow: a read stamped with the new
-	// sequence already searches the new edges.
-	if err := st.delta.AddEdges(edges); err != nil {
+	if err != nil {
 		return UpdateResult{}, err
 	}
 	s.store.writes.Add(uint64(len(edges))) // /stats only
-	// Epoch and Seq come from the pinned generation the batch landed in
-	// (updateMu excludes a concurrent fold's swap, so it IS the current
-	// one) — mutually consistent coordinates for the write token.
-	res := UpdateResult{
-		Accepted: len(edges),
-		Journal:  st.delta.JournalLen(),
-		Epoch:    st.epoch,
-		Seq:      st.seqNow(),
-	}
 	if thr := s.opts.RebuildThreshold; thr > 0 && res.Journal >= thr {
 		res.RebuildTriggered = s.TriggerRebuild()
 	}
@@ -216,47 +219,43 @@ func micros(d time.Duration) float64 { return float64(d.Nanoseconds()) / 1e3 }
 // base ∪ journal and read the build parameters. The fold inherits the base
 // index's build options (k, packed/unpacked, pruning flags) so a rebuilt
 // epoch answers from the same representation the base did — in particular,
-// folds of a packed base emit packed bundles. The pin is defer-scoped so a
-// panic inside FoldInput cannot strand the generation's snapshot.
+// folds of a packed base emit packed bundles.
 func (s *Server) foldInput() (union *graph.Graph, folded int, opts core.Options, err error) {
-	st := s.store.acquire()
-	if st == nil {
+	if !s.store.with(func(st *state) {
+		union, folded = st.delta.FoldInput()
+		opts = st.ix.BuildOptions()
+		opts.K = st.ix.K()
+	}) {
 		return nil, 0, core.Options{}, errServerClosed
 	}
-	defer st.release()
-	union, folded = st.delta.FoldInput()
-	opts = st.ix.BuildOptions()
-	opts.K = st.ix.K()
 	return union, folded, opts, nil
 }
 
 // installFolded pauses writers, carries the un-folded journal tail into the
 // new generation, and swaps it in. Returns the carried-over journal length
 // and the new epoch. Writers pause only here, so the journal tail observed
-// is complete and no insert slips between carry-over and swap. The pin is
-// defer-scoped: a panic in JournalTail or the swap cannot strand the
-// pre-fold generation.
+// is complete and no insert slips between carry-over and swap.
 func (s *Server) installFolded(ix *core.Index, src *core.Snapshot, folded int, source string) (leftover int, epoch uint64, err error) {
 	s.updateMu.Lock()
 	defer s.updateMu.Unlock()
-	st := s.store.acquire()
-	if st == nil {
+	if !s.store.with(func(st *state) {
+		tail := st.delta.JournalTail(folded)
+		// The new generation advances the replication timeline: one more
+		// epoch, and the folded journal prefix moves under the base
+		// (seqBase). Derived from the pinned pre-fold state so a racing
+		// reader's (epoch, seq) translation stays consistent with whichever
+		// generation it pinned.
+		epoch = st.epoch + 1
+		s.store.SwapFolded(ix, src, tail, source, epoch, st.seqBase+uint64(folded))
+		leftover = len(tail)
+	}) {
 		if src != nil {
 			src.Close()
 		}
 		return 0, 0, errServerClosed
 	}
-	defer st.release()
-	tail := st.delta.JournalTail(folded)
-	// The new generation advances the replication timeline: one more epoch,
-	// and the folded journal prefix moves under the base (seqBase). Derived
-	// from the pinned pre-fold state so a racing reader's (epoch, seq)
-	// translation stays consistent with whichever generation it pinned.
-	epoch = st.epoch + 1
-	seqBase := st.seqBase + uint64(folded)
-	s.store.SwapFolded(ix, src, tail, source, epoch, seqBase)
 	s.epoch.Store(epoch)
-	return len(tail), epoch, nil
+	return leftover, epoch, nil
 }
 
 // finishRebuild records fold telemetry and fires the OnRebuild callback.
@@ -295,10 +294,10 @@ func (v *vertexToken) UnmarshalJSON(b []byte) error {
 }
 
 // updateEdgeInput is one edge of a POST /update request. s and t accept
-// numeric ids or display names (like queries); l is a single label token
-// (id, "l<i>", or name). op may be "insert" (the default); "delete" is
-// rejected with the deletions_unsupported code — the RLC index is
-// insert-only incremental.
+// numeric ids or display names (like queries); l is a single label token,
+// resolved as a query's labels are. op may be "insert" (the default);
+// "delete" is rejected with the deletions_unsupported code — the RLC index
+// is insert-only incremental.
 type updateEdgeInput struct {
 	S vertexToken `json:"s"`
 	// L reuses the token normalizer so labels, like vertices, arrive as a
@@ -316,19 +315,14 @@ type updateRequest struct {
 	Edges []updateEdgeInput `json:"edges"`
 }
 
-func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) bool {
+func (s *Server) handleUpdate(st *state, w http.ResponseWriter, r *http.Request) bool {
 	if !s.opts.Mutable {
 		return writeErr(w, http.StatusNotImplemented, errNotMutable)
 	}
 	if s.opts.Role == "follower" {
 		return writeErr(w, http.StatusForbidden, errNotLeader)
 	}
-	st := s.store.acquire()
-	if st == nil {
-		return writeError(w, http.StatusServiceUnavailable, "server closed")
-	}
-	defer st.release()
-	s.limitBody(w, r)
+	limitBody(w, r)
 	var req updateRequest
 	dec := json.NewDecoder(r.Body)
 	dec.DisallowUnknownFields()
@@ -364,7 +358,7 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) bool {
 	}
 	// Write token headers come from the batch's own result, not the
 	// handler's pin: a fold may have swapped generations between this
-	// handler's acquire and the batch landing, and the token must describe
+	// handler's pin and the batch landing, and the token must describe
 	// the generation that actually took the write.
 	h := w.Header()
 	h.Set(HeaderEpoch, strconv.FormatUint(res.Epoch, 10))
@@ -389,39 +383,14 @@ func (st *state) resolveUpdateEdge(in updateEdgeInput) (graph.Edge, error) {
 	if err != nil {
 		return graph.Edge{}, fmt.Errorf("t: %w", err)
 	}
-	lb, err := st.label(string(in.L))
-	if err != nil {
-		return graph.Edge{}, fmt.Errorf("l: %w", err)
+	// The one label resolver the expression parser uses, so a token names
+	// the same label in an update as in a query; a miss wraps
+	// ErrUnknownLabel, the sentinel the index uses.
+	lb, ok := automaton.LabelForGraph(string(in.L), st.g)
+	if !ok {
+		return graph.Edge{}, fmt.Errorf("l: %w: %q", core.ErrUnknownLabel, string(in.L))
 	}
 	return graph.Edge{Src: src, Dst: dst, Label: lb}, nil
-}
-
-// label resolves a label token: a numeric id, a display name, or the
-// "l<i>" spelling the expression syntax uses for unnamed labels. Range
-// violations wrap ErrUnknownLabel, the same sentinel the index uses, so
-// clients see one stable error code.
-func (st *state) label(tok string) (graph.Label, error) {
-	if tok == "" {
-		return 0, fmt.Errorf("%w: missing label", core.ErrUnknownLabel)
-	}
-	if id, err := strconv.Atoi(tok); err == nil {
-		if id < 0 || id >= st.g.NumLabels() {
-			return 0, fmt.Errorf("%w: label %d out of range [0, %d)", core.ErrUnknownLabel, id, st.g.NumLabels())
-		}
-		return graph.Label(id), nil
-	}
-	if l, ok := st.g.LabelByName(tok); ok {
-		return l, nil
-	}
-	if len(tok) > 1 && tok[0] == 'l' {
-		if id, err := strconv.Atoi(tok[1:]); err == nil {
-			if id >= 0 && id < st.g.NumLabels() {
-				return graph.Label(id), nil
-			}
-			return 0, fmt.Errorf("%w: label %s out of range [0, %d)", core.ErrUnknownLabel, tok, st.g.NumLabels())
-		}
-	}
-	return 0, fmt.Errorf("%w: unknown label %q", core.ErrUnknownLabel, tok)
 }
 
 // rebuildResponse is the POST /rebuild reply.

@@ -221,6 +221,33 @@ func TestUpdateValidation(t *testing.T) {
 	}
 }
 
+// TestUpdateLabelResolvesAsQuery: a label token names the same label in
+// /update as in /query. On a graph whose label "1" is id 0 and "0" is id 1,
+// the update {"l":"1"} must insert an edge labelled "1", not label id 1.
+func TestUpdateLabelResolvesAsQuery(t *testing.T) {
+	g, err := graph.Read(strings.NewReader("a b 1\nb c 0\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if one, _ := g.LabelByName("1"); one != 0 {
+		t.Fatalf(`label "1" is id %d, want 0`, one)
+	}
+	_, hts := newTestServer(t, buildIndex(t, g), Options{Mutable: true, RebuildThreshold: -1})
+	if code := postJSON(t, hts.URL+"/update", `{"s":"a","l":"1","t":"c"}`, nil); code != http.StatusOK {
+		t.Fatalf("update status %d", code)
+	}
+	for _, c := range []struct {
+		l    string
+		want bool
+	}{{"1", true}, {"0", false}} {
+		var q queryResponse
+		getJSON(t, queryURL(hts.URL, "a", "c", c.l), &q)
+		if q.Reachable != c.want {
+			t.Errorf("(a, c, %s+) = %v after inserting a -1-> c, want %v", c.l, q.Reachable, c.want)
+		}
+	}
+}
+
 // TestImmutableServerRejectsWrites: the write path answers 501 with the
 // "immutable" code unless Options.Mutable is set, and reloads are refused
 // on mutable servers.

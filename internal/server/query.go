@@ -211,12 +211,7 @@ func sendJSON(w http.ResponseWriter, body []byte) {
 	_, _ = w.Write(body)
 }
 
-func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) bool {
-	st := s.store.acquire()
-	if st == nil {
-		return writeError(w, http.StatusServiceUnavailable, "server closed")
-	}
-	defer st.release()
+func (s *Server) handleQuery(st *state, w http.ResponseWriter, r *http.Request) bool {
 	sTok, tTok, lTok := queryParams(r.URL.RawQuery)
 	if sTok == "" || tTok == "" || lTok == "" {
 		return writeError(w, http.StatusBadRequest, "missing parameter: s, t, and l are all required")

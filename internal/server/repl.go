@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"strconv"
 
@@ -106,13 +105,11 @@ func (st *state) replHeaders(h http.Header) {
 	}
 }
 
-// limitBody caps r.Body at Options.MaxBodyBytes; reads past the cap fail
+// limitBody caps r.Body at DefaultMaxBodyBytes; reads past the cap fail
 // with *http.MaxBytesError, which the JSON handlers surface as HTTP 413
 // with code "body_too_large".
-func (s *Server) limitBody(w http.ResponseWriter, r *http.Request) {
-	if s.opts.MaxBodyBytes > 0 {
-		r.Body = http.MaxBytesReader(w, r.Body, s.opts.MaxBodyBytes)
-	}
+func limitBody(w http.ResponseWriter, r *http.Request) {
+	r.Body = http.MaxBytesReader(w, r.Body, DefaultMaxBodyBytes)
 }
 
 // replState reads the replication coordinates of one pinned generation.
@@ -138,13 +135,9 @@ func (s *Server) replState(st *state) ReplState {
 
 // ReplState snapshots the current generation's replication coordinates
 // (the zero value after Close).
-func (s *Server) ReplState() ReplState {
-	st := s.store.acquire()
-	if st == nil {
-		return ReplState{}
-	}
-	defer st.release()
-	return s.replState(st)
+func (s *Server) ReplState() (rs ReplState) {
+	s.store.with(func(st *state) { rs = s.replState(st) })
+	return rs
 }
 
 // ExportSealed copies sealed journal edges starting at global sequence
@@ -153,81 +146,66 @@ func (s *Server) ReplState() ReplState {
 // pending, the journal tail is force-sealed first — the leader's long-poll
 // path uses it so a trickle of writes below the segment size still
 // replicates promptly. A cursor below the folded base fails with the
-// behind-bundle sentinel (the caller must cut over via BundleReader); one
+// behind-bundle sentinel (the caller must cut over via SendBundle); one
 // past the log fails as a foreign log.
-func (s *Server) ExportSealed(from uint64, flush bool) ([]graph.Edge, ReplState, error) {
+func (s *Server) ExportSealed(from uint64, flush bool) (edges []graph.Edge, rs ReplState, err error) {
 	if !s.opts.Mutable {
 		return nil, ReplState{}, errNotMutable
 	}
-	st := s.store.acquire()
-	if st == nil {
-		return nil, ReplState{}, errServerClosed
-	}
-	defer st.release()
-	rs := s.replState(st)
-	if from < rs.SeqBase {
-		return nil, rs, fmt.Errorf("%w (cursor %d, base %d)", errSeqFolded, from, rs.SeqBase)
-	}
-	if from > rs.Seq {
-		return nil, rs, fmt.Errorf("%w (cursor %d, log end %d)", errSeqAhead, from, rs.Seq)
-	}
-	local := int(from - rs.SeqBase)
-	edges := st.delta.ExportSealed(local)
-	if len(edges) == 0 && flush && st.delta.JournalLen() > local {
-		st.delta.Seal()
+	if !s.store.with(func(st *state) {
+		rs = s.replState(st)
+		if from < rs.SeqBase {
+			err = fmt.Errorf("%w (cursor %d, base %d)", errSeqFolded, from, rs.SeqBase)
+			return
+		}
+		if from > rs.Seq {
+			err = fmt.Errorf("%w (cursor %d, log end %d)", errSeqAhead, from, rs.Seq)
+			return
+		}
+		local := int(from - rs.SeqBase)
 		edges = st.delta.ExportSealed(local)
-		rs.SealedSeq = rs.SeqBase + uint64(st.delta.SealedLen())
-	}
-	return edges, rs, nil
-}
-
-// pinnedBundle streams a snapshot-backed generation's raw bundle bytes
-// while holding the generation pinned; Close releases the pin, which is
-// what keeps the mapping alive for the whole transfer.
-type pinnedBundle struct {
-	r  *bytes.Reader
-	st *state
-}
-
-func (b *pinnedBundle) Read(p []byte) (int, error) { return b.r.Read(p) }
-
-func (b *pinnedBundle) Close() error {
-	if b.st != nil {
-		b.st.release()
-		b.st = nil
-	}
-	return nil
-}
-
-// BundleReader opens a byte stream of the serving base bundle for epoch
-// cutover, verifying the caller's expected epoch against the pinned
-// generation (a fold racing the request fails it cleanly instead of
-// shipping a surprise epoch). Snapshot-backed generations stream the
-// already-checksummed mapping zero-copy under a pin that the returned
-// Close releases; heap-built bases are serialized on the fly. The stream
-// never includes journal edges — those ship as segments.
-func (s *Server) BundleReader(wantEpoch uint64) (io.ReadCloser, ReplState, error) {
-	st := s.store.acquire()
-	if st == nil {
+		if len(edges) == 0 && flush && st.delta.JournalLen() > local {
+			st.delta.Seal()
+			edges = st.delta.ExportSealed(local)
+			rs.SealedSeq = rs.SeqBase + uint64(st.delta.SealedLen())
+		}
+	}) {
 		return nil, ReplState{}, errServerClosed
 	}
-	rs := s.replState(st)
-	if rs.Epoch != wantEpoch {
-		st.release()
-		return nil, rs, fmt.Errorf("%w (requested %d, serving %d)", errEpochGone, wantEpoch, rs.Epoch)
+	return edges, rs, err
+}
+
+// SendBundle hands send the serving base bundle for epoch cutover, with the
+// coordinates of the generation it belongs to, and returns those
+// coordinates. The caller's expected epoch is checked against the pinned
+// generation: a fold racing the request fails it with the epoch_gone
+// sentinel, and send is not called, instead of shipping a surprise epoch.
+// send runs with the generation pinned, so a snapshot-backed bundle is the
+// already-checksummed mapping itself, zero-copy, and is valid only until
+// send returns; a heap-built base is serialized first. The bundle never
+// includes journal edges — those ship as segments.
+func (s *Server) SendBundle(wantEpoch uint64, send func(ReplState, []byte)) (rs ReplState, err error) {
+	if !s.store.with(func(st *state) {
+		rs = s.replState(st)
+		if rs.Epoch != wantEpoch {
+			err = fmt.Errorf("%w (requested %d, serving %d)", errEpochGone, wantEpoch, rs.Epoch)
+			return
+		}
+		if st.src != nil {
+			send(rs, st.src.Bytes())
+			return
+		}
+		var buf bytes.Buffer
+		if err = st.ix.WriteSnapshot(&buf); err != nil {
+			err = fmt.Errorf("server: serialize bundle: %w", err)
+			return
+		}
+		rs.BundleBytes = int64(buf.Len())
+		send(rs, buf.Bytes())
+	}) {
+		return ReplState{}, errServerClosed
 	}
-	if st.src != nil {
-		// Ownership of the pin transfers to the reader; Close releases it.
-		return &pinnedBundle{r: bytes.NewReader(st.src.Bytes()), st: st}, rs, nil
-	}
-	var buf bytes.Buffer
-	err := st.ix.WriteSnapshot(&buf)
-	st.release()
-	if err != nil {
-		return nil, rs, fmt.Errorf("server: serialize bundle: %w", err)
-	}
-	rs.BundleBytes = int64(buf.Len())
-	return io.NopCloser(bytes.NewReader(buf.Bytes())), rs, nil
+	return rs, err
 }
 
 // AdoptFolded installs an externally produced fold epoch: a verified

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -217,17 +218,24 @@ func TestBundleAdoptRoundtrip(t *testing.T) {
 	}
 
 	// Bundle cutover. Asking for a stale epoch must fail closed.
-	if _, _, err := leader.BundleReader(0); err == nil || errorCode(err) != "epoch_gone" {
+	noSend := func(ReplState, []byte) { t.Fatal("a stale-epoch bundle request reached send") }
+	if _, err := leader.SendBundle(0, noSend); err == nil || errorCode(err) != "epoch_gone" {
 		t.Fatalf("stale-epoch bundle: err %v, want epoch_gone", err)
 	}
-	rc, brs, err := leader.BundleReader(want.Epoch)
+	var (
+		raw  []byte
+		brs  ReplState
+		sent int
+	)
+	rs, err := leader.SendBundle(want.Epoch, func(rs ReplState, bundle []byte) {
+		sent++
+		brs, raw = rs, bytes.Clone(bundle)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	raw, err := io.ReadAll(rc)
-	rc.Close()
-	if err != nil {
-		t.Fatal(err)
+	if sent != 1 || rs != brs {
+		t.Fatalf("send ran %d times with %+v; SendBundle returned %+v", sent, brs, rs)
 	}
 	snap, err := core.OpenSnapshotBytes(raw)
 	if err != nil {
@@ -266,12 +274,15 @@ func TestBundleAdoptRoundtrip(t *testing.T) {
 	}
 }
 
-// TestBodyTooLarge checks the request-body cap: oversized JSON on the
-// write endpoints dies with 413 and the machine-readable code.
+// TestBodyTooLarge checks the request-body cap: a body one byte past
+// DefaultMaxBodyBytes on the JSON POST endpoints dies with 413 and the
+// machine-readable code. The body is whitespace ahead of a valid edge, so
+// both decoders read on until the cap cuts them off.
 func TestBodyTooLarge(t *testing.T) {
 	_, hts := newTestServer(t, buildIndex(t, graph.Fig2()),
-		Options{Mutable: true, RebuildThreshold: -1, MaxBodyBytes: 64})
-	big := `{"edges":[` + strings.Repeat(`{"s":0,"l":"l1","t":4},`, 20) + `{"s":0,"l":"l1","t":4}]}`
+		Options{Mutable: true, RebuildThreshold: -1})
+	edge := `{"s":0,"l":"l1","t":4}`
+	big := strings.Repeat(" ", DefaultMaxBodyBytes+1-len(edge)) + edge
 	for _, path := range []string{"/update", "/batch"} {
 		resp, err := http.Post(hts.URL+path, "application/json", strings.NewReader(big))
 		if err != nil {

@@ -34,10 +34,11 @@ const (
 	DefaultRebuildThreshold = 1024
 	// DefaultMaxBatch bounds a single POST /batch request.
 	DefaultMaxBatch = 8192
-	// DefaultMaxBodyBytes caps JSON request bodies (POST /update, /batch)
-	// when Options.MaxBodyBytes is zero: 8 MiB holds the largest legal
-	// batch with generous headroom while bounding what one connection can
-	// make the decoder buffer.
+	// DefaultMaxBodyBytes caps JSON request bodies (POST /update, /batch):
+	// 8 MiB holds the largest legal batch with generous headroom while
+	// bounding what one connection can make the decoder buffer. Oversized
+	// bodies are cut off mid-read and rejected with HTTP 413 and code
+	// "body_too_large".
 	DefaultMaxBodyBytes = 8 << 20
 )
 
@@ -90,12 +91,6 @@ type Options struct {
 	// folding goroutine after the swap; keep it quick.
 	OnRebuild func(RebuildResult)
 
-	// MaxBodyBytes caps the accepted request body, in bytes, on the JSON
-	// POST endpoints (/update, /batch). Zero selects DefaultMaxBodyBytes;
-	// negative disables the cap. Oversized bodies are cut off mid-read and
-	// rejected with HTTP 413 and code "body_too_large".
-	MaxBodyBytes int64
-
 	// Role names this server's replication role — "leader", "follower",
 	// or "" (reported as "standalone") — in /healthz and the replication
 	// handshake. A follower rejects client-originated writes over HTTP:
@@ -108,9 +103,6 @@ type Options struct {
 func (o Options) withDefaults() Options {
 	if o.MaxBatch <= 0 {
 		o.MaxBatch = DefaultMaxBatch
-	}
-	if o.MaxBodyBytes == 0 {
-		o.MaxBodyBytes = DefaultMaxBodyBytes
 	}
 	if o.Mutable && o.RebuildThreshold == 0 {
 		o.RebuildThreshold = DefaultRebuildThreshold
@@ -225,13 +217,13 @@ func (s *Server) Reload() (uint64, error) {
 //	GET  /healthz          liveness, with the serving generation and (mutable) epoch/journal
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("GET /query", s.timed(&s.mQuery, s.handleQuery))
-	mux.HandleFunc("POST /batch", s.timed(&s.mBatch, s.handleBatch))
-	mux.HandleFunc("POST /update", s.timed(&s.mUpdate, s.handleUpdate))
+	mux.HandleFunc("GET /query", s.timed(&s.mQuery, s.pinned(s.handleQuery)))
+	mux.HandleFunc("POST /batch", s.timed(&s.mBatch, s.pinned(s.handleBatch)))
+	mux.HandleFunc("POST /update", s.timed(&s.mUpdate, s.pinned(s.handleUpdate)))
 	mux.HandleFunc("POST /rebuild", s.timed(&s.mRebuild, s.handleRebuild))
 	mux.HandleFunc("POST /reload", s.timed(&s.mReload, s.handleReload))
-	mux.HandleFunc("GET /stats", s.timed(&s.mStats, s.handleStats))
-	mux.HandleFunc("GET /healthz", s.timed(&s.mHealthz, s.handleHealthz))
+	mux.HandleFunc("GET /stats", s.timed(&s.mStats, s.pinned(s.handleStats)))
+	mux.HandleFunc("GET /healthz", s.timed(&s.mHealthz, s.pinned(s.handleHealthz)))
 	return mux
 }
 
@@ -290,13 +282,11 @@ func (s *Server) AnswerRLC(ctx context.Context, src, dst graph.Vertex, l labelse
 
 // QueryRLC answers one (s, t, L+) query through the serving path,
 // satisfying the facade's Querier interface.
-func (s *Server) QueryRLC(ctx context.Context, src, dst graph.Vertex, l labelseq.Seq) (bool, error) {
-	st := s.store.acquire()
-	if st == nil {
+func (s *Server) QueryRLC(ctx context.Context, src, dst graph.Vertex, l labelseq.Seq) (reachable bool, err error) {
+	if !s.store.with(func(st *state) { reachable, err = st.computeSeq(ctx, src, dst, l) }) {
 		return false, errServerClosed
 	}
-	defer st.release()
-	return st.computeSeq(ctx, src, dst, l)
+	return reachable, err
 }
 
 // computeSeq answers (src, dst, l+) on one pinned generation. Immutable
@@ -395,6 +385,17 @@ func (s *Server) timed(h *histogram, fn func(http.ResponseWriter, *http.Request)
 	}
 }
 
+// pinned runs a handler on the current generation, pinned for the whole
+// request, and answers 503 once the server is closed.
+func (s *Server) pinned(fn func(*state, http.ResponseWriter, *http.Request) bool) func(http.ResponseWriter, *http.Request) bool {
+	return func(w http.ResponseWriter, r *http.Request) (ok bool) {
+		if !s.store.with(func(st *state) { ok = fn(st, w, r) }) {
+			return writeError(w, http.StatusServiceUnavailable, "server closed")
+		}
+		return ok
+	}
+}
+
 // reloadResponse is the POST /reload reply.
 type reloadResponse struct {
 	Generation uint64  `json:"generation"`
@@ -412,12 +413,8 @@ func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) bool {
 	if err != nil {
 		return writeErr(w, http.StatusInternalServerError, err)
 	}
-	st := s.store.acquire()
 	source := ""
-	if st != nil {
-		source = st.source
-		st.release()
-	}
+	s.store.with(func(st *state) { source = st.source })
 	return writeJSON(w, http.StatusOK, reloadResponse{
 		Generation: gen,
 		Source:     source,
@@ -498,12 +495,7 @@ func (s *Server) mutableStats(st *state) MutableStats {
 	return ms
 }
 
-func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) bool {
-	st := s.store.acquire()
-	if st == nil {
-		return writeError(w, http.StatusServiceUnavailable, "server closed")
-	}
-	defer st.release()
+func (s *Server) handleStats(st *state, w http.ResponseWriter, r *http.Request) bool {
 	resp := statsResponse{
 		UptimeSeconds: time.Since(s.start).Seconds(),
 		Generation:    st.gen,
@@ -566,12 +558,7 @@ type healthzResponse struct {
 	IndexBudget int64 `json:"index_budget,omitempty"`
 }
 
-func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) bool {
-	st := s.store.acquire()
-	if st == nil {
-		return writeError(w, http.StatusServiceUnavailable, "server closed")
-	}
-	defer st.release()
+func (s *Server) handleHealthz(st *state, w http.ResponseWriter, r *http.Request) bool {
 	resp := healthzResponse{
 		Status:            "ok",
 		Generation:        st.gen,

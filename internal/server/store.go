@@ -77,8 +77,6 @@ type state struct {
 
 // release drops one pin on this generation; the last release after
 // retirement closes the backing snapshot.
-//
-//rlc:release
 func (st *state) release() {
 	if st.refs.Add(-1) == 0 && st.retired.Load() {
 		st.close()
@@ -95,7 +93,7 @@ func (st *state) close() {
 
 // Store holds the currently served state and swaps it atomically — the
 // RCU-style hot-reload primitive behind rlcserve's SIGHUP / POST /reload.
-// Readers pin a generation with acquire and never block writers; Swap
+// Readers pin a generation through Store.with and never block writers; Swap
 // publishes a new generation with one atomic pointer store and retires the
 // old one only after its in-flight readers drain. Queries therefore never
 // error, block, or see a torn index during a swap.
@@ -205,13 +203,25 @@ func (s *Store) install(st *state) {
 	}
 }
 
-// acquire pins the current generation for one query. The post-increment
-// re-check closes the swap race: if the state was swapped out between the
-// load and the increment, the reference is dropped and the load retried, so
-// a pinned state is always safe to read until release — its backing mapping
-// cannot be unmapped while the pin is held. Returns nil after Close.
-//
-//rlc:acquire
+// with pins the current generation, runs fn on it and releases the pin when
+// fn returns or panics. It reports false, without calling fn, after Close.
+// It is the one way the package pins a generation: st is valid only inside
+// fn, so no pin can outlive its scope or be released twice.
+func (s *Store) with(fn func(st *state)) bool {
+	st := s.acquire()
+	if st == nil {
+		return false
+	}
+	defer st.release()
+	fn(st)
+	return true
+}
+
+// acquire pins the current generation for with. The post-increment re-check
+// closes the swap race: if the state was swapped out between the load and
+// the increment, the reference is dropped and the load retried, so a pinned
+// state is always safe to read until release — its backing mapping cannot
+// be unmapped while the pin is held. Returns nil after Close.
 func (s *Store) acquire() *state {
 	for {
 		st := s.cur.Load()
@@ -256,7 +266,7 @@ func (s *Store) SwapFolded(ix *core.Index, src *core.Snapshot, journal []graph.E
 }
 
 // Index returns the currently served index without pinning it — for
-// inspection and tests. Queries must go through acquire/release instead.
+// inspection and tests. Queries must go through with instead.
 func (s *Store) Index() *core.Index {
 	if st := s.cur.Load(); st != nil {
 		return st.ix

@@ -1,13 +1,14 @@
 #!/bin/sh
 # lint.sh — run the repo's static-analysis gate: rlcvet (the in-tree
-# analyzer suite enforcing pin, zero-copy view, noalloc, and error-code
+# analyzer suite enforcing zero-copy view, noalloc, and error-code
 # invariants; see internal/analysis) over every package, the one-kernel
 # check (NFA.Step call sites), the no-v1-reader check ("RLCX"), the
 # one-builder-one-reader check, the one-harness-per-question check, the
 # no-closure-in-the-overlay check, the one-fold-state-machine check, the
 # one-decoder-on-/batch check, the
 # one-pass-on-/query check, the one-client-stack-in-the-router check, the
-# one-server-stack check, then staticcheck and govulncheck when available.
+# one-server-stack check, the one-pin-scope check, then staticcheck and
+# govulncheck when available.
 # CI runs this in the lint job; run it locally before sending a change that
 # touches the serving or query path.
 #
@@ -171,6 +172,20 @@ stray=$(grep -rnE --include='*.go' --exclude-dir=.bench_build --exclude-dir=benc
 	grep -v '_test\.go:' || true)
 if [ -n "$stray" ]; then
 	echo "a net/http server is back; serve through internal/httpd instead:" >&2
+	echo "$stray" >&2
+	status=1
+fi
+
+# One pin scope: internal/server pins a serving generation only through
+# Store.with, which releases the pin with defer, so none can leak past its
+# scope or be released twice. A refcount call anywhere else in the package's
+# non-test code is a hand-paired pin coming back. (bs.release() returns the
+# pooled /batch scratch; it is not a pin.)
+echo "==> generation pins outside Store.with"
+stray=$(grep -nE '\.(acquire|release)\(|\.refs\.' internal/server/*.go |
+	grep -vE '^internal/server/store\.go:|_test\.go:|bs\.release\(\)' || true)
+if [ -n "$stray" ]; then
+	echo "internal/server pins a generation outside store.go; take it through Store.with:" >&2
 	echo "$stray" >&2
 	status=1
 fi
