@@ -15,8 +15,8 @@ import (
 
 // TestCLISnapshotWorkflow drives the bundle workflow end to end at the
 // binary surface: rlcbuild -o renders a self-contained snapshot, rlcinspect
-// -snapshot dumps and verifies its sections, rlcserve -snapshot serves it
-// memory-mapped, and a rebuild + SIGHUP hot-swaps the running server onto
+// -snapshot dumps and verifies its sections, rlcserve -snapshot serves it,
+// and a rebuild + SIGHUP hot-swaps the running server onto
 // the new bundle — observable because the rebuilt graph flips a query's
 // answer — before SIGTERM drains it cleanly.
 func TestCLISnapshotWorkflow(t *testing.T) {

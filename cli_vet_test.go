@@ -13,7 +13,7 @@ import (
 // file holds it to the same usage contract minus that check, plus the
 // vet-specific surfaces: -list and the exit codes of an analysis run.
 
-const rlcvetSynopsis = "rlcvet — static analysis enforcing rlc-go's zero-copy view, noalloc, and error-code invariants"
+const rlcvetSynopsis = "rlcvet — static analysis enforcing rlc-go's noalloc and error-code invariants"
 
 func TestCLIVetUsage(t *testing.T) {
 	if testing.Short() {
@@ -52,15 +52,17 @@ func TestCLIVetUsage(t *testing.T) {
 	for _, line := range strings.Split(strings.TrimSpace(string(out)), "\n") {
 		listed = append(listed, strings.Fields(line)[0])
 	}
-	if got := strings.Join(listed, " "); got != "viewescape noalloc errcode" {
-		t.Errorf("rlcvet -list names %q, want exactly viewescape noalloc errcode:\n%s", got, out)
+	if got := strings.Join(listed, " "); got != "noalloc errcode" {
+		t.Errorf("rlcvet -list names %q, want exactly noalloc errcode:\n%s", got, out)
 	}
 }
 
 // TestCLIVetFindings runs rlcvet end to end against a throwaway module
 // seeded with one allocation in a //rlc:noalloc function, expecting exit
-// code 1 and a noalloc diagnostic — and then against the same module with
-// the allocation gone, expecting a silent exit 0.
+// code 1 and a noalloc diagnostic — then against the same module with the
+// allocation gone, expecting a silent exit 0 — and last with the directive
+// misspelled, which must fail again (exit 1) instead of switching the check
+// off.
 func TestCLIVetFindings(t *testing.T) {
 	if testing.Short() {
 		t.Skip("CLI vet test skipped in -short mode")
@@ -107,5 +109,20 @@ func Head(xs []int) []int {
 `)
 	if out, err := exec.Command(bin, "-C", mod, ".").CombinedOutput(); err != nil {
 		t.Errorf("rlcvet exited non-zero on a clean module: %v\n%s", err, out)
+	}
+
+	writeFile("probe.go", `package vetprobe
+
+//rlc:noaloc
+func Head(xs []int) []int {
+	return xs[:1]
+}
+`)
+	out, err = exec.Command(bin, "-C", mod, "-checks", "errcode", ".").CombinedOutput()
+	if ee, ok := err.(*exec.ExitError); !ok || ee.ExitCode() != 1 {
+		t.Fatalf("rlcvet on a misspelled directive: want exit code 1, got %v\n%s", err, out)
+	}
+	if !strings.Contains(string(out), "unknown directive //rlc:noaloc") {
+		t.Errorf("rlcvet output lacks the unknown-directive diagnostic:\n%s", out)
 	}
 }

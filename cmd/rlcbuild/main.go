@@ -1,7 +1,7 @@
 // Command rlcbuild constructs an RLC index for a graph file and writes it
-// as a self-contained v2 snapshot bundle (-o) — the format rlcserve
-// memory-maps at startup and hot-swaps on reload, and rlcquery and
-// rlcinspect read with -snapshot.
+// as a self-contained v2 snapshot bundle (-o) — the format rlcserve reads
+// at startup and hot-swaps on reload, and rlcquery and rlcinspect read with
+// -snapshot.
 //
 //	rlcbuild -graph g.graph -k 2 -o g.rlcs
 //
@@ -25,7 +25,7 @@ func main() {
 	var (
 		graphPath = flag.String("graph", "", "input graph file (required)")
 		k         = flag.Int("k", 2, "recursive k")
-		bundle    = flag.String("o", "", "output snapshot bundle (required; self-contained, mmap-served)")
+		bundle    = flag.String("o", "", "output snapshot bundle (required; self-contained, written to a temporary file and renamed into place)")
 		maxBytes  = flag.Int64("max-index-bytes", 0, "size budget for the index: keep exact entry lists for the top-ranked vertices that fit, demote the rest to may-reach filters (0 = unlimited; answers stay exact either way)")
 		noPR1     = flag.Bool("no-pr1", false, "disable pruning rule PR1 (ablation)")
 		noPR2     = flag.Bool("no-pr2", false, "disable pruning rule PR2 (ablation)")
@@ -90,11 +90,9 @@ func main() {
 	}
 	// Re-open and verify what was just written: a bundle that fails its
 	// own checksums should never leave the build step.
-	snap, err := rlc.OpenVerifiedSnapshot(*bundle)
-	if err != nil {
+	if _, err := rlc.OpenVerifiedSnapshot(*bundle); err != nil {
 		fatalf("verify snapshot: %v", err)
 	}
-	snap.Close()
 	fmt.Printf("wrote %s (self-contained snapshot bundle, verified; serve with rlcserve -snapshot)\n", *bundle)
 }
 

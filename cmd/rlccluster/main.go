@@ -61,7 +61,7 @@ func main() {
 		origin       = flag.String("origin", "", "expected lineage fingerprint (follower role; empty = own seed fingerprint)")
 		pollWait     = flag.Duration("poll-wait", 2*time.Second, "follower long-poll wait per segment request")
 		rebuildThr   = flag.Int("rebuild-threshold", 0, "leader journal length that triggers a background fold (0 = default, negative = manual)")
-		rebuildOut   = flag.String("rebuild-out", "", "leader writes each fold's bundle here and serves it memory-mapped (empty = heap)")
+		rebuildOut   = flag.String("rebuild-out", "", "leader writes each fold's bundle here and serves the re-opened, verified bundle (empty = serve the index built in memory)")
 		drain        = flag.Duration("drain", 10*time.Second, "graceful-shutdown drain budget")
 		pprofAddr    = flag.String("pprof", "", profiling.Usage)
 	)
@@ -191,9 +191,7 @@ func main() {
 	if err := <-done; err != nil && !errors.Is(err, http.ErrServerClosed) {
 		fatalf("serve: %v", err)
 	}
-	if err := srv.Close(); err != nil {
-		fatalf("close: %v", err)
-	}
+	srv.Close()
 	fmt.Println("shut down cleanly")
 	os.Exit(exitCode)
 }

@@ -56,7 +56,6 @@ func main() {
 		if serr != nil {
 			fatalf("open snapshot: %v", serr)
 		}
-		defer snap.Close()
 		dumpSections(snap)
 		g, ix = snap.Graph(), snap.Index()
 	} else {
@@ -132,12 +131,8 @@ var sectionNames = map[uint32]string{
 // exactly once, then runs Snapshot.VerifyContents — together the same
 // integrity pass as Snapshot.Verify, without re-reading the file.
 func dumpSections(snap *rlc.Snapshot) {
-	mode := "mmap"
-	if !snap.Mapped() {
-		mode = "heap"
-	}
-	fmt.Printf("snapshot %s: %.2f MB, %s, fingerprint %v\n",
-		snap.Path(), float64(snap.SizeBytes())/(1024*1024), mode, snap.Fingerprint())
+	fmt.Printf("snapshot %s: %.2f MB, fingerprint %v\n",
+		snap.Path(), float64(snap.SizeBytes())/(1024*1024), snap.Fingerprint())
 	fmt.Printf("%-4s %-14s %10s %12s %10s %s\n", "id", "section", "offset", "length", "crc32c", "verify")
 	corrupt := false
 	for _, sec := range snap.Sections() {

@@ -67,7 +67,6 @@ func main() {
 		if err != nil {
 			fatalf("open snapshot: %v", err)
 		}
-		defer snap.Close()
 		g, ix = snap.Graph(), snap.Index()
 	} else {
 		var err error

@@ -1,6 +1,6 @@
 // Command rlcserve is a long-running HTTP/JSON query service over an RLC
-// index: serve a snapshot bundle (memory-mapped, hot-reloadable), or load a
-// graph and build the index on the fly, then answer single and batch
+// index: serve a snapshot bundle (read into memory, hot-reloadable), or load
+// a graph and build the index on the fly, then answer single and batch
 // reachability queries straight from the index.
 //
 //	rlcserve -snapshot g.rlcs -addr :8080
@@ -20,9 +20,11 @@
 //
 // In snapshot mode, SIGHUP (or POST /reload) re-opens, verifies, and
 // atomically swaps in the bundle at the -snapshot path with zero downtime:
-// in-flight queries finish on the generation they started on; the old
-// mapping is released once they drain. Rebuild with `rlcbuild -o`, rename
-// into place, signal, done.
+// in-flight queries finish on the generation they started on. The served
+// bundle lives in memory, so the file may be rewritten in place, renamed
+// over or truncated while serving; a reload of a torn file is refused and
+// the previous bundle keeps serving. Rebuild with `rlcbuild -o`, signal,
+// done.
 //
 // With -mutable the server also takes writes:
 //
@@ -70,12 +72,10 @@ func main() {
 		k            = flag.Int("k", 2, "recursive k when building on the fly")
 		maxIndex     = flag.Int64("max-index-bytes", 0, "size budget when building on the fly: demote low-ranked vertices to may-reach filters so the index fits (0 = unlimited; answers stay exact)")
 		addr         = flag.String("addr", ":8080", "listen address")
-		workers      = flag.Int("workers", 0, "batch-query worker goroutines (0 = GOMAXPROCS)")
-		maxBatch     = flag.Int("max-batch", 0, "largest accepted POST /batch request (0 = default)")
 		drain        = flag.Duration("drain", 10*time.Second, "graceful-shutdown drain budget")
 		mutable      = flag.Bool("mutable", false, "accept edge inserts via POST /update, with background fold-and-rebuild epochs (POST /rebuild and /stats \"mutable\" split each fold into union_micros, build_micros, bundle_micros, swap_micros)")
 		rebuildThr   = flag.Int("rebuild-threshold", 0, "journal length that triggers a background fold (0 = default, negative = manual folds only)")
-		rebuildOut   = flag.String("rebuild-out", "", "write each fold's v2 bundle here and serve it memory-mapped (empty = heap)")
+		rebuildOut   = flag.String("rebuild-out", "", "write each fold's v2 bundle here and serve the re-opened, verified bundle (empty = serve the index built in memory)")
 		pprofAddr    = flag.String("pprof", "", profiling.Usage)
 	)
 	flag.Usage = usage
@@ -102,8 +102,6 @@ func main() {
 		fatalf("-rebuild-threshold and -rebuild-out require -mutable")
 	}
 	opts := rlc.ServerOptions{
-		BatchWorkers:     *workers,
-		MaxBatch:         *maxBatch,
 		Mutable:          *mutable,
 		RebuildThreshold: *rebuildThr,
 		RebuildPath:      *rebuildOut,
@@ -129,12 +127,8 @@ func main() {
 		if err != nil {
 			fatalf("open snapshot: %v", err)
 		}
-		mode := "mmap"
-		if !snap.Mapped() {
-			mode = "heap"
-		}
-		fmt.Printf("snapshot %s opened in %v (%s, %.2f MB, fingerprint %v)\n",
-			*snapshotPath, time.Since(start).Round(time.Microsecond), mode,
+		fmt.Printf("snapshot %s opened in %v (%.2f MB, fingerprint %v)\n",
+			*snapshotPath, time.Since(start).Round(time.Microsecond),
 			float64(snap.SizeBytes())/(1024*1024), snap.Fingerprint())
 		g := snap.Graph()
 		fmt.Printf("graph: %d vertices, %d edges, %d labels\n", g.NumVertices(), g.NumEdges(), g.NumLabels())
@@ -235,9 +229,7 @@ func main() {
 	if err := <-done; err != nil && !errors.Is(err, http.ErrServerClosed) {
 		fatalf("serve: %v", err)
 	}
-	if err := srv.Close(); err != nil {
-		fatalf("close snapshot: %v", err)
-	}
+	srv.Close()
 	fmt.Println("shut down cleanly")
 }
 

@@ -1,7 +1,8 @@
-// Command rlcvet runs the repo's custom static-analysis suite: three
-// analyzers that enforce invariants the compiler cannot — zero-copy view
-// lifetimes (viewescape), allocation-free hot paths (noalloc), and exhaustive
-// sentinel-to-wire-code mapping (errcode).
+// Command rlcvet runs the repo's custom static-analysis suite: two
+// analyzers that enforce invariants the compiler cannot — allocation-free
+// hot paths (noalloc) and exhaustive sentinel-to-wire-code mapping
+// (errcode) — and, whichever run, a check that every //rlc: comment names
+// a known directive.
 //
 //	rlcvet ./...
 //	rlcvet -checks noalloc,errcode ./internal/server
@@ -23,7 +24,7 @@ import (
 	"github.com/g-rpqs/rlc-go/internal/analysis"
 )
 
-const synopsis = "rlcvet — static analysis enforcing rlc-go's zero-copy view, noalloc, and error-code invariants"
+const synopsis = "rlcvet — static analysis enforcing rlc-go's noalloc and error-code invariants"
 
 func main() {
 	var (

@@ -292,7 +292,7 @@ func liveIngestion(g *rlc.Graph, ix *rlc.Index, w rlc.Workload) {
 		log.Fatal(err)
 	}
 	resp.Body.Close()
-	fmt.Printf("fold: %d edges rebuilt into epoch %d (journal now %d) in %.0f ms; serving the mmapped bundle\n",
+	fmt.Printf("fold: %d edges rebuilt into epoch %d (journal now %d) in %.0f ms; serving the re-opened bundle\n",
 		rb.Folded, rb.Epoch, rb.Journal, rb.Micros/1e3)
 	var stats struct {
 		Generation uint64 `json:"generation"`
@@ -322,9 +322,7 @@ func liveIngestion(g *rlc.Graph, ix *rlc.Index, w rlc.Workload) {
 	if err := <-done; err != http.ErrServerClosed {
 		log.Fatal(err)
 	}
-	if err := srv.Close(); err != nil {
-		log.Fatal(err)
-	}
+	srv.Close()
 }
 
 // exprText renders a constraint in the expression syntax the server parses.

@@ -126,21 +126,18 @@ func (prog *Program) FuncDeclOf(fn *types.Func) *ast.FuncDecl {
 	return nil
 }
 
-// Run executes analyzers over every target package and returns the findings
-// sorted by position.
+// Run checks every target package's //rlc: directives, executes analyzers
+// over it, and returns the findings sorted by position.
 func (prog *Program) Run(analyzers []*Analyzer) ([]Diagnostic, error) {
 	var diags []Diagnostic
+	// Load reads no _test.go file: the suite polices production code only.
+	report := func(d Diagnostic) { diags = append(diags, d) }
+	for _, pkg := range prog.Targets {
+		checkDirectives(pkg, report)
+	}
 	for _, a := range analyzers {
 		for _, pkg := range prog.Targets {
-			pass := &Pass{
-				Analyzer: a,
-				Prog:     prog,
-				Pkg:      pkg,
-				Fset:     prog.Fset,
-				// Load reads no _test.go file: the suite polices
-				// production code only.
-				Report: func(d Diagnostic) { diags = append(diags, d) },
-			}
+			pass := &Pass{Analyzer: a, Prog: prog, Pkg: pkg, Fset: prog.Fset, Report: report}
 			if err := a.Run(pass); err != nil {
 				return diags, fmt.Errorf("%s: %s: %w", a.Name, pkg.Path, err)
 			}
@@ -161,7 +158,7 @@ func (prog *Program) Run(analyzers []*Analyzer) ([]Diagnostic, error) {
 
 // All returns the full analyzer suite in reporting order.
 func All() []*Analyzer {
-	return []*Analyzer{ViewEscape, NoAlloc, ErrCode}
+	return []*Analyzer{NoAlloc, ErrCode}
 }
 
 // ByName resolves one analyzer, nil if unknown.

@@ -2,10 +2,6 @@ package analysis
 
 import "testing"
 
-func TestViewEscape(t *testing.T) {
-	runFixture(t, ViewEscape, "viewescape_a")
-}
-
 func TestNoAlloc(t *testing.T) {
 	runFixture(t, NoAlloc, "noalloc_a")
 }

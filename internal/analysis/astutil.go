@@ -26,20 +26,6 @@ func calleeOf(info *types.Info, call *ast.CallExpr) types.Object {
 	return nil
 }
 
-// localVar resolves expr to the local variable it names, nil for anything
-// that is not a plain (possibly parenthesized) identifier for a *types.Var.
-func localVar(info *types.Info, expr ast.Expr) *types.Var {
-	id, ok := ast.Unparen(expr).(*ast.Ident)
-	if !ok {
-		return nil
-	}
-	v, _ := info.Uses[id].(*types.Var)
-	if v == nil {
-		v, _ = info.Defs[id].(*types.Var)
-	}
-	return v
-}
-
 // isConversion reports whether call is a type conversion rather than a
 // function call.
 func isConversion(info *types.Info, call *ast.CallExpr) bool {

@@ -1,8 +1,11 @@
 package analysis
 
 import (
+	"fmt"
 	"go/ast"
 	"go/types"
+	"maps"
+	"slices"
 	"strings"
 )
 
@@ -12,13 +15,6 @@ type dirSet uint
 const (
 	// dirNoAlloc marks a function that must not allocate (noalloc analyzer).
 	dirNoAlloc dirSet = 1 << iota
-	// dirView marks a function whose result slices borrow mmap'd memory
-	// (viewescape analyzer); returning a borrow from a view function
-	// propagates the borrow to the caller instead of escaping.
-	dirView
-	// dirViewOwner marks a function blessed to retain views because it
-	// manages the mapping's lifetime (snapshot adoption).
-	dirViewOwner
 	// dirErrCode marks the sentinel-to-wire-code mapping function whose
 	// exhaustiveness the errcode analyzer enforces.
 	dirErrCode
@@ -27,13 +23,13 @@ const (
 	dirErrCodeExempt
 )
 
-// directiveNames maps the spelling after "//rlc:" to its bit.
+// directiveNames maps the spelling after "//rlc:" to its bit. allocok is
+// positional, not declarative: it waives a line, so it carries no bit.
 var directiveNames = map[string]dirSet{
 	"noalloc":        dirNoAlloc,
-	"view":           dirView,
-	"viewowner":      dirViewOwner,
 	"errcode":        dirErrCode,
 	"errcode-exempt": dirErrCodeExempt,
+	"allocok":        0,
 }
 
 // directiveIndex resolves declarations to their directives across the whole
@@ -83,7 +79,7 @@ func (idx *directiveIndex) AllocOK(file string, line int) bool {
 func (idx *directiveIndex) collectFile(prog *Program, pkg *Package, f *ast.File) {
 	for _, cg := range f.Comments {
 		for _, c := range cg.List {
-			if !strings.HasPrefix(c.Text, "//rlc:allocok") {
+			if name, _ := directiveName(c); name != "allocok" {
 				continue
 			}
 			pos := prog.Fset.Position(c.Pos())
@@ -126,19 +122,41 @@ func (idx *directiveIndex) collectFile(prog *Program, pkg *Package, f *ast.File)
 }
 
 // directivesIn parses every //rlc:<name> line of a comment group.
-// //rlc:allocok is positional, not declarative, and is handled separately.
 func directivesIn(cg *ast.CommentGroup) dirSet {
 	if cg == nil {
 		return 0
 	}
 	var set dirSet
 	for _, c := range cg.List {
-		rest, ok := strings.CutPrefix(c.Text, "//rlc:")
-		if !ok {
-			continue
+		if name, ok := directiveName(c); ok {
+			set |= directiveNames[name]
 		}
-		name, _, _ := strings.Cut(rest, " ")
-		set |= directiveNames[name]
 	}
 	return set
+}
+
+// directiveName returns the name of an //rlc:<name> comment.
+func directiveName(c *ast.Comment) (string, bool) {
+	rest, ok := strings.CutPrefix(c.Text, "//rlc:")
+	name, _, _ := strings.Cut(rest, " ")
+	return name, ok
+}
+
+// checkDirectives reports every //rlc: comment in pkg that names no
+// directive: a misspelled //rlc:noaloc would otherwise switch its check off
+// without a word. It runs with every analyzer selection.
+func checkDirectives(pkg *Package, report func(Diagnostic)) {
+	for _, f := range pkg.Files {
+		for _, cg := range f.Comments {
+			for _, c := range cg.List {
+				if name, ok := directiveName(c); ok {
+					if _, known := directiveNames[name]; !known {
+						report(Diagnostic{Pos: c.Pos(), Analyzer: "directives",
+							Message: fmt.Sprintf("unknown directive //rlc:%s (known: %s)", name,
+								strings.Join(slices.Sorted(maps.Keys(directiveNames)), ", "))})
+					}
+				}
+			}
+		}
+	}
 }

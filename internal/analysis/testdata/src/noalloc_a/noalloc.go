@@ -1,6 +1,6 @@
 // Package noalloc_a seeds allocating constructs inside //rlc:noalloc
-// functions, the call-site flagging of allocating callees, and the
-// //rlc:allocok line waiver.
+// functions, the call-site flagging of allocating callees, the
+// //rlc:allocok line waiver, and a misspelled directive.
 package noalloc_a
 
 import "sync/atomic"
@@ -182,4 +182,12 @@ func okZeroSizeBox() marker {
 //rlc:noalloc
 func badNonZeroBox(n int) any {
 	return n // want `boxed into interface`
+}
+
+// misspelled carries a directive name the suite does not know, so its
+// allocation goes unchecked; the comment itself is the finding.
+//
+//rlc:noaloc // want `unknown directive //rlc:noaloc \(known: allocok, errcode, errcode-exempt, noalloc\)`
+func misspelled(n int) []int {
+	return make([]int, n)
 }

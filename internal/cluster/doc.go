@@ -19,7 +19,7 @@
 // from its own applied sequence, apply them through the server's exact
 // batch-insert path, and — when the leader's epoch moves past its own —
 // download the folded bundle, verify it, and hot-swap onto it through the
-// same drain path local folds use. Queries on the follower never block and
+// same swap local folds use. Queries on the follower never block and
 // never regress: the global sequence (folded base + journal position) is
 // monotone through every cutover.
 package cluster

@@ -226,7 +226,7 @@ func (f *Follower) applySegments(body io.Reader, cursor uint64) error {
 // container checksums and fingerprint handshake — and hot-swaps the local
 // server onto it, carrying local journal edges past the bundle's base into
 // the new overlay. Queries keep answering throughout; the swap itself is
-// the same drain path a local fold uses. An epoch race (the leader folded
+// the same one a local fold uses. An epoch race (the leader folded
 // again) is transient: the next poll sees the newer epoch and retries.
 func (f *Follower) cutover(ctx context.Context, epoch uint64) error {
 	u := fmt.Sprintf("%s/repl/bundle?epoch=%d", f.opts.LeaderURL, epoch)
@@ -261,12 +261,6 @@ func (f *Follower) cutover(ctx context.Context, epoch uint64) error {
 	if err != nil {
 		return fmt.Errorf("cluster: open shipped bundle: %w", err)
 	}
-	ok := false
-	defer func() {
-		if !ok {
-			snap.Close()
-		}
-	}()
 	if err := snap.Verify(); err != nil {
 		return fmt.Errorf("cluster: verify shipped bundle: %w", err)
 	}
@@ -282,7 +276,6 @@ func (f *Follower) cutover(ctx context.Context, epoch uint64) error {
 		fmt.Sprintf("replicated bundle epoch %d", epoch)); err != nil {
 		return fmt.Errorf("cluster: adopt bundle epoch %d: %w", epoch, err)
 	}
-	ok = true
 	f.cutovers.Add(1)
 	f.logf("follower: cut over to epoch %d (base %d, %d journal edges carried)", epoch, seqBase, len(tail))
 	return nil

@@ -161,16 +161,13 @@ func (l *Leader) handleBundle(w http.ResponseWriter, r *http.Request) {
 		badRequest(w, "bundle: bad or missing epoch parameter: "+err.Error())
 		return
 	}
-	rs, err := l.srv.SendBundle(epoch, func(rs server.ReplState, bundle []byte) {
-		l.handshake(w, rs)
-		w.Header().Set("Content-Type", "application/octet-stream")
-		w.Header().Set("Content-Length", strconv.Itoa(len(bundle)))
-		// The bundle is the pinned generation's mapping, valid until this
-		// function returns: it is written straight from it, in one call.
-		_, _ = w.Write(bundle)
-	})
+	rs, bundle, err := l.srv.Bundle(epoch)
+	l.handshake(w, rs)
 	if err != nil {
-		l.handshake(w, rs)
 		replError(w, err)
+		return
 	}
+	w.Header().Set("Content-Type", "application/octet-stream")
+	w.Header().Set("Content-Length", strconv.Itoa(len(bundle)))
+	_, _ = w.Write(bundle)
 }

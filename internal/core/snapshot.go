@@ -21,9 +21,9 @@ import (
 // label-sequence dictionary — as checksummed sections of the
 // internal/snapshot container.
 // The large arrays are laid out so OpenSnapshot can hand out zero-copy
-// views of a read-only memory mapping; only the small sections (meta, dict,
-// names) are decoded onto the heap. See ARCHITECTURE.md, "Snapshot format
-// v2", for the full byte layout.
+// views of the bundle bytes it read; only the small sections (meta, dict,
+// names) are decoded into structures of their own. See ARCHITECTURE.md,
+// "Snapshot format v2", for the full byte layout.
 //
 // Section ids:
 const (
@@ -44,7 +44,7 @@ const (
 	// listed here, ignored when present.
 
 	// Packed bit-parallel MR-set sections (see packed.go): the index. All
-	// six are required. On the mmap path they are served zero-copy.
+	// six are required. On little-endian hosts they are served zero-copy.
 	secPackedMeta    = 15 // fixed 24 bytes: setCount u32, reserved u32, groupCount u64, wordCount u64
 	secPackedGroups  = 16 // packedGroup[groupCount]: (hub i32, set u32)
 	secPackedOutOff  = 17 // int32[n+1]
@@ -210,10 +210,8 @@ func (ix *Index) WriteSnapshot(w io.Writer) error {
 
 // SaveSnapshotFile writes the v2 snapshot bundle to path, atomically: the
 // bundle is rendered to a temporary file in the same directory and renamed
-// into place. Truncating a bundle in place would be catastrophic for a
-// server that has the old file memory-mapped (shrinking a mapped file turns
-// page faults into SIGBUS), so rebuild-and-rename — the rlcserve hot-reload
-// workflow — is the only write path offered.
+// into place, so a reader opening path sees the old bundle or the new one,
+// never a half-written file.
 func (ix *Index) SaveSnapshotFile(path string) error {
 	dir, base := filepath.Split(path)
 	f, err := os.CreateTemp(dir, base+".tmp*")
@@ -230,7 +228,7 @@ func (ix *Index) SaveSnapshotFile(path string) error {
 		return cleanup(err)
 	}
 	// CreateTemp opens 0600; widen to the 0644 an os.Create'd artifact gets
-	// so a separately-privileged server process can map the bundle.
+	// so a separately-privileged server process can read the bundle.
 	if err := f.Chmod(0o644); err != nil {
 		return cleanup(err)
 	}
@@ -250,11 +248,9 @@ func (ix *Index) SaveSnapshotFile(path string) error {
 	return nil
 }
 
-// Snapshot is an open v2 bundle: a graph and the index built over it,
-// backed by (usually memory-mapped) file bytes. The index and graph stay
-// valid until Close; Close invalidates them, so a serving layer must retire
-// a snapshot only after in-flight queries drain (see internal/server's
-// Store).
+// Snapshot is an open v2 bundle: a graph and the index built over it, both
+// views of the bundle bytes held in the heap. They stay valid as long as
+// they are referenced, whatever happens to the file afterwards.
 type Snapshot struct {
 	f    *snapshot.File
 	ix   *Index
@@ -263,13 +259,12 @@ type Snapshot struct {
 	path string
 }
 
-// OpenSnapshot opens a v2 bundle file. The large sections are mapped
-// zero-copy where the platform allows (Mapped reports whether that
-// happened); open-time work is structural validation only — O(n + m) word
-// scans with no per-entry decoding or allocation — which is what makes
-// opening a multi-gigabyte bundle effectively instant. Payload checksums are
-// deliberately not verified here; call Verify before trusting a bundle from
-// an untrusted medium or before hot-swapping it into a server.
+// OpenSnapshot reads a v2 bundle file into memory and adopts its large
+// sections zero-copy; beyond the read, open-time work is structural
+// validation only — O(n + m) word scans with no per-entry decoding or
+// allocation. Payload checksums are deliberately not verified here; call
+// Verify before trusting a bundle from an untrusted medium or before
+// hot-swapping it into a server.
 func OpenSnapshot(path string) (*Snapshot, error) {
 	f, err := snapshot.Open(path)
 	if err != nil {
@@ -277,23 +272,20 @@ func OpenSnapshot(path string) (*Snapshot, error) {
 	}
 	s, err := newSnapshot(f)
 	if err != nil {
-		f.Close()
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
 	s.path = path
 	return s, nil
 }
 
-// OpenVerifiedSnapshot opens the bundle at path and runs Verify, closing it
-// again when verification fails — how file bytes become a serving
-// generation or leave a build step.
+// OpenVerifiedSnapshot opens the bundle at path and runs Verify — how file
+// bytes become a serving generation or leave a build step.
 func OpenVerifiedSnapshot(path string) (*Snapshot, error) {
 	s, err := OpenSnapshot(path)
 	if err != nil {
 		return nil, err
 	}
 	if err := s.Verify(); err != nil {
-		s.Close()
 		return nil, err
 	}
 	return s, nil
@@ -301,7 +293,7 @@ func OpenVerifiedSnapshot(path string) (*Snapshot, error) {
 
 // OpenSnapshotBytes opens a v2 bundle held in memory (an embedded build
 // artifact, a just-fetched blob). The Snapshot aliases data, which must stay
-// unchanged until Close.
+// unchanged while the Snapshot is in use.
 func OpenSnapshotBytes(data []byte) (*Snapshot, error) {
 	f, err := snapshot.OpenBytes(data)
 	if err != nil {
@@ -326,10 +318,7 @@ func section(f *snapshot.File, id uint32, wantLen int64, what string) ([]byte, e
 	return b, nil
 }
 
-// newSnapshot adopts the mapped sections into a live Index; it owns the
-// mapping's lifetime (Close releases it), so it may retain views.
-//
-//rlc:viewowner
+// newSnapshot adopts the bundle's sections into a live Index.
 func newSnapshot(f *snapshot.File) (*Snapshot, error) {
 	metaBytes, ok := f.Section(secMeta)
 	if !ok {
@@ -459,8 +448,6 @@ func newSnapshot(f *snapshot.File) (*Snapshot, error) {
 // openPacked adopts the packed bit-parallel sections — the index. All six
 // are required, so a bundle without them (or partially stripped of them)
 // surfaces as corrupt.
-//
-//rlc:viewowner
 func openPacked(f *snapshot.File, n, dictLen int) (*packed, error) {
 	pm, err := section(f, secPackedMeta, packedMetaSize, "packed-meta")
 	if err != nil {
@@ -535,7 +522,7 @@ func openPacked(f *snapshot.File, n, dictLen int) (*packed, error) {
 	return p, nil
 }
 
-// validatePool checks a mapped set pool: every descriptor's window must fit
+// validatePool checks an adopted set pool: every descriptor's window must fit
 // the dictionary's word range and its stored words must lie inside the pool
 // (has probes words[off+w] for w < span without further checks), and no bit
 // may name an MR id past the dictionary (entries decodes every bit).
@@ -562,8 +549,6 @@ func validatePool(what string, sp setPool, dictLen int) error {
 // other five sections required and structurally validated, so a partially
 // stripped or internally inconsistent tier block surfaces as corrupt instead
 // of silently demoting wrong vertices.
-//
-//rlc:viewowner
 func openTiers(f *snapshot.File, n, dictLen int) (*tiers, error) {
 	tm, ok := f.Section(secTierMeta)
 	if !ok {
@@ -641,28 +626,22 @@ func openTiers(f *snapshot.File, n, dictLen int) (*tiers, error) {
 	return tr, nil
 }
 
-// Index returns the snapshot's index, valid until Close.
+// Index returns the snapshot's index.
 func (s *Snapshot) Index() *Index { return s.ix }
 
-// Graph returns the snapshot's embedded graph, valid until Close.
+// Graph returns the snapshot's embedded graph.
 func (s *Snapshot) Graph() *graph.Graph { return s.g }
 
 // Path returns the file the snapshot was opened from ("" for OpenSnapshotBytes).
 func (s *Snapshot) Path() string { return s.path }
 
-// Mapped reports whether the snapshot is memory-mapped (as opposed to the
-// portable read-into-heap fallback).
-func (s *Snapshot) Mapped() bool { return s.f.Mapped() }
-
 // SizeBytes returns the byte size of the open bundle.
 func (s *Snapshot) SizeBytes() int64 { return s.f.Size() }
 
-// Bytes returns the complete raw bundle, aliasing the mapping. It is how
-// the replication layer ships the exact serving bundle to followers
-// without a re-serialization: the bytes are already checksummed,
-// fingerprinted, and self-contained. The slice must not be mutated and is
-// valid only while the snapshot stays open — callers must pin whatever
-// owns the snapshot for the duration of the copy.
+// Bytes returns the complete raw bundle the index and graph are views of.
+// It is how the replication layer ships the exact serving bundle to
+// followers without a re-serialization: the bytes are already checksummed,
+// fingerprinted, and self-contained. The slice must not be mutated.
 func (s *Snapshot) Bytes() []byte { return s.f.Bytes() }
 
 // K returns the recursive k the snapshot's index supports.
@@ -706,13 +685,10 @@ func (s *Snapshot) VerifyContents() error {
 	return nil
 }
 
-// Close releases the underlying mapping. The snapshot's Index and Graph
-// must not be used afterwards.
-func (s *Snapshot) Close() error {
-	s.ix = nil
-	s.g = nil
-	return s.f.Close()
-}
+// Close releases nothing and returns nil: the bundle bytes are heap memory
+// the garbage collector reclaims once neither the Snapshot nor its Index or
+// Graph is referenced.
+func (s *Snapshot) Close() error { return nil }
 
 // encodeDict renders the dictionary section: per interned sequence, a u8
 // length followed by that many little-endian i32 labels; the meta section
@@ -839,8 +815,6 @@ func groupBytes(s []packedGroup) []byte {
 // groupsView returns b as a packed-group slice — zero-copy when the host is
 // little-endian and the section is aligned, a decoded copy otherwise. The
 // caller must have checked len(b)%8 == 0.
-//
-//rlc:view
 func groupsView(b []byte) []packedGroup {
 	if len(b) == 0 {
 		return nil
@@ -880,8 +854,6 @@ func descBytes(s []setDesc) []byte {
 // descView returns b as a set-descriptor slice — zero-copy when the host is
 // little-endian and the section is aligned, a decoded copy otherwise. The
 // caller must have checked len(b)%12 == 0.
-//
-//rlc:view
 func descView(b []byte) []setDesc {
 	if len(b) == 0 {
 		return nil

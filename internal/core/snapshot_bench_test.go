@@ -44,8 +44,8 @@ func openBenchArtifacts(b *testing.B) {
 	}
 }
 
-// BenchmarkOpenSnapshot measures the v2 open path: mmap + structural
-// validation, no per-entry decoding.
+// BenchmarkOpenSnapshot measures the v2 open path: one read of the file +
+// structural validation, no per-entry decoding.
 func BenchmarkOpenSnapshot(b *testing.B) {
 	openBenchArtifacts(b)
 	b.ReportAllocs()

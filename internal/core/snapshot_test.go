@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"slices"
 	"testing"
+	"unsafe"
 
 	"github.com/g-rpqs/rlc-go/internal/graph"
 	"github.com/g-rpqs/rlc-go/internal/labelseq"
@@ -102,7 +103,7 @@ func TestSnapshotOpenFile(t *testing.T) {
 	if s.Path() != path {
 		t.Errorf("Path = %q", s.Path())
 	}
-	t.Logf("mapped=%v size=%d sections=%d", s.Mapped(), s.SizeBytes(), len(s.Sections()))
+	t.Logf("size=%d sections=%d", s.SizeBytes(), len(s.Sections()))
 	if err := s.Verify(); err != nil {
 		t.Fatal(err)
 	}
@@ -192,8 +193,52 @@ func TestSnapshotTruncation(t *testing.T) {
 	}
 }
 
+// within reports whether the non-empty slice s lies inside buf.
+func within[T any](buf []byte, s []T) bool {
+	lo := uintptr(unsafe.Pointer(unsafe.SliceData(buf)))
+	p := uintptr(unsafe.Pointer(unsafe.SliceData(s)))
+	return len(s) > 0 && p >= lo && p+uintptr(len(s))*unsafe.Sizeof(s[0]) <= lo+uintptr(len(buf))
+}
+
+// TestOpenIsZeroCopy: OpenSnapshot reads the file into one buffer and
+// adopts the large sections as views of it — the packed groups, the set
+// pool and the graph CSR point into Snapshot.Bytes(), none is a copy.
+func TestOpenIsZeroCopy(t *testing.T) {
+	if !snapshot.HostLittleEndian() {
+		t.Skip("big-endian hosts decode sections into copies")
+	}
+	ix, err := Build(graph.Fig2(), Options{K: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "fig2.rlcs")
+	if err := ix.SaveSnapshotFile(path); err != nil {
+		t.Fatal(err)
+	}
+	s, err := OpenSnapshot(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, p, csr := s.Bytes(), s.Index().packed, s.Graph().RawCSR()
+	for what, ok := range map[string]bool{
+		"packed groups":        within(raw, p.groups),
+		"set pool words":       within(raw, p.words),
+		"set pool descriptors": within(raw, p.desc),
+		"CSR out-offsets":      within(raw, csr.OutOff),
+		"CSR out-targets":      within(raw, csr.OutDst),
+		"CSR out-labels":       within(raw, csr.OutLbl),
+		"CSR in-offsets":       within(raw, csr.InOff),
+		"CSR in-sources":       within(raw, csr.InSrc),
+		"CSR in-labels":        within(raw, csr.InLbl),
+	} {
+		if !ok {
+			t.Errorf("%s do not point into the bundle bytes", what)
+		}
+	}
+}
+
 // TestSnapshotTruncationOnDisk repeats a sample of truncations through the
-// mmap open path.
+// file open path.
 func TestSnapshotTruncationOnDisk(t *testing.T) {
 	_, data := bundleBytes(t, graph.Fig2(), 2)
 	dir := t.TempDir()

@@ -287,7 +287,7 @@ func (d *DeltaGraph) Query(s, t graph.Vertex, l labelseq.Seq) (bool, error) {
 
 // QueryRLC is Query under a context (the facade's Querier interface):
 // cancellation and deadlines are checked once per BFS level of the delta
-// search, so an abandoned request cannot pin a generation for a whole
+// search, so an abandoned request cannot hold a generation for a whole
 // product traversal.
 //
 // The delta search is the traversal kernel's BiBFS over the union graph

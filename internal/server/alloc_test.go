@@ -10,7 +10,7 @@ import (
 
 // TestAnswerRLCAllocFree is the runtime counterpart of the //rlc:noalloc
 // annotation on computeSeq: an index-class query on an immutable generation
-// costs the pin, the probe, and zero heap allocations.
+// costs one generation load, the probe, and zero heap allocations.
 func TestAnswerRLCAllocFree(t *testing.T) {
 	s := New(buildIndex(t, graph.Fig2()), Options{})
 	defer s.Close()

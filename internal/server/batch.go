@@ -698,23 +698,19 @@ func (s *Server) handleBatch(st *state, w http.ResponseWriter, r *http.Request) 
 }
 
 // batchWorkers is the worker count of a request that asked for requested:
-// the server's own (0 meaning GOMAXPROCS), which a request may lower and
-// never raise.
-func (s *Server) batchWorkers(requested int) int {
-	limit := s.opts.BatchWorkers
-	if limit <= 0 {
-		limit = runtime.GOMAXPROCS(0)
-	}
+// GOMAXPROCS, which a request may lower and never raise.
+func batchWorkers(requested int) int {
+	limit := runtime.GOMAXPROCS(0)
 	if requested <= 0 || requested > limit {
 		return limit
 	}
 	return requested
 }
 
-// serveBatch is handleBatch on a pinned generation, with bs as its scratch.
+// serveBatch is handleBatch on one generation, with bs as its scratch.
 func (s *Server) serveBatch(st *state, bs *batchState, w http.ResponseWriter, r *http.Request) bool {
 	bs.scan = batchScanner{src: r.Body, b: bs.scan.b[:0]}
-	workers, slots, err := bs.scan.decode(bs.slots, s.opts.MaxBatch)
+	workers, slots, err := bs.scan.decode(bs.slots, DefaultMaxBatch)
 	var tooLarge *http.MaxBytesError
 	switch {
 	case errors.As(bs.scan.rerr, &tooLarge):
@@ -722,7 +718,7 @@ func (s *Server) serveBatch(st *state, bs *batchState, w http.ResponseWriter, r 
 	case bs.scan.rerr != nil:
 		return writeError(w, http.StatusBadRequest, "read request: %v", bs.scan.rerr)
 	case err == errBatchTooMany:
-		return writeError(w, http.StatusRequestEntityTooLarge, "batch exceeds the limit of %d queries", s.opts.MaxBatch)
+		return writeError(w, http.StatusRequestEntityTooLarge, "batch exceeds the limit of %d queries", DefaultMaxBatch)
 	case err == errBatchField:
 		return writeError(w, http.StatusBadRequest, "decode request: unknown field %q", bs.scan.key)
 	case err != nil:
@@ -732,7 +728,7 @@ func (s *Server) serveBatch(st *state, bs *batchState, w http.ResponseWriter, r 
 	}
 	bs.slots = slots
 	s.batchQueries.Add(int64(len(slots)))
-	workers = s.batchWorkers(workers)
+	workers = batchWorkers(workers)
 	bs.serving(st)
 
 	start := time.Now()

@@ -271,8 +271,7 @@ func TestBatchReplyMatchesEncodingJSON(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := s.store.acquire()
-	defer st.release()
+	st := s.store.current()
 	want := batchResponse{Results: make([]batchQueryResult, len(ref.Queries)), Count: len(ref.Queries)}
 	fail := func(err error) batchQueryResult {
 		return batchQueryResult{Error: err.Error(), Code: errorCode(err)}
@@ -405,9 +404,8 @@ func wnServer(tb testing.TB, vertices int, opts Options) (*Server, *graph.Graph)
 // over 56 constraints allocates no more than a 64-query body over 8 — per
 // request, nothing per query and nothing per constraint already parsed.
 func TestBatchSteadyStateAllocs(t *testing.T) {
-	s, g := wnServer(t, 600, Options{BatchWorkers: 1})
-	st := s.store.acquire()
-	defer st.release()
+	s, g := wnServer(t, 600, Options{})
+	st := s.store.current()
 	bs := batchStates.New().(*batchState)
 	w := &discardWriter{h: http.Header{}}
 	allocs := func(body []byte) float64 {
@@ -418,39 +416,46 @@ func TestBatchSteadyStateAllocs(t *testing.T) {
 			}
 		})
 	}
-	big := batchBodies(g, 1, 512, 56, 1)[0]
-	small := batchBodies(g, 1, 64, 8, 2)[0]
+	// One worker, asked for by the request, so the fan-out's goroutines do
+	// not count.
+	oneWorker := func(body []byte) []byte { return append([]byte(`{"workers":1,`), body[1:]...) }
+	big := oneWorker(batchBodies(g, 1, 512, 56, 1)[0])
+	small := oneWorker(batchBodies(g, 1, 64, 8, 2)[0])
 	allocs(big) // grows bs to its steady size and parses the 56 constraints
 	if a, b := allocs(small), allocs(big); b > a {
 		t.Fatalf("64 queries over 8 constraints: %.0f allocs; 512 queries over 56: %.0f allocs", a, b)
 	}
 }
 
-// TestBatchOverLimitStopsEarly sends 100,000 queries — well under the body
-// cap — to a server that takes 256 per batch. The scanner must give up at
-// query 257 without reading, let alone decoding, the rest.
+// TestBatchOverLimitStopsEarly: the scanner refuses a batch at query
+// DefaultMaxBatch+1 without reading, let alone decoding, the rest. Refusing
+// 300,000 queries (6.9 MB, under the body cap) must cost no more than
+// refusing DefaultMaxBatch+1.
 func TestBatchOverLimitStopsEarly(t *testing.T) {
-	s := New(buildIndex(t, graph.Fig2()), Options{MaxBatch: 256})
+	s := New(buildIndex(t, graph.Fig2()), Options{})
 	defer s.Close()
 	h := s.Handler()
-	body := `{"queries":[` + strings.Repeat(`{"s":0,"t":1,"l":"l1"},`, 99_999) + `{"s":0,"t":1,"l":"l1"}]}`
-	rec := httptest.NewRecorder()
-	r := httptest.NewRequest("POST", "/batch", strings.NewReader(body))
-
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	h.ServeHTTP(rec, r)
-	runtime.ReadMemStats(&after)
-
-	var er errorResponse
-	if err := json.Unmarshal(rec.Body.Bytes(), &er); err != nil {
-		t.Fatal(err)
+	refuse := func(queries int) uint64 {
+		t.Helper()
+		body := `{"queries":[` + strings.Repeat(`{"s":0,"t":1,"l":"l1"},`, queries-1) + `{"s":0,"t":1,"l":"l1"}]}`
+		rec := httptest.NewRecorder()
+		r := httptest.NewRequest("POST", "/batch", strings.NewReader(body))
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		h.ServeHTTP(rec, r)
+		runtime.ReadMemStats(&after)
+		var er errorResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &er); err != nil {
+			t.Fatal(err)
+		}
+		if rec.Code != http.StatusRequestEntityTooLarge || !strings.Contains(er.Error, "limit of 8192") {
+			t.Fatalf("status %d: %s", rec.Code, rec.Body)
+		}
+		return after.TotalAlloc - before.TotalAlloc
 	}
-	if rec.Code != http.StatusRequestEntityTooLarge || !strings.Contains(er.Error, "limit of 256") {
-		t.Fatalf("status %d: %s", rec.Code, rec.Body)
-	}
-	if spent := after.TotalAlloc - before.TotalAlloc; spent >= 1<<20 {
-		t.Fatalf("refusing a %d-byte body allocated %d bytes", len(body), spent)
+	atLimit := refuse(DefaultMaxBatch + 1)
+	if spent := refuse(300_000); spent > atLimit+1<<20 {
+		t.Fatalf("refusing 300,000 queries allocated %d bytes, refusing %d allocated %d", spent, DefaultMaxBatch+1, atLimit)
 	}
 }
 
@@ -475,39 +480,34 @@ func TestBatchStateOversizeNotPooled(t *testing.T) {
 }
 
 // TestBatchWorkersAccepted: every spelling of "workers" a Go int decoded is
-// taken, none of them moves an answer, and none of them raises the server's
-// worker count — configured, or GOMAXPROCS when the option is 0.
+// taken, none of them moves an answer, and none of them raises the worker
+// count past GOMAXPROCS.
 func TestBatchWorkersAccepted(t *testing.T) {
 	var answers []byte
-	for _, configured := range []int{0, 2} {
-		s, g := wnServer(t, 600, Options{BatchWorkers: configured})
-		body := batchBodies(g, 1, 512, 8, 3)[0]
-		with := func(workers string) []byte {
-			return append([]byte(`{"workers":`+workers+`,`), body[1:]...)
+	s, g := wnServer(t, 600, Options{})
+	body := batchBodies(g, 1, 512, 8, 3)[0]
+	with := func(workers string) []byte {
+		return append([]byte(`{"workers":`+workers+`,`), body[1:]...)
+	}
+	for _, b := range [][]byte{body, with("1"), with("64"), with("-3"), with("null")} {
+		rec := httptest.NewRecorder()
+		s.Handler().ServeHTTP(rec, httptest.NewRequest("POST", "/batch", bytes.NewReader(b)))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("status %d: %s", rec.Code, rec.Body)
 		}
-		for _, b := range [][]byte{body, with("1"), with("64"), with("-3"), with("null")} {
-			rec := httptest.NewRecorder()
-			s.Handler().ServeHTTP(rec, httptest.NewRequest("POST", "/batch", bytes.NewReader(b)))
-			if rec.Code != http.StatusOK {
-				t.Fatalf("status %d: %s", rec.Code, rec.Body)
-			}
-			got := microsField.ReplaceAll(rec.Body.Bytes(), nil)
-			if answers == nil {
-				answers = got
-			} else if !bytes.Equal(got, answers) {
-				t.Fatalf("answers moved with the worker count")
-			}
+		got := microsField.ReplaceAll(rec.Body.Bytes(), nil)
+		if answers == nil {
+			answers = got
+		} else if !bytes.Equal(got, answers) {
+			t.Fatalf("answers moved with the worker count")
 		}
-		limit := configured
-		if limit == 0 {
-			limit = runtime.GOMAXPROCS(0)
-		}
-		for _, requested := range []int{0, -3, 1, 64, runtime.GOMAXPROCS(0) + 1} {
-			got := core.EffectiveBatchWorkers(512, s.batchWorkers(requested))
-			lowered := 0 < requested && requested <= limit
-			if got > limit || lowered && got != core.EffectiveBatchWorkers(512, requested) {
-				t.Errorf("-workers %d, request asking for %d: %d workers", configured, requested, got)
-			}
+	}
+	limit := runtime.GOMAXPROCS(0)
+	for _, requested := range []int{0, -3, 1, 64, limit + 1} {
+		got := core.EffectiveBatchWorkers(512, batchWorkers(requested))
+		lowered := 0 < requested && requested <= limit
+		if got > limit || lowered && got != core.EffectiveBatchWorkers(512, requested) {
+			t.Errorf("request asking for %d: %d workers", requested, got)
 		}
 	}
 }
@@ -577,10 +577,8 @@ func TestBatchConstraintTablePerGeneration(t *testing.T) {
 
 	bs := batchStates.New().(*batchState)
 	check := func(name string, s *Server) []byte {
-		st := s.store.acquire()
 		rec := httptest.NewRecorder()
-		ok := s.serveBatch(st, bs, rec, httptest.NewRequest("POST", "/batch", bytes.NewReader(body)))
-		st.release()
+		ok := s.serveBatch(s.store.current(), bs, rec, httptest.NewRequest("POST", "/batch", bytes.NewReader(body)))
 		var got batchResponse
 		if !ok || json.Unmarshal(rec.Body.Bytes(), &got) != nil {
 			t.Fatalf("%s: status %d: %s", name, rec.Code, rec.Body)

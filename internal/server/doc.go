@@ -16,13 +16,14 @@
 //	GET  /healthz          liveness, generation, epoch/journal when mutable
 //
 // Every serving generation — index, graph, hybrid pool, delta overlay,
-// backing snapshot mapping — lives in one RCU state (store.go) that each
-// request pins for its lifetime, so reloads AND the write path's background
-// folds swap generations with zero downtime and exact answers throughout
-// (mutable.go drives the fold: build base ∪ journal, optionally write +
-// verify a fresh v2 bundle, carry un-folded edges over, swap). Every pin is
-// taken through Store.with, which releases it with defer: a pinned state is
-// a function argument, never a value a caller must remember to release.
+// backing bundle bytes — lives in one immutable state (store.go) that each
+// request loads once and keeps for its lifetime, so reloads AND the write
+// path's background folds swap generations with zero downtime and exact
+// answers throughout (mutable.go drives the fold: build base ∪ journal,
+// optionally write + verify a fresh v2 bundle, carry un-folded edges over,
+// swap). A generation is heap memory throughout: a swap releases nothing,
+// and the garbage collector retires the old generation once the last
+// request holding it returns.
 //
 // Nothing sits in front of the index: a probe costs 100–250 ns, less than
 // the bookkeeping of a result cache that would save it, so every read is
@@ -37,7 +38,7 @@
 // computeSeq one by one — and joins the reply in one pooled buffer. Neither
 // endpoint allocates per query beyond the constraint parse; fuzzers hold both
 // hand-written halves of each to net/url and encoding/json. On a mutable
-// server exactness under writes rests on the journal alone: a read pins one
+// server exactness under writes rests on the journal alone: a read loads one
 // generation and searches base ∪ journal as of its own start. "cached" stays
 // in both replies, constant (false, 0), for the clients that decode it.
 //

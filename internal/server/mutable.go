@@ -78,32 +78,29 @@ type RebuildResult struct {
 // Queries racing with the batch never block and answer exactly against
 // whatever prefix of the batch is visible. Crossing Options.
 // RebuildThreshold triggers a background fold; the call never waits for it.
-func (s *Server) UpdateBatch(edges []graph.Edge) (res UpdateResult, err error) {
+func (s *Server) UpdateBatch(edges []graph.Edge) (UpdateResult, error) {
 	if !s.opts.Mutable {
 		return UpdateResult{}, errNotMutable
 	}
 	s.updateMu.Lock()
 	defer s.updateMu.Unlock()
-	if !s.store.with(func(st *state) {
-		// Publishing the batch advances seqNow: a read stamped with the new
-		// sequence already searches the new edges.
-		if err = st.delta.AddEdges(edges); err != nil {
-			return
-		}
-		// Epoch and Seq come from the pinned generation the batch landed in
-		// (updateMu excludes a concurrent fold's swap, so it IS the current
-		// one) — mutually consistent coordinates for the write token.
-		res = UpdateResult{
-			Accepted: len(edges),
-			Journal:  st.delta.JournalLen(),
-			Epoch:    st.epoch,
-			Seq:      st.seqNow(),
-		}
-	}) {
+	st := s.store.current()
+	if st == nil {
 		return UpdateResult{}, errServerClosed
 	}
-	if err != nil {
+	// Publishing the batch advances seqNow: a read stamped with the new
+	// sequence already searches the new edges.
+	if err := st.delta.AddEdges(edges); err != nil {
 		return UpdateResult{}, err
+	}
+	// Epoch and Seq come from the generation the batch landed in (updateMu
+	// excludes a concurrent fold's swap, so it IS the current one) —
+	// mutually consistent coordinates for the write token.
+	res := UpdateResult{
+		Accepted: len(edges),
+		Journal:  st.delta.JournalLen(),
+		Epoch:    st.epoch,
+		Seq:      st.seqNow(),
 	}
 	s.store.writes.Add(uint64(len(edges))) // /stats only
 	if thr := s.opts.RebuildThreshold; thr > 0 && res.Journal >= thr {
@@ -215,19 +212,19 @@ func (s *Server) rebuildOnce() (res RebuildResult, err error) {
 
 func micros(d time.Duration) float64 { return float64(d.Nanoseconds()) / 1e3 }
 
-// foldInput pins the serving generation just long enough to materialize
-// base ∪ journal and read the build parameters. The fold inherits the base
+// foldInput materializes base ∪ journal of the serving generation and reads
+// its build parameters. The fold inherits the base
 // index's build options (k, packed/unpacked, pruning flags) so a rebuilt
 // epoch answers from the same representation the base did — in particular,
 // folds of a packed base emit packed bundles.
 func (s *Server) foldInput() (union *graph.Graph, folded int, opts core.Options, err error) {
-	if !s.store.with(func(st *state) {
-		union, folded = st.delta.FoldInput()
-		opts = st.ix.BuildOptions()
-		opts.K = st.ix.K()
-	}) {
+	st := s.store.current()
+	if st == nil {
 		return nil, 0, core.Options{}, errServerClosed
 	}
+	union, folded = st.delta.FoldInput()
+	opts = st.ix.BuildOptions()
+	opts.K = st.ix.K()
 	return union, folded, opts, nil
 }
 
@@ -238,24 +235,19 @@ func (s *Server) foldInput() (union *graph.Graph, folded int, opts core.Options,
 func (s *Server) installFolded(ix *core.Index, src *core.Snapshot, folded int, source string) (leftover int, epoch uint64, err error) {
 	s.updateMu.Lock()
 	defer s.updateMu.Unlock()
-	if !s.store.with(func(st *state) {
-		tail := st.delta.JournalTail(folded)
-		// The new generation advances the replication timeline: one more
-		// epoch, and the folded journal prefix moves under the base
-		// (seqBase). Derived from the pinned pre-fold state so a racing
-		// reader's (epoch, seq) translation stays consistent with whichever
-		// generation it pinned.
-		epoch = st.epoch + 1
-		s.store.SwapFolded(ix, src, tail, source, epoch, st.seqBase+uint64(folded))
-		leftover = len(tail)
-	}) {
-		if src != nil {
-			src.Close()
-		}
+	st := s.store.current()
+	if st == nil {
 		return 0, 0, errServerClosed
 	}
+	tail := st.delta.JournalTail(folded)
+	// The new generation advances the replication timeline: one more epoch,
+	// and the folded journal prefix moves under the base (seqBase). Derived
+	// from the pre-fold state so a racing reader's (epoch, seq) translation
+	// stays consistent with whichever generation it loaded.
+	epoch = st.epoch + 1
+	s.store.SwapFolded(ix, src, tail, source, epoch, st.seqBase+uint64(folded))
 	s.epoch.Store(epoch)
-	return leftover, epoch, nil
+	return len(tail), epoch, nil
 }
 
 // finishRebuild records fold telemetry and fires the OnRebuild callback.
@@ -340,9 +332,9 @@ func (s *Server) handleUpdate(st *state, w http.ResponseWriter, r *http.Request)
 		}
 		inputs = []updateEdgeInput{req.updateEdgeInput}
 	}
-	if len(inputs) > s.opts.MaxBatch {
+	if len(inputs) > DefaultMaxBatch {
 		return writeError(w, http.StatusRequestEntityTooLarge,
-			"update of %d edges exceeds the limit of %d", len(inputs), s.opts.MaxBatch)
+			"update of %d edges exceeds the limit of %d", len(inputs), DefaultMaxBatch)
 	}
 	edges := make([]graph.Edge, len(inputs))
 	for i, in := range inputs {
@@ -357,9 +349,9 @@ func (s *Server) handleUpdate(st *state, w http.ResponseWriter, r *http.Request)
 		return writeErr(w, http.StatusUnprocessableEntity, err)
 	}
 	// Write token headers come from the batch's own result, not the
-	// handler's pin: a fold may have swapped generations between this
-	// handler's pin and the batch landing, and the token must describe
-	// the generation that actually took the write.
+	// handler's generation: a fold may have swapped generations between
+	// this handler's load and the batch landing, and the token must
+	// describe the generation that actually took the write.
 	h := w.Header()
 	h.Set(HeaderEpoch, strconv.FormatUint(res.Epoch, 10))
 	h.Set(HeaderSeq, strconv.FormatUint(res.Seq, 10))

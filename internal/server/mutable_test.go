@@ -157,8 +157,7 @@ func TestSeqHeaderTracksJournalAppend(t *testing.T) {
 		t.Fatalf("pre-append query: %+v, want false", q)
 	}
 
-	st := s.store.acquire()
-	defer st.release()
+	st := s.store.current()
 	v1, _ := g.VertexByName("v1")
 	v4, _ := g.VertexByName("v4")
 	l1, _ := g.LabelByName("l1")
@@ -725,7 +724,7 @@ type soakConfig struct {
 
 // TestMutableSoakOracle is the headline exactness proof: ≥100k mixed
 // queries race concurrent single-edge inserts across ≥3 background
-// rebuild/hot-swap epochs (each fold writing and mmapping a fresh v2
+// rebuild/hot-swap epochs (each fold writing and re-opening a fresh v2
 // bundle), and EVERY answer is checked against a linearizability oracle.
 //
 // The oracle: insertions are pre-planned, and for each pool query q the
@@ -917,9 +916,7 @@ func runMutableSoak(t *testing.T, cfg soakConfig) {
 	deadline := time.Now().Add(60 * time.Second)
 	for srv.rebuilding.Load() {
 		if time.Now().After(deadline) {
-			st := srv.store.acquire()
-			journal := st.delta.JournalLen()
-			st.release()
+			journal := srv.store.current().delta.JournalLen()
 			t.Fatalf("a fold is still running 60 s after the last insert (epoch %d, journal %d)", srv.epoch.Load(), journal)
 		}
 		time.Sleep(5 * time.Millisecond)

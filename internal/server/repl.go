@@ -51,7 +51,7 @@ var (
 	errNotLeader = errors.New("server: this replica is a follower; send writes to the leader")
 )
 
-// ReplState places one pinned serving generation on the replication
+// ReplState places one serving generation on the replication
 // timeline. All fields are read from a single generation, so they are
 // mutually consistent even while folds and inserts race.
 type ReplState struct {
@@ -92,7 +92,7 @@ func (st *state) seqNow() uint64 {
 	return st.seqBase
 }
 
-// replHeaders stamps a read's response headers with the pinned generation's
+// replHeaders stamps a read's response headers with the generation's
 // replication coordinates. It reads the sequence itself, so it must run
 // before the answer is computed — the header is then a freshness floor the
 // answer is guaranteed to reflect — and before the status line is written.
@@ -112,7 +112,7 @@ func limitBody(w http.ResponseWriter, r *http.Request) {
 	r.Body = http.MaxBytesReader(w, r.Body, DefaultMaxBodyBytes)
 }
 
-// replState reads the replication coordinates of one pinned generation.
+// replState reads the replication coordinates of one generation.
 func (s *Server) replState(st *state) ReplState {
 	rs := ReplState{
 		Role:        s.opts.role(),
@@ -135,9 +135,12 @@ func (s *Server) replState(st *state) ReplState {
 
 // ReplState snapshots the current generation's replication coordinates
 // (the zero value after Close).
-func (s *Server) ReplState() (rs ReplState) {
-	s.store.with(func(st *state) { rs = s.replState(st) })
-	return rs
+func (s *Server) ReplState() ReplState {
+	st := s.store.current()
+	if st == nil {
+		return ReplState{}
+	}
+	return s.replState(st)
 }
 
 // ExportSealed copies sealed journal edges starting at global sequence
@@ -146,72 +149,65 @@ func (s *Server) ReplState() (rs ReplState) {
 // pending, the journal tail is force-sealed first — the leader's long-poll
 // path uses it so a trickle of writes below the segment size still
 // replicates promptly. A cursor below the folded base fails with the
-// behind-bundle sentinel (the caller must cut over via SendBundle); one
-// past the log fails as a foreign log.
-func (s *Server) ExportSealed(from uint64, flush bool) (edges []graph.Edge, rs ReplState, err error) {
+// behind-bundle sentinel (the caller must cut over via Bundle); one past
+// the log fails as a foreign log.
+func (s *Server) ExportSealed(from uint64, flush bool) ([]graph.Edge, ReplState, error) {
 	if !s.opts.Mutable {
 		return nil, ReplState{}, errNotMutable
 	}
-	if !s.store.with(func(st *state) {
-		rs = s.replState(st)
-		if from < rs.SeqBase {
-			err = fmt.Errorf("%w (cursor %d, base %d)", errSeqFolded, from, rs.SeqBase)
-			return
-		}
-		if from > rs.Seq {
-			err = fmt.Errorf("%w (cursor %d, log end %d)", errSeqAhead, from, rs.Seq)
-			return
-		}
-		local := int(from - rs.SeqBase)
-		edges = st.delta.ExportSealed(local)
-		if len(edges) == 0 && flush && st.delta.JournalLen() > local {
-			st.delta.Seal()
-			edges = st.delta.ExportSealed(local)
-			rs.SealedSeq = rs.SeqBase + uint64(st.delta.SealedLen())
-		}
-	}) {
+	st := s.store.current()
+	if st == nil {
 		return nil, ReplState{}, errServerClosed
 	}
-	return edges, rs, err
+	rs := s.replState(st)
+	if from < rs.SeqBase {
+		return nil, rs, fmt.Errorf("%w (cursor %d, base %d)", errSeqFolded, from, rs.SeqBase)
+	}
+	if from > rs.Seq {
+		return nil, rs, fmt.Errorf("%w (cursor %d, log end %d)", errSeqAhead, from, rs.Seq)
+	}
+	local := int(from - rs.SeqBase)
+	edges := st.delta.ExportSealed(local)
+	if len(edges) == 0 && flush && st.delta.JournalLen() > local {
+		st.delta.Seal()
+		edges = st.delta.ExportSealed(local)
+		rs.SealedSeq = rs.SeqBase + uint64(st.delta.SealedLen())
+	}
+	return edges, rs, nil
 }
 
-// SendBundle hands send the serving base bundle for epoch cutover, with the
-// coordinates of the generation it belongs to, and returns those
-// coordinates. The caller's expected epoch is checked against the pinned
-// generation: a fold racing the request fails it with the epoch_gone
-// sentinel, and send is not called, instead of shipping a surprise epoch.
-// send runs with the generation pinned, so a snapshot-backed bundle is the
-// already-checksummed mapping itself, zero-copy, and is valid only until
-// send returns; a heap-built base is serialized first. The bundle never
-// includes journal edges — those ship as segments.
-func (s *Server) SendBundle(wantEpoch uint64, send func(ReplState, []byte)) (rs ReplState, err error) {
-	if !s.store.with(func(st *state) {
-		rs = s.replState(st)
-		if rs.Epoch != wantEpoch {
-			err = fmt.Errorf("%w (requested %d, serving %d)", errEpochGone, wantEpoch, rs.Epoch)
-			return
-		}
-		if st.src != nil {
-			send(rs, st.src.Bytes())
-			return
-		}
-		var buf bytes.Buffer
-		if err = st.ix.WriteSnapshot(&buf); err != nil {
-			err = fmt.Errorf("server: serialize bundle: %w", err)
-			return
-		}
-		rs.BundleBytes = int64(buf.Len())
-		send(rs, buf.Bytes())
-	}) {
-		return ReplState{}, errServerClosed
+// Bundle returns the serving base bundle for epoch cutover, with the
+// coordinates of the generation it belongs to. The caller's expected epoch
+// is checked against that generation: a fold racing the request fails it
+// with the epoch_gone sentinel and the current coordinates, instead of
+// shipping a surprise epoch. A snapshot-backed base returns the
+// already-checksummed bundle bytes themselves, zero-copy; a heap-built base
+// is serialized first. The bundle never includes journal edges — those
+// ship as segments.
+func (s *Server) Bundle(wantEpoch uint64) (ReplState, []byte, error) {
+	st := s.store.current()
+	if st == nil {
+		return ReplState{}, nil, errServerClosed
 	}
-	return rs, err
+	rs := s.replState(st)
+	if rs.Epoch != wantEpoch {
+		return rs, nil, fmt.Errorf("%w (requested %d, serving %d)", errEpochGone, wantEpoch, rs.Epoch)
+	}
+	if st.src != nil {
+		return rs, st.src.Bytes(), nil
+	}
+	var buf bytes.Buffer
+	if err := st.ix.WriteSnapshot(&buf); err != nil {
+		return rs, nil, fmt.Errorf("server: serialize bundle: %w", err)
+	}
+	rs.BundleBytes = int64(buf.Len())
+	return rs, buf.Bytes(), nil
 }
 
 // AdoptFolded installs an externally produced fold epoch: a verified
-// snapshot bundle (ownership transfers to the store) plus the journal tail
-// to carry over — how a replication follower cuts over to the leader's
-// freshly folded bundle through the exact drain path local folds use.
+// snapshot bundle plus the journal tail to carry over — how a replication
+// follower cuts over to the leader's freshly folded bundle through the
+// same swap local folds use.
 // epoch and seqBase are the leader's coordinates for the bundle; the
 // caller has already checked the fingerprint handshake and run
 // Snapshot.Verify. Writers pause only for the swap itself.
@@ -224,9 +220,8 @@ func (s *Server) AdoptFolded(snap *core.Snapshot, tail []graph.Edge, epoch, seqB
 	s.updateMu.Lock()
 	defer s.updateMu.Unlock()
 	if s.store.Generation() == 0 {
-		// Closed store: SwapFolded would retire (and close) the incoming
-		// snapshot, but tell the caller adoption did not happen.
-		snap.Close()
+		// Closed store: SwapFolded would drop the incoming snapshot; tell
+		// the caller adoption did not happen.
 		return errServerClosed
 	}
 	s.store.SwapFolded(snap.Index(), snap, tail, source, epoch, seqBase)

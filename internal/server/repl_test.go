@@ -1,7 +1,6 @@
 package server
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -217,25 +216,17 @@ func TestBundleAdoptRoundtrip(t *testing.T) {
 		t.Fatalf("leader post-fold state %+v", want)
 	}
 
-	// Bundle cutover. Asking for a stale epoch must fail closed.
-	noSend := func(ReplState, []byte) { t.Fatal("a stale-epoch bundle request reached send") }
-	if _, err := leader.SendBundle(0, noSend); err == nil || errorCode(err) != "epoch_gone" {
-		t.Fatalf("stale-epoch bundle: err %v, want epoch_gone", err)
+	// Bundle cutover. Asking for a stale epoch must fail closed, with the
+	// current coordinates and no bytes.
+	if rs, raw, err := leader.Bundle(0); errorCode(err) != "epoch_gone" || raw != nil || rs.Epoch != want.Epoch {
+		t.Fatalf("stale-epoch bundle: %+v, %d bytes, err %v; want epoch_gone at epoch %d", rs, len(raw), err, want.Epoch)
 	}
-	var (
-		raw  []byte
-		brs  ReplState
-		sent int
-	)
-	rs, err := leader.SendBundle(want.Epoch, func(rs ReplState, bundle []byte) {
-		sent++
-		brs, raw = rs, bytes.Clone(bundle)
-	})
+	brs, raw, err := leader.Bundle(want.Epoch)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sent != 1 || rs != brs {
-		t.Fatalf("send ran %d times with %+v; SendBundle returned %+v", sent, brs, rs)
+	if brs.BundleBytes != int64(len(raw)) {
+		t.Fatalf("bundle of %d bytes, coordinates say %d", len(raw), brs.BundleBytes)
 	}
 	snap, err := core.OpenSnapshotBytes(raw)
 	if err != nil {

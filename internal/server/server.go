@@ -32,7 +32,8 @@ const (
 	// mutable server triggers a background fold when
 	// Options.RebuildThreshold is zero.
 	DefaultRebuildThreshold = 1024
-	// DefaultMaxBatch bounds a single POST /batch request.
+	// DefaultMaxBatch bounds the queries of one POST /batch request and the
+	// edges of one POST /update request.
 	DefaultMaxBatch = 8192
 	// DefaultMaxBodyBytes caps JSON request bodies (POST /update, /batch):
 	// 8 MiB holds the largest legal batch with generous headroom while
@@ -42,17 +43,9 @@ const (
 	DefaultMaxBodyBytes = 8 << 20
 )
 
-// Options configures a Server. The zero value serves with GOMAXPROCS batch
-// workers and the default batch size limit.
+// Options configures a Server. The zero value serves a read-only index;
+// POST /batch answers on up to GOMAXPROCS workers.
 type Options struct {
-	// BatchWorkers is the worker count handed to Index.QueryBatchIntoCtx
-	// for POST /batch requests; 0 means GOMAXPROCS.
-	BatchWorkers int
-
-	// MaxBatch caps the number of queries accepted in one POST /batch
-	// request; zero selects DefaultMaxBatch.
-	MaxBatch int
-
 	// BuildStats, when non-nil, is reported verbatim under "build" in
 	// /stats — wire it up when the index was built on startup. It describes
 	// the initial generation only; reloaded snapshots carry no build stats.
@@ -82,7 +75,7 @@ type Options struct {
 
 	// RebuildPath, when non-empty, makes every fold write a fresh v2
 	// snapshot bundle there (SaveSnapshotFile), re-open and verify it,
-	// and hot-swap the server onto the mapped bundle; when empty, folds
+	// and hot-swap the server onto the re-opened bundle; when empty, folds
 	// swap in the heap-built index directly. Ignored unless Mutable.
 	RebuildPath string
 
@@ -101,9 +94,6 @@ type Options struct {
 }
 
 func (o Options) withDefaults() Options {
-	if o.MaxBatch <= 0 {
-		o.MaxBatch = DefaultMaxBatch
-	}
 	if o.Mutable && o.RebuildThreshold == 0 {
 		o.RebuildThreshold = DefaultRebuildThreshold
 	}
@@ -112,22 +102,22 @@ func (o Options) withDefaults() Options {
 
 // Server answers RLC reachability queries over HTTP. All serving state —
 // index, graph, hybrid-evaluator pool, delta overlay — lives in a Store
-// generation that every request pins for its own lifetime, so the served
-// snapshot can be hot-swapped (SIGHUP / POST /reload in rlcserve) with zero
-// downtime: in-flight queries finish against the generation they started
-// on, new queries see the new one, and the old bundle's mapping is released
-// only after the last straggler drains.
+// generation that every request loads once and keeps for its own lifetime,
+// so the served snapshot can be hot-swapped (SIGHUP / POST /reload in
+// rlcserve) with zero downtime: in-flight queries finish against the
+// generation they started on, new queries see the new one, and the garbage
+// collector reclaims the old one after the last straggler lets go.
 type Server struct {
 	store *Store
 	opts  Options
 	start time.Time
 
 	// swapMu serializes every generation swap — reloads and folds — so two
-	// swappers cannot interleave open/build-then-swap and leak a snapshot.
+	// swappers cannot interleave open/build-then-swap.
 	swapMu sync.Mutex
 
 	// updateMu serializes writers with the fold's install step: an update
-	// appends to the pinned generation's overlay under it, and a fold
+	// appends to the current generation's overlay under it, and a fold
 	// holds it only while carrying the journal tail into the next
 	// generation — so no insert can slip between the carry-over and the
 	// swap and be lost. The read path never takes it.
@@ -164,9 +154,7 @@ func New(ix *core.Index, opts Options) *Server {
 	return newServer(NewStore(ix, opts), opts)
 }
 
-// NewFromSnapshot returns a Server over an open snapshot bundle, taking
-// ownership of it: the bundle is closed when it is swapped out by a reload
-// or when the server is Closed.
+// NewFromSnapshot returns a Server over an open snapshot bundle.
 func NewFromSnapshot(snap *core.Snapshot, opts Options) *Server {
 	return newServer(NewStoreFromSnapshot(snap, opts), opts)
 }
@@ -217,13 +205,13 @@ func (s *Server) Reload() (uint64, error) {
 //	GET  /healthz          liveness, with the serving generation and (mutable) epoch/journal
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("GET /query", s.timed(&s.mQuery, s.pinned(s.handleQuery)))
-	mux.HandleFunc("POST /batch", s.timed(&s.mBatch, s.pinned(s.handleBatch)))
-	mux.HandleFunc("POST /update", s.timed(&s.mUpdate, s.pinned(s.handleUpdate)))
+	mux.HandleFunc("GET /query", s.timed(&s.mQuery, s.onCurrent(s.handleQuery)))
+	mux.HandleFunc("POST /batch", s.timed(&s.mBatch, s.onCurrent(s.handleBatch)))
+	mux.HandleFunc("POST /update", s.timed(&s.mUpdate, s.onCurrent(s.handleUpdate)))
 	mux.HandleFunc("POST /rebuild", s.timed(&s.mRebuild, s.handleRebuild))
 	mux.HandleFunc("POST /reload", s.timed(&s.mReload, s.handleReload))
-	mux.HandleFunc("GET /stats", s.timed(&s.mStats, s.pinned(s.handleStats)))
-	mux.HandleFunc("GET /healthz", s.timed(&s.mHealthz, s.pinned(s.handleHealthz)))
+	mux.HandleFunc("GET /stats", s.timed(&s.mStats, s.onCurrent(s.handleStats)))
+	mux.HandleFunc("GET /healthz", s.timed(&s.mHealthz, s.onCurrent(s.handleHealthz)))
 	return mux
 }
 
@@ -246,15 +234,14 @@ func (s *Server) ListenAndServe(addr string) error {
 // Shutdown stops accepting new connections and waits for in-flight requests
 // to complete, like net/http.Server.Shutdown. Calling it before Serve marks
 // the server closed, so a later Serve returns http.ErrServerClosed. It does
-// not release the serving snapshot; call Close once no more queries will
-// arrive.
+// not stop the serving methods; Close does.
 func (s *Server) Shutdown(ctx context.Context) error {
 	return s.hs.Shutdown(ctx)
 }
 
-// Close retires the serving generation and releases its backing snapshot
-// (once in-flight queries drain). Queries after Close fail; call it after
-// Shutdown.
+// Close stops serving: requests and method calls after it fail with
+// server_closed (HTTP 503). It releases nothing and returns nil; call it
+// after Shutdown.
 func (s *Server) Close() error {
 	return s.store.Close()
 }
@@ -282,14 +269,15 @@ func (s *Server) AnswerRLC(ctx context.Context, src, dst graph.Vertex, l labelse
 
 // QueryRLC answers one (s, t, L+) query through the serving path,
 // satisfying the facade's Querier interface.
-func (s *Server) QueryRLC(ctx context.Context, src, dst graph.Vertex, l labelseq.Seq) (reachable bool, err error) {
-	if !s.store.with(func(st *state) { reachable, err = st.computeSeq(ctx, src, dst, l) }) {
+func (s *Server) QueryRLC(ctx context.Context, src, dst graph.Vertex, l labelseq.Seq) (bool, error) {
+	st := s.store.current()
+	if st == nil {
 		return false, errServerClosed
 	}
-	return reachable, err
+	return st.computeSeq(ctx, src, dst, l)
 }
 
-// computeSeq answers (src, dst, l+) on one pinned generation. Immutable
+// computeSeq answers (src, dst, l+) on one generation. Immutable
 // generations (and mutable ones with an empty journal — checking emptiness
 // first is a valid linearization point) go straight to the base:
 // Index.Query when the constraint is in the index's class, the pooled hybrid
@@ -385,14 +373,15 @@ func (s *Server) timed(h *histogram, fn func(http.ResponseWriter, *http.Request)
 	}
 }
 
-// pinned runs a handler on the current generation, pinned for the whole
-// request, and answers 503 once the server is closed.
-func (s *Server) pinned(fn func(*state, http.ResponseWriter, *http.Request) bool) func(http.ResponseWriter, *http.Request) bool {
-	return func(w http.ResponseWriter, r *http.Request) (ok bool) {
-		if !s.store.with(func(st *state) { ok = fn(st, w, r) }) {
+// onCurrent runs a handler on the current generation, loaded once for the
+// whole request, and answers 503 once the server is closed.
+func (s *Server) onCurrent(fn func(*state, http.ResponseWriter, *http.Request) bool) func(http.ResponseWriter, *http.Request) bool {
+	return func(w http.ResponseWriter, r *http.Request) bool {
+		st := s.store.current()
+		if st == nil {
 			return writeError(w, http.StatusServiceUnavailable, "server closed")
 		}
-		return ok
+		return fn(st, w, r)
 	}
 }
 
@@ -414,7 +403,9 @@ func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) bool {
 		return writeErr(w, http.StatusInternalServerError, err)
 	}
 	source := ""
-	s.store.with(func(st *state) { source = st.source })
+	if st := s.store.current(); st != nil {
+		source = st.source
+	}
 	return writeJSON(w, http.StatusOK, reloadResponse{
 		Generation: gen,
 		Source:     source,
@@ -568,7 +559,7 @@ func (s *Server) handleHealthz(st *state, w http.ResponseWriter, r *http.Request
 		IndexBudget:       st.ix.TierStats().Budget,
 	}
 	if st.delta != nil {
-		// The pinned generation's own epoch, not the server-wide counter:
+		// The generation's own epoch, not the server-wide counter:
 		// every field of one healthz reply describes a single generation.
 		epoch := st.epoch
 		journal := st.delta.JournalLen()

@@ -125,9 +125,7 @@ func TestQueryMultiSegment(t *testing.T) {
 	h := hybrid.New(ix)
 
 	expr := "l1+ l2+"
-	st := New(ix, Options{}).store.acquire()
-	parsed, err := st.parseExpr(expr)
-	st.release()
+	parsed, err := New(ix, Options{}).store.current().parseExpr(expr)
 	if err != nil {
 		t.Fatalf("parse %q: %v", expr, err)
 	}
@@ -333,7 +331,10 @@ func normalizeMicros(t *testing.T, raw string) string {
 
 func TestBatchValidation(t *testing.T) {
 	g := graph.Fig2()
-	_, hts := newTestServer(t, buildIndex(t, g), Options{MaxBatch: 2})
+	_, hts := newTestServer(t, buildIndex(t, g), Options{})
+	queries := func(n int) string {
+		return `{"queries":[` + strings.Repeat(`{"s":0,"t":1,"l":"l1"},`, n-1) + `{"s":0,"t":2,"l":"l1"}]}`
+	}
 	cases := []struct {
 		name string
 		body string
@@ -342,9 +343,8 @@ func TestBatchValidation(t *testing.T) {
 		{"malformed JSON", `{"queries":`, http.StatusBadRequest},
 		{"unknown field", `{"nope":1,"queries":[{"s":0,"t":1,"l":"l1"}]}`, http.StatusBadRequest},
 		{"empty batch", `{"queries":[]}`, http.StatusBadRequest},
-		{"over limit", `{"queries":[{"s":0,"t":1,"l":"l1"},{"s":0,"t":2,"l":"l1"},{"s":0,"t":3,"l":"l1"}]}`,
-			http.StatusRequestEntityTooLarge},
-		{"at limit", `{"queries":[{"s":0,"t":1,"l":"l1"},{"s":0,"t":2,"l":"l1"}]}`, http.StatusOK},
+		{"over limit", queries(DefaultMaxBatch + 1), http.StatusRequestEntityTooLarge},
+		{"at limit", queries(DefaultMaxBatch), http.StatusOK},
 		{"trailing space", `{"queries":[{"s":0,"t":1,"l":"l1"}]}` + " \n\t\r", http.StatusOK},
 		{"trailing garbage", `{"queries":[{"s":0,"t":1,"l":"l1"}]} x`, http.StatusBadRequest},
 		{"second value", `{"queries":[{"s":0,"t":1,"l":"l1"}]}{"queries":[]}`, http.StatusBadRequest},

@@ -14,17 +14,14 @@ import (
 // state is one immutable serving generation: an index, its graph, the
 // hybrid-evaluator pool, the delta overlay accepting writes against this
 // base (mutable servers only), and — when the generation came from a
-// snapshot bundle — the mapping that backs it all. Everything that must
-// change together on a hot reload lives here, so a query pins one coherent
-// generation for its whole lifetime and can never observe a new index
-// through an old overlay (or vice versa). The overlay belongs to the
-// generation because its lock-free readers hold references into the base
-// index: pinning the generation is what keeps a mid-query hot swap from
-// unmapping the snapshot under the delta search.
+// snapshot bundle — the bundle bytes the index and graph are views of.
+// Everything that must change together on a hot reload lives here, so a
+// request that loaded one generation uses it for its whole lifetime and can
+// never observe a new index through an old overlay (or vice versa).
 type state struct {
 	ix     *core.Index
 	g      *graph.Graph
-	src    *core.Snapshot // backing snapshot to retire with the state; nil for heap-built indexes
+	src    *core.Snapshot // backing snapshot; nil for heap-built indexes
 	build  *core.BuildStats
 	gen    uint64
 	source string // human-readable origin for /stats
@@ -39,7 +36,7 @@ type state struct {
 	// the global insert sequence already folded into this generation's
 	// base. Journal position j of this generation's overlay is global
 	// sequence seqBase+j, so the mapping is immutable per generation — a
-	// reader that pinned the state can translate without racing a fold.
+	// reader holding the state can translate without racing a fold.
 	epoch   uint64
 	seqBase uint64
 
@@ -64,39 +61,16 @@ type state struct {
 	// hybrids pools hybrid evaluators: they carry per-traversal scratch
 	// sized by the graph and are not safe for concurrent use.
 	hybrids sync.Pool
-
-	// refs is the RCU reference count: one reference is held by the Store
-	// while the state is current, plus one per in-flight query. The backing
-	// snapshot is closed only when the state has been retired AND the count
-	// reaches zero — i.e. after the last in-flight query drains.
-	refs      atomic.Int64
-	retired   atomic.Bool
-	closeOnce sync.Once
-	closeErr  error
-}
-
-// release drops one pin on this generation; the last release after
-// retirement closes the backing snapshot.
-func (st *state) release() {
-	if st.refs.Add(-1) == 0 && st.retired.Load() {
-		st.close()
-	}
-}
-
-func (st *state) close() {
-	st.closeOnce.Do(func() {
-		if st.src != nil {
-			st.closeErr = st.src.Close()
-		}
-	})
 }
 
 // Store holds the currently served state and swaps it atomically — the
-// RCU-style hot-reload primitive behind rlcserve's SIGHUP / POST /reload.
-// Readers pin a generation through Store.with and never block writers; Swap
-// publishes a new generation with one atomic pointer store and retires the
-// old one only after its in-flight readers drain. Queries therefore never
-// error, block, or see a torn index during a swap.
+// hot-reload primitive behind rlcserve's SIGHUP / POST /reload. A reader
+// loads the current generation once (current) and uses it to the end of its
+// request; a swap publishes a new generation with one atomic pointer store.
+// Nothing is closed or released on a swap: a generation is heap memory,
+// bundle bytes included, that stays valid for every reader still holding it
+// and that the garbage collector reclaims after the last one lets go.
+// Queries therefore never error, block, or see a torn index during a swap.
 type Store struct {
 	mutable bool // Options.Mutable: every generation gets a write overlay
 	cur     atomic.Pointer[state]
@@ -117,8 +91,6 @@ func NewStore(ix *core.Index, opts Options) *Store {
 }
 
 // NewStoreFromSnapshot returns a store serving an open snapshot bundle.
-// The store takes ownership: the snapshot is closed when its generation is
-// retired (by a later Swap) or by Close.
 func NewStoreFromSnapshot(snap *core.Snapshot, opts Options) *Store {
 	s := &Store{mutable: opts.Mutable}
 	s.install(s.newState(snap.Index(), snap, nil, snapshotSource(snap), s.newDelta(snap.Index(), nil), 0, 0))
@@ -165,8 +137,8 @@ func (s *Store) newState(ix *core.Index, src *core.Snapshot, build *core.BuildSt
 		seqBase: seqBase,
 	}
 	// Prefer the fingerprint embedded in a snapshot's meta (O(1)); compute
-	// it once for heap-built bases. Either way every pinned reader sees a
-	// stable identity for the generation's base graph.
+	// it once for heap-built bases. Either way every reader sees a stable
+	// identity for the generation's base graph.
 	if src != nil {
 		st.fp = src.Fingerprint().Compact()
 	} else {
@@ -177,64 +149,26 @@ func (s *Store) newState(ix *core.Index, src *core.Snapshot, build *core.BuildSt
 		st.seqHdr = []string{strconv.FormatUint(seqBase, 10)}
 	}
 	st.hybrids.New = func() any { return hybrid.New(ix) }
-	st.refs.Store(1) // the Store's own reference while current
 	return st
 }
 
-// install publishes st as the next generation and retires the previous
-// one. A swap that races with (or follows) Close does not resurrect the
-// store: the incoming state is retired on the spot instead — its backing
-// snapshot closes immediately — and the store stays closed.
+// install publishes st as the next generation. A swap that races with (or
+// follows) Close does not resurrect the store: st is dropped instead.
 func (s *Store) install(st *state) {
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	if s.closed {
-		s.mu.Unlock()
-		st.retired.Store(true)
-		st.release()
 		return
 	}
 	s.gen++
 	st.gen = s.gen
-	old := s.cur.Swap(st)
-	s.mu.Unlock()
-	if old != nil {
-		old.retired.Store(true)
-		old.release() // drop the Store's reference; closes once readers drain
-	}
+	s.cur.Store(st)
 }
 
-// with pins the current generation, runs fn on it and releases the pin when
-// fn returns or panics. It reports false, without calling fn, after Close.
-// It is the one way the package pins a generation: st is valid only inside
-// fn, so no pin can outlive its scope or be released twice.
-func (s *Store) with(fn func(st *state)) bool {
-	st := s.acquire()
-	if st == nil {
-		return false
-	}
-	defer st.release()
-	fn(st)
-	return true
-}
-
-// acquire pins the current generation for with. The post-increment re-check
-// closes the swap race: if the state was swapped out between the load and
-// the increment, the reference is dropped and the load retried, so a pinned
-// state is always safe to read until release — its backing mapping cannot
-// be unmapped while the pin is held. Returns nil after Close.
-func (s *Store) acquire() *state {
-	for {
-		st := s.cur.Load()
-		if st == nil {
-			return nil
-		}
-		st.refs.Add(1)
-		if s.cur.Load() == st {
-			return st
-		}
-		st.release()
-	}
-}
+// current returns the serving generation, nil after Close. A request loads
+// it once and reads only that generation to the end; a swap meanwhile
+// leaves it intact.
+func (s *Store) current() *state { return s.cur.Load() }
 
 // SwapIndex atomically replaces the served index with a heap-built one.
 // The replication timeline resets: an externally supplied index starts a
@@ -244,9 +178,8 @@ func (s *Store) SwapIndex(ix *core.Index) {
 }
 
 // SwapSnapshot atomically replaces the served generation with an open
-// snapshot bundle, taking ownership of it. The previous generation's
-// backing snapshot (if any) is closed only after its last in-flight query
-// finishes. Callers should Verify the snapshot before handing it over —
+// snapshot bundle; queries already running finish on the previous one.
+// Callers should Verify the snapshot before handing it over —
 // the swap itself is deliberately unconditional, so policy stays with the
 // caller (rlcserve verifies; a trusted pipeline may skip it).
 func (s *Store) SwapSnapshot(snap *core.Snapshot) {
@@ -254,21 +187,19 @@ func (s *Store) SwapSnapshot(snap *core.Snapshot) {
 }
 
 // SwapFolded publishes a post-fold generation: the index rebuilt over
-// base ∪ journal (optionally backed by a freshly written snapshot bundle,
-// which the store takes ownership of) and a delta overlay seeded with the
-// un-folded journal tail. epoch and seqBase place the new generation on
-// the replication timeline (the fold that produced it advanced both). It
-// rides the same drain path as SwapSnapshot: queries pinned to the
-// pre-fold generation finish against it — overlay, mapping and all —
-// before its snapshot is released.
+// base ∪ journal (optionally backed by a freshly written snapshot bundle)
+// and a delta overlay seeded with the un-folded journal tail. epoch and
+// seqBase place the new generation on the replication timeline (the fold
+// that produced it advanced both). Like SwapSnapshot, it lets queries that
+// loaded the pre-fold generation finish against it, overlay and all.
 func (s *Store) SwapFolded(ix *core.Index, src *core.Snapshot, journal []graph.Edge, source string, epoch, seqBase uint64) {
 	s.install(s.newState(ix, src, nil, source, s.newDelta(ix, journal), epoch, seqBase))
 }
 
-// Index returns the currently served index without pinning it — for
-// inspection and tests. Queries must go through with instead.
+// Index returns the currently served index — for inspection and tests.
+// Queries load the whole generation through current instead.
 func (s *Store) Index() *core.Index {
-	if st := s.cur.Load(); st != nil {
+	if st := s.current(); st != nil {
 		return st.ix
 	}
 	return nil
@@ -277,30 +208,19 @@ func (s *Store) Index() *core.Index {
 // Generation returns the monotonically increasing generation counter of
 // the current state (1 for the initial state, +1 per swap), 0 after Close.
 func (s *Store) Generation() uint64 {
-	if st := s.cur.Load(); st != nil {
+	if st := s.current(); st != nil {
 		return st.gen
 	}
 	return 0
 }
 
-// Close retires the current generation; subsequent acquires fail and
-// further queries are rejected. If no query is in flight the backing
-// snapshot is closed before Close returns (and its error reported);
-// otherwise the last draining query closes it asynchronously.
+// Close stops serving: current returns nil from now on and later swaps are
+// dropped. It releases nothing and always returns nil; requests already
+// running finish on the generation they loaded.
 func (s *Store) Close() error {
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	s.closed = true
-	old := s.cur.Swap(nil)
-	s.mu.Unlock()
-	if old == nil {
-		return nil
-	}
-	old.retired.Store(true)
-	// Inline release so the close-and-report path runs only when this call
-	// observed the count hit zero — reading closeErr is then race-free.
-	if old.refs.Add(-1) == 0 {
-		old.close()
-		return old.closeErr
-	}
+	s.cur.Store(nil)
 	return nil
 }

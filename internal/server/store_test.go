@@ -1,10 +1,12 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"os"
 	"path/filepath"
 	"strings"
 	"sync"
@@ -15,6 +17,7 @@ import (
 	"github.com/g-rpqs/rlc-go/internal/graph"
 	"github.com/g-rpqs/rlc-go/internal/httpd/httpdtest"
 	"github.com/g-rpqs/rlc-go/internal/labelseq"
+	"github.com/g-rpqs/rlc-go/internal/traversal"
 )
 
 // chainGraph builds a two-label chain 0 -l-> 1 -l-> 2 ... where l is the
@@ -30,8 +33,7 @@ func chainGraph(n int, label graph.Label) *graph.Graph {
 }
 
 // saveSnapshot builds an index over g and writes its bundle to a file, so
-// reopening goes through the real mmap path (use-after-unmap then crashes
-// instead of silently reading stale heap bytes).
+// reopening goes through the real file open path.
 func saveSnapshot(t testing.TB, g *graph.Graph, path string) {
 	t.Helper()
 	ix, err := core.Build(g, core.Options{K: 2})
@@ -55,12 +57,12 @@ func openSnapshot(t testing.TB, path string) *core.Snapshot {
 	return snap
 }
 
-// TestHotSwapUnderLoad is the acceptance test for the RCU store: query
+// TestHotSwapUnderLoad is the acceptance test for the store: query
 // goroutines hammer the serving path while the main goroutine swaps
-// mmap-backed snapshots as fast as it can. Every query must succeed and
+// file-backed snapshots as fast as it can. Every query must succeed and
 // answer consistently with SOME generation (the label-0 or the label-1
-// chain) — never error, never crash on an unmapped snapshot, never observe
-// a torn index. Run under -race in CI.
+// chain) — never error, never crash on a swapped-out snapshot, never
+// observe a torn index. Run under -race in CI.
 func TestHotSwapUnderLoad(t *testing.T) {
 	const n = 50
 	dir := t.TempDir()
@@ -93,12 +95,13 @@ func TestHotSwapUnderLoad(t *testing.T) {
 					t.Errorf("reader %d: public query: %v", r, err)
 					return
 				}
-				// Torn-read probe: pin ONE generation and ask both
+				// Torn-read probe: load ONE generation and ask both
 				// questions of it. Odd generations serve the label-0 chain,
-				// even ones the label-1 chain, so within a pin exactly one
-				// answer is true and it must match the pinned generation's
-				// parity. Any other combination means a torn index.
-				st := srv.Store().acquire()
+				// even ones the label-1 chain, so within one generation
+				// exactly one answer is true and it must match that
+				// generation's parity. Any other combination means a torn
+				// index.
+				st := srv.Store().current()
 				if st == nil {
 					t.Errorf("reader %d: store closed mid-test", r)
 					return
@@ -106,7 +109,6 @@ func TestHotSwapUnderLoad(t *testing.T) {
 				gen := st.gen
 				a, errA := st.ix.Query(0, n-1, labelseq.Seq{0})
 				b, errB := st.ix.Query(0, n-1, labelseq.Seq{1})
-				st.release()
 				if errA != nil || errB != nil {
 					t.Errorf("reader %d: pinned queries: %v, %v", r, errA, errB)
 					return
@@ -135,9 +137,8 @@ func TestHotSwapUnderLoad(t *testing.T) {
 	}
 }
 
-// TestStoreDrainClosesOldSnapshot pins the RCU retirement order: a swapped-
-// out generation stays usable for a query that pinned it, and only the last
-// release closes the backing snapshot.
+// TestStoreDrainClosesOldSnapshot: a swapped-out generation stays usable for
+// a query that loaded it before the swap, while new queries see the new one.
 func TestStoreDrainClosesOldSnapshot(t *testing.T) {
 	dir := t.TempDir()
 	pathA := filepath.Join(dir, "a.rlcs")
@@ -148,39 +149,21 @@ func TestStoreDrainClosesOldSnapshot(t *testing.T) {
 	store := NewStoreFromSnapshot(openSnapshot(t, pathA), Options{})
 	defer store.Close()
 
-	st := store.acquire() // a long-running in-flight query pins generation 1
+	st := store.current() // a long-running in-flight query holds generation 1
 	if st == nil {
-		t.Fatal("acquire failed")
+		t.Fatal("store has no generation")
 	}
 	store.SwapSnapshot(openSnapshot(t, pathB))
 
-	// The pinned generation must still answer from its (retired but not yet
-	// closed) mapping.
+	// The old generation must still answer from its own bundle.
 	ok, err := st.ix.Query(0, 9, labelseq.Seq{0})
 	if err != nil || !ok {
-		t.Fatalf("pinned old generation: (%v, %v), want (true, nil)", ok, err)
+		t.Fatalf("old generation: (%v, %v), want (true, nil)", ok, err)
 	}
 	// New queries already see generation 2.
 	ok, err = store.Index().Query(0, 9, labelseq.Seq{1})
 	if err != nil || !ok {
 		t.Fatalf("new generation: (%v, %v), want (true, nil)", ok, err)
-	}
-	if !st.retired.Load() {
-		t.Fatal("old generation not marked retired after swap")
-	}
-	if st.refs.Load() != 1 {
-		t.Fatalf("old generation refs = %d, want 1 (the pin)", st.refs.Load())
-	}
-	st.release() // drain: this must close the old snapshot
-	if st.refs.Load() != 0 {
-		t.Fatalf("refs after drain = %d", st.refs.Load())
-	}
-	// The mapping is gone; the closeOnce ran. (Dereferencing the old index
-	// now would fault, which TestHotSwapUnderLoad exercises statistically.)
-	closed := false
-	st.closeOnce.Do(func() { closed = true })
-	if closed {
-		t.Fatal("snapshot was not closed by the draining release")
 	}
 }
 
@@ -208,8 +191,7 @@ func TestStoreCloseRejectsQueries(t *testing.T) {
 }
 
 // TestSwapAfterCloseStaysClosed pins the shutdown race: a reload that loses
-// the race with Close must not resurrect the store, and the incoming
-// snapshot must be released instead of leaking its mapping.
+// the race with Close must not resurrect the store.
 func TestSwapAfterCloseStaysClosed(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "a.rlcs")
@@ -219,17 +201,12 @@ func TestSwapAfterCloseStaysClosed(t *testing.T) {
 	if err := store.Close(); err != nil {
 		t.Fatal(err)
 	}
-	late := openSnapshot(t, path) // the SIGHUP that arrived too late
-	store.SwapSnapshot(late)
-	if st := store.acquire(); st != nil {
-		st.release()
+	store.SwapSnapshot(openSnapshot(t, path)) // the SIGHUP that arrived too late
+	if store.current() != nil {
 		t.Fatal("swap after Close resurrected the store")
 	}
 	if store.Generation() != 0 {
 		t.Fatalf("generation after close = %d", store.Generation())
-	}
-	if late.Index() != nil {
-		t.Fatal("late snapshot not closed; its mapping leaks")
 	}
 }
 
@@ -250,19 +227,9 @@ func TestReloadEndpoint(t *testing.T) {
 	path := filepath.Join(dir, "serve.rlcs")
 	saveSnapshot(t, chainGraph(12, 0), path)
 
-	opts := Options{}
-	opts.SnapshotSource = func() (*core.Snapshot, error) {
-		snap, err := core.OpenSnapshot(path)
-		if err != nil {
-			return nil, err
-		}
-		if err := snap.Verify(); err != nil {
-			snap.Close()
-			return nil, err
-		}
-		return snap, nil
-	}
-	srv := NewFromSnapshot(openSnapshot(t, path), opts)
+	srv := NewFromSnapshot(openSnapshot(t, path), Options{SnapshotSource: func() (*core.Snapshot, error) {
+		return core.OpenVerifiedSnapshot(path)
+	}})
 	defer srv.Close()
 	hts := httpdtest.NewServer(srv.Handler())
 	defer hts.Close()
@@ -305,6 +272,86 @@ func TestReloadEndpoint(t *testing.T) {
 	getJSON(t, hts.URL+"/stats", &st)
 	if st.Generation != 2 || !strings.Contains(st.Source, "serve.rlcs") {
 		t.Fatalf("stats after reload: generation %d source %q", st.Generation, st.Source)
+	}
+}
+
+// TestBundleOverwrittenInPlace: a served bundle is read into the heap at
+// open, so its file can be truncated or rewritten in place under a running
+// server. Queries keep answering exactly from the bytes read, a reload of the
+// torn file is refused as corrupt with the generation unchanged, and a reload
+// after another bundle lands at the same path (no rename) serves that one.
+func TestBundleOverwrittenInPlace(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "fig2.rlcs")
+	g := graph.Fig2()
+	saveSnapshot(t, g, path)
+	snap, err := core.OpenVerifiedSnapshot(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := NewFromSnapshot(snap, Options{SnapshotSource: func() (*core.Snapshot, error) {
+		return core.OpenVerifiedSnapshot(path)
+	}})
+	defer srv.Close()
+	hts := httpdtest.NewServer(srv.Handler())
+	defer hts.Close()
+
+	exact := func(g *graph.Graph, when string) {
+		t.Helper()
+		n := graph.Vertex(g.NumVertices())
+		for s := graph.Vertex(0); s < n; s++ {
+			for d := graph.Vertex(0); d < n; d++ {
+				for _, l := range []labelseq.Seq{{0}, {1}, {2}, {0, 1}, {1, 2}, {2, 0}} {
+					want, err := traversal.EvalRLC(g, s, d, l)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if got, err := srv.QueryRLC(context.Background(), s, d, l); err != nil || got != want {
+						t.Fatalf("%s: (%d, %d, %v+) = %v, %v; want %v", when, s, d, l, got, err, want)
+					}
+				}
+			}
+		}
+	}
+	// (v1, v4, l1+) is false on Fig. 2 and true once the edge v1 -l1-> v4 is in.
+	flipped := func() bool {
+		var qr queryResponse
+		if code := getJSON(t, hts.URL+"/query?s=0&t=3&l=0", &qr); code != http.StatusOK {
+			t.Fatalf("query status %d", code)
+		}
+		return qr.Reachable
+	}
+
+	if err := os.Truncate(path, 0); err != nil {
+		t.Fatal(err)
+	}
+	exact(g, "after truncation")
+	var e errorResponse
+	if code := postJSON(t, hts.URL+"/reload", "", &e); code != http.StatusInternalServerError || e.Code != "corrupt_snapshot" {
+		t.Fatalf("reload of a truncated bundle: status %d, %+v; want 500 corrupt_snapshot", code, e)
+	}
+	if gen := srv.Store().Generation(); gen != 1 {
+		t.Fatalf("generation %d after a refused reload, want 1", gen)
+	}
+	exact(g, "after a refused reload")
+	if flipped() {
+		t.Fatal("(v1, v4, l1+) is true before the new bundle")
+	}
+
+	g2 := unionOf(g, []graph.Edge{{Src: 0, Dst: 3, Label: 0}})
+	var buf bytes.Buffer
+	if err := mustBuild(t, g2).WriteSnapshot(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var rr reloadResponse
+	if code := postJSON(t, hts.URL+"/reload", "", &rr); code != http.StatusOK || rr.Generation != 2 {
+		t.Fatalf("reload of the rewritten bundle: status %d, generation %d", code, rr.Generation)
+	}
+	exact(g2, "after the rewrite")
+	if !flipped() {
+		t.Fatal("(v1, v4, l1+) is still false after the reload")
 	}
 }
 

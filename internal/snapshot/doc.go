@@ -1,6 +1,6 @@
 // Package snapshot implements the v2 bundle container: a single
-// self-describing file holding checksummed binary sections that can be
-// memory-mapped and handed out as zero-copy typed views.
+// self-describing file holding checksummed binary sections that are read
+// into one heap buffer and handed out as zero-copy typed views of it.
 //
 // The container knows nothing about graphs or indexes — it stores opaque
 // sections identified by small integer ids. internal/core defines the
@@ -14,11 +14,12 @@
 //	table:   per section: id u32 | payload crc32c u32 | offset u64 | length u64
 //	payload: section bytes, each section 8-byte aligned, zero padding between
 //
-// all little-endian. Open memory-maps the file read-only (falling back to a
-// plain read into the heap on platforms without mmap) and validates the
-// header and table structurally — O(1) in the payload size. Section payload
-// checksums are verified by VerifySection/VerifyAll, which the serving layer
-// runs before hot-swapping a freshly opened bundle in.
+// all little-endian. Open reads the file into an exact-size buffer and
+// validates the header and table structurally. Section payload checksums are
+// verified by VerifySection/VerifyAll, which the serving layer runs before
+// hot-swapping a freshly opened bundle in. The buffer is ordinary heap
+// memory: it lives as long as a view into it does, and the garbage collector
+// reclaims it after that.
 //
 // Every corruption detected anywhere in the container wraps ErrCorrupt, so
 // callers can classify failures with errors.Is regardless of which layer

@@ -132,20 +132,20 @@ func (w *Writer) WriteTo(out io.Writer) (int64, error) {
 
 func alignUp(v uint64) uint64 { return (v + align - 1) &^ (align - 1) }
 
-// File is an open bundle: the raw bytes (memory-mapped when the platform
-// supports it, heap-resident otherwise) plus the parsed section table.
+// File is an open bundle: the raw bytes, held in the heap, plus the parsed
+// section table.
 type File struct {
-	data   []byte
-	secs   []SectionInfo
-	byID   map[uint32]int
-	mapped bool
-	unmap  func() error
+	data []byte
+	secs []SectionInfo
+	byID map[uint32]int
 }
 
-// Open maps path read-only and parses the section table. On platforms
-// without mmap (or when mapping fails) the file is read into the heap
-// instead; Mapped reports which happened. The returned File must be Closed
-// to release the mapping.
+// Open reads path into one heap buffer of exactly the file's size and
+// parses the section table. Sections and the typed views over them alias
+// that buffer, which lives as long as anything references it; changing the
+// file afterwards, in place or by rename, changes nothing already read. A
+// file that ends before its stat size (truncated mid-read) fails with
+// ErrCorrupt.
 func Open(path string) (*File, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -160,26 +160,17 @@ func Open(path string) (*File, error) {
 	if size > math.MaxInt {
 		return nil, Corruptf("%s: file size %d overflows the address space", path, size)
 	}
-	data, unmap, mapErr := mmap(f, int(size))
-	if mapErr != nil {
-		// Portable fallback: read the whole file into the heap. Everything
-		// downstream is alignment- and endian-checked, so the two paths
-		// behave identically.
-		data, err = io.ReadAll(io.NewSectionReader(f, 0, size))
-		if err != nil {
-			return nil, err
+	data := make([]byte, size)
+	if n, err := io.ReadFull(f, data); err != nil {
+		if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
+			return nil, Corruptf("%s: file ended after %d of %d bytes", path, n, size)
 		}
-		unmap = nil
+		return nil, err
 	}
 	bf, err := parse(data)
 	if err != nil {
-		if unmap != nil {
-			unmap()
-		}
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
-	bf.mapped = unmap != nil
-	bf.unmap = unmap
 	return bf, nil
 }
 
@@ -255,22 +246,15 @@ func (f *File) Sections() []SectionInfo {
 	return append([]SectionInfo(nil), f.secs...)
 }
 
-// Mapped reports whether the file is memory-mapped (as opposed to the
-// read-into-heap fallback).
-func (f *File) Mapped() bool { return f.mapped }
-
 // Bytes returns the complete raw bundle — header, section table, and
-// payloads — aliasing the mapping. The slice must not be mutated and
-// becomes invalid when the File is closed; callers streaming it (the
-// replication bundle endpoint) must hold the owner open for the duration.
+// payloads. The slice aliases the File's buffer and must not be mutated.
 func (f *File) Bytes() []byte { return f.data }
 
 // Size returns the total byte size of the open bundle.
 func (f *File) Size() int64 { return int64(len(f.data)) }
 
 // Section returns the payload bytes of the section with the given id. The
-// slice aliases the mapping and must not be mutated; it becomes invalid when
-// the File is closed.
+// slice aliases the File's buffer and must not be mutated.
 func (f *File) Section(id uint32) ([]byte, bool) {
 	i, ok := f.byID[id]
 	if !ok {
@@ -293,27 +277,13 @@ func (f *File) VerifySection(id uint32) error {
 	return nil
 }
 
-// VerifyAll checks every section's payload checksum — the full-file
-// integrity pass that Open deliberately skips to stay O(1) in the payload.
+// VerifyAll checks every section's payload checksum — the integrity pass
+// Open leaves to the caller.
 func (f *File) VerifyAll() error {
 	for _, s := range f.secs {
 		if err := f.VerifySection(s.ID); err != nil {
 			return err
 		}
-	}
-	return nil
-}
-
-// Close releases the mapping (a no-op for heap-resident and OpenBytes
-// files). Every typed view previously handed out becomes invalid.
-func (f *File) Close() error {
-	f.data = nil
-	f.secs = nil
-	f.byID = nil
-	if f.unmap != nil {
-		u := f.unmap
-		f.unmap = nil
-		return u()
 	}
 	return nil
 }

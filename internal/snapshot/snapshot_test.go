@@ -61,7 +61,9 @@ func mustSection(t *testing.T, f *File, id uint32) []byte {
 	return sec
 }
 
-func TestOpenFileMapped(t *testing.T) {
+// TestOpenFile: Open reads the whole file, so what it returns survives the
+// file being rewritten or truncated in place, and an empty file is corrupt.
+func TestOpenFile(t *testing.T) {
 	data := testBundle(t)
 	path := filepath.Join(t.TempDir(), "t.rlcs")
 	if err := os.WriteFile(path, data, 0o644); err != nil {
@@ -71,25 +73,23 @@ func TestOpenFileMapped(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer f.Close()
-	if !f.Mapped() {
-		t.Log("bundle not memory-mapped; exercising the heap fallback")
+	if f.Size() != int64(len(data)) {
+		t.Fatalf("Size = %d, want %d", f.Size(), len(data))
+	}
+	if err := os.WriteFile(path, make([]byte, len(data)), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Truncate(path, 0); err != nil {
+		t.Fatal(err)
 	}
 	if err := f.VerifyAll(); err != nil {
 		t.Fatal(err)
 	}
-	if f.Size() != int64(len(data)) {
-		t.Fatalf("Size = %d, want %d", f.Size(), len(data))
-	}
 	if !bytes.Equal(mustSection(t, f, 1), []byte{0xde, 0xad}) {
-		t.Fatal("section 1 mismatch through mmap")
+		t.Fatal("section 1 changed with the file")
 	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
-	// Double close is a no-op.
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
+	if _, err := Open(path); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("Open of an empty file: %v, want ErrCorrupt", err)
 	}
 }
 

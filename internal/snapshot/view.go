@@ -7,8 +7,8 @@ import (
 
 // hostLittleEndian reports whether the host's native byte order matches the
 // bundle's on-disk order. On the (overwhelmingly common) little-endian
-// hosts, typed views are direct casts of the mapping; big-endian hosts take
-// the decode-and-copy path below, so bundles stay portable.
+// hosts, typed views are direct casts of the bundle bytes; big-endian hosts
+// take the decode-and-copy path below, so bundles stay portable.
 var hostLittleEndian = func() bool {
 	var x uint16 = 1
 	return *(*byte)(unsafe.Pointer(&x)) == 1
@@ -23,8 +23,9 @@ func HostLittleEndian() bool { return hostLittleEndian }
 // viewable reports whether b can be reinterpreted in place as elements of
 // size and alignment elem: native byte order, suitable pointer alignment,
 // and a length that divides evenly. The container aligns every section to 8
-// bytes, so mapped sections always qualify on little-endian hosts; the
-// checks make OpenBytes safe on arbitrarily sliced buffers too.
+// bytes and Open's buffer is 8-byte aligned, so sections of an opened file
+// always qualify on little-endian hosts; the checks make OpenBytes safe on
+// arbitrarily sliced buffers too.
 func viewable(b []byte, elem uintptr) bool {
 	return hostLittleEndian && len(b)%int(elem) == 0 &&
 		(len(b) == 0 || uintptr(unsafe.Pointer(&b[0]))%elem == 0)
@@ -33,8 +34,6 @@ func viewable(b []byte, elem uintptr) bool {
 // I32s returns b as little-endian 32-bit values of any int32-kinded type
 // (vertex ids, labels) — a zero-copy view when possible, a decoded copy
 // otherwise. The caller must have checked len(b)%4 == 0.
-//
-//rlc:view
 func I32s[T ~int32](b []byte) []T {
 	if len(b) == 0 {
 		return nil
@@ -52,8 +51,6 @@ func I32s[T ~int32](b []byte) []T {
 // U32s returns b as little-endian uint32s (the tier union-set id arrays) —
 // a zero-copy view when possible, a decoded copy otherwise. The caller must
 // have checked len(b)%4 == 0.
-//
-//rlc:view
 func U32s(b []byte) []uint32 {
 	if len(b) == 0 {
 		return nil
@@ -70,8 +67,6 @@ func U32s(b []byte) []uint32 {
 
 // I64s returns b as little-endian int64s — a zero-copy view when possible, a
 // decoded copy otherwise. The caller must have checked len(b)%8 == 0.
-//
-//rlc:view
 func I64s(b []byte) []int64 {
 	if len(b) == 0 {
 		return nil
@@ -89,8 +84,6 @@ func I64s(b []byte) []int64 {
 // U64s returns b as little-endian uint64s (the packed MR-set pool) — a
 // zero-copy view when possible, a decoded copy otherwise. The caller must
 // have checked len(b)%8 == 0.
-//
-//rlc:view
 func U64s(b []byte) []uint64 {
 	if len(b) == 0 {
 		return nil
@@ -107,8 +100,6 @@ func U64s(b []byte) []uint64 {
 
 // I32Bytes returns the raw little-endian bytes of s for writing — the
 // inverse view of I32s, copying only on big-endian hosts.
-//
-//rlc:view
 func I32Bytes[T ~int32](s []T) []byte {
 	if len(s) == 0 {
 		return nil
@@ -124,8 +115,6 @@ func I32Bytes[T ~int32](s []T) []byte {
 }
 
 // U32Bytes returns the raw little-endian bytes of s for writing.
-//
-//rlc:view
 func U32Bytes(s []uint32) []byte {
 	if len(s) == 0 {
 		return nil
@@ -141,8 +130,6 @@ func U32Bytes(s []uint32) []byte {
 }
 
 // I64Bytes returns the raw little-endian bytes of s for writing.
-//
-//rlc:view
 func I64Bytes(s []int64) []byte {
 	if len(s) == 0 {
 		return nil
@@ -158,8 +145,6 @@ func I64Bytes(s []int64) []byte {
 }
 
 // U64Bytes returns the raw little-endian bytes of s for writing.
-//
-//rlc:view
 func U64Bytes(s []uint64) []byte {
 	if len(s) == 0 {
 		return nil

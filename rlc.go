@@ -44,15 +44,13 @@
 //
 // A built index freezes into a snapshot bundle: one self-contained file
 // (graph CSR + packed index + label dictionary as checksummed sections)
-// that OpenSnapshot memory-maps zero-copy — startup does structural
-// validation only, no deserialization, and the mapping is shared between
-// processes serving the same bundle:
+// that OpenSnapshot reads into memory and adopts zero-copy — startup is one
+// file read plus structural validation, no deserialization:
 //
 //	rlc.SaveSnapshotFile("g.rlcs", ix)         // or: rlcbuild -o g.rlcs
-//	snap, err := rlc.OpenSnapshot("g.rlcs")    // mmap, O(1) in the payload
+//	snap, err := rlc.OpenSnapshot("g.rlcs")    // one read, no per-entry decoding
 //	if err := snap.Verify(); err != nil { ... } // full checksum pass
 //	ok, err := snap.Index().Query(0, 2, rlc.Seq{0, 1})
-//	defer snap.Close()
 //
 // Corrupt or truncated bundles fail with errors wrapping
 // ErrCorruptSnapshot — never a panic — and the embedded graph fingerprint
@@ -76,9 +74,9 @@
 //
 // NewServerFromSnapshot serves an open bundle instead, and the server's
 // Store hot-swaps a replacement bundle with zero downtime (rlcserve wires
-// this to SIGHUP and POST /reload): each in-flight query pins the
+// this to SIGHUP and POST /reload): each in-flight query keeps the
 // generation it started on, new queries see the new snapshot immediately,
-// and the old mapping is released only after its last reader drains.
+// and the garbage collector reclaims the old one after its last reader.
 //
 // # Live updates
 //
@@ -94,7 +92,7 @@
 // ServerOptions.RebuildThreshold — or on Server.Rebuild / POST /rebuild /
 // SIGUSR1 — a background goroutine folds base ∪ journal, reruns the build,
 // optionally writes a fresh v2 bundle (ServerOptions.RebuildPath), and
-// hot-swaps the new epoch through the same Store drain path as a reload,
+// hot-swaps the new epoch through the same Store swap as a reload,
 // carrying over edges inserted while it ran. Queries never block on a fold
 // and answers stay exact across the swap. ServerOptions.OnRebuild observes
 // every fold; /stats and /healthz expose the epoch and journal length.
@@ -265,10 +263,10 @@ func BuildIndexWithStats(g *Graph, opts Options) (*Index, BuildStats, error) {
 
 // Snapshot is an open v2 snapshot bundle: one self-contained,
 // checksum-sectioned file holding a graph and the index built over it,
-// memory-mapped zero-copy where the platform allows. Snapshot.Index and
-// Snapshot.Graph stay valid until Close; Verify runs the full integrity
-// pass (section checksums + graph-fingerprint recomputation) that Open
-// skips to keep opening O(1) in the payload.
+// read into memory and adopted zero-copy. Snapshot.Index and Snapshot.Graph
+// stay valid as long as they are referenced; Close releases nothing. Verify
+// runs the full integrity pass (section checksums + graph-fingerprint
+// recomputation) that Open skips.
 type Snapshot = core.Snapshot
 
 // Fingerprint identifies the graph an index was built from: shape plus an
@@ -277,17 +275,16 @@ type Snapshot = core.Snapshot
 type Fingerprint = graph.Fingerprint
 
 // OpenSnapshot opens a v2 snapshot bundle file written with WriteSnapshot
-// or `rlcbuild -o`: mmap + structural validation, no deserialization — the
-// production startup path (rlcserve -snapshot). Corruption anywhere
+// or `rlcbuild -o`: one file read + structural validation, no
+// deserialization — the production startup path (rlcserve -snapshot). Corruption anywhere
 // surfaces as an error wrapping ErrCorruptSnapshot, never a panic.
 func OpenSnapshot(path string) (*Snapshot, error) { return core.OpenSnapshot(path) }
 
-// OpenVerifiedSnapshot is OpenSnapshot followed by Verify; the bundle is
-// closed again when verification fails.
+// OpenVerifiedSnapshot is OpenSnapshot followed by Verify.
 func OpenVerifiedSnapshot(path string) (*Snapshot, error) { return core.OpenVerifiedSnapshot(path) }
 
 // OpenSnapshotBytes opens a bundle held in memory (an embedded artifact, a
-// fetched blob). The Snapshot aliases data until Close.
+// fetched blob). The Snapshot aliases data, which must stay unchanged.
 func OpenSnapshotBytes(data []byte) (*Snapshot, error) { return core.OpenSnapshotBytes(data) }
 
 // WriteSnapshot serializes ix and its graph as a self-contained v2 bundle.
@@ -416,18 +413,18 @@ type (
 	// Server answers RLC queries over HTTP; see its Handler method for
 	// the endpoints.
 	Server = server.Server
-	// ServerOptions configures NewServer; the zero value serves with
-	// GOMAXPROCS batch workers and the default batch and body limits.
+	// ServerOptions configures NewServer; the zero value serves a
+	// read-only index with GOMAXPROCS batch workers and the default batch
+	// and body limits.
 	ServerOptions = server.Options
 	// EndpointStats is the /stats rendering of one endpoint's latency
 	// histogram.
 	EndpointStats = server.EndpointStats
-	// Store is the server's RCU-style generation store: it pins the
-	// currently served snapshot for each in-flight query and swaps in
-	// replacements atomically, retiring the old snapshot only after its
-	// last reader drains — the zero-downtime hot-reload primitive behind
-	// rlcserve's SIGHUP and POST /reload, and the drain path every
-	// mutable-server fold hot-swaps through.
+	// Store is the server's generation store: each in-flight query keeps
+	// the generation it loaded, replacements swap in atomically, and the
+	// garbage collector retires an old generation after its last reader —
+	// the zero-downtime hot-reload primitive behind rlcserve's SIGHUP and
+	// POST /reload, and the swap every mutable-server fold goes through.
 	Store = server.Store
 	// UpdateResult reports one accepted Server.UpdateBatch (POST /update)
 	// call: edges appended, journal length, epoch, and whether the batch
@@ -448,13 +445,12 @@ type (
 
 // NewServer returns an HTTP query server over ix. Start it with
 // ListenAndServe or mount its Handler; stop it with Shutdown (and Close to
-// release the serving generation).
+// refuse further queries).
 func NewServer(ix *Index, opts ServerOptions) *Server { return server.New(ix, opts) }
 
 // NewServerFromSnapshot returns an HTTP query server over an open snapshot
-// bundle, taking ownership of it: the bundle is retired when a reload swaps
-// it out, or by Close. Set ServerOptions.SnapshotSource to enable
-// POST /reload hot swaps.
+// bundle. Set ServerOptions.SnapshotSource to enable POST /reload hot
+// swaps.
 func NewServerFromSnapshot(snap *Snapshot, opts ServerOptions) *Server {
 	return server.NewFromSnapshot(snap, opts)
 }

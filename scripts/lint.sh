@@ -1,14 +1,15 @@
 #!/bin/sh
 # lint.sh — run the repo's static-analysis gate: rlcvet (the in-tree
-# analyzer suite enforcing zero-copy view, noalloc, and error-code
-# invariants; see internal/analysis) over every package, the one-kernel
+# analyzer suite enforcing noalloc and error-code invariants and rejecting
+# unknown //rlc: directives; see internal/analysis) over every package, the
+# one-kernel
 # check (NFA.Step call sites), the no-v1-reader check ("RLCX"), the
 # one-builder-one-reader check, the one-harness-per-question check, the
 # no-closure-in-the-overlay check, the one-fold-state-machine check, the
 # one-decoder-on-/batch check, the
 # one-pass-on-/query check, the one-client-stack-in-the-router check, the
-# one-server-stack check, the one-pin-scope check, then staticcheck and
-# govulncheck when available.
+# one-server-stack check, the one-way-to-load-a-bundle check, then
+# staticcheck and govulncheck when available.
 # CI runs this in the lint job; run it locally before sending a change that
 # touches the serving or query path.
 #
@@ -176,16 +177,17 @@ if [ -n "$stray" ]; then
 	status=1
 fi
 
-# One pin scope: internal/server pins a serving generation only through
-# Store.with, which releases the pin with defer, so none can leak past its
-# scope or be released twice. A refcount call anywhere else in the package's
-# non-test code is a hand-paired pin coming back. (bs.release() returns the
-# pooled /batch scratch; it is not a pin.)
-echo "==> generation pins outside Store.with"
-stray=$(grep -nE '\.(acquire|release)\(|\.refs\.' internal/server/*.go |
-	grep -vE '^internal/server/store\.go:|_test\.go:|bs\.release\(\)' || true)
+# One way to load a bundle: snapshot.Open reads the file into the heap, so
+# a serving generation stays valid while anything references it and the
+# garbage collector retires it. A memory mapping brings back the reference
+# counts and the drain that made unmapping safe, and a SIGBUS when the
+# served file is truncated in place. benchmark/ is a module of its own.
+echo "==> memory-mapped bundles"
+stray=$(grep -rnE --include='*.go' --exclude-dir=.bench_build --exclude-dir=benchmark \
+	'(syscall|unix)\.M(un)?map' . |
+	grep -v '_test\.go:' || true)
 if [ -n "$stray" ]; then
-	echo "internal/server pins a generation outside store.go; take it through Store.with:" >&2
+	echo "a memory mapping is back; read the bundle with snapshot.Open instead:" >&2
 	echo "$stray" >&2
 	status=1
 fi
