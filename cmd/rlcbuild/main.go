@@ -82,8 +82,8 @@ func main() {
 			ts.Budget, ts.RetainedVertices, ts.DemotedVertices,
 			float64(ts.FilterBytes)/(1024*1024), ts.UnionSets, ts.BloomBitsPerFilter)
 	}
-	fmt.Printf("construction:  %d kernel searches, %d kernel-BFS nodes; %d inserts, pruned %d by PR1, %d by PR2\n",
-		bst.KernelBFSRuns, bst.KernelBFSNodes, bst.Inserted, bst.PrunedPR1, bst.PrunedPR2)
+	fmt.Printf("construction:  %d kernel-search states, %d kernel-BFS runs, %d kernel-BFS nodes; %d inserts, pruned %d by PR1, %d by PR2, %d as duplicates\n",
+		bst.KernelSearchStates, bst.KernelBFSRuns, bst.KernelBFSNodes, bst.Inserted, bst.PrunedPR1, bst.PrunedPR2, bst.PrunedDup)
 
 	if err := ix.SaveSnapshotFile(*bundle); err != nil {
 		fatalf("save snapshot: %v", err)

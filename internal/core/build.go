@@ -22,7 +22,10 @@ type BuildStats struct {
 	// dequeued.
 	KernelBFSNodes int64
 	// Inserted counts recorded entries; PrunedPR1/PR2/Dup count insert
-	// attempts each rule rejected.
+	// attempts each rule rejected. With PR2 and PR3 both on, a kernel-BFS
+	// step that completes a period does not visit the neighbours ranked
+	// before the source — PR2 would reject them and PR3 then stop there —
+	// so PrunedPR2 counts the kernel searches' rejections alone.
 	Inserted  int64
 	PrunedPR1 int64
 	PrunedPR2 int64
@@ -92,15 +95,21 @@ func buildWithLists(g *graph.Graph, opts Options) (ix *Index, out, in [][]entry,
 		ix.rank[v] = int32(r)
 	}
 
+	// The builder works in rank space: source r is vertex ix.order[r], and
+	// its lists come back indexed by rank.
 	b := newBuilder(ix)
-	for _, v := range ix.order {
-		b.kbs(v, backward)
-		b.kbs(v, forward)
+	for r := range int32(n) {
+		b.kbs(r, backward)
+		b.kbs(r, forward)
 	}
-	if err := ix.seal(b.out, b.in); err != nil {
+	out, in = make([][]entry, n), make([][]entry, n)
+	for r, v := range ix.order {
+		out[v], in[v] = b.out[r], b.in[r]
+	}
+	if err := ix.seal(out, in); err != nil {
 		return nil, nil, nil, b.stats, err
 	}
-	return ix, b.out, b.in, b.stats, nil
+	return ix, out, in, b.stats, nil
 }
 
 // accessOrder materializes the configured vertex processing order.

@@ -9,23 +9,32 @@ import (
 	"github.com/g-rpqs/rlc-go/internal/labelseq"
 )
 
+// The builder runs Algorithm 2 in access-rank space: every vertex it holds —
+// search states, frontiers, entry lists, visited marks — is a rank r, the
+// vertex ix.order[r]. Relabelling the adjacency once (newRankCSR) makes PR2
+// an id compare, turns the hubs of the fixed PR1 side into array indices,
+// and sorts each label run by rank, so kernel BFS can skip the neighbours
+// PR2 rejects without looking at them (labelCSR.edgesFrom).
+
 // searchState is a kernel-search BFS state: a vertex plus the label
 // sequence of the path between it and the KBS source (read in path order).
 // The packed code deduplicates states; the inline array avoids per-state
 // allocations (MaxK bounds the depth).
 type searchState struct {
-	v     graph.Vertex
+	v     int32
 	code  labelseq.Code
 	depth int32
 	seq   [MaxK]labelseq.Label
 }
 
-// kernelFrontier collects the frontier vertices of one kernel candidate.
-// The builder recycles these (and their slices) from one KBS to the next.
+// kernelFrontier collects the frontier vertices of one kernel candidate, in
+// the order the kernel search met them; a vertex met twice is listed twice
+// and kernelBFS seeds it once. The builder recycles these (and their slices)
+// from one KBS to the next.
 type kernelFrontier struct {
 	kernel labelseq.Seq
 	code   labelseq.Code
-	verts  []graph.Vertex
+	verts  []int32
 }
 
 // builder holds the reusable scratch space for all KBS runs of one Build,
@@ -34,17 +43,19 @@ type kernelFrontier struct {
 // packs them into hub-sorted groups once the last KBS finished.
 type builder struct {
 	ix    *Index
-	g     *graph.Graph
 	coder *labelseq.Coder
 	k     int
 
-	// Mutable Lin/Lout under construction, indexed by vertex id.
+	// Mutable Lin/Lout under construction, indexed by rank.
 	in  [][]entry
 	out [][]entry
 
-	// Label-partitioned adjacency: kernel-BFS follows edges of one
-	// expected label at a time, so edges are regrouped by label once
-	// instead of filtered on every visit.
+	// The adjacency in rank space, each direction twice: in the graph's
+	// own edge order for the kernel search (so states are visited and MRs
+	// interned in the graph's order), and regrouped into label runs for
+	// kernel BFS, which follows edges of one expected label at a time.
+	inAdj      *rankCSR
+	outAdj     *rankCSR
 	inByLabel  *labelCSR
 	outByLabel *labelCSR
 
@@ -57,18 +68,19 @@ type builder struct {
 	seqBuf [MaxK]labelseq.Label
 
 	// Frontier registry for the current KBS: frontierOf maps a kernel's
-	// code to its slot in frontiers, member holds the (slot, vertex)
-	// pairs already in a slot's verts. kbs sorts frontiers by code once
-	// the kernel search is over and the slots no longer matter.
+	// code to its slot in frontiers. kbs sorts frontiers by code once the
+	// kernel search is over and the slots no longer matter.
 	frontiers  []kernelFrontier
 	frontierOf *stampTable
-	member     *stampTable
 
-	// fixedSet holds the (mr, hub) pairs (fixedKey) of the current KBS's
-	// fixed entry list — Lin(src) for backward searches, Lout(src) for
-	// forward ones. The PR1 check of insert is one pass over the visited
-	// vertex's own list plus O(1) membership probes here.
-	fixedSet *stampTable
+	// The fixed side of every PR1 check the current KBS makes: Lin(src) for
+	// backward searches, Lout(src) for forward ones, hub-sorted. fixedAt
+	// holds, per hub rank, the stamp of the last KBS whose fixed list has
+	// that hub and the hub's first position in it; 2n searches never wrap
+	// the stamp.
+	fixed    []entry
+	fixedAt  []fixedHub
+	kbsStamp uint32
 
 	// The last minimum-repeat code the dictionary resolved, and its ID: a
 	// kernel-BFS issues every insert under one code, so the dictionary is
@@ -83,32 +95,45 @@ type builder struct {
 	stamp   uint32
 	bfsQ    []kbsNode
 
+	// skipPR2 is set when PR2 and PR3 are both on: a kernel-BFS step that
+	// completes a period then follows only the neighbours ranked at or
+	// after the source, since PR2 would reject the others and PR3 would
+	// then not expand them.
+	skipPR2 bool
+
 	stats BuildStats
 }
 
 type kbsNode struct {
-	v     graph.Vertex
+	v     int32
 	phase int32
+}
+
+type fixedHub struct {
+	stamp uint32
+	at    int32
 }
 
 // newBuilder returns the builder of ix, with empty entry lists.
 func newBuilder(ix *Index) *builder {
 	n := ix.g.NumVertices()
+	inAdj, outAdj := newRankCSR(ix, backward), newRankCSR(ix, forward)
 	return &builder{
 		ix:         ix,
-		g:          ix.g,
 		coder:      ix.dict.Coder(),
 		k:          ix.k,
 		in:         make([][]entry, n),
 		out:        make([][]entry, n),
-		inByLabel:  newLabelCSR(ix.g, true),
-		outByLabel: newLabelCSR(ix.g, false),
+		inAdj:      inAdj,
+		outAdj:     outAdj,
+		inByLabel:  newLabelCSR(inAdj),
+		outByLabel: newLabelCSR(outAdj),
 		seen:       newStampTable(scratchLogSlots),
 		frontierOf: newStampTable(scratchLogSlots),
-		member:     newStampTable(scratchLogSlots),
-		fixedSet:   newStampTable(scratchLogSlots),
+		fixedAt:    make([]fixedHub, n),
 		knownID:    labelseq.InvalidID,
 		visited:    make([]uint32, n*ix.k),
+		skipPR2:    !ix.opts.DisablePR2 && !ix.opts.DisablePR3,
 	}
 }
 
@@ -116,63 +141,97 @@ func newBuilder(ix *Index) *builder {
 // the searches need.
 const scratchLogSlots = 8
 
-// labelCSR regroups a CSR adjacency so each vertex's edges sort by
-// (label, neighbor) and records where each label's run starts: vertex v has
-// one run per distinct label on its edges, runs runOff[v]..runOff[v+1], the
-// i-th carrying label runLbl[i] and the neighbors nbr[runAt[i]:runAt[i+1]].
-// Runs are contiguous across vertices and runAt ends with a sentinel, so
-// "neighbors of v through label l" is a scan of v's few distinct labels and
-// no walk over the run itself. The run arrays hold at most one element per
-// edge.
-type labelCSR struct {
-	runOff []int64
-	runLbl []labelseq.Label
-	runAt  []int64
-	nbr    []graph.Vertex
+// rankCSR is one direction of the graph's adjacency relabelled into rank
+// space: rank r's edges are nbr[off[r]:off[r+1]] with labels lbl[...], in
+// the order the graph stores the edges of ix.order[r], every neighbour
+// written as its rank.
+type rankCSR struct {
+	off []int64
+	nbr []int32
+	lbl []labelseq.Label
 }
 
-func newLabelCSR(g *graph.Graph, backward bool) *labelCSR {
-	n := g.NumVertices()
-	c := &labelCSR{
-		runOff: make([]int64, n+1),
-		nbr:    make([]graph.Vertex, g.NumEdges()),
+// newRankCSR relabels the in-edges (backward) or out-edges (forward) of
+// ix.g into rank space. It is the one place the builder reads ix.rank.
+func newRankCSR(ix *Index, dir direction) *rankCSR {
+	g := ix.g
+	n, m := g.NumVertices(), g.NumEdges()
+	c := &rankCSR{
+		off: make([]int64, n+1),
+		nbr: make([]int32, 0, m),
+		lbl: make([]labelseq.Label, 0, m),
 	}
-	lbl := make([]labelseq.Label, g.NumEdges())
-	pos := 0
-	for v := graph.Vertex(0); int(v) < n; v++ {
+	for r, v := range ix.order {
 		var nbrs []graph.Vertex
 		var lbls []labelseq.Label
-		if backward {
+		if dir == backward {
 			nbrs, lbls = g.InEdges(v)
 		} else {
 			nbrs, lbls = g.OutEdges(v)
 		}
-		end := pos + len(nbrs)
-		copy(c.nbr[pos:end], nbrs)
-		copy(lbl[pos:end], lbls)
+		for _, y := range nbrs {
+			c.nbr = append(c.nbr, ix.rank[y])
+		}
+		c.lbl = append(c.lbl, lbls...)
+		c.off[r+1] = int64(len(c.nbr))
+	}
+	return c
+}
+
+// edges returns the neighbours of v and the labels of the edges to them.
+func (c *rankCSR) edges(v int32) ([]int32, []labelseq.Label) {
+	lo, hi := c.off[v], c.off[v+1]
+	return c.nbr[lo:hi], c.lbl[lo:hi]
+}
+
+// labelCSR regroups a rankCSR so each vertex's edges sort by (label,
+// neighbour) and records where each label's run starts: vertex v has one
+// run per distinct label on its edges, runs runOff[v]..runOff[v+1], the
+// i-th carrying label runLbl[i] and the neighbours nbr[runAt[i]:runAt[i+1]].
+// Runs are contiguous across vertices and runAt ends with a sentinel, so
+// "neighbours of v through label l" is a scan of v's few distinct labels and
+// no walk over the run itself. cur[i] is run i's cursor for edgesFrom. The
+// run arrays hold at most one element per edge.
+type labelCSR struct {
+	runOff []int64
+	runLbl []labelseq.Label
+	runAt  []int64
+	cur    []int64
+	nbr    []int32
+}
+
+func newLabelCSR(a *rankCSR) *labelCSR {
+	n := len(a.off) - 1
+	c := &labelCSR{
+		runOff: make([]int64, n+1),
+		nbr:    slices.Clone(a.nbr),
+	}
+	lbl := slices.Clone(a.lbl)
+	for v := 0; v < n; v++ {
+		pos, end := a.off[v], a.off[v+1]
 		sortRun(c.nbr[pos:end], lbl[pos:end])
 		c.runOff[v] = int64(len(c.runLbl))
 		for i := pos; i < end; i++ {
 			if i == pos || lbl[i] != lbl[i-1] {
 				c.runLbl = append(c.runLbl, lbl[i])
-				c.runAt = append(c.runAt, int64(i))
+				c.runAt = append(c.runAt, i)
 			}
 		}
-		pos = end
 	}
 	c.runOff[n] = int64(len(c.runLbl))
-	c.runAt = append(c.runAt, int64(pos))
+	c.runAt = append(c.runAt, int64(len(c.nbr)))
+	c.cur = slices.Clone(c.runAt[:len(c.runLbl)])
 	return c
 }
 
-// sortRun sorts the parallel slices by (label, neighbor). High-degree hubs
+// sortRun sorts the parallel slices by (label, neighbour). High-degree hubs
 // make a comparison sort mandatory here.
-func sortRun(nbr []graph.Vertex, lbl []labelseq.Label) {
+func sortRun(nbr []int32, lbl []labelseq.Label) {
 	sort.Sort(&runSorter{nbr: nbr, lbl: lbl})
 }
 
 type runSorter struct {
-	nbr []graph.Vertex
+	nbr []int32
 	lbl []labelseq.Label
 }
 
@@ -188,34 +247,64 @@ func (r *runSorter) Swap(i, j int) {
 	r.lbl[i], r.lbl[j] = r.lbl[j], r.lbl[i]
 }
 
-// edges returns the neighbors of v through label l: a linear scan of v's
-// ascending run labels — a vertex rarely has more than a handful — on the
-// kernel-BFS hot path, once per dequeued node.
+// run returns the index of v's run through label l, or -1: a linear scan
+// of v's ascending run labels — a vertex rarely has more than a handful —
+// on the kernel-BFS hot path, once per dequeued node.
 //
 //rlc:noalloc
-func (c *labelCSR) edges(v graph.Vertex, l labelseq.Label) []graph.Vertex {
+func (c *labelCSR) run(v int32, l labelseq.Label) int64 {
 	for i, end := c.runOff[v], c.runOff[v+1]; i < end; i++ {
 		if c.runLbl[i] >= l {
 			if c.runLbl[i] == l {
-				return c.nbr[c.runAt[i]:c.runAt[i+1]]
+				return i
 			}
 			break
 		}
 	}
-	return nil
+	return -1
+}
+
+// edges returns the neighbours of v through label l.
+//
+//rlc:noalloc
+func (c *labelCSR) edges(v int32, l labelseq.Label) []int32 {
+	i := c.run(v, l)
+	if i < 0 {
+		return nil
+	}
+	return c.nbr[c.runAt[i]:c.runAt[i+1]]
+}
+
+// edgesFrom returns the neighbours of v through label l ranked at or after
+// src: the run's suffix from its cursor, which it first moves past the
+// smaller ranks. A cursor only moves forward, so src must never decrease
+// from one call to the next — Build's sources run in rank order.
+//
+//rlc:noalloc
+func (c *labelCSR) edgesFrom(v int32, l labelseq.Label, src int32) []int32 {
+	i := c.run(v, l)
+	if i < 0 {
+		return nil
+	}
+	at, end := c.cur[i], c.runAt[i+1]
+	for at < end && c.nbr[at] < src {
+		at++
+	}
+	c.cur[i] = at
+	return c.nbr[at:end]
 }
 
 // kbs runs one kernel-based search from src: the kernel-search phase
 // enumerates every path of length <= k touching src on the given side,
 // inserting entries and registering kernel candidates; the kernel-BFS phase
 // then extends each candidate under its Kleene plus.
-func (b *builder) kbs(src graph.Vertex, dir direction) {
-	b.loadFixedSet(src, dir)
+func (b *builder) kbs(src int32, dir direction) {
+	b.loadFixed(src, dir)
 	b.kernelSearch(src, dir)
 
 	// Kernels run in ascending code order, whatever order the search met
 	// them in. The registry's slot numbers die with this sort; nothing
-	// reads frontierOf or member until the next kernelSearch resets them.
+	// reads frontierOf until the next kernelSearch resets it.
 	slices.SortFunc(b.frontiers, frontierByCode)
 	for i := range b.frontiers {
 		b.kernelBFS(src, dir, &b.frontiers[i])
@@ -224,32 +313,56 @@ func (b *builder) kbs(src graph.Vertex, dir direction) {
 
 func frontierByCode(x, y kernelFrontier) int { return cmp.Compare(x.code, y.code) }
 
-// loadFixedSet snapshots the fixed side of every PR1 query the KBS issues:
-// Lin(src) for backward searches, Lout(src) for forward ones. Neither list
-// changes while the KBS runs, so (mr, hub) membership is captured once.
-func (b *builder) loadFixedSet(src graph.Vertex, dir direction) {
-	b.fixedSet.reset()
-	var fixed []entry
+// loadFixed points the PR1 checks of the KBS at their fixed side: Lin(src)
+// for backward searches, Lout(src) for forward ones. Neither list changes
+// while the KBS runs (its inserts go to the other direction's lists), and
+// both are hub-sorted, so one pass records where each hub's entries start.
+func (b *builder) loadFixed(src int32, dir direction) {
+	b.kbsStamp++
 	if dir == backward {
-		fixed = b.in[src]
+		b.fixed = b.in[src]
 	} else {
-		fixed = b.out[src]
+		b.fixed = b.out[src]
 	}
-	for _, e := range fixed {
-		b.fixedSet.put(fixedKey(e.mr, e.hub), 0, 0)
+	for i, e := range b.fixed {
+		if h := &b.fixedAt[e.hub]; h.stamp != b.kbsStamp {
+			*h = fixedHub{stamp: b.kbsStamp, at: int32(i)}
+		}
 	}
+}
+
+// fixedHas reports whether the fixed list holds (hub, mr).
+//
+//rlc:noalloc
+func (b *builder) fixedHas(hub int32, mr labelseq.ID) bool {
+	h := b.fixedAt[hub]
+	if h.stamp != b.kbsStamp {
+		return false
+	}
+	for _, e := range b.fixed[h.at:] {
+		if e.hub != hub {
+			return false
+		}
+		if e.mr == mr {
+			return true
+		}
+	}
+	return false
 }
 
 // kernelSearch is phase 1: a BFS over (vertex, label-sequence) states up to
 // depth k. Every state visit attempts an insert (whose outcome is ignored
 // here — PR3 applies only to kernel-BFS) and registers the endpoint as a
 // frontier vertex of the state's minimum repeat.
-func (b *builder) kernelSearch(src graph.Vertex, dir direction) {
+func (b *builder) kernelSearch(src int32, dir direction) {
 	b.seen.reset()
 	b.frontierOf.reset()
-	b.member.reset()
 	b.frontiers = b.frontiers[:0]
 	b.queue = b.queue[:0]
+	adj := b.outAdj
+	if dir == backward {
+		adj = b.inAdj
+	}
 
 	b.queue = append(b.queue, searchState{v: src})
 	b.seen.put(0, uint32(src), 0)
@@ -258,13 +371,7 @@ func (b *builder) kernelSearch(src graph.Vertex, dir direction) {
 		// Index rather than copy: states are small but the queue grows
 		// while iterating.
 		st := b.queue[head]
-		var nbrs []graph.Vertex
-		var lbls []labelseq.Label
-		if dir == backward {
-			nbrs, lbls = b.g.InEdges(st.v)
-		} else {
-			nbrs, lbls = b.g.OutEdges(st.v)
-		}
+		nbrs, lbls := adj.edges(st.v)
 		for i := range nbrs {
 			y, l := nbrs[i], lbls[i]
 			var next searchState
@@ -308,7 +415,7 @@ func (b *builder) kernelSearch(src graph.Vertex, dir direction) {
 // within its capacity is an earlier KBS's: its slices are reused.
 //
 //rlc:noalloc
-func (b *builder) registerFrontier(code labelseq.Code, kernel labelseq.Seq, v graph.Vertex) {
+func (b *builder) registerFrontier(code labelseq.Code, kernel labelseq.Seq, v int32) {
 	slot, known := b.frontierOf.put(uint64(code), 0, int32(len(b.frontiers)))
 	if !known {
 		if len(b.frontiers) < cap(b.frontiers) {
@@ -323,9 +430,6 @@ func (b *builder) registerFrontier(code labelseq.Code, kernel labelseq.Seq, v gr
 		f.kernel = append(f.kernel[:0], kernel...)
 		f.verts = f.verts[:0]
 	}
-	if _, dup := b.member.put(uint64(slot), uint32(v), 0); dup {
-		return
-	}
 	f := &b.frontiers[slot]
 	//rlc:allocok verts grows to the largest frontier its slot has held
 	f.verts = append(f.verts, v)
@@ -338,7 +442,7 @@ func (b *builder) registerFrontier(code labelseq.Code, kernel labelseq.Seq, v gr
 // attempts an insert, and — PR3 — a pruned insert stops expansion there.
 //
 //rlc:noalloc
-func (b *builder) kernelBFS(src graph.Vertex, dir direction, f *kernelFrontier) {
+func (b *builder) kernelBFS(src int32, dir direction, f *kernelFrontier) {
 	m := int32(len(f.kernel))
 	b.stamp++
 	if b.stamp == 0 {
@@ -349,11 +453,18 @@ func (b *builder) kernelBFS(src graph.Vertex, dir direction, f *kernelFrontier) 
 	}
 	b.bfsQ = b.bfsQ[:0]
 	for _, v := range f.verts {
+		if b.isMarked(v, 0) {
+			continue
+		}
 		b.mark(v, 0)
 		//rlc:allocok the queue grows to the largest kernel-BFS so far
 		b.bfsQ = append(b.bfsQ, kbsNode{v, 0})
 	}
 	mrCode := f.code
+	runs := b.outByLabel
+	if dir == backward {
+		runs = b.inByLabel
+	}
 	b.stats.KernelBFSRuns++
 
 	for head := 0; head < len(b.bfsQ); head++ {
@@ -367,13 +478,16 @@ func (b *builder) kernelBFS(src graph.Vertex, dir direction, f *kernelFrontier) 
 		} else {
 			expected = f.kernel[nd.phase]
 		}
-		var nbrs []graph.Vertex
-		if dir == backward {
-			nbrs = b.inByLabel.edges(nd.v, expected)
-		} else {
-			nbrs = b.outByLabel.edges(nd.v, expected)
+		next := nd.phase + 1
+		if next == m {
+			next = 0
 		}
-		next := (nd.phase + 1) % m
+		var nbrs []int32
+		if next == 0 && b.skipPR2 {
+			nbrs = runs.edgesFrom(nd.v, expected, src)
+		} else {
+			nbrs = runs.edges(nd.v, expected)
+		}
 		for i := range nbrs {
 			y := nbrs[i]
 			if b.isMarked(y, next) {
@@ -399,20 +513,16 @@ func (b *builder) kernelBFS(src graph.Vertex, dir direction, f *kernelFrontier) 
 	}
 }
 
-func (b *builder) mark(v graph.Vertex, phase int32) {
+func (b *builder) mark(v, phase int32) {
 	b.visited[int(v)*b.k+int(phase)] = b.stamp
 }
 
-func (b *builder) isMarked(v graph.Vertex, phase int32) bool {
+func (b *builder) isMarked(v, phase int32) bool {
 	return b.visited[int(v)*b.k+int(phase)] == b.stamp
 }
 
-func fixedKey(mr labelseq.ID, hub int32) uint64 {
-	return uint64(mr)<<32 | uint64(uint32(hub))
-}
-
 // insert is insertCore plus the outcome counters.
-func (b *builder) insert(y, src graph.Vertex, dir direction, mr labelseq.Seq, mrCode labelseq.Code) insertStatus {
+func (b *builder) insert(y, src int32, dir direction, mr labelseq.Seq, mrCode labelseq.Code) insertStatus {
 	st := b.insertCore(y, src, dir, mr, mrCode)
 	switch st {
 	case inserted:
@@ -433,15 +543,15 @@ func (b *builder) insert(y, src graph.Vertex, dir direction, mr labelseq.Seq, mr
 //
 // The PR1 check is algebraically Query(y, src, mr+) (backward) or
 // Query(src, y, mr+) (forward) on the current snapshot, evaluated here as
-// one pass over y's own list plus fixedSet membership tests: Case 2 on the
-// fixed side is (mr, rank(y)) ∈ fixedSet; Case 2 on y's side is an entry
-// with hub rank(src); Case 1 is an entry of y whose (mr, hub) also sits in
-// fixedSet.
-func (b *builder) insertCore(y, src graph.Vertex, dir direction, mr labelseq.Seq, mrCode labelseq.Code) insertStatus {
+// one pass over y's own list plus probes of the fixed list: Case 2 on the
+// fixed side is (y, mr) in the fixed list — only possible when y <= src, as
+// no hub past src has searched yet; Case 2 on y's side is an entry with hub
+// src; Case 1 is an entry of y whose (hub, mr) the fixed list also holds.
+func (b *builder) insertCore(y, src int32, dir direction, mr labelseq.Seq, mrCode labelseq.Code) insertStatus {
 	ix := b.ix
 	// PR2: skip entries at vertices with a strictly smaller rank than the
 	// search source — their own earlier searches covered this pair.
-	if !ix.opts.DisablePR2 && ix.rank[src] > ix.rank[y] {
+	if !ix.opts.DisablePR2 && y < src {
 		return prunedPR2
 	}
 
@@ -456,25 +566,21 @@ func (b *builder) insertCore(y, src graph.Vertex, dir direction, mr labelseq.Seq
 	if id != labelseq.InvalidID {
 		if !ix.opts.DisablePR1 {
 			// PR1: already answerable from the current snapshot.
-			if _, ok := b.fixedSet.get(fixedKey(id, ix.rank[y]), 0); ok {
+			if y <= src && b.fixedHas(y, id) {
 				return prunedPR1
 			}
-			rankSrc := ix.rank[src]
 			for _, e := range yList {
 				if e.mr != id {
 					continue
 				}
-				if e.hub == rankSrc {
-					return prunedPR1
-				}
-				if _, ok := b.fixedSet.get(fixedKey(id, e.hub), 0); ok {
+				if e.hub == src || b.fixedHas(e.hub, id) {
 					return prunedPR1
 				}
 			}
 		} else {
 			// Without PR1 still refuse exact duplicates, otherwise
 			// entry lists would grow unboundedly within one search.
-			if hasEntry(yList, ix.rank[src], id) {
+			if hasEntry(yList, src, id) {
 				return prunedDup
 			}
 		}
@@ -483,7 +589,7 @@ func (b *builder) insertCore(y, src graph.Vertex, dir direction, mr labelseq.Seq
 		id = ix.dict.InternCode(mrCode, mr)
 		b.knownCode, b.knownID = mrCode, id
 	}
-	e := entry{hub: ix.rank[src], mr: id}
+	e := entry{hub: src, mr: id}
 	if dir == backward {
 		b.out[y] = append(b.out[y], e)
 	} else {

@@ -3,6 +3,7 @@ package core
 import (
 	"crypto/sha256"
 	"encoding/hex"
+	"fmt"
 	"testing"
 
 	"github.com/g-rpqs/rlc-go/internal/datasets"
@@ -19,26 +20,45 @@ func algoCounters(st BuildStats) [7]int64 {
 
 // TestBuildDigestStable pins the build's output across commits: the sha256
 // of the WriteSnapshot bytes and the seven algorithm counters of three
-// non-trivial graphs. The constants were recorded at c633a7b, before the
-// builder's scratch state was rewritten; a change to the builder that moves
-// any of them changed the index, not just its speed. (TestDeterministicBuild
-// compares two runs of the same code and the Fig. 2 golden has six vertices.)
+// non-trivial graphs, and of one graph under every pruning ablation and
+// access order (the paths where the builder forks on an option). The first
+// three were recorded at c633a7b, before the builder's scratch state was
+// rewritten, the option cases at 88064ea, before it moved into access-rank
+// space; a change to the builder that moves a digest changed the index, not
+// just its speed. PrunedPR2 is the one counter a faster builder may lower
+// without changing the index: kernel BFS does not visit the neighbours PR2
+// would reject and PR3 would then not expand. (TestDeterministicBuild
+// compares two runs of the same code and the Fig. 2 golden has six
+// vertices.)
 func TestBuildDigestStable(t *testing.T) {
 	cases := []struct {
 		dataset  string
 		vertices int
-		k        int
+		opts     Options
 		digest   string
 		counters [7]int64
 	}{
-		{"WN", 2000, 2, "3b1cd0d8f297f7bd5398cc306228fc5b0c98d369c020a8de0ee9a96152f551b2",
-			[7]int64{310386, 32402, 927881, 44439, 923444, 956034, 0}},
-		{"LJ", 1500, 2, "1b43853a349e63a6762c0d2ad06d578702233fc5fb17fe4479775573e1ff56da",
-			[7]int64{1409244, 126076, 7513552, 152651, 6214124, 6325742, 0}},
-		{"AD", 1000, 3, "8f10a05343c2656253f128e23e97e34b1ba11ed6fc176c1b26539aab04ab5516",
-			[7]int64{3939030, 41740, 25457292, 42876, 8936362, 8953022, 0}},
+		{"WN", 2000, Options{K: 2}, "3b1cd0d8f297f7bd5398cc306228fc5b0c98d369c020a8de0ee9a96152f551b2",
+			[7]int64{310386, 32402, 927881, 44439, 923444, 154762, 0}},
+		{"LJ", 1500, Options{K: 2}, "1b43853a349e63a6762c0d2ad06d578702233fc5fb17fe4479775573e1ff56da",
+			[7]int64{1409244, 126076, 7513552, 152651, 6214124, 704027, 0}},
+		{"AD", 1000, Options{K: 3}, "8f10a05343c2656253f128e23e97e34b1ba11ed6fc176c1b26539aab04ab5516",
+			[7]int64{3939030, 41740, 25457292, 42876, 8936362, 1963849, 0}},
+		{"WN", 1000, Options{K: 2, DisablePR1: true}, "c7ee569952de87fd20a56fc90fcabd79ae9ef4d005d126f25d5e17414f877749",
+			[7]int64{138840, 16194, 1353977, 745184, 0, 69189, 732}},
+		{"WN", 1000, Options{K: 2, DisablePR2: true}, "a13df9948313272c0a3174dccc852e99a6947ab641fb60ec5e7e2c41b0b28626",
+			[7]int64{138840, 16194, 396492, 20677, 709128, 0, 0}},
+		{"WN", 1000, Options{K: 2, DisablePR3: true}, "a13df9948313272c0a3174dccc852e99a6947ab641fb60ec5e7e2c41b0b28626",
+			[7]int64{138840, 16194, 5627242, 20677, 1555885, 1572898, 0}},
+		{"WN", 1000, Options{K: 2, Order: OrderDegreeSum}, "8dd4bd8f002608dfc947a44897695ef64fdfee86e057ceb311f2eb62af0d1683",
+			[7]int64{138840, 16194, 396467, 20605, 346607, 69189, 0}},
+		{"WN", 1000, Options{K: 2, Order: OrderNatural}, "36137de612d77c2ee27d3efb93473e93d296ce33231cf3f70be6fe79ad42d63c",
+			[7]int64{138840, 16194, 396552, 20808, 346665, 69189, 0}},
+		{"WN", 1000, Options{K: 2, Order: OrderReverse}, "dca8b94efb72d0852b1605e4ab6babed02a0149f95c333eab0e93caf68af68a0",
+			[7]int64{138840, 16194, 506817, 51486, 340059, 69189, 0}},
 	}
 	for _, tc := range cases {
+		name := fmt.Sprintf("%s@%d %+v", tc.dataset, tc.vertices, tc.opts)
 		d, err := datasets.ByName(tc.dataset)
 		if err != nil {
 			t.Fatal(err)
@@ -47,18 +67,16 @@ func TestBuildDigestStable(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ix, st, err := BuildWithStats(g, Options{K: tc.k})
+		ix, st, err := BuildWithStats(g, tc.opts)
 		if err != nil {
-			t.Fatalf("%s: %v", tc.dataset, err)
+			t.Fatalf("%s: %v", name, err)
 		}
 		sum := sha256.Sum256(serialize(t, ix))
 		if got := hex.EncodeToString(sum[:]); got != tc.digest {
-			t.Errorf("%s@%d k=%d: bundle sha256 = %s, want %s",
-				tc.dataset, tc.vertices, tc.k, got, tc.digest)
+			t.Errorf("%s: bundle sha256 = %s, want %s", name, got, tc.digest)
 		}
 		if got := algoCounters(st); got != tc.counters {
-			t.Errorf("%s@%d k=%d: counters = %v, want %v",
-				tc.dataset, tc.vertices, tc.k, got, tc.counters)
+			t.Errorf("%s: counters = %v, want %v", name, got, tc.counters)
 		}
 	}
 }

@@ -420,18 +420,22 @@ func BenchmarkQueryPacked(b *testing.B) {
 // representation: arbitrary bytes decode into a small graph plus a query
 // (the quickGraphSpec scheme), which is answered simultaneously by the
 // packed index, the builder's pre-pack entry lists, and — to anchor both —
-// the online traversal. Any divergence fails.
+// the online traversal. Any divergence fails. The option byte picks the
+// build (fuzzOptions), so every access order and pruning ablation — each a
+// different path through the builder — is held to the same answers.
 func FuzzPackedEquivalence(f *testing.F) {
-	f.Add([]byte{1, 0, 2, 3, 1, 4}, uint8(1), uint8(4), []byte{0, 1})
-	f.Add([]byte{0, 0, 1, 1, 1, 2, 2, 2, 0}, uint8(0), uint8(2), []byte{1})
-	f.Add([]byte{5, 2, 6, 6, 2, 5}, uint8(5), uint8(6), []byte{2, 0})
-	f.Fuzz(func(t *testing.T, edges []byte, s, d uint8, l []byte) {
+	f.Add([]byte{1, 0, 2, 3, 1, 4}, uint8(1), uint8(4), []byte{0, 1}, uint8(0))
+	f.Add([]byte{0, 0, 1, 1, 1, 2, 2, 2, 0}, uint8(0), uint8(2), []byte{1}, uint8(0))
+	f.Add([]byte{5, 2, 6, 6, 2, 5}, uint8(5), uint8(6), []byte{2, 0}, uint8(0))
+	f.Add([]byte{0, 0, 1, 1, 1, 2, 2, 2, 0, 2, 0, 1}, uint8(2), uint8(1), []byte{0}, uint8(3|16))
+	f.Add([]byte{3, 1, 4, 4, 1, 3, 4, 2, 5, 5, 2, 3}, uint8(3), uint8(5), []byte{1, 2}, uint8(2|4|8))
+	f.Fuzz(func(t *testing.T, edges []byte, s, d uint8, l []byte, o uint8) {
 		spec := quickGraphSpec{Edges: edges, S: s, T: d, L: l}
 		g := spec.graph()
 		if g.NumVertices() == 0 {
 			return
 		}
-		packed, lists := buildWithOracle(t, g, Options{K: 2})
+		packed, lists := buildWithOracle(t, g, fuzzOptions(o))
 		src := graph.Vertex(spec.S) % 10
 		dst := graph.Vertex(spec.T) % 10
 		q := spec.constraint()
@@ -453,4 +457,17 @@ func FuzzPackedEquivalence(f *testing.F) {
 			}
 		}
 	})
+}
+
+// fuzzOptions decodes FuzzPackedEquivalence's option byte into a k = 2
+// build: bits 0-1 pick the access order, bits 2, 3 and 4 disable PR1, PR2
+// and PR3. Zero is the default build.
+func fuzzOptions(o uint8) Options {
+	return Options{
+		K:          2,
+		Order:      Order(o & 3),
+		DisablePR1: o&4 != 0,
+		DisablePR2: o&8 != 0,
+		DisablePR3: o&16 != 0,
+	}
 }

@@ -57,22 +57,6 @@ func (t *stampTable) home(k1 uint64, k2 uint32) int {
 	return int((h * 0xD6E8FEB86659FD93) >> t.shift)
 }
 
-// get returns the value stored under the key and whether there is one.
-//
-//rlc:noalloc
-func (t *stampTable) get(k1 uint64, k2 uint32) (int32, bool) {
-	mask := len(t.slots) - 1
-	for i := t.home(k1, k2); ; i = (i + 1) & mask {
-		s := &t.slots[i]
-		if s.gen != t.gen {
-			return 0, false
-		}
-		if s.k1 == k1 && s.k2 == k2 {
-			return t.vals[i], true
-		}
-	}
-}
-
 // put stores v under the key unless the key is already present, and returns
 // the value the key now maps to and whether it was there before — the one
 // operation behind "add to a set, was it new?" and "slot of this key,

@@ -6,6 +6,21 @@ import (
 	"testing"
 )
 
+// get returns the value stored under the key and whether there is one: the
+// read side the tests check put and reset through (the builder only puts).
+func (t *stampTable) get(k1 uint64, k2 uint32) (int32, bool) {
+	mask := len(t.slots) - 1
+	for i := t.home(k1, k2); ; i = (i + 1) & mask {
+		s := &t.slots[i]
+		if s.gen != t.gen {
+			return 0, false
+		}
+		if s.k1 == k1 && s.k2 == k2 {
+			return t.vals[i], true
+		}
+	}
+}
+
 // stampOps drives a stampTable and a map[[2]uint64]int32 through the same
 // put/get/reset sequence, three bytes per operation, and fails on the first
 // disagreement. The table starts at four slots, so a few puts already grow

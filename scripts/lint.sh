@@ -8,8 +8,9 @@
 # no-closure-in-the-overlay check, the one-fold-state-machine check, the
 # one-decoder-on-/batch check, the
 # one-pass-on-/query check, the one-client-stack-in-the-router check, the
-# one-server-stack check, the one-way-to-load-a-bundle check, then
-# staticcheck and govulncheck when available.
+# one-server-stack check, the one-way-to-load-a-bundle check, the
+# builder-in-rank-space check, then staticcheck and govulncheck when
+# available.
 # CI runs this in the lint job; run it locally before sending a change that
 # touches the serving or query path.
 #
@@ -188,6 +189,19 @@ stray=$(grep -rnE --include='*.go' --exclude-dir=.bench_build --exclude-dir=benc
 	grep -v '_test\.go:' || true)
 if [ -n "$stray" ]; then
 	echo "a memory mapping is back; read the bundle with snapshot.Open instead:" >&2
+	echo "$stray" >&2
+	status=1
+fi
+
+# The builder runs in access-rank space: newRankCSR relabels the adjacency
+# once, and from there every vertex the builder holds is a rank, PR2 is an
+# id compare and kernel BFS skips the neighbours PR2 rejects by position in
+# a rank-sorted run. A rank lookup anywhere else in builder.go is a vertex
+# id leaking back into the search, one cache miss per edge visited.
+echo "==> rank lookups in internal/core/builder.go outside newRankCSR"
+stray=$(awk '/^func /{fn=$0} /\.rank\[/ && fn !~ /^func newRankCSR\(/ {print FILENAME ":" FNR ": " $0}' internal/core/builder.go)
+if [ -n "$stray" ]; then
+	echo "internal/core/builder.go reads a rank table outside newRankCSR; keep the builder in rank space:" >&2
 	echo "$stray" >&2
 	status=1
 fi
