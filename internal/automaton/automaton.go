@@ -239,13 +239,11 @@ func (n *NFA) ReverseState(q State) State {
 // State q of the original corresponds to state ReverseState(q) of the
 // result. The reverse is built on first use and shared afterwards; it must
 // not be mutated.
-//
-//rlc:noalloc
 func (n *NFA) Reverse() *NFA {
 	if r := n.rev.Load(); r != nil {
 		return r
 	}
-	n.rev.CompareAndSwap(nil, n.buildReverse()) //rlc:allocok first use builds the reverse once per automaton
+	n.rev.CompareAndSwap(nil, n.buildReverse()) // first use builds the reverse once per automaton
 	return n.rev.Load()
 }
 

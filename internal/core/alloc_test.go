@@ -8,12 +8,10 @@ import (
 	"github.com/g-rpqs/rlc-go/internal/labelseq"
 )
 
-// The tests in this file are the runtime counterpart of rlcvet's noalloc
-// check: the analyzer proves the annotated functions contain no allocating
-// operations outside waived lines, and these tests pin the end-to-end
-// behavior — a valid query through the public API costs zero heap
-// allocations — so a regression that sneaks in through an unannotated
-// callee (or an escape-analysis change in a new toolchain) still fails CI.
+// The tests in this file hold the query path to no allocation end to end: a
+// valid query through the public API costs zero heap allocations, whichever
+// callee a regression sneaks in through (or an escape-analysis change in a
+// new toolchain).
 
 func allocTestIndex(t *testing.T) *Index {
 	t.Helper()

@@ -54,10 +54,8 @@ const batchMemoSlots = 128
 // Negative lookups (InvalidID: no path in the graph carries this k-MR) are
 // cached too — false-query workloads hit them constantly. A constraint
 // whose slot another code holds goes to the dictionary and takes the slot.
-//
-//rlc:noalloc
 func (sc *batchScratch) lookupMR(ix *Index, l labelseq.Seq) (labelseq.ID, error) {
-	if err := ix.checkShape(l); err != nil { //rlc:allocok rejection path builds the validation error
+	if err := ix.checkShape(l); err != nil {
 		return labelseq.InvalidID, err
 	}
 	code := ix.dict.Coder().Encode(l)
@@ -66,7 +64,6 @@ func (sc *batchScratch) lookupMR(ix *Index, l labelseq.Seq) (labelseq.ID, error)
 		return sc.ids[slot], nil
 	}
 	if !labelseq.IsPrimitive(l) {
-		//rlc:allocok rejection path builds the validation error
 		return labelseq.InvalidID, fmt.Errorf("%w: %v", ErrNotMinimumRepeat, l)
 	}
 	id := ix.dict.LookupCode(code)
@@ -81,11 +78,9 @@ func (sc *batchScratch) lookupMR(ix *Index, l labelseq.Seq) (labelseq.ID, error)
 // slots are filled with the context's error, so the positional contract
 // holds even for an abandoned batch.
 //
-// This is the per-worker inner loop, so rlcvet holds it allocation-free:
-// a steady stream of valid queries costs zero allocations per answer, and
-// only rejected queries pay for their error values.
-//
-//rlc:noalloc
+// This is the per-worker inner loop, so TestQueryBatchIntoAllocFree holds it
+// allocation-free: a steady stream of valid queries costs zero allocations
+// per answer, and only rejected queries pay for their error values.
 func (ix *Index) answerBatch(ctx context.Context, queries []BatchQuery, results []BatchResult, start, end int, sc *batchScratch) {
 	for i := start; i < end; i++ {
 		if (i-start)%batchChunk == 0 {
@@ -97,7 +92,7 @@ func (ix *Index) answerBatch(ctx context.Context, queries []BatchQuery, results 
 			}
 		}
 		q := &queries[i]
-		if err := ix.checkVertices(q.S, q.T); err != nil { //rlc:allocok rejection path builds the validation error
+		if err := ix.checkVertices(q.S, q.T); err != nil {
 			results[i] = BatchResult{Err: err}
 			continue
 		}
@@ -140,8 +135,6 @@ func (ix *Index) QueryBatchCtx(ctx context.Context, queries []BatchQuery, worker
 // which is grown only when its capacity is short — the returned slice must
 // be used in its place. Servers answering a steady stream of batches reuse
 // one buffer per connection and allocate nothing at all per batch.
-//
-//rlc:noalloc
 func (ix *Index) QueryBatchInto(queries []BatchQuery, workers int, results []BatchResult) []BatchResult {
 	return ix.QueryBatchIntoCtx(context.Background(), queries, workers, results)
 }
@@ -151,13 +144,12 @@ func (ix *Index) QueryBatchInto(queries []BatchQuery, workers int, results []Bat
 // burning workers at the next chunk boundary.
 //
 // With an adequately sized reused buffer and a single worker, a whole batch
-// allocates nothing (rlcvet noalloc; the waived lines are the short-buffer
-// grow and the multi-worker fan-out, which spawns goroutines by design).
-//
-//rlc:noalloc
+// allocates nothing (TestQueryBatchIntoAllocFree); only a short buffer's
+// grow and the multi-worker fan-out, which spawns goroutines by design,
+// allocate.
 func (ix *Index) QueryBatchIntoCtx(ctx context.Context, queries []BatchQuery, workers int, results []BatchResult) []BatchResult {
 	if cap(results) < len(queries) {
-		results = make([]BatchResult, len(queries)) //rlc:allocok caller's buffer too short: grow once, returned for reuse
+		results = make([]BatchResult, len(queries)) // caller's buffer too short: grow once, returned for reuse
 	} else {
 		results = results[:len(queries)]
 	}
@@ -173,7 +165,7 @@ func (ix *Index) QueryBatchIntoCtx(ctx context.Context, queries []BatchQuery, wo
 		ix.answerBatch(ctx, queries, results, 0, len(queries), &sc)
 		return results
 	}
-	ix.runBatchWorkers(ctx, queries, results, workers) //rlc:allocok parallel fan-out spawns worker goroutines by design
+	ix.runBatchWorkers(ctx, queries, results, workers) // parallel fan-out spawns worker goroutines by design
 	return results
 }
 

@@ -250,8 +250,6 @@ func (r *runSorter) Swap(i, j int) {
 // run returns the index of v's run through label l, or -1: a linear scan
 // of v's ascending run labels — a vertex rarely has more than a handful —
 // on the kernel-BFS hot path, once per dequeued node.
-//
-//rlc:noalloc
 func (c *labelCSR) run(v int32, l labelseq.Label) int64 {
 	for i, end := c.runOff[v], c.runOff[v+1]; i < end; i++ {
 		if c.runLbl[i] >= l {
@@ -265,8 +263,6 @@ func (c *labelCSR) run(v int32, l labelseq.Label) int64 {
 }
 
 // edges returns the neighbours of v through label l.
-//
-//rlc:noalloc
 func (c *labelCSR) edges(v int32, l labelseq.Label) []int32 {
 	i := c.run(v, l)
 	if i < 0 {
@@ -279,8 +275,6 @@ func (c *labelCSR) edges(v int32, l labelseq.Label) []int32 {
 // src: the run's suffix from its cursor, which it first moves past the
 // smaller ranks. A cursor only moves forward, so src must never decrease
 // from one call to the next — Build's sources run in rank order.
-//
-//rlc:noalloc
 func (c *labelCSR) edgesFrom(v int32, l labelseq.Label, src int32) []int32 {
 	i := c.run(v, l)
 	if i < 0 {
@@ -332,8 +326,6 @@ func (b *builder) loadFixed(src int32, dir direction) {
 }
 
 // fixedHas reports whether the fixed list holds (hub, mr).
-//
-//rlc:noalloc
 func (b *builder) fixedHas(hub int32, mr labelseq.ID) bool {
 	h := b.fixedAt[hub]
 	if h.stamp != b.kbsStamp {
@@ -413,25 +405,23 @@ func (b *builder) kernelSearch(src int32, dir direction) {
 // registerFrontier adds v to the frontier of the kernel with the given code,
 // opening the kernel's slot on first sight. A slot past len(frontiers) but
 // within its capacity is an earlier KBS's: its slices are reused.
-//
-//rlc:noalloc
 func (b *builder) registerFrontier(code labelseq.Code, kernel labelseq.Seq, v int32) {
 	slot, known := b.frontierOf.put(uint64(code), 0, int32(len(b.frontiers)))
 	if !known {
 		if len(b.frontiers) < cap(b.frontiers) {
 			b.frontiers = b.frontiers[:slot+1]
 		} else {
-			//rlc:allocok the registry grows to the most kernels any one KBS met
+			// the registry grows to the most kernels any one KBS met
 			b.frontiers = append(b.frontiers, kernelFrontier{})
 		}
 		f := &b.frontiers[slot]
 		f.code = code
-		//rlc:allocok a recycled slot's kernel already has capacity for k labels
+		// a recycled slot's kernel already has capacity for k labels
 		f.kernel = append(f.kernel[:0], kernel...)
 		f.verts = f.verts[:0]
 	}
 	f := &b.frontiers[slot]
-	//rlc:allocok verts grows to the largest frontier its slot has held
+	// verts grows to the largest frontier its slot has held
 	f.verts = append(f.verts, v)
 }
 
@@ -440,8 +430,6 @@ func (b *builder) registerFrontier(code labelseq.Code, kernel labelseq.Seq, v in
 // under the constraint L+. The phase of a node is the number of labels
 // consumed in the current period; completing a period (phase back to 0)
 // attempts an insert, and — PR3 — a pruned insert stops expansion there.
-//
-//rlc:noalloc
 func (b *builder) kernelBFS(src int32, dir direction, f *kernelFrontier) {
 	m := int32(len(f.kernel))
 	b.stamp++
@@ -457,7 +445,7 @@ func (b *builder) kernelBFS(src int32, dir direction, f *kernelFrontier) {
 			continue
 		}
 		b.mark(v, 0)
-		//rlc:allocok the queue grows to the largest kernel-BFS so far
+		// the queue grows to the largest kernel-BFS so far
 		b.bfsQ = append(b.bfsQ, kbsNode{v, 0})
 	}
 	mrCode := f.code
@@ -495,19 +483,17 @@ func (b *builder) kernelBFS(src int32, dir direction, f *kernelFrontier) {
 			}
 			if next == 0 {
 				// y sits at a completed power L^m: record it.
-				//rlc:allocok a successful insert appends to y's entry list (and interns a new MR)
+				// a successful insert appends to y's entry list (and interns a new MR)
 				st := b.insert(y, src, dir, f.kernel, mrCode)
 				b.mark(y, 0)
 				if st != inserted && !b.ix.opts.DisablePR3 {
 					// PR3: y and everything beyond it are skipped.
 					continue
 				}
-				//rlc:allocok queue growth, as above
 				b.bfsQ = append(b.bfsQ, kbsNode{y, 0})
 				continue
 			}
 			b.mark(y, next)
-			//rlc:allocok queue growth, as above
 			b.bfsQ = append(b.bfsQ, kbsNode{y, next})
 		}
 	}

@@ -277,12 +277,10 @@ func (ix *Index) decode(list iter.Seq[entry]) []EntryView {
 // Query answers the RLC query (s, t, L+) — Algorithm 1. The constraint must
 // be a minimum repeat of length at most K() over the graph's labels;
 // otherwise an error describes the violation. A valid query allocates
-// nothing (enforced by rlcvet's noalloc check and a testing.AllocsPerRun
-// regression test); only rejection paths build errors.
-//
-//rlc:noalloc
+// nothing (TestQueryAllocFree, and TestTierFilterProbeAllocFree on a
+// size-budgeted index); only rejection paths build errors.
 func (ix *Index) Query(s, t graph.Vertex, l labelseq.Seq) (bool, error) {
-	if err := ix.checkQuery(s, t, l); err != nil { //rlc:allocok rejection path builds the validation error
+	if err := ix.checkQuery(s, t, l); err != nil {
 		return false, err
 	}
 	mr := ix.dict.Lookup(l)
@@ -298,8 +296,6 @@ func (ix *Index) Query(s, t graph.Vertex, l labelseq.Seq) (bool, error) {
 // has accepted — a compact, injective key for per-constraint state kept
 // beside the index (the delta overlay's automaton and probe cache). It
 // panics on a constraint Query would reject.
-//
-//rlc:noalloc
 func (ix *Index) ConstraintCode(l labelseq.Seq) labelseq.Code {
 	return ix.dict.Coder().Encode(l)
 }
@@ -376,8 +372,6 @@ func (ix *Index) checkConstraint(l labelseq.Seq) error {
 // queries touching a demoted vertex dispatch to the three-tier path
 // (tiers.go) instead; both endpoints retained stays the plain exact probe
 // (their lists are complete).
-//
-//rlc:noalloc
 func (ix *Index) queryByID(s, t graph.Vertex, mr labelseq.ID) bool {
 	if tr := ix.tiers; tr != nil {
 		if ix.rank[s] >= tr.retainedRanks || ix.rank[t] >= tr.retainedRanks {

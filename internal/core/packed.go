@@ -67,8 +67,6 @@ type setPool struct {
 
 // has reports whether the pooled set contains mr — the bit-parallel
 // membership test: a window bounds check, then one shift and AND.
-//
-//rlc:noalloc
 func (sp *setPool) has(set uint32, mr labelseq.ID) bool {
 	if int(set) >= len(sp.desc) {
 		return false // emptySet
@@ -115,8 +113,6 @@ func (p *packed) lin(v graph.Vertex) []packedGroup {
 // hub: the binary search lands on at most one group and the membership test
 // is a single bit probe. The search is spelled out rather than delegated to
 // sort.Search so the probe stays closure-free.
-//
-//rlc:noalloc
 func (p *packed) groupHas(list []packedGroup, hub int32, mr labelseq.ID) bool {
 	i, j := 0, len(list)
 	for i < j {
@@ -134,8 +130,6 @@ func (p *packed) groupHas(list []packedGroup, hub int32, mr labelseq.ID) bool {
 // common hub carries mr on both sides — Case 1 of Definition 4. Hubs are
 // unique per list, so every step advances at least one cursor and a matched
 // hub costs two bit probes.
-//
-//rlc:noalloc
 func (p *packed) joinGroups(a, b []packedGroup, mr labelseq.ID) bool {
 	i, j := 0, 0
 	for i < len(a) && j < len(b) {

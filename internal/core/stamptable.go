@@ -62,11 +62,9 @@ func (t *stampTable) home(k1 uint64, k2 uint32) int {
 // operation behind "add to a set, was it new?" and "slot of this key,
 // assigning the next free one". Room for one more key is made before
 // probing, so the slot the probe ends on stays valid.
-//
-//rlc:noalloc
 func (t *stampTable) put(k1 uint64, k2 uint32, v int32) (int32, bool) {
 	if 2*(t.count+1) > len(t.slots) {
-		//rlc:allocok doubling growth, amortised over the build
+		// doubling growth, amortised over the build
 		t.grow()
 	}
 	mask := len(t.slots) - 1

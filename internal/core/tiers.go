@@ -88,8 +88,6 @@ type tiers struct {
 func (tr *tiers) slotOf(r int32) int32 { return r - tr.retainedRanks }
 
 // outBlock returns the bloom block guarding the dropped Lout list of slot.
-//
-//rlc:noalloc
 func (tr *tiers) outBlock(slot int32) []uint64 {
 	w := int64(tr.bloomWords)
 	off := int64(slot) * 2 * w
@@ -97,8 +95,6 @@ func (tr *tiers) outBlock(slot int32) []uint64 {
 }
 
 // inBlock returns the bloom block guarding the dropped Lin list of slot.
-//
-//rlc:noalloc
 func (tr *tiers) inBlock(slot int32) []uint64 {
 	w := int64(tr.bloomWords)
 	off := int64(slot)*2*w + w
@@ -106,8 +102,6 @@ func (tr *tiers) inBlock(slot int32) []uint64 {
 }
 
 // mix64 is the splitmix64 finalizer — the bloom key hash.
-//
-//rlc:noalloc
 func mix64(x uint64) uint64 {
 	x ^= x >> 30
 	x *= 0xbf58476d1ce4e5b9
@@ -121,8 +115,6 @@ func mix64(x uint64) uint64 {
 // 64-bit hash (low and high halves — blocks are at most 4096 bits, so the
 // halves are independent). False means the dropped list definitively did not
 // carry (hub, mr); true means maybe.
-//
-//rlc:noalloc
 func (tr *tiers) bloomHas(block []uint64, hub uint32, mr labelseq.ID) bool {
 	h := mix64(uint64(hub)<<32 | uint64(uint32(mr)))
 	mask := uint64(len(block))*64 - 1
@@ -209,10 +201,8 @@ func (ix *Index) TierStats() TierStats {
 // probe first, exact traversal only on "maybe" — tier 3, a bidirectional
 // product search on the traversal kernel. Evaluators are pooled because one
 // is not concurrent-safe but queries are; a warm one searches without
-// allocating. Counter increments are atomic adds, which the noalloc
-// allowlist covers.
-//
-//rlc:noalloc
+// allocating, and counter increments are atomic adds:
+// TestTierFilterProbeAllocFree holds the whole path to no allocation.
 func (ix *Index) queryTiered(s, t graph.Vertex, mr labelseq.ID) bool {
 	tr := ix.tiers
 	switch ix.probeTiered(s, t, mr) {
@@ -226,7 +216,7 @@ func (ix *Index) queryTiered(s, t graph.Vertex, mr labelseq.ID) bool {
 	tr.filterMaybe.Add(1)
 	nfa := tr.nfas[mr].Load()
 	if nfa == nil {
-		if nfa = ix.compileFallback(mr); nfa == nil { //rlc:allocok lazy NFA compile, once per interned MR
+		if nfa = ix.compileFallback(mr); nfa == nil { // lazy NFA compile, once per interned MR
 			return false
 		}
 	}
@@ -241,8 +231,6 @@ func (ix *Index) queryTiered(s, t graph.Vertex, mr labelseq.ID) bool {
 // hit there is a definitive TRUE; every filter over-approximates the dropped
 // list it stands in for, so a probe that excludes Case 2 in both directions
 // and Case 1 (Definition 4) is a definitive FALSE.
-//
-//rlc:noalloc
 func (ix *Index) probeTiered(s, t graph.Vertex, mr labelseq.ID) tierVerdict {
 	tr := ix.tiers
 	r := tr.retainedRanks
@@ -305,15 +293,11 @@ func (ix *Index) probeTiered(s, t graph.Vertex, mr labelseq.ID) tierVerdict {
 
 // loutHas is exact (hub, mr) membership on a retained vertex's complete Lout
 // list.
-//
-//rlc:noalloc
 func (ix *Index) loutHas(v graph.Vertex, hub int32, mr labelseq.ID) bool {
 	return ix.packed.groupHas(ix.packed.lout(v), hub, mr)
 }
 
 // linHas is the Lin mirror of loutHas.
-//
-//rlc:noalloc
 func (ix *Index) linHas(v graph.Vertex, hub int32, mr labelseq.ID) bool {
 	return ix.packed.groupHas(ix.packed.lin(v), hub, mr)
 }
@@ -322,8 +306,6 @@ func (ix *Index) linHas(v graph.Vertex, hub int32, mr labelseq.ID) bool {
 // complete Lout list and bloom-probes each against the demoted side's block:
 // true when some common hub cannot be excluded (Case 1 maybe), false when
 // every one is (Case 1 definitively fails).
-//
-//rlc:noalloc
 func (ix *Index) anyOutHubMaybe(s graph.Vertex, mr labelseq.ID, block []uint64) bool {
 	p, tr := ix.packed, ix.tiers
 	for _, g := range p.lout(s) {
@@ -335,8 +317,6 @@ func (ix *Index) anyOutHubMaybe(s graph.Vertex, mr labelseq.ID, block []uint64) 
 }
 
 // anyInHubMaybe is the Lin mirror of anyOutHubMaybe.
-//
-//rlc:noalloc
 func (ix *Index) anyInHubMaybe(t graph.Vertex, mr labelseq.ID, block []uint64) bool {
 	p, tr := ix.packed, ix.tiers
 	for _, g := range p.lin(t) {

@@ -532,46 +532,70 @@ func TestGoldenTierSections(t *testing.T) {
 	}
 }
 
-// TestTierFilterProbeAllocFree pins the satellite noalloc guarantee at
-// runtime: a query the filters decide (definite FALSE on the demoted tier)
-// allocates nothing — the whole probe chain is bit arithmetic. (rlcvet's
-// noalloc check enforces the same property statically.)
+// TestTierFilterProbeAllocFree holds the tiered read path — queryTiered,
+// probeTiered and every tier-2 helper it calls — to no allocation: after one
+// warming pass, a sweep of every (s, t, mr) with a demoted endpoint
+// allocates nothing. The sweep reaches all three probeTiered branches and
+// every verdict each can return. tierTrue needs a demoted hub on a retained
+// vertex's list, which PR2 prunes and, without PR2, PR1 does, so the sweep
+// covers an index built without both as well. Under the race detector it
+// leaves out the tier-3 searches (tierMaybe), whose evaluators sync.Pool may
+// drop.
 func TestTierFilterProbeAllocFree(t *testing.T) {
 	r := rand.New(rand.NewSource(67))
 	g := randomGraph(r, 48, 3, 220)
-	full := mustBuild(t, g, Options{K: 2})
-	ix := mustBuild(t, g, Options{K: 2, MaxIndexBytes: full.SizeBytes() / 2})
-	if !ix.Tiered() {
-		t.Fatal("not tiered")
+	type query struct {
+		ix   *Index
+		s, t graph.Vertex
+		l    labelseq.Seq
 	}
-	// Find a query the filter tier answers definitively FALSE.
-	var qs, qt graph.Vertex
-	var seq labelseq.Seq
-	found := false
-search:
-	for s := graph.Vertex(0); int(s) < g.NumVertices(); s++ {
-		for d := graph.Vertex(0); int(d) < g.NumVertices(); d++ {
-			if ix.rank[s] < ix.tiers.retainedRanks && ix.rank[d] < ix.tiers.retainedRanks {
-				continue
-			}
-			for mr := 0; mr < ix.dict.Len(); mr++ {
-				if ix.probeTiered(s, d, labelseq.ID(mr)) == tierFalse {
-					qs, qt, seq = s, d, ix.dict.Seq(labelseq.ID(mr))
-					found = true
-					break search
+	var sweep []query
+	branches := [3]string{"s retained, t demoted", "t retained, s demoted", "both demoted"}
+	var seen [3][3]int // [branch][verdict]
+	for _, opts := range []Options{{K: 2}, {K: 2, DisablePR1: true, DisablePR2: true}} {
+		opts.MaxIndexBytes = mustBuild(t, g, opts).SizeBytes() / 2
+		ix := mustBuild(t, g, opts)
+		if !ix.Tiered() {
+			t.Fatalf("%+v: not tiered", opts)
+		}
+		retained := ix.tiers.retainedRanks
+		for s := graph.Vertex(0); int(s) < g.NumVertices(); s++ {
+			for d := graph.Vertex(0); int(d) < g.NumVertices(); d++ {
+				branch := 2
+				switch {
+				case ix.rank[s] < retained && ix.rank[d] < retained:
+					continue
+				case ix.rank[s] < retained:
+					branch = 0
+				case ix.rank[d] < retained:
+					branch = 1
+				}
+				for mr := 0; mr < ix.dict.Len(); mr++ {
+					v := ix.probeTiered(s, d, labelseq.ID(mr))
+					seen[branch][v]++
+					if v != tierMaybe || !raceEnabled {
+						sweep = append(sweep, query{ix, s, d, ix.dict.Seq(labelseq.ID(mr))})
+					}
 				}
 			}
 		}
 	}
-	if !found {
-		t.Fatal("no definite-FALSE filter query in fixture")
-	}
-	allocs := testing.AllocsPerRun(200, func() {
-		if ok, err := ix.Query(qs, qt, seq); ok || err != nil {
-			t.Fatalf("Query(%d, %d, %v) = (%v, %v), want definite false", qs, qt, seq, ok, err)
+	for b, name := range branches {
+		for v, verdict := range [3]string{"tierFalse", "tierTrue", "tierMaybe"} {
+			if seen[b][v] == 0 && (b < 2 || tierVerdict(v) != tierTrue) {
+				t.Fatalf("no %s query with verdict %s in fixture", name, verdict)
+			}
 		}
-	})
-	if allocs != 0 {
-		t.Fatalf("definite-FALSE filter probe allocates %.1f times per query", allocs)
+	}
+	answer := func() {
+		for _, q := range sweep {
+			if _, err := q.ix.Query(q.s, q.t, q.l); err != nil {
+				t.Fatalf("Query(%d, %d, %v): %v", q.s, q.t, q.l, err)
+			}
+		}
+	}
+	answer() // warm: tier-3 automata compiled, a pooled evaluator grown
+	if allocs := testing.AllocsPerRun(5, answer); allocs != 0 {
+		t.Fatalf("a sweep of %d tiered queries allocates %.1f times", len(sweep), allocs)
 	}
 }

@@ -59,12 +59,10 @@ func (c *Coder) MaxLen() int { return len(c.pow) - 1 }
 // Encode packs s into a Code. It panics if s is longer than MaxLen or
 // contains labels outside the coder's label set. Encoding a valid sequence
 // is pure arithmetic — it runs once per query on the serving hot path, so
-// rlcvet holds it allocation-free; only the panic messages build anything.
-//
-//rlc:noalloc
+// core's TestQueryAllocFree holds it allocation-free; only the panic messages
+// build anything.
 func (c *Coder) Encode(s Seq) Code {
 	if len(s) > c.MaxLen() {
-		//rlc:allocok panic-only path formats the failure message
 		panic(fmt.Sprintf("labelseq: Encode: sequence length %d exceeds max %d", len(s), c.MaxLen()))
 	}
 	var code Code
@@ -99,10 +97,8 @@ func (c *Coder) Decode(code Code, length int) Seq {
 	return s
 }
 
-//rlc:noalloc
 func (c *Coder) checkLabel(l Label) {
 	if l < 0 || Code(l+1) >= c.base {
-		//rlc:allocok panic-only path formats the failure message
 		panic(fmt.Sprintf("labelseq: label %d out of range for base %d", l, c.base))
 	}
 }
@@ -153,8 +149,6 @@ func (d *Dict) InternCode(code Code, s Seq) ID {
 }
 
 // Lookup returns the ID of s, or InvalidID if s was never interned.
-//
-//rlc:noalloc
 func (d *Dict) Lookup(s Seq) ID {
 	if id, ok := d.ids[d.coder.Encode(s)]; ok {
 		return id
@@ -163,8 +157,6 @@ func (d *Dict) Lookup(s Seq) ID {
 }
 
 // LookupCode returns the ID for a precomputed code, or InvalidID.
-//
-//rlc:noalloc
 func (d *Dict) LookupCode(code Code) ID {
 	if id, ok := d.ids[code]; ok {
 		return id

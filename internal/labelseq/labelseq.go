@@ -114,8 +114,6 @@ func failure(s Seq, fail []int) []int {
 // SmallestPeriod returns the smallest p >= 1 such that s[i] == s[i-p] for all
 // i >= p. Every sequence of length n >= 1 has a smallest period in [1, n].
 // The empty sequence has period 0.
-//
-//rlc:noalloc
 func SmallestPeriod(s Seq) int {
 	if len(s) == 0 {
 		return 0
@@ -128,7 +126,7 @@ func SmallestPeriod(s Seq) int {
 	if len(s)+1 <= len(buf) {
 		fail = failure(s, buf[:len(s)+1])
 	} else {
-		//rlc:allocok sequences beyond the stack buffer are outside the query path
+		// sequences beyond the stack buffer are outside the query path
 		fail = failure(s, make([]int, len(s)+1))
 	}
 	return len(s) - fail[len(s)]

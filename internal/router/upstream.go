@@ -100,6 +100,9 @@ type conn struct {
 	br  *bufio.Reader
 	out []byte // request scratch: head and body leave in one Write
 	rep reply
+	// crlf is readChunks' scratch for the CRLF after a chunk: an array on
+	// its stack would escape through io.ReadFull, one allocation a chunk.
+	crlf [2]byte
 	// reused says the connection has carried a complete exchange before,
 	// so a failure before the first reply byte may only mean the backend
 	// closed it while it sat idle.
@@ -108,32 +111,31 @@ type conn struct {
 
 func (c *conn) close() { _ = c.nc.Close() }
 
-// appendRequest renders m into the connection's scratch.
-//
-//rlc:noalloc
+// appendRequest renders m into the connection's scratch, which reaches the
+// size of the largest request once.
 func (c *conn) appendRequest(b *backend, m *message) {
 	o := c.out[:0]
-	o = append(o, m.method...) //rlc:allocok request scratch: reaches the size of the largest request once
-	o = append(o, ' ')         //rlc:allocok request scratch
-	o = append(o, b.prefix...) //rlc:allocok request scratch
-	o = append(o, m.path...)   //rlc:allocok request scratch
+	o = append(o, m.method...)
+	o = append(o, ' ')
+	o = append(o, b.prefix...)
+	o = append(o, m.path...)
 	if m.query != "" {
-		o = append(o, '?')        //rlc:allocok request scratch
-		o = append(o, m.query...) //rlc:allocok request scratch
+		o = append(o, '?')
+		o = append(o, m.query...)
 	}
-	o = append(o, b.hostLines...) //rlc:allocok request scratch
+	o = append(o, b.hostLines...)
 	if m.contentType != "" {
-		o = append(o, "Content-Type: "...) //rlc:allocok request scratch
-		o = append(o, m.contentType...)    //rlc:allocok request scratch
-		o = append(o, "\r\n"...)           //rlc:allocok request scratch
+		o = append(o, "Content-Type: "...)
+		o = append(o, m.contentType...)
+		o = append(o, "\r\n"...)
 	}
 	if m.body != nil || m.method != "GET" {
-		o = append(o, "Content-Length: "...)             //rlc:allocok request scratch
-		o = strconv.AppendInt(o, int64(len(m.body)), 10) //rlc:allocok request scratch
-		o = append(o, "\r\n"...)                         //rlc:allocok request scratch
+		o = append(o, "Content-Length: "...)
+		o = strconv.AppendInt(o, int64(len(m.body)), 10)
+		o = append(o, "\r\n"...)
 	}
-	o = append(o, "\r\n"...) //rlc:allocok request scratch
-	o = append(o, m.body...) //rlc:allocok request scratch
+	o = append(o, "\r\n"...)
+	o = append(o, m.body...)
 	c.out = o
 }
 
@@ -157,10 +159,8 @@ func (c *conn) await(wait time.Duration) error {
 // line returns the next reply line without its terminator (CRLF or a bare
 // LF, as net/http's reader accepts); the slice is only valid until the next
 // read.
-//
-//rlc:noalloc
 func (c *conn) line() ([]byte, error) {
-	l, err := c.br.ReadSlice('\n') //rlc:allocok bufio refill: one Read on the socket into the connection's buffer
+	l, err := c.br.ReadSlice('\n') // bufio refill: one Read on the socket into the connection's buffer
 	if err != nil {
 		if err == bufio.ErrBufferFull {
 			return nil, errHeadTooLarge
@@ -179,8 +179,6 @@ func (c *conn) line() ([]byte, error) {
 // status that carries a body, unfolded header lines with token names, and a
 // body framed by exactly one Content-Length or by chunks without trailers.
 // Anything else is a *protocolError.
-//
-//rlc:noalloc
 func (c *conn) readReply() error {
 	rep := &c.rep
 	rep.status, rep.close, rep.body = 0, false, rep.body[:0]
@@ -262,7 +260,7 @@ func (c *conn) readReply() error {
 			for i, relayed := range relayedNames {
 				if !rep.seen[i] && asciiEqualFold(name, relayed) {
 					rep.seen[i] = true
-					rep.hdr[i] = append(rep.hdr[i], val...) //rlc:allocok header scratch: a few dozen bytes, grown once
+					rep.hdr[i] = append(rep.hdr[i], val...) // header scratch: a few dozen bytes, grown once
 				}
 			}
 		}
@@ -280,8 +278,6 @@ func (c *conn) readReply() error {
 
 // readBody appends n body bytes to c.rep.body. The buffer grows as bytes
 // arrive, not ahead of them, so a lying length costs no memory.
-//
-//rlc:noalloc
 func (c *conn) readBody(n int) error {
 	body := c.rep.body
 	if n > maxReplyBytes-len(body) {
@@ -291,8 +287,8 @@ func (c *conn) readBody(n int) error {
 	for n > 0 && err == nil {
 		var got int
 		step := min(n, max(c.br.Buffered(), 4096))
-		body = slices.Grow(body, step)                               //rlc:allocok body scratch: reaches the size of the largest reply once
-		got, err = io.ReadFull(c.br, body[len(body):len(body)+step]) //rlc:allocok socket read into the scratch above
+		body = slices.Grow(body, step)                               // body scratch: reaches the size of the largest reply once
+		got, err = io.ReadFull(c.br, body[len(body):len(body)+step]) // socket read into the scratch above
 		body = body[:len(body)+got]
 		n -= got
 	}
@@ -302,11 +298,9 @@ func (c *conn) readBody(n int) error {
 
 // readChunks reads a chunked body: size lines of hex digits, optionally
 // followed by ";extension", each ended by CRLF exactly.
-//
-//rlc:noalloc
 func (c *conn) readChunks() error {
 	for {
-		l, err := c.br.ReadSlice('\n') //rlc:allocok bufio refill
+		l, err := c.br.ReadSlice('\n') // bufio refill
 		if err != nil {
 			if err == bufio.ErrBufferFull {
 				return errChunk
@@ -341,11 +335,10 @@ func (c *conn) readChunks() error {
 				return err
 			}
 		}
-		var crlf [2]byte
-		if _, err := io.ReadFull(c.br, crlf[:]); err != nil { //rlc:allocok socket read
+		if _, err := io.ReadFull(c.br, c.crlf[:]); err != nil {
 			return err
 		}
-		if crlf != [2]byte{'\r', '\n'} {
+		if c.crlf != [2]byte{'\r', '\n'} {
 			return errChunk
 		}
 		if n == 0 {

@@ -8,9 +8,9 @@ import (
 	"github.com/g-rpqs/rlc-go/internal/labelseq"
 )
 
-// TestAnswerRLCAllocFree is the runtime counterpart of the //rlc:noalloc
-// annotation on computeSeq: an index-class query on an immutable generation
-// costs one generation load, the probe, and zero heap allocations.
+// TestAnswerRLCAllocFree holds computeSeq to no allocation: an index-class
+// query on an immutable generation costs one generation load, the probe, and
+// zero heap allocations.
 func TestAnswerRLCAllocFree(t *testing.T) {
 	s := New(buildIndex(t, graph.Fig2()), Options{})
 	defer s.Close()

@@ -29,8 +29,8 @@ import (
 // parsed once per serving generation (resolve), answer, and send the reply
 // from one buffer (appendReply). A batched index probe costs ~100 ns, so
 // everything here is held to "no allocation per query, nor per request for
-// a constraint already seen": rlcvet checks the annotated functions and
-// TestBatchSteadyStateAllocs the whole of serveBatch.
+// a constraint already seen", and TestBatchSteadyStateAllocs counts what the
+// whole of serveBatch allocates.
 
 // batchQueryResult is one slot of the POST /batch reply; Error (and its
 // machine-readable Code) is set — and Reachable false — when that query
@@ -61,8 +61,6 @@ const replyHead = `{"results":[`
 
 // The ways a body is refused before any query is looked at. They carry no
 // wire code, as encoding/json's errors for the same bodies never did.
-//
-//rlc:errcode-exempt
 var (
 	errBatchSyntax    = errors.New("not the JSON of a batch request")
 	errBatchField     = errors.New("unknown field")
@@ -73,8 +71,6 @@ var (
 
 // errBatchSegments rejects a constraint that parses but is not the class
 // Index.QueryBatch answers.
-//
-//rlc:errcode-exempt
 var errBatchSegments = errors.New("l: batch queries need a single L+ segment; use GET /query for multi-segment expressions")
 
 // batchSlot is one decoded query: its s, t and l tokens, unquoted, as
@@ -121,9 +117,9 @@ func (d *batchScanner) fill() bool {
 			return false
 		}
 		if len(d.b) == cap(d.b) {
-			d.b = slices.Grow(d.b, 4096) //rlc:allocok pooled body buffer: reaches the size of the largest body once
+			d.b = slices.Grow(d.b, 4096) // pooled body buffer: reaches the size of the largest body once
 		}
-		n, err := d.src.Read(d.b[len(d.b):cap(d.b)]) //rlc:allocok net/http's body reader
+		n, err := d.src.Read(d.b[len(d.b):cap(d.b)])
 		d.b = d.b[:len(d.b)+n]
 		if err != nil {
 			d.src = nil
@@ -201,10 +197,10 @@ func (d *batchScanner) str() ([]byte, error) {
 				return d.b[start : d.i-1], nil
 			}
 			var s string
-			if json.Unmarshal(d.b[start-1:d.i], &s) != nil { //rlc:allocok escape slow path
+			if json.Unmarshal(d.b[start-1:d.i], &s) != nil { // escape slow path
 				return nil, errBatchSyntax
 			}
-			return []byte(s), nil //rlc:allocok escape slow path
+			return []byte(s), nil // escape slow path
 		case c == '\\':
 			// Whatever is escaped cannot close the string; json.Unmarshal
 			// judges whether it is an escape at all.
@@ -315,8 +311,6 @@ func (d *batchScanner) field(names [][]byte) (int, error) {
 // decode scans the whole body into slots[:0] and returns the request's
 // worker count and its queries. It stops with errBatchTooMany at query
 // limit+1 without scanning it.
-//
-//rlc:noalloc
 func (d *batchScanner) decode(slots []batchSlot, limit int) (workers int, queries []batchSlot, err error) {
 	// slots[:len(slots)] are the slots this request has written and
 	// slots[:n] the queries of the last "queries" value. They differ only
@@ -356,7 +350,7 @@ func (d *batchScanner) decode(slots []batchSlot, limit int) (workers int, querie
 				if err != nil {
 					return 0, nil, err
 				}
-				w, err := strconv.ParseInt(string(text), 10, 64) //rlc:allocok once per request; a number with a fraction or an exponent is refused, as a Go int refuses it
+				w, err := strconv.ParseInt(string(text), 10, 64) // once per request; a number with a fraction or an exponent is refused, as a Go int refuses it
 				if err != nil {
 					return 0, nil, errBatchSyntax
 				}
@@ -393,7 +387,7 @@ func (d *batchScanner) queries(slots []batchSlot, limit int) ([]batchSlot, int, 
 			return nil, 0, errBatchTooMany
 		}
 		if n == len(slots) {
-			slots = append(slots, batchSlot{}) //rlc:allocok pooled slots: reach the size of the largest batch once
+			slots = append(slots, batchSlot{}) // pooled slots: reach the size of the largest batch once
 		}
 		switch d.token() {
 		case 'n': // a null element leaves its slot as it is
@@ -464,8 +458,6 @@ func (d *batchScanner) query(q *batchSlot) error {
 // '\\', control or non-ASCII byte. On any mismatch, or when the object runs
 // past the buffer, it consumes nothing and reports false, and query's
 // general loop scans the object instead.
-//
-//rlc:noalloc
 func (d *batchScanner) quick(q *batchSlot) bool {
 	s, b, ok := cutDigits(d.b[d.i:], `"s":`)
 	if !ok {
@@ -490,8 +482,6 @@ func (d *batchScanner) quick(q *batchSlot) bool {
 
 // cutDigits matches key at the front of b and then the digits of an
 // unsigned JSON integer, and returns the digits and what follows them.
-//
-//rlc:noalloc
 func cutDigits(b []byte, key string) (digits, rest []byte, ok bool) {
 	if !hasLiteral(b, key) {
 		return nil, nil, false
@@ -592,7 +582,7 @@ func vertexOf[T string | []byte](st *state, tok T) (graph.Vertex, error) {
 			return graph.Vertex(id), nil
 		}
 	}
-	return st.vertex(string(tok)) //rlc:allocok names and rejections
+	return st.vertex(string(tok))
 }
 
 // constraint parses text on its first appearance on the generation the
@@ -603,11 +593,11 @@ func (bs *batchState) constraint(st *state, text []byte) batchConstraint {
 		return c
 	}
 	var c batchConstraint
-	switch e, err := st.parseExpr(string(text)); { //rlc:allocok intern miss: once per distinct constraint
+	switch e, err := st.parseExpr(string(text)); { // intern miss: once per distinct constraint
 	case err != nil:
-		c.fail = failSlot(fmt.Errorf("l: %w", err)) //rlc:allocok intern miss
+		c.fail = failSlot(fmt.Errorf("l: %w", err))
 	case len(e.Segments) != 1 || !e.Segments[0].Plus:
-		c.fail = failSlot(errBatchSegments) //rlc:allocok intern miss
+		c.fail = failSlot(errBatchSegments)
 	default:
 		c.seq = e.Segments[0].Labels
 	}
@@ -616,23 +606,21 @@ func (bs *batchState) constraint(st *state, text []byte) batchConstraint {
 		bs.tableBytes = 0
 	}
 	bs.tableBytes += len(text) + len(c.fail) + 64
-	bs.constraints[string(text)] = c //rlc:allocok intern miss
+	bs.constraints[string(text)] = c
 	return c
 }
 
 // resolve turns slot i into index terms, or into the reply slot saying why
 // not: s is checked first, then t, then l, and the first failure is the one
 // reported.
-//
-//rlc:noalloc
 func (bs *batchState) resolve(st *state, i int) (q core.BatchQuery, fail []byte) {
 	slot := &bs.slots[i]
 	var err error
 	if q.S, err = vertexOf(st, slot.s); err != nil {
-		return q, failSlot(fmt.Errorf("s: %w", err)) //rlc:allocok error slot
+		return q, failSlot(fmt.Errorf("s: %w", err))
 	}
 	if q.T, err = vertexOf(st, slot.t); err != nil {
-		return q, failSlot(fmt.Errorf("t: %w", err)) //rlc:allocok error slot
+		return q, failSlot(fmt.Errorf("t: %w", err))
 	}
 	c := bs.constraint(st, slot.l)
 	q.L = c.seq
@@ -653,14 +641,12 @@ func (bs *batchState) answer(i int, reachable bool, err error) {
 }
 
 // appendReply joins the slots into bs.reply.
-//
-//rlc:noalloc
 func (bs *batchState) appendReply(micros float64) []byte {
 	size := len(replyHead) + replyTailMax
 	for _, slot := range bs.out {
 		size += len(slot) + 1
 	}
-	b := slices.Grow(bs.reply[:0], size)[:size] //rlc:allocok pooled reply buffer: reaches the size of the largest reply once
+	b := slices.Grow(bs.reply[:0], size)[:size] // pooled reply buffer: reaches the size of the largest reply once
 	at := copy(b, replyHead)
 	for i, slot := range bs.out {
 		if i > 0 {
@@ -669,7 +655,7 @@ func (bs *batchState) appendReply(micros float64) []byte {
 		}
 		at += copy(b[at:], slot)
 	}
-	bs.reply = appendReplyTail(b[:at], len(bs.out), micros) //rlc:allocok appends into the capacity reserved above
+	bs.reply = appendReplyTail(b[:at], len(bs.out), micros) // appends into the capacity reserved above
 	return bs.reply
 }
 

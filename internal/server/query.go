@@ -17,17 +17,15 @@ import (
 // query string where it lies (queryParams), resolved, answered, and the reply
 // is written into a pooled buffer (appendQueryReply) and sent with one Write.
 // The probe behind it costs 100–250 ns, so nothing here builds a map, a
-// reflection encoder or a header value it could have kept: rlcvet holds the
-// two annotated functions to "no allocation", FuzzQueryParams and
-// FuzzQueryReply hold them to net/url and encoding/json, and
-// TestQuerySteadyStateAllocs counts what is left.
+// reflection encoder or a header value it could have kept:
+// TestQuerySteadyStateAllocs and TestServeQueryAllocs count what a request
+// allocates, and FuzzQueryParams and FuzzQueryReply hold the two functions
+// to net/url and encoding/json.
 
 // queryParams returns what url.ParseQuery(raw) followed by Get("s"),
 // Get("t") and Get("l") returns: pairs split on '&', a pair holding ';' or a
 // bad escape dropped, the first pair left for a key taken, '+' read as a
 // space. A key or value without '%' or '+' is a substring of raw.
-//
-//rlc:noalloc
 func queryParams(raw string) (s, t, l string) {
 	var vals [3]string
 	var have [3]bool
@@ -47,7 +45,7 @@ func queryParams(raw string) (s, t, l string) {
 		}
 		var err error
 		if escaped(key) {
-			if key, err = url.QueryUnescape(key); err != nil { //rlc:allocok unescape slow path
+			if key, err = url.QueryUnescape(key); err != nil { // unescape slow path
 				continue
 			}
 		}
@@ -59,7 +57,7 @@ func queryParams(raw string) (s, t, l string) {
 			continue
 		}
 		if escaped(val) {
-			if val, err = url.QueryUnescape(val); err != nil { //rlc:allocok unescape slow path
+			if val, err = url.QueryUnescape(val); err != nil { // unescape slow path
 				continue
 			}
 		}
@@ -90,13 +88,11 @@ const queryReplyFixed = len(`{"s":"","t":"","l":"","reachable":false,"cached":fa
 //
 // with Cached false — the field outlived the result cache so that clients
 // decoding it keep working. s, t and l are echoed as the client sent them.
-//
-//rlc:noalloc
 func appendQueryReply(b []byte, s, t, l string, reachable bool, micros float64) []byte {
 	// A byte of input is at most six of output: \u00XX, or the \ufffd that
 	// stands for one that is not UTF-8.
 	size := queryReplyFixed + 6*(len(s)+len(t)+len(l))
-	b = slices.Grow(b[:0], size)[:size] //rlc:allocok pooled reply buffer: reaches the size of the largest reply once
+	b = slices.Grow(b[:0], size)[:size] // pooled reply buffer: reaches the size of the largest reply once
 	at := copy(b, `{"s":`)
 	at = putJSONString(b, at, s)
 	at += copy(b[at:], `,"t":`)
@@ -108,7 +104,7 @@ func appendQueryReply(b []byte, s, t, l string, reachable bool, micros float64) 
 	} else {
 		at += copy(b[at:], `,"reachable":false,"cached":false`)
 	}
-	return appendMicros(b[:at], micros) //rlc:allocok appends into the capacity reserved above
+	return appendMicros(b[:at], micros) // appends into the capacity reserved above
 }
 
 const hexDigits = "0123456789abcdef"

@@ -286,22 +286,20 @@ func (s *Server) QueryRLC(ctx context.Context, src, dst graph.Vertex, l labelseq
 // then the bidirectional search over the union for index-class constraints,
 // that search alone for the rest. An index-class answer from the base costs
 // the probe and nothing else.
-//
-//rlc:noalloc
 func (st *state) computeSeq(ctx context.Context, src, dst graph.Vertex, l labelseq.Seq) (bool, error) {
 	indexClass := len(l) > 0 && len(l) <= st.ix.K() && labelseq.IsPrimitive(l)
 	if st.delta != nil && st.delta.JournalLen() > 0 {
 		if indexClass {
-			return st.delta.QueryRLC(ctx, src, dst, l) //rlc:allocok overlay search
+			return st.delta.QueryRLC(ctx, src, dst, l) // overlay search
 		}
-		return st.delta.EvalExprCtx(ctx, src, dst, automaton.Plus(l)) //rlc:allocok overlay search
+		return st.delta.EvalExprCtx(ctx, src, dst, automaton.Plus(l)) // overlay search
 	}
 	if indexClass {
 		return st.ix.QueryRLC(ctx, src, dst, l)
 	}
 	h := st.hybrids.Get().(*hybrid.Evaluator)
 	defer st.hybrids.Put(h)
-	return h.EvalCtx(ctx, src, dst, automaton.Plus(l)) //rlc:allocok traversal fallback
+	return h.EvalCtx(ctx, src, dst, automaton.Plus(l)) // traversal fallback
 }
 
 // answerExpr answers a parsed expression: a single plus-segment is an RLC
@@ -578,11 +576,10 @@ type errorResponse struct {
 
 // errorCode maps an error chain onto its stable wire code via the typed
 // sentinels the facade exports; clients switch on these instead of parsing
-// message text. rlcvet's errcode analyzer holds the mapping exhaustive: every
-// sentinel this package (or a non-stdlib import) surfaces must appear here or
-// carry an //rlc:errcode-exempt annotation.
-//
-//rlc:errcode
+// message text. TestErrorCodeTable holds the mapping exhaustive: it names
+// every sentinel this package and the packages it imports declare, with its
+// wire code or on its exempt list, and scripts/lint.sh fails on a sentinel it
+// does not name.
 func errorCode(err error) string {
 	var tooLarge *http.MaxBytesError
 	switch {

@@ -105,8 +105,6 @@ func (e *Evaluator) seed(d *side, v graph.Vertex) {
 // unidirectional) or when visit accepts a vertex reached in the accept state
 // (nil visit: none). The single accept state makes (vertex, accept) one
 // product node, so visit sees each vertex at most once per search.
-//
-//rlc:noalloc
 func (e *Evaluator) expand(d *side, other []uint32, visit func(graph.Vertex) bool) bool {
 	step, seen, stamp := d.step, d.seen, e.stamp
 	ns, accept, live := step.NumStates(), step.Accept(), step.LiveSet()
@@ -114,7 +112,7 @@ func (e *Evaluator) expand(d *side, other []uint32, visit func(graph.Vertex) boo
 	hit := false
 level:
 	for _, nd := range d.frontier {
-		nbrs, lbls := d.succ(nd.v) //rlc:allocok successor source: CSR views or the overlay's reused scratch
+		nbrs, lbls := d.succ(nd.v) // successor source: CSR views or the overlay's reused scratch
 		for i, y := range nbrs {
 			for m := step.Step(nd.q, lbls[i]); m != 0; m &= m - 1 {
 				q := automaton.State(bits.TrailingZeros64(m))
@@ -128,12 +126,12 @@ level:
 					hit = true
 					break level
 				}
-				if q == accept && visit != nil && visit(y) { //rlc:allocok caller's hook
+				if q == accept && visit != nil && visit(y) {
 					hit = true
 					break level
 				}
 				if live>>uint(q)&1 != 0 { // nothing follows a dead state: marked, never expanded
-					next = append(next, node{y, q}) //rlc:allocok reused buffer: grows to the widest level once
+					next = append(next, node{y, q}) // reused buffer: grows to the widest level once
 				}
 			}
 		}
@@ -225,8 +223,6 @@ func (e *Evaluator) DFS(s, t graph.Vertex, nfa *automaton.NFA) bool {
 // automaton accepts the empty word — expressions never do (every segment
 // consumes at least one label), so seeding needs no special case. Once the
 // evaluator's buffers are warm a call allocates nothing.
-//
-//rlc:noalloc
 func (e *Evaluator) BiBFS(s, t graph.Vertex, nfa *automaton.NFA) bool {
 	// The background context never cancels, so there is no error to report.
 	ok, _ := e.BiBFSCtx(context.Background(), s, t, nfa)
@@ -235,15 +231,13 @@ func (e *Evaluator) BiBFS(s, t graph.Vertex, nfa *automaton.NFA) bool {
 
 // BiBFSCtx is BiBFS under a context, checked once per BFS level; its error
 // is the only one returned. The overlay answers its reads with it.
-//
-//rlc:noalloc
 func (e *Evaluator) BiBFSCtx(ctx context.Context, s, t graph.Vertex, nfa *automaton.NFA) (bool, error) {
 	e.begin()
 	fwd, bwd := &e.fwd, &e.bwd
-	e.open(fwd, e.out, nfa)          //rlc:allocok marks grow once per evaluator
-	e.open(bwd, e.in, nfa.Reverse()) //rlc:allocok marks grow once per evaluator
-	e.seed(fwd, s)                   //rlc:allocok frontier buffer grows once
-	e.seed(bwd, t)                   //rlc:allocok frontier buffer grows once
+	e.open(fwd, e.out, nfa)          // marks grow once per evaluator
+	e.open(bwd, e.in, nfa.Reverse()) // marks grow once per evaluator
+	e.seed(fwd, s)                   // frontier buffer grows once
+	e.seed(bwd, t)                   // frontier buffer grows once
 	for len(fwd.frontier) > 0 && len(bwd.frontier) > 0 {
 		if err := ctx.Err(); err != nil {
 			return false, err
