@@ -13,6 +13,8 @@ import (
 	"syscall"
 	"testing"
 	"time"
+
+	rlc "github.com/g-rpqs/rlc-go"
 )
 
 // servingProc is one binary under test that has reported its listen
@@ -100,6 +102,7 @@ func (p *servingProc) terminate(t *testing.T) {
 type healthView struct {
 	Role              string `json:"role"`
 	Epoch             uint64 `json:"epoch"`
+	Journal           int    `json:"journal"`
 	JournalSeq        uint64 `json:"journal_seq"`
 	BundleFingerprint string `json:"bundle_fingerprint"`
 }
@@ -119,30 +122,31 @@ func getHealth(t *testing.T, base string) healthView {
 }
 
 // TestCLICluster drives the replicated tier end to end through the real
-// binaries: a leader, two followers, and a router on ephemeral ports; a
-// write through the router is read back through its own pin token, a fold
-// cuts both followers over to an identical bundle, and every process
-// drains cleanly on SIGTERM.
+// binaries, all started from one rlcbuild bundle: a leader, two followers,
+// and a router on ephemeral ports. A write through the router is read back
+// through its own pin token, and a POST /rebuild fold cuts both followers
+// over to an identical bundle. The leader refuses deletions
+// (deletions_unsupported), and an update that takes its journal to
+// -rebuild-threshold folds in the background into the bundle it writes at
+// -rebuild-out, which the followers adopt too. Every process drains cleanly
+// on SIGTERM.
 func TestCLICluster(t *testing.T) {
 	if testing.Short() {
 		t.Skip("CLI cluster test skipped in -short mode")
 	}
 	dir := t.TempDir()
-	rlcgen := buildTool(t, dir, "rlcgen")
 	rlccluster := buildTool(t, dir, "rlccluster")
 	rlcrouter := buildTool(t, dir, "rlcrouter")
-
-	graphFile := filepath.Join(dir, "fig2.graph")
-	if out, err := exec.Command(rlcgen, "-model", "fig2", "-out", graphFile).CombinedOutput(); err != nil {
-		t.Fatalf("rlcgen fig2: %v\n%s", err, out)
-	}
+	bundle := fig2Bundle(t, dir)
+	foldOut := filepath.Join(dir, "fold.rlcs")
 
 	leader := startServing(t, "leader", rlccluster,
-		"-role", "leader", "-graph", graphFile, "-addr", "127.0.0.1:0")
+		"-role", "leader", "-snapshot", bundle, "-rebuild-threshold", "3", "-rebuild-out", foldOut,
+		"-addr", "127.0.0.1:0")
 	var followers []*servingProc
 	for i := 0; i < 2; i++ {
 		followers = append(followers, startServing(t, fmt.Sprintf("follower%d", i), rlccluster,
-			"-role", "follower", "-graph", graphFile, "-leader", leader.base,
+			"-role", "follower", "-snapshot", bundle, "-leader", leader.base,
 			"-poll-wait", "250ms", "-addr", "127.0.0.1:0"))
 	}
 	rtr := startServing(t, "router", rlcrouter,
@@ -203,6 +207,50 @@ func TestCLICluster(t *testing.T) {
 			token, qresp.Header.Get("X-Rlc-Backend"))
 	}
 
+	// converge waits for the leader to serve epoch with an empty journal and
+	// for both followers to reach its epoch, sequence and fingerprint.
+	converge := func(epoch uint64) {
+		t.Helper()
+		deadline := time.Now().Add(30 * time.Second)
+		want := getHealth(t, leader.base)
+		for want.Epoch != epoch || want.Journal != 0 {
+			if time.Now().After(deadline) {
+				t.Fatalf("leader never reached epoch %d with an empty journal: %+v", epoch, want)
+			}
+			time.Sleep(20 * time.Millisecond)
+			want = getHealth(t, leader.base)
+		}
+		for _, f := range followers {
+			for {
+				got := getHealth(t, f.base)
+				if got == (healthView{Role: "follower", Epoch: want.Epoch,
+					JournalSeq: want.JournalSeq, BundleFingerprint: want.BundleFingerprint}) {
+					break
+				}
+				if time.Now().After(deadline) {
+					t.Fatalf("%s never converged: follower %+v, leader %+v", f.name, got, want)
+				}
+				time.Sleep(20 * time.Millisecond)
+			}
+		}
+	}
+	// reachable asks one node directly, bypassing the router.
+	reachable := func(p *servingProc, q string) bool {
+		t.Helper()
+		resp, err := http.Get(p.base + "/query?" + q)
+		if err != nil {
+			t.Fatalf("%s query: %v", p.name, err)
+		}
+		defer resp.Body.Close()
+		var qr struct {
+			Reachable bool `json:"reachable"`
+		}
+		if err := json.NewDecoder(resp.Body).Decode(&qr); err != nil {
+			t.Fatalf("%s decode: %v", p.name, err)
+		}
+		return qr.Reachable
+	}
+
 	// Fold on the leader; both followers must cut over to the identical
 	// bundle (same epoch, sequence, and fingerprint as the leader).
 	resp, err = http.Post(rtr.base+"/rebuild", "application/json", nil)
@@ -214,40 +262,58 @@ func TestCLICluster(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("routed rebuild status %d", resp.StatusCode)
 	}
-	deadline := time.Now().Add(30 * time.Second)
-	want := getHealth(t, leader.base)
-	if want.Epoch == 0 {
-		t.Fatalf("leader still at epoch 0 after fold: %+v", want)
-	}
-	for _, f := range followers {
-		for {
-			got := getHealth(t, f.base)
-			if got == (healthView{Role: "follower", Epoch: want.Epoch,
-				JournalSeq: want.JournalSeq, BundleFingerprint: want.BundleFingerprint}) {
-				break
-			}
-			if time.Now().After(deadline) {
-				t.Fatalf("%s never converged: follower %+v, leader %+v", f.name, got, want)
-			}
-			time.Sleep(20 * time.Millisecond)
+	converge(1)
+
+	// The write survived the cutover on every node.
+	nodes := []*servingProc{leader, followers[0], followers[1]}
+	for _, p := range nodes {
+		if !reachable(p, "s=v6&t=v4&l=l3") {
+			t.Fatalf("%s lost the write across the cutover", p.name)
 		}
 	}
 
-	// The write survived the cutover on every node.
-	for _, p := range []*servingProc{leader, followers[0], followers[1]} {
-		resp, err := http.Get(p.base + "/query?s=v6&t=v4&l=l3")
-		if err != nil {
-			t.Fatalf("%s query: %v", p.name, err)
-		}
-		var qr struct {
-			Reachable bool `json:"reachable"`
-		}
-		if err := json.NewDecoder(resp.Body).Decode(&qr); err != nil {
-			t.Fatalf("%s decode: %v", p.name, err)
-		}
-		resp.Body.Close()
-		if !qr.Reachable {
-			t.Fatalf("%s lost the write across the cutover", p.name)
+	// The write path is insert-only: a delete is refused with its code.
+	resp, err = http.Post(leader.base+"/update", "application/json",
+		strings.NewReader(`{"s":"v6","l":"l3","t":"v4","op":"delete"}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), `"code":"deletions_unsupported"`) {
+		t.Fatalf("delete answered %d: %s", resp.StatusCode, body)
+	}
+
+	// Three inserts take the journal to -rebuild-threshold: the answer flips
+	// at once, and the update starts a background fold, with no POST
+	// /rebuild, whose bundle lands at -rebuild-out and on both followers.
+	if reachable(leader, "s=v6&t=v1&l=l2") {
+		t.Fatal("(v6, v1, l2+) should be false before the insert")
+	}
+	resp, err = http.Post(leader.base+"/update", "application/json", strings.NewReader(
+		`{"edges":[{"s":"v6","l":"l2","t":"v1"},{"s":"v5","l":"l1","t":"v2"},{"s":"v4","l":"l3","t":"v6"}]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ = io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK || !strings.Contains(string(body), `"rebuild_triggered":true`) {
+		t.Fatalf("threshold update answered %d: %s", resp.StatusCode, body)
+	}
+	if !reachable(leader, "s=v6&t=v1&l=l2") {
+		t.Fatal("(v6, v1, l2+) did not flip on the update")
+	}
+	converge(2)
+	folded, err := rlc.OpenVerifiedSnapshot(foldOut)
+	if err != nil {
+		t.Fatalf("the threshold fold left no bundle at -rebuild-out: %v", err)
+	}
+	if fp, want := folded.Fingerprint().Compact(), getHealth(t, leader.base).BundleFingerprint; fp != want {
+		t.Fatalf("-rebuild-out holds fingerprint %s, the leader serves %s", fp, want)
+	}
+	for _, p := range nodes {
+		if !reachable(p, "s=v6&t=v1&l=l2") {
+			t.Fatalf("%s lost the threshold-folded write", p.name)
 		}
 	}
 

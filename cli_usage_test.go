@@ -19,7 +19,7 @@ import (
 var cliTools = map[string]string{
 	"rlcbuild":   "rlcbuild — build and serialize an RLC index for a graph file",
 	"rlcquery":   "rlcquery — evaluate RLC (and extended) queries against a graph",
-	"rlcserve":   "rlcserve — serve RLC reachability queries over HTTP from hot-reloadable snapshots, with an optional write path",
+	"rlcserve":   "rlcserve — serve RLC reachability queries over HTTP from hot-reloadable snapshot bundles",
 	"rlcgen":     "rlcgen — generate synthetic graphs and query workloads",
 	"rlcinspect": "rlcinspect — print RLC index internals: stats, distributions, entry sets",
 	"rlcbench":   "rlcbench — reproduce the paper's experimental tables and figures",
@@ -34,6 +34,22 @@ func buildTool(t *testing.T, dir, tool string) string {
 		t.Fatalf("build %s: %v\n%s", tool, err, out)
 	}
 	return bin
+}
+
+// fig2Bundle writes the paper's Fig. 2 graph with rlcgen into dir and its
+// bundle with rlcbuild -o, the one way a serving binary gets an index, and
+// returns the bundle's path.
+func fig2Bundle(t *testing.T, dir string) string {
+	t.Helper()
+	graphFile := filepath.Join(dir, "fig2.graph")
+	bundle := filepath.Join(dir, "fig2.rlcs")
+	if out, err := exec.Command(buildTool(t, dir, "rlcgen"), "-model", "fig2", "-out", graphFile).CombinedOutput(); err != nil {
+		t.Fatalf("rlcgen fig2: %v\n%s", err, out)
+	}
+	if out, err := exec.Command(buildTool(t, dir, "rlcbuild"), "-graph", graphFile, "-k", "2", "-o", bundle).CombinedOutput(); err != nil {
+		t.Fatalf("rlcbuild fig2: %v\n%s", err, out)
+	}
+	return bundle
 }
 
 // TestCLIUsageConformance holds every tool to the normalized usage contract:
@@ -81,64 +97,106 @@ func TestCLIUsageConformance(t *testing.T) {
 	}
 }
 
-// TestCLIRejectedFlags pins three families of flag errors. The flags of the
-// retired v1 two-file format, of the retired result cache and of the retired
-// parallel build are gone — the flag package's unknown-flag path exits 2 with
-// usage — as are the rlcbench experiments that measured the cache, the
-// parallel build and the serving stack (benchmark/ measures that); and a flag
-// that only steers an on-the-fly build is refused beside -snapshot, where it
-// would be ignored without a word.
+// TestCLIRejectedFlags pins the flags and experiments that are gone. A
+// retired flag exits 2 with usage, and stderr names that flag. Each row puts
+// it after flags the tool still takes, so the flag package stops at the
+// retired flag itself, not at an earlier one that is also gone. Retired are
+// the flags of the v1 two-file format, of the result cache, of the parallel
+// build, and of building an index anywhere but rlcbuild, together with the
+// write path of rlcserve (rlccluster -role leader takes writes). The rlcbench
+// experiments that measured the cache, the parallel build and the serving
+// stack are unknown (benchmark/ measures that), and the index methods of
+// rlcquery need a bundle.
 func TestCLIRejectedFlags(t *testing.T) {
 	if testing.Short() {
 		t.Skip("CLI usage test skipped in -short mode")
 	}
 	dir := t.TempDir()
 	bundle := filepath.Join(dir, "never-opened.rlcs")
-	cases := []struct {
+	bins := map[string]string{}
+	run := func(tool string, args []string) (stderr string, exit int) {
+		t.Helper()
+		if bins[tool] == "" {
+			bins[tool] = buildTool(t, dir, tool)
+		}
+		var errBuf strings.Builder
+		cmd := exec.Command(bins[tool], args...)
+		cmd.Stderr = &errBuf
+		err := cmd.Run()
+		var exitErr *exec.ExitError
+		if !errors.As(err, &exitErr) {
+			t.Fatalf("%s %v: err = %v, want a non-zero exit", tool, args, err)
+		}
+		return errBuf.String(), exitErr.ExitCode()
+	}
+
+	retired := []struct {
+		tool string
+		args []string // ends with the retired flag and its value
+	}{
+		{"rlcbuild", []string{"-graph", "g", "-out", "x"}},
+		{"rlcquery", []string{"-snapshot", bundle, "-index", "x"}},
+		{"rlcserve", []string{"-snapshot", bundle, "-index", "x"}},
+		{"rlcinspect", []string{"-snapshot", bundle, "-index", "x"}},
+
+		{"rlcserve", []string{"-snapshot", bundle, "-cache", "0"}},
+		{"rlcserve", []string{"-snapshot", bundle, "-cache-shards", "4"}},
+		{"rlccluster", []string{"-role", "leader", "-snapshot", bundle, "-cache", "0"}},
+
+		{"rlcbuild", []string{"-graph", "g", "-buildworkers", "1"}},
+		{"rlcserve", []string{"-snapshot", bundle, "-buildworkers", "1"}},
+		{"rlcbench", []string{"-exp", "table3", "-buildworkers", "1,2"}},
+
+		{"rlcserve", []string{"-snapshot", bundle, "-graph", "g"}},
+		{"rlcserve", []string{"-snapshot", bundle, "-k", "3"}},
+		{"rlcserve", []string{"-snapshot", bundle, "-max-index-bytes", "4096"}},
+		{"rlcserve", []string{"-snapshot", bundle, "-mutable", "true"}},
+		{"rlcserve", []string{"-snapshot", bundle, "-rebuild-threshold", "3"}},
+		{"rlcserve", []string{"-snapshot", bundle, "-rebuild-out", "fold.rlcs"}},
+		{"rlccluster", []string{"-role", "leader", "-snapshot", bundle, "-graph", "g"}},
+		{"rlccluster", []string{"-role", "leader", "-snapshot", bundle, "-k", "3"}},
+		{"rlcinspect", []string{"-snapshot", bundle, "-graph", "g"}},
+		{"rlcinspect", []string{"-snapshot", bundle, "-k", "3"}},
+		{"rlcquery", []string{"-snapshot", bundle, "-s", "0", "-t", "1", "-expr", "l0+", "-k", "3"}},
+	}
+	for _, c := range retired {
+		flag := c.args[len(c.args)-2]
+		stderr, exit := run(c.tool, c.args)
+		if exit != 2 {
+			t.Errorf("%s %v: exit status %d, want 2\n%s", c.tool, c.args, exit, stderr)
+		}
+		for _, want := range []string{"flag provided but not defined: " + flag + "\n", "usage: " + c.tool} {
+			if !strings.Contains(stderr, want) {
+				t.Errorf("%s %v: stderr lacks %q:\n%s", c.tool, c.args, want, stderr)
+			}
+		}
+	}
+
+	refused := []struct {
 		tool string
 		args []string
-		exit int
 		want string
 	}{
-		{"rlcbuild", []string{"-graph", "g", "-out", "x"}, 2, "usage: rlcbuild"},
-		{"rlcquery", []string{"-graph", "g", "-index", "x"}, 2, "usage: rlcquery"},
-		{"rlcserve", []string{"-graph", "g", "-index", "x"}, 2, "usage: rlcserve"},
-		{"rlcinspect", []string{"-graph", "g", "-index", "x"}, 2, "usage: rlcinspect"},
+		{"rlcbench", []string{"-exp", "serve"}, `unknown experiment "serve"`},
+		{"rlcbench", []string{"-exp", "pbuild"}, `unknown experiment "pbuild"`},
+		{"rlcbench", []string{"-exp", "ingest"}, `unknown experiment "ingest"`},
+		{"rlcbench", []string{"-exp", "budget"}, `unknown experiment "budget"`},
+		{"rlcbench", []string{"-exp", "repl"}, `unknown experiment "repl"`},
+		{"rlcbench", []string{"-exp", "batch"}, `unknown experiment "batch"`},
 
-		{"rlcserve", []string{"-graph", "g", "-cache", "0"}, 2, "usage: rlcserve"},
-		{"rlcserve", []string{"-graph", "g", "-cache-shards", "4"}, 2, "usage: rlcserve"},
-		{"rlccluster", []string{"-role", "leader", "-graph", "g", "-cache", "0"}, 2, "usage: rlccluster"},
-		{"rlcbench", []string{"-exp", "serve"}, 1, `unknown experiment "serve"`},
-
-		{"rlcbuild", []string{"-buildworkers", "1"}, 2, "usage: rlcbuild"},
-		{"rlcserve", []string{"-graph", "g", "-buildworkers", "1"}, 2, "usage: rlcserve"},
-		{"rlcbench", []string{"-buildworkers", "1,2"}, 2, "usage: rlcbench"},
-		{"rlcbench", []string{"-exp", "pbuild"}, 1, `unknown experiment "pbuild"`},
-
-		{"rlcbench", []string{"-exp", "ingest"}, 1, `unknown experiment "ingest"`},
-		{"rlcbench", []string{"-exp", "budget"}, 1, `unknown experiment "budget"`},
-		{"rlcbench", []string{"-exp", "repl"}, 1, `unknown experiment "repl"`},
-		{"rlcbench", []string{"-exp", "batch"}, 1, `unknown experiment "batch"`},
-
-		{"rlcserve", []string{"-snapshot", bundle, "-k", "3"}, 1, "-k and -max-index-bytes require -graph"},
-		{"rlcserve", []string{"-snapshot", bundle, "-max-index-bytes", "4096"}, 1, "-k and -max-index-bytes require -graph"},
-		{"rlcserve", []string{"-snapshot", bundle, "-mutable", "-k", "3"}, 1, "-k and -max-index-bytes require -graph"},
-		{"rlccluster", []string{"-role", "leader", "-snapshot", bundle, "-k", "3"}, 1, "-k requires -graph"},
-		{"rlcquery", []string{"-snapshot", bundle, "-k", "3", "-s", "0", "-t", "1", "-expr", "l0+"}, 1, "-k requires -graph"},
-		{"rlcinspect", []string{"-snapshot", bundle, "-k", "3"}, 1, "-k requires -graph"},
+		{"rlcserve", nil, "-snapshot is required"},
+		{"rlccluster", []string{"-role", "leader"}, "-snapshot is required"},
+		{"rlcinspect", nil, "-snapshot is required"},
+		{"rlcquery", []string{"-graph", "g", "-s", "0", "-t", "1", "-expr", "l0+"}, "-method index needs -snapshot"},
+		{"rlcquery", []string{"-graph", "g", "-method", "hybrid", "-s", "0", "-t", "1", "-expr", "l0+"}, "-method hybrid needs -snapshot"},
 	}
-	bins := map[string]string{}
-	for _, c := range cases {
-		if bins[c.tool] == "" {
-			bins[c.tool] = buildTool(t, dir, c.tool)
+	for _, c := range refused {
+		stderr, exit := run(c.tool, c.args)
+		if exit != 1 {
+			t.Errorf("%s %v: exit status %d, want 1\n%s", c.tool, c.args, exit, stderr)
 		}
-		out, err := exec.Command(bins[c.tool], c.args...).CombinedOutput()
-		var exit *exec.ExitError
-		if !errors.As(err, &exit) || exit.ExitCode() != c.exit {
-			t.Errorf("%s %v: err = %v, want exit status %d\n%s", c.tool, c.args, err, c.exit, out)
-		}
-		if !strings.Contains(string(out), c.want) {
-			t.Errorf("%s %v: output lacks %q:\n%s", c.tool, c.args, c.want, out)
+		if !strings.Contains(stderr, c.want) {
+			t.Errorf("%s %v: stderr lacks %q:\n%s", c.tool, c.args, c.want, stderr)
 		}
 	}
 }
@@ -178,22 +236,18 @@ func TestREADMEToolTableFlags(t *testing.T) {
 }
 
 // TestCLIServe drives the rlcserve binary end to end: generate the Fig. 2
-// graph with rlcgen, start the server on an ephemeral port, query it over
-// HTTP, and shut it down with SIGTERM expecting a graceful drain.
+// graph with rlcgen, build its bundle with rlcbuild, start the server on an
+// ephemeral port, query it over HTTP, and shut it down with SIGTERM
+// expecting a graceful drain.
 func TestCLIServe(t *testing.T) {
 	if testing.Short() {
 		t.Skip("CLI serve test skipped in -short mode")
 	}
 	dir := t.TempDir()
-	rlcgen := buildTool(t, dir, "rlcgen")
 	rlcserve := buildTool(t, dir, "rlcserve")
+	bundle := fig2Bundle(t, dir)
 
-	graphFile := filepath.Join(dir, "fig2.graph")
-	if out, err := exec.Command(rlcgen, "-model", "fig2", "-out", graphFile).CombinedOutput(); err != nil {
-		t.Fatalf("rlcgen fig2: %v\n%s", err, out)
-	}
-
-	cmd := exec.Command(rlcserve, "-graph", graphFile, "-addr", "127.0.0.1:0")
+	cmd := exec.Command(rlcserve, "-snapshot", bundle, "-addr", "127.0.0.1:0")
 	stdout, err := cmd.StdoutPipe()
 	if err != nil {
 		t.Fatal(err)
@@ -243,7 +297,7 @@ func TestCLIServe(t *testing.T) {
 		t.Fatalf("healthz status %d", resp.StatusCode)
 	}
 
-	// (v1, v5, (l1 l2)+) is true on Fig. 2; the graph file preserves names.
+	// (v1, v5, (l1 l2)+) is true on Fig. 2; the bundle preserves names.
 	resp, err = http.Get(base + "/query?s=v1&t=v5&l=l1%20l2")
 	if err != nil {
 		t.Fatalf("query: %v", err)
@@ -294,10 +348,7 @@ func TestPprofNotOnServingPort(t *testing.T) {
 		t.Skip("CLI serve test skipped in -short mode")
 	}
 	dir := t.TempDir()
-	graphFile := filepath.Join(dir, "fig2.graph")
-	if out, err := exec.Command(buildTool(t, dir, "rlcgen"), "-model", "fig2", "-out", graphFile).CombinedOutput(); err != nil {
-		t.Fatalf("rlcgen fig2: %v\n%s", err, out)
-	}
+	bundle := fig2Bundle(t, dir)
 	status := func(url string) int {
 		t.Helper()
 		resp, err := http.Get(url)
@@ -308,11 +359,11 @@ func TestPprofNotOnServingPort(t *testing.T) {
 		return resp.StatusCode
 	}
 	pprofRe := regexp.MustCompile(`pprof on (http://\S+/debug/pprof/)`)
-	leader := startServing(t, "leader", buildTool(t, dir, "rlccluster"), "-role", "leader", "-graph", graphFile, "-addr", "127.0.0.1:0")
+	leader := startServing(t, "leader", buildTool(t, dir, "rlccluster"), "-role", "leader", "-snapshot", bundle, "-addr", "127.0.0.1:0")
 	defer leader.terminate(t)
 	for tool, args := range map[string][]string{
-		"rlcserve":   {"-graph", graphFile},
-		"rlccluster": {"-role", "leader", "-graph", graphFile},
+		"rlcserve":   {"-snapshot", bundle},
+		"rlccluster": {"-role", "leader", "-snapshot", bundle},
 		"rlcrouter":  {"-leader", leader.base},
 	} {
 		bin := buildTool(t, dir, tool)

@@ -1,6 +1,7 @@
 // Command rlcbuild constructs an RLC index for a graph file and writes it
-// as a self-contained v2 snapshot bundle (-o) — the format rlcserve reads
-// at startup and hot-swaps on reload, and rlcquery and rlcinspect read with
+// as a self-contained v2 snapshot bundle (-o). It is the one binary that
+// builds an index: rlcserve and rlccluster serve the bundle (rlcserve
+// hot-swaps it on reload), and rlcquery and rlcinspect read it with
 // -snapshot.
 //
 //	rlcbuild -graph g.graph -k 2 -o g.rlcs
@@ -93,7 +94,7 @@ func main() {
 	if _, err := rlc.OpenVerifiedSnapshot(*bundle); err != nil {
 		fatalf("verify snapshot: %v", err)
 	}
-	fmt.Printf("wrote %s (self-contained snapshot bundle, verified; serve with rlcserve -snapshot)\n", *bundle)
+	fmt.Printf("wrote %s (self-contained snapshot bundle, verified; serve with rlcserve -snapshot or rlccluster -snapshot)\n", *bundle)
 }
 
 func usage() {

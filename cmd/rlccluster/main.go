@@ -3,14 +3,15 @@
 // a follower that replicates both into a local hot standby that answers
 // reads the whole time.
 //
-//	rlccluster -role leader -graph g.graph -addr :8080
-//	rlccluster -role leader -snapshot g.rlcs -rebuild-threshold 4096 -addr :8080
-//	rlccluster -role follower -graph g.graph -leader http://10.0.0.1:8080 -addr :8081
+//	rlcbuild -graph g.graph -k 2 -o g.rlcs
+//	rlccluster -role leader -snapshot g.rlcs -rebuild-threshold 4096 -rebuild-out fold.rlcs -addr :8080
+//	rlccluster -role follower -snapshot g.rlcs -leader http://10.0.0.1:8080 -addr :8081
 //
 // Both roles serve the full rlcserve query surface (GET /query, POST
 // /batch, GET /stats, GET /healthz — /healthz reports role, applied
-// sequence, and bundle fingerprint). The leader additionally accepts
-// writes (POST /update, POST /rebuild) and serves the replication feed:
+// sequence, and bundle fingerprint). The leader is the one binary that takes
+// writes — a standalone writer is a leader with no followers. It accepts
+// POST /update and POST /rebuild and serves the replication feed:
 //
 //	GET /repl/segments?from=SEQ&wait_ms=MS   length-prefixed, checksummed
 //	                                         journal segments; long-polls
@@ -22,7 +23,14 @@
 // checksums and fingerprint, and hot-swaps onto it with zero read
 // downtime. Followers reject client writes (403 not_leader).
 //
-// Leader and follower must boot from the same seed (the deployment
+// Inserts append to a journal every query consults exactly: answers flip as
+// soon as the update returns, and queries never block. When the journal
+// reaches -rebuild-threshold the leader folds base ∪ journal in the
+// background: it rebuilds the index, renders and verifies the new bundle,
+// writes it to -rebuild-out when set, and hot-swaps the new epoch in while
+// writes continue. Deletions are refused (deletions_unsupported).
+//
+// Leader and follower must boot from the same seed bundle (the deployment
 // contract); every replication response carries the lineage fingerprint
 // and a follower refuses a leader whose lineage is not its own. A
 // follower restarted from a previously adopted (post-fold) bundle names
@@ -53,15 +61,13 @@ const synopsis = "rlccluster — run a replicated RLC serving node: a journal-st
 func main() {
 	var (
 		role         = flag.String("role", "", "node role: \"leader\" or \"follower\"")
-		snapshotPath = flag.String("snapshot", "", "seed snapshot bundle (.rlcs)")
-		graphPath    = flag.String("graph", "", "seed graph file (index built on the fly)")
-		k            = flag.Int("k", 2, "recursive k when building from -graph")
+		snapshotPath = flag.String("snapshot", "", "seed snapshot bundle (.rlcs), written by rlcbuild -o")
 		addr         = flag.String("addr", ":8080", "listen address")
 		leaderURL    = flag.String("leader", "", "leader base URL (follower role)")
 		origin       = flag.String("origin", "", "expected lineage fingerprint (follower role; empty = own seed fingerprint)")
 		pollWait     = flag.Duration("poll-wait", 2*time.Second, "follower long-poll wait per segment request")
 		rebuildThr   = flag.Int("rebuild-threshold", 0, "leader journal length that triggers a background fold (0 = default, negative = manual)")
-		rebuildOut   = flag.String("rebuild-out", "", "leader writes each fold's bundle here and serves the re-opened, verified bundle (empty = serve the index built in memory)")
+		rebuildOut   = flag.String("rebuild-out", "", "leader also writes the bundle each fold serves here, synced and renamed into place (empty = keep folded bundles in memory only)")
 		drain        = flag.Duration("drain", 10*time.Second, "graceful-shutdown drain budget")
 		pprofAddr    = flag.String("pprof", "", profiling.Usage)
 	)
@@ -75,15 +81,8 @@ func main() {
 	if *role != "leader" && *role != "follower" {
 		fatalf("-role must be \"leader\" or \"follower\", got %q", *role)
 	}
-	if (*snapshotPath == "") == (*graphPath == "") {
-		fatalf("exactly one of -snapshot or -graph is required")
-	}
-	if *snapshotPath != "" {
-		flag.Visit(func(f *flag.Flag) {
-			if f.Name == "k" {
-				fatalf("-k requires -graph")
-			}
-		})
+	if *snapshotPath == "" {
+		fatalf("-snapshot is required (build a bundle with rlcbuild -o)")
 	}
 	if *role == "follower" && *leaderURL == "" {
 		fatalf("-leader is required for the follower role")
@@ -116,24 +115,11 @@ func main() {
 		}
 	}
 
-	var srv *rlc.Server
-	if *snapshotPath != "" {
-		snap, err := rlc.OpenVerifiedSnapshot(*snapshotPath)
-		if err != nil {
-			fatalf("open snapshot: %v", err)
-		}
-		srv = rlc.NewServerFromSnapshot(snap, opts)
-	} else {
-		g, err := rlc.LoadGraphFile(*graphPath)
-		if err != nil {
-			fatalf("load graph: %v", err)
-		}
-		ix, err := rlc.BuildIndex(g, rlc.Options{K: *k})
-		if err != nil {
-			fatalf("build index: %v", err)
-		}
-		srv = rlc.NewServer(ix, opts)
+	snap, err := rlc.OpenVerifiedSnapshot(*snapshotPath)
+	if err != nil {
+		fatalf("open snapshot: %v", err)
 	}
+	srv := rlc.NewServerFromSnapshot(snap, opts)
 	rs := srv.ReplState()
 	fmt.Printf("%s node at epoch %d, seq %d, lineage %s\n", *role, rs.Epoch, rs.Seq, rs.Fingerprint)
 
@@ -197,7 +183,7 @@ func main() {
 }
 
 func usage() {
-	fmt.Fprintf(flag.CommandLine.Output(), "%s\n\nusage: rlccluster -role (leader|follower) (-snapshot BUNDLE | -graph FILE) [flags]\n\nflags:\n", synopsis)
+	fmt.Fprintf(flag.CommandLine.Output(), "%s\n\nusage: rlccluster -role (leader|follower) -snapshot BUNDLE [flags]\n\nflags:\n", synopsis)
 	flag.PrintDefaults()
 }
 

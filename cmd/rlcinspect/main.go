@@ -1,13 +1,12 @@
-// Command rlcinspect prints the internals of an RLC index: summary
-// statistics, entry and hub distributions (the skew behind the paper's
-// Figure 5/6 discussion), and the decoded Lin/Lout sets of chosen vertices
-// (the Table II view). Pointed at a v2 snapshot bundle it also dumps the
-// bundle's section table — ids, offsets, lengths, checksums — and verifies
-// every section.
+// Command rlcinspect prints the internals of an RLC index bundle written by
+// rlcbuild -o: the bundle's section table — ids, offsets, lengths,
+// checksums — with every section verified, then summary statistics, entry
+// and hub distributions (the skew behind the paper's Figure 5/6
+// discussion), and the decoded Lin/Lout sets of chosen vertices (the Table
+// II view).
 //
 //	rlcinspect -snapshot g.rlcs
 //	rlcinspect -snapshot g.rlcs -vertices 0,3,5
-//	rlcinspect -graph g.graph -k 2 -vertices 0,3,5
 package main
 
 import (
@@ -26,8 +25,6 @@ const synopsis = "rlcinspect — print RLC index internals: stats, distributions
 func main() {
 	var (
 		snapshotPath = flag.String("snapshot", "", "snapshot bundle (.rlcs); prints the section table and verifies checksums")
-		graphPath    = flag.String("graph", "", "input graph file (index built on the fly)")
-		k            = flag.Int("k", 2, "recursive k when building on the fly")
 		vertices     = flag.String("vertices", "", "comma-separated vertex ids whose Lin/Lout to print")
 		order        = flag.Bool("order", false, "print the full access order")
 	)
@@ -38,36 +35,15 @@ func main() {
 		usage()
 		os.Exit(2)
 	}
-	if (*snapshotPath == "") == (*graphPath == "") {
-		fatalf("exactly one of -snapshot or -graph is required")
+	if *snapshotPath == "" {
+		fatalf("-snapshot is required (build a bundle with rlcbuild -o)")
 	}
-	var (
-		g   *rlc.Graph
-		ix  *rlc.Index
-		err error
-	)
-	if *snapshotPath != "" {
-		flag.Visit(func(f *flag.Flag) {
-			if f.Name == "k" {
-				fatalf("-k requires -graph")
-			}
-		})
-		snap, serr := rlc.OpenSnapshot(*snapshotPath)
-		if serr != nil {
-			fatalf("open snapshot: %v", serr)
-		}
-		dumpSections(snap)
-		g, ix = snap.Graph(), snap.Index()
-	} else {
-		g, err = rlc.LoadGraphFile(*graphPath)
-		if err != nil {
-			fatalf("load graph: %v", err)
-		}
-		ix, err = rlc.BuildIndex(g, rlc.Options{K: *k})
-		if err != nil {
-			fatalf("build index: %v", err)
-		}
+	snap, err := rlc.OpenSnapshot(*snapshotPath)
+	if err != nil {
+		fatalf("open snapshot: %v", err)
 	}
+	dumpSections(snap)
+	g, ix := snap.Graph(), snap.Index()
 
 	st := ix.Stats()
 	fmt.Printf("index over %d vertices / %d edges, k = %d\n", st.Vertices, st.Edges, st.K)
@@ -170,7 +146,7 @@ func printEntries(g *rlc.Graph, entries []rlc.EntryView) {
 }
 
 func usage() {
-	fmt.Fprintf(flag.CommandLine.Output(), "%s\n\nusage: rlcinspect (-snapshot BUNDLE | -graph FILE) [flags]\n\nflags:\n", synopsis)
+	fmt.Fprintf(flag.CommandLine.Output(), "%s\n\nusage: rlcinspect -snapshot BUNDLE [flags]\n\nflags:\n", synopsis)
 	flag.PrintDefaults()
 }
 

@@ -9,8 +9,9 @@
 //
 // Methods: index (default), hybrid (index + traversal, supports
 // multi-segment expressions such as "a+ b+"), bfs, bibfs, dfs. With
-// -snapshot the index and the graph come from the bundle; with -graph the
-// index methods build it on the fly.
+// -snapshot the index and the graph come from the bundle. A graph file
+// (-graph) has no index, so it takes only the traversal methods bfs, bibfs
+// and dfs; rlcbuild is the one tool that builds an index.
 //
 // With -queries, -batch switches the index method to the concurrent
 // QueryBatch API: the whole workload is answered by -workers parallel
@@ -32,8 +33,7 @@ const synopsis = "rlcquery — evaluate RLC (and extended) queries against a gra
 func main() {
 	var (
 		snapPath  = flag.String("snapshot", "", "snapshot bundle (.rlcs) holding the index and its graph")
-		graphPath = flag.String("graph", "", "input graph file (index built on the fly)")
-		k         = flag.Int("k", 2, "recursive k when building on the fly")
+		graphPath = flag.String("graph", "", "input graph file, for the traversal methods bfs, bibfs and dfs")
 		method    = flag.String("method", "index", "index, hybrid, bfs, bibfs, or dfs")
 		s         = flag.Int("s", -1, "source vertex id")
 		t         = flag.Int("t", -1, "target vertex id")
@@ -58,25 +58,18 @@ func main() {
 		ix *rlc.Index
 	)
 	if *snapPath != "" {
-		flag.Visit(func(f *flag.Flag) {
-			if f.Name == "k" {
-				fatalf("-k requires -graph")
-			}
-		})
 		snap, err := rlc.OpenVerifiedSnapshot(*snapPath)
 		if err != nil {
 			fatalf("open snapshot: %v", err)
 		}
 		g, ix = snap.Graph(), snap.Index()
 	} else {
+		if *method == "index" || *method == "hybrid" {
+			fatalf("-method %s needs -snapshot (build a bundle with rlcbuild -o)", *method)
+		}
 		var err error
 		if g, err = rlc.LoadGraphFile(*graphPath); err != nil {
 			fatalf("load graph: %v", err)
-		}
-		if *method == "index" || *method == "hybrid" {
-			if ix, err = rlc.BuildIndex(g, rlc.Options{K: *k}); err != nil {
-				fatalf("build index: %v", err)
-			}
 		}
 	}
 

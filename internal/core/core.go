@@ -248,9 +248,9 @@ func (ix *Index) Stats() Stats {
 	}
 }
 
-// BuildOptions returns the Options the index was built with (the zero value
-// plus K for snapshot-opened indexes). The mutable serving layer uses it to
-// make background folds inherit the base index's build configuration.
+// BuildOptions returns the Options the index was built with; for an index
+// opened from a bundle, K and, when the index is tiered, MaxIndexBytes — all
+// a bundle records. The mutable serving layer folds with them.
 func (ix *Index) BuildOptions() Options { return ix.opts }
 
 // EntryView is a decoded index entry for inspection, validation and tests.

@@ -213,6 +213,12 @@ func (ix *Index) WriteSnapshot(w io.Writer) error {
 // into place, so a reader opening path sees the old bundle or the new one,
 // never a half-written file.
 func (ix *Index) SaveSnapshotFile(path string) error {
+	return saveAtomic(path, ix.WriteSnapshot)
+}
+
+// saveAtomic runs write against a temporary file in path's directory, syncs
+// it and renames it to path.
+func saveAtomic(path string, write func(io.Writer) error) error {
 	dir, base := filepath.Split(path)
 	f, err := os.CreateTemp(dir, base+".tmp*")
 	if err != nil {
@@ -224,7 +230,7 @@ func (ix *Index) SaveSnapshotFile(path string) error {
 		os.Remove(tmp)
 		return err
 	}
-	if err := ix.WriteSnapshot(f); err != nil {
+	if err := write(f); err != nil {
 		return cleanup(err)
 	}
 	// CreateTemp opens 0600; widen to the 0644 an os.Create'd artifact gets
@@ -643,6 +649,15 @@ func (s *Snapshot) SizeBytes() int64 { return s.f.Size() }
 // followers without a re-serialization: the bytes are already checksummed,
 // fingerprinted, and self-contained. The slice must not be mutated.
 func (s *Snapshot) Bytes() []byte { return s.f.Bytes() }
+
+// SaveFile writes the bundle's bytes to path as SaveSnapshotFile does: to a
+// temporary file that is synced and renamed into place.
+func (s *Snapshot) SaveFile(path string) error {
+	return saveAtomic(path, func(w io.Writer) error {
+		_, err := w.Write(s.Bytes())
+		return err
+	})
+}
 
 // K returns the recursive k the snapshot's index supports.
 func (s *Snapshot) K() int { return s.meta.k }

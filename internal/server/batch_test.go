@@ -625,8 +625,11 @@ func TestBatchConstraintTablePerGeneration(t *testing.T) {
 	check("b", b)
 	check("a again", a)
 	check("b again", b)
-	ixThird := buildIndex(t, third)
-	b.Store().SwapIndex(ixThird)
+	snapThird, err := renderBundle(buildIndex(t, third))
+	if err != nil {
+		t.Fatal(err)
+	}
+	b.Store().SwapSnapshot(snapThird)
 	check("b on the third graph", b)
 	wantA := check("a after b's swap", a)
 	wantB := check("b on the third graph again", b)
@@ -644,7 +647,7 @@ func TestBatchConstraintTablePerGeneration(t *testing.T) {
 			case <-stop:
 				return
 			default:
-				b.Store().SwapIndex(ixThird)
+				b.Store().SwapSnapshot(snapThird)
 			}
 		}
 	}()

@@ -48,7 +48,7 @@ func TestEveryPathBeforeAndAfterClose(t *testing.T) {
 	ctx := context.Background()
 
 	// A mutable server on a bundle: the first bundle it hands out is the one
-	// it read, the one after a fold a heap-built base serialized.
+	// it read, the one after a fold the bundle that fold rendered.
 	srv := NewFromSnapshot(openSnapshot(t, path), Options{Mutable: true, RebuildThreshold: -1})
 	h := srv.Handler()
 	call := func(what string, fn func() error) {
@@ -112,7 +112,7 @@ func TestEveryPathBeforeAndAfterClose(t *testing.T) {
 	call("Bundle, stale epoch", fails("epoch_gone", bundle(7)))
 	call("Rebuild", rebuild(2))
 	call("Rebuild, nothing to fold", rebuild(0))
-	call("Bundle, heap-built", bundle(1))
+	call("Bundle, folded", bundle(1))
 
 	if err := srv.Close(); err != nil {
 		t.Fatal(err)
@@ -132,7 +132,7 @@ func TestEveryPathBeforeAndAfterClose(t *testing.T) {
 	call("foldInput after Close", closed(func() error { _, _, _, err := srv.foldInput(); return err }))
 	late := openSnapshot(t, path)
 	call("installFolded after Close", closed(func() error {
-		_, _, err := srv.installFolded(late.Index(), late, 1, "late fold")
+		_, _, err := srv.installFolded(late, 1, "late fold")
 		return err
 	}))
 	call("AdoptFolded after Close", closed(func() error { return srv.AdoptFolded(late, nil, 1, 0, "late adopt") }))

@@ -15,15 +15,18 @@
 //	                       epoch/journal
 //	GET  /healthz          liveness, generation, epoch/journal when mutable
 //
-// Every serving generation — index, graph, hybrid pool, delta overlay,
-// backing bundle bytes — lives in one immutable state (store.go) that each
-// request loads once and keeps for its lifetime, so reloads AND the write
-// path's background folds swap generations with zero downtime and exact
-// answers throughout (mutable.go drives the fold: build base ∪ journal,
-// optionally write + verify a fresh v2 bundle, carry un-folded edges over,
-// swap). A generation is heap memory throughout: a swap releases nothing,
-// and the garbage collector retires the old generation once the last
-// request holding it returns.
+// Every serving generation is a bundle: its index and graph are views of
+// one v2 bundle's bytes, whether the bundle was read from disk, shipped by a
+// leader, or rendered once from an index built in this process (New, and
+// every fold). The bundle, its index and graph, the hybrid pool and the
+// delta overlay live in one immutable state (store.go) that each request
+// loads once and keeps for its lifetime, so reloads AND the write path's
+// background folds swap generations with zero downtime and exact answers
+// throughout (mutable.go drives the fold: build base ∪ journal, render and
+// verify its bundle, write it to Options.RebuildPath when set, carry
+// un-folded edges over, swap). A generation is heap memory throughout: a
+// swap releases nothing, and the garbage collector retires the old
+// generation once the last request holding it returns.
 //
 // Nothing sits in front of the index: a probe costs 100–250 ns, less than
 // the bookkeeping of a result cache that would save it, so every read is
@@ -53,7 +56,8 @@
 // (metrics.go); /stats reports mean, p50/p90/p99 upper bounds, and max in
 // microseconds.
 //
-// The Server is wrapped by the rlc facade (rlc.NewServer) and the rlcserve
-// command, which adds flag parsing, on-the-fly index construction,
-// signal-driven graceful shutdown, SIGHUP reloads, and SIGUSR1 folds.
+// The Server is wrapped by the rlc facade (rlc.NewServer) and by two
+// commands: rlcserve serves a bundle read-only, with signal-driven graceful
+// shutdown and SIGHUP reloads, and rlccluster runs the mutable server as a
+// replication leader or follower (internal/cluster).
 package server

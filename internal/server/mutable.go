@@ -15,7 +15,7 @@ import (
 )
 
 // errNotMutable rejects write-path operations on a read-only server.
-var errNotMutable = errors.New("server: not mutable; start with Options.Mutable (rlcserve -mutable) to accept updates")
+var errNotMutable = errors.New("server: not mutable; start with Options.Mutable (rlccluster -role leader) to accept updates")
 
 // UpdateResult reports one accepted update batch.
 type UpdateResult struct {
@@ -42,8 +42,8 @@ type FoldPhases struct {
 	UnionMicros float64 `json:"union_micros"`
 	// BuildMicros is core.Build over that graph.
 	BuildMicros float64 `json:"build_micros"`
-	// BundleMicros is writing the folded bundle, fsync, reopening it and
-	// verifying its checksums (0 for in-process folds).
+	// BundleMicros is rendering the folded bundle, opening and verifying
+	// it, and writing it to Options.RebuildPath with fsync when that is set.
 	BundleMicros float64 `json:"bundle_micros"`
 	// SwapMicros is carrying over the journal tail and swapping the new
 	// generation in — the only phase writers wait for.
@@ -61,7 +61,8 @@ type RebuildResult struct {
 	// Journal is how many un-folded edges the new epoch starts with
 	// (inserts that arrived while the rebuild ran).
 	Journal int `json:"journal"`
-	// Path is the bundle the fold wrote ("" for in-process folds).
+	// Path is the file the fold wrote its bundle to (Options.RebuildPath;
+	// "" when the bundle lives in memory only).
 	Path string `json:"path,omitempty"`
 	// Duration is the wall time of the fold, including the index build
 	// and bundle write.
@@ -104,19 +105,16 @@ func (s *Server) UpdateBatch(edges []graph.Edge) (UpdateResult, error) {
 	}
 	s.store.writes.Add(uint64(len(edges))) // /stats only
 	if thr := s.opts.RebuildThreshold; thr > 0 && res.Journal >= thr {
-		res.RebuildTriggered = s.TriggerRebuild()
+		res.RebuildTriggered = s.triggerRebuild()
 	}
 	return res, nil
 }
 
-// TriggerRebuild starts a background fold-and-rebuild goroutine, reporting
-// whether it started one (false when the server is immutable or a fold is
-// already running). The folder keeps folding until the journal is back
-// under the threshold or a fold fails.
-func (s *Server) TriggerRebuild() bool {
-	if !s.opts.Mutable {
-		return false
-	}
+// triggerRebuild starts a background fold-and-rebuild goroutine, reporting
+// whether it started one (false when a fold is already running). The folder
+// keeps folding until the journal is back under the threshold or a fold
+// fails.
+func (s *Server) triggerRebuild() bool {
 	if !s.rebuilding.CompareAndSwap(false, true) {
 		return false
 	}
@@ -148,9 +146,10 @@ func (s *Server) Rebuild() (RebuildResult, error) {
 
 // rebuildOnce performs one complete fold: materialize base ∪ journal from
 // the serving generation, rebuild the index (no server lock held — queries
-// and updates proceed), optionally write and re-open a fresh v2 bundle,
-// then swap the new generation in with the un-folded journal tail carried
-// over. Writers are paused only for the carry-over and swap.
+// and updates proceed), render its bundle once, verify it and write those
+// bytes to Options.RebuildPath when set, then swap the new generation in
+// with the un-folded journal tail carried over. Writers are paused only for
+// the carry-over and swap.
 func (s *Server) rebuildOnce() (res RebuildResult, err error) {
 	s.swapMu.Lock()
 	defer s.swapMu.Unlock()
@@ -175,28 +174,22 @@ func (s *Server) rebuildOnce() (res RebuildResult, err error) {
 		err = fmt.Errorf("server: fold rebuild: %w", err)
 		return res, err
 	}
-	var (
-		src    *core.Snapshot
-		source = "folded in-process"
-	)
-	bundleDone := buildDone
+	snap, err := renderBundle(ix)
+	if err != nil {
+		return res, err
+	}
+	source := "folded in-process"
 	if s.opts.RebuildPath != "" {
-		if err = ix.SaveSnapshotFile(s.opts.RebuildPath); err != nil {
+		if err = snap.SaveFile(s.opts.RebuildPath); err != nil {
 			err = fmt.Errorf("server: write folded bundle: %w", err)
 			return res, err
 		}
-		src, err = core.OpenVerifiedSnapshot(s.opts.RebuildPath)
-		if err != nil {
-			err = fmt.Errorf("server: reopen folded bundle: %w", err)
-			return res, err
-		}
-		ix = src.Index()
 		source = "folded snapshot " + s.opts.RebuildPath
-		bundleDone = time.Now()
-		res.BundleMicros = micros(bundleDone.Sub(buildDone))
 	}
+	bundleDone := time.Now()
+	res.BundleMicros = micros(bundleDone.Sub(buildDone))
 
-	leftover, epoch, err := s.installFolded(ix, src, folded, source)
+	leftover, epoch, err := s.installFolded(snap, folded, source)
 	res.SwapMicros = micros(time.Since(bundleDone))
 	if err != nil {
 		return res, err
@@ -213,26 +206,23 @@ func (s *Server) rebuildOnce() (res RebuildResult, err error) {
 func micros(d time.Duration) float64 { return float64(d.Nanoseconds()) / 1e3 }
 
 // foldInput materializes base ∪ journal of the serving generation and reads
-// its build parameters. The fold inherits the base
-// index's build options (k, packed/unpacked, pruning flags) so a rebuilt
-// epoch answers from the same representation the base did — in particular,
-// folds of a packed base emit packed bundles.
+// its build parameters. A generation is a bundle, and a bundle records only
+// k and, when the index is tiered, its size budget; the fold rebuilds with
+// those two, so a budgeted base folds into a budgeted epoch.
 func (s *Server) foldInput() (union *graph.Graph, folded int, opts core.Options, err error) {
 	st := s.store.current()
 	if st == nil {
 		return nil, 0, core.Options{}, errServerClosed
 	}
 	union, folded = st.delta.FoldInput()
-	opts = st.ix.BuildOptions()
-	opts.K = st.ix.K()
-	return union, folded, opts, nil
+	return union, folded, st.ix.BuildOptions(), nil
 }
 
 // installFolded pauses writers, carries the un-folded journal tail into the
 // new generation, and swaps it in. Returns the carried-over journal length
 // and the new epoch. Writers pause only here, so the journal tail observed
 // is complete and no insert slips between carry-over and swap.
-func (s *Server) installFolded(ix *core.Index, src *core.Snapshot, folded int, source string) (leftover int, epoch uint64, err error) {
+func (s *Server) installFolded(snap *core.Snapshot, folded int, source string) (leftover int, epoch uint64, err error) {
 	s.updateMu.Lock()
 	defer s.updateMu.Unlock()
 	st := s.store.current()
@@ -245,7 +235,7 @@ func (s *Server) installFolded(ix *core.Index, src *core.Snapshot, folded int, s
 	// from the pre-fold state so a racing reader's (epoch, seq) translation
 	// stays consistent with whichever generation it loaded.
 	epoch = st.epoch + 1
-	s.store.SwapFolded(ix, src, tail, source, epoch, st.seqBase+uint64(folded))
+	s.store.SwapFolded(snap, tail, source, epoch, st.seqBase+uint64(folded))
 	s.epoch.Store(epoch)
 	return len(tail), epoch, nil
 }

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"net/http"
@@ -69,9 +68,8 @@ type ReplState struct {
 	Seq uint64 `json:"seq"`
 	// Fingerprint is the compact fingerprint of the serving base graph.
 	Fingerprint string `json:"fingerprint"`
-	// BundleBytes is the byte size of the serving bundle when it is known
-	// without serializing (snapshot-backed generations), else 0.
-	BundleBytes int64 `json:"bundle_bytes,omitempty"`
+	// BundleBytes is the byte size of the serving bundle.
+	BundleBytes int64 `json:"bundle_bytes"`
 }
 
 // role resolves the reported role, defaulting to "standalone".
@@ -122,13 +120,11 @@ func (s *Server) replState(st *state) ReplState {
 		SealedSeq:   st.seqBase,
 		Seq:         st.seqBase,
 		Fingerprint: st.fp,
+		BundleBytes: st.src.SizeBytes(),
 	}
 	if st.delta != nil {
 		rs.SealedSeq = st.seqBase + uint64(st.delta.SealedLen())
 		rs.Seq = st.seqBase + uint64(st.delta.JournalLen())
-	}
-	if st.src != nil {
-		rs.BundleBytes = st.src.SizeBytes()
 	}
 	return rs
 }
@@ -180,10 +176,9 @@ func (s *Server) ExportSealed(from uint64, flush bool) ([]graph.Edge, ReplState,
 // coordinates of the generation it belongs to. The caller's expected epoch
 // is checked against that generation: a fold racing the request fails it
 // with the epoch_gone sentinel and the current coordinates, instead of
-// shipping a surprise epoch. A snapshot-backed base returns the
-// already-checksummed bundle bytes themselves, zero-copy; a heap-built base
-// is serialized first. The bundle never includes journal edges — those
-// ship as segments.
+// shipping a surprise epoch. It returns the generation's own bundle bytes,
+// zero-copy. The bundle never includes journal edges — those ship as
+// segments.
 func (s *Server) Bundle(wantEpoch uint64) (ReplState, []byte, error) {
 	st := s.store.current()
 	if st == nil {
@@ -193,15 +188,7 @@ func (s *Server) Bundle(wantEpoch uint64) (ReplState, []byte, error) {
 	if rs.Epoch != wantEpoch {
 		return rs, nil, fmt.Errorf("%w (requested %d, serving %d)", errEpochGone, wantEpoch, rs.Epoch)
 	}
-	if st.src != nil {
-		return rs, st.src.Bytes(), nil
-	}
-	var buf bytes.Buffer
-	if err := st.ix.WriteSnapshot(&buf); err != nil {
-		return rs, nil, fmt.Errorf("server: serialize bundle: %w", err)
-	}
-	rs.BundleBytes = int64(buf.Len())
-	return rs, buf.Bytes(), nil
+	return rs, st.src.Bytes(), nil
 }
 
 // AdoptFolded installs an externally produced fold epoch: a verified
@@ -224,7 +211,7 @@ func (s *Server) AdoptFolded(snap *core.Snapshot, tail []graph.Edge, epoch, seqB
 		// the caller adoption did not happen.
 		return errServerClosed
 	}
-	s.store.SwapFolded(snap.Index(), snap, tail, source, epoch, seqBase)
+	s.store.SwapFolded(snap, tail, source, epoch, seqBase)
 	s.epoch.Store(epoch)
 	return nil
 }

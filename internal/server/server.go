@@ -46,11 +46,6 @@ const (
 // Options configures a Server. The zero value serves a read-only index;
 // POST /batch answers on up to GOMAXPROCS workers.
 type Options struct {
-	// BuildStats, when non-nil, is reported verbatim under "build" in
-	// /stats — wire it up when the index was built on startup. It describes
-	// the initial generation only; reloaded snapshots carry no build stats.
-	BuildStats *core.BuildStats
-
 	// SnapshotSource, when non-nil, produces the replacement snapshot for
 	// POST /reload and Server.Reload — typically by re-opening (and
 	// verifying) the bundle path the server was started from, which is
@@ -63,20 +58,21 @@ type Options struct {
 	// Mutable enables the write path: POST /update (and UpdateBatch)
 	// append edges to a per-generation delta overlay that every query
 	// consults, exactly and without blocking, and folds rebuild the base
-	// in the background (rlcserve -mutable).
+	// in the background (rlccluster -role leader).
 	Mutable bool
 
 	// RebuildThreshold is the journal length at which an update triggers
 	// a background fold-and-rebuild. Zero selects
 	// DefaultRebuildThreshold; negative disables automatic folds
-	// (POST /rebuild, Server.Rebuild, or SIGUSR1 in rlcserve still fold
-	// on demand). Ignored unless Mutable.
+	// (POST /rebuild and Server.Rebuild still fold on demand). Ignored
+	// unless Mutable.
 	RebuildThreshold int
 
-	// RebuildPath, when non-empty, makes every fold write a fresh v2
-	// snapshot bundle there (SaveSnapshotFile), re-open and verify it,
-	// and hot-swap the server onto the re-opened bundle; when empty, folds
-	// swap in the heap-built index directly. Ignored unless Mutable.
+	// RebuildPath, when non-empty, makes every fold also write the bundle
+	// it serves there, to a temporary file that is synced and renamed into
+	// place; when empty, the folded bundle lives in memory only. Either
+	// way a fold renders its bundle once, verifies it and serves those
+	// bytes. Ignored unless Mutable.
 	RebuildPath string
 
 	// OnRebuild, when non-nil, observes every completed fold — background
@@ -149,19 +145,22 @@ type Server struct {
 	hs *httpd.Server
 }
 
-// New returns a Server over a heap-built index.
+// New returns a Server over ix. The index is rendered as a bundle once and
+// served from those bytes, like a bundle read from disk. It panics if the
+// rendered bundle does not open and verify, which only a defect in the
+// bundle writer can cause.
 func New(ix *core.Index, opts Options) *Server {
-	return newServer(NewStore(ix, opts), opts)
+	snap, err := renderBundle(ix)
+	if err != nil {
+		panic(err)
+	}
+	return NewFromSnapshot(snap, opts)
 }
 
 // NewFromSnapshot returns a Server over an open snapshot bundle.
 func NewFromSnapshot(snap *core.Snapshot, opts Options) *Server {
-	return newServer(NewStoreFromSnapshot(snap, opts), opts)
-}
-
-func newServer(store *Store, opts Options) *Server {
 	s := &Server{
-		store: store,
+		store: newStore(snap, opts),
 		opts:  opts.withDefaults(),
 		start: time.Now(),
 	}
@@ -182,7 +181,7 @@ func (s *Server) Reload() (uint64, error) {
 		return 0, errors.New("server: mutable servers do not reload external bundles (journal edges would be dropped); fold with Rebuild instead")
 	}
 	if s.opts.SnapshotSource == nil {
-		return 0, errors.New("server: no snapshot source configured; start from a bundle to enable reloads")
+		return 0, errors.New("server: no snapshot source configured; set Options.SnapshotSource to enable reloads")
 	}
 	s.swapMu.Lock()
 	defer s.swapMu.Unlock()
@@ -201,7 +200,7 @@ func (s *Server) Reload() (uint64, error) {
 //	POST /update           mutable servers: insert edges ({"s":0,"l":"l1","t":4} or {"edges":[...]})
 //	POST /rebuild          mutable servers: fold the journal into a rebuilt base, synchronously
 //	POST /reload           hot-swap the serving snapshot (immutable servers, when configured)
-//	GET  /stats            latency, index, build, and write-path statistics
+//	GET  /stats            latency, index, and write-path statistics
 //	GET  /healthz          liveness, with the serving generation and (mutable) epoch/journal
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
@@ -393,7 +392,7 @@ type reloadResponse struct {
 func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) bool {
 	if s.opts.SnapshotSource == nil {
 		return writeError(w, http.StatusNotImplemented,
-			"reload not configured: start the server from a snapshot bundle")
+			"reload not configured: the server has no snapshot source")
 	}
 	start := time.Now()
 	gen, err := s.Reload()
@@ -461,7 +460,6 @@ type statsResponse struct {
 	Source        string             `json:"source"`
 	Index         core.Stats         `json:"index"`
 	Tiers         *tierStatsResponse `json:"tiers,omitempty"`
-	Build         *core.BuildStats   `json:"build,omitempty"`
 	Mutable       *MutableStats      `json:"mutable,omitempty"`
 	// BatchQueries is the number of queries received through POST /batch;
 	// endpoints.batch.mean_us × count ÷ batch_queries prices one of them.
@@ -490,7 +488,6 @@ func (s *Server) handleStats(st *state, w http.ResponseWriter, r *http.Request) 
 		Generation:    st.gen,
 		Source:        st.source,
 		Index:         st.ix.Stats(),
-		Build:         st.build,
 		BatchQueries:  s.batchQueries.Load(),
 		Endpoints: map[string]EndpointStats{
 			"query":   s.mQuery.snapshot(),

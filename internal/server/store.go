@@ -1,6 +1,8 @@
 package server
 
 import (
+	"bytes"
+	"fmt"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -11,18 +13,18 @@ import (
 	"github.com/g-rpqs/rlc-go/internal/hybrid"
 )
 
-// state is one immutable serving generation: an index, its graph, the
-// hybrid-evaluator pool, the delta overlay accepting writes against this
-// base (mutable servers only), and — when the generation came from a
-// snapshot bundle — the bundle bytes the index and graph are views of.
-// Everything that must change together on a hot reload lives here, so a
-// request that loaded one generation uses it for its whole lifetime and can
-// never observe a new index through an old overlay (or vice versa).
+// state is one immutable serving generation: a snapshot bundle, the index
+// and graph that are views of its bytes, the hybrid-evaluator pool, and the
+// delta overlay accepting writes against this base (mutable servers only).
+// Every generation is a bundle, whether it was read from disk, shipped by a
+// leader, or rendered from an index built in this process. Everything that
+// must change together on a hot reload lives here, so a request that loaded
+// one generation uses it for its whole lifetime and can never observe a new
+// index through an old overlay (or vice versa).
 type state struct {
 	ix     *core.Index
 	g      *graph.Graph
-	src    *core.Snapshot // backing snapshot; nil for heap-built indexes
-	build  *core.BuildStats
+	src    *core.Snapshot // the bundle ix and g are views of
 	gen    uint64
 	source string // human-readable origin for /stats
 
@@ -47,10 +49,9 @@ type state struct {
 	epochHdr, seqHdr []string
 
 	// fp is the compact fingerprint of the base graph this generation
-	// serves: the bundle's embedded fingerprint when snapshot-backed,
-	// recomputed once otherwise, and formatted once — the leader's segment
-	// long poll reads it every few milliseconds. Replication handshakes and
-	// /healthz compare it across processes.
+	// serves, read from the bundle's meta and formatted once — the leader's
+	// segment long poll reads it every few milliseconds. Replication
+	// handshakes and /healthz compare it across processes.
 	fp string
 
 	// delta is the write overlay for this generation's base (nil on
@@ -83,17 +84,10 @@ type Store struct {
 	writes atomic.Uint64
 }
 
-// NewStore returns a store serving ix (a heap-built index, generation 1).
-func NewStore(ix *core.Index, opts Options) *Store {
+// newStore returns a store serving an open snapshot bundle as generation 1.
+func newStore(snap *core.Snapshot, opts Options) *Store {
 	s := &Store{mutable: opts.Mutable}
-	s.install(s.newState(ix, nil, opts.BuildStats, "built in-process", s.newDelta(ix, nil), 0, 0))
-	return s
-}
-
-// NewStoreFromSnapshot returns a store serving an open snapshot bundle.
-func NewStoreFromSnapshot(snap *core.Snapshot, opts Options) *Store {
-	s := &Store{mutable: opts.Mutable}
-	s.install(s.newState(snap.Index(), snap, nil, snapshotSource(snap), s.newDelta(snap.Index(), nil), 0, 0))
+	s.install(s.newState(snap, snapshotSource(snap), nil, 0, 0))
 	return s
 }
 
@@ -113,6 +107,24 @@ func (s *Store) newDelta(ix *core.Index, journal []graph.Edge) *dynamic.DeltaGra
 	return d
 }
 
+// renderBundle serializes ix as a v2 bundle once and opens those bytes as
+// the snapshot a generation serves, verified like a bundle read from disk or
+// shipped by a leader.
+func renderBundle(ix *core.Index) (*core.Snapshot, error) {
+	var buf bytes.Buffer
+	if err := ix.WriteSnapshot(&buf); err != nil {
+		return nil, fmt.Errorf("server: render bundle: %w", err)
+	}
+	snap, err := core.OpenSnapshotBytes(buf.Bytes())
+	if err == nil {
+		err = snap.Verify()
+	}
+	if err != nil {
+		return nil, fmt.Errorf("server: open rendered bundle: %w", err)
+	}
+	return snap, nil
+}
+
 func snapshotSource(snap *core.Snapshot) string {
 	if p := snap.Path(); p != "" {
 		return "snapshot " + p
@@ -123,29 +135,23 @@ func snapshotSource(snap *core.Snapshot) string {
 // stateUIDs hands out state.uid.
 var stateUIDs atomic.Uint64
 
-// newState assembles a generation around ix with a fresh hybrid pool.
-func (s *Store) newState(ix *core.Index, src *core.Snapshot, build *core.BuildStats, source string, delta *dynamic.DeltaGraph, epoch, seqBase uint64) *state {
+// newState assembles a generation around src with a fresh hybrid pool and,
+// on mutable stores, an overlay seeded with journal.
+func (s *Store) newState(src *core.Snapshot, source string, journal []graph.Edge, epoch, seqBase uint64) *state {
+	ix := src.Index()
 	st := &state{
-		ix:      ix,
-		g:       ix.Graph(),
-		src:     src,
-		build:   build,
-		source:  source,
-		uid:     stateUIDs.Add(1),
-		delta:   delta,
-		epoch:   epoch,
-		seqBase: seqBase,
+		ix:       ix,
+		g:        src.Graph(),
+		src:      src,
+		source:   source,
+		uid:      stateUIDs.Add(1),
+		delta:    s.newDelta(ix, journal),
+		epoch:    epoch,
+		seqBase:  seqBase,
+		fp:       src.Fingerprint().Compact(),
+		epochHdr: []string{strconv.FormatUint(epoch, 10)},
 	}
-	// Prefer the fingerprint embedded in a snapshot's meta (O(1)); compute
-	// it once for heap-built bases. Either way every reader sees a stable
-	// identity for the generation's base graph.
-	if src != nil {
-		st.fp = src.Fingerprint().Compact()
-	} else {
-		st.fp = st.g.Fingerprint().Compact()
-	}
-	st.epochHdr = []string{strconv.FormatUint(epoch, 10)}
-	if delta == nil {
+	if st.delta == nil {
 		st.seqHdr = []string{strconv.FormatUint(seqBase, 10)}
 	}
 	st.hybrids.New = func() any { return hybrid.New(ix) }
@@ -170,30 +176,23 @@ func (s *Store) install(st *state) {
 // leaves it intact.
 func (s *Store) current() *state { return s.cur.Load() }
 
-// SwapIndex atomically replaces the served index with a heap-built one.
-// The replication timeline resets: an externally supplied index starts a
-// fresh lineage at epoch 0, sequence 0.
-func (s *Store) SwapIndex(ix *core.Index) {
-	s.install(s.newState(ix, nil, nil, "built in-process", s.newDelta(ix, nil), 0, 0))
-}
-
 // SwapSnapshot atomically replaces the served generation with an open
 // snapshot bundle; queries already running finish on the previous one.
 // Callers should Verify the snapshot before handing it over —
 // the swap itself is deliberately unconditional, so policy stays with the
 // caller (rlcserve verifies; a trusted pipeline may skip it).
 func (s *Store) SwapSnapshot(snap *core.Snapshot) {
-	s.install(s.newState(snap.Index(), snap, nil, snapshotSource(snap), s.newDelta(snap.Index(), nil), 0, 0))
+	s.install(s.newState(snap, snapshotSource(snap), nil, 0, 0))
 }
 
-// SwapFolded publishes a post-fold generation: the index rebuilt over
-// base ∪ journal (optionally backed by a freshly written snapshot bundle)
-// and a delta overlay seeded with the un-folded journal tail. epoch and
+// SwapFolded publishes a post-fold generation: the bundle of the index
+// rebuilt over base ∪ journal and a delta overlay seeded with the un-folded
+// journal tail. epoch and
 // seqBase place the new generation on the replication timeline (the fold
 // that produced it advanced both). Like SwapSnapshot, it lets queries that
 // loaded the pre-fold generation finish against it, overlay and all.
-func (s *Store) SwapFolded(ix *core.Index, src *core.Snapshot, journal []graph.Edge, source string, epoch, seqBase uint64) {
-	s.install(s.newState(ix, src, nil, source, s.newDelta(ix, journal), epoch, seqBase))
+func (s *Store) SwapFolded(snap *core.Snapshot, journal []graph.Edge, source string, epoch, seqBase uint64) {
+	s.install(s.newState(snap, source, journal, epoch, seqBase))
 }
 
 // Index returns the currently served index — for inspection and tests.

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
@@ -146,7 +147,7 @@ func TestStoreDrainClosesOldSnapshot(t *testing.T) {
 	saveSnapshot(t, chainGraph(10, 0), pathA)
 	saveSnapshot(t, chainGraph(10, 1), pathB)
 
-	store := NewStoreFromSnapshot(openSnapshot(t, pathA), Options{})
+	store := newStore(openSnapshot(t, pathA), Options{})
 	defer store.Close()
 
 	st := store.current() // a long-running in-flight query holds generation 1
@@ -197,7 +198,7 @@ func TestSwapAfterCloseStaysClosed(t *testing.T) {
 	path := filepath.Join(dir, "a.rlcs")
 	saveSnapshot(t, chainGraph(8, 0), path)
 
-	store := NewStoreFromSnapshot(openSnapshot(t, path), Options{})
+	store := newStore(openSnapshot(t, path), Options{})
 	if err := store.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -421,4 +422,114 @@ func TestErrorCodes(t *testing.T) {
 	if errorCode(fmt.Errorf("wrapped: %w", context.Canceled)) != "canceled" {
 		t.Error("canceled code lost through wrapping")
 	}
+}
+
+// TestEveryGenerationIsABundle holds the store's one invariant about its
+// generations: each is a bundle, however it came to serve. For a server over
+// an index built in process, a fold with and without RebuildPath, a
+// follower's adopted fold and a reload, the replication coordinates give
+// the size of the bytes Bundle ships, those bytes are exactly what
+// WriteSnapshot renders for the served index and open and verify as they
+// are, and /healthz names their fingerprint.
+func TestEveryGenerationIsABundle(t *testing.T) {
+	g := graph.Fig2()
+	check := func(t *testing.T, srv *Server) []byte {
+		t.Helper()
+		rs := srv.ReplState()
+		_, raw, err := srv.Bundle(rs.Epoch)
+		if err != nil {
+			t.Fatalf("Bundle(%d): %v", rs.Epoch, err)
+		}
+		if rs.BundleBytes != int64(len(raw)) {
+			t.Errorf("ReplState().BundleBytes = %d, Bundle ships %d bytes", rs.BundleBytes, len(raw))
+		}
+		var fresh bytes.Buffer
+		if err := srv.Store().Index().WriteSnapshot(&fresh); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(raw, fresh.Bytes()) {
+			t.Errorf("Bundle ships %d bytes that differ from the %d WriteSnapshot renders for the served index", len(raw), fresh.Len())
+		}
+		snap, err := core.OpenSnapshotBytes(raw)
+		if err == nil {
+			err = snap.Verify()
+		}
+		if err != nil {
+			t.Fatalf("the served bundle does not open and verify: %v", err)
+		}
+		rec := httptest.NewRecorder()
+		srv.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/healthz", nil))
+		var h healthzResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &h); err != nil {
+			t.Fatalf("/healthz: %v: %s", err, rec.Body)
+		}
+		if want := snap.Fingerprint().Compact(); h.BundleFingerprint != want {
+			t.Errorf("/healthz bundle_fingerprint = %s, the bundle's is %s", h.BundleFingerprint, want)
+		}
+		return raw
+	}
+	mutable := Options{Mutable: true, RebuildThreshold: -1}
+	fold := func(t *testing.T, srv *Server) {
+		t.Helper()
+		if _, err := srv.UpdateBatch([]graph.Edge{{Src: 0, Label: 0, Dst: 3}}); err != nil {
+			t.Fatal(err)
+		}
+		if res, err := srv.Rebuild(); err != nil || res.Epoch != 1 || res.Folded != 1 {
+			t.Fatalf("fold: %+v, %v", res, err)
+		}
+	}
+
+	t.Run("New", func(t *testing.T) {
+		check(t, New(buildIndex(t, g), Options{}))
+	})
+	t.Run("fold", func(t *testing.T) {
+		srv := New(buildIndex(t, g), mutable)
+		fold(t, srv)
+		check(t, srv)
+	})
+	t.Run("fold with RebuildPath", func(t *testing.T) {
+		opts := mutable
+		opts.RebuildPath = filepath.Join(t.TempDir(), "fold.rlcs")
+		srv := New(buildIndex(t, g), opts)
+		fold(t, srv)
+		raw := check(t, srv)
+		onDisk, err := os.ReadFile(opts.RebuildPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(onDisk, raw) {
+			t.Errorf("RebuildPath holds %d bytes, the fold serves %d others", len(onDisk), len(raw))
+		}
+	})
+	t.Run("AdoptFolded", func(t *testing.T) {
+		leader := New(buildIndex(t, g), mutable)
+		fold(t, leader)
+		rs, raw, err := leader.Bundle(1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		snap, err := core.OpenSnapshotBytes(raw)
+		if err == nil {
+			err = snap.Verify()
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		follower := New(buildIndex(t, g), Options{Mutable: true, RebuildThreshold: -1, Role: "follower"})
+		if err := follower.AdoptFolded(snap, nil, rs.Epoch, rs.SeqBase, "adopted"); err != nil {
+			t.Fatal(err)
+		}
+		check(t, follower)
+	})
+	t.Run("Reload", func(t *testing.T) {
+		path := filepath.Join(t.TempDir(), "g.rlcs")
+		saveSnapshot(t, g, path)
+		srv := New(buildIndex(t, chainGraph(4, 0)), Options{
+			SnapshotSource: func() (*core.Snapshot, error) { return core.OpenVerifiedSnapshot(path) },
+		})
+		if gen, err := srv.Reload(); err != nil || gen != 2 {
+			t.Fatalf("Reload: generation %d, %v", gen, err)
+		}
+		check(t, srv)
+	})
 }

@@ -62,7 +62,9 @@
 // NewServer wraps an index in a long-running HTTP/JSON query service —
 // every read goes straight to the index (a probe costs less than a cache
 // lookup in front of it would), with per-endpoint latency histograms and
-// graceful shutdown — the production read path the rlcserve command exposes:
+// graceful shutdown — the production read path the rlcserve command exposes.
+// Every serving generation is a bundle: NewServer renders the index as one
+// once and serves those bytes, as it serves a bundle read from disk:
 //
 //	srv := rlc.NewServer(ix, rlc.ServerOptions{})
 //	go srv.ListenAndServe(":8080")
@@ -81,7 +83,7 @@
 // # Live updates
 //
 // A server started with ServerOptions.Mutable also takes writes — the
-// read/write epoch pipeline (rlcserve -mutable):
+// read/write epoch pipeline (rlccluster -role leader):
 //
 //	srv := rlc.NewServer(ix, rlc.ServerOptions{Mutable: true})
 //	srv.UpdateBatch([]rlc.Edge{{Src: 7, Dst: 9, Label: 1}}) // or POST /update
@@ -89,10 +91,10 @@
 // Inserted edges land in a per-generation journal that every query consults
 // exactly and without locking (answers may only flip false→true: the write
 // path is insert-only, deletions are rejected). When the journal crosses
-// ServerOptions.RebuildThreshold — or on Server.Rebuild / POST /rebuild /
-// SIGUSR1 — a background goroutine folds base ∪ journal, reruns the build,
-// optionally writes a fresh v2 bundle (ServerOptions.RebuildPath), and
-// hot-swaps the new epoch through the same Store swap as a reload,
+// ServerOptions.RebuildThreshold — or on Server.Rebuild / POST /rebuild —
+// a background goroutine folds base ∪ journal, reruns the build, renders and
+// verifies the new bundle, writes it to ServerOptions.RebuildPath when set,
+// and hot-swaps the new epoch through the same Store swap as a reload,
 // carrying over edges inserted while it ran. Queries never block on a fold
 // and answers stay exact across the swap. ServerOptions.OnRebuild observes
 // every fold; /stats and /healthz expose the epoch and journal length.
@@ -443,9 +445,9 @@ type (
 	MutableServerStats = server.MutableStats
 )
 
-// NewServer returns an HTTP query server over ix. Start it with
-// ListenAndServe or mount its Handler; stop it with Shutdown (and Close to
-// refuse further queries).
+// NewServer returns an HTTP query server over ix, rendered as a bundle once
+// and served from those bytes. Start it with ListenAndServe or mount its
+// Handler; stop it with Shutdown (and Close to refuse further queries).
 func NewServer(ix *Index, opts ServerOptions) *Server { return server.New(ix, opts) }
 
 // NewServerFromSnapshot returns an HTTP query server over an open snapshot

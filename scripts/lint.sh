@@ -6,8 +6,9 @@
 # no-closure-in-the-overlay check, the one-fold-state-machine check, the
 # one-decoder-on-/batch check, the one-pass-on-/query check, the
 # one-client-stack-in-the-router check, the one-server-stack check, the
-# one-way-to-load-a-bundle check, the builder-in-rank-space check, then
-# staticcheck and govulncheck when available.
+# one-way-to-load-a-bundle check, the builder-in-rank-space check, the
+# one-index-builder-among-the-binaries check, then staticcheck and
+# govulncheck when available.
 # CI runs this in the lint job; run it locally before sending a change that
 # touches the serving or query path.
 #
@@ -229,6 +230,20 @@ echo "==> rank lookups in internal/core/builder.go outside newRankCSR"
 stray=$(awk '/^func /{fn=$0} /\.rank\[/ && fn !~ /^func newRankCSR\(/ {print FILENAME ":" FNR ": " $0}' internal/core/builder.go)
 if [ -n "$stray" ]; then
 	echo "internal/core/builder.go reads a rank table outside newRankCSR; keep the builder in rank space:" >&2
+	echo "$stray" >&2
+	status=1
+fi
+
+# One index builder among the binaries: rlcbuild writes the bundle that
+# rlcserve, rlccluster, rlcquery and rlcinspect read, and rlcbench times the
+# build for the paper's tables. A build anywhere else under cmd/ is a second
+# way into a serving process, one that bypasses the bundle every generation
+# is.
+echo "==> index builds under cmd/ outside rlcbuild and rlcbench"
+stray=$(grep -rnE --include='*.go' 'BuildIndex|core\.Build\(' cmd |
+	grep -vE '^cmd/(rlcbuild|rlcbench)/' || true)
+if [ -n "$stray" ]; then
+	echo "a binary other than rlcbuild or rlcbench builds an index; read a bundle written by rlcbuild -o instead:" >&2
 	echo "$stray" >&2
 	status=1
 fi
