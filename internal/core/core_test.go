@@ -171,28 +171,38 @@ func TestExhaustiveEquivalence(t *testing.T) {
 	}
 }
 
+// allOrders is every access order Build accepts.
+var allOrders = []Order{OrderInOut, OrderDegreeSum, OrderNatural, OrderReverse}
+
 // TestSoundnessOnRandomGraphs verifies every recorded entry is witnessed by
-// a real path.
+// a real path, under every access order: the pruning rules lean on rank
+// order, whichever order assigned the ranks.
 func TestSoundnessOnRandomGraphs(t *testing.T) {
 	r := rand.New(rand.NewSource(101))
-	for trial := 0; trial < 20; trial++ {
+	for trial := 0; trial < 50; trial++ {
 		g := randomGraph(r, 3+r.Intn(10), 1+r.Intn(3), 2+r.Intn(25))
-		ix := mustBuild(t, g, Options{K: 1 + r.Intn(3)})
-		if err := ix.ValidateSound(); err != nil {
-			t.Fatalf("trial %d: %v\nedges: %v", trial, err, g.Edges())
+		k := 1 + r.Intn(3)
+		for _, o := range allOrders {
+			ix := mustBuild(t, g, Options{K: k, Order: o})
+			if err := ix.ValidateSound(); err != nil {
+				t.Fatalf("trial %d (k=%d order=%d): %v\nedges: %v", trial, k, o, err, g.Edges())
+			}
 		}
 	}
 }
 
 // TestCondensedOnRandomGraphs verifies Theorem 2: with all pruning rules
-// active the index is condensed.
+// active the index is condensed, under every access order.
 func TestCondensedOnRandomGraphs(t *testing.T) {
 	r := rand.New(rand.NewSource(102))
-	for trial := 0; trial < 20; trial++ {
+	for trial := 0; trial < 50; trial++ {
 		g := randomGraph(r, 3+r.Intn(10), 1+r.Intn(3), 2+r.Intn(25))
-		ix := mustBuild(t, g, Options{K: 1 + r.Intn(3)})
-		if err := ix.ValidateCondensed(); err != nil {
-			t.Fatalf("trial %d: %v\nedges: %v", trial, err, g.Edges())
+		k := 1 + r.Intn(3)
+		for _, o := range allOrders {
+			ix := mustBuild(t, g, Options{K: k, Order: o})
+			if err := ix.ValidateCondensed(); err != nil {
+				t.Fatalf("trial %d (k=%d order=%d): %v\nedges: %v", trial, k, o, err, g.Edges())
+			}
 		}
 	}
 }
@@ -370,7 +380,7 @@ func TestQueryAgainstBiBFS(t *testing.T) {
 // order and validates completeness — the order affects only size and speed.
 func TestOrderingAblationCorrect(t *testing.T) {
 	g := graph.Fig2()
-	for _, o := range []Order{OrderInOut, OrderDegreeSum, OrderNatural, OrderReverse} {
+	for _, o := range allOrders {
 		ix := mustBuild(t, g, Options{K: 2, Order: o})
 		if err := ix.ValidateComplete(); err != nil {
 			t.Errorf("order %d: %v", o, err)

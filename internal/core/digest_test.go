@@ -19,13 +19,14 @@ func algoCounters(st BuildStats) [7]int64 {
 }
 
 // TestBuildDigestStable pins the build's output across commits: the sha256
-// of the WriteSnapshot bytes and the seven algorithm counters of three
-// non-trivial graphs, and of one graph under every pruning ablation and
-// access order (the paths where the builder forks on an option). The first
-// three were recorded at c633a7b, before the builder's scratch state was
-// rewritten, the option cases at 88064ea, before it moved into access-rank
-// space; a change to the builder that moves a digest changed the index, not
-// just its speed. PrunedPR2 is the one counter a faster builder may lower
+// of the WriteSnapshot bytes and the seven algorithm counters of eight
+// non-trivial graph and k combinations, and of one graph under every
+// pruning ablation and access order (the paths where the builder forks on
+// an option). The first three were recorded at c633a7b, before the
+// builder's scratch state was rewritten, the option cases at 88064ea,
+// before it moved into access-rank space, and the k = 1, SO (three labels,
+// self-loops), WF (25 labels) and TW cases at 120b86a; a change to the
+// builder that moves a digest changed the index, not just its speed. PrunedPR2 is the one counter a faster builder may lower
 // without changing the index: kernel BFS does not visit the neighbours PR2
 // would reject and PR3 would then not expand. (TestDeterministicBuild
 // compares two runs of the same code and the Fig. 2 golden has six
@@ -44,6 +45,16 @@ func TestBuildDigestStable(t *testing.T) {
 			[7]int64{1409244, 126076, 7513552, 152651, 6214124, 704027, 0}},
 		{"AD", 1000, Options{K: 3}, "8f10a05343c2656253f128e23e97e34b1ba11ed6fc176c1b26539aab04ab5516",
 			[7]int64{3939030, 41740, 25457292, 42876, 8936362, 1963849, 0}},
+		{"WN", 2000, Options{K: 1}, "1e761a20eb79b900f2bea7bbdf1150a69c3fe71f4cd9357c1b3aff94a1889d54",
+			[7]int64{16898, 7722, 21467, 7385, 69432, 8286, 0}},
+		{"AD", 1000, Options{K: 1}, "df42c5c99e27ea556892186fad9507df61bffbd0e555e73b73e482da3ed197f3",
+			[7]int64{16658, 4206, 19917, 4419, 88272, 7765, 0}},
+		{"SO", 200, Options{K: 3}, "3fa093d62ff7b10fb5e3099ac7068f549dc95199fba89dbb17d130752be861d5",
+			[7]int64{1223710, 11763, 4135817, 11793, 1003673, 607727, 0}},
+		{"WF", 300, Options{K: 2}, "92333c492880a87752ea9cca4ffd24fac9449a65eec570f6474c81efbc747186",
+			[7]int64{892034, 55040, 3926512, 67316, 1400227, 444348, 0}},
+		{"TW", 20000, Options{K: 3}, "2a2ab9328ada884b0e4a2de1e60baff37af859ca463436455fbc832d48105c0a",
+			[7]int64{393484, 103020, 962514, 134273, 168191, 195592, 0}},
 		{"WN", 1000, Options{K: 2, DisablePR1: true}, "c7ee569952de87fd20a56fc90fcabd79ae9ef4d005d126f25d5e17414f877749",
 			[7]int64{138840, 16194, 1353977, 745184, 0, 69189, 732}},
 		{"WN", 1000, Options{K: 2, DisablePR2: true}, "a13df9948313272c0a3174dccc852e99a6947ab641fb60ec5e7e2c41b0b28626",
