@@ -15,8 +15,11 @@ type BuildStats struct {
 	// KernelSearchStates is the number of (vertex, sequence) states the
 	// kernel-search phases visited.
 	KernelSearchStates int64
-	// KernelBFSRuns is the number of kernel-guided BFS executions (one
-	// per kernel candidate per KBS).
+	// KernelBFSRuns is the number of kernel-guided BFS executions: one
+	// per kernel candidate of a KBS with a frontier vertex to seed. With
+	// PR1 and PR3 both on, only a vertex whose kernel-search insert
+	// succeeded seeds, so a kernel whose inserts were all rejected runs
+	// none.
 	KernelBFSRuns int64
 	// KernelBFSNodes is the number of (vertex, phase) nodes those runs
 	// dequeued.
@@ -46,7 +49,10 @@ func (s BuildStats) Attempts() int64 {
 // disambiguate (an implementation choice the original paper leaves open): the kernel-search frontier registers
 // the newly visited endpoint of each path (Example 5), and the kernel-BFS
 // keeps expanding after a *successful* insert but stops — rule PR3 — when
-// the insert was pruned by PR1 or PR2 (Examples 5 and 6).
+// the insert was pruned by PR1 or PR2 (Examples 5 and 6). With PR1 and PR3
+// both on, the kernel search applies PR3 too: an endpoint whose own insert
+// was pruned is not registered, so it seeds no kernel-BFS (builder.go, kbs,
+// argues why the index does not change).
 func Build(g *graph.Graph, opts Options) (*Index, error) {
 	ix, _, err := BuildWithStats(g, opts)
 	return ix, err

@@ -28,9 +28,10 @@ type searchState struct {
 }
 
 // kernelFrontier collects the frontier vertices of one kernel candidate, in
-// the order the kernel search met them; a vertex met twice is listed twice
-// and kernelBFS seeds it once. The builder recycles these (and their slices)
-// from one KBS to the next.
+// the order the kernel search met them. With seedPR3 a vertex is listed
+// once — Case 2 of PR1 rejects its later inserts of the same kernel —
+// otherwise a vertex met twice is listed twice and kernelBFS seeds it once.
+// The builder recycles these (and their slices) from one KBS to the next.
 type kernelFrontier struct {
 	kernel labelseq.Seq
 	code   labelseq.Code
@@ -100,6 +101,10 @@ type builder struct {
 	// after the source, since PR2 would reject the others and PR3 would
 	// then not expand them.
 	skipPR2 bool
+	// seedPR3 is set when PR1 and PR3 are both on: PR3 reaches into the
+	// kernel search, which registers a frontier vertex only if its own
+	// insert succeeded (kbs argues why that drops no entry).
+	seedPR3 bool
 
 	stats BuildStats
 }
@@ -134,6 +139,7 @@ func newBuilder(ix *Index) *builder {
 		knownID:    labelseq.InvalidID,
 		visited:    make([]uint32, n*ix.k),
 		skipPR2:    !ix.opts.DisablePR2 && !ix.opts.DisablePR3,
+		seedPR3:    !ix.opts.DisablePR1 && !ix.opts.DisablePR3,
 	}
 }
 
@@ -292,6 +298,28 @@ func (c *labelCSR) edgesFrom(v int32, l labelseq.Label, src int32) []int32 {
 // enumerates every path of length <= k touching src on the given side,
 // inserting entries and registering kernel candidates; the kernel-BFS phase
 // then extends each candidate under its Kleene plus.
+//
+// With PR1 and PR3 both on, a vertex y whose kernel-search insert of
+// (src, L) was rejected seeds no kernel BFS of L — PR3 carried into the
+// kernel search. The rejection has one of four witnesses:
+//   - PR1, Case 1 or Case 2 on the fixed side: a hub h ranked before src
+//     with y ⇝ h ⇝ src under L+ (h = y in the second case);
+//   - PR2: y itself is ranked before src, and y ⇝ src spells L;
+//   - Case 2 on y's own list: (src, L) is already at y, put there by an
+//     earlier state of this kernel search, which registered y then;
+//   - y is src (forward only: the backward KBS recorded a cycle src ⇝ src
+//     under L+): every vertex one period past src is a kernel-search
+//     state of L too, and seeds or not on its own outcome.
+//
+// In the first two cases every period boundary z a BFS from y could reach
+// has z ⇝ y ⇝ src (forward: src ⇝ y ⇝ z) under L+ through a boundary
+// ranked before src — the pairs PR1 and PR3 already rely on the partial
+// index answering — so that BFS could only make rejected attempts. An
+// attempt's outcome at z depends on z's list and the fixed list alone, and
+// no boundary an accepted seed reaches is lost, so the same entries are
+// inserted in the same order: only KernelBFSRuns, KernelBFSNodes and
+// PrunedPR1 fall. A rejected y a BFS meets later is attempted again and,
+// the index only growing, rejected again.
 func (b *builder) kbs(src int32, dir direction) {
 	b.loadFixed(src, dir)
 	b.kernelSearch(src, dir)
@@ -343,9 +371,10 @@ func (b *builder) fixedHas(hub int32, mr labelseq.ID) bool {
 }
 
 // kernelSearch is phase 1: a BFS over (vertex, label-sequence) states up to
-// depth k. Every state visit attempts an insert (whose outcome is ignored
-// here — PR3 applies only to kernel-BFS) and registers the endpoint as a
-// frontier vertex of the state's minimum repeat.
+// depth k. Every state visit attempts an insert and registers the endpoint
+// as a frontier vertex of the state's minimum repeat — with seedPR3,
+// only if that insert succeeded. The search itself never stops on a
+// rejection: its states are paths of at most k labels, not L-powers.
 func (b *builder) kernelSearch(src int32, dir direction) {
 	b.seen.reset()
 	b.frontierOf.reset()
@@ -391,9 +420,9 @@ func (b *builder) kernelSearch(src int32, dir direction) {
 			n := copy(b.seqBuf[:], next.seq[:next.depth])
 			mr := labelseq.MinimumRepeat(b.seqBuf[:n])
 			mrCode := b.coder.Encode(mr)
-			// Insert outcome deliberately ignored in phase 1.
-			b.insert(y, src, dir, mr, mrCode)
-			b.registerFrontier(mrCode, mr, y)
+			if st := b.insert(y, src, dir, mr, mrCode); st == inserted || !b.seedPR3 {
+				b.registerFrontier(mrCode, mr, y)
+			}
 
 			if int(next.depth) < b.k {
 				b.queue = append(b.queue, next)
