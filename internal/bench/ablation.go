@@ -34,7 +34,7 @@ func RunAblation(cfg Config) ([]*Table, error) {
 		Title:   "Pruning-rule ablation on the TW replica (k = 2)",
 		Columns: []string{"Configuration", "IT (s)", "Entries", "IS (MB)", "QT true (ms)", "QT false (ms)"},
 		Notes: []string{
-			"Every configuration answers all queries correctly; pruning only changes cost. PR1 = snapshot check, PR2 = rank order, PR3 = a pruned insert expands no further (and, with PR1 on, seeds no kernel BFS).",
+			"Every configuration answers all queries correctly; pruning only changes cost. PR1 = snapshot check, PR2 = rank order (with PR1 and PR3 on, the kernel search skips the depth-k states it would reject), PR3 = a pruned insert expands no further (and, with PR1 on, seeds no kernel BFS).",
 		},
 	}
 	configs := []struct {

@@ -13,7 +13,10 @@ import (
 // deterministic function of the graph and the Options.
 type BuildStats struct {
 	// KernelSearchStates is the number of (vertex, sequence) states the
-	// kernel-search phases visited.
+	// kernel-search phases visited. With PR1, PR2 and PR3 all on, a
+	// search does not visit a depth-k state ranked before its source —
+	// PR2 would reject it, and it would seed and expand nothing — so
+	// those states are not counted.
 	KernelSearchStates int64
 	// KernelBFSRuns is the number of kernel-guided BFS executions: one
 	// per kernel candidate of a KBS with a frontier vertex to seed. With
@@ -28,7 +31,9 @@ type BuildStats struct {
 	// attempts each rule rejected. With PR2 and PR3 both on, a kernel-BFS
 	// step that completes a period does not visit the neighbours ranked
 	// before the source — PR2 would reject them and PR3 then stop there —
-	// so PrunedPR2 counts the kernel searches' rejections alone.
+	// so PrunedPR2 counts the kernel searches' rejections alone; with PR1
+	// on as well, only those of states short of depth k (see
+	// KernelSearchStates), which k = 1 has none of.
 	Inserted  int64
 	PrunedPR1 int64
 	PrunedPR2 int64
@@ -51,8 +56,9 @@ func (s BuildStats) Attempts() int64 {
 // keeps expanding after a *successful* insert but stops — rule PR3 — when
 // the insert was pruned by PR1 or PR2 (Examples 5 and 6). With PR1 and PR3
 // both on, the kernel search applies PR3 too: an endpoint whose own insert
-// was pruned is not registered, so it seeds no kernel-BFS (builder.go, kbs,
-// argues why the index does not change).
+// was pruned is not registered, so it seeds no kernel-BFS, and with PR2 on
+// too, a depth-k state ranked before the source is not visited at all
+// (builder.go, kbs, argues why the index does not change).
 func Build(g *graph.Graph, opts Options) (*Index, error) {
 	ix, _, err := BuildWithStats(g, opts)
 	return ix, err

@@ -16,26 +16,35 @@ import (
 // and sorts each label run by rank, so kernel BFS can skip the neighbours
 // PR2 rejects without looking at them (labelCSR.edgesFrom).
 
-// searchState is a kernel-search BFS state: a vertex plus the label
-// sequence of the path between it and the KBS source (read in path order).
-// The packed code deduplicates states; the inline array avoids per-state
-// allocations (MaxK bounds the depth).
+// searchState is a kernel-search BFS state: a vertex plus the packed code
+// of the label sequence of the path between it and the KBS source (read in
+// path order). The code deduplicates states and keys the MR memo; the
+// labels themselves are never needed (minRepeat decodes a code on its first
+// sight).
 type searchState struct {
-	v     int32
 	code  labelseq.Code
+	v     int32
 	depth int32
-	seq   [MaxK]labelseq.Label
 }
 
 // kernelFrontier collects the frontier vertices of one kernel candidate, in
 // the order the kernel search met them. With seedPR3 a vertex is listed
 // once — Case 2 of PR1 rejects its later inserts of the same kernel —
 // otherwise a vertex met twice is listed twice and kernelBFS seeds it once.
-// The builder recycles these (and their slices) from one KBS to the next.
+// The kernel is the memo slot mr, whose code is code. The builder recycles
+// these (and their vertex slices) from one KBS to the next.
 type kernelFrontier struct {
-	kernel labelseq.Seq
-	code   labelseq.Code
-	verts  []int32
+	code  labelseq.Code
+	mr    int32
+	verts []int32
+}
+
+// mrMemo is a minimum repeat the build has met: its labels, its code, and
+// its dictionary ID once an insert interned it (InvalidID until then).
+type mrMemo struct {
+	seq  labelseq.Seq
+	code labelseq.Code
+	id   labelseq.ID
 }
 
 // builder holds the reusable scratch space for all KBS runs of one Build,
@@ -60,13 +69,19 @@ type builder struct {
 	inByLabel  *labelCSR
 	outByLabel *labelCSR
 
-	// Kernel-search scratch: the BFS queue, the (code, vertex) states
-	// already visited, and the labels of the state being visited — copied
-	// here before anything takes a slice of them, so the state itself
-	// stays on the stack.
-	queue  []searchState
-	seen   *stampTable
-	seqBuf [MaxK]labelseq.Label
+	// Kernel-search scratch: the BFS queue and the (code, vertex) states
+	// already visited.
+	queue []searchState
+	seen  *stampTable
+
+	// The MR memo, build-wide: mrOf maps a state's code to the slot in mrs
+	// of its sequence's minimum repeat. An MR depends on the label sequence
+	// alone, and a code paired with its depth is a bijection with that
+	// sequence, so MinimumRepeat and Encode run once per distinct sequence
+	// a build meets (the serving graph's build meets 72) and the dictionary
+	// is asked for an MR's ID until it has one.
+	mrOf *stampTable
+	mrs  []mrMemo
 
 	// Frontier registry for the current KBS: frontierOf maps a kernel's
 	// code to its slot in frontiers. kbs sorts frontiers by code once the
@@ -83,13 +98,6 @@ type builder struct {
 	fixedAt  []fixedHub
 	kbsStamp uint32
 
-	// The last minimum-repeat code the dictionary resolved, and its ID: a
-	// kernel-BFS issues every insert under one code, so the dictionary is
-	// asked once per run rather than once per insert. The dictionary only
-	// grows during a build, so the pair stays valid until the build ends.
-	knownCode labelseq.Code
-	knownID   labelseq.ID
-
 	// Kernel-BFS scratch: stamped visited array over (vertex, phase)
 	// slots, and the BFS queue of packed (vertex, phase) pairs.
 	visited []uint32
@@ -105,6 +113,11 @@ type builder struct {
 	// kernel search, which registers a frontier vertex only if its own
 	// insert succeeded (kbs argues why that drops no entry).
 	seedPR3 bool
+	// searchPR2 is set when PR1, PR2 and PR3 are all on: the kernel search
+	// drops a depth-k state ranked before the source unvisited and settles
+	// an inner one as PR2 without its MR (kbs argues why neither changes
+	// the index).
+	searchPR2 bool
 
 	stats BuildStats
 }
@@ -135,11 +148,12 @@ func newBuilder(ix *Index) *builder {
 		outByLabel: newLabelCSR(outAdj),
 		seen:       newStampTable(scratchLogSlots),
 		frontierOf: newStampTable(scratchLogSlots),
+		mrOf:       newStampTable(scratchLogSlots),
 		fixedAt:    make([]fixedHub, n),
-		knownID:    labelseq.InvalidID,
 		visited:    make([]uint32, n*ix.k),
 		skipPR2:    !ix.opts.DisablePR2 && !ix.opts.DisablePR3,
 		seedPR3:    !ix.opts.DisablePR1 && !ix.opts.DisablePR3,
+		searchPR2:  !ix.opts.DisablePR1 && !ix.opts.DisablePR2 && !ix.opts.DisablePR3,
 	}
 }
 
@@ -320,6 +334,18 @@ func (c *labelCSR) edgesFrom(v int32, l labelseq.Label, src int32) []int32 {
 // inserted in the same order: only KernelBFSRuns, KernelBFSNodes and
 // PrunedPR1 fall. A rejected y a BFS meets later is attempted again and,
 // the index only growing, rejected again.
+//
+// With PR2 on as well (searchPR2), a kernel-search state whose vertex y is
+// ranked before src touches nothing but the counters: PR2 rejects its
+// insert, so it adds no entry and interns no MR, and seedPR3 then registers
+// no frontier for it. A depth-k state is not enqueued either, so the kernel
+// search drops it before its seen probe. Its (code, y) key cannot stand in
+// for another state's, because codes are unique across lengths: every
+// state with that code is a depth-k leaf ranked before src too, never an
+// inner one. Only KernelSearchStates and PrunedPR2 fall, by the same
+// amount. An inner state ranked before src is still deduplicated and
+// enqueued — paths through it may end at or after src — and counted as
+// PR2, but its MR is never computed.
 func (b *builder) kbs(src int32, dir direction) {
 	b.loadFixed(src, dir)
 	b.kernelSearch(src, dir)
@@ -375,6 +401,7 @@ func (b *builder) fixedHas(hub int32, mr labelseq.ID) bool {
 // as a frontier vertex of the state's minimum repeat — with seedPR3,
 // only if that insert succeeded. The search itself never stops on a
 // rejection: its states are paths of at most k labels, not L-powers.
+// With searchPR2, states ranked before src are cut short as kbs describes.
 func (b *builder) kernelSearch(src int32, dir direction) {
 	b.seen.reset()
 	b.frontierOf.reset()
@@ -389,24 +416,20 @@ func (b *builder) kernelSearch(src int32, dir direction) {
 	b.seen.put(0, uint32(src), 0)
 
 	for head := 0; head < len(b.queue); head++ {
-		// Index rather than copy: states are small but the queue grows
-		// while iterating.
 		st := b.queue[head]
+		leaf := int(st.depth)+1 == b.k
 		nbrs, lbls := adj.edges(st.v)
 		for i := range nbrs {
 			y, l := nbrs[i], lbls[i]
-			var next searchState
-			next.v = y
-			next.depth = st.depth + 1
+			if leaf && b.searchPR2 && y < src {
+				continue
+			}
+			next := searchState{v: y, depth: st.depth + 1}
 			if dir == backward {
 				// Path y -> src: the new edge label is prepended.
-				next.seq[0] = l
-				copy(next.seq[1:], st.seq[:st.depth])
 				next.code = b.coder.Prepend(st.code, l, int(st.depth))
 			} else {
 				// Path src -> y: appended.
-				copy(next.seq[:], st.seq[:st.depth])
-				next.seq[st.depth] = l
 				next.code = b.coder.Append(st.code, l)
 			}
 			if _, dup := b.seen.put(uint64(next.code), uint32(y), 0); dup {
@@ -414,27 +437,40 @@ func (b *builder) kernelSearch(src int32, dir direction) {
 			}
 			b.stats.KernelSearchStates++
 
-			// MinimumRepeat returns a slice of its argument, and insert
-			// and registerFrontier keep it across calls the compiler
-			// cannot see through: slice the builder's copy, not next.
-			n := copy(b.seqBuf[:], next.seq[:next.depth])
-			mr := labelseq.MinimumRepeat(b.seqBuf[:n])
-			mrCode := b.coder.Encode(mr)
-			if st := b.insert(y, src, dir, mr, mrCode); st == inserted || !b.seedPR3 {
-				b.registerFrontier(mrCode, mr, y)
+			if b.searchPR2 && y < src {
+				b.stats.PrunedPR2++
+			} else {
+				mr := b.minRepeat(next.code, next.depth)
+				if st := b.insert(y, src, dir, mr); st == inserted || !b.seedPR3 {
+					b.registerFrontier(mr, y)
+				}
 			}
 
-			if int(next.depth) < b.k {
+			if !leaf {
 				b.queue = append(b.queue, next)
 			}
 		}
 	}
 }
 
-// registerFrontier adds v to the frontier of the kernel with the given code,
-// opening the kernel's slot on first sight. A slot past len(frontiers) but
-// within its capacity is an earlier KBS's: its slices are reused.
-func (b *builder) registerFrontier(code labelseq.Code, kernel labelseq.Seq, v int32) {
+// minRepeat returns the memo slot of the minimum repeat of the sequence of
+// the given code and length, filling the slot on the code's first sight.
+func (b *builder) minRepeat(code labelseq.Code, length int32) int32 {
+	slot, known := b.mrOf.put(uint64(code), 0, int32(len(b.mrs)))
+	if !known {
+		// one decoded sequence per distinct code of the build
+		mr := labelseq.MinimumRepeat(b.coder.Decode(code, int(length)))
+		b.mrs = append(b.mrs, mrMemo{seq: mr, code: b.coder.Encode(mr), id: labelseq.InvalidID})
+	}
+	return slot
+}
+
+// registerFrontier adds v to the frontier of the kernel in memo slot mr,
+// opening the kernel's registry slot on first sight. A registry slot past
+// len(frontiers) but within its capacity is an earlier KBS's: its vertex
+// slice is reused.
+func (b *builder) registerFrontier(mr int32, v int32) {
+	code := b.mrs[mr].code
 	slot, known := b.frontierOf.put(uint64(code), 0, int32(len(b.frontiers)))
 	if !known {
 		if len(b.frontiers) < cap(b.frontiers) {
@@ -444,9 +480,7 @@ func (b *builder) registerFrontier(code labelseq.Code, kernel labelseq.Seq, v in
 			b.frontiers = append(b.frontiers, kernelFrontier{})
 		}
 		f := &b.frontiers[slot]
-		f.code = code
-		// a recycled slot's kernel already has capacity for k labels
-		f.kernel = append(f.kernel[:0], kernel...)
+		f.code, f.mr = code, mr
 		f.verts = f.verts[:0]
 	}
 	f := &b.frontiers[slot]
@@ -460,7 +494,8 @@ func (b *builder) registerFrontier(code labelseq.Code, kernel labelseq.Seq, v in
 // consumed in the current period; completing a period (phase back to 0)
 // attempts an insert, and — PR3 — a pruned insert stops expansion there.
 func (b *builder) kernelBFS(src int32, dir direction, f *kernelFrontier) {
-	m := int32(len(f.kernel))
+	kernel := b.mrs[f.mr].seq
+	m := int32(len(kernel))
 	b.stamp++
 	if b.stamp == 0 {
 		for i := range b.visited {
@@ -477,7 +512,6 @@ func (b *builder) kernelBFS(src int32, dir direction, f *kernelFrontier) {
 		// the queue grows to the largest kernel-BFS so far
 		b.bfsQ = append(b.bfsQ, kbsNode{v, 0})
 	}
-	mrCode := f.code
 	runs := b.outByLabel
 	if dir == backward {
 		runs = b.inByLabel
@@ -491,9 +525,9 @@ func (b *builder) kernelBFS(src int32, dir direction, f *kernelFrontier) {
 		if dir == backward {
 			// Walking backward from a power boundary consumes the
 			// kernel's labels last-to-first.
-			expected = f.kernel[m-1-nd.phase]
+			expected = kernel[m-1-nd.phase]
 		} else {
-			expected = f.kernel[nd.phase]
+			expected = kernel[nd.phase]
 		}
 		next := nd.phase + 1
 		if next == m {
@@ -513,7 +547,7 @@ func (b *builder) kernelBFS(src int32, dir direction, f *kernelFrontier) {
 			if next == 0 {
 				// y sits at a completed power L^m: record it.
 				// a successful insert appends to y's entry list (and interns a new MR)
-				st := b.insert(y, src, dir, f.kernel, mrCode)
+				st := b.insert(y, src, dir, f.mr)
 				b.mark(y, 0)
 				if st != inserted && !b.ix.opts.DisablePR3 {
 					// PR3: y and everything beyond it are skipped.
@@ -537,8 +571,8 @@ func (b *builder) isMarked(v, phase int32) bool {
 }
 
 // insert is insertCore plus the outcome counters.
-func (b *builder) insert(y, src int32, dir direction, mr labelseq.Seq, mrCode labelseq.Code) insertStatus {
-	st := b.insertCore(y, src, dir, mr, mrCode)
+func (b *builder) insert(y, src int32, dir direction, mr int32) insertStatus {
+	st := b.insertCore(y, src, dir, mr)
 	switch st {
 	case inserted:
 		b.stats.Inserted++
@@ -553,8 +587,9 @@ func (b *builder) insert(y, src int32, dir direction, mr labelseq.Seq, mrCode la
 }
 
 // insertCore attempts to record that y and src are connected by a path whose
-// k-MR is mr: backward searches add (src, mr) to Lout(y); forward searches
-// add (src, mr) to Lin(y). Pruning rules PR1 and PR2 run first.
+// k-MR is the one in memo slot mr: backward searches add (src, mr) to
+// Lout(y); forward searches add (src, mr) to Lin(y). Pruning rules PR1 and
+// PR2 run first.
 //
 // The PR1 check is algebraically Query(y, src, mr+) (backward) or
 // Query(src, y, mr+) (forward) on the current snapshot, evaluated here as
@@ -562,7 +597,7 @@ func (b *builder) insert(y, src int32, dir direction, mr labelseq.Seq, mrCode la
 // fixed side is (y, mr) in the fixed list — only possible when y <= src, as
 // no hub past src has searched yet; Case 2 on y's side is an entry with hub
 // src; Case 1 is an entry of y whose (hub, mr) the fixed list also holds.
-func (b *builder) insertCore(y, src int32, dir direction, mr labelseq.Seq, mrCode labelseq.Code) insertStatus {
+func (b *builder) insertCore(y, src int32, dir direction, mr int32) insertStatus {
 	ix := b.ix
 	// PR2: skip entries at vertices with a strictly smaller rank than the
 	// search source — their own earlier searches covered this pair.
@@ -577,8 +612,13 @@ func (b *builder) insertCore(y, src int32, dir direction, mr labelseq.Seq, mrCod
 		yList = b.in[y]
 	}
 
-	id := b.lookupCode(mrCode)
-	if id != labelseq.InvalidID {
+	m := &b.mrs[mr]
+	if m.id == labelseq.InvalidID {
+		// The memo learns an ID here, from whichever code's insert
+		// interned the MR; until then no entry can hold it.
+		m.id = ix.dict.LookupCode(m.code)
+	}
+	if id := m.id; id != labelseq.InvalidID {
 		if !ix.opts.DisablePR1 {
 			// PR1: already answerable from the current snapshot.
 			if y <= src && b.fixedHas(y, id) {
@@ -599,29 +639,14 @@ func (b *builder) insertCore(y, src int32, dir direction, mr labelseq.Seq, mrCod
 				return prunedDup
 			}
 		}
+	} else {
+		m.id = ix.dict.InternCode(m.code, m.seq)
 	}
-	if id == labelseq.InvalidID {
-		id = ix.dict.InternCode(mrCode, mr)
-		b.knownCode, b.knownID = mrCode, id
-	}
-	e := entry{hub: src, mr: id}
+	e := entry{hub: src, mr: m.id}
 	if dir == backward {
 		b.out[y] = append(b.out[y], e)
 	} else {
 		b.in[y] = append(b.in[y], e)
 	}
 	return inserted
-}
-
-// lookupCode resolves a packed minimum-repeat code to its interned ID,
-// answering repeats of the last resolved code from knownCode/knownID.
-func (b *builder) lookupCode(code labelseq.Code) labelseq.ID {
-	if code == b.knownCode && b.knownID != labelseq.InvalidID {
-		return b.knownID
-	}
-	id := b.ix.dict.LookupCode(code)
-	if id != labelseq.InvalidID {
-		b.knownCode, b.knownID = code, id
-	}
-	return id
 }
