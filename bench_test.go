@@ -335,32 +335,40 @@ func BenchmarkTable5Engines(b *testing.B) {
 
 // BenchmarkAblationPruning measures how each pruning rule contributes to
 // build time and index size — the design choices Section V-B motivates and
-// Appendix D discusses.
+// Appendix D discusses. Every rule set builds with Algorithm 2 as stated
+// (core.BuildReference); ProductionBuilder is core.Build, which writes the
+// AllRules index.
 func BenchmarkAblationPruning(b *testing.B) {
 	fixtures(b)
 	configs := []struct {
-		name string
-		opts core.Options
+		name  string
+		rules core.Pruning
 	}{
-		{"AllRules", core.Options{K: 2}},
-		{"NoPR1", core.Options{K: 2, DisablePR1: true}},
-		{"NoPR2", core.Options{K: 2, DisablePR2: true}},
-		{"NoPR3", core.Options{K: 2, DisablePR3: true}},
-		{"NoPruning", core.Options{K: 2, DisablePR1: true, DisablePR2: true, DisablePR3: true}},
+		{"AllRules", core.Pruning{PR1: true, PR2: true, PR3: true}},
+		{"NoPR1", core.Pruning{PR2: true, PR3: true}},
+		{"NoPR2", core.Pruning{PR1: true, PR3: true}},
+		{"NoPR3", core.Pruning{PR1: true, PR2: true}},
+		{"NoPruning", core.Pruning{}},
+	}
+	report := func(b *testing.B, build func() (*core.Index, error)) {
+		var entries int64
+		for i := 0; i < b.N; i++ {
+			ix, err := build()
+			if err != nil {
+				b.Fatal(err)
+			}
+			entries = ix.NumEntries()
+		}
+		b.ReportMetric(float64(entries), "entries")
 	}
 	for _, cfg := range configs {
 		b.Run(cfg.name, func(b *testing.B) {
-			var entries int64
-			for i := 0; i < b.N; i++ {
-				ix, err := core.Build(fix.tw, cfg.opts)
-				if err != nil {
-					b.Fatal(err)
-				}
-				entries = ix.NumEntries()
-			}
-			b.ReportMetric(float64(entries), "entries")
+			report(b, func() (*core.Index, error) { return core.BuildReference(fix.tw, core.Options{K: 2}, cfg.rules) })
 		})
 	}
+	b.Run("ProductionBuilder", func(b *testing.B) {
+		report(b, func() (*core.Index, error) { return core.Build(fix.tw, core.Options{K: 2}) })
+	})
 }
 
 // --- Micro-benchmarks ----------------------------------------------------

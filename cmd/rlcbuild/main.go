@@ -28,9 +28,6 @@ func main() {
 		k         = flag.Int("k", 2, "recursive k")
 		bundle    = flag.String("o", "", "output snapshot bundle (required; self-contained, written to a temporary file and renamed into place)")
 		maxBytes  = flag.Int64("max-index-bytes", 0, "size budget for the index: keep exact entry lists for the top-ranked vertices that fit, demote the rest to may-reach filters (0 = unlimited; answers stay exact either way)")
-		noPR1     = flag.Bool("no-pr1", false, "disable pruning rule PR1 (ablation)")
-		noPR2     = flag.Bool("no-pr2", false, "disable pruning rule PR2 (ablation)")
-		noPR3     = flag.Bool("no-pr3", false, "disable pruning rule PR3 (ablation)")
 	)
 	flag.Usage = usage
 	flag.Parse()
@@ -56,13 +53,7 @@ func main() {
 	fmt.Printf("graph: %d vertices, %d edges, %d labels\n", g.NumVertices(), g.NumEdges(), g.NumLabels())
 
 	start := time.Now()
-	ix, bst, err := rlc.BuildIndexWithStats(g, rlc.Options{
-		K:             *k,
-		MaxIndexBytes: *maxBytes,
-		DisablePR1:    *noPR1,
-		DisablePR2:    *noPR2,
-		DisablePR3:    *noPR3,
-	})
+	ix, bst, err := rlc.BuildIndexWithStats(g, rlc.Options{K: *k, MaxIndexBytes: *maxBytes})
 	if err != nil {
 		fatalf("build: %v", err)
 	}
@@ -83,8 +74,8 @@ func main() {
 			ts.Budget, ts.RetainedVertices, ts.DemotedVertices,
 			float64(ts.FilterBytes)/(1024*1024), ts.UnionSets, ts.BloomBitsPerFilter)
 	}
-	fmt.Printf("construction:  %d kernel-search states, %d kernel-BFS runs, %d kernel-BFS nodes; %d inserts, pruned %d by PR1, %d by PR2, %d as duplicates\n",
-		bst.KernelSearchStates, bst.KernelBFSRuns, bst.KernelBFSNodes, bst.Inserted, bst.PrunedPR1, bst.PrunedPR2, bst.PrunedDup)
+	fmt.Printf("construction:  %d kernel-search states, %d kernel-BFS runs, %d kernel-BFS nodes; %d inserts, pruned %d by PR1, %d by PR2\n",
+		bst.KernelSearchStates, bst.KernelBFSRuns, bst.KernelBFSNodes, bst.Inserted, bst.PrunedPR1, bst.PrunedPR2)
 
 	if err := ix.SaveSnapshotFile(*bundle); err != nil {
 		fatalf("save snapshot: %v", err)

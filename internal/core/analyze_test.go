@@ -80,7 +80,7 @@ func TestBuildStats(t *testing.T) {
 	if st.Inserted != ix.NumEntries() {
 		t.Errorf("Inserted = %d, entries = %d", st.Inserted, ix.NumEntries())
 	}
-	if st.Attempts() != st.Inserted+st.PrunedPR1+st.PrunedPR2+st.PrunedDup {
+	if st.Attempts() != st.Inserted+st.PrunedPR1+st.PrunedPR2 {
 		t.Error("Attempts arithmetic broken")
 	}
 	if st.KernelSearchStates == 0 || st.KernelBFSRuns == 0 || st.KernelBFSNodes == 0 {
@@ -90,13 +90,10 @@ func TestBuildStats(t *testing.T) {
 		t.Errorf("Fig. 2 must exercise PR1 and PR2 (Example 6): %+v", st)
 	}
 
-	// With pruning off, no PR counters may fire and more entries land.
-	ix2, st2, err := BuildWithStats(graph.Fig2(), Options{K: 2, DisablePR1: true, DisablePR2: true, DisablePR3: true})
+	// With pruning off, more entries land.
+	ix2, err := BuildReference(graph.Fig2(), Options{K: 2}, Pruning{})
 	if err != nil {
 		t.Fatal(err)
-	}
-	if st2.PrunedPR1 != 0 || st2.PrunedPR2 != 0 {
-		t.Errorf("disabled rules still fired: %+v", st2)
 	}
 	if ix2.NumEntries() <= ix.NumEntries() {
 		t.Errorf("unpruned index not larger: %d vs %d", ix2.NumEntries(), ix.NumEntries())

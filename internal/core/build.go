@@ -13,36 +13,32 @@ import (
 // deterministic function of the graph and the Options.
 type BuildStats struct {
 	// KernelSearchStates is the number of (vertex, sequence) states the
-	// kernel-search phases visited. With PR1, PR2 and PR3 all on, a
-	// search does not visit a depth-k state ranked before its source —
-	// PR2 would reject it, and it would seed and expand nothing — so
-	// those states are not counted.
+	// kernel-search phases visited. A search does not visit a depth-k
+	// state ranked before its source — PR2 would reject it, and it would
+	// seed and expand nothing — so those states are not counted.
 	KernelSearchStates int64
 	// KernelBFSRuns is the number of kernel-guided BFS executions: one
-	// per kernel candidate of a KBS with a frontier vertex to seed. With
-	// PR1 and PR3 both on, only a vertex whose kernel-search insert
-	// succeeded seeds, so a kernel whose inserts were all rejected runs
-	// none.
+	// per kernel candidate of a KBS with a frontier vertex to seed. Only a
+	// vertex whose kernel-search insert succeeded seeds, so a kernel whose
+	// inserts were all rejected runs none.
 	KernelBFSRuns int64
 	// KernelBFSNodes is the number of (vertex, phase) nodes those runs
 	// dequeued.
 	KernelBFSNodes int64
-	// Inserted counts recorded entries; PrunedPR1/PR2/Dup count insert
-	// attempts each rule rejected. With PR2 and PR3 both on, a kernel-BFS
-	// step that completes a period does not visit the neighbours ranked
-	// before the source — PR2 would reject them and PR3 then stop there —
-	// so PrunedPR2 counts the kernel searches' rejections alone; with PR1
-	// on as well, only those of states short of depth k (see
-	// KernelSearchStates), which k = 1 has none of.
+	// Inserted counts recorded entries; PrunedPR1 and PrunedPR2 count
+	// insert attempts each rule rejected. A kernel-BFS step that completes
+	// a period does not visit the neighbours ranked before the source —
+	// PR2 would reject them and PR3 then stop there — so PrunedPR2 counts
+	// the kernel searches' rejections of states short of depth k alone
+	// (see KernelSearchStates), which k = 1 has none of.
 	Inserted  int64
 	PrunedPR1 int64
 	PrunedPR2 int64
-	PrunedDup int64
 }
 
 // Attempts returns the total number of insert attempts.
 func (s BuildStats) Attempts() int64 {
-	return s.Inserted + s.PrunedPR1 + s.PrunedPR2 + s.PrunedDup
+	return s.Inserted + s.PrunedPR1 + s.PrunedPR2
 }
 
 // Build constructs the RLC index for g — Algorithm 2 of the paper. Vertices
@@ -54,11 +50,14 @@ func (s BuildStats) Attempts() int64 {
 // disambiguate (an implementation choice the original paper leaves open): the kernel-search frontier registers
 // the newly visited endpoint of each path (Example 5), and the kernel-BFS
 // keeps expanding after a *successful* insert but stops — rule PR3 — when
-// the insert was pruned by PR1 or PR2 (Examples 5 and 6). With PR1 and PR3
-// both on, the kernel search applies PR3 too: an endpoint whose own insert
-// was pruned is not registered, so it seeds no kernel-BFS, and with PR2 on
-// too, a depth-k state ranked before the source is not visited at all
-// (builder.go, kbs, argues why the index does not change).
+// the insert was pruned by PR1 or PR2 (Examples 5 and 6). BuildReference
+// (reference.go) is that algorithm as stated. Build takes three shortcuts:
+// the kernel search applies PR3 too — an endpoint whose own insert was
+// pruned is not registered, so it seeds no kernel-BFS — a depth-k state
+// ranked before the source is not visited at all, and kernel BFS does not
+// look at the neighbours PR2 would reject (builder.go, kbs, argues why the
+// index does not change; the tests check that it writes BuildReference's
+// bytes).
 func Build(g *graph.Graph, opts Options) (*Index, error) {
 	ix, _, err := BuildWithStats(g, opts)
 	return ix, err
@@ -75,40 +74,12 @@ func BuildWithStats(g *graph.Graph, opts Options) (*Index, BuildStats, error) {
 // budgeting dropped the demoted ones) — the pre-pack oracle of the
 // differential tests.
 func buildWithLists(g *graph.Graph, opts Options) (ix *Index, out, in [][]entry, stats BuildStats, err error) {
-	k := opts.k()
-	if k < 1 || k > MaxK {
-		return nil, nil, nil, stats, fmt.Errorf("rlc: recursive k must be in [1, %d], got %d", MaxK, k)
+	if ix, err = newIndex(g, opts); err != nil {
+		return nil, nil, nil, stats, err
 	}
-	if opts.MaxIndexBytes < 0 {
-		return nil, nil, nil, stats, fmt.Errorf("rlc: MaxIndexBytes must be >= 0 (0 = unlimited), got %d", opts.MaxIndexBytes)
-	}
-	if g.NumVertices() == 0 {
-		return nil, nil, nil, stats, fmt.Errorf("rlc: cannot index an empty graph")
-	}
-	numLabels := g.NumLabels()
-	if numLabels == 0 {
-		numLabels = 1 // edgeless graph: any tiny dictionary works
-	}
-	dict, err := labelseq.NewDict(numLabels, k)
-	if err != nil {
-		return nil, nil, nil, stats, fmt.Errorf("rlc: %w", err)
-	}
-
-	n := g.NumVertices()
-	ix = &Index{
-		g:     g,
-		k:     k,
-		opts:  opts,
-		dict:  dict,
-		order: accessOrder(g, opts.Order),
-		rank:  make([]int32, n),
-	}
-	for r, v := range ix.order {
-		ix.rank[v] = int32(r)
-	}
-
 	// The builder works in rank space: source r is vertex ix.order[r], and
 	// its lists come back indexed by rank.
+	n := g.NumVertices()
 	b := newBuilder(ix)
 	for r := range int32(n) {
 		b.kbs(r, backward)
@@ -122,6 +93,41 @@ func buildWithLists(g *graph.Graph, opts Options) (ix *Index, out, in [][]entry,
 		return nil, nil, nil, b.stats, err
 	}
 	return ix, out, in, b.stats, nil
+}
+
+// newIndex validates opts and returns the index both builders fill and
+// seal: an empty MR dictionary over g's labels and the access order.
+func newIndex(g *graph.Graph, opts Options) (*Index, error) {
+	k := opts.k()
+	if k < 1 || k > MaxK {
+		return nil, fmt.Errorf("rlc: recursive k must be in [1, %d], got %d", MaxK, k)
+	}
+	if opts.MaxIndexBytes < 0 {
+		return nil, fmt.Errorf("rlc: MaxIndexBytes must be >= 0 (0 = unlimited), got %d", opts.MaxIndexBytes)
+	}
+	if g.NumVertices() == 0 {
+		return nil, fmt.Errorf("rlc: cannot index an empty graph")
+	}
+	numLabels := g.NumLabels()
+	if numLabels == 0 {
+		numLabels = 1 // edgeless graph: any tiny dictionary works
+	}
+	dict, err := labelseq.NewDict(numLabels, k)
+	if err != nil {
+		return nil, fmt.Errorf("rlc: %w", err)
+	}
+	ix := &Index{
+		g:     g,
+		k:     k,
+		opts:  opts,
+		dict:  dict,
+		order: accessOrder(g, opts.Order),
+		rank:  make([]int32, g.NumVertices()),
+	}
+	for r, v := range ix.order {
+		ix.rank[v] = int32(r)
+	}
+	return ix, nil
 }
 
 // accessOrder materializes the configured vertex processing order.
@@ -168,14 +174,4 @@ type direction uint8
 const (
 	backward direction = iota
 	forward
-)
-
-// insertStatus reports what insert did with a candidate entry.
-type insertStatus uint8
-
-const (
-	inserted  insertStatus = iota
-	prunedPR1              // reachability derivable from the current snapshot
-	prunedPR2              // the visited vertex has a smaller access rank than the source
-	prunedDup              // exact entry already present
 )

@@ -28,11 +28,11 @@ type searchState struct {
 }
 
 // kernelFrontier collects the frontier vertices of one kernel candidate, in
-// the order the kernel search met them. With seedPR3 a vertex is listed
-// once — Case 2 of PR1 rejects its later inserts of the same kernel —
-// otherwise a vertex met twice is listed twice and kernelBFS seeds it once.
-// The kernel is the memo slot mr, whose code is code. The builder recycles
-// these (and their vertex slices) from one KBS to the next.
+// the order the kernel search met them. A vertex is listed once — it is
+// listed only if its insert succeeded, and Case 2 of PR1 rejects its later
+// inserts of the same kernel. The kernel is the memo slot mr, whose code is
+// code. The builder recycles these (and their vertex slices) from one KBS to
+// the next.
 type kernelFrontier struct {
 	code  labelseq.Code
 	mr    int32
@@ -104,21 +104,6 @@ type builder struct {
 	stamp   uint32
 	bfsQ    []kbsNode
 
-	// skipPR2 is set when PR2 and PR3 are both on: a kernel-BFS step that
-	// completes a period then follows only the neighbours ranked at or
-	// after the source, since PR2 would reject the others and PR3 would
-	// then not expand them.
-	skipPR2 bool
-	// seedPR3 is set when PR1 and PR3 are both on: PR3 reaches into the
-	// kernel search, which registers a frontier vertex only if its own
-	// insert succeeded (kbs argues why that drops no entry).
-	seedPR3 bool
-	// searchPR2 is set when PR1, PR2 and PR3 are all on: the kernel search
-	// drops a depth-k state ranked before the source unvisited and settles
-	// an inner one as PR2 without its MR (kbs argues why neither changes
-	// the index).
-	searchPR2 bool
-
 	stats BuildStats
 }
 
@@ -151,9 +136,6 @@ func newBuilder(ix *Index) *builder {
 		mrOf:       newStampTable(scratchLogSlots),
 		fixedAt:    make([]fixedHub, n),
 		visited:    make([]uint32, n*ix.k),
-		skipPR2:    !ix.opts.DisablePR2 && !ix.opts.DisablePR3,
-		seedPR3:    !ix.opts.DisablePR1 && !ix.opts.DisablePR3,
-		searchPR2:  !ix.opts.DisablePR1 && !ix.opts.DisablePR2 && !ix.opts.DisablePR3,
 	}
 }
 
@@ -311,11 +293,14 @@ func (c *labelCSR) edgesFrom(v int32, l labelseq.Label, src int32) []int32 {
 // kbs runs one kernel-based search from src: the kernel-search phase
 // enumerates every path of length <= k touching src on the given side,
 // inserting entries and registering kernel candidates; the kernel-BFS phase
-// then extends each candidate under its Kleene plus.
+// then extends each candidate under its Kleene plus. It takes three
+// shortcuts past Algorithm 2 as stated (BuildReference); each changes
+// counters, never an entry or the order entries are inserted in, and the
+// tests check that Build writes BuildReference's bytes.
 //
-// With PR1 and PR3 both on, a vertex y whose kernel-search insert of
-// (src, L) was rejected seeds no kernel BFS of L — PR3 carried into the
-// kernel search. The rejection has one of four witnesses:
+// PR3 reaches into the kernel search: a vertex y whose kernel-search insert
+// of (src, L) was rejected seeds no kernel BFS of L. The rejection has one
+// of four witnesses:
 //   - PR1, Case 1 or Case 2 on the fixed side: a hub h ranked before src
 //     with y ⇝ h ⇝ src under L+ (h = y in the second case);
 //   - PR2: y itself is ranked before src, and y ⇝ src spells L;
@@ -335,17 +320,20 @@ func (c *labelCSR) edgesFrom(v int32, l labelseq.Label, src int32) []int32 {
 // PrunedPR1 fall. A rejected y a BFS meets later is attempted again and,
 // the index only growing, rejected again.
 //
-// With PR2 on as well (searchPR2), a kernel-search state whose vertex y is
-// ranked before src touches nothing but the counters: PR2 rejects its
-// insert, so it adds no entry and interns no MR, and seedPR3 then registers
-// no frontier for it. A depth-k state is not enqueued either, so the kernel
-// search drops it before its seen probe. Its (code, y) key cannot stand in
-// for another state's, because codes are unique across lengths: every
-// state with that code is a depth-k leaf ranked before src too, never an
-// inner one. Only KernelSearchStates and PrunedPR2 fall, by the same
-// amount. An inner state ranked before src is still deduplicated and
-// enqueued — paths through it may end at or after src — and counted as
-// PR2, but its MR is never computed.
+// A kernel-search state whose vertex y is ranked before src touches
+// nothing but the counters: PR2 rejects its insert, so it adds no entry and
+// interns no MR, and it then registers no frontier. A depth-k state is not
+// enqueued either, so the kernel search drops it before its seen probe.
+// Its (code, y) key cannot stand in for another state's, because codes are
+// unique across lengths: every state with that code is a depth-k leaf
+// ranked before src too, never an inner one. Only KernelSearchStates and
+// PrunedPR2 fall, by the same amount. An inner state ranked before src is
+// still deduplicated and enqueued — paths through it may end at or after
+// src — and counted as PR2, but its MR is never computed.
+//
+// A kernel-BFS step that completes a period follows only the neighbours
+// ranked at or after src: PR2 would reject the others and PR3 then not
+// expand them, so only PrunedPR2 falls.
 func (b *builder) kbs(src int32, dir direction) {
 	b.loadFixed(src, dir)
 	b.kernelSearch(src, dir)
@@ -397,11 +385,11 @@ func (b *builder) fixedHas(hub int32, mr labelseq.ID) bool {
 }
 
 // kernelSearch is phase 1: a BFS over (vertex, label-sequence) states up to
-// depth k. Every state visit attempts an insert and registers the endpoint
-// as a frontier vertex of the state's minimum repeat — with seedPR3,
-// only if that insert succeeded. The search itself never stops on a
-// rejection: its states are paths of at most k labels, not L-powers.
-// With searchPR2, states ranked before src are cut short as kbs describes.
+// depth k. Every state visit attempts an insert and, if that insert
+// succeeded, registers the endpoint as a frontier vertex of the state's
+// minimum repeat. The search itself never stops on a rejection: its states
+// are paths of at most k labels, not L-powers. States ranked before src are
+// cut short as kbs describes.
 func (b *builder) kernelSearch(src int32, dir direction) {
 	b.seen.reset()
 	b.frontierOf.reset()
@@ -421,7 +409,7 @@ func (b *builder) kernelSearch(src int32, dir direction) {
 		nbrs, lbls := adj.edges(st.v)
 		for i := range nbrs {
 			y, l := nbrs[i], lbls[i]
-			if leaf && b.searchPR2 && y < src {
+			if leaf && y < src {
 				continue
 			}
 			next := searchState{v: y, depth: st.depth + 1}
@@ -437,13 +425,10 @@ func (b *builder) kernelSearch(src int32, dir direction) {
 			}
 			b.stats.KernelSearchStates++
 
-			if b.searchPR2 && y < src {
+			if y < src {
 				b.stats.PrunedPR2++
-			} else {
-				mr := b.minRepeat(next.code, next.depth)
-				if st := b.insert(y, src, dir, mr); st == inserted || !b.seedPR3 {
-					b.registerFrontier(mr, y)
-				}
+			} else if mr := b.minRepeat(next.code, next.depth); b.insert(y, src, dir, mr) {
+				b.registerFrontier(mr, y)
 			}
 
 			if !leaf {
@@ -492,7 +477,8 @@ func (b *builder) registerFrontier(mr int32, v int32) {
 // candidate L (each the endpoint of an exact L-power path), walk the graph
 // under the constraint L+. The phase of a node is the number of labels
 // consumed in the current period; completing a period (phase back to 0)
-// attempts an insert, and — PR3 — a pruned insert stops expansion there.
+// attempts an insert at the neighbours ranked at or after src, and — PR3 —
+// a pruned insert stops expansion there.
 func (b *builder) kernelBFS(src int32, dir direction, f *kernelFrontier) {
 	kernel := b.mrs[f.mr].seq
 	m := int32(len(kernel))
@@ -534,7 +520,7 @@ func (b *builder) kernelBFS(src int32, dir direction, f *kernelFrontier) {
 			next = 0
 		}
 		var nbrs []int32
-		if next == 0 && b.skipPR2 {
+		if next == 0 {
 			nbrs = runs.edgesFrom(nd.v, expected, src)
 		} else {
 			nbrs = runs.edges(nd.v, expected)
@@ -547,9 +533,9 @@ func (b *builder) kernelBFS(src int32, dir direction, f *kernelFrontier) {
 			if next == 0 {
 				// y sits at a completed power L^m: record it.
 				// a successful insert appends to y's entry list (and interns a new MR)
-				st := b.insert(y, src, dir, f.mr)
+				ok := b.insert(y, src, dir, f.mr)
 				b.mark(y, 0)
-				if st != inserted && !b.ix.opts.DisablePR3 {
+				if !ok {
 					// PR3: y and everything beyond it are skipped.
 					continue
 				}
@@ -571,25 +557,21 @@ func (b *builder) isMarked(v, phase int32) bool {
 }
 
 // insert is insertCore plus the outcome counters.
-func (b *builder) insert(y, src int32, dir direction, mr int32) insertStatus {
-	st := b.insertCore(y, src, dir, mr)
-	switch st {
-	case inserted:
+func (b *builder) insert(y, src int32, dir direction, mr int32) bool {
+	ok := b.insertCore(y, src, dir, mr)
+	if ok {
 		b.stats.Inserted++
-	case prunedPR1:
+	} else {
 		b.stats.PrunedPR1++
-	case prunedPR2:
-		b.stats.PrunedPR2++
-	case prunedDup:
-		b.stats.PrunedDup++
 	}
-	return st
+	return ok
 }
 
 // insertCore attempts to record that y and src are connected by a path whose
 // k-MR is the one in memo slot mr: backward searches add (src, mr) to
-// Lout(y); forward searches add (src, mr) to Lin(y). Pruning rules PR1 and
-// PR2 run first.
+// Lout(y); forward searches add (src, mr) to Lin(y). It reports whether it
+// did; PR1 runs first. y is never ranked before src: the callers leave
+// those to PR2 (see kbs).
 //
 // The PR1 check is algebraically Query(y, src, mr+) (backward) or
 // Query(src, y, mr+) (forward) on the current snapshot, evaluated here as
@@ -597,14 +579,8 @@ func (b *builder) insert(y, src int32, dir direction, mr int32) insertStatus {
 // fixed side is (y, mr) in the fixed list — only possible when y <= src, as
 // no hub past src has searched yet; Case 2 on y's side is an entry with hub
 // src; Case 1 is an entry of y whose (hub, mr) the fixed list also holds.
-func (b *builder) insertCore(y, src int32, dir direction, mr int32) insertStatus {
+func (b *builder) insertCore(y, src int32, dir direction, mr int32) bool {
 	ix := b.ix
-	// PR2: skip entries at vertices with a strictly smaller rank than the
-	// search source — their own earlier searches covered this pair.
-	if !ix.opts.DisablePR2 && y < src {
-		return prunedPR2
-	}
-
 	var yList []entry
 	if dir == backward {
 		yList = b.out[y]
@@ -619,24 +595,13 @@ func (b *builder) insertCore(y, src int32, dir direction, mr int32) insertStatus
 		m.id = ix.dict.LookupCode(m.code)
 	}
 	if id := m.id; id != labelseq.InvalidID {
-		if !ix.opts.DisablePR1 {
-			// PR1: already answerable from the current snapshot.
-			if y <= src && b.fixedHas(y, id) {
-				return prunedPR1
-			}
-			for _, e := range yList {
-				if e.mr != id {
-					continue
-				}
-				if e.hub == src || b.fixedHas(e.hub, id) {
-					return prunedPR1
-				}
-			}
-		} else {
-			// Without PR1 still refuse exact duplicates, otherwise
-			// entry lists would grow unboundedly within one search.
-			if hasEntry(yList, src, id) {
-				return prunedDup
+		// PR1: already answerable from the current snapshot.
+		if y <= src && b.fixedHas(y, id) {
+			return false
+		}
+		for _, e := range yList {
+			if e.mr == id && (e.hub == src || b.fixedHas(e.hub, id)) {
+				return false
 			}
 		}
 	} else {
@@ -648,5 +613,5 @@ func (b *builder) insertCore(y, src int32, dir direction, mr int32) insertStatus
 	} else {
 		b.in[y] = append(b.in[y], e)
 	}
-	return inserted
+	return true
 }

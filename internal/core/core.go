@@ -57,14 +57,6 @@ type Options struct {
 	// IN-OUT strategy.
 	Order Order
 
-	// DisablePR1/2/3 switch off the corresponding pruning rule. The index
-	// remains sound and complete with any combination disabled (it only
-	// grows and takes longer to build); the flags exist for the ablation
-	// benchmarks and for the robustness property tests.
-	DisablePR1 bool
-	DisablePR2 bool
-	DisablePR3 bool
-
 	// MaxIndexBytes caps the index size (same accounting as SizeBytes; 0 =
 	// unlimited). When the full index exceeds it, the builder keeps complete
 	// entry lists only for the access-order prefix that fits and demotes
@@ -385,25 +377,4 @@ func (ix *Index) queryByID(s, t graph.Vertex, mr labelseq.ID) bool {
 		return true
 	}
 	return p.joinGroups(outS, inT, mr)
-}
-
-// hasEntry reports whether list (sorted by hub) contains (hub, mr) — the
-// builder's dup check on its mutable lists, and the pre-pack oracle of the
-// differential tests.
-func hasEntry(list []entry, hub int32, mr labelseq.ID) bool {
-	i, j := 0, len(list)
-	for i < j {
-		h := int(uint(i+j) >> 1)
-		if list[h].hub < hub {
-			i = h + 1
-		} else {
-			j = h
-		}
-	}
-	for ; i < len(list) && list[i].hub == hub; i++ {
-		if list[i].mr == mr {
-			return true
-		}
-	}
-	return false
 }

@@ -134,19 +134,23 @@ func TestFig2MatchesTableII(t *testing.T) {
 // TestExhaustiveEquivalence is the cornerstone correctness test: on many
 // random graphs, the index must agree with online traversal for every
 // vertex pair and every primitive constraint up to length k — under every
-// pruning configuration.
+// pruning configuration. All rules on is Build; each ablation is
+// BuildReference with those rules off.
 func TestExhaustiveEquivalence(t *testing.T) {
 	r := rand.New(rand.NewSource(100))
-	pruneConfigs := []Options{
-		{}, // all rules on (the paper's algorithm)
-		{DisablePR1: true},
-		{DisablePR2: true},
-		{DisablePR3: true},
-		{DisablePR1: true, DisablePR2: true, DisablePR3: true},
-		{Order: OrderDegreeSum},
-		{Order: OrderNatural},
-		{Order: OrderReverse},
-		{Order: OrderReverse, DisablePR3: true},
+	pruneConfigs := []struct {
+		order Order
+		rules Pruning
+	}{
+		{OrderInOut, allRules}, // the paper's algorithm
+		{OrderInOut, Pruning{PR2: true, PR3: true}},
+		{OrderInOut, Pruning{PR1: true, PR3: true}},
+		{OrderInOut, Pruning{PR1: true, PR2: true}},
+		{OrderInOut, Pruning{}},
+		{OrderDegreeSum, allRules},
+		{OrderNatural, allRules},
+		{OrderReverse, allRules},
+		{OrderReverse, Pruning{PR1: true, PR2: true}},
 	}
 	trials := 30
 	if testing.Short() {
@@ -158,8 +162,7 @@ func TestExhaustiveEquivalence(t *testing.T) {
 		g := randomGraph(r, n, labels, 1+r.Intn(3*n))
 		k := 1 + r.Intn(3)
 		for _, cfg := range pruneConfigs {
-			cfg.K = k
-			ix, err := Build(g, cfg)
+			ix, err := buildWith(g, Options{K: k, Order: cfg.order}, cfg.rules)
 			if err != nil {
 				t.Fatalf("trial %d cfg %+v: %v", trial, cfg, err)
 			}
@@ -215,7 +218,10 @@ func TestPruningShrinksIndex(t *testing.T) {
 	for trial := 0; trial < 10; trial++ {
 		g := randomGraph(r, 12, 2, 40)
 		full := mustBuild(t, g, Options{K: 2})
-		none := mustBuild(t, g, Options{K: 2, DisablePR1: true, DisablePR2: true, DisablePR3: true})
+		none, err := BuildReference(g, Options{K: 2}, Pruning{})
+		if err != nil {
+			t.Fatal(err)
+		}
 		if none.NumEntries() < full.NumEntries() {
 			t.Fatalf("trial %d: pruning made the index bigger: %d (pruned) vs %d (unpruned)",
 				trial, full.NumEntries(), none.NumEntries())

@@ -99,9 +99,18 @@ type listOracle struct {
 	out, in [][]entry
 }
 
-func buildWithOracle(t testing.TB, g *graph.Graph, opts Options) (*Index, listOracle) {
+// buildWithOracle builds g with Build when rules are allRules, with
+// BuildReference otherwise, and returns the index with its entry lists.
+func buildWithOracle(t testing.TB, g *graph.Graph, opts Options, rules Pruning) (*Index, listOracle) {
 	t.Helper()
-	ix, out, in, _, err := buildWithLists(g, opts)
+	var ix *Index
+	var out, in [][]entry
+	var err error
+	if rules == allRules {
+		ix, out, in, _, err = buildWithLists(g, opts)
+	} else {
+		ix, out, in, err = buildReference(g, opts, rules)
+	}
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,6 +120,26 @@ func buildWithOracle(t testing.TB, g *graph.Graph, opts Options) (*Index, listOr
 func (o listOracle) queryByID(s, t graph.Vertex, mr labelseq.ID) bool {
 	outS, inT := o.out[s], o.in[t]
 	return hasEntry(outS, o.rank[t], mr) || hasEntry(inT, o.rank[s], mr) || joinHas(outS, inT, mr)
+}
+
+// hasEntry reports whether list (sorted by hub) contains (hub, mr) —
+// Case 2 of Definition 4 on an entry list.
+func hasEntry(list []entry, hub int32, mr labelseq.ID) bool {
+	i, j := 0, len(list)
+	for i < j {
+		h := int(uint(i+j) >> 1)
+		if list[h].hub < hub {
+			i = h + 1
+		} else {
+			j = h
+		}
+	}
+	for ; i < len(list) && list[i].hub == hub; i++ {
+		if list[i].mr == mr {
+			return true
+		}
+	}
+	return false
 }
 
 // joinHas merge-joins two hub-sorted entry lists and reports whether some
@@ -187,7 +216,7 @@ func TestPackedEquivalenceProperty(t *testing.T) {
 	for name, g := range packedPropertyGraphs(t) {
 		for k := 1; k <= 3; k++ {
 			t.Run(fmt.Sprintf("%s/k%d", name, k), func(t *testing.T) {
-				packed, lists := buildWithOracle(t, g, Options{K: k})
+				packed, lists := buildWithOracle(t, g, Options{K: k}, allRules)
 				// Exhaustive packed == lists over every pair and MR.
 				assertMatchesLists(t, packed, lists)
 				// Sampled equality against the traversal oracle ties both
@@ -421,8 +450,9 @@ func BenchmarkQueryPacked(b *testing.B) {
 // (the quickGraphSpec scheme), which is answered simultaneously by the
 // packed index, the builder's pre-pack entry lists, and — to anchor both —
 // the online traversal. Any divergence fails. The option byte picks the
-// build (fuzzOptions), so every access order and pruning ablation — each a
-// different path through the builder — is held to the same answers.
+// build (fuzzOptions): every access order, through Build with every pruning
+// rule on — where BuildReference must also write Build's bundle bytes — and
+// through BuildReference under each pruning ablation.
 func FuzzPackedEquivalence(f *testing.F) {
 	f.Add([]byte{1, 0, 2, 3, 1, 4}, uint8(1), uint8(4), []byte{0, 1}, uint8(0))
 	f.Add([]byte{0, 0, 1, 1, 1, 2, 2, 2, 0}, uint8(0), uint8(2), []byte{1}, uint8(0))
@@ -435,7 +465,17 @@ func FuzzPackedEquivalence(f *testing.F) {
 		if g.NumVertices() == 0 {
 			return
 		}
-		packed, lists := buildWithOracle(t, g, fuzzOptions(o))
+		opts, rules := fuzzOptions(o)
+		packed, lists := buildWithOracle(t, g, opts, rules)
+		if rules == allRules {
+			ref, err := BuildReference(g, opts, rules)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(serialize(t, ref), serialize(t, packed)) {
+				t.Fatalf("BuildReference and Build write different bundles (options %+v)", opts)
+			}
+		}
 		src := graph.Vertex(spec.S) % 10
 		dst := graph.Vertex(spec.T) % 10
 		q := spec.constraint()
@@ -460,14 +500,8 @@ func FuzzPackedEquivalence(f *testing.F) {
 }
 
 // fuzzOptions decodes FuzzPackedEquivalence's option byte into a k = 2
-// build: bits 0-1 pick the access order, bits 2, 3 and 4 disable PR1, PR2
-// and PR3. Zero is the default build.
-func fuzzOptions(o uint8) Options {
-	return Options{
-		K:          2,
-		Order:      Order(o & 3),
-		DisablePR1: o&4 != 0,
-		DisablePR2: o&8 != 0,
-		DisablePR3: o&16 != 0,
-	}
+// build: bits 0-1 pick the access order, bits 2, 3 and 4 switch PR1, PR2
+// and PR3 off. Zero is the default build.
+func fuzzOptions(o uint8) (Options, Pruning) {
+	return Options{K: 2, Order: Order(o & 3)}, Pruning{PR1: o&4 == 0, PR2: o&8 == 0, PR3: o&16 == 0}
 }

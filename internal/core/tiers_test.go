@@ -538,9 +538,9 @@ func TestGoldenTierSections(t *testing.T) {
 // allocates nothing. The sweep reaches all three probeTiered branches and
 // every verdict each can return. tierTrue needs a demoted hub on a retained
 // vertex's list, which PR2 prunes and, without PR2, PR1 does, so the sweep
-// covers an index built without both as well. Under the race detector it
-// leaves out the tier-3 searches (tierMaybe), whose evaluators sync.Pool may
-// drop.
+// covers an index BuildReference built without both as well. Under the race
+// detector it leaves out the tier-3 searches (tierMaybe), whose evaluators
+// sync.Pool may drop.
 func TestTierFilterProbeAllocFree(t *testing.T) {
 	r := rand.New(rand.NewSource(67))
 	g := randomGraph(r, 48, 3, 220)
@@ -552,11 +552,17 @@ func TestTierFilterProbeAllocFree(t *testing.T) {
 	var sweep []query
 	branches := [3]string{"s retained, t demoted", "t retained, s demoted", "both demoted"}
 	var seen [3][3]int // [branch][verdict]
-	for _, opts := range []Options{{K: 2}, {K: 2, DisablePR1: true, DisablePR2: true}} {
-		opts.MaxIndexBytes = mustBuild(t, g, opts).SizeBytes() / 2
-		ix := mustBuild(t, g, opts)
+	for _, rules := range []Pruning{allRules, {PR3: true}} {
+		full, err := buildWith(g, Options{K: 2}, rules)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ix, err := buildWith(g, Options{K: 2, MaxIndexBytes: full.SizeBytes() / 2}, rules)
+		if err != nil {
+			t.Fatal(err)
+		}
 		if !ix.Tiered() {
-			t.Fatalf("%+v: not tiered", opts)
+			t.Fatalf("%+v: not tiered", rules)
 		}
 		retained := ix.tiers.retainedRanks
 		for s := graph.Vertex(0); int(s) < g.NumVertices(); s++ {

@@ -3,9 +3,10 @@ package etc
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
+	"github.com/g-rpqs/rlc-go/internal/core"
 	"github.com/g-rpqs/rlc-go/internal/graph"
 	"github.com/g-rpqs/rlc-go/internal/labelseq"
 )
@@ -38,20 +39,22 @@ type ETC struct {
 	g    *graph.Graph
 	k    int
 	dict *labelseq.Dict
-	// pairs maps src<<32|dst to the sorted ids of the k-MRs of paths
-	// between the pair.
+	// pairs maps src<<32|dst to the ids of the k-MRs of paths between
+	// the pair.
 	pairs   map[uint64][]labelseq.ID
 	records int64
 }
 
 func pairKey(u, v graph.Vertex) uint64 { return uint64(uint32(u))<<32 | uint64(uint32(v)) }
 
-// Build materializes the ETC of g. It returns ErrBudget (wrapped) when the
-// configured limits are hit.
+// Build materializes the ETC of g: Algorithm 2's forward kernel-based
+// search from every vertex, with no pruning rule, recording every pair and
+// k-MR it meets. It returns ErrBudget (wrapped) when the configured limits
+// are hit.
 func Build(g *graph.Graph, opts Options) (*ETC, error) {
 	k := opts.k()
-	if k < 1 {
-		return nil, fmt.Errorf("etc: k must be positive, got %d", k)
+	if k < 1 || k > core.MaxK {
+		return nil, fmt.Errorf("etc: k must be in [1, %d], got %d", core.MaxK, k)
 	}
 	numLabels := g.NumLabels()
 	if numLabels == 0 {
@@ -67,170 +70,32 @@ func Build(g *graph.Graph, opts Options) (*ETC, error) {
 		dict:  dict,
 		pairs: make(map[uint64][]labelseq.ID),
 	}
-	b := &closureBuilder{
-		etc:     e,
-		coder:   dict.Coder(),
-		seen:    make(map[dedupKey]struct{}),
-		visited: make([]uint32, g.NumVertices()*k),
-		start:   time.Now(),
-	}
+	kbs := core.NewKBS(g, dict.Coder(), k)
+	start := time.Now()
 	for src := graph.Vertex(0); int(src) < g.NumVertices(); src++ {
-		if opts.TimeLimit > 0 && time.Since(b.start) > opts.TimeLimit {
+		if opts.TimeLimit > 0 && time.Since(start) > opts.TimeLimit {
 			return nil, fmt.Errorf("%w: time limit %v at vertex %d/%d", ErrBudget, opts.TimeLimit, src, g.NumVertices())
 		}
 		if opts.MaxPairEntries > 0 && e.records > opts.MaxPairEntries {
 			return nil, fmt.Errorf("%w: %d records exceed cap %d", ErrBudget, e.records, opts.MaxPairEntries)
 		}
-		b.closureFrom(src)
+		kbs.Run(src, true, func(y graph.Vertex, mr labelseq.Seq, code labelseq.Code) bool {
+			e.record(src, y, dict.InternCode(code, mr))
+			return true
+		})
 	}
 	return e, nil
 }
 
-type dedupKey struct {
-	v    graph.Vertex
-	code labelseq.Code
-}
-
-type frontier struct {
-	kernel labelseq.Seq
-	code   labelseq.Code
-	verts  []graph.Vertex
-	member map[graph.Vertex]struct{}
-}
-
-type closureBuilder struct {
-	etc     *ETC
-	coder   *labelseq.Coder
-	seen    map[dedupKey]struct{}
-	queue   []state
-	fronts  map[labelseq.Code]*frontier
-	visited []uint32
-	stamp   uint32
-	bfsQ    []node
-	start   time.Time
-}
-
-type state struct {
-	v     graph.Vertex
-	code  labelseq.Code
-	depth int32
-	seq   [8]labelseq.Label
-}
-
-type node struct {
-	v     graph.Vertex
-	phase int32
-}
-
-// closureFrom runs an unpruned forward KBS from src: kernel-search up to
-// depth k, then a kernel-BFS per kernel candidate.
-func (b *closureBuilder) closureFrom(src graph.Vertex) {
-	clear(b.seen)
-	b.fronts = make(map[labelseq.Code]*frontier)
-	b.queue = b.queue[:0]
-	b.queue = append(b.queue, state{v: src})
-	b.seen[dedupKey{src, 0}] = struct{}{}
-	k := b.etc.k
-
-	for head := 0; head < len(b.queue); head++ {
-		st := b.queue[head]
-		dsts, lbls := b.etc.g.OutEdges(st.v)
-		for i := range dsts {
-			y, l := dsts[i], lbls[i]
-			var next state
-			next.v = y
-			next.depth = st.depth + 1
-			copy(next.seq[:], st.seq[:st.depth])
-			next.seq[st.depth] = l
-			next.code = b.coder.Append(st.code, l)
-			key := dedupKey{y, next.code}
-			if _, dup := b.seen[key]; dup {
-				continue
-			}
-			b.seen[key] = struct{}{}
-
-			mr := labelseq.MinimumRepeat(labelseq.Seq(next.seq[:next.depth]))
-			mrCode := b.coder.Encode(mr)
-			b.record(src, y, mr, mrCode)
-			b.registerFrontier(mrCode, mr, y)
-			if int(next.depth) < k {
-				b.queue = append(b.queue, next)
-			}
-		}
-	}
-
-	codes := make([]labelseq.Code, 0, len(b.fronts))
-	for c := range b.fronts {
-		codes = append(codes, c)
-	}
-	sort.Slice(codes, func(i, j int) bool { return codes[i] < codes[j] })
-	for _, c := range codes {
-		b.kernelBFS(src, b.fronts[c])
-	}
-}
-
-func (b *closureBuilder) registerFrontier(code labelseq.Code, kernel labelseq.Seq, v graph.Vertex) {
-	f := b.fronts[code]
-	if f == nil {
-		f = &frontier{kernel: kernel.Clone(), code: code, member: make(map[graph.Vertex]struct{})}
-		b.fronts[code] = f
-	}
-	if _, ok := f.member[v]; ok {
+// record adds (u, v, mr) unless the closure holds it already.
+func (e *ETC) record(u, v graph.Vertex, mr labelseq.ID) {
+	key := pairKey(u, v)
+	list := e.pairs[key]
+	if slices.Contains(list, mr) {
 		return
 	}
-	f.member[v] = struct{}{}
-	f.verts = append(f.verts, v)
-}
-
-func (b *closureBuilder) kernelBFS(src graph.Vertex, f *frontier) {
-	m := int32(len(f.kernel))
-	b.stamp++
-	if b.stamp == 0 {
-		for i := range b.visited {
-			b.visited[i] = 0
-		}
-		b.stamp = 1
-	}
-	k := b.etc.k
-	b.bfsQ = b.bfsQ[:0]
-	for _, v := range f.verts {
-		b.visited[int(v)*k] = b.stamp
-		b.bfsQ = append(b.bfsQ, node{v, 0})
-	}
-	for head := 0; head < len(b.bfsQ); head++ {
-		nd := b.bfsQ[head]
-		expected := f.kernel[nd.phase]
-		dsts, lbls := b.etc.g.OutEdges(nd.v)
-		next := (nd.phase + 1) % m
-		for i := range dsts {
-			if lbls[i] != expected {
-				continue
-			}
-			y := dsts[i]
-			slot := int(y)*k + int(next)
-			if b.visited[slot] == b.stamp {
-				continue
-			}
-			b.visited[slot] = b.stamp
-			if next == 0 {
-				b.record(src, y, f.kernel, f.code)
-			}
-			b.bfsQ = append(b.bfsQ, node{y, next})
-		}
-	}
-}
-
-func (b *closureBuilder) record(u, v graph.Vertex, mr labelseq.Seq, mrCode labelseq.Code) {
-	id := b.etc.dict.InternCode(mrCode, mr)
-	key := pairKey(u, v)
-	list := b.etc.pairs[key]
-	for _, have := range list {
-		if have == id {
-			return
-		}
-	}
-	b.etc.pairs[key] = append(list, id)
-	b.etc.records++
+	e.pairs[key] = append(list, mr)
+	e.records++
 }
 
 // Query answers the RLC query (s, t, L+) from the materialized closure.

@@ -1,11 +1,13 @@
 package etc
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"time"
 
 	"github.com/g-rpqs/rlc-go/internal/core"
+	"github.com/g-rpqs/rlc-go/internal/datasets"
 	"github.com/g-rpqs/rlc-go/internal/graph"
 	"github.com/g-rpqs/rlc-go/internal/labelseq"
 	"github.com/g-rpqs/rlc-go/internal/traversal"
@@ -85,6 +87,65 @@ func TestETCAgreesWithTraversalAndIndex(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestETCIsUnprunedAlgorithm2: ETC is Algorithm 2's forward half with no
+// pruning rule, so it records one (pair, k-MR) per Lin entry of the index
+// BuildReference builds with no rule — and, every path having two ends, per
+// Lout entry — and answers every query as that index does.
+func TestETCIsUnprunedAlgorithm2(t *testing.T) {
+	check := func(name string, g *graph.Graph, k int, queries bool) {
+		e, err := Build(g, Options{K: k})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ix, err := core.BuildReference(g, core.Options{K: k}, core.Pruning{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st := ix.Stats(); e.NumRecords() != st.InEntries || e.NumRecords() != st.OutEntries {
+			t.Fatalf("%s k=%d: ETC records %d, unpruned index %d Lin and %d Lout entries",
+				name, k, e.NumRecords(), st.InEntries, st.OutEntries)
+		}
+		if !queries {
+			return
+		}
+		for _, l := range core.PrimitiveConstraints(g.NumLabels(), k) {
+			for s := graph.Vertex(0); int(s) < g.NumVertices(); s++ {
+				for d := graph.Vertex(0); int(d) < g.NumVertices(); d++ {
+					gotE, err := e.Query(s, d, l)
+					if err != nil {
+						t.Fatal(err)
+					}
+					gotI, err := ix.Query(s, d, l)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if gotE != gotI {
+						t.Fatalf("%s k=%d (%d,%d,%v+): etc=%v unpruned index=%v\nedges %v",
+							name, k, s, d, l, gotE, gotI, g.Edges())
+					}
+				}
+			}
+		}
+	}
+	r := rand.New(rand.NewSource(204))
+	for trial := 0; trial < 120; trial++ {
+		n := 2 + r.Intn(12)
+		g := randomGraph(r, n, 1+r.Intn(3), 1+r.Intn(4*n))
+		check(fmt.Sprintf("trial %d", trial), g, 1+trial%3, true)
+	}
+	for _, name := range []string{"WN", "AD", "SO"} {
+		d, err := datasets.ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g, err := d.Generate(300, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(name+"@300", g, 2, false)
 	}
 }
 

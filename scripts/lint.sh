@@ -7,7 +7,8 @@
 # one-decoder-on-/batch check, the one-pass-on-/query check, the
 # one-client-stack-in-the-router check, the one-server-stack check, the
 # one-way-to-load-a-bundle check, the builder-in-rank-space check, the
-# one-index-builder-among-the-binaries check, then staticcheck and
+# one-index-builder-among-the-binaries check, the one-production-build
+# check, the reference-builder-stays-an-oracle check, then staticcheck and
 # govulncheck when available.
 # CI runs this in the lint job; run it locally before sending a change that
 # touches the serving or query path.
@@ -244,6 +245,37 @@ stray=$(grep -rnE --include='*.go' 'BuildIndex|core\.Build\(' cmd |
 	grep -vE '^cmd/(rlcbuild|rlcbench)/' || true)
 if [ -n "$stray" ]; then
 	echo "a binary other than rlcbuild or rlcbench builds an index; read a bundle written by rlcbuild -o instead:" >&2
+	echo "$stray" >&2
+	status=1
+fi
+
+# One production build: Build runs Algorithm 2 with every pruning rule on,
+# and its shortcuts are argued (builder.go, kbs) and tested (the tests hold
+# it to BuildReference's bytes) for that one configuration. A rule switch in
+# the builder or in core.Options is an ablation branch coming back, one
+# every builder change would have to keep byte-identical; switch rules off
+# in core.BuildReference (reference.go) instead.
+echo "==> pruning switches in the production builder"
+switch='(^|[^[:alnum:]_])(Disable[[:alnum:]_]*|Pruning)([^[:alnum:]_]|$)'
+stray=$({
+	grep -nE "$switch" internal/core/builder.go internal/core/build.go
+	awk -v re="$switch" '/^type Options struct/ {on=1} on && $0 ~ re {print FILENAME ":" FNR ": " $0} on && /^}/ {on=0}' internal/core/core.go
+} || true)
+if [ -n "$stray" ]; then
+	echo "the production builder or core.Options has a pruning switch; build an ablation with core.BuildReference:" >&2
+	echo "$stray" >&2
+	status=1
+fi
+
+# The reference builder is an oracle: core.BuildReference is Algorithm 2 as
+# the paper states it, many times slower than Build. Tests compare against
+# it and the ablation experiment (internal/bench) times it; anything else
+# that calls it builds a serving index the slow way.
+echo "==> BuildReference calls outside internal/bench and tests"
+stray=$(grep -rnE --include='*.go' --exclude-dir=.bench_build 'BuildReference\(' . |
+	grep -vE '^\./internal/bench/|_test\.go:|^\./internal/core/reference\.go:[0-9]+:func BuildReference\(' || true)
+if [ -n "$stray" ]; then
+	echo "core.BuildReference is called outside internal/bench and tests; build with core.Build:" >&2
 	echo "$stray" >&2
 	status=1
 fi
