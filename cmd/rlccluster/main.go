@@ -17,7 +17,7 @@
 //	                                         journal segments; long-polls
 //	GET /repl/bundle?epoch=E                 the folded v2 bundle for E
 //
-// A follower long-polls the leader's sealed journal, applies segments
+// A follower long-polls the leader's journal, applies segments
 // through the exact same batch-insert path a leader write takes, and —
 // when the leader folds — downloads the new epoch's bundle, verifies its
 // checksums and fingerprint, and hot-swaps onto it with zero read

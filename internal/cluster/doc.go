@@ -5,7 +5,7 @@
 // The leader wraps a mutable server.Server and adds two endpoints to its
 // handler:
 //
-//	GET /repl/segments?from=<seq>&wait_ms=<d>   sealed journal segments from a global sequence (long-poll)
+//	GET /repl/segments?from=<seq>&wait_ms=<d>   journal segments from a global sequence (long-poll)
 //	GET /repl/bundle?epoch=<e>                  the folded .rlcs bundle serving epoch e
 //
 // Both answer with a handshake in response headers — origin, epoch,

@@ -283,27 +283,17 @@ func (f *Follower) cutover(ctx context.Context, epoch uint64) error {
 
 // journalFrom collects every locally applied edge at global sequence >=
 // from — the journal tail a cutover carries into the adopted generation.
-// A follower behind the bundle (local seq < from) has nothing to carry:
+// A follower behind the bundle (local seq <= from) has nothing to carry:
 // the bundle subsumes its entire history. The replication loop is the only
-// writer on this server, so the sequence is stable across the loop; the
-// flushing export loop drains sealed and unsealed edges alike.
+// writer on this server, so the tail one export reads is still the whole
+// of it when the swap runs.
 func (f *Follower) journalFrom(from uint64) ([]graph.Edge, error) {
-	local := f.srv.ReplState()
-	if local.Seq <= from {
+	if f.srv.ReplState().Seq <= from {
 		return nil, nil
 	}
-	var tail []graph.Edge
-	cursor := from
-	for cursor < local.Seq {
-		edges, _, err := f.srv.ExportSealed(cursor, true)
-		if err != nil {
-			return nil, fmt.Errorf("cluster: collect journal tail: %w", err)
-		}
-		if len(edges) == 0 {
-			return nil, fmt.Errorf("cluster: journal tail stalled at %d (want %d)", cursor, local.Seq)
-		}
-		tail = append(tail, edges...)
-		cursor += uint64(len(edges))
+	tail, _, err := f.srv.ExportJournal(from)
+	if err != nil {
+		return nil, fmt.Errorf("cluster: collect journal tail: %w", err)
 	}
 	return tail, nil
 }

@@ -99,12 +99,13 @@ func badRequest(w http.ResponseWriter, msg string) {
 	_ = json.NewEncoder(w).Encode(map[string]string{"error": msg, "code": "bad_request"})
 }
 
-// handleSegments is the journal feed: sealed segments from global sequence
-// `from`, long-polling up to `wait_ms` for new inserts. Every poll asks
-// the server to flush (force-seal) a pending sub-boundary tail, so a write
-// trickle still replicates within one poll round-trip. An empty 200 is the
-// long-poll timeout, or a fold that moved the serving epoch while the poll
-// was parked; either way the handshake headers carry the leader's position.
+// handleSegments is the journal feed: the journal from global sequence
+// `from` to the end of the log, long-polling up to `wait_ms` for new
+// inserts. Each check reads one published view of the journal, so a reply
+// carries whole insert batches — a single-edge trickle included — within
+// one poll round-trip. An empty 200 is the long-poll timeout, or a fold
+// that moved the serving epoch while the poll was parked; either way the
+// handshake headers carry the leader's position.
 func (l *Leader) handleSegments(w http.ResponseWriter, r *http.Request) {
 	from, err := strconv.ParseUint(r.URL.Query().Get("from"), 10, 64)
 	if err != nil {
@@ -125,8 +126,10 @@ func (l *Leader) handleSegments(w http.ResponseWriter, r *http.Request) {
 	}
 	deadline := time.Now().Add(wait)
 	epoch := l.srv.ReplState().Epoch
+	tick := time.NewTicker(l.pollInterval)
+	defer tick.Stop()
 	for {
-		edges, rs, err := l.srv.ExportSealed(from, true)
+		edges, rs, err := l.srv.ExportJournal(from)
 		if err != nil {
 			l.handshake(w, rs)
 			replError(w, err)
@@ -146,7 +149,7 @@ func (l *Leader) handleSegments(w http.ResponseWriter, r *http.Request) {
 			l.handshake(w, rs)
 			w.Header().Set("Content-Type", "application/octet-stream")
 			return
-		case <-time.After(l.pollInterval):
+		case <-tick.C:
 		}
 	}
 }

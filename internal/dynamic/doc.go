@@ -32,6 +32,13 @@
 // two sorted lists (never in place), and publish a successor view. The
 // whole structure is -race-clean by construction.
 //
+// The seal is the readers' amortization, not an export boundary: it bounds
+// the unsealed tail a delta search scans per vertex, and nothing else reads
+// it. JournalTail copies journal[from:jlen] of one published view, sealed
+// or not — the un-folded edges a fold carries over and the segments
+// replication ships. A view's prefix is frozen and a batch is published
+// whole, so consecutive copies never tear a batch or repeat an edge.
+//
 // # Folding
 //
 // A DeltaGraph never folds and starts no goroutine: it is the overlay of one

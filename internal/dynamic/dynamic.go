@@ -77,7 +77,7 @@ type view struct {
 // layer folds by building the next base from FoldInput and wrapping it in a
 // new DeltaGraph seeded with JournalTail.
 type DeltaGraph struct {
-	// mu serializes writers (AddEdge/AddEdges/Seal). The read path never
+	// mu serializes writers (AddEdge/AddEdges). The read path never
 	// takes it.
 	mu  sync.Mutex
 	cur atomic.Pointer[view]
@@ -230,46 +230,6 @@ func span(sorted []graph.Edge, key edgeEnd, x graph.Vertex) []graph.Edge {
 		hi++
 	}
 	return sorted[lo:hi]
-}
-
-// SealedLen returns the sealed journal watermark: every edge in
-// journal[:SealedLen()] has been merged into the copy-on-write sorted lists
-// and frozen for good. Only sealed edges are exported for replication —
-// the watermark never moves backwards, so an exporter that
-// advances a cursor by what ExportSealed returned can never ship an edge
-// twice or ship one the writer could still be arranging.
-func (d *DeltaGraph) SealedLen() int { return d.cur.Load().sealed }
-
-// ExportSealed copies the sealed journal run [from, SealedLen()) — the
-// replication export hook. from must be a cursor previously advanced by
-// this method (or 0); a cursor beyond the sealed watermark returns nil.
-// The copy is taken from one immutable view, so it is safe against
-// concurrent writers; the caller advances its cursor by len(result).
-func (d *DeltaGraph) ExportSealed(from int) []graph.Edge {
-	v := d.cur.Load()
-	if from < 0 || from >= v.sealed {
-		return nil
-	}
-	out := make([]graph.Edge, v.sealed-from)
-	copy(out, v.journal[from:v.sealed])
-	return out
-}
-
-// Seal forces the unsealed journal tail into the sealed region, publishing
-// a successor view. Replication uses it to flush edges that have not yet
-// crossed the segment boundary on their own: a trickle of inserts below
-// segmentSize would otherwise sit unexported forever. It is a write-path
-// operation (serialized with inserts); readers are unaffected.
-func (d *DeltaGraph) Seal() {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	v := d.cur.Load()
-	if v.sealed == v.jlen {
-		return
-	}
-	nv := *v
-	nv.seal()
-	d.cur.Store(&nv)
 }
 
 // RemoveEdge always fails: see ErrDeletionsUnsupported.

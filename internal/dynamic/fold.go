@@ -25,8 +25,9 @@ func (d *DeltaGraph) FoldInput() (union *graph.Graph, folded int) {
 }
 
 // JournalTail copies the journal edges from position from (a folded count
-// previously returned by FoldInput) to the current end — the un-folded
-// inserts the next generation must carry over.
+// previously returned by FoldInput, or a replication cursor) to the end of
+// one published view — the un-folded inserts the next generation must
+// carry over, and the journal replication ships.
 func (d *DeltaGraph) JournalTail(from int) []graph.Edge {
 	v := d.cur.Load()
 	if from >= v.jlen {

@@ -47,6 +47,17 @@ func fuzzExpr(b []byte) automaton.Expr {
 	return automaton.ConcatPlus(segs...)
 }
 
+// forceSeal seals the journal tail whatever its length, publishing a
+// successor view exactly as appendEdges does when a segment fills, so a
+// test can place sealed cuts anywhere in the journal.
+func forceSeal(d *DeltaGraph) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	nv := *d.cur.Load()
+	nv.seal()
+	d.cur.Store(&nv)
+}
+
 // FuzzUnionSearch is the differential fuzzer of the overlay's search: a
 // random base graph, a random journal split across two sealed segments and
 // an unsealed tail, and a random single- or multi-segment expression. For
@@ -79,7 +90,7 @@ func FuzzUnionSearch(f *testing.F) {
 			if err := d.AddEdges(part); err != nil {
 				t.Fatal(err)
 			}
-			d.Seal()
+			forceSeal(d)
 		}
 		for _, je := range edges[b:] {
 			if err := d.AddEdge(je.Src, je.Label, je.Dst); err != nil {

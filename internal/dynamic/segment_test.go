@@ -2,6 +2,7 @@ package dynamic
 
 import (
 	"math/rand"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -12,11 +13,12 @@ import (
 	"github.com/g-rpqs/rlc-go/internal/labelseq"
 )
 
-// TestSealBoundaryDeterministic walks the seal watermark across the
-// segment boundary explicitly: just under (31 edges stay unsealed),
+// TestSealBoundaryDeterministic walks the readers' seal across the segment
+// boundary explicitly: just under (31 edges stay in the unsealed tail),
 // exactly at (32 seals the whole run), just over (a 1-edge tail stays
-// unsealed until a forced Seal), and a batch whose tail lands past the
-// boundary (sealed in one piece).
+// unsealed), and a batch whose tail lands past the boundary (sealed in one
+// piece). The seal amortizes the delta search and is no export boundary:
+// every published batch exports at once, sealed or not.
 func TestSealBoundaryDeterministic(t *testing.T) {
 	r := rand.New(rand.NewSource(41))
 	g := randomGraph(r, 32, 2, 40)
@@ -24,7 +26,9 @@ func TestSealBoundaryDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mk := func(n int) []graph.Edge {
+	var plan []graph.Edge
+	add := func(n int) {
+		t.Helper()
 		edges := make([]graph.Edge, n)
 		for i := range edges {
 			edges[i] = graph.Edge{
@@ -33,73 +37,61 @@ func TestSealBoundaryDeterministic(t *testing.T) {
 				Label: graph.Label(r.Intn(2)),
 			}
 		}
-		return edges
+		if err := d.AddEdges(edges); err != nil {
+			t.Fatal(err)
+		}
+		plan = append(plan, edges...)
 	}
+	sealed := func() int { return d.cur.Load().sealed }
 
-	// Just under the boundary: nothing seals, nothing exports.
-	if err := d.AddEdges(mk(segmentSize - 1)); err != nil {
-		t.Fatal(err)
-	}
-	if got := d.SealedLen(); got != 0 {
+	// Just under the boundary: nothing seals, and the whole batch exports.
+	add(segmentSize - 1)
+	if got := sealed(); got != 0 {
 		t.Fatalf("sealed after %d edges = %d, want 0", segmentSize-1, got)
 	}
-	if got := d.ExportSealed(0); got != nil {
-		t.Fatalf("exported %d unsealed edges", len(got))
+	if got := d.JournalTail(0); !slices.Equal(got, plan) {
+		t.Fatalf("exported %d of %d unsealed edges", len(got), len(plan))
 	}
 
-	// Exactly at the boundary: the full run seals and exports once.
-	if err := d.AddEdges(mk(1)); err != nil {
-		t.Fatal(err)
-	}
-	if got := d.SealedLen(); got != segmentSize {
+	// Exactly at the boundary: the full run seals.
+	add(1)
+	if got := sealed(); got != segmentSize {
 		t.Fatalf("sealed at boundary = %d, want %d", got, segmentSize)
 	}
-	if got := len(d.ExportSealed(0)); got != segmentSize {
+	if got := len(d.JournalTail(0)); got != segmentSize {
 		t.Fatalf("exported %d edges, want %d", got, segmentSize)
 	}
 
-	// Just over: the 1-edge tail stays unsealed...
-	if err := d.AddEdges(mk(1)); err != nil {
-		t.Fatal(err)
-	}
-	if got := d.SealedLen(); got != segmentSize {
+	// Just over: the 1-edge tail stays unsealed, and exports.
+	add(1)
+	if got := sealed(); got != segmentSize {
 		t.Fatalf("sealed after tail edge = %d, want %d", got, segmentSize)
 	}
-	if got := d.ExportSealed(segmentSize); got != nil {
-		t.Fatalf("exported %d edges past the watermark", len(got))
+	if got := d.JournalTail(segmentSize); !slices.Equal(got, plan[segmentSize:]) {
+		t.Fatalf("exported %d edges past the seal, want the 1-edge tail", len(got))
 	}
-	// ...until a forced Seal flushes it.
-	d.Seal()
-	if got := d.SealedLen(); got != segmentSize+1 {
-		t.Fatalf("sealed after Seal = %d, want %d", got, segmentSize+1)
-	}
-	if got := len(d.ExportSealed(segmentSize)); got != 1 {
-		t.Fatalf("exported %d flushed edges, want 1", got)
-	}
-	d.Seal() // idempotent on an empty tail
-	if got := d.SealedLen(); got != segmentSize+1 {
-		t.Fatalf("sealed after no-op Seal = %d, want %d", got, segmentSize+1)
+	if got := d.JournalTail(segmentSize + 1); got != nil {
+		t.Fatalf("exported %d edges past the log end", len(got))
 	}
 
 	// A batch whose tail crosses the boundary seals in one piece.
-	if err := d.AddEdges(mk(segmentSize + 2)); err != nil {
-		t.Fatal(err)
-	}
-	if got, want := d.SealedLen(), 2*segmentSize+3; got != want {
+	add(segmentSize + 2)
+	if got, want := sealed(), 2*segmentSize+3; got != want {
 		t.Fatalf("sealed after crossing batch = %d, want %d", got, want)
+	}
+	if got := d.JournalTail(0); !slices.Equal(got, plan) {
+		t.Fatalf("exported journal differs from the %d inserted edges", len(plan))
 	}
 }
 
-// TestSealBoundaryConcurrentExport is the satellite race test: a writer
-// appends batches sized to land exactly at, just under, and just over the
-// segment seal boundary while a concurrent exporter drains sealed
-// segments. The exporter asserts that (a) no edge is ever exported before
-// its batch sealed — every export cursor lands on a batch-boundary prefix
-// sum, because seals only happen at publish points — (b) no edge is
+// TestSealBoundaryConcurrentExport appends batches sized to land exactly
+// at, just under, and just over the segment seal boundary while a
+// concurrent exporter drains the journal with JournalTail. The exporter
+// asserts that (a) every export ends on a batch boundary — a published view
+// holds whole batches only, so no export tears one — and (b) no edge is
 // exported twice or out of order (content must replay the planned stream
-// exactly), and (c) after a final flush the exporter has everything.
-// Run under -race this also proves the export path is safe against the
-// writer and concurrent readers.
+// exactly). Run under -race this also proves the export path is safe
+// against the writer, its seals and concurrent readers.
 func TestSealBoundaryConcurrentExport(t *testing.T) {
 	const rounds = 30
 	r := rand.New(rand.NewSource(42))
@@ -136,32 +128,26 @@ func TestSealBoundaryConcurrentExport(t *testing.T) {
 		exported   []graph.Edge
 	)
 	wg.Add(2)
-	// Exporter: drain sealed segments as they appear.
+	// Exporter: drain the journal as batches are published.
 	go func() {
 		defer wg.Done()
 		cursor := 0
 		for {
-			batch := d.ExportSealed(cursor)
+			done := writerDone.Load()
+			batch := d.JournalTail(cursor)
 			if len(batch) == 0 {
-				if writerDone.Load() {
-					// One final pass after the writer's last flush.
-					if tail := d.ExportSealed(cursor); len(tail) > 0 {
-						if !boundaries[cursor] {
-							t.Errorf("export cursor %d is not a batch boundary", cursor)
-						}
-						exported = append(exported, tail...)
-					}
+				if done {
 					return
 				}
 				time.Sleep(20 * time.Microsecond)
 				continue
 			}
+			cursor += len(batch)
 			if !boundaries[cursor] {
-				t.Errorf("export cursor %d is not a batch boundary: unsealed or torn export", cursor)
+				t.Errorf("export ends at %d, not a batch boundary: torn export", cursor)
 				return
 			}
 			exported = append(exported, batch...)
-			cursor += len(batch)
 		}
 	}()
 	// Concurrent readers keep the lock-free query path busy during seals.
@@ -201,7 +187,6 @@ func TestSealBoundaryConcurrentExport(t *testing.T) {
 			off += n
 			time.Sleep(50 * time.Microsecond)
 		}
-		d.Seal() // flush the final partial tail for the exporter
 		writerDone.Store(true)
 	}()
 	wg.Wait()
@@ -215,8 +200,5 @@ func TestSealBoundaryConcurrentExport(t *testing.T) {
 		if exported[i] != plan[i] {
 			t.Fatalf("exported edge %d = %+v, want %+v (duplicate, gap, or reorder)", i, exported[i], plan[i])
 		}
-	}
-	if got := d.SealedLen(); got != total {
-		t.Fatalf("final sealed watermark = %d, want %d", got, total)
 	}
 }

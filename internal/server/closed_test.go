@@ -103,9 +103,9 @@ func TestEveryPathBeforeAndAfterClose(t *testing.T) {
 		}
 		return nil
 	})
-	call("ExportSealed", func() error { _, _, err := srv.ExportSealed(0, true); return err })
-	call("ExportSealed past the log", fails("foreign_log", func() error {
-		_, _, err := srv.ExportSealed(99, true)
+	call("ExportJournal", func() error { _, _, err := srv.ExportJournal(0); return err })
+	call("ExportJournal past the log", fails("foreign_log", func() error {
+		_, _, err := srv.ExportJournal(99)
 		return err
 	}))
 	call("Bundle, read from the file", bundle(0))
@@ -142,7 +142,7 @@ func TestEveryPathBeforeAndAfterClose(t *testing.T) {
 		}
 		return nil
 	})
-	call("ExportSealed after Close", closed(func() error { _, _, err := srv.ExportSealed(0, true); return err }))
+	call("ExportJournal after Close", closed(func() error { _, _, err := srv.ExportJournal(0); return err }))
 	call("Bundle after Close", closed(bundle(1)))
 
 	// POST /reload reads the generation it installed, to report its source.

@@ -62,8 +62,6 @@ type ReplState struct {
 	Epoch uint64 `json:"epoch"`
 	// SeqBase is the global insert sequence folded into the serving base.
 	SeqBase uint64 `json:"seq_base"`
-	// SealedSeq is the highest sequence available for segment export.
-	SealedSeq uint64 `json:"sealed_seq"`
 	// Seq is the global insert sequence applied so far (base + journal).
 	Seq uint64 `json:"seq"`
 	// Fingerprint is the compact fingerprint of the serving base graph.
@@ -112,21 +110,15 @@ func limitBody(w http.ResponseWriter, r *http.Request) {
 
 // replState reads the replication coordinates of one generation.
 func (s *Server) replState(st *state) ReplState {
-	rs := ReplState{
+	return ReplState{
 		Role:        s.opts.role(),
 		Generation:  st.gen,
 		Epoch:       st.epoch,
 		SeqBase:     st.seqBase,
-		SealedSeq:   st.seqBase,
-		Seq:         st.seqBase,
+		Seq:         st.seqNow(),
 		Fingerprint: st.fp,
 		BundleBytes: st.src.SizeBytes(),
 	}
-	if st.delta != nil {
-		rs.SealedSeq = st.seqBase + uint64(st.delta.SealedLen())
-		rs.Seq = st.seqBase + uint64(st.delta.JournalLen())
-	}
-	return rs
 }
 
 // ReplState snapshots the current generation's replication coordinates
@@ -139,15 +131,15 @@ func (s *Server) ReplState() ReplState {
 	return s.replState(st)
 }
 
-// ExportSealed copies sealed journal edges starting at global sequence
-// from, together with the coordinates they were read under. When flush is
-// set and nothing is sealed past the cursor but unsealed inserts are
-// pending, the journal tail is force-sealed first — the leader's long-poll
-// path uses it so a trickle of writes below the segment size still
-// replicates promptly. A cursor below the folded base fails with the
-// behind-bundle sentinel (the caller must cut over via Bundle); one past
-// the log fails as a foreign log.
-func (s *Server) ExportSealed(from uint64, flush bool) ([]graph.Edge, ReplState, error) {
+// ExportJournal copies the journal edges from global sequence from to the
+// end of the log, together with the coordinates they were read under. The
+// copy is journal[from:seq] of one published view, whose prefix is frozen
+// and which holds whole insert batches only, so a caller that advances its
+// cursor by what each export returned never tears a batch or ships an edge
+// twice. A cursor below the folded base fails with the behind-bundle
+// sentinel (the caller must cut over via Bundle); one past the log fails
+// as a foreign log.
+func (s *Server) ExportJournal(from uint64) ([]graph.Edge, ReplState, error) {
 	if !s.opts.Mutable {
 		return nil, ReplState{}, errNotMutable
 	}
@@ -162,14 +154,7 @@ func (s *Server) ExportSealed(from uint64, flush bool) ([]graph.Edge, ReplState,
 	if from > rs.Seq {
 		return nil, rs, fmt.Errorf("%w (cursor %d, log end %d)", errSeqAhead, from, rs.Seq)
 	}
-	local := int(from - rs.SeqBase)
-	edges := st.delta.ExportSealed(local)
-	if len(edges) == 0 && flush && st.delta.JournalLen() > local {
-		st.delta.Seal()
-		edges = st.delta.ExportSealed(local)
-		rs.SealedSeq = rs.SeqBase + uint64(st.delta.SealedLen())
-	}
-	return edges, rs, nil
+	return st.delta.JournalTail(int(from - rs.SeqBase)), rs, nil
 }
 
 // Bundle returns the serving base bundle for epoch cutover, with the

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -134,53 +135,50 @@ func TestReplHeaders(t *testing.T) {
 	}
 }
 
-// TestExportSealed walks the segment-export contract end to end: nothing
-// exports unsealed, the flush path force-seals a pending tail, a cursor
-// past the log is a foreign log, and after a fold a cursor under the new
-// base demands bundle cutover.
-func TestExportSealed(t *testing.T) {
+// TestExportJournal walks the segment-export contract end to end: every
+// published batch exports at once, whether or not it crossed a segment
+// boundary, a cursor past the log is a foreign log, and after a fold a
+// cursor under the new base demands bundle cutover.
+func TestExportJournal(t *testing.T) {
 	srv, _ := newTestServer(t, buildIndex(t, graph.Fig2()), Options{Mutable: true, RebuildThreshold: -1})
 
-	if _, _, err := srv.ExportSealed(5, false); err == nil || errorCode(err) != "foreign_log" {
+	if _, _, err := srv.ExportJournal(5); err == nil || errorCode(err) != "foreign_log" {
 		t.Fatalf("export past empty log: err %v, want foreign_log", err)
 	}
 
 	if _, err := srv.UpdateBatch(replEdges(33, 0)); err != nil {
 		t.Fatal(err)
 	}
-	// The 33-edge batch crossed the 32-edge segment boundary, sealing the
-	// whole batch in one piece (seal folds the entire pending tail).
-	edges, rs, err := srv.ExportSealed(0, false)
-	if err != nil || len(edges) != 33 {
-		t.Fatalf("export sealed: %d edges, err %v (state %+v), want 33", len(edges), err, rs)
+	edges, rs, err := srv.ExportJournal(0)
+	if err != nil || !slices.Equal(edges, replEdges(33, 0)) {
+		t.Fatalf("export: %d edges, err %v (state %+v), want the 33-edge batch", len(edges), err, rs)
 	}
-	if rs.SealedSeq != 33 || rs.Seq != 33 {
-		t.Fatalf("state after batch: %+v, want sealed=seq=33", rs)
+	if rs.Seq != 33 {
+		t.Fatalf("state after batch: %+v, want seq 33", rs)
 	}
 
-	// A sub-boundary trickle stays unsealed until a flushing export.
+	// A sub-boundary trickle exports at once: nothing has to seal it first.
 	if _, err := srv.UpdateBatch(replEdges(2, 7)); err != nil {
 		t.Fatal(err)
 	}
-	edges, _, err = srv.ExportSealed(33, false)
-	if err != nil || len(edges) != 0 {
-		t.Fatalf("non-flush export of unsealed tail: %d edges, err %v, want 0", len(edges), err)
+	edges, rs, err = srv.ExportJournal(33)
+	if err != nil || !slices.Equal(edges, replEdges(2, 7)) || rs.Seq != 35 {
+		t.Fatalf("trickle export: %d edges, err %v, state %+v; want the 2-edge batch at seq 35", len(edges), err, rs)
 	}
-	edges, rs, err = srv.ExportSealed(33, true)
-	if err != nil || len(edges) != 2 || rs.SealedSeq != 35 {
-		t.Fatalf("flush export: %d edges, err %v, state %+v; want 2 sealed to 35", len(edges), err, rs)
+	if edges, _, err := srv.ExportJournal(35); err != nil || len(edges) != 0 {
+		t.Fatalf("export at the log end: %d edges, err %v, want empty success", len(edges), err)
 	}
 
 	if _, err := srv.Rebuild(); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := srv.ExportSealed(10, false); err == nil || errorCode(err) != "behind_bundle" {
+	if _, _, err := srv.ExportJournal(10); err == nil || errorCode(err) != "behind_bundle" {
 		t.Fatalf("export under folded base: err %v, want behind_bundle", err)
 	}
 	if rs := srv.ReplState(); rs.Epoch != 1 || rs.SeqBase != 35 || rs.Seq != 35 {
 		t.Fatalf("post-fold state %+v, want epoch 1, base=seq=35", rs)
 	}
-	if _, _, err := srv.ExportSealed(35, false); err != nil {
+	if _, _, err := srv.ExportJournal(35); err != nil {
 		t.Fatalf("export at the new base: %v, want empty success", err)
 	}
 }
@@ -200,7 +198,7 @@ func TestBundleAdoptRoundtrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Segment replication: the follower applies the leader's sealed log.
-	edges, _, err := leader.ExportSealed(0, true)
+	edges, _, err := leader.ExportJournal(0)
 	if err != nil || len(edges) != 40 {
 		t.Fatalf("leader export: %d edges, err %v", len(edges), err)
 	}

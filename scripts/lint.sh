@@ -8,8 +8,8 @@
 # one-client-stack-in-the-router check, the one-server-stack check, the
 # one-way-to-load-a-bundle check, the builder-in-rank-space check, the
 # one-index-builder-among-the-binaries check, the one-production-build
-# check, the reference-builder-stays-an-oracle check, then staticcheck and
-# govulncheck when available.
+# check, the reference-builder-stays-an-oracle check, the one-journal-
+# watermark check, then staticcheck and govulncheck when available.
 # CI runs this in the lint job; run it locally before sending a change that
 # touches the serving or query path.
 #
@@ -276,6 +276,22 @@ stray=$(grep -rnE --include='*.go' --exclude-dir=.bench_build 'BuildReference\('
 	grep -vE '^\./internal/bench/|_test\.go:|^\./internal/core/reference\.go:[0-9]+:func BuildReference\(' || true)
 if [ -n "$stray" ]; then
 	echo "core.BuildReference is called outside internal/bench and tests; build with core.Build:" >&2
+	echo "$stray" >&2
+	status=1
+fi
+
+# One journal watermark: the journal's length (seq) is the only position
+# replication reads, and an export is journal[from:seq] of one published
+# view, whole batches only. The seal merges full segments into the readers'
+# sorted lists and is nobody's export boundary; a sealed-prefix export, its
+# watermark, or a Seal a caller can force is a second watermark coming back,
+# and with it a copy-on-write merge of the whole journal per poll.
+echo "==> a second journal watermark"
+stray=$(grep -rnE --include='*.go' --exclude-dir=.bench_build \
+	'ExportSealed|SealedLen|SealedSeq|func \([[:alnum:]_]+ \*?DeltaGraph\) Seal\(' . |
+	grep -v '_test\.go:' || true)
+if [ -n "$stray" ]; then
+	echo "a second journal watermark is back; export with Server.ExportJournal (DeltaGraph.JournalTail) instead:" >&2
 	echo "$stray" >&2
 	status=1
 fi
