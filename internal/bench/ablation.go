@@ -44,23 +44,22 @@ func RunAblation(cfg Config) ([]*Table, error) {
 	all := core.Pruning{PR1: true, PR2: true, PR3: true}
 	configs := []struct {
 		name       string
-		order      core.Order
 		rules      core.Pruning
 		production bool
 	}{
-		{"all rules (paper)", core.OrderInOut, all, false},
-		{"no PR1", core.OrderInOut, core.Pruning{PR2: true, PR3: true}, false},
-		{"no PR2", core.OrderInOut, core.Pruning{PR1: true, PR3: true}, false},
-		{"no PR3", core.OrderInOut, core.Pruning{PR1: true, PR2: true}, false},
-		{"no pruning", core.OrderInOut, core.Pruning{}, false},
-		{"order: degree sum", core.OrderDegreeSum, all, false},
-		{"order: natural", core.OrderNatural, all, false},
-		{"order: reverse", core.OrderReverse, all, false},
-		{"all rules, production builder", core.OrderInOut, all, true},
+		{"all rules (paper)", all, false},
+		{"no PR1", core.Pruning{PR2: true, PR3: true}, false},
+		{"no PR2", core.Pruning{PR1: true, PR3: true}, false},
+		{"no PR3", core.Pruning{PR1: true, PR2: true}, false},
+		{"no pruning", core.Pruning{}, false},
+		{"order: degree sum", core.Pruning{PR1: true, PR2: true, PR3: true, Order: core.OrderDegreeSum}, false},
+		{"order: natural", core.Pruning{PR1: true, PR2: true, PR3: true, Order: core.OrderNatural}, false},
+		{"order: reverse", core.Pruning{PR1: true, PR2: true, PR3: true, Order: core.OrderReverse}, false},
+		{"all rules, production builder", all, true},
 	}
 	for _, c := range configs {
 		cfg.progressf("ablation: %s", c.name)
-		opts := core.Options{K: 2, Order: c.order}
+		opts := core.Options{K: 2}
 		start := time.Now()
 		var ix *core.Index
 		if c.production {

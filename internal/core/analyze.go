@@ -54,10 +54,6 @@ func (ix *Index) HubDistribution() Distribution {
 	return summarize(counts)
 }
 
-// HubOf returns the vertex acting as hub for the i-th position of the
-// access order — convenience for reports.
-func (ix *Index) HubOf(rank int) graph.Vertex { return ix.order[rank] }
-
 func summarize(counts []int) Distribution {
 	var d Distribution
 	d.Count = len(counts)

@@ -35,8 +35,8 @@ func TestHubDistributionBasics(t *testing.T) {
 	if d.TopShare <= 0 || d.TopShare > 1 {
 		t.Errorf("TopShare = %f", d.TopShare)
 	}
-	if ix.HubOf(0) != 0 { // v1 has access rank 0
-		t.Errorf("HubOf(0) = %d", ix.HubOf(0))
+	if ix.AccessOrder()[0] != 0 { // v1 has access rank 0
+		t.Errorf("AccessOrder()[0] = %d", ix.AccessOrder()[0])
 	}
 }
 

@@ -123,14 +123,6 @@ func (ix *Index) QueryBatch(queries []BatchQuery, workers int) []BatchResult {
 	return ix.QueryBatchIntoCtx(context.Background(), queries, workers, nil)
 }
 
-// QueryBatchCtx is QueryBatch under a context: cancellation stops the
-// fan-out at the next chunk boundary, and every not-yet-answered slot comes
-// back with Err set to the context's error. Already-answered slots keep
-// their answers.
-func (ix *Index) QueryBatchCtx(ctx context.Context, queries []BatchQuery, workers int) []BatchResult {
-	return ix.QueryBatchIntoCtx(ctx, queries, workers, nil)
-}
-
 // QueryBatchInto is QueryBatch writing into a caller-provided result buffer,
 // which is grown only when its capacity is short — the returned slice must
 // be used in its place. Servers answering a steady stream of batches reuse

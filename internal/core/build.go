@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 
 	"github.com/g-rpqs/rlc-go/internal/graph"
 	"github.com/g-rpqs/rlc-go/internal/labelseq"
@@ -65,16 +64,16 @@ func Build(g *graph.Graph, opts Options) (*Index, error) {
 
 // BuildWithStats is Build plus construction counters.
 func BuildWithStats(g *graph.Graph, opts Options) (*Index, BuildStats, error) {
-	ix, _, _, stats, err := buildWithLists(g, opts)
+	ix, _, _, stats, err := buildWithLists(g, opts, graph.OrderByDegreeProduct(g))
 	return ix, stats, err
 }
 
-// buildWithLists is BuildWithStats that also hands back the builder's
-// per-vertex Lout/Lin entry lists the index was packed from (after size
-// budgeting dropped the demoted ones) — the pre-pack oracle of the
-// differential tests.
-func buildWithLists(g *graph.Graph, opts Options) (ix *Index, out, in [][]entry, stats BuildStats, err error) {
-	if ix, err = newIndex(g, opts); err != nil {
+// buildWithLists is BuildWithStats over a given access order (the tests run
+// the ablation's orders too) that also hands back the builder's per-vertex
+// Lout/Lin entry lists the index was packed from (after size budgeting
+// dropped the demoted ones) — the pre-pack oracle of the differential tests.
+func buildWithLists(g *graph.Graph, opts Options, order []graph.Vertex) (ix *Index, out, in [][]entry, stats BuildStats, err error) {
+	if ix, err = newIndex(g, opts, order); err != nil {
 		return nil, nil, nil, stats, err
 	}
 	// The builder works in rank space: source r is vertex ix.order[r], and
@@ -89,15 +88,16 @@ func buildWithLists(g *graph.Graph, opts Options) (ix *Index, out, in [][]entry,
 	for r, v := range ix.order {
 		out[v], in[v] = b.out[r], b.in[r]
 	}
-	if err := ix.seal(out, in); err != nil {
+	if err := ix.seal(out, in, opts.MaxIndexBytes); err != nil {
 		return nil, nil, nil, b.stats, err
 	}
 	return ix, out, in, b.stats, nil
 }
 
 // newIndex validates opts and returns the index both builders fill and
-// seal: an empty MR dictionary over g's labels and the access order.
-func newIndex(g *graph.Graph, opts Options) (*Index, error) {
+// seal: an empty MR dictionary over g's labels, and order, a permutation of
+// g's vertices, as the access order.
+func newIndex(g *graph.Graph, opts Options, order []graph.Vertex) (*Index, error) {
 	k := opts.k()
 	if k < 1 || k > MaxK {
 		return nil, fmt.Errorf("rlc: recursive k must be in [1, %d], got %d", MaxK, k)
@@ -119,52 +119,14 @@ func newIndex(g *graph.Graph, opts Options) (*Index, error) {
 	ix := &Index{
 		g:     g,
 		k:     k,
-		opts:  opts,
 		dict:  dict,
-		order: accessOrder(g, opts.Order),
+		order: order,
 		rank:  make([]int32, g.NumVertices()),
 	}
 	for r, v := range ix.order {
 		ix.rank[v] = int32(r)
 	}
 	return ix, nil
-}
-
-// accessOrder materializes the configured vertex processing order.
-func accessOrder(g *graph.Graph, o Order) []graph.Vertex {
-	n := g.NumVertices()
-	switch o {
-	case OrderInOut:
-		return graph.OrderByDegreeProduct(g)
-	case OrderDegreeSum:
-		order := make([]graph.Vertex, n)
-		keys := make([]int, n)
-		for i := range order {
-			order[i] = graph.Vertex(i)
-			keys[i] = g.OutDegree(graph.Vertex(i)) + g.InDegree(graph.Vertex(i))
-		}
-		sort.SliceStable(order, func(i, j int) bool {
-			if keys[order[i]] != keys[order[j]] {
-				return keys[order[i]] > keys[order[j]]
-			}
-			return order[i] < order[j]
-		})
-		return order
-	case OrderNatural:
-		order := make([]graph.Vertex, n)
-		for i := range order {
-			order[i] = graph.Vertex(i)
-		}
-		return order
-	case OrderReverse:
-		order := make([]graph.Vertex, n)
-		for i := range order {
-			order[i] = graph.Vertex(n - 1 - i)
-		}
-		return order
-	default:
-		return graph.OrderByDegreeProduct(g)
-	}
 }
 
 // direction selects backward KBS (in-edges, Lout entries) or forward KBS

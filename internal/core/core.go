@@ -29,33 +29,11 @@ var (
 	ErrEmptyConstraint   = errors.New("rlc: empty constraint")
 )
 
-// Order selects the vertex processing order of Algorithm 2. The paper uses
-// OrderInOut; the alternatives exist for the ordering ablation (they change
-// index size and build time, never correctness).
-type Order uint8
-
-const (
-	// OrderInOut sorts by (|out(v)|+1)*(|in(v)|+1) descending — the
-	// IN-OUT strategy of Section V-B.
-	OrderInOut Order = iota
-	// OrderDegreeSum sorts by |out(v)|+|in(v)| descending.
-	OrderDegreeSum
-	// OrderNatural processes vertices by ascending id.
-	OrderNatural
-	// OrderReverse processes vertices by descending id — a deliberately
-	// bad order for the ablation.
-	OrderReverse
-)
-
 // Options configures Build.
 type Options struct {
 	// K is the recursive k: the maximum number of concatenated labels in
 	// a supported constraint. Zero means DefaultK.
 	K int
-
-	// Order is the vertex processing order; zero value is the paper's
-	// IN-OUT strategy.
-	Order Order
 
 	// MaxIndexBytes caps the index size (same accounting as SizeBytes; 0 =
 	// unlimited). When the full index exceeds it, the builder keeps complete
@@ -91,9 +69,8 @@ type entry struct {
 // Index is an immutable RLC index over a fixed graph. Queries are safe for
 // concurrent use; building is not concurrent.
 type Index struct {
-	g    *graph.Graph
-	k    int
-	opts Options
+	g *graph.Graph
+	k int
 
 	dict  *labelseq.Dict
 	order []graph.Vertex // rank -> vertex id
@@ -128,7 +105,7 @@ func (ix *Index) lin(v graph.Vertex) iter.Seq[entry] {
 // everything bit-identical to an unbudgeted build. The lists are the
 // caller's to discard afterwards; seal leaves them equal to what the index
 // retains.
-func (ix *Index) seal(out, in [][]entry) error {
+func (ix *Index) seal(out, in [][]entry, budget int64) error {
 	total := int64(0)
 	for v := range out {
 		total += int64(len(out[v]) + len(in[v]))
@@ -136,7 +113,7 @@ func (ix *Index) seal(out, in [][]entry) error {
 	if total > math.MaxInt32 {
 		return fmt.Errorf("rlc: index has %d entries, exceeding the 2^31-1 offset limit", total)
 	}
-	tr, err := ix.tier(out, in, total)
+	tr, err := ix.tier(out, in, total, budget)
 	if err != nil {
 		return err
 	}
@@ -240,10 +217,17 @@ func (ix *Index) Stats() Stats {
 	}
 }
 
-// BuildOptions returns the Options the index was built with; for an index
-// opened from a bundle, K and, when the index is tiered, MaxIndexBytes — all
-// a bundle records. The mutable serving layer folds with them.
-func (ix *Index) BuildOptions() Options { return ix.opts }
+// BuildOptions returns the Options that rebuild this index: its K and, when
+// it is tiered, its MaxIndexBytes — what its bundle records, so a built index
+// and the index opened from its bundle agree. The mutable serving layer folds
+// with them.
+func (ix *Index) BuildOptions() Options {
+	opts := Options{K: ix.k}
+	if ix.tiers != nil {
+		opts.MaxIndexBytes = ix.tiers.budget
+	}
+	return opts
+}
 
 // EntryView is a decoded index entry for inspection, validation and tests.
 type EntryView struct {

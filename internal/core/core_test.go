@@ -138,19 +138,16 @@ func TestFig2MatchesTableII(t *testing.T) {
 // BuildReference with those rules off.
 func TestExhaustiveEquivalence(t *testing.T) {
 	r := rand.New(rand.NewSource(100))
-	pruneConfigs := []struct {
-		order Order
-		rules Pruning
-	}{
-		{OrderInOut, allRules}, // the paper's algorithm
-		{OrderInOut, Pruning{PR2: true, PR3: true}},
-		{OrderInOut, Pruning{PR1: true, PR3: true}},
-		{OrderInOut, Pruning{PR1: true, PR2: true}},
-		{OrderInOut, Pruning{}},
-		{OrderDegreeSum, allRules},
-		{OrderNatural, allRules},
-		{OrderReverse, allRules},
-		{OrderReverse, Pruning{PR1: true, PR2: true}},
+	pruneConfigs := []Pruning{
+		allRules, // the paper's algorithm
+		{PR2: true, PR3: true},
+		{PR1: true, PR3: true},
+		{PR1: true, PR2: true},
+		{},
+		{PR1: true, PR2: true, PR3: true, Order: OrderDegreeSum},
+		{PR1: true, PR2: true, PR3: true, Order: OrderNatural},
+		{PR1: true, PR2: true, PR3: true, Order: OrderReverse},
+		{PR1: true, PR2: true, Order: OrderReverse},
 	}
 	trials := 30
 	if testing.Short() {
@@ -162,7 +159,7 @@ func TestExhaustiveEquivalence(t *testing.T) {
 		g := randomGraph(r, n, labels, 1+r.Intn(3*n))
 		k := 1 + r.Intn(3)
 		for _, cfg := range pruneConfigs {
-			ix, err := buildWith(g, Options{K: k, Order: cfg.order}, cfg.rules)
+			ix, err := buildWith(g, Options{K: k}, cfg)
 			if err != nil {
 				t.Fatalf("trial %d cfg %+v: %v", trial, cfg, err)
 			}
@@ -174,9 +171,6 @@ func TestExhaustiveEquivalence(t *testing.T) {
 	}
 }
 
-// allOrders is every access order Build accepts.
-var allOrders = []Order{OrderInOut, OrderDegreeSum, OrderNatural, OrderReverse}
-
 // TestSoundnessOnRandomGraphs verifies every recorded entry is witnessed by
 // a real path, under every access order: the pruning rules lean on rank
 // order, whichever order assigned the ranks.
@@ -186,7 +180,7 @@ func TestSoundnessOnRandomGraphs(t *testing.T) {
 		g := randomGraph(r, 3+r.Intn(10), 1+r.Intn(3), 2+r.Intn(25))
 		k := 1 + r.Intn(3)
 		for _, o := range allOrders {
-			ix := mustBuild(t, g, Options{K: k, Order: o})
+			ix := mustBuildInOrder(t, g, Options{K: k}, o)
 			if err := ix.ValidateSound(); err != nil {
 				t.Fatalf("trial %d (k=%d order=%d): %v\nedges: %v", trial, k, o, err, g.Edges())
 			}
@@ -202,7 +196,7 @@ func TestCondensedOnRandomGraphs(t *testing.T) {
 		g := randomGraph(r, 3+r.Intn(10), 1+r.Intn(3), 2+r.Intn(25))
 		k := 1 + r.Intn(3)
 		for _, o := range allOrders {
-			ix := mustBuild(t, g, Options{K: k, Order: o})
+			ix := mustBuildInOrder(t, g, Options{K: k}, o)
 			if err := ix.ValidateCondensed(); err != nil {
 				t.Fatalf("trial %d (k=%d order=%d): %v\nedges: %v", trial, k, o, err, g.Edges())
 			}
@@ -286,6 +280,9 @@ func TestBuildValidation(t *testing.T) {
 	empty := graph.NewBuilder(0, 0).Build()
 	if _, err := Build(empty, Options{}); err == nil {
 		t.Error("empty graph must be rejected")
+	}
+	if _, err := BuildReference(g, Options{}, Pruning{Order: OrderReverse + 1}); err == nil {
+		t.Error("an unknown access order must be rejected")
 	}
 }
 
@@ -387,7 +384,7 @@ func TestQueryAgainstBiBFS(t *testing.T) {
 func TestOrderingAblationCorrect(t *testing.T) {
 	g := graph.Fig2()
 	for _, o := range allOrders {
-		ix := mustBuild(t, g, Options{K: 2, Order: o})
+		ix := mustBuildInOrder(t, g, Options{K: 2}, o)
 		if err := ix.ValidateComplete(); err != nil {
 			t.Errorf("order %d: %v", o, err)
 		}
@@ -406,7 +403,7 @@ func TestInOutOrderNoWorseThanReverse(t *testing.T) {
 	for trial := 0; trial < 8; trial++ {
 		g := randomGraph(r, 30, 2, 120)
 		inout := mustBuild(t, g, Options{K: 2})
-		rev := mustBuild(t, g, Options{K: 2, Order: OrderReverse})
+		rev := mustBuildInOrder(t, g, Options{K: 2}, OrderReverse)
 		if inout.NumEntries() > rev.NumEntries() {
 			worse++
 		}

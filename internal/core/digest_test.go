@@ -60,37 +60,45 @@ func TestBuildDigestStable(t *testing.T) {
 		dataset  string
 		vertices int
 		opts     Options
+		order    Order
 		slowRef  bool // BuildReference takes 2-10 s
 		digest   string
 		counters [6]int64
 	}{
-		{"WN", 2000, Options{K: 2}, false, "3b1cd0d8f297f7bd5398cc306228fc5b0c98d369c020a8de0ee9a96152f551b2",
+		{"WN", 2000, Options{K: 2}, OrderInOut, false, "3b1cd0d8f297f7bd5398cc306228fc5b0c98d369c020a8de0ee9a96152f551b2",
 			[6]int64{163910, 10629, 74484, 44439, 134198, 8286}},
-		{"LJ", 1500, Options{K: 2}, true, "1b43853a349e63a6762c0d2ad06d578702233fc5fb17fe4479775573e1ff56da",
+		{"LJ", 1500, Options{K: 2}, OrderInOut, true, "1b43853a349e63a6762c0d2ad06d578702233fc5fb17fe4479775573e1ff56da",
 			[6]int64{725415, 41490, 386923, 152651, 622210, 20198}},
-		{"AD", 1000, Options{K: 3}, true, "8f10a05343c2656253f128e23e97e34b1ba11ed6fc176c1b26539aab04ab5516",
+		{"AD", 1000, Options{K: 3}, OrderInOut, true, "8f10a05343c2656253f128e23e97e34b1ba11ed6fc176c1b26539aab04ab5516",
 			[6]int64{2138784, 1856, 111761, 42876, 1954778, 163603}},
-		{"WN", 2000, Options{K: 1}, false, "1e761a20eb79b900f2bea7bbdf1150a69c3fe71f4cd9357c1b3aff94a1889d54",
+		{"WN", 2000, Options{K: 1}, OrderInOut, false, "1e761a20eb79b900f2bea7bbdf1150a69c3fe71f4cd9357c1b3aff94a1889d54",
 			[6]int64{8612, 1808, 7385, 7385, 5855, 0}},
-		{"AD", 1000, Options{K: 1}, false, "df42c5c99e27ea556892186fad9507df61bffbd0e555e73b73e482da3ed197f3",
+		{"AD", 1000, Options{K: 1}, OrderInOut, false, "df42c5c99e27ea556892186fad9507df61bffbd0e555e73b73e482da3ed197f3",
 			[6]int64{8893, 640, 4419, 4419, 7783, 0}},
-		{"SO", 200, Options{K: 3}, true, "3fa093d62ff7b10fb5e3099ac7068f549dc95199fba89dbb17d130752be861d5",
+		{"SO", 200, Options{K: 3}, OrderInOut, true, "3fa093d62ff7b10fb5e3099ac7068f549dc95199fba89dbb17d130752be861d5",
 			[6]int64{696967, 226, 30991, 11793, 606808, 80984}},
-		{"WF", 300, Options{K: 2}, true, "92333c492880a87752ea9cca4ffd24fac9449a65eec570f6474c81efbc747186",
+		{"WF", 300, Options{K: 2}, OrderInOut, true, "92333c492880a87752ea9cca4ffd24fac9449a65eec570f6474c81efbc747186",
 			[6]int64{457997, 13827, 155917, 67316, 415731, 10311}},
-		{"TW", 20000, Options{K: 3}, false, "2a2ab9328ada884b0e4a2de1e60baff37af859ca463436455fbc832d48105c0a",
+		{"TW", 20000, Options{K: 3}, OrderInOut, false, "2a2ab9328ada884b0e4a2de1e60baff37af859ca463436455fbc832d48105c0a",
 			[6]int64{261310, 34934, 220097, 134273, 74948, 63418}},
-		{"WN", 1000, Options{K: 2, Order: OrderDegreeSum}, false, "8dd4bd8f002608dfc947a44897695ef64fdfee86e057ceb311f2eb62af0d1683",
+		{"WN", 1000, Options{K: 2}, OrderDegreeSum, false, "8dd4bd8f002608dfc947a44897695ef64fdfee86e057ceb311f2eb62af0d1683",
 			[6]int64{73803, 5297, 35356, 20605, 58123, 4152}},
-		{"WN", 1000, Options{K: 2, Order: OrderNatural}, false, "36137de612d77c2ee27d3efb93473e93d296ce33231cf3f70be6fe79ad42d63c",
+		{"WN", 1000, Options{K: 2}, OrderNatural, false, "36137de612d77c2ee27d3efb93473e93d296ce33231cf3f70be6fe79ad42d63c",
 			[6]int64{73803, 5188, 35420, 20808, 58255, 4152}},
-		{"WN", 1000, Options{K: 2, Order: OrderReverse}, false, "dca8b94efb72d0852b1605e4ab6babed02a0149f95c333eab0e93caf68af68a0",
+		{"WN", 1000, Options{K: 2}, OrderReverse, false, "dca8b94efb72d0852b1605e4ab6babed02a0149f95c333eab0e93caf68af68a0",
 			[6]int64{73803, 6476, 173115, 51486, 59255, 4152}},
 	}
 	for _, tc := range cases {
-		name := fmt.Sprintf("%s@%d %+v", tc.dataset, tc.vertices, tc.opts)
+		name := fmt.Sprintf("%s@%d %+v order %d", tc.dataset, tc.vertices, tc.opts, tc.order)
 		g := generate(tc.dataset, tc.vertices)
-		ix, st, err := BuildWithStats(g, tc.opts)
+		var ix *Index
+		var st BuildStats
+		var err error
+		if tc.order == OrderInOut {
+			ix, st, err = BuildWithStats(g, tc.opts)
+		} else {
+			ix, _, _, st, err = buildInOrder(g, tc.opts, tc.order)
+		}
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -103,7 +111,9 @@ func TestBuildDigestStable(t *testing.T) {
 		if tc.slowRef && (testing.Short() || raceEnabled) {
 			continue
 		}
-		ref, err := BuildReference(g, tc.opts, allRules)
+		rules := allRules
+		rules.Order = tc.order
+		ref, err := BuildReference(g, tc.opts, rules)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}

@@ -99,15 +99,15 @@ type listOracle struct {
 	out, in [][]entry
 }
 
-// buildWithOracle builds g with Build when rules are allRules, with
-// BuildReference otherwise, and returns the index with its entry lists.
+// buildWithOracle builds g as buildWith does and returns the index with its
+// entry lists.
 func buildWithOracle(t testing.TB, g *graph.Graph, opts Options, rules Pruning) (*Index, listOracle) {
 	t.Helper()
 	var ix *Index
 	var out, in [][]entry
 	var err error
-	if rules == allRules {
-		ix, out, in, _, err = buildWithLists(g, opts)
+	if productionRules(rules) {
+		ix, out, in, _, err = buildInOrder(g, opts, rules.Order)
 	} else {
 		ix, out, in, err = buildReference(g, opts, rules)
 	}
@@ -467,7 +467,7 @@ func FuzzPackedEquivalence(f *testing.F) {
 		}
 		opts, rules := fuzzOptions(o)
 		packed, lists := buildWithOracle(t, g, opts, rules)
-		if rules == allRules {
+		if productionRules(rules) {
 			ref, err := BuildReference(g, opts, rules)
 			if err != nil {
 				t.Fatal(err)
@@ -503,5 +503,5 @@ func FuzzPackedEquivalence(f *testing.F) {
 // build: bits 0-1 pick the access order, bits 2, 3 and 4 switch PR1, PR2
 // and PR3 off. Zero is the default build.
 func fuzzOptions(o uint8) (Options, Pruning) {
-	return Options{K: 2, Order: Order(o & 3)}, Pruning{PR1: o&4 == 0, PR2: o&8 == 0, PR3: o&16 == 0}
+	return Options{K: 2}, Pruning{PR1: o&4 == 0, PR2: o&8 == 0, PR3: o&16 == 0, Order: Order(o & 3)}
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"cmp"
+	"fmt"
 	"maps"
 	"slices"
 
@@ -11,11 +12,12 @@ import (
 
 // This file is Algorithm 2 as the paper states it: vertex ids, label
 // sequences carried along each path, plain maps for the entry sets, every
-// pruning rule switchable. Build (builder.go) runs the same algorithm with
-// all three rules on, in access-rank space and with shortcuts whose
-// soundness builder.go argues above kbs; the tests hold it to this one byte
-// for byte (TestReferenceMatchesBuild, TestBuildDigestStable). The pruning
-// ablation and the ETC baseline (internal/etc) build through it.
+// pruning rule switchable and the access order selectable. Build
+// (builder.go) runs the same algorithm with all three rules on in IN-OUT
+// order, in access-rank space and with shortcuts whose soundness builder.go
+// argues above kbs; the tests hold it to this one byte for byte
+// (TestReferenceMatchesBuild, TestBuildDigestStable). The pruning and
+// ordering ablations and the ETC baseline (internal/etc) build through it.
 
 // KBS is the kernel-based search of Algorithm 2 over one graph, reusable
 // from one source to the next. It records nothing itself: Run hands every
@@ -167,17 +169,65 @@ func (s *KBS) kernelBFS(edges func(graph.Vertex) ([]graph.Vertex, []labelseq.Lab
 	}
 }
 
-// Pruning selects the pruning rules of Section V-A that BuildReference
-// applies; the zero value applies none.
-type Pruning struct{ PR1, PR2, PR3 bool }
+// Order selects the vertex processing order of Algorithm 2. The paper, and
+// Build, use OrderInOut; the alternatives exist for the ordering ablation
+// (they change index size and build time, never correctness).
+type Order uint8
+
+const (
+	// OrderInOut sorts by (|out(v)|+1)*(|in(v)|+1) descending — the
+	// IN-OUT strategy of Section V-B.
+	OrderInOut Order = iota
+	// OrderDegreeSum sorts by |out(v)|+|in(v)| descending, ties by
+	// ascending id.
+	OrderDegreeSum
+	// OrderNatural processes vertices by ascending id.
+	OrderNatural
+	// OrderReverse processes vertices by descending id — a deliberately
+	// bad order for the ablation.
+	OrderReverse
+)
+
+// accessOrder materializes the vertex processing order o.
+func accessOrder(g *graph.Graph, o Order) ([]graph.Vertex, error) {
+	if o == OrderInOut {
+		return graph.OrderByDegreeProduct(g), nil
+	}
+	order := make([]graph.Vertex, g.NumVertices())
+	for i := range order {
+		order[i] = graph.Vertex(i)
+	}
+	switch o {
+	case OrderDegreeSum:
+		degree := func(v graph.Vertex) int { return g.OutDegree(v) + g.InDegree(v) }
+		slices.SortFunc(order, func(a, b graph.Vertex) int {
+			return cmp.Or(cmp.Compare(degree(b), degree(a)), cmp.Compare(a, b))
+		})
+	case OrderNatural:
+	case OrderReverse:
+		slices.Reverse(order)
+	default:
+		return nil, fmt.Errorf("rlc: unknown access order %d", o)
+	}
+	return order, nil
+}
+
+// Pruning selects what BuildReference runs: the pruning rules of Section
+// V-A, none in the zero value, and the access order of Section V-B, IN-OUT
+// in the zero value.
+type Pruning struct {
+	PR1, PR2, PR3 bool
+	Order         Order
+}
 
 // BuildReference builds the index of g as Algorithm 2 states it, with the
-// pruning rules p selects. PR1 rejects an entry that Query already answers
-// on the partial index, PR2 one at a vertex ranked before the source, and
-// PR3 expands no further past a rejected entry; without PR1 an entry
-// already present is still rejected. Every rule set gives a sound and
-// complete index; with all three on it writes the same bundle bytes as
-// Build, many times slower.
+// pruning rules and the access order p selects. PR1 rejects an entry that
+// Query already answers on the partial index, PR2 one at a vertex ranked
+// before the source, and PR3 expands no further past a rejected entry;
+// without PR1 an entry already present is still rejected. Every rule set and
+// order gives a sound and complete index; with all three rules on in IN-OUT
+// order it writes the same bundle bytes as Build, many times slower. An
+// unknown order is an error.
 func BuildReference(g *graph.Graph, opts Options, p Pruning) (*Index, error) {
 	ix, _, _, err := buildReference(g, opts, p)
 	return ix, err
@@ -186,7 +236,11 @@ func BuildReference(g *graph.Graph, opts Options, p Pruning) (*Index, error) {
 // buildReference is BuildReference that also hands back the entry lists the
 // index was sealed from.
 func buildReference(g *graph.Graph, opts Options, p Pruning) (ix *Index, out, in [][]entry, err error) {
-	if ix, err = newIndex(g, opts); err != nil {
+	order, err := accessOrder(g, p.Order)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	if ix, err = newIndex(g, opts, order); err != nil {
 		return nil, nil, nil, err
 	}
 	n := g.NumVertices()
@@ -235,7 +289,7 @@ func buildReference(g *graph.Graph, opts Options, p Pruning) (ix *Index, out, in
 	for v := range n {
 		out[v], in[v] = sortedEntries(lout[v]), sortedEntries(lin[v])
 	}
-	if err := ix.seal(out, in); err != nil {
+	if err := ix.seal(out, in, opts.MaxIndexBytes); err != nil {
 		return nil, nil, nil, err
 	}
 	return ix, out, in, nil

@@ -431,7 +431,6 @@ func newSnapshot(f *snapshot.File) (*Snapshot, error) {
 	ix := &Index{
 		g:      g,
 		k:      meta.k,
-		opts:   Options{K: meta.k},
 		dict:   dict,
 		order:  order,
 		rank:   rank,
@@ -443,10 +442,6 @@ func newSnapshot(f *snapshot.File) (*Snapshot, error) {
 	}
 	if tr != nil {
 		initTierRuntime(ix, tr)
-		// Keep BuildOptions truthful for snapshot-opened indexes: a fold of a
-		// tiered bundle re-applies its MaxIndexBytes, so the budget survives
-		// epochs.
-		ix.opts.MaxIndexBytes = tr.budget
 	}
 	return &Snapshot{f: f, ix: ix, g: g, meta: meta}, nil
 }

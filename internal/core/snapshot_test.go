@@ -450,7 +450,7 @@ func TestQueryBatchCtxCanceled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	for _, workers := range []int{1, 4} {
-		results := ix.QueryBatchCtx(ctx, queries, workers)
+		results := ix.QueryBatchIntoCtx(ctx, queries, workers, nil)
 		if len(results) != len(queries) {
 			t.Fatalf("got %d results", len(results))
 		}
@@ -461,7 +461,7 @@ func TestQueryBatchCtxCanceled(t *testing.T) {
 		}
 	}
 	// A live context answers normally through the ctx variants.
-	results := ix.QueryBatchCtx(context.Background(), queries[:4], 2)
+	results := ix.QueryBatchIntoCtx(context.Background(), queries[:4], 2, nil)
 	for i, r := range results {
 		if r.Err != nil {
 			t.Fatalf("result %d: %v", i, r.Err)

@@ -368,8 +368,7 @@ const tierSlotBytes = 2*4 + 2*8
 // a size budget must never produce a larger index. A budget that fits the
 // whole index is a no-op: the index stays bit-identical to an unbudgeted
 // build.
-func (ix *Index) tier(out, in [][]entry, total int64) (*tiers, error) {
-	budget := ix.opts.MaxIndexBytes
+func (ix *Index) tier(out, in [][]entry, total, budget int64) (*tiers, error) {
 	// Fixed costs (dictionary, offset arrays) live outside the tier
 	// trade-off but inside SizeBytes, which the budget is denominated in.
 	fixed := ix.fixedBytes()

@@ -274,14 +274,23 @@ func TestTierDeterministic(t *testing.T) {
 
 // TestTierSnapshotRoundTrip covers every tier mix: all-demoted, partial, and
 // none round-trip through a bundle with identical answers, a preserved
-// budget, and truthful BuildOptions for fold inheritance.
+// budget, and the same BuildOptions before and after — the options a fold
+// rebuilds with — including for a budget the index fits and for K 0.
 func TestTierSnapshotRoundTrip(t *testing.T) {
 	r := rand.New(rand.NewSource(43))
 	g := randomGraph(r, 40, 3, 180)
 	full := mustBuild(t, g, Options{K: 2})
+	type build struct {
+		name string
+		opts Options
+	}
+	builds := []build{{"k0", Options{}}}
 	for _, budget := range tierBudgets(full.SizeBytes()) {
-		t.Run(fmt.Sprintf("b%d", budget), func(t *testing.T) {
-			ix := mustBuild(t, g, Options{K: 2, MaxIndexBytes: budget})
+		builds = append(builds, build{fmt.Sprintf("b%d", budget), Options{K: 2, MaxIndexBytes: budget}})
+	}
+	for _, b := range builds {
+		t.Run(b.name, func(t *testing.T) {
+			ix := mustBuild(t, g, b.opts)
 			var buf bytes.Buffer
 			if err := ix.WriteSnapshot(&buf); err != nil {
 				t.Fatal(err)
@@ -305,10 +314,13 @@ func TestTierSnapshotRoundTrip(t *testing.T) {
 					want.BloomBitsPerFilter != have.BloomBitsPerFilter || want.FilterBytes != have.FilterBytes {
 					t.Fatalf("tier stats drift: built %+v, opened %+v", want, have)
 				}
-				if got.BuildOptions().MaxIndexBytes != budget {
-					t.Fatalf("BuildOptions().MaxIndexBytes = %d after open, want %d",
-						got.BuildOptions().MaxIndexBytes, budget)
-				}
+			}
+			want := Options{K: DefaultK}
+			if ix.Tiered() {
+				want.MaxIndexBytes = b.opts.MaxIndexBytes
+			}
+			if ix.BuildOptions() != want || got.BuildOptions() != want {
+				t.Fatalf("BuildOptions() = %+v built, %+v opened; want %+v", ix.BuildOptions(), got.BuildOptions(), want)
 			}
 			assertEquivalent(t, g, full, got)
 		})

@@ -101,7 +101,7 @@
 //
 // The Querier interface (QueryRLC) is the common read surface of *Index,
 // *HybridEvaluator, and *Server, so read-only code can swap layers freely;
-// context.Context runs through it, QueryBatchCtx, and every server handler.
+// context.Context runs through it, QueryBatchIntoCtx, and every server handler.
 //
 // The package also ships the paper's baselines (NFA-guided BFS and BiBFS,
 // the extended transitive closure), three mainstream-engine comparators,
@@ -217,15 +217,6 @@ const DefaultK = core.DefaultK
 
 // MaxK is the largest supported recursive k.
 const MaxK = core.MaxK
-
-// Vertex processing orders for Options.Order (ablation knobs; the zero
-// value OrderInOut is the paper's strategy).
-const (
-	OrderInOut     = core.OrderInOut
-	OrderDegreeSum = core.OrderDegreeSum
-	OrderNatural   = core.OrderNatural
-	OrderReverse   = core.OrderReverse
-)
 
 // NewGraphBuilder returns a builder for a graph with n vertices and
 // numLabels labels; both grow as edges are added.

@@ -263,25 +263,6 @@ func TestFacadeDFS(t *testing.T) {
 	}
 }
 
-func TestFacadeOrderOptions(t *testing.T) {
-	g := rlc.ExampleFig2()
-	for _, o := range []rlc.Options{
-		{K: 2, Order: rlc.OrderInOut},
-		{K: 2, Order: rlc.OrderDegreeSum},
-		{K: 2, Order: rlc.OrderNatural},
-		{K: 2, Order: rlc.OrderReverse},
-	} {
-		ix, err := rlc.BuildIndex(g, o)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ok, err := ix.Query(2, 5, rlc.Seq{1, 0})
-		if err != nil || !ok {
-			t.Errorf("order %d: Q1 = %v, %v; want true", o.Order, ok, err)
-		}
-	}
-}
-
 func TestFacadeMRHelpers(t *testing.T) {
 	if !rlc.IsMinimumRepeat(rlc.Seq{0, 1}) {
 		t.Error("(0,1) is primitive")

@@ -8,8 +8,9 @@
 # one-client-stack-in-the-router check, the one-server-stack check, the
 # one-way-to-load-a-bundle check, the builder-in-rank-space check, the
 # one-index-builder-among-the-binaries check, the one-production-build
-# check, the reference-builder-stays-an-oracle check, the one-journal-
-# watermark check, then staticcheck and govulncheck when available.
+# check (no pruning switch, no access-order knob), the reference-builder-
+# stays-an-oracle check, the one-journal-watermark check, then staticcheck
+# and govulncheck when available.
 # CI runs this in the lint job; run it locally before sending a change that
 # touches the serving or query path.
 #
@@ -250,19 +251,23 @@ if [ -n "$stray" ]; then
 fi
 
 # One production build: Build runs Algorithm 2 with every pruning rule on,
-# and its shortcuts are argued (builder.go, kbs) and tested (the tests hold
-# it to BuildReference's bytes) for that one configuration. A rule switch in
-# the builder or in core.Options is an ablation branch coming back, one
-# every builder change would have to keep byte-identical; switch rules off
-# in core.BuildReference (reference.go) instead.
-echo "==> pruning switches in the production builder"
-switch='(^|[^[:alnum:]_])(Disable[[:alnum:]_]*|Pruning)([^[:alnum:]_]|$)'
+# in IN-OUT order, and its shortcuts are argued (builder.go, kbs) and tested
+# (the tests hold it to BuildReference's bytes) for that one configuration.
+# A rule switch or an access-order choice in the builder or in core.Options,
+# or the facade re-exporting the ablation's orders, is an ablation branch
+# coming back, one every builder change would have to keep byte-identical;
+# switch rules off or pick an order in core.BuildReference (reference.go)
+# instead. graph.OrderByDegreeProduct, the IN-OUT order itself, is allowed.
+echo "==> pruning switches and access orders in the production builder"
+knob='(^|[^[:alnum:]_])(Disable[[:alnum:]_]*|Pruning|Order[[:alnum:]_]*|accessOrder)([^[:alnum:]_]|$)'
 stray=$({
-	grep -nE "$switch" internal/core/builder.go internal/core/build.go
-	awk -v re="$switch" '/^type Options struct/ {on=1} on && $0 ~ re {print FILENAME ":" FNR ": " $0} on && /^}/ {on=0}' internal/core/core.go
+	awk -v re="$knob" '{line = $0; gsub(/graph\.OrderByDegreeProduct/, "", line)} line ~ re {print FILENAME ":" FNR ": " $0}' \
+		internal/core/builder.go internal/core/build.go
+	awk -v re="$knob" '/^type Options struct/ {on=1} on && $0 ~ re {print FILENAME ":" FNR ": " $0} on && /^}/ {on=0}' internal/core/core.go
+	grep -HnE 'core\.Order[[:alnum:]_]*' rlc.go
 } || true)
 if [ -n "$stray" ]; then
-	echo "the production builder or core.Options has a pruning switch; build an ablation with core.BuildReference:" >&2
+	echo "the production builder or core.Options has a pruning switch or an access order, or rlc.go re-exports one; build an ablation with core.BuildReference:" >&2
 	echo "$stray" >&2
 	status=1
 fi
