@@ -1,7 +1,9 @@
 package rlc_test
 
 import (
+	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -334,4 +336,38 @@ func TestCLICluster(t *testing.T) {
 		f.terminate(t)
 	}
 	leader.terminate(t)
+}
+
+// TestCLIFollowerReplicationStopped: a follower whose -origin names another
+// lineage refuses its leader's first reply, stops serving rather than answer
+// from a replica that cannot follow, drains, and exits with status 1.
+func TestCLIFollowerReplicationStopped(t *testing.T) {
+	if testing.Short() {
+		t.Skip("CLI cluster test skipped in -short mode")
+	}
+	dir := t.TempDir()
+	rlccluster := buildTool(t, dir, "rlccluster")
+	bundle := fig2Bundle(t, dir)
+	leader := startServing(t, "leader", rlccluster, "-role", "leader", "-snapshot", bundle, "-addr", "127.0.0.1:0")
+	defer leader.terminate(t)
+
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	var stdout, stderr strings.Builder
+	cmd := exec.CommandContext(ctx, rlccluster, "-role", "follower", "-snapshot", bundle,
+		"-leader", leader.base, "-origin", "another-lineage", "-addr", "127.0.0.1:0")
+	cmd.Stdout, cmd.Stderr = &stdout, &stderr
+	err := cmd.Run()
+	var exitErr *exec.ExitError
+	if !errors.As(err, &exitErr) || exitErr.ExitCode() != 1 {
+		t.Fatalf("follower of a foreign lineage: err = %v, want exit status 1\nstdout:\n%s\nstderr:\n%s", err, stdout.String(), stderr.String())
+	}
+	if !strings.Contains(stderr.String(), "rlccluster: replication stopped: ") {
+		t.Errorf("stderr lacks the replication-stopped report:\n%s", stderr.String())
+	}
+	for _, want := range []string{"serving on ", "draining in-flight requests...", "shut down cleanly"} {
+		if !strings.Contains(stdout.String(), want) {
+			t.Errorf("stdout lacks %q:\n%s", want, stdout.String())
+		}
+	}
 }

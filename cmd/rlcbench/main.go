@@ -22,6 +22,7 @@ import (
 	"time"
 
 	"github.com/g-rpqs/rlc-go/internal/bench"
+	"github.com/g-rpqs/rlc-go/internal/cli"
 )
 
 const synopsis = "rlcbench — reproduce the paper's experimental tables and figures"
@@ -40,13 +41,7 @@ func main() {
 		jsonOut  = flag.String("json", "", "write a machine-readable JSON report of the whole run to this file")
 		quiet    = flag.Bool("quiet", false, "suppress progress output")
 	)
-	flag.Usage = usage
-	flag.Parse()
-	if flag.NArg() > 0 {
-		fmt.Fprintf(os.Stderr, "rlcbench: unexpected argument %q\n\n", flag.Arg(0))
-		usage()
-		os.Exit(2)
-	}
+	cli.Parse(synopsis, "[flags]", "")
 
 	cfg := bench.Config{
 		Scale:         *scale,
@@ -70,7 +65,7 @@ func main() {
 		for _, id := range strings.Split(*exp, ",") {
 			e, err := bench.ByID(strings.TrimSpace(id))
 			if err != nil {
-				fatalf("%v", err)
+				cli.Fatalf("%v", err)
 			}
 			exps = append(exps, e)
 		}
@@ -78,7 +73,7 @@ func main() {
 
 	if *out != "" {
 		if err := os.MkdirAll(*out, 0o755); err != nil {
-			fatalf("mkdir %s: %v", *out, err)
+			cli.Fatalf("mkdir %s: %v", *out, err)
 		}
 	}
 
@@ -88,7 +83,7 @@ func main() {
 		start := time.Now()
 		tables, err := e.Run(cfg)
 		if err != nil {
-			fatalf("%s: %v", e.ID, err)
+			cli.Fatalf("%s: %v", e.ID, err)
 		}
 		elapsed := time.Since(start)
 		fmt.Fprintf(os.Stderr, "=== %s finished in %v\n", e.ID, elapsed.Round(time.Millisecond))
@@ -96,30 +91,20 @@ func main() {
 		for _, t := range tables {
 			fmt.Println()
 			if err := t.Render(os.Stdout); err != nil {
-				fatalf("render: %v", err)
+				cli.Fatalf("render: %v", err)
 			}
 			if *out != "" {
 				path := filepath.Join(*out, t.ID+".md")
 				if err := os.WriteFile(path, []byte(t.Markdown()), 0o644); err != nil {
-					fatalf("write %s: %v", path, err)
+					cli.Fatalf("write %s: %v", path, err)
 				}
 			}
 		}
 	}
 	if *jsonOut != "" {
 		if err := report.WriteFile(*jsonOut); err != nil {
-			fatalf("write %s: %v", *jsonOut, err)
+			cli.Fatalf("write %s: %v", *jsonOut, err)
 		}
 		fmt.Fprintf(os.Stderr, "JSON report written to %s\n", *jsonOut)
 	}
-}
-
-func usage() {
-	fmt.Fprintf(flag.CommandLine.Output(), "%s\n\nusage: rlcbench [flags]\n\nflags:\n", synopsis)
-	flag.PrintDefaults()
-}
-
-func fatalf(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "rlcbench: "+format+"\n", args...)
-	os.Exit(1)
 }

@@ -14,10 +14,10 @@ package main
 import (
 	"flag"
 	"fmt"
-	"os"
 	"time"
 
 	rlc "github.com/g-rpqs/rlc-go"
+	"github.com/g-rpqs/rlc-go/internal/cli"
 )
 
 const synopsis = "rlcbuild — build and serialize an RLC index for a graph file"
@@ -29,33 +29,27 @@ func main() {
 		bundle    = flag.String("o", "", "output snapshot bundle (required; self-contained, written to a temporary file and renamed into place)")
 		maxBytes  = flag.Int64("max-index-bytes", 0, "size budget for the index: keep exact entry lists for the top-ranked vertices that fit, demote the rest to may-reach filters (0 = unlimited; answers stay exact either way)")
 	)
-	flag.Usage = usage
-	flag.Parse()
-	if flag.NArg() > 0 {
-		fmt.Fprintf(os.Stderr, "rlcbuild: unexpected argument %q\n\n", flag.Arg(0))
-		usage()
-		os.Exit(2)
-	}
+	cli.Parse(synopsis, "-graph FILE -o BUNDLE [flags]", "")
 	if *graphPath == "" {
-		fatalf("missing -graph")
+		cli.Fatalf("missing -graph")
 	}
 	if *bundle == "" {
-		fatalf("missing -o")
+		cli.Fatalf("missing -o")
 	}
 	if *maxBytes < 0 {
-		fatalf("-max-index-bytes must be >= 0 (0 = unlimited), got %d", *maxBytes)
+		cli.Fatalf("-max-index-bytes must be >= 0 (0 = unlimited), got %d", *maxBytes)
 	}
 
 	g, err := rlc.LoadGraphFile(*graphPath)
 	if err != nil {
-		fatalf("load graph: %v", err)
+		cli.Fatalf("load graph: %v", err)
 	}
 	fmt.Printf("graph: %d vertices, %d edges, %d labels\n", g.NumVertices(), g.NumEdges(), g.NumLabels())
 
 	start := time.Now()
 	ix, bst, err := rlc.BuildIndexWithStats(g, rlc.Options{K: *k, MaxIndexBytes: *maxBytes})
 	if err != nil {
-		fatalf("build: %v", err)
+		cli.Fatalf("build: %v", err)
 	}
 	elapsed := time.Since(start)
 
@@ -78,22 +72,12 @@ func main() {
 		bst.KernelSearchStates, bst.KernelBFSRuns, bst.KernelBFSNodes, bst.Inserted, bst.PrunedPR1, bst.PrunedPR2)
 
 	if err := ix.SaveSnapshotFile(*bundle); err != nil {
-		fatalf("save snapshot: %v", err)
+		cli.Fatalf("save snapshot: %v", err)
 	}
 	// Re-open and verify what was just written: a bundle that fails its
 	// own checksums should never leave the build step.
 	if _, err := rlc.OpenVerifiedSnapshot(*bundle); err != nil {
-		fatalf("verify snapshot: %v", err)
+		cli.Fatalf("verify snapshot: %v", err)
 	}
 	fmt.Printf("wrote %s (self-contained snapshot bundle, verified; serve with rlcserve -snapshot or rlccluster -snapshot)\n", *bundle)
-}
-
-func usage() {
-	fmt.Fprintf(flag.CommandLine.Output(), "%s\n\nusage: rlcbuild -graph FILE -o BUNDLE [flags]\n\nflags:\n", synopsis)
-	flag.PrintDefaults()
-}
-
-func fatalf(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "rlcbuild: "+format+"\n", args...)
-	os.Exit(1)
 }

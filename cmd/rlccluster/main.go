@@ -40,10 +40,8 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
-	"net"
 	"net/http"
 	"os"
 	"os/signal"
@@ -51,9 +49,8 @@ import (
 	"time"
 
 	rlc "github.com/g-rpqs/rlc-go"
+	"github.com/g-rpqs/rlc-go/internal/cli"
 	"github.com/g-rpqs/rlc-go/internal/cluster"
-	"github.com/g-rpqs/rlc-go/internal/httpd"
-	"github.com/g-rpqs/rlc-go/internal/profiling"
 )
 
 const synopsis = "rlccluster — run a replicated RLC serving node: a journal-streaming leader or a self-healing follower"
@@ -69,26 +66,20 @@ func main() {
 		rebuildThr   = flag.Int("rebuild-threshold", 0, "leader journal length that triggers a background fold (0 = default, negative = manual)")
 		rebuildOut   = flag.String("rebuild-out", "", "leader also writes the bundle each fold serves here, synced and renamed into place (empty = keep folded bundles in memory only)")
 		drain        = flag.Duration("drain", 10*time.Second, "graceful-shutdown drain budget")
-		pprofAddr    = flag.String("pprof", "", profiling.Usage)
+		pprofAddr    = flag.String("pprof", "", cli.PprofUsage)
 	)
-	flag.Usage = usage
-	flag.Parse()
-	if flag.NArg() > 0 {
-		fmt.Fprintf(os.Stderr, "rlccluster: unexpected argument %q\n\n", flag.Arg(0))
-		usage()
-		os.Exit(2)
-	}
+	cli.Parse(synopsis, "-role (leader|follower) -snapshot BUNDLE [flags]", "")
 	if *role != "leader" && *role != "follower" {
-		fatalf("-role must be \"leader\" or \"follower\", got %q", *role)
+		cli.Fatalf("-role must be \"leader\" or \"follower\", got %q", *role)
 	}
 	if *snapshotPath == "" {
-		fatalf("-snapshot is required (build a bundle with rlcbuild -o)")
+		cli.Fatalf("-snapshot is required (build a bundle with rlcbuild -o)")
 	}
 	if *role == "follower" && *leaderURL == "" {
-		fatalf("-leader is required for the follower role")
+		cli.Fatalf("-leader is required for the follower role")
 	}
 	if *role == "leader" && (*leaderURL != "" || *origin != "") {
-		fatalf("-leader and -origin apply to the follower role only")
+		cli.Fatalf("-leader and -origin apply to the follower role only")
 	}
 
 	opts := rlc.ServerOptions{
@@ -101,7 +92,7 @@ func main() {
 		// A follower's epochs come from the leader's folds; local automatic
 		// folds would fork its sequence numbering off the shared timeline.
 		if *rebuildThr != 0 || *rebuildOut != "" {
-			fatalf("-rebuild-threshold and -rebuild-out apply to the leader role only")
+			cli.Fatalf("-rebuild-threshold and -rebuild-out apply to the leader role only")
 		}
 		opts.RebuildThreshold = -1
 	} else {
@@ -117,7 +108,7 @@ func main() {
 
 	snap, err := rlc.OpenVerifiedSnapshot(*snapshotPath)
 	if err != nil {
-		fatalf("open snapshot: %v", err)
+		cli.Fatalf("open snapshot: %v", err)
 	}
 	srv := rlc.NewServerFromSnapshot(snap, opts)
 	rs := srv.ReplState()
@@ -127,7 +118,7 @@ func main() {
 	defer stop()
 
 	var handler http.Handler
-	replDone := make(chan error, 1)
+	var stopped chan error
 	if *role == "leader" {
 		handler = cluster.NewLeader(srv).Handler()
 	} else {
@@ -140,54 +131,16 @@ func main() {
 				fmt.Printf(format+"\n", args...)
 			},
 		})
-		go func() { replDone <- fol.Run(ctx) }()
-	}
-
-	if err := profiling.Serve(*pprofAddr); err != nil {
-		fatalf("%v", err)
-	}
-	ln, err := net.Listen("tcp", *addr)
-	if err != nil {
-		fatalf("listen: %v", err)
-	}
-	httpSrv := &httpd.Server{Handler: handler}
-	done := make(chan error, 1)
-	go func() { done <- httpSrv.Serve(ln) }()
-	fmt.Printf("serving on %s (role %s)\n", ln.Addr(), *role)
-
-	exitCode := 0
-	select {
-	case err := <-done:
-		fatalf("serve: %v", err)
-	case err := <-replDone:
 		// Run only returns before shutdown on a permanent divergence; stop
 		// serving rather than keep answering from a replica that can no
 		// longer follow its leader.
-		fmt.Fprintf(os.Stderr, "rlccluster: replication stopped: %v\n", err)
-		exitCode = 1
-	case <-ctx.Done():
+		stopped = make(chan error, 1)
+		go func() { stopped <- fmt.Errorf("replication stopped: %w", fol.Run(ctx)) }()
 	}
-	stop()
-	fmt.Println("draining in-flight requests...")
-	shutdownCtx, cancel := context.WithTimeout(context.Background(), *drain)
-	defer cancel()
-	if err := httpSrv.Shutdown(shutdownCtx); err != nil {
-		fatalf("shutdown: %v", err)
-	}
-	if err := <-done; err != nil && !errors.Is(err, http.ErrServerClosed) {
-		fatalf("serve: %v", err)
-	}
+
+	err = cli.Serve(ctx, *addr, *pprofAddr, *drain, handler, fmt.Sprintf("(role %s)", *role), stopped)
 	srv.Close()
-	fmt.Println("shut down cleanly")
-	os.Exit(exitCode)
-}
-
-func usage() {
-	fmt.Fprintf(flag.CommandLine.Output(), "%s\n\nusage: rlccluster -role (leader|follower) -snapshot BUNDLE [flags]\n\nflags:\n", synopsis)
-	flag.PrintDefaults()
-}
-
-func fatalf(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "rlccluster: "+format+"\n", args...)
-	os.Exit(1)
+	if err != nil {
+		os.Exit(1)
+	}
 }

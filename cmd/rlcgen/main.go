@@ -14,10 +14,10 @@ package main
 import (
 	"flag"
 	"fmt"
-	"os"
 	"strings"
 
 	rlc "github.com/g-rpqs/rlc-go"
+	"github.com/g-rpqs/rlc-go/internal/cli"
 	"github.com/g-rpqs/rlc-go/internal/datasets"
 	"github.com/g-rpqs/rlc-go/internal/workload"
 )
@@ -38,23 +38,17 @@ func main() {
 		queries   = flag.Int("queries", 1000, "queries per true/false set")
 		concatLen = flag.Int("len", 2, "constraint concatenation length")
 	)
-	flag.Usage = usage
-	flag.Parse()
-	if flag.NArg() > 0 {
-		fmt.Fprintf(os.Stderr, "rlcgen: unexpected argument %q\n\n", flag.Arg(0))
-		usage()
-		os.Exit(2)
-	}
+	cli.Parse(synopsis, "-out FILE [flags]", "")
 	if *out == "" {
-		fatalf("missing -out")
+		cli.Fatalf("missing -out")
 	}
 
 	g, err := generate(*model, *n, *d, *labels, *seed, *dataset, *scale)
 	if err != nil {
-		fatalf("%v", err)
+		cli.Fatalf("%v", err)
 	}
 	if err := rlc.SaveGraphFile(*out, g); err != nil {
-		fatalf("save graph: %v", err)
+		cli.Fatalf("save graph: %v", err)
 	}
 	st := rlc.ComputeGraphStats(g)
 	fmt.Printf("wrote %s: %d vertices, %d edges, %d labels, %d loops, %d triangles\n",
@@ -67,10 +61,10 @@ func main() {
 		NumTrue: *queries, NumFalse: *queries, ConcatLen: *concatLen, Seed: *seed,
 	})
 	if err != nil {
-		fatalf("workload: %v", err)
+		cli.Fatalf("workload: %v", err)
 	}
 	if err := workload.SaveFile(*wout, w); err != nil {
-		fatalf("save workload: %v", err)
+		cli.Fatalf("save workload: %v", err)
 	}
 	fmt.Printf("wrote %s: %d true + %d false queries (|L| = %d)\n", *wout, len(w.True), len(w.False), *concatLen)
 }
@@ -94,14 +88,4 @@ func generate(model string, n, d, labels int, seed int64, dataset string, scale 
 	default:
 		return nil, fmt.Errorf("unknown model %q (want er, ba, dataset, fig1, fig2)", model)
 	}
-}
-
-func usage() {
-	fmt.Fprintf(flag.CommandLine.Output(), "%s\n\nusage: rlcgen -out FILE [flags]\n\nflags:\n", synopsis)
-	flag.PrintDefaults()
-}
-
-func fatalf(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "rlcgen: "+format+"\n", args...)
-	os.Exit(1)
 }

@@ -12,11 +12,11 @@ package main
 import (
 	"flag"
 	"fmt"
-	"os"
 	"strconv"
 	"strings"
 
 	rlc "github.com/g-rpqs/rlc-go"
+	"github.com/g-rpqs/rlc-go/internal/cli"
 	"github.com/g-rpqs/rlc-go/internal/core"
 )
 
@@ -28,19 +28,13 @@ func main() {
 		vertices     = flag.String("vertices", "", "comma-separated vertex ids whose Lin/Lout to print")
 		order        = flag.Bool("order", false, "print the full access order")
 	)
-	flag.Usage = usage
-	flag.Parse()
-	if flag.NArg() > 0 {
-		fmt.Fprintf(os.Stderr, "rlcinspect: unexpected argument %q\n\n", flag.Arg(0))
-		usage()
-		os.Exit(2)
-	}
+	cli.Parse(synopsis, "-snapshot BUNDLE [flags]", "")
 	if *snapshotPath == "" {
-		fatalf("-snapshot is required (build a bundle with rlcbuild -o)")
+		cli.Fatalf("-snapshot is required (build a bundle with rlcbuild -o)")
 	}
 	snap, err := rlc.OpenSnapshot(*snapshotPath)
 	if err != nil {
-		fatalf("open snapshot: %v", err)
+		cli.Fatalf("open snapshot: %v", err)
 	}
 	dumpSections(snap)
 	g, ix := snap.Graph(), snap.Index()
@@ -78,7 +72,7 @@ func main() {
 		for _, tok := range strings.Split(*vertices, ",") {
 			id, err := strconv.Atoi(strings.TrimSpace(tok))
 			if err != nil || id < 0 || id >= g.NumVertices() {
-				fatalf("bad vertex %q", tok)
+				cli.Fatalf("bad vertex %q", tok)
 			}
 			v := rlc.Vertex(id)
 			fmt.Printf("\n%s:\n", g.VertexName(v))
@@ -124,10 +118,10 @@ func dumpSections(snap *rlc.Snapshot) {
 		fmt.Printf("%-4d %-14s %10d %12d   %08x %s\n", sec.ID, name, sec.Offset, sec.Length, sec.CRC, status)
 	}
 	if corrupt {
-		fatalf("snapshot failed checksum verification (see table above)")
+		cli.Fatalf("snapshot failed checksum verification (see table above)")
 	}
 	if err := snap.VerifyContents(); err != nil {
-		fatalf("snapshot contents inconsistent: %v", err)
+		cli.Fatalf("snapshot contents inconsistent: %v", err)
 	}
 	fmt.Println("all sections verified")
 	fmt.Println()
@@ -143,14 +137,4 @@ func printEntries(g *rlc.Graph, entries []rlc.EntryView) {
 		parts[i] = fmt.Sprintf("(%s, %s)", g.VertexName(e.Hub), e.MR.Format(g.LabelNames()))
 	}
 	fmt.Println(strings.Join(parts, " "))
-}
-
-func usage() {
-	fmt.Fprintf(flag.CommandLine.Output(), "%s\n\nusage: rlcinspect -snapshot BUNDLE [flags]\n\nflags:\n", synopsis)
-	flag.PrintDefaults()
-}
-
-func fatalf(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "rlcinspect: "+format+"\n", args...)
-	os.Exit(1)
 }

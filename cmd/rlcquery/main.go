@@ -21,10 +21,10 @@ package main
 import (
 	"flag"
 	"fmt"
-	"os"
 	"time"
 
 	rlc "github.com/g-rpqs/rlc-go"
+	"github.com/g-rpqs/rlc-go/internal/cli"
 	"github.com/g-rpqs/rlc-go/internal/workload"
 )
 
@@ -42,15 +42,9 @@ func main() {
 		batch     = flag.Bool("batch", false, "answer the -queries workload via the concurrent QueryBatch API (method index only)")
 		workers   = flag.Int("workers", 0, "worker goroutines for -batch (0 = GOMAXPROCS)")
 	)
-	flag.Usage = usage
-	flag.Parse()
-	if flag.NArg() > 0 {
-		fmt.Fprintf(os.Stderr, "rlcquery: unexpected argument %q\n\n", flag.Arg(0))
-		usage()
-		os.Exit(2)
-	}
+	cli.Parse(synopsis, "(-snapshot BUNDLE | -graph FILE) (-s N -t N -expr EXPR | -queries FILE) [flags]", "")
 	if (*snapPath == "") == (*graphPath == "") {
-		fatalf("exactly one of -snapshot or -graph is required")
+		cli.Fatalf("exactly one of -snapshot or -graph is required")
 	}
 
 	var (
@@ -60,104 +54,103 @@ func main() {
 	if *snapPath != "" {
 		snap, err := rlc.OpenVerifiedSnapshot(*snapPath)
 		if err != nil {
-			fatalf("open snapshot: %v", err)
+			cli.Fatalf("open snapshot: %v", err)
 		}
 		g, ix = snap.Graph(), snap.Index()
 	} else {
 		if *method == "index" || *method == "hybrid" {
-			fatalf("-method %s needs -snapshot (build a bundle with rlcbuild -o)", *method)
+			cli.Fatalf("-method %s needs -snapshot (build a bundle with rlcbuild -o)", *method)
 		}
 		var err error
 		if g, err = rlc.LoadGraphFile(*graphPath); err != nil {
-			fatalf("load graph: %v", err)
+			cli.Fatalf("load graph: %v", err)
 		}
 	}
 
 	switch {
 	case *batch && *queries == "":
-		fatalf("-batch needs -queries")
+		cli.Fatalf("-batch needs -queries")
 	case *batch && *method != "index":
-		fatalf("-batch supports only -method index, got %q", *method)
+		cli.Fatalf("-batch supports only -method index, got %q", *method)
 	case *batch:
 		if err := runBatchWorkload(ix, *queries, *workers); err != nil {
-			fatalf("%v", err)
+			cli.Fatalf("%v", err)
 		}
 	case *queries != "":
-		if err := runWorkload(g, ix, *method, *queries); err != nil {
-			fatalf("%v", err)
+		if err := runWorkload(queryFunc(g, ix, *method), *method, *queries); err != nil {
+			cli.Fatalf("%v", err)
 		}
 	case *expr != "" && *s >= 0 && *t >= 0:
-		ans, dur, err := runOne(g, ix, *method, rlc.Vertex(*s), rlc.Vertex(*t), *expr)
+		ans, dur, err := runOne(g, queryFunc(g, ix, *method), *method, rlc.Vertex(*s), rlc.Vertex(*t), *expr)
 		if err != nil {
-			fatalf("%v", err)
+			cli.Fatalf("%v", err)
 		}
 		fmt.Printf("(%d, %d, %s) = %v  [%s, %v]\n", *s, *t, *expr, ans, *method, dur)
 	default:
-		fatalf("need either -queries, or -s/-t/-expr")
+		cli.Fatalf("need either -queries, or -s/-t/-expr")
 	}
 }
 
-func runOne(g *rlc.Graph, ix *rlc.Index, method string, s, t rlc.Vertex, exprText string) (bool, time.Duration, error) {
+// query answers (s, t, e) by one -method.
+type query func(s, t rlc.Vertex, e rlc.Expr) (bool, error)
+
+// queryFunc is the method table: it builds the evaluator of method once, for
+// every query it answers. hybrid takes any expression; index and the
+// traversal methods take a single L+ segment.
+func queryFunc(g *rlc.Graph, ix *rlc.Index, method string) query {
+	var plus func(s, t rlc.Vertex, l rlc.Seq) (bool, error)
+	switch method {
+	case "hybrid":
+		return rlc.NewHybridEvaluator(ix).Eval
+	case "index":
+		plus = ix.Query
+	case "bfs":
+		plus = func(s, t rlc.Vertex, l rlc.Seq) (bool, error) { return rlc.EvalBFS(g, s, t, l) }
+	case "bibfs":
+		plus = func(s, t rlc.Vertex, l rlc.Seq) (bool, error) { return rlc.EvalBiBFS(g, s, t, l) }
+	case "dfs":
+		plus = func(s, t rlc.Vertex, l rlc.Seq) (bool, error) { return rlc.EvalDFS(g, s, t, l) }
+	default:
+		return func(rlc.Vertex, rlc.Vertex, rlc.Expr) (bool, error) {
+			return false, fmt.Errorf("unknown method %q", method)
+		}
+	}
+	return func(s, t rlc.Vertex, e rlc.Expr) (bool, error) {
+		if len(e.Segments) != 1 || !e.Segments[0].Plus {
+			return false, fmt.Errorf("method %s needs a single L+ segment", method)
+		}
+		return plus(s, t, e.Segments[0].Labels)
+	}
+}
+
+func runOne(g *rlc.Graph, eval query, method string, s, t rlc.Vertex, exprText string) (bool, time.Duration, error) {
 	e, err := rlc.ParseExpr(exprText, g)
 	if err != nil {
 		return false, 0, err
 	}
-	start := time.Now()
-	var ans bool
-	switch method {
-	case "index":
-		if len(e.Segments) != 1 || !e.Segments[0].Plus {
-			return false, 0, fmt.Errorf("method index needs a single L+ segment; use -method hybrid for %q", exprText)
-		}
-		ans, err = ix.Query(s, t, e.Segments[0].Labels)
-	case "hybrid":
-		ans, err = rlc.NewHybridEvaluator(ix).Eval(s, t, e)
-	case "bfs", "bibfs", "dfs":
-		if len(e.Segments) != 1 || !e.Segments[0].Plus {
-			return false, 0, fmt.Errorf("method %s needs a single L+ segment", method)
-		}
-		switch method {
-		case "bfs":
-			ans, err = rlc.EvalBFS(g, s, t, e.Segments[0].Labels)
-		case "bibfs":
-			ans, err = rlc.EvalBiBFS(g, s, t, e.Segments[0].Labels)
-		case "dfs":
-			ans, err = rlc.EvalDFS(g, s, t, e.Segments[0].Labels)
-		}
-	default:
-		return false, 0, fmt.Errorf("unknown method %q", method)
+	if method == "index" && (len(e.Segments) != 1 || !e.Segments[0].Plus) {
+		return false, 0, fmt.Errorf("method index needs a single L+ segment; use -method hybrid for %q", exprText)
 	}
+	start := time.Now()
+	ans, err := eval(s, t, e)
 	return ans, time.Since(start), err
 }
 
-func runWorkload(g *rlc.Graph, ix *rlc.Index, method, path string) error {
+func runWorkload(eval query, method, path string) error {
 	wl, err := workload.LoadFile(path)
 	if err != nil {
 		return err
 	}
 	qs := wl.All()
 
-	eval := func(q rlc.Query) (bool, error) {
-		switch method {
-		case "index":
-			return ix.Query(q.S, q.T, q.L)
-		case "bfs":
-			return rlc.EvalBFS(g, q.S, q.T, q.L)
-		case "bibfs":
-			return rlc.EvalBiBFS(g, q.S, q.T, q.L)
-		case "dfs":
-			return rlc.EvalDFS(g, q.S, q.T, q.L)
-		case "hybrid":
-			return rlc.NewHybridEvaluator(ix).Eval(q.S, q.T, rlc.PlusExpr(q.L))
-		default:
-			return false, fmt.Errorf("unknown method %q", method)
-		}
-	}
-
+	// One expression, its labels swapped per query, so that timing the
+	// workload times the method and not building a query.
+	e := rlc.Expr{Segments: []rlc.Segment{{Plus: true}}}
 	start := time.Now()
 	correct := 0
 	for _, q := range qs {
-		got, err := eval(q)
+		e.Segments[0].Labels = q.L
+		got, err := eval(q.S, q.T, e)
 		if err != nil {
 			return err
 		}
@@ -207,14 +200,4 @@ func runBatchWorkload(ix *rlc.Index, path string, workers int) error {
 		return fmt.Errorf("%d queries disagree with ground truth", len(qs)-correct)
 	}
 	return nil
-}
-
-func usage() {
-	fmt.Fprintf(flag.CommandLine.Output(), "%s\n\nusage: rlcquery (-snapshot BUNDLE | -graph FILE) (-s N -t N -expr EXPR | -queries FILE) [flags]\n\nflags:\n", synopsis)
-	flag.PrintDefaults()
-}
-
-func fatalf(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "rlcquery: "+format+"\n", args...)
-	os.Exit(1)
 }

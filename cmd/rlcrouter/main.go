@@ -26,23 +26,27 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
-	"net"
-	"net/http"
 	"os"
 	"os/signal"
 	"strings"
 	"syscall"
 	"time"
 
-	"github.com/g-rpqs/rlc-go/internal/httpd"
-	"github.com/g-rpqs/rlc-go/internal/profiling"
+	"github.com/g-rpqs/rlc-go/internal/cli"
 	"github.com/g-rpqs/rlc-go/internal/router"
 )
 
 const synopsis = "rlcrouter — epoch-pinned router for a replicated RLC cluster: health-aware read fan-out, hedged tail latency, monotone consistency tokens"
+
+// endpoints closes the -h output.
+const endpoints = `
+endpoints: GET /query, POST /batch (routed reads), POST /update, POST /rebuild
+(forwarded to the leader), GET /healthz (the router's view of every backend),
+GET /stats (hedges fired and won, failed attempts, stale-connection retries,
+dials, leader fallbacks, protocol errors, replies served per backend)
+`
 
 func main() {
 	var (
@@ -52,17 +56,11 @@ func main() {
 		healthEvery  = flag.Duration("health-interval", 250*time.Millisecond, "backend /healthz poll interval")
 		hedgeDelay   = flag.Duration("hedge-delay", 25*time.Millisecond, "read hedge delay (negative = never hedge)")
 		drainTimeout = flag.Duration("drain", 10*time.Second, "graceful-shutdown drain budget")
-		pprofAddr    = flag.String("pprof", "", profiling.Usage)
+		pprofAddr    = flag.String("pprof", "", cli.PprofUsage)
 	)
-	flag.Usage = usage
-	flag.Parse()
-	if flag.NArg() > 0 {
-		fmt.Fprintf(os.Stderr, "rlcrouter: unexpected argument %q\n\n", flag.Arg(0))
-		usage()
-		os.Exit(2)
-	}
+	cli.Parse(synopsis, "-leader URL [flags]", endpoints)
 	if *leaderURL == "" {
-		fatalf("-leader is required")
+		cli.Fatalf("-leader is required")
 	}
 	var followers []string
 	for _, u := range strings.Split(*followerCSV, ",") {
@@ -82,48 +80,6 @@ func main() {
 	rt.Refresh(ctx)
 	go rt.Run(ctx)
 
-	if err := profiling.Serve(*pprofAddr); err != nil {
-		fatalf("%v", err)
-	}
-	ln, err := net.Listen("tcp", *addr)
-	if err != nil {
-		fatalf("listen: %v", err)
-	}
-	httpSrv := &httpd.Server{Handler: rt.Handler()}
-	done := make(chan error, 1)
-	go func() { done <- httpSrv.Serve(ln) }()
-	fmt.Printf("serving on %s (leader %s, %d followers)\n", ln.Addr(), *leaderURL, len(followers))
-
-	select {
-	case err := <-done:
-		fatalf("serve: %v", err)
-	case <-ctx.Done():
-	}
-	stop()
-	fmt.Println("draining in-flight requests...")
-	shutdownCtx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
-	defer cancel()
-	if err := httpSrv.Shutdown(shutdownCtx); err != nil {
-		fatalf("shutdown: %v", err)
-	}
-	if err := <-done; err != nil && !errors.Is(err, http.ErrServerClosed) {
-		fatalf("serve: %v", err)
-	}
-	fmt.Println("shut down cleanly")
-}
-
-func usage() {
-	fmt.Fprintf(flag.CommandLine.Output(), "%s\n\nusage: rlcrouter -leader URL [flags]\n\nflags:\n", synopsis)
-	flag.PrintDefaults()
-	fmt.Fprint(flag.CommandLine.Output(), `
-endpoints: GET /query, POST /batch (routed reads), POST /update, POST /rebuild
-(forwarded to the leader), GET /healthz (the router's view of every backend),
-GET /stats (hedges fired and won, failed attempts, stale-connection retries,
-dials, leader fallbacks, protocol errors, replies served per backend)
-`)
-}
-
-func fatalf(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "rlcrouter: "+format+"\n", args...)
-	os.Exit(1)
+	cli.Serve(ctx, *addr, *pprofAddr, *drainTimeout, rt.Handler(),
+		fmt.Sprintf("(leader %s, %d followers)", *leaderURL, len(followers)), nil)
 }

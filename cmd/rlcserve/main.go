@@ -31,18 +31,15 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
-	"net"
-	"net/http"
 	"os"
 	"os/signal"
 	"syscall"
 	"time"
 
 	rlc "github.com/g-rpqs/rlc-go"
-	"github.com/g-rpqs/rlc-go/internal/profiling"
+	"github.com/g-rpqs/rlc-go/internal/cli"
 )
 
 const synopsis = "rlcserve — serve RLC reachability queries over HTTP from hot-reloadable snapshot bundles"
@@ -52,23 +49,17 @@ func main() {
 		snapshotPath = flag.String("snapshot", "", "snapshot bundle (.rlcs) to serve, written by rlcbuild -o; SIGHUP / POST /reload hot-swap it")
 		addr         = flag.String("addr", ":8080", "listen address")
 		drain        = flag.Duration("drain", 10*time.Second, "graceful-shutdown drain budget")
-		pprofAddr    = flag.String("pprof", "", profiling.Usage)
+		pprofAddr    = flag.String("pprof", "", cli.PprofUsage)
 	)
-	flag.Usage = usage
-	flag.Parse()
-	if flag.NArg() > 0 {
-		fmt.Fprintf(os.Stderr, "rlcserve: unexpected argument %q\n\n", flag.Arg(0))
-		usage()
-		os.Exit(2)
-	}
+	cli.Parse(synopsis, "-snapshot BUNDLE [flags]", "")
 	if *snapshotPath == "" {
-		fatalf("-snapshot is required (build a bundle with rlcbuild -o)")
+		cli.Fatalf("-snapshot is required (build a bundle with rlcbuild -o)")
 	}
 
 	start := time.Now()
 	snap, err := rlc.OpenVerifiedSnapshot(*snapshotPath)
 	if err != nil {
-		fatalf("open snapshot: %v", err)
+		cli.Fatalf("open snapshot: %v", err)
 	}
 	fmt.Printf("snapshot %s opened in %v (%.2f MB, fingerprint %v)\n",
 		*snapshotPath, time.Since(start).Round(time.Microsecond),
@@ -98,34 +89,8 @@ func main() {
 		}
 	}()
 
-	if err := profiling.Serve(*pprofAddr); err != nil {
-		fatalf("%v", err)
-	}
-	ln, err := net.Listen("tcp", *addr)
-	if err != nil {
-		fatalf("listen: %v", err)
-	}
-	done := make(chan error, 1)
-	go func() { done <- srv.Serve(ln) }()
-	fmt.Printf("serving on %s (/query /batch /reload /stats /healthz)\n", ln.Addr())
-
-	select {
-	case err := <-done:
-		fatalf("serve: %v", err)
-	case <-ctx.Done():
-	}
-	stop()
-	fmt.Println("signal received; draining in-flight requests...")
-	shutdownCtx, cancel := context.WithTimeout(context.Background(), *drain)
-	defer cancel()
-	if err := srv.Shutdown(shutdownCtx); err != nil {
-		fatalf("shutdown: %v", err)
-	}
-	if err := <-done; err != nil && !errors.Is(err, http.ErrServerClosed) {
-		fatalf("serve: %v", err)
-	}
+	cli.Serve(ctx, *addr, *pprofAddr, *drain, srv.Handler(), "(/query /batch /reload /stats /healthz)", nil)
 	srv.Close()
-	fmt.Println("shut down cleanly")
 }
 
 func printIndexStats(ix *rlc.Index) {
@@ -136,14 +101,4 @@ func printIndexStats(ix *rlc.Index) {
 		fmt.Printf("tiers: budget %d B: %d exact vertices, %d filtered\n",
 			st.Tiers.Budget, st.Tiers.RetainedVertices, st.Tiers.DemotedVertices)
 	}
-}
-
-func usage() {
-	fmt.Fprintf(flag.CommandLine.Output(), "%s\n\nusage: rlcserve -snapshot BUNDLE [flags]\n\nflags:\n", synopsis)
-	flag.PrintDefaults()
-}
-
-func fatalf(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "rlcserve: "+format+"\n", args...)
-	os.Exit(1)
 }

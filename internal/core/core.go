@@ -142,6 +142,13 @@ func (ix *Index) Graph() *graph.Graph { return ix.g }
 // K returns the recursive k the index supports.
 func (ix *Index) K() int { return ix.k }
 
+// InClass reports whether l is in the index's query class (Section III):
+// non-empty, at most k labels, and its own minimum repeat. Query answers a
+// constraint in the class and refuses every other one.
+func (ix *Index) InClass(l labelseq.Seq) bool {
+	return len(l) <= ix.k && labelseq.IsPrimitive(l)
+}
+
 // AccessOrder returns the IN-OUT vertex order used during construction;
 // element i is the vertex with access id i+1 in the paper's numbering.
 func (ix *Index) AccessOrder() []graph.Vertex { return ix.order }

@@ -141,7 +141,7 @@ func (h *Evaluator) segmentCost(seg labelseq.Seq) int64 {
 // handled is false when the first segment is outside the index's class, in
 // which case the caller falls back to the forward strategy.
 func (h *Evaluator) evalBackward(ctx context.Context, s, t graph.Vertex, first, last labelseq.Seq) (ok, handled bool, err error) {
-	if len(first) > h.ix.K() || !labelseq.IsPrimitive(first) {
+	if !h.ix.InClass(first) {
 		return false, false, nil
 	}
 	probe, perr := h.ix.NewSourceProbe(s, first)
@@ -164,7 +164,7 @@ func (h *Evaluator) evalBackward(ctx context.Context, s, t graph.Vertex, first, 
 // when the constraint is within the index's class, otherwise a traversal on
 // the second evaluator.
 func (h *Evaluator) probeFor(t graph.Vertex, l labelseq.Seq) (func(graph.Vertex) bool, error) {
-	if len(l) <= h.ix.K() && labelseq.IsPrimitive(l) {
+	if h.ix.InClass(l) {
 		probe, err := h.ix.NewTargetProbe(t, l)
 		if err != nil {
 			return nil, fmt.Errorf("hybrid: %w", err)
@@ -185,7 +185,7 @@ func (h *Evaluator) probeFor(t graph.Vertex, l labelseq.Seq) (func(graph.Vertex)
 // is within the index's supported class, falling back to online traversal
 // otherwise (e.g. l longer than the index's k).
 func (h *Evaluator) answerSegment(x, t graph.Vertex, l labelseq.Seq) (bool, error) {
-	if len(l) <= h.ix.K() && labelseq.IsPrimitive(l) {
+	if h.ix.InClass(l) {
 		return h.ix.Query(x, t, l)
 	}
 	nfa, err := automaton.NewPlus(l, h.ix.Graph().NumLabels())

@@ -502,11 +502,12 @@ func hasLiteral(b []byte, lit string) bool {
 }
 
 // batchConstraint is what one distinct constraint text came to on one
-// generation: the labels of its single L+ segment, or the reply slot every
-// query carrying it gets.
+// generation: the labels of its single L+ segment and whether they are in
+// the index's query class, or the reply slot every query carrying it gets.
 type batchConstraint struct {
-	seq  labelseq.Seq
-	fail []byte
+	seq     labelseq.Seq
+	inClass bool
+	fail    []byte
 }
 
 // batchState is everything one /batch request needs, pooled whole so a
@@ -600,6 +601,7 @@ func (bs *batchState) constraint(st *state, text []byte) batchConstraint {
 		c.fail = failSlot(errBatchSegments)
 	default:
 		c.seq = e.Segments[0].Labels
+		c.inClass = st.ix.InClass(c.seq)
 	}
 	if bs.tableBytes > batchTableBytes {
 		clear(bs.constraints)
@@ -610,21 +612,21 @@ func (bs *batchState) constraint(st *state, text []byte) batchConstraint {
 	return c
 }
 
-// resolve turns slot i into index terms, or into the reply slot saying why
-// not: s is checked first, then t, then l, and the first failure is the one
-// reported.
-func (bs *batchState) resolve(st *state, i int) (q core.BatchQuery, fail []byte) {
+// resolve turns slot i into index terms and whether its constraint is in
+// the index's class, or into the reply slot saying why not: s is checked
+// first, then t, then l, and the first failure is the one reported.
+func (bs *batchState) resolve(st *state, i int) (q core.BatchQuery, inClass bool, fail []byte) {
 	slot := &bs.slots[i]
 	var err error
 	if q.S, err = vertexOf(st, slot.s); err != nil {
-		return q, failSlot(fmt.Errorf("s: %w", err))
+		return q, false, failSlot(fmt.Errorf("s: %w", err))
 	}
 	if q.T, err = vertexOf(st, slot.t); err != nil {
-		return q, failSlot(fmt.Errorf("t: %w", err))
+		return q, false, failSlot(fmt.Errorf("t: %w", err))
 	}
 	c := bs.constraint(st, slot.l)
 	q.L = c.seq
-	return q, c.fail
+	return q, c.inClass, c.fail
 }
 
 // answer fills out[i] for a query that was answered: the literal for its
@@ -719,39 +721,34 @@ func (s *Server) serveBatch(st *state, bs *batchState, w http.ResponseWriter, r 
 
 	start := time.Now()
 	bs.out = slices.Grow(bs.out[:0], len(slots))[:len(slots)]
-	if st.delta != nil && st.delta.JournalLen() > 0 {
-		// Journal edges are pending, and the worker pool below reads the
-		// base index only: each query is answered the way /query answers
-		// it, base index first and then the overlay search, under the
-		// request's context.
-		for i := range slots {
-			q, fail := bs.resolve(st, i)
-			if fail != nil {
-				bs.out[i] = fail
-				continue
-			}
+	// A query in the index's class is answered the way /query answers it
+	// while journal edges are pending: base index, then the overlay search,
+	// under the request's context. Every other query that resolved goes to
+	// the base index in one sub-batch: exact while the journal is empty —
+	// checking that is a valid linearization point — and, on any
+	// generation, the same refusal for a constraint outside the class.
+	pending := st.delta != nil && st.delta.JournalLen() > 0
+	bs.queries = bs.queries[:0]
+	for i := range slots {
+		q, inClass, fail := bs.resolve(st, i)
+		switch {
+		case fail != nil:
+			bs.out[i] = fail
+		case pending && inClass:
 			reachable, err := st.computeSeq(r.Context(), q.S, q.T, q.L)
 			bs.answer(i, reachable, err)
+		default:
+			bs.out[i] = nil
+			bs.queries = append(bs.queries, q)
 		}
-	} else {
-		// The journal is empty — checking that is a valid linearization
-		// point — so the base index is exact, and every query that resolved
-		// goes to it in one sub-batch.
-		bs.queries = bs.queries[:0]
-		for i := range slots {
-			q, fail := bs.resolve(st, i)
-			if bs.out[i] = fail; fail == nil {
-				bs.queries = append(bs.queries, q)
-			}
-		}
-		bs.results = st.ix.QueryBatchIntoCtx(r.Context(), bs.queries, workers, bs.results)
-		next := 0
-		for i, fail := range bs.out {
-			if fail == nil {
-				res := bs.results[next]
-				bs.answer(i, res.Reachable, res.Err)
-				next++
-			}
+	}
+	bs.results = st.ix.QueryBatchIntoCtx(r.Context(), bs.queries, workers, bs.results)
+	next := 0
+	for i, slot := range bs.out {
+		if slot == nil {
+			res := bs.results[next]
+			bs.answer(i, res.Reachable, res.Err)
+			next++
 		}
 	}
 	sendJSON(w, bs.appendReply(float64(time.Since(start).Nanoseconds())/1e3))

@@ -543,6 +543,38 @@ func TestBatchPendingJournalReadsOverlay(t *testing.T) {
 	}
 }
 
+// TestBatchReplyIndependentOfJournal: /batch answers the index's query
+// class, and a constraint outside it gets the same refusal whether or not
+// journal edges are pending, so two replicas of one timeline give one
+// request one reply. The golden body plus a constraint_too_long slot must
+// read byte for byte the same before and after an unrelated insert.
+func TestBatchReplyIndependentOfJournal(t *testing.T) {
+	srv, hts := newTestServer(t, buildIndex(t, graph.Fig2()), Options{Mutable: true, RebuildThreshold: -1})
+	end := strings.LastIndex(goldenBatchBody, "]}")
+	body := goldenBatchBody[:end] + `,{"s":0,"t":4,"l":"l1 l2 l3"}]}`
+	reply := func() string {
+		t.Helper()
+		code, _, raw := postBatch(t, hts.URL, body)
+		if code != http.StatusOK {
+			t.Fatalf("status %d: %s", code, raw)
+		}
+		return normalizeMicros(t, raw)
+	}
+	empty := reply()
+	for _, want := range []string{`"code":"not_minimum_repeat"`, `"code":"constraint_too_long"`} {
+		if !strings.Contains(empty, want) {
+			t.Fatalf("empty journal: reply lacks %s: %s", want, empty)
+		}
+	}
+	// v6 -l1-> v6 lies on no path any query of the body asks about.
+	if _, err := srv.UpdateBatch([]graph.Edge{{Src: 5, Label: 0, Dst: 5}}); err != nil {
+		t.Fatal(err)
+	}
+	if pending := reply(); pending != empty {
+		t.Fatalf("the reply changed with a journal edge pending:\nempty:   %s\npending: %s", empty, pending)
+	}
+}
+
 // relabelled is Fig. 2's vertices with each edge's label mapped through
 // labels (old id → new id), over labels named names.
 func relabelled(labels []graph.Label, names ...string) *graph.Graph {

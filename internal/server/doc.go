@@ -36,9 +36,11 @@
 // expression) under the request's own context, writes the reply into a
 // pooled buffer and sends it with one Write. POST /batch (batch.go) scans its
 // one accepted schema with a hand-written streaming decoder, parses each
-// distinct constraint once per request, hands every resolved query straight
-// to Index.QueryBatchIntoCtx — or, with journal edges pending, to the same
-// computeSeq one by one — and joins the reply in one pooled buffer. Neither
+// distinct constraint once per generation, hands every resolved query
+// straight to Index.QueryBatchIntoCtx — or, with journal edges pending, each
+// one in the index's class to the same computeSeq one by one, so a
+// constraint outside the class is refused the same way on every generation
+// — and joins the reply in one pooled buffer. Neither
 // endpoint allocates per query beyond the constraint parse; fuzzers hold both
 // hand-written halves of each to net/url and encoding/json. On a mutable
 // server exactness under writes rests on the journal alone: a read loads one

@@ -156,18 +156,18 @@ func (s *Server) rebuildOnce() (res RebuildResult, err error) {
 	start := time.Now()
 	defer func() { s.finishRebuild(&res, start, err) }()
 
-	union, folded, buildOpts, err := s.foldInput()
+	st, union, folded, err := s.foldInput()
 	unionDone := time.Now()
 	res.UnionMicros = micros(unionDone.Sub(start))
 	if err != nil {
 		return res, err
 	}
 	if folded == 0 {
-		res.Epoch, res.Generation = s.epoch.Load(), s.store.Generation()
+		res.Epoch, res.Generation = st.epoch, st.gen
 		return res, nil
 	}
 
-	ix, err := core.Build(union, buildOpts)
+	ix, err := core.Build(union, st.ix.BuildOptions())
 	buildDone := time.Now()
 	res.BuildMicros = micros(buildDone.Sub(unionDone))
 	if err != nil {
@@ -205,17 +205,17 @@ func (s *Server) rebuildOnce() (res RebuildResult, err error) {
 
 func micros(d time.Duration) float64 { return float64(d.Nanoseconds()) / 1e3 }
 
-// foldInput materializes base ∪ journal of the serving generation and reads
-// its build parameters. A generation is a bundle, and a bundle records only
-// k and, when the index is tiered, its size budget; the fold rebuilds with
-// those two, so a budgeted base folds into a budgeted epoch.
-func (s *Server) foldInput() (union *graph.Graph, folded int, opts core.Options, err error) {
-	st := s.store.current()
-	if st == nil {
-		return nil, 0, core.Options{}, errServerClosed
+// foldInput loads the serving generation and materializes its base ∪
+// journal. The fold rebuilds with the generation's BuildOptions: a
+// generation is a bundle, and a bundle records only k and, when the index
+// is tiered, its size budget, so a budgeted base folds into a budgeted
+// epoch.
+func (s *Server) foldInput() (st *state, union *graph.Graph, folded int, err error) {
+	if st = s.store.current(); st == nil {
+		return nil, nil, 0, errServerClosed
 	}
 	union, folded = st.delta.FoldInput()
-	return union, folded, st.ix.BuildOptions(), nil
+	return st, union, folded, nil
 }
 
 // installFolded pauses writers, carries the un-folded journal tail into the
@@ -236,7 +236,6 @@ func (s *Server) installFolded(snap *core.Snapshot, folded int, source string) (
 	// stays consistent with whichever generation it loaded.
 	epoch = st.epoch + 1
 	s.store.SwapFolded(snap, tail, source, epoch, st.seqBase+uint64(folded))
-	s.epoch.Store(epoch)
 	return len(tail), epoch, nil
 }
 

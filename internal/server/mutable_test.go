@@ -918,11 +918,11 @@ func runMutableSoak(t *testing.T, cfg soakConfig) {
 	for srv.rebuilding.Load() {
 		if time.Now().After(deadline) {
 			journal := srv.store.current().delta.JournalLen()
-			t.Fatalf("a fold is still running 60 s after the last insert (epoch %d, journal %d)", srv.epoch.Load(), journal)
+			t.Fatalf("a fold is still running 60 s after the last insert (epoch %d, journal %d)", srv.store.current().epoch, journal)
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	if epoch := srv.epoch.Load(); epoch < 3 {
+	if epoch := srv.store.current().epoch; epoch < 3 {
 		t.Fatalf("soak spanned %d rebuild epochs, want >= 3", epoch)
 	}
 	if writes := srv.store.writes.Load(); writes != uint64(inserts) {

@@ -197,6 +197,5 @@ func (s *Server) AdoptFolded(snap *core.Snapshot, tail []graph.Edge, epoch, seqB
 		return errServerClosed
 	}
 	s.store.SwapFolded(snap, tail, source, epoch, seqBase)
-	s.epoch.Store(epoch)
 	return nil
 }

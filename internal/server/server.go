@@ -119,10 +119,8 @@ type Server struct {
 	// swap and be lost. The read path never takes it.
 	updateMu sync.Mutex
 
-	// rebuilding dedups background fold goroutines; epoch counts
-	// completed folds across all generations.
+	// rebuilding dedups background fold goroutines.
 	rebuilding     atomic.Bool
-	epoch          atomic.Uint64
 	lastRebuildUS  atomic.Int64
 	lastFoldPhases atomic.Pointer[FoldPhases]
 	lastRebuildEr  atomic.Pointer[string]
@@ -286,14 +284,14 @@ func (s *Server) QueryRLC(ctx context.Context, src, dst graph.Vertex, l labelseq
 // that search alone for the rest. An index-class answer from the base costs
 // the probe and nothing else.
 func (st *state) computeSeq(ctx context.Context, src, dst graph.Vertex, l labelseq.Seq) (bool, error) {
-	indexClass := len(l) > 0 && len(l) <= st.ix.K() && labelseq.IsPrimitive(l)
+	inClass := st.ix.InClass(l)
 	if st.delta != nil && st.delta.JournalLen() > 0 {
-		if indexClass {
+		if inClass {
 			return st.delta.QueryRLC(ctx, src, dst, l) // overlay search
 		}
 		return st.delta.EvalExprCtx(ctx, src, dst, automaton.Plus(l)) // overlay search
 	}
-	if indexClass {
+	if inClass {
 		return st.ix.QueryRLC(ctx, src, dst, l)
 	}
 	h := st.hybrids.Get().(*hybrid.Evaluator)
@@ -413,7 +411,8 @@ func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) bool {
 // MutableStats is the write-path section of GET /stats: the current epoch,
 // the pending journal, and fold history.
 type MutableStats struct {
-	// Epoch counts completed folds across the server's lifetime.
+	// Epoch is the epoch of the generation the reply describes: the folds
+	// completed (leader-side or adopted) up to it.
 	Epoch uint64 `json:"epoch"`
 	// Journal is the number of inserted edges not yet folded into the base.
 	Journal int `json:"journal"`
@@ -469,7 +468,7 @@ type statsResponse struct {
 
 func (s *Server) mutableStats(st *state) MutableStats {
 	ms := MutableStats{
-		Epoch:             s.epoch.Load(),
+		Epoch:             st.epoch,
 		Journal:           st.delta.JournalLen(),
 		Writes:            s.store.writes.Load(),
 		LastRebuildMicros: float64(s.lastRebuildUS.Load()),
@@ -554,8 +553,6 @@ func (s *Server) handleHealthz(st *state, w http.ResponseWriter, r *http.Request
 		IndexBudget:       st.ix.TierStats().Budget,
 	}
 	if st.delta != nil {
-		// The generation's own epoch, not the server-wide counter:
-		// every field of one healthz reply describes a single generation.
 		epoch := st.epoch
 		journal := st.delta.JournalLen()
 		resp.Epoch = &epoch

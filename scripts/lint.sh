@@ -9,8 +9,8 @@
 # one-way-to-load-a-bundle check, the builder-in-rank-space check, the
 # one-index-builder-among-the-binaries check, the one-production-build
 # check (no pruning switch, no access-order knob), the reference-builder-
-# stays-an-oracle check, the one-journal-watermark check, then staticcheck
-# and govulncheck when available.
+# stays-an-oracle check, the one-journal-watermark check, the one-command-
+# contract check, then staticcheck and govulncheck when available.
 # CI runs this in the lint job; run it locally before sending a change that
 # touches the serving or query path.
 #
@@ -297,6 +297,25 @@ stray=$(grep -rnE --include='*.go' --exclude-dir=.bench_build \
 	grep -v '_test\.go:' || true)
 if [ -n "$stray" ]; then
 	echo "a second journal watermark is back; export with Server.ExportJournal (DeltaGraph.JournalTail) instead:" >&2
+	echo "$stray" >&2
+	status=1
+fi
+
+# One command contract: every binary under cmd/ parses its flags, prints
+# its usage and fails through internal/cli, and the three serving binaries
+# listen, serve, drain and expose pprof through cli.Serve. A usage or fatalf
+# of a tool's own, a positional-argument check, a listener or a pprof import
+# under cmd/ is a second copy of that contract coming back. The index's
+# query class is spelled once, core.Index.InClass; a minimum-repeat test in
+# internal/server or internal/hybrid is a second spelling that can drift
+# from the one the index enforces.
+echo "==> one command contract under cmd/, one query-class test"
+stray=$({
+	grep -rnE --include='*.go' 'func (usage|fatalf)\(|flag\.NArg\(|httpd\.Server\{|net\.Listen\(|"net/http/pprof"' cmd
+	grep -rn --include='*.go' 'labelseq\.IsPrimitive(' internal/server internal/hybrid
+} | grep -v '_test\.go:' || true)
+if [ -n "$stray" ]; then
+	echo "a binary carries its own usage, fatalf, argument check, listener or pprof, or the query class is tested outside core.Index.InClass; use internal/cli and InClass:" >&2
 	echo "$stray" >&2
 	status=1
 fi
