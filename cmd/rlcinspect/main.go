@@ -85,11 +85,14 @@ func main() {
 }
 
 // sectionNames maps the RLC bundle's section ids to display names (ids are
-// defined in internal/core's snapshot layout).
+// defined in internal/core's snapshot layout). Ids 5-7 and 10-12 are
+// retired: older bundles carry them, the reader checksums them and decodes
+// nothing.
 var sectionNames = map[uint32]string{
 	1: "meta", 2: "graph-out-off", 3: "graph-out-dst", 4: "graph-out-lbl",
-	5: "graph-in-off", 6: "graph-in-src", 7: "graph-in-lbl", 8: "dict",
-	9: "order", 10: "entries", 11: "index-out-off", 12: "index-in-off",
+	5: "graph-in-off (retired)", 6: "graph-in-src (retired)",
+	7: "graph-in-lbl (retired)", 8: "dict", 9: "order",
+	10: "entries (retired)", 11: "index-out-off (retired)", 12: "index-in-off (retired)",
 	13: "vertex-names", 14: "label-names", 15: "packed-meta",
 	16: "packed-groups", 17: "packed-out-off", 18: "packed-in-off",
 	19: "packed-sets", 20: "packed-set-desc", 21: "tier-meta",
@@ -97,13 +100,14 @@ var sectionNames = map[uint32]string{
 	25: "tier-set-desc", 26: "tier-bloom",
 }
 
-// dumpSections prints the bundle's section table, checksumming each payload
-// exactly once, then runs Snapshot.VerifyContents — together the same
-// integrity pass as Snapshot.Verify, without re-reading the file.
+// dumpSections prints the bundle's section table, with each section's share
+// of the file, checksumming each payload exactly once, then runs
+// Snapshot.VerifyContents — together the same integrity pass as
+// Snapshot.Verify, without re-reading the file.
 func dumpSections(snap *rlc.Snapshot) {
 	fmt.Printf("snapshot %s: %.2f MB, fingerprint %v\n",
 		snap.Path(), float64(snap.SizeBytes())/(1024*1024), snap.Fingerprint())
-	fmt.Printf("%-4s %-14s %10s %12s %10s %s\n", "id", "section", "offset", "length", "crc32c", "verify")
+	fmt.Printf("%-4s %-23s %10s %12s %7s %10s %s\n", "id", "section", "offset", "length", "share", "crc32c", "verify")
 	corrupt := false
 	for _, sec := range snap.Sections() {
 		name := sectionNames[sec.ID]
@@ -115,7 +119,8 @@ func dumpSections(snap *rlc.Snapshot) {
 			status = "CORRUPT"
 			corrupt = true
 		}
-		fmt.Printf("%-4d %-14s %10d %12d   %08x %s\n", sec.ID, name, sec.Offset, sec.Length, sec.CRC, status)
+		share := 100 * float64(sec.Length) / float64(snap.SizeBytes())
+		fmt.Printf("%-4d %-23s %10d %12d %6.1f%%   %08x %s\n", sec.ID, name, sec.Offset, sec.Length, share, sec.CRC, status)
 	}
 	if corrupt {
 		cli.Fatalf("snapshot failed checksum verification (see table above)")

@@ -24,7 +24,7 @@ func RunAblation(cfg Config) ([]*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	g, err := replica(cfg, d)
+	g, note, err := replica(cfg, d)
 	if err != nil {
 		return nil, fmt.Errorf("ablation: %w", err)
 	}
@@ -39,6 +39,7 @@ func RunAblation(cfg Config) ([]*Table, error) {
 		Columns: []string{"Configuration", "IT (s)", "Entries", "IS (MB)", "QT true (ms)", "QT false (ms)"},
 		Notes: []string{
 			"Every configuration answers all queries correctly; pruning only changes cost. PR1 = snapshot check, PR2 = rank order, PR3 = a pruned insert expands no further. Every row but the last builds with Algorithm 2 as stated (core.BuildReference); the last builds with core.Build, whose shortcuts write the all-rules index in less time.",
+			note,
 		},
 	}
 	all := core.Pruning{PR1: true, PR2: true, PR3: true}

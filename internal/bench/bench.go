@@ -18,7 +18,8 @@ type Config struct {
 	MaxVertices int
 	// MaxEdges caps replica edge counts; it binds on the densest datasets
 	// (SO, WF) whose per-edge indexing cost is also the highest, which is
-	// what makes default runs finish. Raise it to stress the build.
+	// what makes default runs finish. Raise it to stress the build; a
+	// negative value removes the cap.
 	MaxEdges int
 	// QueriesPerSet is the size of each true/false query set (paper: 1000).
 	QueriesPerSet int

@@ -2,11 +2,14 @@ package bench
 
 import (
 	"encoding/json"
+	"fmt"
 	"os"
 	"reflect"
 	"strings"
 	"testing"
 	"time"
+
+	"github.com/g-rpqs/rlc-go/internal/datasets"
 )
 
 // microConfig shrinks every experiment to seconds for the test suite.
@@ -202,5 +205,35 @@ func TestReportJSON(t *testing.T) {
 	}
 	if len(back.Experiments[0].Tables) != 1 || back.Experiments[0].Tables[0].Rows[0][0] != "1" {
 		t.Fatalf("table lost in round trip: %+v", back.Experiments[0].Tables)
+	}
+}
+
+// TestReplicaNoteNamesBindingCap: each replica's note gives its |V| and |E|
+// and names the one setting that bound |V|; a negative MaxEdges is no cap.
+func TestReplicaNoteNamesBindingCap(t *testing.T) {
+	d, err := datasets.ByName("AD") // 6,000 vertices, average degree 8.5
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		scale      float64
+		maxV, maxE int
+		vertices   int
+		bound      string
+	}{
+		{0.25, 20000, -1, 1500, "bound by -scale 0.25."},
+		{0.5, 2000, -1, 2000, "bound by -max-vertices 2000."},
+		{0.5, 20000, 12750, 1500, "bound by -max-edges 12750."},
+		{0.5, 20000, 1000, 600, "bound by the 600-vertex floor."},
+	}
+	for _, tc := range cases {
+		g, note, err := replica(Config{Scale: tc.scale, MaxVertices: tc.maxV, MaxEdges: tc.maxE, Seed: 1}, d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := fmt.Sprintf("AD replica: %d vertices, %d edges; ", tc.vertices, g.NumEdges())
+		if g.NumVertices() != tc.vertices || !strings.HasPrefix(note, want) || !strings.HasSuffix(note, tc.bound) {
+			t.Errorf("%+v: %d vertices, note %q; want %d vertices, %q…%q", tc, g.NumVertices(), note, tc.vertices, want, tc.bound)
+		}
 	}
 }

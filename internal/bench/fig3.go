@@ -34,10 +34,12 @@ func RunFig3(cfg Config) ([]*Table, error) {
 			continue
 		}
 		cfg.progressf("fig3: %s", d.Name)
-		g, err := replica(cfg, d)
+		g, note, err := replica(cfg, d)
 		if err != nil {
 			return nil, fmt.Errorf("fig3: %s: %w", d.Name, err)
 		}
+		trueTab.Notes = append(trueTab.Notes, note)
+		falseTab.Notes = append(falseTab.Notes, note)
 		w, err := buildWorkload(cfg, g, 2)
 		if err != nil {
 			return nil, fmt.Errorf("fig3: %s: %w", d.Name, err)

@@ -32,10 +32,11 @@ func RunFig4(cfg Config) ([]*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		g, err := replica(cfg, d)
+		g, note, err := replica(cfg, d)
 		if err != nil {
 			return nil, fmt.Errorf("fig4: %s: %w", name, err)
 		}
+		t.Notes = append(t.Notes, note)
 		for _, k := range cfg.KSweep {
 			cfg.progressf("fig4: %s k=%d", name, k)
 			start := time.Now()

@@ -15,23 +15,31 @@ import (
 var errTimeLimit = errors.New("bench: time limit exceeded")
 
 // replica generates a dataset replica honoring the config's scale and the
-// vertex/edge caps.
-func replica(cfg Config, d datasets.Dataset) (*graph.Graph, error) {
+// vertex/edge caps. The note it returns, for the tables the replica feeds,
+// gives the replica's |V| and |E| and names what bound |V|: the scale, the
+// vertex cap or the edge cap.
+func replica(cfg Config, d datasets.Dataset) (*graph.Graph, string, error) {
 	v := d.ReplicaVertices(cfg.Scale)
+	bound := fmt.Sprintf("-scale %g", cfg.Scale)
 	if v > cfg.MaxVertices {
-		v = cfg.MaxVertices
+		v, bound = cfg.MaxVertices, fmt.Sprintf("-max-vertices %d", cfg.MaxVertices)
 	}
 	if byEdges := int(float64(cfg.MaxEdges) / d.AvgDegree()); byEdges > 0 && v > byEdges {
-		v = byEdges
+		v, bound = byEdges, fmt.Sprintf("-max-edges %d", cfg.MaxEdges)
 	}
 	if v < 600 {
-		v = 600
+		v, bound = 600, "the 600-vertex floor"
 	}
 	seed := cfg.Seed
 	for _, c := range d.Name {
 		seed = seed*131 + int64(c)
 	}
-	return d.Generate(v, seed)
+	g, err := d.Generate(v, seed)
+	if err != nil {
+		return nil, "", err
+	}
+	return g, fmt.Sprintf("%s replica: %d vertices, %d edges; |V| bound by %s.",
+		d.Name, g.NumVertices(), g.NumEdges(), bound), nil
 }
 
 // buildWorkload generates a concat-length-2 workload unless overridden.

@@ -19,17 +19,18 @@ func RunTable3(cfg Config) ([]*Table, error) {
 			"Dataset", "|V|", "|E|", "|L|", "Loops", "Triangles",
 			"orig |V|", "orig |E|", "orig loops", "orig triangles",
 		},
-		Notes: []string{fmt.Sprintf("Replica scale %.4f of original vertices, capped at %d vertices; average degree, |L|, loop density and triangle density preserved (see internal/datasets).", cfg.Scale, cfg.MaxVertices)},
+		Notes: []string{"Replicas keep the originals' average degree, |L|, loop density and triangle density (see internal/datasets)."},
 	}
 	for _, d := range datasets.All() {
 		if !cfg.wantDataset(d.Name) {
 			continue
 		}
 		cfg.progressf("table3: generating %s", d.Name)
-		g, err := replica(cfg, d)
+		g, note, err := replica(cfg, d)
 		if err != nil {
 			return nil, fmt.Errorf("table3: %s: %w", d.Name, err)
 		}
+		t.Notes = append(t.Notes, note)
 		st := graph.ComputeStats(g)
 		t.Rows = append(t.Rows, []string{
 			d.Name,

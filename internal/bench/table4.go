@@ -31,10 +31,11 @@ func RunTable4(cfg Config) ([]*Table, error) {
 			continue
 		}
 		cfg.progressf("table4: %s", d.Name)
-		g, err := replica(cfg, d)
+		g, note, err := replica(cfg, d)
 		if err != nil {
 			return nil, fmt.Errorf("table4: %s: %w", d.Name, err)
 		}
+		t.Notes = append(t.Notes, note)
 
 		start := time.Now()
 		ix, err := core.Build(g, core.Options{K: 2})

@@ -31,7 +31,7 @@ func RunTable5(cfg Config) ([]*Table, error) {
 		return nil, err
 	}
 	cfg.progressf("table5: generating WN replica")
-	g, err := replica(cfg, d)
+	g, note, err := replica(cfg, d)
 	if err != nil {
 		return nil, fmt.Errorf("table5: %w", err)
 	}
@@ -75,6 +75,7 @@ func RunTable5(cfg Config) ([]*Table, error) {
 		Notes: []string{
 			fmt.Sprintf("RLC index built in %.2fs (%s entries). Q4 uses the index+traversal hybrid. BEP = queries until indexing time amortizes.", buildTime.Seconds(), fmtCount(ix.NumEntries())),
 			"\"-\" = engine exceeded its per-type time budget (cf. the timed-out Virtuoso/Q4 cell of Table V).",
+			note,
 		},
 	}
 

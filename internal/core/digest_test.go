@@ -42,6 +42,10 @@ func digestOf(t *testing.T, ix *Index) string {
 // were re-pinned, by the same amount, when the kernel search stopped
 // visiting the depth-k states PR2 rejects (builder.go, kbs, argues both).
 // KernelSearchStates − PrunedPR2 and Inserted are unchanged in every row.
+// Every digest was re-pinned when bundles stopped carrying a copy of the
+// in-adjacency (sections 5-7): each new one is the sha256 of the bundle
+// the previous builder wrote, re-containered without those three sections,
+// so the index bytes did not move.
 // (TestDeterministicBuild compares two runs of the same code and the Fig. 2
 // golden has six vertices.)
 func TestBuildDigestStable(t *testing.T) {
@@ -65,27 +69,27 @@ func TestBuildDigestStable(t *testing.T) {
 		digest   string
 		counters [6]int64
 	}{
-		{"WN", 2000, Options{K: 2}, OrderInOut, false, "3b1cd0d8f297f7bd5398cc306228fc5b0c98d369c020a8de0ee9a96152f551b2",
+		{"WN", 2000, Options{K: 2}, OrderInOut, false, "08d7e6fb98c44181e639605f7db92db8993db0567d599c1dbbfd474b0c6fb4f8",
 			[6]int64{163910, 10629, 74484, 44439, 134198, 8286}},
-		{"LJ", 1500, Options{K: 2}, OrderInOut, true, "1b43853a349e63a6762c0d2ad06d578702233fc5fb17fe4479775573e1ff56da",
+		{"LJ", 1500, Options{K: 2}, OrderInOut, true, "ed4a0c5442e00e25ca39b2416c6ca167e25806dee74b8e13e423fb552fbe17cc",
 			[6]int64{725415, 41490, 386923, 152651, 622210, 20198}},
-		{"AD", 1000, Options{K: 3}, OrderInOut, true, "8f10a05343c2656253f128e23e97e34b1ba11ed6fc176c1b26539aab04ab5516",
+		{"AD", 1000, Options{K: 3}, OrderInOut, true, "ce19e94926b75b6f225783b56f6d5d7b654b5d976f0806e9ab2d424b57430a10",
 			[6]int64{2138784, 1856, 111761, 42876, 1954778, 163603}},
-		{"WN", 2000, Options{K: 1}, OrderInOut, false, "1e761a20eb79b900f2bea7bbdf1150a69c3fe71f4cd9357c1b3aff94a1889d54",
+		{"WN", 2000, Options{K: 1}, OrderInOut, false, "1f50514e05707b8f6a3ad7263c2859ca994b8e8742aa44bc1f00e0856849ae28",
 			[6]int64{8612, 1808, 7385, 7385, 5855, 0}},
-		{"AD", 1000, Options{K: 1}, OrderInOut, false, "df42c5c99e27ea556892186fad9507df61bffbd0e555e73b73e482da3ed197f3",
+		{"AD", 1000, Options{K: 1}, OrderInOut, false, "a0d4352411689151fc04b03ce568cc2f42e0ffb634e5445f0352352900b56652",
 			[6]int64{8893, 640, 4419, 4419, 7783, 0}},
-		{"SO", 200, Options{K: 3}, OrderInOut, true, "3fa093d62ff7b10fb5e3099ac7068f549dc95199fba89dbb17d130752be861d5",
+		{"SO", 200, Options{K: 3}, OrderInOut, true, "ad4d674f945df48486b1dc9bf7f215cad8b5cabec71cfe03f12d004d7cdea068",
 			[6]int64{696967, 226, 30991, 11793, 606808, 80984}},
-		{"WF", 300, Options{K: 2}, OrderInOut, true, "92333c492880a87752ea9cca4ffd24fac9449a65eec570f6474c81efbc747186",
+		{"WF", 300, Options{K: 2}, OrderInOut, true, "1d51fa24fe6602f9025a7d02dfd3af1fcb6a7b22f28b3c133aa61b2c9503ba45",
 			[6]int64{457997, 13827, 155917, 67316, 415731, 10311}},
-		{"TW", 20000, Options{K: 3}, OrderInOut, false, "2a2ab9328ada884b0e4a2de1e60baff37af859ca463436455fbc832d48105c0a",
+		{"TW", 20000, Options{K: 3}, OrderInOut, false, "4b842a398d2f6a4b4e62d82029bd764e0b028f2f4e4ef75d5542be712cad26f0",
 			[6]int64{261310, 34934, 220097, 134273, 74948, 63418}},
-		{"WN", 1000, Options{K: 2}, OrderDegreeSum, false, "8dd4bd8f002608dfc947a44897695ef64fdfee86e057ceb311f2eb62af0d1683",
+		{"WN", 1000, Options{K: 2}, OrderDegreeSum, false, "227c243fea9fd91a6edc071adebbc2e20f66f7a0da3c8f0c76eb4c41eeb78627",
 			[6]int64{73803, 5297, 35356, 20605, 58123, 4152}},
-		{"WN", 1000, Options{K: 2}, OrderNatural, false, "36137de612d77c2ee27d3efb93473e93d296ce33231cf3f70be6fe79ad42d63c",
+		{"WN", 1000, Options{K: 2}, OrderNatural, false, "d71a988bd2e5841e0b032c095609e4ad0864fb989194eae77e5442172975ab55",
 			[6]int64{73803, 5188, 35420, 20808, 58255, 4152}},
-		{"WN", 1000, Options{K: 2}, OrderReverse, false, "dca8b94efb72d0852b1605e4ab6babed02a0149f95c333eab0e93caf68af68a0",
+		{"WN", 1000, Options{K: 2}, OrderReverse, false, "f937ee4fd11eaac60ed87b00830de724571bf192d7c17076666e254d45347ac9",
 			[6]int64{73803, 6476, 173115, 51486, 59255, 4152}},
 	}
 	for _, tc := range cases {
@@ -126,9 +130,9 @@ func TestBuildDigestStable(t *testing.T) {
 		rules  Pruning
 		digest string
 	}{
-		{Pruning{PR2: true, PR3: true}, "c7ee569952de87fd20a56fc90fcabd79ae9ef4d005d126f25d5e17414f877749"},
-		{Pruning{PR1: true, PR3: true}, "a13df9948313272c0a3174dccc852e99a6947ab641fb60ec5e7e2c41b0b28626"},
-		{Pruning{PR1: true, PR2: true}, "a13df9948313272c0a3174dccc852e99a6947ab641fb60ec5e7e2c41b0b28626"},
+		{Pruning{PR2: true, PR3: true}, "e0b3f29e50e9c9244239bfd0e44798d46f92610a7ca5b967bc813be64c98dd29"},
+		{Pruning{PR1: true, PR3: true}, "79230dc1eb716c7971c39460b2c888664b5241607f0eec87dbc333bf439c8aba"},
+		{Pruning{PR1: true, PR2: true}, "79230dc1eb716c7971c39460b2c888664b5241607f0eec87dbc333bf439c8aba"},
 	}
 	g := generate("WN", 1000)
 	for _, tc := range ablations {

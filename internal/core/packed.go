@@ -181,11 +181,24 @@ func (p *packed) count(list []packedGroup) int64 {
 	return int64(total)
 }
 
-// countEntries fills the cached per-direction entry counts.
+// countEntries fills the cached per-direction entry counts. Groups share
+// their hash-consed sets, so each set's popcount is taken once and every
+// group adds its set's.
 func (p *packed) countEntries() {
+	pop := make([]int32, len(p.desc))
+	for i, d := range p.desc {
+		for _, word := range p.words[d.off : d.off+d.span] {
+			pop[i] += int32(bits.OnesCount64(word))
+		}
+	}
+	sum := func(list []packedGroup) (total int64) {
+		for _, g := range list {
+			total += int64(pop[g.set])
+		}
+		return total
+	}
 	split := p.inOff[0]
-	p.outEntries = p.count(p.groups[:split])
-	p.inEntries = p.count(p.groups[split:])
+	p.outEntries, p.inEntries = sum(p.groups[:split]), sum(p.groups[split:])
 }
 
 // setWordsFor returns the pool set width for a dictionary of dictLen

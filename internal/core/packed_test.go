@@ -393,21 +393,22 @@ func TestSnapshotPackedSemanticCorruption(t *testing.T) {
 	}
 }
 
-// TestSnapshotIgnoresRetiredSections: ids 10-12 once held the entry arrays.
-// A bundle that still carries them beside its packed block is served from
-// the packed block; their payload is never decoded, only checksummed like
-// any section the reader does not know.
+// TestSnapshotIgnoresRetiredSections: ids 5-7 once held a copy of the
+// in-adjacency and ids 10-12 the entry arrays. A bundle that still carries
+// them is served from its out-adjacency and its packed block; their payload
+// is never decoded, only checksummed like any section the reader does not
+// know.
 func TestSnapshotIgnoresRetiredSections(t *testing.T) {
 	g := graph.Fig2()
 	fresh, base := bundleBytes(t, g, 2)
 	data := rebundle(t, base, func(s map[uint32][]byte) {
-		for id := uint32(10); id <= 12; id++ {
-			s[id] = []byte("not an entry array")
+		for _, id := range []uint32{5, 6, 7, 10, 11, 12} {
+			s[id] = []byte("not an in-adjacency or entry array")
 		}
 	})
 	s, err := OpenSnapshotBytes(data)
 	if err != nil {
-		t.Fatalf("bundle with retired sections 10-12 does not open: %v", err)
+		t.Fatalf("bundle with retired sections 5-7 and 10-12 does not open: %v", err)
 	}
 	defer s.Close()
 	if err := s.Verify(); err != nil {

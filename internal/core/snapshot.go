@@ -16,7 +16,8 @@ import (
 )
 
 // Snapshot bundle (format v2): one self-contained, self-describing file
-// holding everything a server needs — the graph CSR, the packed index groups
+// holding everything a server needs — the graph's out-adjacency (the
+// in-adjacency is its transpose, derived at open), the packed index groups
 // with their per-direction offsets and set pool, the access order, and the
 // label-sequence dictionary — as checksummed sections of the
 // internal/snapshot container.
@@ -31,17 +32,15 @@ const (
 	secGraphOutOff = 2  // int64[n+1]
 	secGraphOutDst = 3  // int32[m]
 	secGraphOutLbl = 4  // int32[m]
-	secGraphInOff  = 5  // int64[n+1]
-	secGraphInSrc  = 6  // int32[m]
-	secGraphInLbl  = 7  // int32[m]
 	secDict        = 8  // per sequence: len u8, labels i32...
 	secOrder       = 9  // int32[n], rank -> vertex id
 	secVertexNames = 13 // optional: count u32, then len u32 + bytes each
 	secLabelNames  = 14 // optional
 
-	// Ids 10-12 held the entry arrays of bundles written before the packed
-	// form became the index; they are never written and, like any id not
-	// listed here, ignored when present.
+	// Ids 5-7 held a copy of the graph's in-adjacency, and ids 10-12 the
+	// entry arrays of bundles written before the packed form became the
+	// index; they are never written and, like any id not listed here,
+	// checksummed by Verify but ignored when present.
 
 	// Packed bit-parallel MR-set sections (see packed.go): the index. All
 	// six are required. On little-endian hosts they are served zero-copy.
@@ -163,9 +162,6 @@ func (ix *Index) WriteSnapshot(w io.Writer) error {
 	sw.Add(secGraphOutOff, snapshot.I64Bytes(csr.OutOff))
 	sw.Add(secGraphOutDst, snapshot.I32Bytes(csr.OutDst))
 	sw.Add(secGraphOutLbl, snapshot.I32Bytes(csr.OutLbl))
-	sw.Add(secGraphInOff, snapshot.I64Bytes(csr.InOff))
-	sw.Add(secGraphInSrc, snapshot.I32Bytes(csr.InSrc))
-	sw.Add(secGraphInLbl, snapshot.I32Bytes(csr.InLbl))
 	sw.Add(secDict, encodeDict(ix.dict))
 	sw.Add(secOrder, snapshot.I32Bytes(ix.order))
 	if flags&flagVertexNames != 0 {
@@ -336,11 +332,11 @@ func newSnapshot(f *snapshot.File) (*Snapshot, error) {
 	}
 	n, m := meta.fp.N, meta.fp.M
 
-	// Graph sections → zero-copy adopted CSR.
-	var csr graph.CSR
+	// Graph sections → zero-copy adopted out-adjacency; AdoptCSR derives
+	// the in-adjacency from it.
 	offLen := int64(n+1) * 8
 	edgeLen := int64(m) * 4
-	var outOffB, inOffB, outDstB, outLblB, inSrcB, inLblB []byte
+	var outOffB, outDstB, outLblB []byte
 	for _, s := range []struct {
 		id      uint32
 		wantLen int64
@@ -350,20 +346,16 @@ func newSnapshot(f *snapshot.File) (*Snapshot, error) {
 		{secGraphOutOff, offLen, &outOffB, "graph out-offset"},
 		{secGraphOutDst, edgeLen, &outDstB, "graph out-dst"},
 		{secGraphOutLbl, edgeLen, &outLblB, "graph out-label"},
-		{secGraphInOff, offLen, &inOffB, "graph in-offset"},
-		{secGraphInSrc, edgeLen, &inSrcB, "graph in-src"},
-		{secGraphInLbl, edgeLen, &inLblB, "graph in-label"},
 	} {
 		if *s.dst, err = section(f, s.id, s.wantLen, s.what); err != nil {
 			return nil, err
 		}
 	}
-	csr.OutOff = snapshot.I64s(outOffB)
-	csr.OutDst = snapshot.I32s[graph.Vertex](outDstB)
-	csr.OutLbl = snapshot.I32s[labelseq.Label](outLblB)
-	csr.InOff = snapshot.I64s(inOffB)
-	csr.InSrc = snapshot.I32s[graph.Vertex](inSrcB)
-	csr.InLbl = snapshot.I32s[labelseq.Label](inLblB)
+	csr := graph.CSR{
+		OutOff: snapshot.I64s(outOffB),
+		OutDst: snapshot.I32s[graph.Vertex](outDstB),
+		OutLbl: snapshot.I32s[labelseq.Label](outLblB),
+	}
 
 	var vnames, lnames []string
 	if meta.flags&flagVertexNames != 0 {

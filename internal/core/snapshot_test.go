@@ -202,12 +202,15 @@ func within[T any](buf []byte, s []T) bool {
 
 // TestOpenIsZeroCopy: OpenSnapshot reads the file into one buffer and
 // adopts the large sections as views of it — the packed groups, the set
-// pool and the graph CSR point into Snapshot.Bytes(), none is a copy.
+// pool and the graph's out-adjacency point into Snapshot.Bytes(), none is a
+// copy. The in-adjacency is derived at open and must be the one
+// graph.Builder builds.
 func TestOpenIsZeroCopy(t *testing.T) {
 	if !snapshot.HostLittleEndian() {
 		t.Skip("big-endian hosts decode sections into copies")
 	}
-	ix, err := Build(graph.Fig2(), Options{K: 2})
+	g := graph.Fig2()
+	ix, err := Build(g, Options{K: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,12 +230,26 @@ func TestOpenIsZeroCopy(t *testing.T) {
 		"CSR out-offsets":      within(raw, csr.OutOff),
 		"CSR out-targets":      within(raw, csr.OutDst),
 		"CSR out-labels":       within(raw, csr.OutLbl),
-		"CSR in-offsets":       within(raw, csr.InOff),
-		"CSR in-sources":       within(raw, csr.InSrc),
-		"CSR in-labels":        within(raw, csr.InLbl),
 	} {
 		if !ok {
 			t.Errorf("%s do not point into the bundle bytes", what)
+		}
+	}
+	assertSameInAdjacency(t, s.Graph(), g)
+}
+
+// assertSameInAdjacency checks that got's in-adjacency runs equal want's,
+// order included.
+func assertSameInAdjacency(t *testing.T, got, want *graph.Graph) {
+	t.Helper()
+	if got.NumVertices() != want.NumVertices() {
+		t.Fatalf("%d vertices, want %d", got.NumVertices(), want.NumVertices())
+	}
+	for v := graph.Vertex(0); int(v) < want.NumVertices(); v++ {
+		gs, gl := got.InEdges(v)
+		ws, wl := want.InEdges(v)
+		if !slices.Equal(gs, ws) || !slices.Equal(gl, wl) {
+			t.Fatalf("InEdges(%d) = %v %v, want %v %v", v, gs, gl, ws, wl)
 		}
 	}
 }
@@ -296,6 +313,47 @@ func rebundle(t *testing.T, data []byte, mutate func(secs map[uint32][]byte)) []
 		t.Fatal(err)
 	}
 	return buf.Bytes()
+}
+
+// inAdjacencySections renders g's in-adjacency in the layout of sections
+// 5-7, which bundles carried before the in-adjacency was derived at open:
+// int64 offsets, int32 sources, int32 labels.
+func inAdjacencySections(g *graph.Graph) map[uint32][]byte {
+	off := make([]int64, 1, g.NumVertices()+1)
+	var src []graph.Vertex
+	var lbl []labelseq.Label
+	for v := graph.Vertex(0); int(v) < g.NumVertices(); v++ {
+		s, l := g.InEdges(v)
+		src, lbl = append(src, s...), append(lbl, l...)
+		off = append(off, int64(len(src)))
+	}
+	return map[uint32][]byte{5: snapshot.I64Bytes(off), 6: snapshot.I32Bytes(src), 7: snapshot.I32Bytes(lbl)}
+}
+
+// TestSnapshotInAdjacencyIsDerived: a bundle's stored in-adjacency is never
+// read. Sections 5-7 taken from the reverse graph, which has the same shape,
+// checksum clean beside the out-adjacency of the forward one; the opened
+// graph's in-adjacency must still be the transpose of its out-adjacency.
+func TestSnapshotInAdjacencyIsDerived(t *testing.T) {
+	a := graph.FromEdges(3, 1, []graph.Edge{{Src: 0, Dst: 1, Label: 0}, {Src: 1, Dst: 2, Label: 0}})
+	b := graph.FromEdges(3, 1, []graph.Edge{{Src: 2, Dst: 1, Label: 0}, {Src: 1, Dst: 0, Label: 0}})
+	_, base := bundleBytes(t, a, 2)
+	data := rebundle(t, base, func(s map[uint32][]byte) {
+		for id, sec := range inAdjacencySections(b) {
+			s[id] = sec
+		}
+	})
+	s, err := OpenSnapshotBytes(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Verify(); err != nil {
+		t.Fatal(err)
+	}
+	if srcs, _ := s.Graph().InEdges(2); !slices.Equal(srcs, []graph.Vertex{1}) {
+		t.Errorf("InEdges(2) = %v, want [1]", srcs)
+	}
+	assertSameInAdjacency(t, s.Graph(), a)
 }
 
 // TestSnapshotSemanticCorruption drives the v2 reader's structural
@@ -399,6 +457,12 @@ func TestSnapshotVerifyCatchesBitFlips(t *testing.T) {
 func FuzzOpenSnapshot(f *testing.F) {
 	_, valid := bundleBytes(f, graph.Fig2(), 2)
 	f.Add(valid)
+	// The golden bundle still carries the retired in-adjacency sections 5-7.
+	golden, err := os.ReadFile(filepath.Join("testdata", "fig2_k2.rlcs"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(golden)
 	f.Add(valid[:len(valid)/2])
 	f.Add([]byte("RLCS"))
 	f.Add([]byte{})

@@ -84,34 +84,48 @@ func (b *Builder) Build() *Graph {
 	g.outOff = make([]int64, g.n+1)
 	g.outDst = make([]Vertex, m)
 	g.outLbl = make([]Label, m)
-	g.inOff = make([]int64, g.n+1)
-	g.inSrc = make([]Vertex, m)
-	g.inLbl = make([]Label, m)
-
-	for _, e := range edges {
+	// Edges are sorted by (src, dst, label), so the out arrays fill in order.
+	for i, e := range edges {
 		g.outOff[e.Src+1]++
-		g.inOff[e.Dst+1]++
+		g.outDst[i] = e.Dst
+		g.outLbl[i] = e.Label
 	}
 	for v := 0; v < g.n; v++ {
 		g.outOff[v+1] += g.outOff[v]
-		g.inOff[v+1] += g.inOff[v]
 	}
-	// Edges are sorted by (src, dst, label), so the out arrays fill in
-	// order; the in arrays need a cursor per vertex.
-	cursor := make([]int64, g.n)
-	copy(cursor, g.inOff[:g.n])
-	for i, e := range edges {
-		g.outDst[i] = e.Dst
-		g.outLbl[i] = e.Label
-		c := cursor[e.Dst]
-		g.inSrc[c] = e.Src
-		g.inLbl[c] = e.Label
-		cursor[e.Dst] = c + 1
-	}
-	// Each in-adjacency run holds a fixed dst and receives edges in the
-	// global (src, dst, label) order, so it is already sorted by
-	// (src, label); no re-sort needed.
+	g.fillIn()
 	return g
+}
+
+// fillIn derives the in-adjacency from the out-adjacency with a counting
+// transpose: the out arrays are read in (src, dst, label) order, so every
+// in-run, which holds one dst, fills sorted by (src, label) with no
+// re-sort. inOff[d] serves as d's cursor while the runs fill, which leaves
+// each offset one slot left of its final place; a shift puts it back.
+// Builder.Build and AdoptCSR both make their in-adjacency here; the out
+// arrays must be valid.
+func (g *Graph) fillIn() {
+	n, outOff, outDst, outLbl := g.n, g.outOff, g.outDst, g.outLbl
+	inOff := make([]int64, n+1)
+	inSrc := make([]Vertex, len(outDst))
+	inLbl := make([]Label, len(outDst))
+	for _, d := range outDst {
+		inOff[d+1]++
+	}
+	for v := 1; v < n; v++ {
+		inOff[v+1] += inOff[v]
+	}
+	for u := 0; u < n; u++ {
+		for i := outOff[u]; i < outOff[u+1]; i++ {
+			d := outDst[i]
+			c := inOff[d]
+			inSrc[c], inLbl[c] = Vertex(u), outLbl[i]
+			inOff[d] = c + 1
+		}
+	}
+	copy(inOff[1:], inOff[:n])
+	inOff[0] = 0
+	g.inOff, g.inSrc, g.inLbl = inOff, inSrc, inLbl
 }
 
 // FromEdges is a convenience constructor used by tests and generators.

@@ -4,42 +4,39 @@ import (
 	"fmt"
 )
 
-// CSR exposes the graph's raw adjacency arrays. The slices are views into
-// the graph (or, for an adopted graph, into a snapshot mapping) and must not
-// be mutated. The snapshot writer serializes them verbatim; AdoptCSR is the
-// inverse.
+// CSR exposes the graph's out-adjacency arrays: every edge, once. The
+// slices are views into the graph (or, for an adopted graph, into the
+// snapshot bytes) and must not be mutated. The snapshot writer serializes
+// them verbatim; AdoptCSR is the inverse. The in-adjacency is not part of
+// it: it is the transpose of these arrays, derived whenever a Graph is made.
 type CSR struct {
-	// Out-adjacency: edges leaving v are OutDst[OutOff[v]:OutOff[v+1]] with
-	// labels OutLbl at the same positions, sorted by (dst, label).
+	// Edges leaving v are OutDst[OutOff[v]:OutOff[v+1]] with labels OutLbl
+	// at the same positions, sorted by (dst, label).
 	OutOff []int64
 	OutDst []Vertex
 	OutLbl []Label
-	// In-adjacency, symmetric, sorted by (src, label).
-	InOff []int64
-	InSrc []Vertex
-	InLbl []Label
 }
 
-// RawCSR returns views of the graph's CSR arrays.
+// RawCSR returns views of the graph's out-adjacency arrays.
 func (g *Graph) RawCSR() CSR {
-	return CSR{
-		OutOff: g.outOff, OutDst: g.outDst, OutLbl: g.outLbl,
-		InOff: g.inOff, InSrc: g.inSrc, InLbl: g.inLbl,
-	}
+	return CSR{OutOff: g.outOff, OutDst: g.outDst, OutLbl: g.outLbl}
 }
 
 // VertexNames returns the vertex display names (possibly nil), index =
 // vertex id.
 func (g *Graph) VertexNames() []string { return g.vertexNames }
 
-// AdoptCSR wraps pre-built CSR arrays in a Graph without copying them — the
-// zero-copy open path of snapshot bundles. It validates everything needed
-// for the Graph's accessors and the traversal evaluators to be memory-safe
-// on untrusted input: offset arrays must be exact closed prefix sums over
-// the edge arrays, and every vertex and label value must be in range. It
-// does not re-check the (dst, label) sort order inside adjacency runs —
-// HasEdge's binary search would degrade to a wrong answer, not a crash — so
-// integrity-sensitive callers should also verify the bundle checksums.
+// AdoptCSR wraps pre-built out-adjacency arrays in a Graph without copying
+// them — the zero-copy open path of snapshot bundles — and derives the
+// in-adjacency from them with the same counting transpose Builder.Build
+// runs, so the two directions cannot disagree. It validates everything
+// needed for the Graph's accessors, the transpose and the traversal
+// evaluators to be memory-safe on untrusted input: the offset array must be
+// an exact closed prefix sum over the edge arrays, and every vertex and
+// label value must be in range. It does not re-check the (dst, label) sort
+// order inside adjacency runs — HasEdge's binary search would degrade to a
+// wrong answer, not a crash — so integrity-sensitive callers should also
+// verify the bundle checksums.
 //
 // The arrays must stay valid and unmodified for the life of the Graph.
 func AdoptCSR(n, numLabels int, csr CSR, vertexNames, labelNames []string) (*Graph, error) {
@@ -47,29 +44,16 @@ func AdoptCSR(n, numLabels int, csr CSR, vertexNames, labelNames []string) (*Gra
 		return nil, fmt.Errorf("graph: adopt: negative shape n=%d numLabels=%d", n, numLabels)
 	}
 	m := len(csr.OutDst)
-	if len(csr.InSrc) != m {
-		return nil, fmt.Errorf("graph: adopt: %d out-edges but %d in-edges", m, len(csr.InSrc))
-	}
-	if err := checkOffsets("out", csr.OutOff, n, m); err != nil {
+	if err := checkOffsets(csr.OutOff, n, m); err != nil {
 		return nil, err
 	}
-	if err := checkOffsets("in", csr.InOff, n, m); err != nil {
-		return nil, err
-	}
-	if len(csr.OutLbl) != m || len(csr.InLbl) != m {
-		return nil, fmt.Errorf("graph: adopt: label arrays sized %d/%d for %d edges",
-			len(csr.OutLbl), len(csr.InLbl), m)
+	if len(csr.OutLbl) != m {
+		return nil, fmt.Errorf("graph: adopt: %d labels for %d edges", len(csr.OutLbl), m)
 	}
 	if err := checkIDs("out dst", csr.OutDst, n); err != nil {
 		return nil, err
 	}
-	if err := checkIDs("in src", csr.InSrc, n); err != nil {
-		return nil, err
-	}
 	if err := checkIDs("out label", csr.OutLbl, numLabels); err != nil {
-		return nil, err
-	}
-	if err := checkIDs("in label", csr.InLbl, numLabels); err != nil {
 		return nil, err
 	}
 	if vertexNames != nil && len(vertexNames) != n {
@@ -78,28 +62,31 @@ func AdoptCSR(n, numLabels int, csr CSR, vertexNames, labelNames []string) (*Gra
 	if labelNames != nil && len(labelNames) != numLabels {
 		return nil, fmt.Errorf("graph: adopt: %d label names for %d labels", len(labelNames), numLabels)
 	}
-	return &Graph{
-		n:         n,
-		numLabels: numLabels,
-		outOff:    csr.OutOff, outDst: csr.OutDst, outLbl: csr.OutLbl,
-		inOff: csr.InOff, inSrc: csr.InSrc, inLbl: csr.InLbl,
+	g := &Graph{
+		n:           n,
+		numLabels:   numLabels,
+		outOff:      csr.OutOff,
+		outDst:      csr.OutDst,
+		outLbl:      csr.OutLbl,
 		vertexNames: vertexNames,
 		labelNames:  labelNames,
-	}, nil
+	}
+	g.fillIn()
+	return g, nil
 }
 
-// checkOffsets validates one direction's offset array: length n+1, starting
-// at 0, ending at m, non-decreasing throughout.
-func checkOffsets(side string, off []int64, n, m int) error {
+// checkOffsets validates the out-offset array: length n+1, starting at 0,
+// ending at m, non-decreasing throughout.
+func checkOffsets(off []int64, n, m int) error {
 	if len(off) != n+1 {
-		return fmt.Errorf("graph: adopt: %s offsets sized %d for %d vertices", side, len(off), n)
+		return fmt.Errorf("graph: adopt: out offsets sized %d for %d vertices", len(off), n)
 	}
 	if off[0] != 0 || off[n] != int64(m) {
-		return fmt.Errorf("graph: adopt: %s offsets span [%d, %d], want [0, %d]", side, off[0], off[n], m)
+		return fmt.Errorf("graph: adopt: out offsets span [%d, %d], want [0, %d]", off[0], off[n], m)
 	}
 	for v := 0; v < n; v++ {
 		if off[v] > off[v+1] {
-			return fmt.Errorf("graph: adopt: %s offsets decrease at vertex %d", side, v)
+			return fmt.Errorf("graph: adopt: out offsets decrease at vertex %d", v)
 		}
 	}
 	return nil

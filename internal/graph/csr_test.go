@@ -48,10 +48,10 @@ func TestAdoptCSRRejectsCorruptArrays(t *testing.T) {
 			c.OutOff = off
 			return n, L
 		}, "decrease"},
-		{"in-off-bad-end", func(c *CSR) (int, int) {
-			off := append([]int64(nil), c.InOff...)
+		{"out-off-bad-end", func(c *CSR) (int, int) {
+			off := append([]int64(nil), c.OutOff...)
 			off[n]++
-			c.InOff = off
+			c.OutOff = off
 			return n, L
 		}, "span"},
 		{"dst-out-of-range", func(c *CSR) (int, int) {
@@ -61,15 +61,15 @@ func TestAdoptCSRRejectsCorruptArrays(t *testing.T) {
 			return n, L
 		}, "out of range"},
 		{"label-out-of-range", func(c *CSR) (int, int) {
-			lbl := append([]Label(nil), c.InLbl...)
+			lbl := append([]Label(nil), c.OutLbl...)
 			lbl[0] = -1
-			c.InLbl = lbl
+			c.OutLbl = lbl
 			return n, L
 		}, "out of range"},
 		{"edge-count-mismatch", func(c *CSR) (int, int) {
-			c.InSrc = c.InSrc[:len(c.InSrc)-1]
+			c.OutLbl = c.OutLbl[:len(c.OutLbl)-1]
 			return n, L
-		}, "in-edges"},
+		}, "labels for"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

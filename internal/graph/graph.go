@@ -32,7 +32,7 @@ type Graph struct {
 	outDst []Vertex
 	outLbl []Label
 
-	// In-adjacency, symmetric to out, sorted by (src, label).
+	// In-adjacency, the transpose of out (fillIn), sorted by (src, label).
 	inOff []int64
 	inSrc []Vertex
 	inLbl []Label

@@ -80,3 +80,35 @@ func TestQuickTextRoundTrip(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestQuickAdoptedInAdjacency: the in-adjacency AdoptCSR derives from any
+// generated graph's out-adjacency is its transpose, each run sorted by
+// (src, label), whatever the parallel edges and self-loops.
+func TestQuickAdoptedInAdjacency(t *testing.T) {
+	f := func(raw rawEdges) bool {
+		g := raw.graph()
+		a, err := AdoptCSR(g.NumVertices(), g.NumLabels(), g.RawCSR(), nil, nil)
+		if err != nil {
+			return false
+		}
+		want := make([][]Edge, g.NumVertices())
+		for _, e := range g.Edges() { // (src, dst, label) order
+			want[e.Dst] = append(want[e.Dst], e)
+		}
+		for v := Vertex(0); int(v) < g.NumVertices(); v++ {
+			srcs, lbls := a.InEdges(v)
+			if len(srcs) != len(want[v]) || a.InDegree(v) != len(want[v]) {
+				return false
+			}
+			for i, e := range want[v] {
+				if srcs[i] != e.Src || lbls[i] != e.Label {
+					return false
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
+		t.Error(err)
+	}
+}

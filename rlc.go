@@ -43,9 +43,10 @@
 // # Snapshot bundles
 //
 // A built index freezes into a snapshot bundle: one self-contained file
-// (graph CSR + packed index + label dictionary as checksummed sections)
-// that OpenSnapshot reads into memory and adopts zero-copy — startup is one
-// file read plus structural validation, no deserialization:
+// (graph out-adjacency + packed index + label dictionary as checksummed
+// sections) that OpenSnapshot reads into memory and adopts zero-copy —
+// startup is one file read, structural validation and the transpose that
+// derives the in-adjacency, no deserialization:
 //
 //	rlc.SaveSnapshotFile("g.rlcs", ix)         // or: rlcbuild -o g.rlcs
 //	snap, err := rlc.OpenSnapshot("g.rlcs")    // one read, no per-entry decoding
