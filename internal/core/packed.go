@@ -68,8 +68,8 @@ type setPool struct {
 // has reports whether the pooled set contains mr — the bit-parallel
 // membership test: a window bounds check, then one shift and AND.
 func (sp *setPool) has(set uint32, mr labelseq.ID) bool {
-	if int(set) >= len(sp.desc) {
-		return false // emptySet
+	if uint64(set) >= uint64(len(sp.desc)) {
+		return false // emptySet: compared unsigned, as int(set) is -1 where int is 32 bits
 	}
 	d := sp.desc[set]
 	w := uint32(mr>>6) - d.base // unsigned: below-window wraps huge

@@ -8,7 +8,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"unsafe"
 
 	"github.com/g-rpqs/rlc-go/internal/graph"
 	"github.com/g-rpqs/rlc-go/internal/labelseq"
@@ -113,12 +112,18 @@ func decodeMeta(b []byte) (snapshotMeta, error) {
 		return snapshotMeta{}, snapshot.Corruptf("meta section is %d bytes, want %d", len(b), metaSize)
 	}
 	le := binary.LittleEndian
+	const maxI32 = 1<<31 - 1
+	// Range-check the 64-bit counts before int takes them: where int is 32
+	// bits the conversion would drop their high bits.
+	if n, e := le.Uint64(b[8:]), le.Uint64(b[16:]); n > maxI32 || e > maxI32 {
+		return snapshotMeta{}, snapshot.Corruptf("implausible shape: %d vertices, %d edges", n, e)
+	}
 	m := snapshotMeta{
 		k: int(le.Uint32(b[0:])),
 		fp: graph.Fingerprint{
 			NumLabels: int(int32(le.Uint32(b[4:]))),
-			N:         int(int64(le.Uint64(b[8:]))),
-			M:         int(int64(le.Uint64(b[16:]))),
+			N:         int(le.Uint64(b[8:])),
+			M:         int(le.Uint64(b[16:])),
 			EdgeHash:  le.Uint64(b[24:]),
 		},
 		entryCount: int64(le.Uint64(b[32:])),
@@ -128,9 +133,7 @@ func decodeMeta(b []byte) (snapshotMeta, error) {
 	if m.k < 1 || m.k > MaxK {
 		return snapshotMeta{}, snapshot.Corruptf("bad k %d", m.k)
 	}
-	const maxI32 = 1<<31 - 1
-	if m.fp.N < 0 || m.fp.N > maxI32 || m.fp.M < 0 || m.fp.M > maxI32 ||
-		m.fp.NumLabels < 0 || m.fp.NumLabels > maxI32 {
+	if m.fp.NumLabels < 0 {
 		return snapshotMeta{}, snapshot.Corruptf("implausible shape %v", m.fp)
 	}
 	if m.entryCount < 0 || m.entryCount > maxI32 {
@@ -159,11 +162,11 @@ func (ix *Index) WriteSnapshot(w io.Writer) error {
 	sw := snapshot.NewWriter()
 	sw.Add(secMeta, encodeMeta(ix.k, fp, ix.NumEntries(), ix.dict.Len(), flags))
 	csr := g.RawCSR()
-	sw.Add(secGraphOutOff, snapshot.I64Bytes(csr.OutOff))
-	sw.Add(secGraphOutDst, snapshot.I32Bytes(csr.OutDst))
-	sw.Add(secGraphOutLbl, snapshot.I32Bytes(csr.OutLbl))
+	sw.Add(secGraphOutOff, snapshot.Bytes(csr.OutOff))
+	sw.Add(secGraphOutDst, snapshot.Bytes(csr.OutDst))
+	sw.Add(secGraphOutLbl, snapshot.Bytes(csr.OutLbl))
 	sw.Add(secDict, encodeDict(ix.dict))
-	sw.Add(secOrder, snapshot.I32Bytes(ix.order))
+	sw.Add(secOrder, snapshot.Bytes(ix.order))
 	if flags&flagVertexNames != 0 {
 		sw.Add(secVertexNames, encodeNames(g.VertexNames()))
 	}
@@ -177,11 +180,11 @@ func (ix *Index) WriteSnapshot(w io.Writer) error {
 	le.PutUint64(pm[8:], uint64(len(p.groups)))
 	le.PutUint64(pm[16:], uint64(len(p.words)))
 	sw.Add(secPackedMeta, pm)
-	sw.Add(secPackedGroups, groupBytes(p.groups))
-	sw.Add(secPackedOutOff, snapshot.I32Bytes(p.outOff))
-	sw.Add(secPackedInOff, snapshot.I32Bytes(p.inOff))
-	sw.Add(secPackedSets, snapshot.U64Bytes(p.words))
-	sw.Add(secPackedSetDesc, descBytes(p.desc))
+	sw.Add(secPackedGroups, snapshot.Bytes(p.groups))
+	sw.Add(secPackedOutOff, snapshot.Bytes(p.outOff))
+	sw.Add(secPackedInOff, snapshot.Bytes(p.inOff))
+	sw.Add(secPackedSets, snapshot.Bytes(p.words))
+	sw.Add(secPackedSetDesc, snapshot.Bytes(p.desc))
 	if tr := ix.tiers; tr != nil {
 		tm := make([]byte, tierMetaSize)
 		le.PutUint32(tm[0:], uint32(tr.retainedRanks))
@@ -191,11 +194,11 @@ func (ix *Index) WriteSnapshot(w io.Writer) error {
 		le.PutUint64(tm[16:], uint64(len(tr.words)))
 		le.PutUint64(tm[24:], uint64(tr.budget))
 		sw.Add(secTierMeta, tm)
-		sw.Add(secTierUnionOut, snapshot.U32Bytes(tr.unionOut))
-		sw.Add(secTierUnionIn, snapshot.U32Bytes(tr.unionIn))
-		sw.Add(secTierSets, snapshot.U64Bytes(tr.words))
-		sw.Add(secTierSetDesc, descBytes(tr.desc))
-		sw.Add(secTierBloom, snapshot.U64Bytes(tr.bloom))
+		sw.Add(secTierUnionOut, snapshot.Bytes(tr.unionOut))
+		sw.Add(secTierUnionIn, snapshot.Bytes(tr.unionIn))
+		sw.Add(secTierSets, snapshot.Bytes(tr.words))
+		sw.Add(secTierSetDesc, snapshot.Bytes(tr.desc))
+		sw.Add(secTierBloom, snapshot.Bytes(tr.bloom))
 	}
 	bw := bufio.NewWriterSize(w, 1<<20)
 	if _, err := sw.WriteTo(bw); err != nil {
@@ -308,18 +311,6 @@ func OpenSnapshotBytes(data []byte) (*Snapshot, error) {
 	return s, nil
 }
 
-// section fetches a required section and checks its exact byte length.
-func section(f *snapshot.File, id uint32, wantLen int64, what string) ([]byte, error) {
-	b, ok := f.Section(id)
-	if !ok {
-		return nil, snapshot.Corruptf("missing %s section (id %d)", what, id)
-	}
-	if int64(len(b)) != wantLen {
-		return nil, snapshot.Corruptf("%s section is %d bytes, want %d", what, len(b), wantLen)
-	}
-	return b, nil
-}
-
 // newSnapshot adopts the bundle's sections into a live Index.
 func newSnapshot(f *snapshot.File) (*Snapshot, error) {
 	metaBytes, ok := f.Section(secMeta)
@@ -334,27 +325,15 @@ func newSnapshot(f *snapshot.File) (*Snapshot, error) {
 
 	// Graph sections → zero-copy adopted out-adjacency; AdoptCSR derives
 	// the in-adjacency from it.
-	offLen := int64(n+1) * 8
-	edgeLen := int64(m) * 4
-	var outOffB, outDstB, outLblB []byte
-	for _, s := range []struct {
-		id      uint32
-		wantLen int64
-		dst     *[]byte
-		what    string
-	}{
-		{secGraphOutOff, offLen, &outOffB, "graph out-offset"},
-		{secGraphOutDst, edgeLen, &outDstB, "graph out-dst"},
-		{secGraphOutLbl, edgeLen, &outLblB, "graph out-label"},
-	} {
-		if *s.dst, err = section(f, s.id, s.wantLen, s.what); err != nil {
-			return nil, err
-		}
+	var csr graph.CSR
+	if csr.OutOff, err = snapshot.Array[int64](f, secGraphOutOff, int64(n)+1, "graph out-offset"); err != nil {
+		return nil, err
 	}
-	csr := graph.CSR{
-		OutOff: snapshot.I64s(outOffB),
-		OutDst: snapshot.I32s[graph.Vertex](outDstB),
-		OutLbl: snapshot.I32s[labelseq.Label](outLblB),
+	if csr.OutDst, err = snapshot.Array[graph.Vertex](f, secGraphOutDst, int64(m), "graph out-dst"); err != nil {
+		return nil, err
+	}
+	if csr.OutLbl, err = snapshot.Array[labelseq.Label](f, secGraphOutLbl, int64(m), "graph out-label"); err != nil {
+		return nil, err
 	}
 
 	var vnames, lnames []string
@@ -393,11 +372,10 @@ func newSnapshot(f *snapshot.File) (*Snapshot, error) {
 	}
 
 	// Access order: must be a permutation of [0, n); rank is its inverse.
-	orderB, err := section(f, secOrder, int64(n)*4, "order")
+	order, err := snapshot.Array[graph.Vertex](f, secOrder, int64(n), "order")
 	if err != nil {
 		return nil, err
 	}
-	order := snapshot.I32s[graph.Vertex](orderB)
 	rank := make([]int32, n)
 	for i := range rank {
 		rank[i] = -1
@@ -442,7 +420,7 @@ func newSnapshot(f *snapshot.File) (*Snapshot, error) {
 // are required, so a bundle without them (or partially stripped of them)
 // surfaces as corrupt.
 func openPacked(f *snapshot.File, n, dictLen int) (*packed, error) {
-	pm, err := section(f, secPackedMeta, packedMetaSize, "packed-meta")
+	pm, err := snapshot.Array[byte](f, secPackedMeta, packedMetaSize, "packed-meta")
 	if err != nil {
 		return nil, err
 	}
@@ -458,33 +436,23 @@ func openPacked(f *snapshot.File, n, dictLen int) (*packed, error) {
 	if setCount > maxI32 || groupCount > maxI32 || wordCount > maxI32 {
 		return nil, snapshot.Corruptf("implausible packed counts: %d sets, %d groups, %d words", setCount, groupCount, wordCount)
 	}
-	groupsB, err := section(f, secPackedGroups, groupCount*8, "packed-group")
-	if err != nil {
+	p := &packed{}
+	if p.groups, err = snapshot.Array[packedGroup](f, secPackedGroups, groupCount, "packed-group"); err != nil {
 		return nil, err
 	}
-	outOffB, err := section(f, secPackedOutOff, int64(n+1)*4, "packed out-offset")
-	if err != nil {
+	if p.outOff, err = snapshot.Array[int32](f, secPackedOutOff, int64(n)+1, "packed out-offset"); err != nil {
 		return nil, err
 	}
-	inOffB, err := section(f, secPackedInOff, int64(n+1)*4, "packed in-offset")
-	if err != nil {
+	if p.inOff, err = snapshot.Array[int32](f, secPackedInOff, int64(n)+1, "packed in-offset"); err != nil {
 		return nil, err
 	}
-	setsB, err := section(f, secPackedSets, wordCount*8, "packed-set pool")
-	if err != nil {
+	if p.words, err = snapshot.Array[uint64](f, secPackedSets, wordCount, "packed-set pool"); err != nil {
 		return nil, err
 	}
-	descB, err := section(f, secPackedSetDesc, setCount*12, "packed-set descriptor")
-	if err != nil {
+	if p.desc, err = snapshot.Array[setDesc](f, secPackedSetDesc, setCount, "packed-set descriptor"); err != nil {
 		return nil, err
 	}
-	p := &packed{
-		setPool: setPool{desc: descView(descB), words: snapshot.U64s(setsB)},
-		groups:  groupsView(groupsB),
-		outOff:  snapshot.I32s[int32](outOffB),
-		inOff:   snapshot.I32s[int32](inOffB),
-	}
-	if err := validatePool("packed", p.setPool, dictLen); err != nil {
+	if err = validatePool("packed", p.setPool, dictLen); err != nil {
 		return nil, err
 	}
 	if p.outOff[0] != 0 || p.outOff[n] != p.inOff[0] || int64(p.inOff[n]) != groupCount {
@@ -576,36 +544,24 @@ func openTiers(f *snapshot.File, n, dictLen int) (*tiers, error) {
 		return nil, snapshot.Corruptf("implausible tier counts: %d sets, %d words", setCount, wordCount)
 	}
 	d := int64(n) - retained
-	unionOutB, err := section(f, secTierUnionOut, d*4, "tier union-out")
-	if err != nil {
+	tr := &tiers{retainedRanks: int32(retained), budget: budget, bloomWords: bloomWords}
+	var err error
+	if tr.unionOut, err = snapshot.Array[uint32](f, secTierUnionOut, d, "tier union-out"); err != nil {
 		return nil, err
 	}
-	unionInB, err := section(f, secTierUnionIn, d*4, "tier union-in")
-	if err != nil {
+	if tr.unionIn, err = snapshot.Array[uint32](f, secTierUnionIn, d, "tier union-in"); err != nil {
 		return nil, err
 	}
-	setsB, err := section(f, secTierSets, wordCount*8, "tier-set pool")
-	if err != nil {
+	if tr.words, err = snapshot.Array[uint64](f, secTierSets, wordCount, "tier-set pool"); err != nil {
 		return nil, err
 	}
-	descB, err := section(f, secTierSetDesc, setCount*12, "tier-set descriptor")
-	if err != nil {
+	if tr.desc, err = snapshot.Array[setDesc](f, secTierSetDesc, setCount, "tier-set descriptor"); err != nil {
 		return nil, err
 	}
-	bloomB, err := section(f, secTierBloom, 2*d*int64(bloomWords)*8, "tier bloom")
-	if err != nil {
+	if tr.bloom, err = snapshot.Array[uint64](f, secTierBloom, 2*d*int64(bloomWords), "tier bloom"); err != nil {
 		return nil, err
 	}
-	tr := &tiers{
-		retainedRanks: int32(retained),
-		budget:        budget,
-		bloomWords:    bloomWords,
-		unionOut:      snapshot.U32s(unionOutB),
-		unionIn:       snapshot.U32s(unionInB),
-		setPool:       setPool{desc: descView(descB), words: snapshot.U64s(setsB)},
-		bloom:         snapshot.U64s(bloomB),
-	}
-	if err := validatePool("tier", tr.setPool, dictLen); err != nil {
+	if err = validatePool("tier", tr.setPool, dictLen); err != nil {
 		return nil, err
 	}
 	// Every slot's set id must be a real descriptor or emptySet.
@@ -794,82 +750,4 @@ func decodeNames(b []byte, want int, what string) ([]string, error) {
 		return nil, snapshot.Corruptf("%d trailing bytes after the %s names", len(b)-pos, what)
 	}
 	return names, nil
-}
-
-// groupBytes returns the little-endian on-disk bytes of a packed-group
-// slice — a zero-copy view on little-endian hosts. packedGroup is exactly
-// its on-disk layout: hub i32 then set u32, 8 bytes, no padding.
-func groupBytes(s []packedGroup) []byte {
-	if len(s) == 0 {
-		return nil
-	}
-	if snapshot.HostLittleEndian() {
-		return unsafe.Slice((*byte)(unsafe.Pointer(&s[0])), len(s)*8)
-	}
-	out := make([]byte, len(s)*8)
-	for i, g := range s {
-		binary.LittleEndian.PutUint32(out[i*8:], uint32(g.hub))
-		binary.LittleEndian.PutUint32(out[i*8+4:], g.set)
-	}
-	return out
-}
-
-// groupsView returns b as a packed-group slice — zero-copy when the host is
-// little-endian and the section is aligned, a decoded copy otherwise. The
-// caller must have checked len(b)%8 == 0.
-func groupsView(b []byte) []packedGroup {
-	if len(b) == 0 {
-		return nil
-	}
-	if snapshot.HostLittleEndian() && uintptr(unsafe.Pointer(&b[0]))%unsafe.Alignof(packedGroup{}) == 0 {
-		return unsafe.Slice((*packedGroup)(unsafe.Pointer(&b[0])), len(b)/8)
-	}
-	out := make([]packedGroup, len(b)/8)
-	for i := range out {
-		out[i] = packedGroup{
-			hub: int32(binary.LittleEndian.Uint32(b[i*8:])),
-			set: binary.LittleEndian.Uint32(b[i*8+4:]),
-		}
-	}
-	return out
-}
-
-// descBytes returns the little-endian on-disk bytes of a set-descriptor
-// slice — a zero-copy view on little-endian hosts. setDesc is exactly its
-// on-disk layout: off, base, span as u32, 12 bytes, no padding.
-func descBytes(s []setDesc) []byte {
-	if len(s) == 0 {
-		return nil
-	}
-	if snapshot.HostLittleEndian() {
-		return unsafe.Slice((*byte)(unsafe.Pointer(&s[0])), len(s)*12)
-	}
-	out := make([]byte, len(s)*12)
-	for i, d := range s {
-		binary.LittleEndian.PutUint32(out[i*12:], d.off)
-		binary.LittleEndian.PutUint32(out[i*12+4:], d.base)
-		binary.LittleEndian.PutUint32(out[i*12+8:], d.span)
-	}
-	return out
-}
-
-// descView returns b as a set-descriptor slice — zero-copy when the host is
-// little-endian and the section is aligned, a decoded copy otherwise. The
-// caller must have checked len(b)%12 == 0.
-func descView(b []byte) []setDesc {
-	if len(b) == 0 {
-		return nil
-	}
-	if snapshot.HostLittleEndian() && uintptr(unsafe.Pointer(&b[0]))%unsafe.Alignof(setDesc{}) == 0 {
-		return unsafe.Slice((*setDesc)(unsafe.Pointer(&b[0])), len(b)/12)
-	}
-	out := make([]setDesc, len(b)/12)
-	for i := range out {
-		out[i] = setDesc{
-			off:  binary.LittleEndian.Uint32(b[i*12:]),
-			base: binary.LittleEndian.Uint32(b[i*12+4:]),
-			span: binary.LittleEndian.Uint32(b[i*12+8:]),
-		}
-	}
-	return out
 }

@@ -201,20 +201,18 @@ func within[T any](buf []byte, s []T) bool {
 }
 
 // TestOpenIsZeroCopy: OpenSnapshot reads the file into one buffer and
-// adopts the large sections as views of it — the packed groups, the set
-// pool and the graph's out-adjacency point into Snapshot.Bytes(), none is a
-// copy. The in-adjacency is derived at open and must be the one
-// graph.Builder builds.
+// adopts every array section as a view of it — the graph's out-adjacency,
+// the access order, the packed groups, offsets and set pool, and on a
+// budgeted bundle the tier unions, set pool and blooms all point into
+// Snapshot.Bytes(), none is a copy. The in-adjacency is derived at open and
+// must be the one graph.Builder builds.
 func TestOpenIsZeroCopy(t *testing.T) {
-	if !snapshot.HostLittleEndian() {
-		t.Skip("big-endian hosts decode sections into copies")
-	}
-	g := graph.Fig2()
-	ix, err := Build(g, Options{K: 2})
+	g := er60(t)
+	ix, err := Build(g, Options{K: 2, MaxIndexBytes: er60Budget})
 	if err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(t.TempDir(), "fig2.rlcs")
+	path := filepath.Join(t.TempDir(), "er60.rlcs")
 	if err := ix.SaveSnapshotFile(path); err != nil {
 		t.Fatal(err)
 	}
@@ -222,14 +220,25 @@ func TestOpenIsZeroCopy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	raw, p, csr := s.Bytes(), s.Index().packed, s.Graph().RawCSR()
+	raw, p, tr, csr := s.Bytes(), s.Index().packed, s.Index().tiers, s.Graph().RawCSR()
+	if tr == nil {
+		t.Fatal("budgeted bundle opened untiered")
+	}
 	for what, ok := range map[string]bool{
-		"packed groups":        within(raw, p.groups),
-		"set pool words":       within(raw, p.words),
-		"set pool descriptors": within(raw, p.desc),
-		"CSR out-offsets":      within(raw, csr.OutOff),
-		"CSR out-targets":      within(raw, csr.OutDst),
-		"CSR out-labels":       within(raw, csr.OutLbl),
+		"CSR out-offsets":             within(raw, csr.OutOff),
+		"CSR out-targets":             within(raw, csr.OutDst),
+		"CSR out-labels":              within(raw, csr.OutLbl),
+		"access order":                within(raw, s.Index().order),
+		"packed groups":               within(raw, p.groups),
+		"packed out-offsets":          within(raw, p.outOff),
+		"packed in-offsets":           within(raw, p.inOff),
+		"packed set pool words":       within(raw, p.words),
+		"packed set pool descriptors": within(raw, p.desc),
+		"tier out-unions":             within(raw, tr.unionOut),
+		"tier in-unions":              within(raw, tr.unionIn),
+		"tier set pool words":         within(raw, tr.words),
+		"tier set pool descriptors":   within(raw, tr.desc),
+		"tier blooms":                 within(raw, tr.bloom),
 	} {
 		if !ok {
 			t.Errorf("%s do not point into the bundle bytes", what)
@@ -327,7 +336,7 @@ func inAdjacencySections(g *graph.Graph) map[uint32][]byte {
 		src, lbl = append(src, s...), append(lbl, l...)
 		off = append(off, int64(len(src)))
 	}
-	return map[uint32][]byte{5: snapshot.I64Bytes(off), 6: snapshot.I32Bytes(src), 7: snapshot.I32Bytes(lbl)}
+	return map[uint32][]byte{5: snapshot.Bytes(off), 6: snapshot.Bytes(src), 7: snapshot.Bytes(lbl)}
 }
 
 // TestSnapshotInAdjacencyIsDerived: a bundle's stored in-adjacency is never
@@ -368,6 +377,8 @@ func TestSnapshotSemanticCorruption(t *testing.T) {
 		{"meta-k-zero", func(s map[uint32][]byte) { s[secMeta][0] = 0 }},
 		{"meta-k-huge", func(s map[uint32][]byte) { s[secMeta][0] = MaxK + 1 }},
 		{"meta-entrycount-drift", func(s map[uint32][]byte) { s[secMeta][32]++ }},
+		{"meta-n-high-bits", func(s map[uint32][]byte) { s[secMeta][12] = 1 }},
+		{"meta-m-high-bits", func(s map[uint32][]byte) { s[secMeta][20] = 1 }},
 		{"missing-dict", func(s map[uint32][]byte) { delete(s, secDict) }},
 		{"missing-graph", func(s map[uint32][]byte) { delete(s, secGraphOutDst) }},
 		{"order-duplicate", func(s map[uint32][]byte) { copy(s[secOrder][4:8], s[secOrder][0:4]) }},

@@ -350,7 +350,7 @@ func (d *batchScanner) decode(slots []batchSlot, limit int) (workers int, querie
 				if err != nil {
 					return 0, nil, err
 				}
-				w, err := strconv.ParseInt(string(text), 10, 64) // once per request; a number with a fraction or an exponent is refused, as a Go int refuses it
+				w, err := strconv.ParseInt(string(text), 10, strconv.IntSize) // once per request; a number with a fraction or an exponent is refused, as a Go int refuses it
 				if err != nil {
 					return 0, nil, errBatchSyntax
 				}

@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+	"unsafe"
 )
 
 // testBundle renders a small three-section bundle.
@@ -16,7 +17,7 @@ func testBundle(t *testing.T) []byte {
 	w := NewWriter()
 	w.Add(1, []byte{0xde, 0xad})
 	w.Add(7, nil)
-	w.Add(3, I32Bytes([]int32{1, -2, 3}))
+	w.Add(3, Bytes([]int32{1, -2, 3}))
 	var buf bytes.Buffer
 	if _, err := w.WriteTo(&buf); err != nil {
 		t.Fatal(err)
@@ -43,9 +44,15 @@ func TestRoundTrip(t *testing.T) {
 	if sec, ok = f.Section(7); !ok || len(sec) != 0 {
 		t.Fatalf("empty section 7 = %x, %v", sec, ok)
 	}
-	got := I32s[int32](mustSection(t, f, 3))
-	if len(got) != 3 || got[0] != 1 || got[1] != -2 || got[2] != 3 {
-		t.Fatalf("section 3 = %v", got)
+	got, err := Array[int32](f, 3, 3, "test")
+	if err != nil || len(got) != 3 || got[0] != 1 || got[1] != -2 || got[2] != 3 {
+		t.Fatalf("section 3 = %v, %v", got, err)
+	}
+	if _, err := Array[int32](f, 3, 4, "test"); err == nil || err.Error() != "rlc: corrupt snapshot: test section is 12 bytes, want 16" {
+		t.Fatalf("section 3 as 4 int32s: %v", err)
+	}
+	if _, err := Array[int32](f, 99, 0, "test"); err == nil || err.Error() != "rlc: corrupt snapshot: missing test section (id 99)" {
+		t.Fatalf("missing section 99: %v", err)
 	}
 	if _, ok := f.Section(99); ok {
 		t.Fatal("found nonexistent section 99")
@@ -183,29 +190,77 @@ func fixTableCRC(b []byte) {
 	le.PutUint32(b[12:], crc32.Checksum(table, castagnoli))
 }
 
+// pair and triple have the layouts of core's packed group (hub i32, set
+// u32) and set descriptor (off, base, span u32): structs of 4-byte words,
+// the first as wide as an int64.
+type (
+	pair struct {
+		Hub int32
+		Set uint32
+	}
+	triple struct{ Off, Base, Span uint32 }
+)
+
+// TestViewsRoundTrip runs the codec with the host order forced each way, so
+// the big-endian path runs on any host: every element type the bundle uses,
+// from an aligned and a misaligned buffer, must decode to the memory image
+// encoding/binary gives in that order, and encode back to the on-disk bytes.
 func TestViewsRoundTrip(t *testing.T) {
-	i32 := []int32{0, 1, -1, 1 << 30, -(1 << 30)}
-	if got := I32s[int32](I32Bytes(i32)); len(got) != len(i32) {
-		t.Fatalf("I32s len = %d", len(got))
-	} else {
-		for i := range i32 {
-			if got[i] != i32[i] {
-				t.Fatalf("I32s[%d] = %d, want %d", i, got[i], i32[i])
+	checkCodec(t, []int32{0, 1, -1, 1 << 30, -(1 << 30), 0x01020304})
+	checkCodec(t, []uint32{0, 1, 1<<32 - 1, 0x01020304})
+	checkCodec(t, []int64{0, 1, -1, 1 << 40, -(1 << 40), 0x0102030405060708})
+	checkCodec(t, []uint64{0, 1, 1<<64 - 1, 0x0102030405060708})
+	checkCodec(t, []pair{{0x01020304, 0x05060708}, {-1, 0}})
+	checkCodec(t, []triple{{0x01020304, 0x05060708, 0x090a0b0c}, {1, 2, 3}})
+
+	// A type whose layout is not its fields' words back to back is refused.
+	for _, bad := range []func(){
+		func() {
+			encode([]struct {
+				A uint32
+				B uint64
+			}{{}}, true)
+		},
+		func() { encode([]int{0}, true) },
+		func() { view[struct{}](nil, true) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Error("codec accepted a type without a fixed word layout")
+				}
+			}()
+			bad()
+		}()
+	}
+}
+
+func checkCodec[T any](t *testing.T, want []T) {
+	t.Helper()
+	var disk bytes.Buffer
+	if err := binary.Write(&disk, binary.LittleEndian, want); err != nil {
+		t.Fatal(err)
+	}
+	buf := raw(make([]uint64, disk.Len()/8+2)) // 8-byte aligned
+	for _, order := range []binary.ByteOrder{binary.LittleEndian, binary.BigEndian} {
+		little := order == binary.LittleEndian
+		var mem bytes.Buffer
+		if err := binary.Write(&mem, order, want); err != nil {
+			t.Fatal(err)
+		}
+		for _, shift := range []int{0, 1} {
+			b := buf[shift : shift+disk.Len()]
+			copy(b, disk.Bytes())
+			got := view[T](b, little)
+			if !bytes.Equal(raw(got), mem.Bytes()) {
+				t.Fatalf("%T on a %v host, offset %d: memory % x, want % x", want, order, shift, raw(got), mem.Bytes())
+			}
+			if aliased, zeroCopy := unsafe.Pointer(unsafe.SliceData(got)) == unsafe.Pointer(&b[0]), little && shift == 0; aliased != zeroCopy {
+				t.Fatalf("%T on a %v host, offset %d: view aliases the section = %v, want %v", want, order, shift, aliased, zeroCopy)
+			}
+			if back := encode(got, little); !bytes.Equal(back, disk.Bytes()) {
+				t.Fatalf("%T on a %v host, offset %d: encoded % x, want % x", want, order, shift, back, disk.Bytes())
 			}
 		}
-	}
-	i64 := []int64{0, 1, -1, 1 << 40, -(1 << 40)}
-	got := I64s(I64Bytes(i64))
-	for i := range i64 {
-		if got[i] != i64[i] {
-			t.Fatalf("I64s[%d] = %d, want %d", i, got[i], i64[i])
-		}
-	}
-	// A misaligned buffer must take the copy path and still decode right.
-	raw := make([]byte, 4*3+1)
-	copy(raw[1:], I32Bytes([]int32{5, -6, 7}))
-	odd := I32s[int32](raw[1:])
-	if odd[0] != 5 || odd[1] != -6 || odd[2] != 7 {
-		t.Fatalf("misaligned I32s = %v", odd)
 	}
 }

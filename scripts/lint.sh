@@ -6,7 +6,8 @@
 # no-closure-in-the-overlay check, the one-fold-state-machine check, the
 # one-decoder-on-/batch check, the one-pass-on-/query check, the
 # one-client-stack-in-the-router check, the one-server-stack check, the
-# one-way-to-load-a-bundle check, the builder-in-rank-space check, the
+# one-way-to-load-a-bundle check, the one-typed-array-codec check (unsafe
+# only in internal/snapshot/view.go), the builder-in-rank-space check, the
 # one-index-builder-among-the-binaries check, the one-production-build
 # check (no pruning switch, no access-order knob), the reference-builder-
 # stays-an-oracle check, the one-journal-watermark check, the one-command-
@@ -219,6 +220,21 @@ stray=$(grep -rnE --include='*.go' --exclude-dir=.bench_build --exclude-dir=benc
 	grep -v '_test\.go:' || true)
 if [ -n "$stray" ]; then
 	echo "a memory mapping is back; read the bundle with snapshot.Open instead:" >&2
+	echo "$stray" >&2
+	status=1
+fi
+
+# One typed-array codec: internal/snapshot/view.go is the only code that
+# reads bundle bytes as typed memory, so the little-endian zero-copy path
+# and the big-endian decode-and-copy path are written once and tested with
+# the host order forced both ways. An unsafe import anywhere else in the
+# main module's non-test Go is a second cast coming back. benchmark/ is a
+# module of its own and keeps its syscalls.
+echo "==> unsafe outside internal/snapshot/view.go"
+stray=$(grep -rln --include='*.go' --exclude-dir=.bench_build '"unsafe"' . |
+	grep -vE '_test\.go$|^\./benchmark/|^\./internal/snapshot/view\.go$' || true)
+if [ -n "$stray" ]; then
+	echo "unsafe is imported outside internal/snapshot/view.go; read and write typed sections with snapshot.Array and snapshot.Bytes:" >&2
 	echo "$stray" >&2
 	status=1
 fi
