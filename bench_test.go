@@ -408,18 +408,32 @@ func BenchmarkWorkloadGeneration(b *testing.B) {
 	}
 }
 
-// BenchmarkTargetProbe measures the amortized many-source query primitive
-// behind the hybrid evaluator.
-func BenchmarkTargetProbe(b *testing.B) {
+// probeSink keeps BenchmarkProbe's calls from being optimised away.
+var probeSink bool
+
+// BenchmarkProbe measures the amortized many-endpoint query primitive
+// behind the hybrid evaluator from both sides: a target probe tests every
+// source against a fixed (·, t, L+) by its Lout, a source probe every
+// target against a fixed (s, ·, L+) by its Lin.
+func BenchmarkProbe(b *testing.B) {
 	fixtures(b)
-	probe, err := fix.twIndex.NewTargetProbe(0, labelseq.Seq{0, 1})
-	if err != nil {
-		b.Fatal(err)
-	}
 	n := fix.tw.NumVertices()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		probe.Reaches(graph.Vertex(i % n))
+	for _, c := range []struct {
+		name  string
+		probe func(graph.Vertex, labelseq.Seq) (*core.Probe, error)
+	}{
+		{"target", fix.twIndex.NewTargetProbe},
+		{"source", fix.twIndex.NewSourceProbe},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			probe, err := c.probe(0, labelseq.Seq{0, 1})
+			if err != nil {
+				b.Fatal(err)
+			}
+			for i := 0; i < b.N; i++ {
+				probeSink = probe.Reaches(graph.Vertex(i % n))
+			}
+		})
 	}
 }
 

@@ -30,7 +30,7 @@ func (ix *Index) EntryDistribution() Distribution {
 	counts := make([]int, 0, n)
 	p := ix.packed
 	for v := graph.Vertex(0); int(v) < n; v++ {
-		if c := int(p.count(p.lin(v)) + p.count(p.lout(v))); c > 0 {
+		if c := int(p.count(p.list(lin, v)) + p.count(p.list(lout, v))); c > 0 {
 			counts = append(counts, c)
 		}
 	}

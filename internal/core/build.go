@@ -81,12 +81,12 @@ func buildWithLists(g *graph.Graph, opts Options, order []graph.Vertex) (ix *Ind
 	n := g.NumVertices()
 	b := newBuilder(ix)
 	for r := range int32(n) {
-		b.kbs(r, backward)
-		b.kbs(r, forward)
+		b.kbs(r, lout) // backward
+		b.kbs(r, lin)  // forward
 	}
 	out, in = make([][]entry, n), make([][]entry, n)
 	for r, v := range ix.order {
-		out[v], in[v] = b.out[r], b.in[r]
+		out[v], in[v] = b.lists[lout][r], b.lists[lin][r]
 	}
 	if err := ix.seal(out, in, opts.MaxIndexBytes); err != nil {
 		return nil, nil, nil, b.stats, err
@@ -128,12 +128,3 @@ func newIndex(g *graph.Graph, opts Options, order []graph.Vertex) (*Index, error
 	}
 	return ix, nil
 }
-
-// direction selects backward KBS (in-edges, Lout entries) or forward KBS
-// (out-edges, Lin entries).
-type direction uint8
-
-const (
-	backward direction = iota
-	forward
-)

@@ -5,7 +5,6 @@ import (
 	"slices"
 	"sort"
 
-	"github.com/g-rpqs/rlc-go/internal/graph"
 	"github.com/g-rpqs/rlc-go/internal/labelseq"
 )
 
@@ -56,18 +55,17 @@ type builder struct {
 	coder *labelseq.Coder
 	k     int
 
-	// Mutable Lin/Lout under construction, indexed by rank.
-	in  [][]entry
-	out [][]entry
+	// Mutable Lout/Lin under construction, indexed by side, then rank.
+	lists [2][][]entry
 
-	// The adjacency in rank space, each direction twice: in the graph's
-	// own edge order for the kernel search (so states are visited and MRs
-	// interned in the graph's order), and regrouped into label runs for
-	// kernel BFS, which follows edges of one expected label at a time.
-	inAdj      *rankCSR
-	outAdj     *rankCSR
-	inByLabel  *labelCSR
-	outByLabel *labelCSR
+	// The adjacency a KBS filling side d walks — in-edges for Lout, as a
+	// backward search follows paths y ⇝ src, out-edges for Lin — in rank
+	// space, twice: in the graph's own edge order for the kernel search (so
+	// states are visited and MRs interned in the graph's order), and
+	// regrouped into label runs for kernel BFS, which follows edges of one
+	// expected label at a time.
+	adj  [2]*rankCSR
+	runs [2]*labelCSR
 
 	// Kernel-search scratch: the BFS queue and the (code, vertex) states
 	// already visited.
@@ -89,11 +87,10 @@ type builder struct {
 	frontiers  []kernelFrontier
 	frontierOf *stampTable
 
-	// The fixed side of every PR1 check the current KBS makes: Lin(src) for
-	// backward searches, Lout(src) for forward ones, hub-sorted. fixedAt
-	// holds, per hub rank, the stamp of the last KBS whose fixed list has
-	// that hub and the hub's first position in it; 2n searches never wrap
-	// the stamp.
+	// The fixed side of every PR1 check the current KBS makes: src's list
+	// on the side the KBS does not fill, hub-sorted. fixedAt holds, per hub
+	// rank, the stamp of the last KBS whose fixed list has that hub and the
+	// hub's first position in it; 2n searches never wrap the stamp.
 	fixed    []entry
 	fixedAt  []fixedHub
 	kbsStamp uint32
@@ -120,30 +117,29 @@ type fixedHub struct {
 // newBuilder returns the builder of ix, with empty entry lists.
 func newBuilder(ix *Index) *builder {
 	n := ix.g.NumVertices()
-	inAdj, outAdj := newRankCSR(ix, backward), newRankCSR(ix, forward)
-	return &builder{
+	b := &builder{
 		ix:         ix,
 		coder:      ix.dict.Coder(),
 		k:          ix.k,
-		in:         make([][]entry, n),
-		out:        make([][]entry, n),
-		inAdj:      inAdj,
-		outAdj:     outAdj,
-		inByLabel:  newLabelCSR(inAdj),
-		outByLabel: newLabelCSR(outAdj),
 		seen:       newStampTable(scratchLogSlots),
 		frontierOf: newStampTable(scratchLogSlots),
 		mrOf:       newStampTable(scratchLogSlots),
 		fixedAt:    make([]fixedHub, n),
 		visited:    make([]uint32, n*ix.k),
 	}
+	for _, d := range sides {
+		b.lists[d] = make([][]entry, n)
+		b.adj[d] = newRankCSR(ix, d)
+		b.runs[d] = newLabelCSR(b.adj[d])
+	}
+	return b
 }
 
 // scratchLogSlots sizes a fresh scratch table (256 slots); tables double as
 // the searches need.
 const scratchLogSlots = 8
 
-// rankCSR is one direction of the graph's adjacency relabelled into rank
+// rankCSR is one side's adjacency of the graph relabelled into rank
 // space: rank r's edges are nbr[off[r]:off[r+1]] with labels lbl[...], in
 // the order the graph stores the edges of ix.order[r], every neighbour
 // written as its rank.
@@ -153,9 +149,10 @@ type rankCSR struct {
 	lbl []labelseq.Label
 }
 
-// newRankCSR relabels the in-edges (backward) or out-edges (forward) of
-// ix.g into rank space. It is the one place the builder reads ix.rank.
-func newRankCSR(ix *Index, dir direction) *rankCSR {
+// newRankCSR relabels the edges a KBS filling side d walks — the in-edges
+// of ix.g for Lout, the out-edges for Lin — into rank space. It is the one
+// place the builder reads ix.rank.
+func newRankCSR(ix *Index, d side) *rankCSR {
 	g := ix.g
 	n, m := g.NumVertices(), g.NumEdges()
 	c := &rankCSR{
@@ -163,14 +160,12 @@ func newRankCSR(ix *Index, dir direction) *rankCSR {
 		nbr: make([]int32, 0, m),
 		lbl: make([]labelseq.Label, 0, m),
 	}
+	edges := g.OutEdges
+	if d == lout {
+		edges = g.InEdges
+	}
 	for r, v := range ix.order {
-		var nbrs []graph.Vertex
-		var lbls []labelseq.Label
-		if dir == backward {
-			nbrs, lbls = g.InEdges(v)
-		} else {
-			nbrs, lbls = g.OutEdges(v)
-		}
+		nbrs, lbls := edges(v)
 		for _, y := range nbrs {
 			c.nbr = append(c.nbr, ix.rank[y])
 		}
@@ -290,8 +285,9 @@ func (c *labelCSR) edgesFrom(v int32, l labelseq.Label, src int32) []int32 {
 	return c.nbr[at:end]
 }
 
-// kbs runs one kernel-based search from src: the kernel-search phase
-// enumerates every path of length <= k touching src on the given side,
+// kbs runs one kernel-based search from src that fills side d: a backward
+// search (Lout, paths y ⇝ src) or a forward one (Lin, src ⇝ y). The
+// kernel-search phase enumerates every path of length <= k touching src,
 // inserting entries and registering kernel candidates; the kernel-BFS phase
 // then extends each candidate under its Kleene plus. It takes three
 // shortcuts past Algorithm 2 as stated (BuildReference); each changes
@@ -334,32 +330,28 @@ func (c *labelCSR) edgesFrom(v int32, l labelseq.Label, src int32) []int32 {
 // A kernel-BFS step that completes a period follows only the neighbours
 // ranked at or after src: PR2 would reject the others and PR3 then not
 // expand them, so only PrunedPR2 falls.
-func (b *builder) kbs(src int32, dir direction) {
-	b.loadFixed(src, dir)
-	b.kernelSearch(src, dir)
+func (b *builder) kbs(src int32, d side) {
+	b.loadFixed(src, d)
+	b.kernelSearch(src, d)
 
 	// Kernels run in ascending code order, whatever order the search met
 	// them in. The registry's slot numbers die with this sort; nothing
 	// reads frontierOf until the next kernelSearch resets it.
 	slices.SortFunc(b.frontiers, frontierByCode)
 	for i := range b.frontiers {
-		b.kernelBFS(src, dir, &b.frontiers[i])
+		b.kernelBFS(src, d, &b.frontiers[i])
 	}
 }
 
 func frontierByCode(x, y kernelFrontier) int { return cmp.Compare(x.code, y.code) }
 
-// loadFixed points the PR1 checks of the KBS at their fixed side: Lin(src)
-// for backward searches, Lout(src) for forward ones. Neither list changes
-// while the KBS runs (its inserts go to the other direction's lists), and
-// both are hub-sorted, so one pass records where each hub's entries start.
-func (b *builder) loadFixed(src int32, dir direction) {
+// loadFixed points the PR1 checks of the KBS at their fixed side: src's
+// list on the side the KBS does not fill (Lin(src) for a backward search,
+// Lout(src) for a forward one). It does not change while the KBS runs, and
+// it is hub-sorted, so one pass records where each hub's entries start.
+func (b *builder) loadFixed(src int32, d side) {
 	b.kbsStamp++
-	if dir == backward {
-		b.fixed = b.in[src]
-	} else {
-		b.fixed = b.out[src]
-	}
+	b.fixed = b.lists[d.other()][src]
 	for i, e := range b.fixed {
 		if h := &b.fixedAt[e.hub]; h.stamp != b.kbsStamp {
 			*h = fixedHub{stamp: b.kbsStamp, at: int32(i)}
@@ -390,15 +382,12 @@ func (b *builder) fixedHas(hub int32, mr labelseq.ID) bool {
 // minimum repeat. The search itself never stops on a rejection: its states
 // are paths of at most k labels, not L-powers. States ranked before src are
 // cut short as kbs describes.
-func (b *builder) kernelSearch(src int32, dir direction) {
+func (b *builder) kernelSearch(src int32, d side) {
 	b.seen.reset()
 	b.frontierOf.reset()
 	b.frontiers = b.frontiers[:0]
 	b.queue = b.queue[:0]
-	adj := b.outAdj
-	if dir == backward {
-		adj = b.inAdj
-	}
+	adj := b.adj[d]
 
 	b.queue = append(b.queue, searchState{v: src})
 	b.seen.put(0, uint32(src), 0)
@@ -413,7 +402,7 @@ func (b *builder) kernelSearch(src int32, dir direction) {
 				continue
 			}
 			next := searchState{v: y, depth: st.depth + 1}
-			if dir == backward {
+			if d == lout {
 				// Path y -> src: the new edge label is prepended.
 				next.code = b.coder.Prepend(st.code, l, int(st.depth))
 			} else {
@@ -427,7 +416,7 @@ func (b *builder) kernelSearch(src int32, dir direction) {
 
 			if y < src {
 				b.stats.PrunedPR2++
-			} else if mr := b.minRepeat(next.code, next.depth); b.insert(y, src, dir, mr) {
+			} else if mr := b.minRepeat(next.code, next.depth); b.insert(y, src, d, mr) {
 				b.registerFrontier(mr, y)
 			}
 
@@ -479,7 +468,7 @@ func (b *builder) registerFrontier(mr int32, v int32) {
 // consumed in the current period; completing a period (phase back to 0)
 // attempts an insert at the neighbours ranked at or after src, and — PR3 —
 // a pruned insert stops expansion there.
-func (b *builder) kernelBFS(src int32, dir direction, f *kernelFrontier) {
+func (b *builder) kernelBFS(src int32, d side, f *kernelFrontier) {
 	kernel := b.mrs[f.mr].seq
 	m := int32(len(kernel))
 	b.stamp++
@@ -498,17 +487,14 @@ func (b *builder) kernelBFS(src int32, dir direction, f *kernelFrontier) {
 		// the queue grows to the largest kernel-BFS so far
 		b.bfsQ = append(b.bfsQ, kbsNode{v, 0})
 	}
-	runs := b.outByLabel
-	if dir == backward {
-		runs = b.inByLabel
-	}
+	runs := b.runs[d]
 	b.stats.KernelBFSRuns++
 
 	for head := 0; head < len(b.bfsQ); head++ {
 		b.stats.KernelBFSNodes++
 		nd := b.bfsQ[head]
 		var expected labelseq.Label
-		if dir == backward {
+		if d == lout {
 			// Walking backward from a power boundary consumes the
 			// kernel's labels last-to-first.
 			expected = kernel[m-1-nd.phase]
@@ -533,7 +519,7 @@ func (b *builder) kernelBFS(src int32, dir direction, f *kernelFrontier) {
 			if next == 0 {
 				// y sits at a completed power L^m: record it.
 				// a successful insert appends to y's entry list (and interns a new MR)
-				ok := b.insert(y, src, dir, f.mr)
+				ok := b.insert(y, src, d, f.mr)
 				b.mark(y, 0)
 				if !ok {
 					// PR3: y and everything beyond it are skipped.
@@ -557,8 +543,8 @@ func (b *builder) isMarked(v, phase int32) bool {
 }
 
 // insert is insertCore plus the outcome counters.
-func (b *builder) insert(y, src int32, dir direction, mr int32) bool {
-	ok := b.insertCore(y, src, dir, mr)
+func (b *builder) insert(y, src int32, d side, mr int32) bool {
+	ok := b.insertCore(y, src, d, mr)
 	if ok {
 		b.stats.Inserted++
 	} else {
@@ -568,8 +554,8 @@ func (b *builder) insert(y, src int32, dir direction, mr int32) bool {
 }
 
 // insertCore attempts to record that y and src are connected by a path whose
-// k-MR is the one in memo slot mr: backward searches add (src, mr) to
-// Lout(y); forward searches add (src, mr) to Lin(y). It reports whether it
+// k-MR is the one in memo slot mr: it adds (src, mr) to y's side-d list —
+// Lout(y) in a backward search, Lin(y) in a forward one. It reports whether it
 // did; PR1 runs first. y is never ranked before src: the callers leave
 // those to PR2 (see kbs).
 //
@@ -579,14 +565,9 @@ func (b *builder) insert(y, src int32, dir direction, mr int32) bool {
 // fixed side is (y, mr) in the fixed list — only possible when y <= src, as
 // no hub past src has searched yet; Case 2 on y's side is an entry with hub
 // src; Case 1 is an entry of y whose (hub, mr) the fixed list also holds.
-func (b *builder) insertCore(y, src int32, dir direction, mr int32) bool {
+func (b *builder) insertCore(y, src int32, d side, mr int32) bool {
 	ix := b.ix
-	var yList []entry
-	if dir == backward {
-		yList = b.out[y]
-	} else {
-		yList = b.in[y]
-	}
+	yList := b.lists[d][y]
 
 	m := &b.mrs[mr]
 	if m.id == labelseq.InvalidID {
@@ -607,11 +588,6 @@ func (b *builder) insertCore(y, src int32, dir direction, mr int32) bool {
 	} else {
 		m.id = ix.dict.InternCode(m.code, m.seq)
 	}
-	e := entry{hub: src, mr: m.id}
-	if dir == backward {
-		b.out[y] = append(b.out[y], e)
-	} else {
-		b.in[y] = append(b.in[y], e)
-	}
+	b.lists[d][y] = append(yList, entry{hub: src, mr: m.id})
 	return true
 }

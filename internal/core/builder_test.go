@@ -14,7 +14,7 @@ import (
 // relabelled by a random access order: every label run is the vertex's
 // neighbours through that label, as ranks, ascending; and with src rising
 // from 0 to n-1, edgesFrom returns the run filtered to ranks >= src — for
-// both directions and every (vertex, label), so each run's cursor is
+// both sides' adjacencies and every (vertex, label), so each run's cursor is
 // exercised from its first call to its last.
 func TestLabelRunsFrom(t *testing.T) {
 	const n, labels = 40, 3
@@ -25,11 +25,11 @@ func TestLabelRunsFrom(t *testing.T) {
 		ix.order[i] = graph.Vertex(v)
 		ix.rank[v] = int32(i)
 	}
-	for _, dir := range []direction{backward, forward} {
-		runs := newLabelCSR(newRankCSR(ix, dir))
+	for _, d := range sides {
+		runs := newLabelCSR(newRankCSR(ix, d))
 		for v := range int32(n) {
 			nbrs, lbls := g.OutEdges(ix.order[v])
-			if dir == backward {
+			if d == lout {
 				nbrs, lbls = g.InEdges(ix.order[v])
 			}
 			for l := range labelseq.Label(labels) {
@@ -41,7 +41,7 @@ func TestLabelRunsFrom(t *testing.T) {
 				}
 				slices.Sort(want)
 				if got := runs.edges(v, l); !slices.Equal(got, want) {
-					t.Fatalf("dir %d: edges(%d, %d) = %v, want %v", dir, v, l, got, want)
+					t.Fatalf("%s: edges(%d, %d) = %v, want %v", d, v, l, got, want)
 				}
 			}
 		}
@@ -55,7 +55,7 @@ func TestLabelRunsFrom(t *testing.T) {
 						}
 					}
 					if got := runs.edgesFrom(v, l, src); !slices.Equal(got, want) {
-						t.Fatalf("dir %d, src %d: edgesFrom(%d, %d) = %v, want %v", dir, src, v, l, got, want)
+						t.Fatalf("%s, src %d: edgesFrom(%d, %d) = %v, want %v", d, src, v, l, got, want)
 					}
 				}
 			}

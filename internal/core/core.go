@@ -66,6 +66,33 @@ type entry struct {
 	mr  labelseq.ID
 }
 
+// side names one of Definition 4's two label sets: Lout(v) holds the hubs v
+// reaches, Lin(v) the hubs that reach v. Every per-side structure — packed
+// offsets, tier unions and blooms, the builder's lists and adjacencies — is
+// a [2] array indexed by side, so each check over the two sets is spelled
+// once.
+type side uint8
+
+const (
+	lout side = iota
+	lin
+)
+
+// sides lists both sides, Lout first: the order lists are packed, tier
+// filters are built and bloom blocks are laid out in.
+var sides = [2]side{lout, lin}
+
+// other returns the mirror side.
+func (d side) other() side { return d ^ 1 }
+
+// String names the side as the paper does; error texts print it.
+func (d side) String() string {
+	if d == lout {
+		return "Lout"
+	}
+	return "Lin"
+}
+
 // Index is an immutable RLC index over a fixed graph. Queries are safe for
 // concurrent use; building is not concurrent.
 type Index struct {
@@ -88,14 +115,9 @@ type Index struct {
 	tiers *tiers
 }
 
-// lout decodes the Lout(v) entries.
-func (ix *Index) lout(v graph.Vertex) iter.Seq[entry] {
-	return ix.packed.entries(ix.packed.lout(v))
-}
-
-// lin decodes the Lin(v) entries.
-func (ix *Index) lin(v graph.Vertex) iter.Seq[entry] {
-	return ix.packed.entries(ix.packed.lin(v))
+// entries decodes the side-d list of v.
+func (ix *Index) entries(d side, v graph.Vertex) iter.Seq[entry] {
+	return ix.packed.entries(ix.packed.list(d, v))
 }
 
 // seal turns the per-vertex entry lists Build produced into the resident
@@ -113,7 +135,8 @@ func (ix *Index) seal(out, in [][]entry, budget int64) error {
 	if total > math.MaxInt32 {
 		return fmt.Errorf("rlc: index has %d entries, exceeding the 2^31-1 offset limit", total)
 	}
-	tr, err := ix.tier(out, in, total, budget)
+	lists := [2][][]entry{out, in}
+	tr, err := ix.tier(lists, total, budget)
 	if err != nil {
 		return err
 	}
@@ -122,11 +145,11 @@ func (ix *Index) seal(out, in [][]entry, budget int64) error {
 			out[v], in[v] = nil, nil
 		}
 	}
-	p, err := pack(out, in, ix.dict.Len())
+	p, err := pack(lists, ix.dict.Len())
 	if err != nil {
 		return err
 	}
-	if err := p.verifyAgainst(out, in); err != nil {
+	if err := p.verifyAgainst(lists); err != nil {
 		return err
 	}
 	ix.packed = p
@@ -156,7 +179,7 @@ func (ix *Index) AccessOrder() []graph.Vertex { return ix.order }
 // NumEntries returns the total number of index entries across all Lin and
 // Lout sets.
 func (ix *Index) NumEntries() int64 {
-	return ix.packed.outEntries + ix.packed.inEntries
+	return ix.packed.numEntries[lout] + ix.packed.numEntries[lin]
 }
 
 // SizeBytes is the index size in the paper's accounting: 8 bytes per (hub,
@@ -209,7 +232,7 @@ type Stats struct {
 
 // Stats returns summary statistics.
 func (ix *Index) Stats() Stats {
-	out, in := ix.packed.outEntries, ix.packed.inEntries
+	out, in := ix.packed.numEntries[lout], ix.packed.numEntries[lin]
 	return Stats{
 		K:           ix.k,
 		Vertices:    ix.g.NumVertices(),
@@ -244,10 +267,10 @@ type EntryView struct {
 
 // LinEntries returns the decoded Lin(v) set: hubs in access order, minimum
 // repeats in dictionary order within a hub.
-func (ix *Index) LinEntries(v graph.Vertex) []EntryView { return ix.decode(ix.lin(v)) }
+func (ix *Index) LinEntries(v graph.Vertex) []EntryView { return ix.decode(ix.entries(lin, v)) }
 
 // LoutEntries returns the decoded Lout(v) set, ordered like LinEntries.
-func (ix *Index) LoutEntries(v graph.Vertex) []EntryView { return ix.decode(ix.lout(v)) }
+func (ix *Index) LoutEntries(v graph.Vertex) []EntryView { return ix.decode(ix.entries(lout, v)) }
 
 func (ix *Index) decode(list iter.Seq[entry]) []EntryView {
 	var out []EntryView
@@ -363,7 +386,7 @@ func (ix *Index) queryByID(s, t graph.Vertex, mr labelseq.ID) bool {
 		tr.exactHits.Add(1)
 	}
 	p := ix.packed
-	outS, inT := p.lout(s), p.lin(t)
+	outS, inT := p.list(lout, s), p.list(lin, t)
 	if p.groupHas(outS, ix.rank[t], mr) || p.groupHas(inT, ix.rank[s], mr) {
 		return true
 	}

@@ -16,7 +16,7 @@ import (
 //
 // The paper's Lin/Lout sets are lists of (hub, mr) pairs. The packed form
 // groups every per-vertex list by hub — one packedGroup per (vertex,
-// direction, hub) — and turns the hub's MR ids into a fixed-width bitset
+// side, hub) — and turns the hub's MR ids into a fixed-width bitset
 // keyed by dictionary id: membership is a single AND/shift of one word
 // instead of a scan over the hub's run. Identical MR-sets are hash-consed
 // into a shared pool (hub-dominated graphs repeat a handful of MR-sets
@@ -86,27 +86,21 @@ func (sp *setPool) sizeBytes() int64 {
 
 // packed is the bit-parallel form of an Index's Lin/Lout lists. All Lout
 // group lists come first, then all Lin lists, with one offset array per
-// direction, CSR fashion.
+// side, CSR fashion.
 type packed struct {
 	setPool
 	groups []packedGroup // all Lout groups, then all Lin groups
-	outOff []int32       // len n+1; Lout(v) = groups[outOff[v]:outOff[v+1]]
-	inOff  []int32       // len n+1; Lin(v)  = groups[inOff[v]:inOff[v+1]]
+	off    [2][]int32    // per side, len n+1; list(d, v) = groups[off[d][v]:off[d][v+1]]
 
-	// Logical (hub, mr) entry counts per direction — the paper's index size,
+	// Logical (hub, mr) entry counts per side — the paper's index size,
 	// which SizeBytes and MaxIndexBytes are denominated in. Counted once at
 	// construction because /stats asks per request.
-	outEntries, inEntries int64
+	numEntries [2]int64
 }
 
-// lout returns the packed Lout(v) list.
-func (p *packed) lout(v graph.Vertex) []packedGroup {
-	return p.groups[p.outOff[v]:p.outOff[v+1]]
-}
-
-// lin returns the packed Lin(v) list.
-func (p *packed) lin(v graph.Vertex) []packedGroup {
-	return p.groups[p.inOff[v]:p.inOff[v+1]]
+// list returns the packed side-d list of v.
+func (p *packed) list(d side, v graph.Vertex) []packedGroup {
+	return p.groups[p.off[d][v]:p.off[d][v+1]]
 }
 
 // groupHas reports whether list (hub-sorted, hubs unique) carries mr for
@@ -181,9 +175,9 @@ func (p *packed) count(list []packedGroup) int64 {
 	return int64(total)
 }
 
-// countEntries fills the cached per-direction entry counts. Groups share
-// their hash-consed sets, so each set's popcount is taken once and every
-// group adds its set's.
+// countEntries fills the cached per-side entry counts. Groups share their
+// hash-consed sets, so each set's popcount is taken once and every group
+// adds its set's.
 func (p *packed) countEntries() {
 	pop := make([]int32, len(p.desc))
 	for i, d := range p.desc {
@@ -191,14 +185,12 @@ func (p *packed) countEntries() {
 			pop[i] += int32(bits.OnesCount64(word))
 		}
 	}
-	sum := func(list []packedGroup) (total int64) {
-		for _, g := range list {
-			total += int64(pop[g.set])
+	for _, d := range sides {
+		off := p.off[d]
+		for _, g := range p.groups[off[0]:off[len(off)-1]] {
+			p.numEntries[d] += int64(pop[g.set])
 		}
-		return total
 	}
-	split := p.inOff[0]
-	p.outEntries, p.inEntries = sum(p.groups[:split]), sum(p.groups[split:])
 }
 
 // setWordsFor returns the pool set width for a dictionary of dictLen
@@ -272,22 +264,18 @@ func (c *conser) intern(list []entry) (uint32, error) {
 }
 
 // pack builds the packed form from per-vertex, hub-sorted entry lists
-// (indexed by vertex id). It is deterministic — vertices ascending, Lout
-// before Lin, sets interned in first-seen order — so equal lists always
-// produce byte-identical packed sections (the packed golden test pins this).
-func pack(out, in [][]entry, dictLen int) (*packed, error) {
-	n := len(out)
+// (indexed by side, then vertex id). It is deterministic — Lout before Lin,
+// vertices ascending, sets interned in first-seen order — so equal lists
+// always produce byte-identical packed sections (the packed golden test pins
+// this).
+func pack(lists [2][][]entry, dictLen int) (*packed, error) {
 	c := newConser(dictLen)
-	p := &packed{
-		outOff: make([]int32, n+1),
-		inOff:  make([]int32, n+1),
-	}
-	for _, dir := range []struct {
-		lists [][]entry
-		off   []int32
-	}{{out, p.outOff}, {in, p.inOff}} {
-		for v, list := range dir.lists {
-			dir.off[v] = int32(len(p.groups))
+	p := &packed{}
+	for _, d := range sides {
+		n := len(lists[d])
+		p.off[d] = make([]int32, n+1)
+		for v, list := range lists[d] {
+			p.off[d][v] = int32(len(p.groups))
 			for i := 0; i < len(list); {
 				j := i + 1
 				for j < len(list) && list[j].hub == list[i].hub {
@@ -301,7 +289,7 @@ func pack(out, in [][]entry, dictLen int) (*packed, error) {
 				i = j
 			}
 		}
-		dir.off[n] = int32(len(p.groups))
+		p.off[d][n] = int32(len(p.groups))
 	}
 	p.setPool = c.pool
 	p.countEntries()
@@ -310,7 +298,7 @@ func pack(out, in [][]entry, dictLen int) (*packed, error) {
 
 // PackedStats summarizes the packed representation for reporting.
 type PackedStats struct {
-	// Groups is the number of (vertex, direction, hub) groups — the packed
+	// Groups is the number of (vertex, side, hub) groups — the packed
 	// counterpart of the entry count.
 	Groups int64
 	// Sets is the number of distinct hash-consed MR-sets in the pool.
@@ -331,7 +319,7 @@ func (ix *Index) PackedStats() PackedStats {
 		Sets:      len(p.desc),
 		PoolWords: int64(len(p.words)),
 		SizeBytes: int64(len(p.groups))*8 + p.sizeBytes() +
-			int64(len(p.outOff)+len(p.inOff))*4 + ix.dictBytes(),
+			int64(len(p.off[lout])+len(p.off[lin]))*4 + ix.dictBytes(),
 	}
 }
 
@@ -340,8 +328,8 @@ func (ix *Index) PackedStats() PackedStats {
 // sequences, every entry's MR bit set, and per-group popcounts equal to the
 // run lengths (so the packed side holds no extra bits either). seal runs it
 // at the end of every Build, the one place the two forms coexist.
-func (p *packed) verifyAgainst(out, in [][]entry) error {
-	check := func(what string, list []entry, groups []packedGroup, v int) error {
+func (p *packed) verifyAgainst(lists [2][][]entry) error {
+	check := func(what side, list []entry, groups []packedGroup, v int) error {
 		gi := 0
 		for i := 0; i < len(list); {
 			hub := list[i].hub
@@ -367,12 +355,11 @@ func (p *packed) verifyAgainst(out, in [][]entry) error {
 		}
 		return nil
 	}
-	for v := range out {
-		if err := check("Lout", out[v], p.lout(graph.Vertex(v)), v); err != nil {
-			return err
-		}
-		if err := check("Lin", in[v], p.lin(graph.Vertex(v)), v); err != nil {
-			return err
+	for v := range lists[lout] {
+		for _, d := range sides {
+			if err := check(d, lists[d][v], p.list(d, graph.Vertex(v)), v); err != nil {
+				return err
+			}
 		}
 	}
 	return nil

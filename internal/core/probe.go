@@ -5,18 +5,21 @@ import (
 	"github.com/g-rpqs/rlc-go/internal/labelseq"
 )
 
-// TargetProbe precomputes the target side of Query(·, t, L+) so that many
-// candidate sources can be tested with one pass over their Lout list each.
-// The hybrid evaluator of extended queries (Q4-style, Section VI-C) probes
-// every frontier vertex against a fixed (t, L+), which this amortizes.
-type TargetProbe struct {
+// Probe precomputes one endpoint's side of Query so that many candidates for
+// the other endpoint can be tested with one pass over their list each: a
+// target probe fixes (·, t, L+) and scans each source's Lout, a source probe
+// fixes (s, ·, L+) and scans each target's Lin. The hybrid evaluator of
+// extended queries (Q4-style, Section VI-C) probes every frontier vertex
+// against one fixed endpoint, which this amortizes.
+type Probe struct {
 	ix    *Index
-	t     graph.Vertex
+	fixed graph.Vertex
+	d     side // the fixed endpoint's side: Lin for a target probe, Lout for a source probe
 	mr    labelseq.ID
-	rankT int32
-	// hubs is a bitmap over access ranks: bit h set iff (hub h, L) ∈
-	// Lin(t). Case 1 tests Lout(s) hubs against it; case 2 tests rank(s)
-	// itself (an entry (s, L) ∈ Lin(t) has hub rank(s)).
+	rank  int32 // rank of fixed
+	// hubs is a bitmap over access ranks: bit h set iff (hub h, L) is on
+	// the fixed endpoint's side-d list. Case 1 tests the candidate's hubs
+	// against it; Case 2 tests the candidate's rank itself.
 	hubs  []uint64
 	valid bool
 }
@@ -24,11 +27,20 @@ type TargetProbe struct {
 // NewTargetProbe prepares a probe for Query(·, t, l). The constraint is
 // validated like a regular query (with s := t, which shares the same vertex
 // check).
-func (ix *Index) NewTargetProbe(t graph.Vertex, l labelseq.Seq) (*TargetProbe, error) {
-	if err := ix.checkQuery(t, t, l); err != nil {
+func (ix *Index) NewTargetProbe(t graph.Vertex, l labelseq.Seq) (*Probe, error) {
+	return ix.newProbe(t, lin, l)
+}
+
+// NewSourceProbe prepares a probe for Query(s, ·, l).
+func (ix *Index) NewSourceProbe(s graph.Vertex, l labelseq.Seq) (*Probe, error) {
+	return ix.newProbe(s, lout, l)
+}
+
+func (ix *Index) newProbe(fixed graph.Vertex, d side, l labelseq.Seq) (*Probe, error) {
+	if err := ix.checkQuery(fixed, fixed, l); err != nil {
 		return nil, err
 	}
-	p := &TargetProbe{ix: ix, t: t, rankT: ix.rank[t]}
+	p := &Probe{ix: ix, fixed: fixed, d: d, rank: ix.rank[fixed]}
 	p.mr = ix.dict.Lookup(l)
 	if p.mr == labelseq.InvalidID {
 		// No path in the graph carries this k-MR: every probe is false.
@@ -36,7 +48,7 @@ func (ix *Index) NewTargetProbe(t graph.Vertex, l labelseq.Seq) (*TargetProbe, e
 	}
 	p.valid = true
 	p.hubs = make([]uint64, (ix.g.NumVertices()+63)/64)
-	for _, g := range ix.packed.lin(t) {
+	for _, g := range ix.packed.list(d, fixed) {
 		if ix.packed.has(g.set, p.mr) {
 			p.hubs[g.hub>>6] |= 1 << uint(g.hub&63)
 		}
@@ -44,87 +56,31 @@ func (ix *Index) NewTargetProbe(t graph.Vertex, l labelseq.Seq) (*TargetProbe, e
 	return p, nil
 }
 
-// Reaches reports whether Query(s, t, L+) holds, in one pass over Lout(s).
-// On a size-budgeted index a demoted endpoint's lists are dropped, so the
-// precomputed bitmap and the Lout scan would silently miss entries; those
-// probes delegate to the exact three-tier query path instead.
-func (p *TargetProbe) Reaches(s graph.Vertex) bool {
+// Reaches reports whether x reaches the fixed target (a target probe) or the
+// fixed source reaches x (a source probe) under L+, in one pass over x's list
+// on the other side. On a size-budgeted index a demoted endpoint's lists are
+// dropped, so the precomputed bitmap and the scan would silently miss
+// entries; those probes delegate to the exact three-tier query path instead.
+func (p *Probe) Reaches(x graph.Vertex) bool {
 	if !p.valid {
 		return false
 	}
-	if tr := p.ix.tiers; tr != nil &&
-		(p.rankT >= tr.retainedRanks || p.ix.rank[s] >= tr.retainedRanks) {
-		return p.ix.queryByID(s, p.t, p.mr)
+	rx := p.ix.rank[x]
+	if tr := p.ix.tiers; tr != nil && (p.rank >= tr.retainedRanks || rx >= tr.retainedRanks) {
+		if p.d == lin {
+			return p.ix.queryByID(x, p.fixed, p.mr)
+		}
+		return p.ix.queryByID(p.fixed, x, p.mr)
 	}
-	// Case 2: (s, L) ∈ Lin(t).
-	rs := p.ix.rank[s]
-	if p.hubs[rs>>6]&(1<<uint(rs&63)) != 0 {
+	// Case 2: x is a hub of the fixed endpoint's list.
+	if p.hubs[rx>>6]&(1<<uint(rx&63)) != 0 {
 		return true
 	}
 	pk := p.ix.packed
-	for _, g := range pk.lout(s) {
-		// Case 2: (t, L) ∈ Lout(s); Case 1: shared hub with Lin(t).
-		if (g.hub == p.rankT || p.hubs[g.hub>>6]&(1<<uint(g.hub&63)) != 0) && pk.has(g.set, p.mr) {
-			return true
-		}
-	}
-	return false
-}
-
-// SourceProbe is the mirror of TargetProbe: it precomputes the source side
-// of Query(s, ·, L+) so that many candidate targets can be tested with one
-// pass over their Lin list each.
-type SourceProbe struct {
-	ix    *Index
-	s     graph.Vertex
-	mr    labelseq.ID
-	rankS int32
-	// hubs is a bitmap over access ranks: bit h set iff (hub h, L) ∈
-	// Lout(s).
-	hubs  []uint64
-	valid bool
-}
-
-// NewSourceProbe prepares a probe for Query(s, ·, l).
-func (ix *Index) NewSourceProbe(s graph.Vertex, l labelseq.Seq) (*SourceProbe, error) {
-	if err := ix.checkQuery(s, s, l); err != nil {
-		return nil, err
-	}
-	p := &SourceProbe{ix: ix, s: s, rankS: ix.rank[s]}
-	p.mr = ix.dict.Lookup(l)
-	if p.mr == labelseq.InvalidID {
-		return p, nil
-	}
-	p.valid = true
-	p.hubs = make([]uint64, (ix.g.NumVertices()+63)/64)
-	for _, g := range ix.packed.lout(s) {
-		if ix.packed.has(g.set, p.mr) {
-			p.hubs[g.hub>>6] |= 1 << uint(g.hub&63)
-		}
-	}
-	return p, nil
-}
-
-// Reaches reports whether Query(s, t, L+) holds, in one pass over Lin(t).
-// Like TargetProbe.Reaches, probes touching a demoted vertex of a
-// size-budgeted index delegate to the exact three-tier query path.
-func (p *SourceProbe) Reaches(t graph.Vertex) bool {
-	if !p.valid {
-		return false
-	}
-	if tr := p.ix.tiers; tr != nil &&
-		(p.rankS >= tr.retainedRanks || p.ix.rank[t] >= tr.retainedRanks) {
-		return p.ix.queryByID(p.s, t, p.mr)
-	}
-	// Case 2: (t, L) ∈ Lout(s).
-	rt := p.ix.rank[t]
-	if p.hubs[rt>>6]&(1<<uint(rt&63)) != 0 {
-		return true
-	}
-	pk := p.ix.packed
-	for _, g := range pk.lin(t) {
-		// Case 2: (s, L) ∈ Lin(t); Case 1: shared hub with Lout(s).
-		if (g.hub == p.rankS || p.hubs[g.hub>>6]&(1<<uint(g.hub&63)) != 0) && pk.has(g.set, p.mr) {
+	for _, g := range pk.list(p.d.other(), x) {
+		// Case 2: the fixed endpoint is a hub of x's list; Case 1: a hub
+		// shared with the fixed endpoint's list.
+		if (g.hub == p.rank || p.hubs[g.hub>>6]&(1<<uint(g.hub&63)) != 0) && pk.has(g.set, p.mr) {
 			return true
 		}
 	}

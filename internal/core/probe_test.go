@@ -8,31 +8,55 @@ import (
 	"github.com/g-rpqs/rlc-go/internal/labelseq"
 )
 
-// TestTargetProbeAgreesWithQuery: Reaches(s) must equal Query(s, t, L+) for
-// every source, target and constraint.
-func TestTargetProbeAgreesWithQuery(t *testing.T) {
+// TestProbesAgreeWithQuery: a target probe's Reaches(x) must equal
+// Query(x, fixed, L+) and a source probe's Query(fixed, x, L+) for every
+// fixed endpoint, candidate x and constraint — on untiered indexes, where
+// both probes run their own Case 1/Case 2 scan, and on size-budgeted ones,
+// where a pair of retained endpoints still scans and a demoted endpoint
+// delegates to the tier path.
+func TestProbesAgreeWithQuery(t *testing.T) {
 	r := rand.New(rand.NewSource(500))
+	var graphs []*graph.Graph
 	for trial := 0; trial < 10; trial++ {
 		n := 4 + r.Intn(10)
-		g := randomGraph(r, n, 2, 3*n)
-		ix := mustBuild(t, g, Options{K: 2})
-		for _, l := range PrimitiveConstraints(2, 2) {
-			for tt := graph.Vertex(0); int(tt) < n; tt++ {
-				probe, err := ix.NewTargetProbe(tt, l)
-				if err != nil {
-					t.Fatal(err)
-				}
-				for s := graph.Vertex(0); int(s) < n; s++ {
-					want, err := ix.Query(s, tt, l)
+		graphs = append(graphs, randomGraph(r, n, 2, 3*n))
+	}
+	graphs = append(graphs, randomGraph(r, 40, 3, 180)) // tiers at half its size
+	mixed := 0
+	for trial, g := range graphs {
+		full := mustBuild(t, g, Options{K: 2})
+		budgeted := mustBuild(t, g, Options{K: 2, MaxIndexBytes: full.SizeBytes() / 2})
+		if tr := budgeted.tiers; tr != nil && tr.retainedRanks > 0 {
+			mixed++
+		}
+		n := graph.Vertex(g.NumVertices())
+		for _, ix := range []*Index{full, budgeted} {
+			for _, l := range PrimitiveConstraints(g.NumLabels(), 2) {
+				for fixed := range n {
+					tp, err := ix.NewTargetProbe(fixed, l)
 					if err != nil {
 						t.Fatal(err)
 					}
-					if got := probe.Reaches(s); got != want {
-						t.Fatalf("trial %d: probe(%d->%d, %v) = %v, Query = %v", trial, s, tt, l, got, want)
+					sp, err := ix.NewSourceProbe(fixed, l)
+					if err != nil {
+						t.Fatal(err)
+					}
+					for x := range n {
+						if want, _ := ix.Query(x, fixed, l); tp.Reaches(x) != want {
+							t.Fatalf("trial %d tiered=%v: target probe (%d->%d, %v) = %v, Query = %v",
+								trial, ix.Tiered(), x, fixed, l, !want, want)
+						}
+						if want, _ := ix.Query(fixed, x, l); sp.Reaches(x) != want {
+							t.Fatalf("trial %d tiered=%v: source probe (%d->%d, %v) = %v, Query = %v",
+								trial, ix.Tiered(), fixed, x, l, !want, want)
+						}
 					}
 				}
 			}
 		}
+	}
+	if mixed == 0 {
+		t.Fatal("no budgeted build both retained and demoted vertices")
 	}
 }
 

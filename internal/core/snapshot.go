@@ -17,7 +17,7 @@ import (
 // Snapshot bundle (format v2): one self-contained, self-describing file
 // holding everything a server needs — the graph's out-adjacency (the
 // in-adjacency is its transpose, derived at open), the packed index groups
-// with their per-direction offsets and set pool, the access order, and the
+// with their per-side offsets and set pool, the access order, and the
 // label-sequence dictionary — as checksummed sections of the
 // internal/snapshot container.
 // The large arrays are laid out so OpenSnapshot can hand out zero-copy
@@ -181,8 +181,8 @@ func (ix *Index) WriteSnapshot(w io.Writer) error {
 	le.PutUint64(pm[16:], uint64(len(p.words)))
 	sw.Add(secPackedMeta, pm)
 	sw.Add(secPackedGroups, snapshot.Bytes(p.groups))
-	sw.Add(secPackedOutOff, snapshot.Bytes(p.outOff))
-	sw.Add(secPackedInOff, snapshot.Bytes(p.inOff))
+	sw.Add(secPackedOutOff, snapshot.Bytes(p.off[lout]))
+	sw.Add(secPackedInOff, snapshot.Bytes(p.off[lin]))
 	sw.Add(secPackedSets, snapshot.Bytes(p.words))
 	sw.Add(secPackedSetDesc, snapshot.Bytes(p.desc))
 	if tr := ix.tiers; tr != nil {
@@ -194,8 +194,8 @@ func (ix *Index) WriteSnapshot(w io.Writer) error {
 		le.PutUint64(tm[16:], uint64(len(tr.words)))
 		le.PutUint64(tm[24:], uint64(tr.budget))
 		sw.Add(secTierMeta, tm)
-		sw.Add(secTierUnionOut, snapshot.Bytes(tr.unionOut))
-		sw.Add(secTierUnionIn, snapshot.Bytes(tr.unionIn))
+		sw.Add(secTierUnionOut, snapshot.Bytes(tr.union[lout]))
+		sw.Add(secTierUnionIn, snapshot.Bytes(tr.union[lin]))
 		sw.Add(secTierSets, snapshot.Bytes(tr.words))
 		sw.Add(secTierSetDesc, snapshot.Bytes(tr.desc))
 		sw.Add(secTierBloom, snapshot.Bytes(tr.bloom))
@@ -394,7 +394,7 @@ func newSnapshot(f *snapshot.File) (*Snapshot, error) {
 	if err != nil {
 		return nil, err
 	}
-	if got := p.outEntries + p.inEntries; got != meta.entryCount {
+	if got := p.numEntries[lout] + p.numEntries[lin]; got != meta.entryCount {
 		return nil, snapshot.Corruptf("packed sets hold %d entries, meta records %d", got, meta.entryCount)
 	}
 
@@ -440,10 +440,10 @@ func openPacked(f *snapshot.File, n, dictLen int) (*packed, error) {
 	if p.groups, err = snapshot.Array[packedGroup](f, secPackedGroups, groupCount, "packed-group"); err != nil {
 		return nil, err
 	}
-	if p.outOff, err = snapshot.Array[int32](f, secPackedOutOff, int64(n)+1, "packed out-offset"); err != nil {
+	if p.off[lout], err = snapshot.Array[int32](f, secPackedOutOff, int64(n)+1, "packed out-offset"); err != nil {
 		return nil, err
 	}
-	if p.inOff, err = snapshot.Array[int32](f, secPackedInOff, int64(n)+1, "packed in-offset"); err != nil {
+	if p.off[lin], err = snapshot.Array[int32](f, secPackedInOff, int64(n)+1, "packed in-offset"); err != nil {
 		return nil, err
 	}
 	if p.words, err = snapshot.Array[uint64](f, secPackedSets, wordCount, "packed-set pool"); err != nil {
@@ -455,14 +455,14 @@ func openPacked(f *snapshot.File, n, dictLen int) (*packed, error) {
 	if err = validatePool("packed", p.setPool, dictLen); err != nil {
 		return nil, err
 	}
-	if p.outOff[0] != 0 || p.outOff[n] != p.inOff[0] || int64(p.inOff[n]) != groupCount {
+	if out, in := p.off[lout], p.off[lin]; out[0] != 0 || out[n] != in[0] || int64(in[n]) != groupCount {
 		return nil, snapshot.Corruptf("packed offsets span [%d..%d, %d..%d], want [0..x, x..%d]",
-			p.outOff[0], p.outOff[n], p.inOff[0], p.inOff[n], groupCount)
+			out[0], out[n], in[0], in[n], groupCount)
 	}
 	// Per-vertex group lists must have strictly increasing in-range hubs —
 	// groupHas's binary search assumes uniqueness — and every set id must
 	// point into the pool.
-	for _, off := range [2][]int32{p.outOff, p.inOff} {
+	for _, off := range p.off {
 		for v := 0; v < n; v++ {
 			if off[v] > off[v+1] || int64(off[v+1]) > groupCount {
 				return nil, snapshot.Corruptf("packed offsets decrease or overshoot at vertex %d", v)
@@ -546,10 +546,10 @@ func openTiers(f *snapshot.File, n, dictLen int) (*tiers, error) {
 	d := int64(n) - retained
 	tr := &tiers{retainedRanks: int32(retained), budget: budget, bloomWords: bloomWords}
 	var err error
-	if tr.unionOut, err = snapshot.Array[uint32](f, secTierUnionOut, d, "tier union-out"); err != nil {
+	if tr.union[lout], err = snapshot.Array[uint32](f, secTierUnionOut, d, "tier union-out"); err != nil {
 		return nil, err
 	}
-	if tr.unionIn, err = snapshot.Array[uint32](f, secTierUnionIn, d, "tier union-in"); err != nil {
+	if tr.union[lin], err = snapshot.Array[uint32](f, secTierUnionIn, d, "tier union-in"); err != nil {
 		return nil, err
 	}
 	if tr.words, err = snapshot.Array[uint64](f, secTierSets, wordCount, "tier-set pool"); err != nil {
@@ -565,7 +565,7 @@ func openTiers(f *snapshot.File, n, dictLen int) (*tiers, error) {
 		return nil, err
 	}
 	// Every slot's set id must be a real descriptor or emptySet.
-	for _, slots := range [2][]uint32{tr.unionOut, tr.unionIn} {
+	for _, slots := range tr.union {
 		for i, set := range slots {
 			if set != emptySet && int64(set) >= setCount {
 				return nil, snapshot.Corruptf("tier union set id %d of slot %d outside pool of %d sets", set, i, setCount)

@@ -230,12 +230,12 @@ func TestOpenIsZeroCopy(t *testing.T) {
 		"CSR out-labels":              within(raw, csr.OutLbl),
 		"access order":                within(raw, s.Index().order),
 		"packed groups":               within(raw, p.groups),
-		"packed out-offsets":          within(raw, p.outOff),
-		"packed in-offsets":           within(raw, p.inOff),
+		"packed out-offsets":          within(raw, p.off[lout]),
+		"packed in-offsets":           within(raw, p.off[lin]),
 		"packed set pool words":       within(raw, p.words),
 		"packed set pool descriptors": within(raw, p.desc),
-		"tier out-unions":             within(raw, tr.unionOut),
-		"tier in-unions":              within(raw, tr.unionIn),
+		"tier out-unions":             within(raw, tr.union[lout]),
+		"tier in-unions":              within(raw, tr.union[lin]),
 		"tier set pool words":         within(raw, tr.words),
 		"tier set pool descriptors":   within(raw, tr.desc),
 		"tier blooms":                 within(raw, tr.bloom),

@@ -24,11 +24,11 @@ import (
 // replaced by two compact may-reach filters whose negative answers are
 // definitive:
 //
-//   - a hash-consed MR-union bitset per direction — the OR of the dropped
+//   - a hash-consed MR-union bitset per side — the OR of the dropped
 //     list's MR ids, interned in a tier-local setPool by the same conser as
 //     the packed form's MR-sets (demoted vertices massively repeat union
 //     shapes);
-//   - a per-direction block Bloom filter over the dropped (hub, mr) pairs —
+//   - a per-side block Bloom filter over the dropped (hub, mr) pairs —
 //     bloomWords 64-bit words per block, two probes per key, sized to the
 //     budget left after the exact tier and the unions.
 //
@@ -67,10 +67,9 @@ type tiers struct {
 	budget        int64  // the configured Options.MaxIndexBytes
 	bloomWords    uint32 // 64-bit words per bloom block; power of two in [1, 64]
 
-	unionOut []uint32 // slot -> union set id over dropped Lout MRs (emptySet = none)
-	unionIn  []uint32 // slot -> union set id over dropped Lin MRs
-	setPool           // tier-local hash-consed union pool
-	bloom    []uint64 // blocks: slot*2 = out, slot*2+1 = in; bloomWords words each
+	union   [2][]uint32 // per side: slot -> union set id over the dropped list's MRs (emptySet = none)
+	setPool             // tier-local hash-consed union pool
+	bloom   []uint64    // the side-d block of slot s is block (2s+d); bloomWords words each
 
 	exactHits      atomic.Int64 // tier-1 answers (complete-list probe decided)
 	filterDefinite atomic.Int64 // tier-2 answers (filters decided without traversal)
@@ -87,17 +86,10 @@ type tiers struct {
 // slotOf returns the demoted slot of rank r.
 func (tr *tiers) slotOf(r int32) int32 { return r - tr.retainedRanks }
 
-// outBlock returns the bloom block guarding the dropped Lout list of slot.
-func (tr *tiers) outBlock(slot int32) []uint64 {
+// block returns the bloom block guarding the dropped side-d list of slot.
+func (tr *tiers) block(d side, slot int32) []uint64 {
 	w := int64(tr.bloomWords)
-	off := int64(slot) * 2 * w
-	return tr.bloom[off : off+w]
-}
-
-// inBlock returns the bloom block guarding the dropped Lin list of slot.
-func (tr *tiers) inBlock(slot int32) []uint64 {
-	w := int64(tr.bloomWords)
-	off := int64(slot)*2*w + w
+	off := (2*int64(slot) + int64(d)) * w
 	return tr.bloom[off : off+w]
 }
 
@@ -134,7 +126,7 @@ func (tr *tiers) bloomAdd(block []uint64, hub uint32, mr labelseq.ID) {
 // sizeBytes is the resident size of the filter tier: union slot arrays,
 // descriptors, pool words, bloom blocks, and the fixed meta record.
 func (tr *tiers) sizeBytes() int64 {
-	return int64(len(tr.unionOut)+len(tr.unionIn))*4 + tr.setPool.sizeBytes() +
+	return int64(len(tr.union[lout])+len(tr.union[lin]))*4 + tr.setPool.sizeBytes() +
 		int64(len(tr.bloom))*8 + tierMetaSize
 }
 
@@ -165,7 +157,7 @@ type TierStats struct {
 	FilterBytes int64
 	// UnionSets is the number of distinct hash-consed MR-union sets.
 	UnionSets int
-	// BloomBitsPerFilter is the size of one per-vertex, per-direction bloom
+	// BloomBitsPerFilter is the size of one per-vertex, per-side bloom
 	// block in bits.
 	BloomBitsPerFilter int
 	// ExactHits counts queries decided on complete lists (tier 1, including
@@ -187,7 +179,7 @@ func (ix *Index) TierStats() TierStats {
 	return TierStats{
 		Budget:             tr.budget,
 		RetainedVertices:   int(tr.retainedRanks),
-		DemotedVertices:    len(tr.unionOut),
+		DemotedVertices:    len(tr.union[lout]),
 		FilterBytes:        tr.sizeBytes(),
 		UnionSets:          len(tr.desc),
 		BloomBitsPerFilter: int(tr.bloomWords) * 64,
@@ -229,102 +221,67 @@ func (ix *Index) queryTiered(s, t graph.Vertex, mr labelseq.ID) bool {
 // probeTiered runs the tier-2 filter probe for a query with at least one
 // demoted endpoint. Soundness: a retained vertex's lists are complete, so a
 // hit there is a definitive TRUE; every filter over-approximates the dropped
-// list it stands in for, so a probe that excludes Case 2 in both directions
-// and Case 1 (Definition 4) is a definitive FALSE.
+// list it stands in for, so a probe that excludes Case 2 on both sides and
+// Case 1 (Definition 4) is a definitive FALSE.
 func (ix *Index) probeTiered(s, t graph.Vertex, mr labelseq.ID) tierVerdict {
 	tr := ix.tiers
 	r := tr.retainedRanks
 	rs, rt := ix.rank[s], ix.rank[t]
 	switch {
 	case rs < r: // s retained, t demoted
-		// Case 2: (rank(t), mr) ∈ Lout(s) — exact on the complete list.
-		if ix.loutHas(s, rt, mr) {
-			return tierTrue
-		}
-		ts := tr.slotOf(rt)
-		if !tr.has(tr.unionIn[ts], mr) {
-			// The dropped Lin(t) carried no entry with this MR at all:
-			// no Case 2 on the t side and no Case 1 either.
-			return tierFalse
-		}
-		// Case 2 mirror: (rank(s), mr) ∈ Lin(t)?
-		if tr.bloomHas(tr.inBlock(ts), uint32(rs), mr) {
-			return tierMaybe
-		}
-		// Case 1: a hub carrying mr on both Lout(s) and the dropped Lin(t).
-		if ix.anyOutHubMaybe(s, mr, tr.inBlock(ts)) {
-			return tierMaybe
-		}
-		return tierFalse
-	case rt < r: // t retained, s demoted — the mirror image
-		if ix.linHas(t, rs, mr) {
-			return tierTrue
-		}
-		ss := tr.slotOf(rs)
-		if !tr.has(tr.unionOut[ss], mr) {
-			return tierFalse
-		}
-		if tr.bloomHas(tr.outBlock(ss), uint32(rt), mr) {
-			return tierMaybe
-		}
-		if ix.anyInHubMaybe(t, mr, tr.outBlock(ss)) {
-			return tierMaybe
-		}
-		return tierFalse
+		return ix.probeHalf(s, lout, rt, mr)
+	case rt < r: // t retained, s demoted
+		return ix.probeHalf(t, lin, rs, mr)
 	default: // both demoted
 		ss, ts := tr.slotOf(rs), tr.slotOf(rt)
-		outHas := tr.has(tr.unionOut[ss], mr)
-		inHas := tr.has(tr.unionIn[ts], mr)
+		outHas := tr.has(tr.union[lout][ss], mr)
+		inHas := tr.has(tr.union[lin][ts], mr)
 		// Case 1 needs mr on both dropped lists; the unions cannot localize
 		// the common hub, so both present is already a maybe.
 		if outHas && inHas {
 			return tierMaybe
 		}
 		// Case 2 either way: (rank(t), mr) ∈ Lout(s) / (rank(s), mr) ∈ Lin(t).
-		if outHas && tr.bloomHas(tr.outBlock(ss), uint32(rt), mr) {
+		if outHas && tr.bloomHas(tr.block(lout, ss), uint32(rt), mr) {
 			return tierMaybe
 		}
-		if inHas && tr.bloomHas(tr.inBlock(ts), uint32(rs), mr) {
+		if inHas && tr.bloomHas(tr.block(lin, ts), uint32(rs), mr) {
 			return tierMaybe
 		}
 		return tierFalse
 	}
 }
 
-// loutHas is exact (hub, mr) membership on a retained vertex's complete Lout
-// list.
-func (ix *Index) loutHas(v graph.Vertex, hub int32, mr labelseq.ID) bool {
-	return ix.packed.groupHas(ix.packed.lout(v), hub, mr)
-}
-
-// linHas is the Lin mirror of loutHas.
-func (ix *Index) linHas(v graph.Vertex, hub int32, mr labelseq.ID) bool {
-	return ix.packed.groupHas(ix.packed.lin(v), hub, mr)
-}
-
-// anyOutHubMaybe enumerates the hubs carrying mr on the retained vertex s's
-// complete Lout list and bloom-probes each against the demoted side's block:
-// true when some common hub cannot be excluded (Case 1 maybe), false when
-// every one is (Case 1 definitively fails).
-func (ix *Index) anyOutHubMaybe(s graph.Vertex, mr labelseq.ID, block []uint64) bool {
+// probeHalf is probeTiered with one endpoint retained: v, whose side-d list
+// is complete, and the demoted other endpoint of rank ro, whose dropped list
+// on the other side only the filters stand for (d is Lout when v is the
+// source, Lin when it is the target).
+func (ix *Index) probeHalf(v graph.Vertex, d side, ro int32, mr labelseq.ID) tierVerdict {
 	p, tr := ix.packed, ix.tiers
-	for _, g := range p.lout(s) {
+	list := p.list(d, v)
+	// Case 2 on v's side: (ro, mr) on its complete list — exact.
+	if p.groupHas(list, ro, mr) {
+		return tierTrue
+	}
+	slot := tr.slotOf(ro)
+	if !tr.has(tr.union[d.other()][slot], mr) {
+		// The dropped list carried no entry with this MR at all: no Case 2
+		// on the demoted side and no Case 1 either.
+		return tierFalse
+	}
+	block := tr.block(d.other(), slot)
+	// Case 2 on the demoted side: (rank(v), mr) on the dropped list?
+	if tr.bloomHas(block, uint32(ix.rank[v]), mr) {
+		return tierMaybe
+	}
+	// Case 1: a hub carrying mr on v's complete list that the dropped
+	// list's bloom cannot exclude.
+	for _, g := range list {
 		if p.has(g.set, mr) && tr.bloomHas(block, uint32(g.hub), mr) {
-			return true
+			return tierMaybe
 		}
 	}
-	return false
-}
-
-// anyInHubMaybe is the Lin mirror of anyOutHubMaybe.
-func (ix *Index) anyInHubMaybe(t graph.Vertex, mr labelseq.ID, block []uint64) bool {
-	p, tr := ix.packed, ix.tiers
-	for _, g := range p.lin(t) {
-		if p.has(g.set, mr) && tr.bloomHas(block, uint32(g.hub), mr) {
-			return true
-		}
-	}
-	return false
+	return tierFalse
 }
 
 // compileFallback compiles and caches the tier-3 automaton of one interned
@@ -368,7 +325,7 @@ const tierSlotBytes = 2*4 + 2*8
 // a size budget must never produce a larger index. A budget that fits the
 // whole index is a no-op: the index stays bit-identical to an unbudgeted
 // build.
-func (ix *Index) tier(out, in [][]entry, total, budget int64) (*tiers, error) {
+func (ix *Index) tier(lists [2][][]entry, total, budget int64) (*tiers, error) {
 	// Fixed costs (dictionary, offset arrays) live outside the tier
 	// trade-off but inside SizeBytes, which the budget is denominated in.
 	fixed := ix.fixedBytes()
@@ -377,7 +334,7 @@ func (ix *Index) tier(out, in [][]entry, total, budget int64) (*tiers, error) {
 		return nil, nil // no budget, or the whole index fits
 	}
 	n := len(ix.order)
-	listBytes := func(v graph.Vertex) int64 { return int64(len(out[v])+len(in[v])) * 8 }
+	listBytes := func(v graph.Vertex) int64 { return int64(len(lists[lout][v])+len(lists[lin][v])) * 8 }
 
 	// Selection: walk the cut down from n, consing each newly demoted
 	// vertex's unions so size(r) is exact.
@@ -386,8 +343,8 @@ func (ix *Index) tier(out, in [][]entry, total, budget int64) (*tiers, error) {
 	retained, best, bestSize := -1, n-1, int64(math.MaxInt64)
 	for r := n - 1; r >= 0; r-- {
 		v := ix.order[r]
-		for _, list := range [2][]entry{out[v], in[v]} {
-			if _, err := sel.intern(list); err != nil {
+		for _, d := range sides {
+			if _, err := sel.intern(lists[d][v]); err != nil {
 				return nil, err
 			}
 		}
@@ -415,45 +372,43 @@ func (ix *Index) tier(out, in [][]entry, total, budget int64) (*tiers, error) {
 	for _, v := range ix.order[:retained] {
 		exactBytes += listBytes(v)
 	}
-	d := n - retained
-	tr := &tiers{
-		retainedRanks: int32(retained),
-		budget:        budget,
-		unionOut:      make([]uint32, d),
-		unionIn:       make([]uint32, d),
-	}
+	demoted := ix.order[retained:]
+	tr := &tiers{retainedRanks: int32(retained), budget: budget}
 
 	// MR-union bitsets over the dropped lists. The pool totals match the
 	// selection walk's (same distinct-window set), only the ids are assigned
 	// in slot order here.
 	c := newConser(ix.dict.Len())
-	for slot, v := range ix.order[retained:] {
-		var err error
-		if tr.unionOut[slot], err = c.intern(out[v]); err != nil {
-			return nil, err
-		}
-		if tr.unionIn[slot], err = c.intern(in[v]); err != nil {
-			return nil, err
+	for _, d := range sides {
+		tr.union[d] = make([]uint32, len(demoted))
+	}
+	for slot, v := range demoted {
+		for _, d := range sides {
+			var err error
+			if tr.union[d][slot], err = c.intern(lists[d][v]); err != nil {
+				return nil, err
+			}
 		}
 	}
 	tr.setPool = c.pool
 
 	// Bloom blocks: the largest power-of-two word count the residual budget
 	// affords, clamped to [1, 64] words ([64, 4096] bits) per block.
-	unionBytes := int64(2*d)*4 + tr.setPool.sizeBytes()
+	blocks := 2 * int64(len(demoted))
+	unionBytes := blocks*4 + tr.setPool.sizeBytes()
 	residual := budget - fixed - exactBytes - unionBytes - tierMetaSize
 	bloomWords := uint32(1)
-	for bloomWords < 64 && int64(2*d)*int64(bloomWords*2)*8 <= residual {
+	for bloomWords < 64 && blocks*int64(bloomWords*2)*8 <= residual {
 		bloomWords *= 2
 	}
 	tr.bloomWords = bloomWords
-	tr.bloom = make([]uint64, int64(2*d)*int64(bloomWords))
-	for slot, v := range ix.order[retained:] {
-		for _, e := range out[v] {
-			tr.bloomAdd(tr.outBlock(int32(slot)), uint32(e.hub), e.mr)
-		}
-		for _, e := range in[v] {
-			tr.bloomAdd(tr.inBlock(int32(slot)), uint32(e.hub), e.mr)
+	tr.bloom = make([]uint64, blocks*int64(bloomWords))
+	for slot, v := range demoted {
+		for _, d := range sides {
+			block := tr.block(d, int32(slot))
+			for _, e := range lists[d][v] {
+				tr.bloomAdd(block, uint32(e.hub), e.mr)
+			}
 		}
 	}
 	return tr, nil
@@ -471,7 +426,7 @@ func (ix *Index) verifyTiers() error {
 	}
 	for r := int(tr.retainedRanks); r < len(ix.order); r++ {
 		v := ix.order[r]
-		if len(ix.packed.lout(v)) != 0 || len(ix.packed.lin(v)) != 0 {
+		if len(ix.packed.list(lout, v)) != 0 || len(ix.packed.list(lin, v)) != 0 {
 			return fmt.Errorf("rlc: tier block retains %d ranks but demoted vertex %d (rank %d) still has entries",
 				tr.retainedRanks, v, r)
 		}

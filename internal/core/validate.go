@@ -31,25 +31,21 @@ func (ix *Index) ValidateSound() error {
 		nfas[id] = n
 		return n, nil
 	}
-	for v := 0; v < ix.g.NumVertices(); v++ {
-		for e := range ix.lout(graph.Vertex(v)) {
-			hub := ix.order[e.hub]
-			nfa, err := nfaOf(e.mr)
-			if err != nil {
-				return err
-			}
-			if !ev.BFS(graph.Vertex(v), hub, nfa) {
-				return fmt.Errorf("rlc: unsound entry (%d, %v) in Lout(%d): no such path", hub, ix.dict.Seq(e.mr), v)
-			}
-		}
-		for e := range ix.lin(graph.Vertex(v)) {
-			hub := ix.order[e.hub]
-			nfa, err := nfaOf(e.mr)
-			if err != nil {
-				return err
-			}
-			if !ev.BFS(hub, graph.Vertex(v), nfa) {
-				return fmt.Errorf("rlc: unsound entry (%d, %v) in Lin(%d): no such path", hub, ix.dict.Seq(e.mr), v)
+	for v := graph.Vertex(0); int(v) < ix.g.NumVertices(); v++ {
+		for _, d := range sides {
+			for e := range ix.entries(d, v) {
+				hub := ix.order[e.hub]
+				nfa, err := nfaOf(e.mr)
+				if err != nil {
+					return err
+				}
+				s, t := v, hub
+				if d == lin {
+					s, t = hub, v
+				}
+				if !ev.BFS(s, t, nfa) {
+					return fmt.Errorf("rlc: unsound entry (%d, %v) in %s(%d): no such path", hub, ix.dict.Seq(e.mr), d, v)
+				}
 			}
 		}
 	}
@@ -90,37 +86,34 @@ func (ix *Index) ValidateComplete() error {
 // violation when a hub u distinct from both endpoints covers the same fact,
 // or when both direct entries exist simultaneously.
 func (ix *Index) ValidateCondensed() error {
-	for v := 0; v < ix.g.NumVertices(); v++ {
-		// Direct entries recorded as (t, L) ∈ Lout(s) with s = v.
-		for e := range ix.lout(graph.Vertex(v)) {
-			s := graph.Vertex(v)
-			t := ix.order[e.hub]
-			if err := ix.checkNotCovered(s, t, e.mr, "Lout"); err != nil {
-				return err
-			}
-		}
-		// Direct entries recorded as (s, L) ∈ Lin(t) with t = v.
-		for e := range ix.lin(graph.Vertex(v)) {
-			s := ix.order[e.hub]
-			t := graph.Vertex(v)
-			if err := ix.checkNotCovered(s, t, e.mr, "Lin"); err != nil {
-				return err
-			}
-			// Both direct forms for the same fact is double recording,
-			// except for the degenerate s == t cycles where the two
-			// lists describe the same vertex.
-			if s != t && ix.loutHas(s, ix.rank[t], e.mr) {
-				return fmt.Errorf("rlc: not condensed: (%d,%v) recorded in both Lout(%d) and Lin(%d)",
-					t, ix.dict.Seq(e.mr), s, t)
+	for v := graph.Vertex(0); int(v) < ix.g.NumVertices(); v++ {
+		// Direct entries recorded as (t, L) ∈ Lout(s) with s = v, and as
+		// (s, L) ∈ Lin(t) with t = v.
+		for _, d := range sides {
+			for e := range ix.entries(d, v) {
+				s, t := v, ix.order[e.hub]
+				if d == lin {
+					s, t = t, s
+				}
+				if err := ix.checkNotCovered(s, t, e.mr, d); err != nil {
+					return err
+				}
+				// Both direct forms for the same fact is double recording,
+				// except for the degenerate s == t cycles where the two
+				// lists describe the same vertex.
+				if d == lin && s != t && ix.packed.groupHas(ix.packed.list(lout, s), ix.rank[t], e.mr) {
+					return fmt.Errorf("rlc: not condensed: (%d,%v) recorded in both Lout(%d) and Lin(%d)",
+						t, ix.dict.Seq(e.mr), s, t)
+				}
 			}
 		}
 	}
 	return nil
 }
 
-func (ix *Index) checkNotCovered(s, t graph.Vertex, mr labelseq.ID, kind string) error {
+func (ix *Index) checkNotCovered(s, t graph.Vertex, mr labelseq.ID, kind side) error {
 	p := ix.packed
-	a, b := p.lout(s), p.lin(t)
+	a, b := p.list(lout, s), p.list(lin, t)
 	i, j := 0, 0
 	for i < len(a) && j < len(b) {
 		switch {

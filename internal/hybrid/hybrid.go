@@ -160,9 +160,9 @@ func (h *Evaluator) evalBackward(ctx context.Context, s, t graph.Vertex, first, 
 	return found, true, err
 }
 
-// probeFor prepares the per-source test for (·, t, l+): an index TargetProbe
-// when the constraint is within the index's class, otherwise a traversal on
-// the second evaluator.
+// probeFor prepares the per-source test for (·, t, l+): the index's target
+// probe (core.Probe) when the constraint is within the index's class,
+// otherwise a traversal on the second evaluator.
 func (h *Evaluator) probeFor(t graph.Vertex, l labelseq.Seq) (func(graph.Vertex) bool, error) {
 	if h.ix.InClass(l) {
 		probe, err := h.ix.NewTargetProbe(t, l)

@@ -8,10 +8,11 @@
 # one-client-stack-in-the-router check, the one-server-stack check, the
 # one-way-to-load-a-bundle check, the one-typed-array-codec check (unsafe
 # only in internal/snapshot/view.go), the builder-in-rank-space check, the
-# one-index-builder-among-the-binaries check, the one-production-build
-# check (no pruning switch, no access-order knob), the reference-builder-
-# stays-an-oracle check, the one-journal-watermark check, the one-command-
-# contract check, then staticcheck and govulncheck when available.
+# one-spelling-per-side check, the one-index-builder-among-the-binaries
+# check, the one-production-build check (no pruning switch, no access-order
+# knob), the reference-builder-stays-an-oracle check, the one-journal-
+# watermark check, the one-command-contract check, then staticcheck and
+# govulncheck when available.
 # CI runs this in the lint job; run it locally before sending a change that
 # touches the serving or query path.
 #
@@ -248,6 +249,20 @@ echo "==> rank lookups in internal/core/builder.go outside newRankCSR"
 stray=$(awk '/^func /{fn=$0} /\.rank\[/ && fn !~ /^func newRankCSR\(/ {print FILENAME ":" FNR ": " $0}' internal/core/builder.go)
 if [ -n "$stray" ]; then
 	echo "internal/core/builder.go reads a rank table outside newRankCSR; keep the builder in rank space:" >&2
+	echo "$stray" >&2
+	status=1
+fi
+
+# Definition 4's two sides are spelled once: Lout and Lin are one side
+# index (internal/core/core.go) across the packed offsets, the tier unions
+# and blooms, the probes and the builder, so a fix to one side is a fix to
+# both. A per-side twin in non-test internal/core code is a second copy
+# that can drift from its mirror; index the structure by side instead.
+echo "==> per-side twins in internal/core"
+stray=$(grep -nE '(^|[^[:alnum:]_])(outOff|inOff|unionOut|unionIn|outBlock|inBlock|loutHas|linHas|anyOutHubMaybe|anyInHubMaybe|TargetProbe|SourceProbe)([^[:alnum:]_]|$)|type direction' internal/core/*.go |
+	grep -v '_test\.go:' || true)
+if [ -n "$stray" ]; then
+	echo "internal/core spells a per-side structure or check twice; index it by side (lout, lin):" >&2
 	echo "$stray" >&2
 	status=1
 fi
